@@ -10,9 +10,10 @@ report is the primary product and ``--out`` is required). Reports contain
 no timestamps or absolute-path echoes beyond the flags as given, so a rerun
 with identical inputs and seeds is byte-identical.
 
-``MOTIONSTACK_THREADS``, when set, must be a positive integer; it caps
-worker counts. Every stage currently runs single-threaded, which trivially
-honors any cap, but the value is still validated so a typo fails loudly.
+``MOTIONSTACK_THREADS``, when set, must be a positive integer, so a typo
+fails loudly. It caps nothing yet: motionstack starts no threads of its own,
+and the BLAS library behind numpy (OpenBLAS, for one) runs its own thread
+pool whatever this value says.
 """
 
 from __future__ import annotations

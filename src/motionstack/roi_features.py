@@ -8,6 +8,16 @@ regular grid inside the bin. Sample points are clamped into the valid map
 rectangle before interpolation, so boxes hanging over the edge reuse
 border values instead of fading to zero. Averaging the pooled grid per
 channel turns a box into a fixed-length descriptor.
+
+Everything is computed in separable form. Clamped bilinear interpolation
+at (x, y) is ``sum_ij wy[i] * wx[j] * map[c, i, j]``, where ``wy`` puts
+``1 - ly`` on row ``floor(y)`` and ``ly`` on the clamped row below, and
+``wx`` does the same over columns. A bin's samples pair every y-sample with
+every x-sample, so their mean factorises too: ``Wy @ map[c] @ Wx.T``, with
+one row of ``Wy`` (``Wx``) per bin holding the mean weights of its y (x)
+samples. A descriptor is the same contraction with weights averaged over
+all bins, so no per-sample tensor is built, and only the float64 summation
+order differs from interpolating each sample.
 """
 
 from __future__ import annotations
@@ -37,11 +47,63 @@ class FeatureMap:
             raise ValueError(f"spatial_scale must be positive, got {self.spatial_scale}")
 
 
-def _map64(fmap: FeatureMap | np.ndarray) -> np.ndarray:
+def _sample_coords(boxes: np.ndarray, spatial_scale: float, out_h: int, out_w: int, ratio: int):
+    """Sample coordinates of [N, 4] boxes: ys [N, out_h, ratio], xs [N, out_w, ratio]."""
+    # Half-pixel alignment into feature-map coordinates.
+    f = boxes * spatial_scale - 0.5
+    checks = (
+        (~np.isfinite(f).all(axis=1), "has a non-finite coordinate"),
+        ((f[:, 2] <= f[:, 0]) | (f[:, 3] <= f[:, 1]), "degenerates to zero area"),
+    )
+    for bad, what in checks:
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DataValidationError(f"box {i} {boxes[i].tolist()} {what} at spatial_scale {spatial_scale}")
+
+    def grid(lo, hi, bins):
+        # Sample s of bin p sits at lo + (p + (s + 0.5) / ratio) * bin_size.
+        p = np.arange(bins, dtype=np.float64)[:, None]
+        s = np.arange(ratio, dtype=np.float64)[None, :]
+        return lo[:, None, None] + (p + (s + 0.5) / ratio) * ((hi - lo) / bins)[:, None, None]
+
+    return grid(f[:, 1], f[:, 3], out_h), grid(f[:, 0], f[:, 2], out_w)
+
+
+def _bilinear_weights(pos: np.ndarray, n: int) -> np.ndarray:
+    """[..., n] weights averaging clamped linear interpolation at pos [..., k] on n pixels."""
+    flat = np.clip(pos, 0.0, n - 1.0).reshape(-1, pos.shape[-1])
+    i0 = np.floor(flat).astype(np.intp)
+    frac = flat - i0
+    row = np.arange(len(flat))[:, None]
+    weights = np.zeros((len(flat), n))
+    np.add.at(weights, (row, i0), 1.0 - frac)
+    np.add.at(weights, (row, np.minimum(i0 + 1, n - 1)), frac)
+    return (weights / pos.shape[-1]).reshape(pos.shape[:-1] + (n,))
+
+
+def _window(weights: np.ndarray):
+    # Per box of weights [N, bins, n], the [lo, hi) range of nonzero columns.
+    touched = (weights != 0).any(axis=1)
+    return zip(touched.argmax(axis=1), weights.shape[-1] - touched[:, ::-1].argmax(axis=1))
+
+
+def _pool(fmap: FeatureMap | np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Mean bilinear samples over ys [N, by, k] x xs [N, bx, k]: float64 [N, by, bx, C].
+
+    The map goes channels-last, so a box's window of rows and columns is an
+    [h, w * C] view and both contractions run in BLAS without a copy.
+    """
     arr = fmap.tensor if isinstance(fmap, FeatureMap) else np.asarray(fmap)
     if arr.ndim != 3:
         raise ValueError(f"feature map must be [C, Hf, Wf], got shape {arr.shape}")
-    return arr.astype(np.float64, copy=False)
+    hwc = np.ascontiguousarray(arr.transpose(1, 2, 0), dtype=np.float64)
+    wy, wx = _bilinear_weights(ys, hwc.shape[0]), _bilinear_weights(xs, hwc.shape[1])
+    c = hwc.shape[2]
+    out = np.empty((len(wy), wy.shape[1], wx.shape[1], c))
+    for i, ((y0, y1), (x0, x1)) in enumerate(zip(_window(wy), _window(wx))):
+        rows = wy[i, :, y0:y1] @ hwc[y0:y1, x0:x1].reshape(y1 - y0, (x1 - x0) * c)
+        out[i] = wx[i, :, x0:x1] @ rows.reshape(len(rows), x1 - x0, c)
+    return out
 
 
 def bilinear_sample(fmap: FeatureMap | np.ndarray, x: float, y: float) -> np.ndarray:
@@ -50,76 +112,9 @@ def bilinear_sample(fmap: FeatureMap | np.ndarray, x: float, y: float) -> np.nda
     Pixel centers sit at integer coordinates; out-of-range points clamp to
     the valid rectangle. Returns a float64 [C] vector.
     """
-    arr = _map64(fmap)
-    _, h, w = arr.shape
-    x = min(max(float(x), 0.0), w - 1.0)
-    y = min(max(float(y), 0.0), h - 1.0)
-    x0 = int(np.floor(x))
-    y0 = int(np.floor(y))
-    x1 = min(x0 + 1, w - 1)
-    y1 = min(y0 + 1, h - 1)
-    lx = x - x0
-    ly = y - y0
-    return (
-        arr[:, y0, x0] * (1.0 - ly) * (1.0 - lx)
-        + arr[:, y0, x1] * (1.0 - ly) * lx
-        + arr[:, y1, x0] * ly * (1.0 - lx)
-        + arr[:, y1, x1] * ly * lx
-    )
-
-
-def _grid_1d(start: float, bin_size: float, bins: int, ratio: int) -> np.ndarray:
-    # Sample s of bin p sits at start + (p + (s + 0.5) / ratio) * bin_size.
-    p = np.arange(bins, dtype=np.float64)[:, None]
-    s = np.arange(ratio, dtype=np.float64)[None, :]
-    return (start + (p + (s + 0.5) / ratio) * bin_size).reshape(-1)
-
-
-def _gather_bilinear(arr: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    # arr [C, H, W], ys [Sy], xs [Sx] -> [C, Sy, Sx] interpolated values.
-    _, h, w = arr.shape
-    y = np.clip(ys, 0.0, h - 1.0)
-    x = np.clip(xs, 0.0, w - 1.0)
-    y0 = np.floor(y).astype(np.intp)
-    x0 = np.floor(x).astype(np.intp)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    ly = (y - y0)[:, None]
-    lx = (x - x0)[None, :]
-    top = arr[:, y0, :]
-    bottom = arr[:, y1, :]
-    return (
-        top[:, :, x0] * (1.0 - ly) * (1.0 - lx)
-        + top[:, :, x1] * (1.0 - ly) * lx
-        + bottom[:, :, x0] * ly * (1.0 - lx)
-        + bottom[:, :, x1] * ly * lx
-    )
-
-
-def _align_one(
-    arr: np.ndarray,
-    spatial_scale: float,
-    box,
-    out_h: int,
-    out_w: int,
-    sampling_ratio: int,
-) -> np.ndarray:
-    x1, y1, x2, y2 = (float(v) for v in box)
-    # Half-pixel alignment into feature-map coordinates.
-    fx1 = x1 * spatial_scale - 0.5
-    fy1 = y1 * spatial_scale - 0.5
-    fx2 = x2 * spatial_scale - 0.5
-    fy2 = y2 * spatial_scale - 0.5
-    if fx2 - fx1 <= 0 or fy2 - fy1 <= 0:
-        raise DataValidationError(
-            f"box {[x1, y1, x2, y2]} degenerates to zero area at spatial_scale {spatial_scale}"
-        )
-    c = arr.shape[0]
-    ys = _grid_1d(fy1, (fy2 - fy1) / out_h, out_h, sampling_ratio)
-    xs = _grid_1d(fx1, (fx2 - fx1) / out_w, out_w, sampling_ratio)
-    sampled = _gather_bilinear(arr, ys, xs)
-    blocks = sampled.reshape(c, out_h, sampling_ratio, out_w, sampling_ratio)
-    return blocks.mean(axis=(2, 4))
+    if np.isnan(x) or np.isnan(y):
+        raise ValueError(f"sample coordinate ({x}, {y}) is NaN")
+    return _pool(fmap, np.full((1, 1, 1), float(y)), np.full((1, 1, 1), float(x)))[0, 0, 0]
 
 
 def _check_pool_params(out_h: int, out_w: int, sampling_ratio: int) -> None:
@@ -142,9 +137,9 @@ def roi_align(
     float64.
     """
     _check_pool_params(out_h, out_w, sampling_ratio)
-    arr = _map64(fmap)
-    pooled = _align_one(arr, fmap.spatial_scale, box, out_h, out_w, sampling_ratio)
-    return pooled.astype(np.float32)
+    boxes = np.asarray(box, dtype=np.float64).reshape(1, 4)
+    ys, xs = _sample_coords(boxes, fmap.spatial_scale, out_h, out_w, sampling_ratio)
+    return _pool(fmap, ys, xs)[0].transpose(2, 0, 1).astype(np.float32)
 
 
 def pool_to_vector(pooled: np.ndarray) -> np.ndarray:
@@ -164,11 +159,11 @@ def pool_boxes(
 ) -> np.ndarray:
     """RoI-align every box and average over space: float32 [N, C] descriptors."""
     _check_pool_params(out_h, out_w, sampling_ratio)
-    arr = _map64(fmap)
     boxes = np.asarray(boxes, dtype=np.float64)
     if boxes.ndim != 2 or boxes.shape[1] != 4:
         raise ValueError(f"boxes must be [N, 4], got shape {boxes.shape}")
-    out = np.empty((len(boxes), arr.shape[0]), dtype=np.float64)
-    for i, box in enumerate(boxes):
-        out[i] = _align_one(arr, fmap.spatial_scale, box, out_h, out_w, sampling_ratio).mean(axis=(1, 2))
-    return out.astype(np.float32)
+    ys, xs = _sample_coords(boxes, fmap.spatial_scale, out_h, out_w, sampling_ratio)
+    # Pooling every sample of a box at once averages its per-bin weight rows.
+    n = len(boxes)
+    pooled = _pool(fmap, ys.reshape(n, 1, out_h * sampling_ratio), xs.reshape(n, 1, out_w * sampling_ratio))
+    return pooled[:, 0, 0].astype(np.float32)

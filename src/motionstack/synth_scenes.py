@@ -14,8 +14,7 @@ gives the evaluation metrics something imperfect to measure.
 
 Everything is bit-deterministic for a fixed seed. Spawn-time draws come
 from one stream keyed on the seed; all per-frame randomness comes from
-streams keyed on (seed, frame), so the output cannot depend on how frames
-are distributed over workers.
+streams keyed on (seed, frame).
 """
 
 from __future__ import annotations

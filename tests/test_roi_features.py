@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from motionstack.errors import DataValidationError
@@ -19,6 +21,29 @@ from motionstack.roi_features import (
 def _random_map(c=2, h=6, w=8, seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
     return FeatureMap(tensor=rng.normal(0, 1, size=(c, h, w)), spatial_scale=scale)
+
+
+@st.composite
+def pooling_cases(draw):
+    """A small map and 1-8 boxes: tiny, past any edge, or larger than the map."""
+    c, h, w = draw(st.integers(1, 3)), draw(st.integers(2, 10)), draw(st.integers(2, 10))
+    scale = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    sizes = st.sampled_from([1, 2, 3, 7])
+    out_h, out_w, ratio = draw(sizes), draw(sizes), draw(sizes)
+    fmap = _random_map(c, h, w, seed=draw(st.integers(0, 2**16)), scale=scale)
+
+    def span(extent):
+        # Starts up to one map width outside either edge; lengths from a
+        # fraction of a pixel to three map widths.
+        start = draw(st.floats(-extent, 2 * extent))
+        length = draw(st.one_of(st.floats(0.01, 1.0), st.floats(1.0, 3 * extent)))
+        return start, start + length
+
+    boxes = []
+    for _ in range(draw(st.integers(1, 8))):
+        (x1, x2), (y1, y2) = span(w / scale), span(h / scale)
+        boxes.append((x1, y1, x2, y2))
+    return fmap, boxes, out_h, out_w, ratio
 
 
 class TestFeatureMap:
@@ -61,6 +86,10 @@ class TestBilinearSample:
         assert np.array_equal(bilinear_sample(fmap, -3.0, -10.0), corner)
         far = fmap.tensor[:, 5, 7].astype(np.float64)
         assert np.array_equal(bilinear_sample(fmap, 100.0, 100.0), far)
+
+    def test_nan_coordinate_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            bilinear_sample(_random_map(), np.nan, 1.0)
 
     def test_matches_scalar_oracle(self):
         fmap = _random_map(c=3, seed=3)
@@ -125,6 +154,11 @@ class TestRoiAlign:
         with pytest.raises(DataValidationError, match="zero area"):
             roi_align(fmap, (4.0, 2.0, 3.0, 5.0))
 
+    @pytest.mark.parametrize("box", [(np.nan, 2.0, 5.0, 5.0), (1.0, 2.0, np.inf, 5.0)])
+    def test_non_finite_box_rejected(self, box):
+        with pytest.raises(DataValidationError, match="non-finite"):
+            roi_align(_random_map(), box)
+
     def test_parameter_validation(self):
         fmap = _random_map()
         with pytest.raises(ValueError, match="output size"):
@@ -153,9 +187,30 @@ class TestPooling:
             want = pool_to_vector(roi_align(fmap, box))
             assert np.allclose(table[i], want, rtol=1e-6, atol=1e-6)
 
+    @settings(max_examples=60, deadline=None)
+    @given(pooling_cases())
+    def test_pool_boxes_matches_loop_oracle_on_many_boxes(self, case):
+        fmap, boxes, out_h, out_w, ratio = case
+        table = pool_boxes(fmap, boxes, out_h, out_w, ratio)
+        assert table.dtype == np.float32
+        assert table.shape == (len(boxes), fmap.tensor.shape[0])
+        for row, box in zip(table, boxes):
+            grid = oracles.roi_align_loops(fmap.tensor, fmap.spatial_scale, box, out_h, out_w, ratio)
+            assert np.allclose(row, grid.mean(axis=(1, 2)), rtol=1e-5, atol=1e-5)
+
+    def test_pool_boxes_of_no_boxes_is_empty(self):
+        table = pool_boxes(_random_map(c=3), np.zeros((0, 4)))
+        assert table.dtype == np.float32
+        assert table.shape == (0, 3)
+
     def test_pool_boxes_validation(self):
         fmap = _random_map()
         with pytest.raises(ValueError, match=r"\[N, 4\]"):
             pool_boxes(fmap, [(0.0, 0.0, 1.0)])
         with pytest.raises(DataValidationError, match="zero area"):
             pool_boxes(fmap, [(1.0, 1.0, 1.0, 4.0)])
+
+    @pytest.mark.parametrize("bad", [(np.nan, 2.0, 5.0, 5.0), (1.0, 2.0, np.inf, 5.0)])
+    def test_pool_boxes_rejects_non_finite_box(self, bad):
+        with pytest.raises(DataValidationError, match=r"box 1 \[.*\] has a non-finite"):
+            pool_boxes(_random_map(), [(0.0, 0.0, 4.0, 4.0), bad])
