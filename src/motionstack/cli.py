@@ -49,6 +49,7 @@ from .metric_learning import (
     save_net,
     separation_metrics,
     tracklet_centroids,
+    tracklet_embeddings,
     train,
     write_scatter_csv,
     write_triplets_jsonl,
@@ -318,7 +319,8 @@ def _cmd_reid(args):
     tracklets = load_tracklets_json(args.tracklets)
     table = load_feature_table(tracklets, args.features)
     net = load_net(args.net)
-    centroids = tracklet_centroids(net, tracklets, table)
+    embeddings = tracklet_embeddings(net, tracklets, table)
+    centroids = tracklet_centroids(net, tracklets, table, embeddings)
     merges = propose_merges(centroids, tracklets, args.threshold)
 
     groups_def = load_identity_map(args.identity_map) if args.identity_map else None
@@ -329,12 +331,11 @@ def _cmd_reid(args):
                 id_to_group[tid] = gi
     samples: dict[object, list[np.ndarray]] = {}
     for t in tracklets:
-        emb = net.embed_batch(table.matrix64[table.rows_for(t)])
         if groups_def is None:
             key: object = t.id
         else:
             key = id_to_group.get(t.id, f"ungrouped_{t.id}")
-        samples.setdefault(key, []).extend(emb)
+        samples.setdefault(key, []).extend(embeddings[t.id])
     separation = separation_metrics(samples)
 
     inputs = {

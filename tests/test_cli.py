@@ -13,7 +13,7 @@ import pytest
 import motionstack
 from motionstack import __version__, cli
 from motionstack.frame_pipeline import FrameSequence
-from motionstack.metric_learning import load_net
+from motionstack.metric_learning import EmbeddingNet, load_net, save_net
 from motionstack.roi_features import FeatureMap, pool_boxes
 from motionstack.synth_scenes import SceneConfig, generate
 from motionstack.tensor_io import read_tensor, write_tensor
@@ -90,6 +90,32 @@ class TestExitCodes:
         assert cli.run(argv) == 1
         monkeypatch.setenv("MOTIONSTACK_THREADS", "2")
         assert cli.run(argv) == 0
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("weight", 5, "layers[0].weight must be a file name string"),
+            ("bias", ["a"], "layers[0].bias must be a file name string"),
+            ("layer_dims", 5, "layer_dims must be a list of layer widths"),
+        ],
+    )
+    def test_malformed_net_manifest_is_data_error(self, tmp_path, scene12, capsys, field, value, message):
+        in_dim = read_tensor(scene12 / "features.mten").shape[1]
+        manifest_path = save_net(EmbeddingNet.init(in_dim, hidden=(6,), seed=0), tmp_path / "net")
+        doc = json.loads(manifest_path.read_text())
+        if field == "layer_dims":
+            doc["layer_dims"] = value
+        else:
+            doc["layers"][0][field] = value
+        manifest_path.write_text(json.dumps(doc))
+        code = cli.run(
+            ["project", "--features", str(scene12 / "features.mten"),
+             "--tracklets", str(scene12 / "tracklets.json"), "--net", str(manifest_path),
+             "--out-csv", str(tmp_path / "scatter.csv")]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == [f"error: {manifest_path}: {message}"]
 
 
 class TestStack:

@@ -2,9 +2,13 @@
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from motionstack.errors import DataValidationError
@@ -17,9 +21,10 @@ from motionstack.metric_learning import (
     FeatureTable,
     TrainConfig,
     Triplet,
+    _SEPARATION_BLOCK,
+    _pair_distances,
     backward,
     batch_losses_on_params,
-    centroid_distance,
     gradients_on_params,
     load_feature_table,
     load_net,
@@ -33,6 +38,7 @@ from motionstack.metric_learning import (
     separation_metrics,
     set_params,
     tracklet_centroids,
+    tracklet_embeddings,
     train,
     triplet_loss,
     write_scatter_csv,
@@ -516,6 +522,17 @@ class TestReid:
         assert np.array_equal(centroids[0], want)
         assert np.array_equal(centroids[4], net.embed_batch(table.matrix64[[3]])[0])
 
+    def test_centroids_average_given_embeddings(self):
+        ts = [_tr(0, 0, 2), _tr(4, 1, 1)]
+        table = FeatureTable(ts, np.random.default_rng(1).normal(size=(4, 5)).astype(np.float32))
+        net = EmbeddingNet.init(5, hidden=(6,), seed=0)
+        embeddings = tracklet_embeddings(net, ts, table)
+        assert [e.shape for e in embeddings.values()] == [(3, OUT_DIM), (1, OUT_DIM)]
+        given_centroids = tracklet_centroids(net, ts, table, embeddings)
+        computed = tracklet_centroids(net, ts, table)
+        for tid in (0, 4):
+            assert given_centroids[tid].tobytes() == computed[tid].tobytes()
+
     def test_propose_merges_rules(self):
         ts = [_tr(0, 0, 9), _tr(1, 20, 29), _tr(2, 5, 14), _tr(3, 40, 49)]
         z = np.zeros(OUT_DIM)
@@ -546,10 +563,6 @@ class TestReid:
         with pytest.raises(ValueError, match="nonnegative"):
             propose_merges({0: np.zeros(2)}, ts, threshold=-0.1)
 
-    def test_centroid_distance(self):
-        centroids = {0: np.array([0.0, 0.0]), 1: np.array([3.0, 4.0])}
-        assert centroid_distance(centroids, 0, 1) == 5.0
-
     def test_separation_matches_loop_oracle(self):
         rng = np.random.default_rng(7)
         groups = {
@@ -573,6 +586,78 @@ class TestReid:
         identical = separation_metrics({"a": [np.zeros(2)] * 2, "b": [np.zeros(2)] * 2})
         assert identical["inter_mean"] == 0.0
         assert identical["ratio"] == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_separation_matches_loop_oracle_across_block_edges(self, data):
+        dim = data.draw(st.integers(1, 8))
+        sizes = st.sampled_from(
+            [1, _SEPARATION_BLOCK - 1, _SEPARATION_BLOCK, _SEPARATION_BLOCK + 1, 2 * _SEPARATION_BLOCK + 3]
+        )
+        # Quarter steps keep every nonzero squared difference far from underflow.
+        values = st.integers(-40, 40).map(lambda k: k / 4.0)
+        groups = {}
+        for key in range(data.draw(st.integers(2, 4))):
+            v = data.draw(arrays(np.float64, (data.draw(sizes), dim), elements=values))
+            row = st.integers(0, len(v) - 1)
+            for src, dst in data.draw(st.lists(st.tuples(row, row), max_size=3)):
+                v[dst] = v[src]
+            groups[key] = list(v)
+        got = separation_metrics(groups)
+        want = oracles.separation_loops(groups)
+        for key in ("intra_mean", "inter_mean", "ratio"):
+            assert got[key] == pytest.approx(want[key], rel=1e-12)
+        for v in groups.values():
+            v = np.stack(v)
+            dist = _pair_distances(v, v)
+            same = (v[:, None, :] == v[None, :, :]).all(axis=2)
+            assert (dist[same] == 0.0).all()
+            assert (dist[~same] > 0.0).all()
+
+    def test_separation_equals_broadcast_formula_exactly(self):
+        def broadcast_dist(a, b):
+            return np.sqrt(np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2))
+
+        def broadcast_separation(groups):
+            vecs = {k: np.stack(v) for k, v in groups.items()}
+            keys = list(vecs)
+            intra_sum, intra_count = 0.0, 0
+            for k in keys:
+                if len(vecs[k]) < 2:
+                    continue
+                iu = np.triu_indices(len(vecs[k]), k=1)
+                intra_sum += float(broadcast_dist(vecs[k], vecs[k])[iu].sum())
+                intra_count += len(iu[0])
+            inter_sum, inter_count = 0.0, 0
+            for i, ka in enumerate(keys):
+                for kb in keys[i + 1 :]:
+                    dist = broadcast_dist(vecs[ka], vecs[kb])
+                    inter_sum += float(dist.sum())
+                    inter_count += dist.size
+            intra_mean = intra_sum / intra_count if intra_count else 0.0
+            inter_mean = inter_sum / inter_count if inter_count else 0.0
+            ratio = intra_mean / inter_mean if inter_mean > 0 else 0.0
+            return {"intra_mean": intra_mean, "inter_mean": inter_mean, "ratio": ratio}
+
+        rng = np.random.default_rng(11)
+        for dim in (3, OUT_DIM):
+            sizes = (4 * _SEPARATION_BLOCK + 1, 3 * _SEPARATION_BLOCK, 2 * _SEPARATION_BLOCK + 3, 1)
+            groups = {k: list(rng.normal(size=(n, dim))) for k, n in enumerate(sizes)}
+            assert separation_metrics(groups) == broadcast_separation(groups)
+            a, b = np.stack(groups[0]), np.stack(groups[2])
+            assert np.array_equal(_pair_distances(a, b), broadcast_dist(a, b))
+
+    def test_separation_scratch_memory_is_bounded(self):
+        rng = np.random.default_rng(3)
+        groups = {k: rng.normal(size=(600, 64)) for k in ("a", "b")}
+        tracemalloc.start()
+        try:
+            separation_metrics(groups)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The broadcast form builds [600, 600, 64] float64 temporaries (~184 MB).
+        assert peak < 32 * 2**20
 
 
 class TestProjection:
