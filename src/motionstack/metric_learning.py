@@ -13,7 +13,12 @@ The pieces, in pipeline order:
 * loss: hinge on squared Euclidean distances,
   ``max(0, |ea-ep|^2 - |ea-en|^2 + margin)``, margin 1.0 by default.
 * training: plain mini-batch gradient descent with analytic gradients and
-  seeded shuffling; bit-reproducible for a given seed. The optional output
+  seeded shuffling; bit-reproducible for a given seed. Each batch runs one
+  forward pass over its anchor, positive and negative rows stacked together,
+  then back-propagates one stacked batch of the active triplets only
+  (inactive hinges have zero gradient). Results can differ in the last bits
+  from versions that ran three per-stream passes; reruns stay
+  byte-identical. Non-finite features are rejected. The optional output
   L2-normalization toggle affects inference (embeddings, centroids) only;
   training always optimizes the raw-output loss.
 * re-identification: per-tracklet centroid embeddings, merge proposals for
@@ -64,6 +69,10 @@ class FeatureTable:
         matrix = np.asarray(matrix)
         if matrix.ndim != 2:
             raise DataValidationError(f"feature matrix must be [T, D], got shape {matrix.shape}")
+        finite = np.isfinite(matrix)
+        if not finite.all():
+            r, c = np.argwhere(~finite)[0]
+            raise DataValidationError(f"feature row {r} column {c} is not finite: {matrix[r, c]}")
         with_rows = [t for t in tracklets if t.feature_rows is not None]
         if with_rows and len(with_rows) != len(tracklets):
             raise DataValidationError("either every tracklet or none may carry feature_rows")
@@ -323,19 +332,6 @@ def embed_on_params(params, x: np.ndarray) -> np.ndarray:
     return acts[-1]
 
 
-def _backward_stream(params, acts, zs, gout):
-    # Gradients of one stream (anchor, positive, or negative) given dL/dembedding.
-    grads = [None] * len(params)
-    g = gout
-    for l in range(len(params) - 1, -1, -1):
-        w, _ = params[l]
-        grads[l] = (g.T @ acts[l], g.sum(axis=0))
-        if l > 0:
-            # ReLU subgradient: strictly positive pre-activations pass, 0 at 0.
-            g = (g @ w) * (zs[l - 1] > 0.0)
-    return grads
-
-
 def triplet_loss(ea: np.ndarray, ep: np.ndarray, en: np.ndarray, margin: float) -> float:
     """Hinge on squared Euclidean distances: max(0, |ea-ep|^2 - |ea-en|^2 + margin)."""
     ea = np.asarray(ea, dtype=np.float64)
@@ -348,13 +344,19 @@ def triplet_loss(ea: np.ndarray, ep: np.ndarray, en: np.ndarray, margin: float) 
     return max(0.0, d_pos - d_neg + margin)
 
 
+def _stacked_forward(params, xa, xp, xn, margin: float):
+    # One pass over the [3B, D] stack of anchor, positive and negative rows;
+    # returns (acts, zs) of the stack and the [B] hinge terms before the clamp.
+    x = np.concatenate([xa, xp, xn], dtype=np.float64)
+    acts, zs = _forward_full(params, x)
+    ea, ep, en = np.split(acts[-1], 3)
+    terms = np.sum((ea - ep) ** 2, axis=1) - np.sum((ea - en) ** 2, axis=1) + margin
+    return acts, zs, terms
+
+
 def batch_losses_on_params(params, xa, xp, xn, margin: float) -> np.ndarray:
     """Per-triplet hinge losses, float64 [B]."""
-    ea = embed_on_params(params, xa)
-    ep = embed_on_params(params, xp)
-    en = embed_on_params(params, xn)
-    terms = np.sum((ea - ep) ** 2, axis=1) - np.sum((ea - en) ** 2, axis=1) + margin
-    return np.maximum(terms, 0.0)
+    return np.maximum(_stacked_forward(params, xa, xp, xn, margin)[2], 0.0)
 
 
 def loss_on_params(params, xa, xp, xn, margin: float) -> float:
@@ -367,40 +369,27 @@ def gradients_on_params(params, xa, xp, xn, margin: float):
 
     Returns (mean_loss, per_triplet_losses, grads) with grads a list of
     float64 (dW, db) per layer. Triplets whose hinge is inactive (loss
-    term <= 0) contribute nothing.
+    term <= 0) contribute exact zeros, so only the active ones are
+    back-propagated, as one stacked batch of their anchor, positive and
+    negative rows.
     """
-    xa = np.asarray(xa, dtype=np.float64)
-    xp = np.asarray(xp, dtype=np.float64)
-    xn = np.asarray(xn, dtype=np.float64)
-    acts_a, zs_a = _forward_full(params, xa)
-    acts_p, zs_p = _forward_full(params, xp)
-    acts_n, zs_n = _forward_full(params, xn)
-    ea, ep, en = acts_a[-1], acts_p[-1], acts_n[-1]
-
-    terms = np.sum((ea - ep) ** 2, axis=1) - np.sum((ea - en) ** 2, axis=1) + margin
+    acts, zs, terms = _stacked_forward(params, xa, xp, xn, margin)
     losses = np.maximum(terms, 0.0)
     batch = len(losses)
-    if batch == 0:
-        return 0.0, losses, [(np.zeros_like(w), np.zeros_like(b)) for w, b in params]
-    active = (terms > 0.0).astype(np.float64)[:, None] / batch
-
-    ga = 2.0 * (en - ep) * active
-    gp = 2.0 * (ep - ea) * active
-    gn = 2.0 * (ea - en) * active
-    grads_a = _backward_stream(params, acts_a, zs_a, ga)
-    grads_p = _backward_stream(params, acts_p, zs_p, gp)
-    grads_n = _backward_stream(params, acts_n, zs_n, gn)
-    grads = [
-        (wa + wp + wn, ba + bp + bn)
-        for (wa, ba), (wp, bp), (wn, bn) in zip(grads_a, grads_p, grads_n)
-    ]
-    return float(losses.mean()), losses, grads
-
-
-def backward(net: EmbeddingNet, xa, xp, xn, margin: float):
-    """Convenience wrapper: (mean_loss, grads) for a net's current weights."""
-    loss, _, grads = gradients_on_params(params64(net), xa, xp, xn, margin)
-    return loss, grads
+    mean_loss = float(losses.mean()) if batch else 0.0
+    act = np.flatnonzero(terms > 0.0)
+    if len(act) == 0:
+        return mean_loss, losses, [(np.zeros_like(w), np.zeros_like(b)) for w, b in params]
+    rows = np.concatenate([act, act + batch, act + 2 * batch])
+    ea, ep, en = (e[act] for e in np.split(acts[-1], 3))
+    g = (2.0 / batch) * np.concatenate([en - ep, ep - ea, ea - en])
+    grads = [None] * len(params)
+    for l in range(len(params) - 1, -1, -1):
+        grads[l] = (g.T @ acts[l][rows], g.sum(axis=0))
+        if l > 0:
+            # ReLU subgradient: strictly positive pre-activations pass, 0 at 0.
+            g = (g @ params[l][0]) * (zs[l - 1][rows] > 0.0)
+    return mean_loss, losses, grads
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +430,13 @@ def train(
     """
     if table.dim != net.in_dim:
         raise DataValidationError(f"net expects {net.in_dim}-d features, table holds {table.dim}-d")
-    rows_a = np.array([table.row(*t.anchor) for t in triplets], dtype=np.intp)
-    rows_p = np.array([table.row(*t.positive) for t in triplets], dtype=np.intp)
-    rows_n = np.array([table.row(*t.negative) for t in triplets], dtype=np.intp)
+    # [3, N] feature rows: anchors, positives, negatives.
+    rows = np.array(
+        [[table.row(*t.anchor) for t in triplets],
+         [table.row(*t.positive) for t in triplets],
+         [table.row(*t.negative) for t in triplets]],
+        dtype=np.intp,
+    )
     x = table.matrix64
 
     params = params64(net)
@@ -458,13 +451,8 @@ def train(
         epoch_losses = np.zeros(count, dtype=np.float64)
         for lo in range(0, count, config.batch_size):
             batch = order[lo : lo + config.batch_size]
-            _, losses, grads = gradients_on_params(
-                params,
-                x[rows_a[batch]],
-                x[rows_p[batch]],
-                x[rows_n[batch]],
-                config.margin,
-            )
+            xa, xp, xn = x[rows[:, batch]]
+            _, losses, grads = gradients_on_params(params, xa, xp, xn, config.margin)
             epoch_losses[batch] = losses
             params = [
                 (w - config.learning_rate * gw, b - config.learning_rate * gb)
@@ -684,10 +672,13 @@ def load_net(manifest_path: str | Path) -> EmbeddingNet:
                 raise DataValidationError(f"{manifest_path}: layers[{l}].{key} must be a file name string")
         weights.append(read_tensor(base / entry["weight"]))
         biases.append(read_tensor(base / entry["bias"]))
-    try:
-        net = EmbeddingNet(
-            weights=weights, biases=biases, normalize_output=bool(manifest.get("normalize_output", False))
+    normalize_output = manifest.get("normalize_output", False)
+    if not isinstance(normalize_output, bool):
+        raise DataValidationError(
+            f"{manifest_path}: normalize_output must be true or false, got {json.dumps(normalize_output)}"
         )
+    try:
+        net = EmbeddingNet(weights=weights, biases=biases, normalize_output=normalize_output)
     except ValueError as exc:
         raise DataValidationError(f"{manifest_path}: {exc}") from exc
     if declared is not None and declared != net.layer_dims:

@@ -97,14 +97,17 @@ class TestExitCodes:
             ("weight", 5, "layers[0].weight must be a file name string"),
             ("bias", ["a"], "layers[0].bias must be a file name string"),
             ("layer_dims", 5, "layer_dims must be a list of layer widths"),
+            ("normalize_output", "false", "normalize_output must be true or false, got \"false\""),
+            ("normalize_output", 0, "normalize_output must be true or false, got 0"),
+            ("normalize_output", None, "normalize_output must be true or false, got null"),
         ],
     )
     def test_malformed_net_manifest_is_data_error(self, tmp_path, scene12, capsys, field, value, message):
         in_dim = read_tensor(scene12 / "features.mten").shape[1]
         manifest_path = save_net(EmbeddingNet.init(in_dim, hidden=(6,), seed=0), tmp_path / "net")
         doc = json.loads(manifest_path.read_text())
-        if field == "layer_dims":
-            doc["layer_dims"] = value
+        if field in ("layer_dims", "normalize_output"):
+            doc[field] = value
         else:
             doc["layers"][0][field] = value
         manifest_path.write_text(json.dumps(doc))
@@ -116,6 +119,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert err.splitlines() == [f"error: {manifest_path}: {message}"]
+
+    def test_non_finite_features_are_data_error(self, tmp_path, scene12, capsys):
+        features = read_tensor(scene12 / "features.mten")
+        features[5, 2] = np.nan
+        bad = tmp_path / "features.mten"
+        write_tensor(features, bad)
+        triplets = tmp_path / "triplets.jsonl"
+        assert cli.run(["mine", "--tracklets", str(scene12 / "tracklets.json"),
+                        "--out-triplets", str(triplets)]) == 0
+        capsys.readouterr()
+        code = cli.run(
+            ["train", "--features", str(bad), "--tracklets", str(scene12 / "tracklets.json"),
+             "--triplets", str(triplets), "--epochs", "1", "--hidden", "8",
+             "--out-dir", str(tmp_path / "net"), "--out", str(tmp_path / "train.json")]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == ["error: feature row 5 column 2 is not finite: nan"]
+        assert not (tmp_path / "train.json").exists()
 
 
 class TestStack:

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -23,7 +23,6 @@ from motionstack.metric_learning import (
     Triplet,
     _SEPARATION_BLOCK,
     _pair_distances,
-    backward,
     batch_losses_on_params,
     gradients_on_params,
     load_feature_table,
@@ -109,6 +108,14 @@ class TestFeatureTable:
         table = FeatureTable([_tr(0, 0, 1)], np.zeros((2, 4), np.float32))
         with pytest.raises(DataValidationError, match="no feature row"):
             table.row(0, 9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_names_first_row(self, bad):
+        matrix = np.zeros((4, 3), np.float32)
+        matrix[3, 0] = bad
+        matrix[2, 1] = bad
+        with pytest.raises(DataValidationError, match=rf"feature row 2 column 1 is not finite: {bad}"):
+            FeatureTable([_tr(0, 0, 3)], matrix)
 
     def test_matrix_must_be_2d(self):
         with pytest.raises(DataValidationError, match=r"\[T, D\]"):
@@ -394,16 +401,82 @@ class TestLossAndGradients:
         assert len(losses) == 0
         assert all(np.all(gw == 0) and np.all(gb == 0) for gw, gb in grads)
 
-    def test_backward_wrapper(self):
-        net = EmbeddingNet.init(4, hidden=(6,), seed=1)
-        rng = np.random.default_rng(4)
-        xa, xp, xn = (rng.normal(size=(3, 4)) for _ in range(3))
-        loss, grads = backward(net, xa, xp, xn, 1.0)
-        want_loss, _, want_grads = gradients_on_params(params64(net), xa, xp, xn, 1.0)
-        assert loss == want_loss
+
+def _three_stream_gradients(params, xa, xp, xn, margin):
+    """Reference: the per-stream formula, three forward and three backward
+    passes over every triplet, inactive ones weighted by zero."""
+
+    def forward(x):
+        acts, zs = [np.asarray(x, dtype=np.float64)], []
+        for l, (w, b) in enumerate(params):
+            zs.append(acts[-1] @ w.T + b)
+            acts.append(zs[-1] if l == len(params) - 1 else np.maximum(zs[-1], 0.0))
+        return acts, zs
+
+    def backward(acts, zs, g):
+        grads = [None] * len(params)
+        for l in range(len(params) - 1, -1, -1):
+            grads[l] = (g.T @ acts[l], g.sum(axis=0))
+            if l > 0:
+                g = (g @ params[l][0]) * (zs[l - 1] > 0.0)
+        return grads
+
+    (acts_a, zs_a), (acts_p, zs_p), (acts_n, zs_n) = forward(xa), forward(xp), forward(xn)
+    ea, ep, en = acts_a[-1], acts_p[-1], acts_n[-1]
+    terms = np.sum((ea - ep) ** 2, axis=1) - np.sum((ea - en) ** 2, axis=1) + margin
+    active = (terms > 0.0).astype(np.float64)[:, None] / len(terms)
+    streams = (
+        backward(acts_a, zs_a, 2.0 * (en - ep) * active),
+        backward(acts_p, zs_p, 2.0 * (ep - ea) * active),
+        backward(acts_n, zs_n, 2.0 * (ea - en) * active),
+    )
+    grads = [tuple(sum(parts) for parts in zip(*layer)) for layer in zip(*streams)]
+    return np.maximum(terms, 0.0), grads
+
+
+class TestStackedGradients:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.data(),
+        st.integers(1, 9),
+        st.sampled_from(["all_active", "all_inactive", "mixed"]),
+        st.integers(0, 2**16),
+    )
+    def test_match_three_stream_formula(self, data, batch, mode, seed):
+        if mode == "mixed":
+            active = np.array(data.draw(st.lists(st.booleans(), min_size=batch, max_size=batch)))
+        else:
+            active = np.full(batch, mode == "all_active")
+        rng = np.random.default_rng(seed)
+        params = params64(EmbeddingNet.init(5, hidden=(7, 6), seed=seed))
+        xa = rng.normal(size=(batch, 5))
+        # Zero anchors meet the zero biases of a fresh net at preactivations
+        # of exactly 0, where the ReLU subgradient is 0.
+        xa[data.draw(st.lists(st.booleans(), min_size=batch, max_size=batch))] = 0.0
+        near = xa + rng.normal(scale=0.1, size=(batch, 5))
+        far = xa + rng.normal(scale=5.0, size=(batch, 5))
+        # With a margin below every gap between the squared embedding
+        # distances, a far positive and a near negative make the hinge
+        # active, and the other way round inactive.
+        ea, e_near, e_far = (_forward_chain(params, x)[1] for x in (xa, near, far))
+        gap = np.sum((ea - e_far) ** 2, axis=1) - np.sum((ea - e_near) ** 2, axis=1)
+        assume(gap.min() > 1e-3)
+        margin = 0.5 * gap.min()
+        xp = np.where(active[:, None], far, near)
+        xn = np.where(active[:, None], near, far)
+
+        want_losses, want_grads = _three_stream_gradients(params, xa, xp, xn, margin)
+        assert np.array_equal(want_losses > 0.0, active)
+        mean_loss, losses, grads = gradients_on_params(params, xa, xp, xn, margin)
+        np.testing.assert_allclose(losses, want_losses, rtol=1e-12, atol=0)
+        assert mean_loss == pytest.approx(want_losses.mean(), rel=1e-12, abs=0)
+        assert np.array_equal(batch_losses_on_params(params, xa, xp, xn, margin), losses)
         for (gw, gb), (ww, wb) in zip(grads, want_grads):
-            assert np.array_equal(gw, ww)
-            assert np.array_equal(gb, wb)
+            for got, want in ((gw, ww), (gb, wb)):
+                assert got.shape == want.shape
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+                if not active.any():
+                    assert not np.any(got)
 
 
 def _training_setup(seed=0, spread=0.5):
