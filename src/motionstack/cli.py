@@ -19,7 +19,6 @@ pool whatever this value says.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from math import isfinite
@@ -36,6 +35,7 @@ from .det_metrics import (
 )
 from .errors import DataValidationError, MotionStackError
 from .frame_pipeline import VARIANTS, FrameSequence, InputConfig, build_dataset, normalize_variant
+from .jsonio import read_json, write_json
 from .metric_learning import (
     DEFAULT_MERGE_THRESHOLD,
     EmbeddingNet,
@@ -94,15 +94,11 @@ def _check_threads_env() -> None:
         raise _UsageError(f"MOTIONSTACK_THREADS must be a positive integer, got {raw!r}")
 
 
-def _write_json(payload: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
 def _emit_report(args, command: str, inputs: dict, results: dict) -> None:
     out = getattr(args, "out", None)
     if out is None:
         return
-    _write_json(
+    write_json(
         {"tool_version": __version__, "command": command, "inputs": inputs, "results": results},
         out,
     )
@@ -123,10 +119,7 @@ def _parse_hidden(raw: str) -> tuple[int, ...]:
 
 
 def _load_boxes_json(path: str) -> np.ndarray:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataValidationError(f"{path}: invalid JSON: {exc}") from exc
+    doc = read_json(path)
     raw = doc.get("boxes") if isinstance(doc, dict) else doc
     if not isinstance(raw, list):
         raise DataValidationError(f"{path}: expected a 'boxes' list or a bare list of boxes")
@@ -136,7 +129,7 @@ def _load_boxes_json(path: str) -> np.ndarray:
             raise DataValidationError(f"{path}: boxes[{i}] must be [x1, y1, x2, y2], got {entry!r}")
         try:
             box = [float(v) for v in entry]
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise DataValidationError(f"{path}: boxes[{i}] is non-numeric: {entry!r}") from None
         if not all(isfinite(v) for v in box):
             raise DataValidationError(f"{path}: boxes[{i}] is non-finite: {entry!r}")
@@ -144,6 +137,13 @@ def _load_boxes_json(path: str) -> np.ndarray:
     if not boxes:
         raise DataValidationError(f"{path}: no boxes to pool")
     return np.array(boxes, dtype=np.float64)
+
+
+def _load_net_for(path: Path, table) -> EmbeddingNet:
+    net = load_net(path)
+    if net.in_dim != table.dim:
+        raise DataValidationError(f"{path}: net expects {net.in_dim}-d features, got {table.dim}-d")
+    return net
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +318,7 @@ def _cmd_train(args):
 def _cmd_reid(args):
     tracklets = load_tracklets_json(args.tracklets)
     table = load_feature_table(tracklets, args.features)
-    net = load_net(args.net)
+    net = _load_net_for(args.net, table)
     embeddings = tracklet_embeddings(net, tracklets, table)
     centroids = tracklet_centroids(net, tracklets, table, embeddings)
     merges = propose_merges(centroids, tracklets, args.threshold)
@@ -366,7 +366,7 @@ def _cmd_project(args):
     rows = np.array([table.row(tid, f) for tid, f in keys], dtype=np.intp)
     points = table.matrix64[rows]
     if args.net is not None:
-        points = load_net(args.net).embed_batch(points)
+        points = _load_net_for(args.net, table).embed_batch(points)
     coords = pca_project_2d(points)
     write_scatter_csv(keys, coords, args.out_csv)
     inputs = {
@@ -635,7 +635,8 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
-        # Remaining bare ValueErrors come from flag-derived values.
+        # Input files raise MotionStackError, so the bare ValueErrors left
+        # come from flag values a library call rejects, such as surgery --n 0.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

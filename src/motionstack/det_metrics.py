@@ -17,13 +17,13 @@ preferring the shortest prefix on ties.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import isfinite
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DataValidationError
+from .jsonio import check_box, read_jsonl, write_jsonl
 
 IOU_GRID = tuple((50 + 5 * i) / 100.0 for i in range(10))
 
@@ -43,54 +43,18 @@ class GroundTruth:
     label: int
 
 
-def _check_bbox(raw: Any, where: str) -> tuple[float, float, float, float]:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 4:
-        raise DataValidationError(f"{where}: bbox must be [x1, y1, x2, y2], got {raw!r}")
-    try:
-        x1, y1, x2, y2 = (float(v) for v in raw)
-    except (TypeError, ValueError):
-        raise DataValidationError(f"{where}: non-numeric bbox {raw!r}") from None
-    if not all(isfinite(v) for v in (x1, y1, x2, y2)):
-        raise DataValidationError(f"{where}: non-finite bbox {raw!r}")
-    if x2 <= x1 or y2 <= y1:
-        raise DataValidationError(f"{where}: bbox must satisfy x2 > x1 and y2 > y1, got {raw!r}")
-    return (x1, y1, x2, y2)
-
-
-def _check_frame(raw: Any, where: str) -> int:
+def _check_int(record: dict, key: str, where: str) -> int:
+    if key not in record:
+        raise DataValidationError(f"{where}: missing '{key}'")
+    raw = record[key]
     if not isinstance(raw, int) or isinstance(raw, bool):
-        raise DataValidationError(f"{where}: frame must be an integer, got {raw!r}")
+        raise DataValidationError(f"{where}: {key} must be an integer, got {raw!r}")
     return raw
-
-
-def _check_label(record: dict, where: str) -> int:
-    if "class" not in record:
-        raise DataValidationError(f"{where}: missing 'class'")
-    label = record["class"]
-    if not isinstance(label, int) or isinstance(label, bool):
-        raise DataValidationError(f"{where}: class must be an integer, got {label!r}")
-    return label
-
-
-def _iter_jsonl(path: str | Path) -> Iterable[tuple[int, dict]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataValidationError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise DataValidationError(f"{path}:{lineno}: expected an object, got {type(record).__name__}")
-            yield lineno, record
 
 
 def load_detections_jsonl(path: str | Path) -> list[Detection]:
     out = []
-    for lineno, record in _iter_jsonl(path):
-        where = f"{path}:{lineno}"
+    for where, record in read_jsonl(path):
         score = record.get("score")
         if not isinstance(score, (int, float)) or isinstance(score, bool) or not isfinite(score):
             raise DataValidationError(f"{where}: score must be a finite number, got {score!r}")
@@ -98,10 +62,10 @@ def load_detections_jsonl(path: str | Path) -> list[Detection]:
             raise DataValidationError(f"{where}: score must lie in [0, 1], got {score!r}")
         out.append(
             Detection(
-                frame=_check_frame(record.get("frame"), where),
-                bbox=_check_bbox(record.get("bbox"), where),
+                frame=_check_int(record, "frame", where),
+                bbox=check_box(record.get("bbox"), where),
                 score=float(score),
-                label=_check_label(record, where),
+                label=_check_int(record, "class", where),
             )
         )
     return out
@@ -109,33 +73,26 @@ def load_detections_jsonl(path: str | Path) -> list[Detection]:
 
 def load_ground_truth_jsonl(path: str | Path) -> list[GroundTruth]:
     out = []
-    for lineno, record in _iter_jsonl(path):
-        where = f"{path}:{lineno}"
+    for where, record in read_jsonl(path):
         out.append(
             GroundTruth(
-                frame=_check_frame(record.get("frame"), where),
-                bbox=_check_bbox(record.get("bbox"), where),
-                label=_check_label(record, where),
+                frame=_check_int(record, "frame", where),
+                bbox=check_box(record.get("bbox"), where),
+                label=_check_int(record, "class", where),
             )
         )
     return out
 
 
 def write_detections_jsonl(dets: Iterable[Detection], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for d in dets:
-            fh.write(
-                json.dumps(
-                    {"frame": d.frame, "bbox": list(d.bbox), "score": d.score, "class": d.label}
-                )
-                + "\n"
-            )
+    write_jsonl(
+        ({"frame": d.frame, "bbox": list(d.bbox), "score": d.score, "class": d.label} for d in dets),
+        path,
+    )
 
 
 def write_ground_truth_jsonl(gts: Iterable[GroundTruth], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for g in gts:
-            fh.write(json.dumps({"frame": g.frame, "bbox": list(g.bbox), "class": g.label}) + "\n")
+    write_jsonl(({"frame": g.frame, "bbox": list(g.bbox), "class": g.label} for g in gts), path)
 
 
 def iou(a: Sequence[float], b: Sequence[float]) -> float:

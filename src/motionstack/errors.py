@@ -43,4 +43,4 @@ class FrameLookupError(MotionStackError, LookupError):
 
 
 class DataValidationError(MotionStackError, ValueError):
-    """A detection, tracklet, or manifest file violates its schema."""
+    """An input file violates its schema; ``jsonio`` checks every JSON and JSON-lines file."""

@@ -21,7 +21,6 @@ frame, which turns difference channels into flat 127.
 
 from __future__ import annotations
 
-import json
 import shutil
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -31,6 +30,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DataValidationError, FrameLookupError
+from .jsonio import write_json
 from .tensor_io import ImageFrame, parse_frame_index, read_ppm, to_planar, write_tensor
 
 VARIANTS = ("rgb_seq", "rgb_int", "diff_seq", "diff_int")
@@ -290,5 +290,5 @@ def build_dataset(
         items.append({"index": t, "tensor": tensor_name, "label": label_name})
 
     manifest = {"config": config.to_dict(), "items": items}
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    write_json(manifest, out_dir / "manifest.json")
     return manifest

@@ -45,6 +45,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataValidationError
+from .jsonio import read_json, read_jsonl, write_json, write_jsonl
 from .tensor_io import read_tensor, write_tensor
 from .tracklets import Tracklet, enumerate_keys, overlap_graph, temporal_overlap
 
@@ -186,34 +187,23 @@ def _check_ref(raw, where: str) -> tuple[int, int]:
 
 def load_triplets_jsonl(path: str | Path) -> list[Triplet]:
     out: list[Triplet] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataValidationError(f"{where}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict) or not all(k in record for k in ("a", "p", "n")):
-                raise DataValidationError(f"{where}: expected an object with keys a, p, n")
-            out.append(
-                Triplet(
-                    anchor=_check_ref(record["a"], where),
-                    positive=_check_ref(record["p"], where),
-                    negative=_check_ref(record["n"], where),
-                )
+    for where, record in read_jsonl(path):
+        if not all(k in record for k in ("a", "p", "n")):
+            raise DataValidationError(f"{where}: expected an object with keys a, p, n")
+        out.append(
+            Triplet(
+                anchor=_check_ref(record["a"], where),
+                positive=_check_ref(record["p"], where),
+                negative=_check_ref(record["n"], where),
             )
+        )
     return out
 
 
 def write_triplets_jsonl(triplets: Sequence[Triplet], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in triplets:
-            fh.write(
-                json.dumps({"a": list(t.anchor), "p": list(t.positive), "n": list(t.negative)}) + "\n"
-            )
+    write_jsonl(
+        ({"a": list(t.anchor), "p": list(t.positive), "n": list(t.negative)} for t in triplets), path
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +318,15 @@ def _forward_full(params, x):
 
 
 def embed_on_params(params, x: np.ndarray) -> np.ndarray:
-    acts, _ = _forward_full(params, np.asarray(x, dtype=np.float64))
-    return acts[-1]
+    # The float ops of _forward_full, keeping one layer's output at a time.
+    z = np.asarray(x, dtype=np.float64)
+    last = len(params) - 1
+    for l, (w, b) in enumerate(params):
+        z = z @ w.T
+        z += b
+        if l < last:
+            np.maximum(z, 0.0, out=z)
+    return z
 
 
 def triplet_loss(ea: np.ndarray, ep: np.ndarray, en: np.ndarray, margin: float) -> float:
@@ -645,17 +642,14 @@ def save_net(net: EmbeddingNet, out_dir: str | Path) -> Path:
         "layers": layers,
     }
     manifest_path = out_dir / NET_MANIFEST_NAME
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    write_json(manifest, manifest_path)
     return manifest_path
 
 
 def load_net(manifest_path: str | Path) -> EmbeddingNet:
     """Read a net saved by ``save_net``; tensor paths resolve next to the manifest."""
     manifest_path = Path(manifest_path)
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataValidationError(f"{manifest_path}: invalid JSON: {exc}") from exc
+    manifest = read_json(manifest_path)
     if not isinstance(manifest, dict) or not isinstance(manifest.get("layers"), list):
         raise DataValidationError(f"{manifest_path}: expected an object with a 'layers' list")
     declared = manifest.get("layer_dims")

@@ -19,7 +19,6 @@ streams keyed on (seed, frame).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,8 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .det_metrics import Detection, GroundTruth, write_detections_jsonl, write_ground_truth_jsonl
+from .det_metrics import Detection, GroundTruth, write_ground_truth_jsonl
 from .errors import DataValidationError
+from .jsonio import write_json
 from .tensor_io import ImageFrame, write_ppm, write_tensor
 from .tracklets import Tracklet, write_identity_map, write_tracklets_json
 
@@ -275,7 +275,7 @@ def generate(config: SceneConfig, out_dir: str | Path) -> dict:
         "identity_map": "identity_map.json",
         "features": "features.mten",
     }
-    (out_dir / "scene.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    write_json(manifest, out_dir / "scene.json")
     return {
         "frames_dir": frames_dir,
         "gt": out_dir / "gt.jsonl",
@@ -347,7 +347,3 @@ def perturb_detections(
         score = float(rng.uniform(0.05, 0.95)) * min_true * 0.999
         dets.append(Detection(frame=frame, bbox=(x1, y1, x1 + w, y1 + h), score=score, label=0))
     return dets
-
-
-def write_perturbed(dets: Sequence[Detection], path: str | Path) -> None:
-    write_detections_jsonl(dets, path)

@@ -81,12 +81,12 @@ def read_tensor(path: str | Path) -> np.ndarray:
         raise TensorFormatError(f"{path}: truncated header ({header_len} bytes declared)")
     try:
         meta = json.loads(data[body : body + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nesting too deep
         raise TensorFormatError(f"{path}: unparseable header: {exc}") from exc
     if not isinstance(meta, dict) or "dtype" not in meta or "shape" not in meta:
         raise TensorFormatError(f"{path}: header missing dtype/shape")
     code = meta["dtype"]
-    if code not in _DTYPE_BY_CODE:
+    if not isinstance(code, str) or code not in _DTYPE_BY_CODE:
         raise TensorFormatError(f"{path}: unknown dtype code {code!r}")
     shape = meta["shape"]
     if (

@@ -24,13 +24,12 @@ Two tracklets overlap in time when their closed intervals intersect:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from math import isfinite
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DataValidationError
+from .jsonio import check_box, read_json, write_json
 
 MIN_TRACKLET_LEN = 16
 
@@ -48,13 +47,12 @@ class Tracklet:
             raise DataValidationError(f"tracklet id must be a nonnegative integer, got {self.id!r}")
         if self.start > self.end:
             raise DataValidationError(f"tracklet {self.id}: start {self.start} > end {self.end}")
-        if len(self.boxes) != len(self):
+        frames = self.end - self.start + 1  # len() overflows on absurd intervals
+        if len(self.boxes) != frames:
+            raise DataValidationError(f"tracklet {self.id}: {len(self.boxes)} boxes for {frames} frames")
+        if self.feature_rows is not None and len(self.feature_rows) != frames:
             raise DataValidationError(
-                f"tracklet {self.id}: {len(self.boxes)} boxes for {len(self)} frames"
-            )
-        if self.feature_rows is not None and len(self.feature_rows) != len(self):
-            raise DataValidationError(
-                f"tracklet {self.id}: {len(self.feature_rows)} feature rows for {len(self)} frames"
+                f"tracklet {self.id}: {len(self.feature_rows)} feature rows for {frames} frames"
             )
 
     def __len__(self) -> int:
@@ -112,20 +110,6 @@ def enumerate_keys(tracklets: Sequence[Tracklet]) -> list[tuple[int, int]]:
     return keys
 
 
-def _check_box(raw, where: str) -> tuple[float, float, float, float]:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 4:
-        raise DataValidationError(f"{where}: box must be [x1, y1, x2, y2], got {raw!r}")
-    try:
-        x1, y1, x2, y2 = (float(v) for v in raw)
-    except (TypeError, ValueError):
-        raise DataValidationError(f"{where}: non-numeric box {raw!r}") from None
-    if not all(isfinite(v) for v in (x1, y1, x2, y2)):
-        raise DataValidationError(f"{where}: non-finite box {raw!r}")
-    if x2 <= x1 or y2 <= y1:
-        raise DataValidationError(f"{where}: box must satisfy x2 > x1 and y2 > y1, got {raw!r}")
-    return (x1, y1, x2, y2)
-
-
 def _require_int(value, where: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise DataValidationError(f"{where}: expected an integer, got {value!r}")
@@ -134,10 +118,7 @@ def _require_int(value, where: str) -> int:
 
 def load_tracklets_json(path: str | Path) -> list[Tracklet]:
     """Read and validate a tracklet document; ids must be unique."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataValidationError(f"{path}: invalid JSON: {exc}") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("tracklets"), list):
         raise DataValidationError(f"{path}: expected an object with a 'tracklets' list")
     out: list[Tracklet] = []
@@ -155,7 +136,7 @@ def load_tracklets_json(path: str | Path) -> list[Tracklet]:
         raw_boxes = entry.get("boxes")
         if not isinstance(raw_boxes, list):
             raise DataValidationError(f"{where}: 'boxes' must be a list")
-        boxes = [_check_box(b, f"{where}.boxes[{k}]") for k, b in enumerate(raw_boxes)]
+        boxes = [check_box(b, f"{where}.boxes[{k}]") for k, b in enumerate(raw_boxes)]
         feature_rows = None
         if "feature_rows" in entry and entry["feature_rows"] is not None:
             raw_rows = entry["feature_rows"]
@@ -177,15 +158,12 @@ def write_tracklets_json(tracklets: Sequence[Tracklet], path: str | Path) -> Non
         if t.feature_rows is not None:
             entry["feature_rows"] = list(t.feature_rows)
         entries.append(entry)
-    Path(path).write_text(json.dumps({"tracklets": entries}, indent=2) + "\n", encoding="utf-8")
+    write_json({"tracklets": entries}, path)
 
 
 def load_identity_map(path: str | Path) -> list[list[int]]:
     """Read a {"groups": [[id, ...], ...]} document; an id may appear once."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataValidationError(f"{path}: invalid JSON: {exc}") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("groups"), list):
         raise DataValidationError(f"{path}: expected an object with a 'groups' list")
     groups: list[list[int]] = []
@@ -204,5 +182,4 @@ def load_identity_map(path: str | Path) -> list[list[int]]:
 
 
 def write_identity_map(groups: Sequence[Sequence[int]], path: str | Path) -> None:
-    doc = {"groups": [list(g) for g in groups]}
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    write_json({"groups": [list(g) for g in groups]}, path)

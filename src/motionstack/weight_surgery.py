@@ -19,7 +19,6 @@ cross-correlation used to verify the replication identity.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,6 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataValidationError
+from .jsonio import read_json, write_json
 from .tensor_io import read_tensor, write_tensor
 
 MODES = ("replicate", "random")
@@ -157,7 +157,7 @@ def save_conv_layer(layer: ConvLayerWeights, path: str | Path) -> None:
         "kw": kw,
         "bias": layer.bias is not None,
     }
-    _sidecar_path(path).write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+    write_json(meta, _sidecar_path(path))
     if layer.bias is not None:
         write_tensor(layer.bias, _bias_path(path))
 
@@ -177,10 +177,9 @@ def load_conv_layer(path: str | Path) -> ConvLayerWeights:
     sidecar = _sidecar_path(path)
     bias = None
     if sidecar.exists():
-        try:
-            meta = json.loads(sidecar.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise DataValidationError(f"{sidecar}: invalid JSON: {exc}") from exc
+        meta = read_json(sidecar)
+        if not isinstance(meta, dict):
+            raise DataValidationError(f"{sidecar}: expected an object")
         declared = (meta.get("c_out"), meta.get("c_in"), meta.get("kh"), meta.get("kw"))
         if tuple(weight.shape) != declared:
             raise DataValidationError(
@@ -191,4 +190,7 @@ def load_conv_layer(path: str | Path) -> ConvLayerWeights:
             if not bias_file.exists():
                 raise DataValidationError(f"{sidecar}: declares a bias but {bias_file} is missing")
             bias = read_tensor(bias_file)
-    return ConvLayerWeights(weight=weight, bias=bias)
+    try:
+        return ConvLayerWeights(weight=weight, bias=bias)
+    except ValueError as exc:
+        raise DataValidationError(f"{path}: {exc}") from exc

@@ -1,14 +1,19 @@
 """Command-line interface tests, driven in process through cli.run."""
 
+import contextlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import motionstack
 from motionstack import __version__, cli
@@ -138,6 +143,159 @@ class TestExitCodes:
         assert code == 2
         assert err.splitlines() == ["error: feature row 5 column 2 is not finite: nan"]
         assert not (tmp_path / "train.json").exists()
+
+
+# Every JSON or JSON-lines input file a subcommand reads, keyed by
+# (subcommand, file name in the ``input_files`` directory).
+INPUT_FILE_CASES = (
+    ("eval", "dets.jsonl"),
+    ("eval", "gt.jsonl"),
+    ("synth perturb", "gt.jsonl"),
+    ("mine", "tracklets.json"),
+    ("train", "tracklets.json"),
+    ("train", "triplets.jsonl"),
+    ("reid", "tracklets.json"),
+    ("reid", "identity_map.json"),
+    ("reid", "net.json"),
+    ("project", "tracklets.json"),
+    ("project", "net.json"),
+    ("features", "boxes.json"),
+    ("surgery", "conv.json"),
+)
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory, scene12):
+    """One flat directory with a valid copy of every file in INPUT_FILE_CASES."""
+    d = tmp_path_factory.mktemp("input_files")
+    for name in ("gt.jsonl", "tracklets.json", "identity_map.json", "features.mten"):
+        shutil.copyfile(scene12 / name, d / name)
+    assert cli.run(["synth", "perturb", "--gt", str(d / "gt.jsonl"), "--jitter-px", "1",
+                    "--fp-rate", "0.5", "--out-dets", str(d / "dets.jsonl")]) == 0
+    assert cli.run(["mine", "--tracklets", str(d / "tracklets.json"), "--min-len", "4",
+                    "--out-triplets", str(d / "triplets.jsonl")]) == 0
+    in_dim = read_tensor(d / "features.mten").shape[1]
+    save_net(EmbeddingNet.init(in_dim, hidden=(6,), seed=0), d)
+    write_tensor(np.ones((2, 18, 24), dtype=np.float32), d / "map.mten")
+    (d / "boxes.json").write_text(json.dumps({"boxes": [[4, 4, 40, 30], [50, 20, 90, 70]]}))
+    rng = np.random.default_rng(0)
+    save_conv_layer(
+        ConvLayerWeights(
+            weight=rng.normal(0, 0.3, size=(4, 3, 3, 3)).astype(np.float32),
+            bias=rng.normal(0, 0.1, size=4).astype(np.float32),
+        ),
+        d / "conv.mten",
+    )
+    return d
+
+
+def _input_file_argv(command, d, out):
+    """argv running ``command`` on the input files in ``d``, writing into ``out``."""
+    scene = ["--features", str(d / "features.mten"), "--tracklets", str(d / "tracklets.json")]
+    return {
+        "eval": ["eval", "--dets", str(d / "dets.jsonl"), "--gt", str(d / "gt.jsonl"),
+                 "--out", str(out / "eval.json")],
+        "synth perturb": ["synth", "perturb", "--gt", str(d / "gt.jsonl"),
+                          "--out-dets", str(out / "dets.jsonl")],
+        "mine": ["mine", "--tracklets", str(d / "tracklets.json"),
+                 "--out-triplets", str(out / "triplets.jsonl")],
+        "train": ["train", *scene, "--triplets", str(d / "triplets.jsonl"), "--epochs", "1",
+                  "--hidden", "6", "--out-dir", str(out / "net")],
+        "reid": ["reid", *scene, "--net", str(d / "net.json"),
+                 "--identity-map", str(d / "identity_map.json"), "--out", str(out / "reid.json")],
+        "project": ["project", *scene, "--net", str(d / "net.json"),
+                    "--out-csv", str(out / "scatter.csv")],
+        "features": ["features", "--map", str(d / "map.mten"), "--scale", "0.25",
+                     "--boxes", str(d / "boxes.json"), "--out-features", str(out / "pooled.mten")],
+        "surgery": ["surgery", "--weights", str(d / "conv.mten"), "--mode", "replicate", "--n", "2",
+                    "--out-weights", str(out / "conv2.mten")],
+    }[command]
+
+
+def _run_quiet(argv):
+    """cli.run(argv) with stdout and stderr captured; returns (code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return code, err.getvalue()
+
+
+WRONG_TYPE_DOCS = (b"[]", b"[1, 2]", b'"text"', b"42", b"null", b"true")
+
+
+def _corrupt(data, kind, pos, mask, wrong):
+    if kind == "truncate":
+        return data[: pos % len(data)]
+    if kind == "flip":
+        i = pos % len(data)
+        return data[:i] + bytes([data[i] ^ mask]) + data[i + 1 :]
+    if kind == "wrong type":
+        return wrong
+    return b"\xff" + data
+
+
+class TestInputFiles:
+    """Each defect in an input file exits 2 with one located line, never 1 or a traceback."""
+
+    def test_sidecar_that_is_not_an_object_is_data_error(self, tmp_path, input_files, capsys):
+        for name in ("conv.mten", "conv.bias.mten"):
+            shutil.copyfile(input_files / name, tmp_path / name)
+        (tmp_path / "conv.json").write_text("[4, 3, 3, 3]")
+        code = cli.run(_input_file_argv("surgery", tmp_path, tmp_path))
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {tmp_path / 'conv.json'}: expected an object"]
+
+    def test_wrong_length_bias_is_data_error(self, tmp_path, input_files, capsys):
+        for name in ("conv.mten", "conv.json"):
+            shutil.copyfile(input_files / name, tmp_path / name)
+        write_tensor(np.zeros(3, dtype=np.float32), tmp_path / "conv.bias.mten")
+        code = cli.run(_input_file_argv("surgery", tmp_path, tmp_path))
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {tmp_path / 'conv.mten'}: conv bias must have shape (4,), got (3,)"
+        ]
+        assert not (tmp_path / "conv2.mten").exists()
+
+    @pytest.mark.parametrize("command", ["reid", "project"])
+    def test_net_for_other_feature_width_is_data_error(self, tmp_path, input_files, command, capsys):
+        d = tmp_path / "in"
+        shutil.copytree(input_files, d)
+        save_net(EmbeddingNet.init(5, hidden=(6,), seed=0), d)
+        code = cli.run(_input_file_argv(command, d, tmp_path))
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {d / 'net.json'}: net expects 5-d features, got 32-d"
+        ]
+
+    @pytest.mark.parametrize("command, name", INPUT_FILE_CASES)
+    def test_non_utf8_input_is_data_error(self, tmp_path, input_files, command, name):
+        d = tmp_path / "in"
+        shutil.copytree(input_files, d)
+        (d / name).write_bytes(b"\xff" + (d / name).read_bytes())
+        code, err = _run_quiet(_input_file_argv(command, d, tmp_path))
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {d / name}: not UTF-8 text: "), lines
+
+    @pytest.mark.parametrize("command, name", INPUT_FILE_CASES)
+    @settings(max_examples=20, deadline=None)
+    @given(
+        kind=st.sampled_from(("truncate", "flip", "wrong type", "prefix")),
+        pos=st.integers(0, 1 << 20),
+        mask=st.integers(1, 255),
+        wrong=st.sampled_from(WRONG_TYPE_DOCS),
+    )
+    def test_corrupted_input_keeps_exit_code_contract(self, input_files, command, name, kind, pos, mask, wrong):
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp) / "in"
+            shutil.copytree(input_files, d)
+            (d / name).write_bytes(_corrupt((d / name).read_bytes(), kind, pos, mask, wrong))
+            code, err = _run_quiet(_input_file_argv(command, d, Path(tmp)))
+        assert code in (0, 2, 3), (code, err)
+        if code:
+            assert "Traceback" not in err
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 class TestStack:

@@ -277,6 +277,19 @@ class TestEmbeddingNet:
         # single-vector path may take a different BLAS route, so allow ulps
         assert np.allclose(net.forward(x[0]), got[0], rtol=1e-12, atol=1e-12)
 
+    def test_embedding_keeps_one_layer_at_a_time(self):
+        net = EmbeddingNet.init(32, seed=0)  # 32-512-256-128
+        x = np.random.default_rng(1).normal(size=(2000, 32))
+        tracemalloc.start()
+        try:
+            net.embed_batch(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Keeping every layer's pre-activation and activation alive, as a
+        # training forward pass must, peaks near 29 MiB here.
+        assert peak < 20 * 2**20
+
     def test_untrained_net_is_positively_homogeneous(self):
         # Zero biases make the whole chain positively 1-homogeneous, which is
         # why feature scale cancels out of untrained-embedding comparisons.

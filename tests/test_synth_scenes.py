@@ -12,6 +12,7 @@ from motionstack.det_metrics import (
     evaluate,
     load_detections_jsonl,
     load_ground_truth_jsonl,
+    write_detections_jsonl,
 )
 from motionstack.errors import DataValidationError
 from motionstack.frame_pipeline import FrameSequence, InputConfig, build_input
@@ -24,7 +25,6 @@ from motionstack.synth_scenes import (
     SceneConfig,
     generate,
     perturb_detections,
-    write_perturbed,
 )
 from motionstack.tensor_io import read_ppm, read_tensor
 from motionstack.tracklets import load_identity_map, load_tracklets_json
@@ -302,5 +302,5 @@ class TestPerturb:
     def test_write_round_trip(self, tmp_path, scene_gts):
         dets = perturb_detections(scene_gts, 0.2, 0.5, 0.3, seed=4)
         path = tmp_path / "dets.jsonl"
-        write_perturbed(dets, path)
+        write_detections_jsonl(dets, path)
         assert load_detections_jsonl(path) == dets

@@ -132,6 +132,20 @@ class TestTensorErrors:
         with pytest.raises(TensorFormatError, match="dtype code"):
             read_tensor(path)
 
+    def test_deeply_nested_header(self, tmp_path):
+        path = tmp_path / "t.mten"
+        header = b"[" * 100_000
+        path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header)
+        with pytest.raises(TensorFormatError, match="unparseable header"):
+            read_tensor(path)
+
+    def test_non_string_dtype_code(self, tmp_path):
+        path = tmp_path / "t.mten"
+        header = json.dumps({"dtype": ["f32"], "shape": [2]}).encode()
+        path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header + b"\x00" * 8)
+        with pytest.raises(TensorFormatError, match="dtype code"):
+            read_tensor(path)
+
     def test_payload_length_mismatch(self, tmp_path):
         path = tmp_path / "t.mten"
         write_tensor(np.zeros(8, dtype=np.uint8), path)

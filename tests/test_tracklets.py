@@ -132,6 +132,13 @@ class TestTrackletsJson:
         path.write_text(json.dumps(doc))
         assert load_tracklets_json(path)[0].feature_rows is None
 
+    def test_absurd_interval_is_data_error(self, tmp_path):
+        path = tmp_path / "t.json"
+        doc = {"tracklets": [{"id": 0, "start": 0, "end": 10**20, "boxes": [[0, 0, 1, 1]]}]}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataValidationError, match="1 boxes for 100000000000000000001 frames"):
+            load_tracklets_json(path)
+
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "t.json"
         entry = {"id": 4, "start": 0, "end": 0, "boxes": [[0, 0, 1, 1]]}
