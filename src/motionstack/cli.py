@@ -1,13 +1,16 @@
 """Single executable exposing every pipeline stage as a subcommand.
 
-Exit codes: 0 success, 1 usage error (bad flags or flag values), 2 data or
-validation error (a named input file violates its contract), 3 I/O error.
+Exit codes: 0 success, 1 usage error (bad flags or flag values, such as a
+float flag given ``nan`` or ``inf``), 2 data or validation error (a named
+input file violates its contract), 3 I/O error.
 
 Every subcommand prints a one-line human summary to standard output and can
 write a machine-readable JSON report with a ``{"tool_version", "command",
 "inputs", "results"}`` envelope to ``--out`` (for ``eval`` and ``reid`` the
-report is the primary product and ``--out`` is required). Reports contain
-no timestamps or absolute-path echoes beyond the flags as given, so a rerun
+report is the primary product and ``--out`` is required). ``inputs`` echoes
+every flag except ``--out``, defaults included, keyed by its argparse name
+(hyphens become underscores), with paths as given. Reports contain no
+timestamps or absolute-path echoes beyond the flags as given, so a rerun
 with identical inputs and seeds is byte-identical.
 
 ``MOTIONSTACK_THREADS``, when set, must be a positive integer, so a typo
@@ -21,7 +24,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from math import isfinite
+from math import isfinite, nan
 from pathlib import Path
 
 import numpy as np
@@ -94,14 +97,32 @@ def _check_threads_env() -> None:
         raise _UsageError(f"MOTIONSTACK_THREADS must be a positive integer, got {raw!r}")
 
 
-def _emit_report(args, command: str, inputs: dict, results: dict) -> None:
-    out = getattr(args, "out", None)
-    if out is None:
+_NOT_INPUTS = ("func", "command", "synth_command", "out")
+
+
+def _emit_report(args, results: dict) -> None:
+    if args.out is None:
         return
+    command = " ".join(filter(None, (args.command, getattr(args, "synth_command", None))))
+    inputs = {
+        key: str(value) if isinstance(value, Path) else value
+        for key, value in vars(args).items()
+        if key not in _NOT_INPUTS
+    }
     write_json(
         {"tool_version": __version__, "command": command, "inputs": inputs, "results": results},
-        out,
+        args.out,
     )
+
+
+def _finite_float(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        value = nan
+    if not isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_switch(raw: str) -> tuple[int, int]:
@@ -147,7 +168,7 @@ def _load_net_for(path: Path, table) -> EmbeddingNet:
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations; each returns (command, inputs, results, summary)
+# subcommand implementations; each returns (results, summary)
 
 
 def _cmd_stack(args):
@@ -161,14 +182,6 @@ def _cmd_stack(args):
         raise FileNotFoundError(f"frame directory {args.frames} does not exist")
     source = FrameSequence.from_dir(args.frames)
     manifest = build_dataset(source, config, args.out_dir, labels_dir=args.labels)
-    inputs = {
-        "frames": str(args.frames),
-        "variant": config.variant,
-        "n": args.n,
-        "delta": args.delta,
-        "labels": str(args.labels) if args.labels else None,
-        "out_dir": str(args.out_dir),
-    }
     results = {
         "num_items": len(manifest["items"]),
         "config": manifest["config"],
@@ -178,20 +191,13 @@ def _cmd_stack(args):
         f"stack: wrote {len(manifest['items'])} tensors "
         f"({config.variant}, {config.channels} channels) to {args.out_dir}"
     )
-    return "stack", inputs, results, summary
+    return results, summary
 
 
 def _cmd_surgery(args):
     layer = load_conv_layer(args.weights)
     expanded = expand_first_layer(layer, args.n, args.mode, seed=args.seed)
     save_conv_layer(expanded, args.out_weights)
-    inputs = {
-        "weights": str(args.weights),
-        "mode": args.mode,
-        "n": args.n,
-        "seed": args.seed,
-        "out_weights": str(args.out_weights),
-    }
     results = {
         "in_shape": list(layer.weight.shape),
         "out_shape": list(expanded.weight.shape),
@@ -201,19 +207,18 @@ def _cmd_surgery(args):
         f"surgery: {args.mode} n={args.n}: {list(layer.weight.shape)} -> "
         f"{list(expanded.weight.shape)} written to {args.out_weights}"
     )
-    return "surgery", inputs, results, summary
+    return results, summary
 
 
 def _cmd_eval(args):
     dets = load_detections_jsonl(args.dets)
     gts = load_ground_truth_jsonl(args.gt)
     report = evaluate(dets, gts)
-    inputs = {"dets": str(args.dets), "gt": str(args.gt)}
     summary = (
         f"eval: map50={report['map50']:.4f} map5095={report['map5095']:.4f} "
         f"precision={report['precision']:.4f} recall={report['recall']:.4f}"
     )
-    return "eval", inputs, report, summary
+    return report, summary
 
 
 def _cmd_features(args):
@@ -227,21 +232,12 @@ def _cmd_features(args):
     boxes = _load_boxes_json(args.boxes)
     vectors = pool_boxes(fmap, boxes, args.out_h, args.out_w, args.sampling_ratio)
     write_tensor(vectors, args.out_features)
-    inputs = {
-        "map": str(args.map),
-        "scale": args.scale,
-        "boxes": str(args.boxes),
-        "out_h": args.out_h,
-        "out_w": args.out_w,
-        "sampling_ratio": args.sampling_ratio,
-        "out_features": str(args.out_features),
-    }
     results = {"num_boxes": int(vectors.shape[0]), "channels": int(vectors.shape[1])}
     summary = (
         f"features: pooled {vectors.shape[0]} boxes to {vectors.shape[1]}-d vectors "
         f"in {args.out_features}"
     )
-    return "features", inputs, results, summary
+    return results, summary
 
 
 def _cmd_mine(args):
@@ -249,13 +245,6 @@ def _cmd_mine(args):
     kept = filter_min_length(tracklets, args.min_len)
     triplets = mine_triplets(kept, args.seed, args.per_anchor)
     write_triplets_jsonl(triplets, args.out_triplets)
-    inputs = {
-        "tracklets": str(args.tracklets),
-        "seed": args.seed,
-        "per_anchor": args.per_anchor,
-        "min_len": args.min_len,
-        "out_triplets": str(args.out_triplets),
-    }
     results = {
         "num_tracklets": len(tracklets),
         "num_kept": len(kept),
@@ -265,7 +254,7 @@ def _cmd_mine(args):
         f"mine: {len(triplets)} triplets from {len(kept)}/{len(tracklets)} tracklets "
         f"(min length {args.min_len}) in {args.out_triplets}"
     )
-    return "mine", inputs, results, summary
+    return results, summary
 
 
 def _cmd_train(args):
@@ -285,34 +274,19 @@ def _cmd_train(args):
     )
     net, trace = train(net, table, triplets, config)
     save_net(net, args.out_dir)
-    inputs = {
-        "features": str(args.features),
-        "tracklets": str(args.tracklets),
-        "triplets": str(args.triplets),
-        "epochs": args.epochs,
-        "lr": args.lr,
-        "margin": args.margin,
-        "batch_size": args.batch_size,
-        "seed": args.seed,
-        "hidden": list(args.hidden),
-        "normalize_output": args.normalize_output,
-        "out_dir": str(args.out_dir),
-    }
     results = {
         "num_triplets": len(triplets),
         "layer_dims": net.layer_dims,
         "loss_trace": trace,
-        "initial_loss": trace[0] if trace else None,
-        "final_loss": trace[-1] if trace else None,
+        "initial_loss": trace[0],
+        "final_loss": trace[-1],
         "net": "net.json",
     }
     summary = (
         f"train: {args.epochs} epochs on {len(triplets)} triplets, "
         f"loss {trace[0]:.6f} -> {trace[-1]:.6f}, net saved to {args.out_dir}"
-        if trace
-        else f"train: nothing to do, net saved to {args.out_dir}"
     )
-    return "train", inputs, results, summary
+    return results, summary
 
 
 def _cmd_reid(args):
@@ -338,13 +312,6 @@ def _cmd_reid(args):
         samples.setdefault(key, []).extend(embeddings[t.id])
     separation = separation_metrics(samples)
 
-    inputs = {
-        "features": str(args.features),
-        "tracklets": str(args.tracklets),
-        "net": str(args.net),
-        "threshold": args.threshold,
-        "identity_map": str(args.identity_map) if args.identity_map else None,
-    }
     results = {
         "threshold": args.threshold,
         "merges": [list(pair) for pair in merges],
@@ -356,7 +323,7 @@ def _cmd_reid(args):
         f"reid: {len(merges)} merge proposals at threshold {args.threshold}, "
         f"intra/inter ratio {separation['ratio']:.4f}"
     )
-    return "reid", inputs, results, summary
+    return results, summary
 
 
 def _cmd_project(args):
@@ -369,15 +336,9 @@ def _cmd_project(args):
         points = _load_net_for(args.net, table).embed_batch(points)
     coords = pca_project_2d(points)
     write_scatter_csv(keys, coords, args.out_csv)
-    inputs = {
-        "features": str(args.features),
-        "tracklets": str(args.tracklets),
-        "net": str(args.net) if args.net else None,
-        "out_csv": str(args.out_csv),
-    }
     results = {"num_points": len(keys), "embedded": args.net is not None}
     summary = f"project: wrote {len(keys)} points to {args.out_csv}"
-    return "project", inputs, results, summary
+    return results, summary
 
 
 def _cmd_synth_generate(args):
@@ -398,7 +359,6 @@ def _cmd_synth_generate(args):
         # Scene parameters come straight from flags, so this is a usage error.
         raise _UsageError(str(exc)) from exc
     manifest = generate(config, args.out_dir)
-    inputs = {"out_dir": str(args.out_dir), **config.to_dict()}
     results = {
         "num_frames": manifest["num_frames"],
         "num_tracklets": manifest["num_tracklets"],
@@ -415,7 +375,7 @@ def _cmd_synth_generate(args):
         f"{manifest['num_tracklets']} tracklets, "
         f"{manifest['num_ground_truth']} gt boxes in {args.out_dir}"
     )
-    return "synth generate", inputs, results, summary
+    return results, summary
 
 
 def _cmd_synth_perturb(args):
@@ -437,15 +397,6 @@ def _cmd_synth_perturb(args):
     )
     write_detections_jsonl(dets, args.out_dets)
     num_true = sum(1 for d in dets if d.score == 1.0)
-    inputs = {
-        "gt": str(args.gt),
-        "drop_rate": args.drop_rate,
-        "jitter_px": args.jitter_px,
-        "fp_rate": args.fp_rate,
-        "seed": args.seed,
-        "canvas": list(canvas) if canvas else None,
-        "out_dets": str(args.out_dets),
-    }
     results = {
         "num_ground_truth": len(gts),
         "num_detections": len(dets),
@@ -456,7 +407,7 @@ def _cmd_synth_perturb(args):
         f"synth perturb: {len(dets)} detections ({len(dets) - num_true} false positives) "
         f"from {len(gts)} gt boxes in {args.out_dets}"
     )
-    return "synth perturb", inputs, results, summary
+    return results, summary
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +456,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("features", help="pool per-box descriptors from a feature map")
     p.add_argument("--map", type=Path, required=True, help="feature map MTENSOR [C, Hf, Wf]")
-    p.add_argument("--scale", type=float, required=True, help="feature pixels per image pixel")
+    p.add_argument("--scale", type=_finite_float, required=True, help="feature pixels per image pixel")
     p.add_argument("--boxes", type=Path, required=True, help="JSON file with image-coordinate boxes")
     p.add_argument("--out-h", type=int, default=OUT_SIZE, help="pooled grid height")
     p.add_argument("--out-w", type=int, default=OUT_SIZE, help="pooled grid width")
@@ -530,8 +481,8 @@ def build_parser() -> _Parser:
     p.add_argument("--tracklets", type=Path, required=True, help="tracklets JSON")
     p.add_argument("--triplets", type=Path, required=True, help="triplets JSON-lines")
     p.add_argument("--epochs", type=int, default=20, help="training epochs")
-    p.add_argument("--lr", type=float, default=1e-3, help="learning rate")
-    p.add_argument("--margin", type=float, default=1.0, help="triplet loss margin")
+    p.add_argument("--lr", type=_finite_float, default=1e-3, help="learning rate")
+    p.add_argument("--margin", type=_finite_float, default=1.0, help="triplet loss margin")
     p.add_argument("--batch-size", type=int, default=64, help="minibatch size")
     p.add_argument("--seed", type=int, default=0, help="init and shuffle seed")
     p.add_argument("--per-anchor", type=int, default=1, help="recorded mining rate (provenance)")
@@ -551,7 +502,7 @@ def build_parser() -> _Parser:
     p.add_argument("--net", type=Path, required=True, help="trained net manifest (net.json)")
     p.add_argument(
         "--threshold",
-        type=float,
+        type=_finite_float,
         default=DEFAULT_MERGE_THRESHOLD,
         help="centroid distance cutoff for merge proposals",
     )
@@ -582,8 +533,8 @@ def build_parser() -> _Parser:
     g.add_argument("--num-objects", type=int, default=3, help="moving blobs")
     g.add_argument("--radius-min", type=int, default=4, help="smallest blob radius")
     g.add_argument("--radius-max", type=int, default=7, help="largest blob radius")
-    g.add_argument("--vel-min", type=float, default=1.0, help="slowest speed, px/frame")
-    g.add_argument("--vel-max", type=float, default=2.5, help="fastest speed, px/frame")
+    g.add_argument("--vel-min", type=_finite_float, default=1.0, help="slowest speed, px/frame")
+    g.add_argument("--vel-max", type=_finite_float, default=2.5, help="fastest speed, px/frame")
     g.add_argument(
         "--switch",
         type=_parse_switch,
@@ -601,9 +552,9 @@ def build_parser() -> _Parser:
 
     g = synth_sub.add_parser("perturb", help="degrade ground truth into detections")
     g.add_argument("--gt", type=Path, required=True, help="ground-truth JSON-lines")
-    g.add_argument("--drop-rate", type=float, default=0.0, help="box drop probability")
-    g.add_argument("--jitter-px", type=float, default=0.0, help="corner jitter amplitude")
-    g.add_argument("--fp-rate", type=float, default=0.0, help="false positives per frame")
+    g.add_argument("--drop-rate", type=_finite_float, default=0.0, help="box drop probability")
+    g.add_argument("--jitter-px", type=_finite_float, default=0.0, help="corner jitter amplitude")
+    g.add_argument("--fp-rate", type=_finite_float, default=0.0, help="false positives per frame")
     g.add_argument("--seed", type=int, default=0, help="perturbation seed")
     g.add_argument("--canvas-width", type=int, default=None, help="false-positive box bound")
     g.add_argument("--canvas-height", type=int, default=None, help="false-positive box bound")
@@ -619,8 +570,8 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _check_threads_env()
-        command, inputs, results, summary = args.func(args)
-        _emit_report(args, command, inputs, results)
+        results, summary = args.func(args)
+        _emit_report(args, results)
         print(summary)
         return 0
     except _UsageError as exc:

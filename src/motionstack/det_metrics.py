@@ -12,7 +12,8 @@ that IoU clears the threshold. Average precision is 101-point interpolated
 (recall grid 0.00, 0.01, ..., 1.00 with the monotone precision envelope),
 and the headline number averages AP over IoU thresholds 0.50 to 0.95 in
 steps of 0.05. The operating point picks the score cutoff maximizing F1,
-preferring the shortest prefix on ties.
+preferring the shortest prefix on ties; since a cutoff keeps every tied
+score, only prefixes followed by a lower score, or by nothing, are candidates.
 """
 
 from __future__ import annotations
@@ -217,6 +218,7 @@ def f1_operating_point(
     prefix, and an empty prefix reports precision and recall of 0.
     """
     result = match_detections(dets, gts, iou_threshold)
+    scores = [dets[i].score for i in result.order]
     num_gt = len(gts)
     best_k = 0
     best_f1 = 0.0
@@ -224,6 +226,8 @@ def f1_operating_point(
     for k, is_tp in enumerate(result.flags, start=1):
         if is_tp:
             tp += 1
+        if k < len(scores) and scores[k] == scores[k - 1]:
+            continue  # no cutoff keeps a detection but not its tied successor
         denom = k + num_gt
         f1 = 2.0 * tp / denom if denom > 0 else 0.0
         if f1 > best_f1:

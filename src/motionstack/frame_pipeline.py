@@ -103,11 +103,6 @@ class StackedInput:
     config: InputConfig
 
 
-def channel_count(variant: str, n: int = 1) -> int:
-    """Channels produced by a layout: 3N for sequence variants, 6 for pairs."""
-    return 3 * n if normalize_variant(variant) in _SEQ_VARIANTS else 6
-
-
 def diff_image(later: ImageFrame | np.ndarray, earlier: ImageFrame | np.ndarray) -> np.ndarray:
     """Byte-range difference image ``floor((later - earlier + 255) / 2)``.
 

@@ -94,21 +94,17 @@ class FeatureTable:
                 )
             index = {k: i for i, k in enumerate(keys)}
         self._index = index
-        self.matrix = matrix
         self.matrix64 = matrix.astype(np.float64)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[1]
+        return self.matrix64.shape[1]
 
     def row(self, tracklet_id: int, frame: int) -> int:
         try:
             return self._index[(tracklet_id, frame)]
         except KeyError:
             raise DataValidationError(f"no feature row for tracklet {tracklet_id} frame {frame}") from None
-
-    def vector(self, tracklet_id: int, frame: int) -> np.ndarray:
-        return self.matrix64[self.row(tracklet_id, frame)]
 
     def rows_for(self, tracklet: Tracklet) -> np.ndarray:
         return np.array([self.row(tracklet.id, f) for f in tracklet.frames], dtype=np.intp)
@@ -270,13 +266,6 @@ class EmbeddingNet:
     def in_dim(self) -> int:
         return self.weights[0].shape[1]
 
-    def forward(self, feature: np.ndarray) -> np.ndarray:
-        """Embed a single [D_in] feature vector to float64 [128]."""
-        feature = np.asarray(feature, dtype=np.float64)
-        if feature.shape != (self.in_dim,):
-            raise ValueError(f"expected a [{self.in_dim}] feature vector, got shape {feature.shape}")
-        return self.embed_batch(feature[None, :])[0]
-
     def embed_batch(self, features: np.ndarray) -> np.ndarray:
         """Embed [B, D_in] rows to float64 [B, 128], honoring the normalize toggle."""
         features = np.asarray(features, dtype=np.float64)
@@ -327,18 +316,6 @@ def embed_on_params(params, x: np.ndarray) -> np.ndarray:
         if l < last:
             np.maximum(z, 0.0, out=z)
     return z
-
-
-def triplet_loss(ea: np.ndarray, ep: np.ndarray, en: np.ndarray, margin: float) -> float:
-    """Hinge on squared Euclidean distances: max(0, |ea-ep|^2 - |ea-en|^2 + margin)."""
-    ea = np.asarray(ea, dtype=np.float64)
-    ep = np.asarray(ep, dtype=np.float64)
-    en = np.asarray(en, dtype=np.float64)
-    if ea.shape != ep.shape or ea.shape != en.shape:
-        raise ValueError(f"embedding shapes differ: {ea.shape}, {ep.shape}, {en.shape}")
-    d_pos = float(np.sum((ea - ep) ** 2))
-    d_neg = float(np.sum((ea - en) ** 2))
-    return max(0.0, d_pos - d_neg + margin)
 
 
 def _stacked_forward(params, xa, xp, xn, margin: float):
@@ -661,11 +638,12 @@ def load_net(manifest_path: str | Path) -> EmbeddingNet:
     for l, entry in enumerate(manifest["layers"]):
         if not isinstance(entry, dict) or "weight" not in entry or "bias" not in entry:
             raise DataValidationError(f"{manifest_path}: layers[{l}] must name weight and bias files")
-        for key in ("weight", "bias"):
+        for key, tensors in (("weight", weights), ("bias", biases)):
             if not isinstance(entry[key], str):
                 raise DataValidationError(f"{manifest_path}: layers[{l}].{key} must be a file name string")
-        weights.append(read_tensor(base / entry["weight"]))
-        biases.append(read_tensor(base / entry["bias"]))
+            tensors.append(read_tensor(base / entry[key]))
+            if not np.isfinite(tensors[-1]).all():
+                raise DataValidationError(f"{manifest_path}: layers[{l}].{key} is not finite")
     normalize_output = manifest.get("normalize_output", False)
     if not isinstance(normalize_output, bool):
         raise DataValidationError(

@@ -87,16 +87,13 @@ def _window(weights: np.ndarray):
     return zip(touched.argmax(axis=1), weights.shape[-1] - touched[:, ::-1].argmax(axis=1))
 
 
-def _pool(fmap: FeatureMap | np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def _pool(fmap: FeatureMap, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Mean bilinear samples over ys [N, by, k] x xs [N, bx, k]: float64 [N, by, bx, C].
 
     The map goes channels-last, so a box's window of rows and columns is an
     [h, w * C] view and both contractions run in BLAS without a copy.
     """
-    arr = fmap.tensor if isinstance(fmap, FeatureMap) else np.asarray(fmap)
-    if arr.ndim != 3:
-        raise ValueError(f"feature map must be [C, Hf, Wf], got shape {arr.shape}")
-    hwc = np.ascontiguousarray(arr.transpose(1, 2, 0), dtype=np.float64)
+    hwc = np.ascontiguousarray(fmap.tensor.transpose(1, 2, 0), dtype=np.float64)
     wy, wx = _bilinear_weights(ys, hwc.shape[0]), _bilinear_weights(xs, hwc.shape[1])
     c = hwc.shape[2]
     out = np.empty((len(wy), wy.shape[1], wx.shape[1], c))
@@ -104,17 +101,6 @@ def _pool(fmap: FeatureMap | np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.n
         rows = wy[i, :, y0:y1] @ hwc[y0:y1, x0:x1].reshape(y1 - y0, (x1 - x0) * c)
         out[i] = wx[i, :, x0:x1] @ rows.reshape(len(rows), x1 - x0, c)
     return out
-
-
-def bilinear_sample(fmap: FeatureMap | np.ndarray, x: float, y: float) -> np.ndarray:
-    """Interpolate all channels at one continuous (x, y) feature coordinate.
-
-    Pixel centers sit at integer coordinates; out-of-range points clamp to
-    the valid rectangle. Returns a float64 [C] vector.
-    """
-    if np.isnan(x) or np.isnan(y):
-        raise ValueError(f"sample coordinate ({x}, {y}) is NaN")
-    return _pool(fmap, np.full((1, 1, 1), float(y)), np.full((1, 1, 1), float(x)))[0, 0, 0]
 
 
 def _check_pool_params(out_h: int, out_w: int, sampling_ratio: int) -> None:
@@ -140,14 +126,6 @@ def roi_align(
     boxes = np.asarray(box, dtype=np.float64).reshape(1, 4)
     ys, xs = _sample_coords(boxes, fmap.spatial_scale, out_h, out_w, sampling_ratio)
     return _pool(fmap, ys, xs)[0].transpose(2, 0, 1).astype(np.float32)
-
-
-def pool_to_vector(pooled: np.ndarray) -> np.ndarray:
-    """Collapse a [C, oh, ow] pooled grid to a per-channel mean, float32 [C]."""
-    pooled = np.asarray(pooled)
-    if pooled.ndim != 3:
-        raise ValueError(f"pooled grid must be [C, oh, ow], got shape {pooled.shape}")
-    return pooled.astype(np.float64, copy=False).mean(axis=(1, 2)).astype(np.float32)
 
 
 def pool_boxes(

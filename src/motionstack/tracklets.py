@@ -62,13 +62,6 @@ class Tracklet:
     def frames(self) -> range:
         return range(self.start, self.end + 1)
 
-    def box_at(self, frame: int) -> tuple[float, float, float, float]:
-        if not self.start <= frame <= self.end:
-            raise DataValidationError(
-                f"tracklet {self.id}: frame {frame} outside [{self.start}, {self.end}]"
-            )
-        return self.boxes[frame - self.start]
-
 
 def temporal_overlap(a: Tracklet, b: Tracklet) -> bool:
     """Whether the two closed frame intervals share at least one frame."""

@@ -3,8 +3,8 @@
 Everything here is written the slow, obvious way: scalar loops, textbook
 formulas, selection instead of sorting. The detection-metric oracle mirrors
 the documented arithmetic expression-for-expression so its results are
-bitwise comparable; the numeric oracles (convolution, pooling, gradients,
-PCA) run in float64 and are compared within tolerances.
+bitwise comparable; the numeric oracles (convolution, pooling, triplet
+loss, gradients, PCA) run in float64 and are compared within tolerances.
 """
 
 from __future__ import annotations
@@ -101,8 +101,13 @@ def interp_ap_101(flags, num_gt: int) -> float:
 
 
 def best_f1_prefix(dets, gts, thr: float) -> dict:
-    """Best-F1 prefix of the pooled ordered detections; ties keep the shortest."""
+    """Best-F1 prefix of the pooled ordered detections; ties keep the shortest.
+
+    A prefix is a candidate only where the next detection scores strictly
+    lower, or at the end, since a score cutoff keeps all tied detections.
+    """
     flags = greedy_flags(dets, gts, thr)
+    scores = [dets[i].score for i in selection_order(dets)]
     num_gt = len(gts)
     best_k = 0
     best_f1 = 0.0
@@ -110,6 +115,8 @@ def best_f1_prefix(dets, gts, thr: float) -> dict:
     for k, is_tp in enumerate(flags, start=1):
         if is_tp:
             tp += 1
+        if k < len(flags) and not scores[k] < scores[k - 1]:
+            continue
         f1 = 2.0 * tp / (k + num_gt) if k + num_gt > 0 else 0.0
         if f1 > best_f1:
             best_f1 = f1
@@ -230,7 +237,19 @@ def roi_align_loops(arr, spatial_scale, box, out_h, out_w, ratio) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# gradients
+# triplet loss and gradients
+
+
+def triplet_loss(ea, ep, en, margin: float) -> float:
+    """Hinge on squared Euclidean distances: max(0, |ea-ep|^2 - |ea-en|^2 + margin)."""
+    ea = np.asarray(ea, dtype=np.float64)
+    ep = np.asarray(ep, dtype=np.float64)
+    en = np.asarray(en, dtype=np.float64)
+    if ea.shape != ep.shape or ea.shape != en.shape:
+        raise ValueError(f"embedding shapes differ: {ea.shape}, {ep.shape}, {en.shape}")
+    d_pos = float(np.sum((ea - ep) ** 2))
+    d_neg = float(np.sum((ea - en) ** 2))
+    return max(0.0, d_pos - d_neg + margin)
 
 
 def fd_gradients(params, xa, xp, xn, margin: float, eps: float = 1e-3):

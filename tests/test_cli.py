@@ -47,6 +47,20 @@ def _tree_bytes(root):
     return [(str(p.relative_to(root)), p.read_bytes()) for p in files]
 
 
+# Every float flag, with the subcommand that takes it.
+FLOAT_FLAGS = (
+    ("train", "--lr"),
+    ("train", "--margin"),
+    ("features", "--scale"),
+    ("reid", "--threshold"),
+    ("synth perturb", "--jitter-px"),
+    ("synth perturb", "--drop-rate"),
+    ("synth perturb", "--fp-rate"),
+    ("synth generate", "--vel-min"),
+    ("synth generate", "--vel-max"),
+)
+
+
 class TestExitCodes:
     def test_help(self, capsys):
         assert cli.run(["--help"]) == 0
@@ -124,6 +138,36 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert err.splitlines() == [f"error: {manifest_path}: {message}"]
+
+    @pytest.mark.parametrize("key", ["weight", "bias"])
+    def test_non_finite_net_tensor_is_data_error(self, tmp_path, scene12, capsys, key):
+        in_dim = read_tensor(scene12 / "features.mten").shape[1]
+        manifest_path = save_net(EmbeddingNet.init(in_dim, hidden=(6,), seed=0), tmp_path / "net")
+        tensor_path = tmp_path / "net" / f"layer1.{key}.mten"
+        tensor = read_tensor(tensor_path)
+        tensor.flat[-1] = np.nan
+        write_tensor(tensor, tensor_path)
+        code = cli.run(
+            ["reid", "--features", str(scene12 / "features.mten"),
+             "--tracklets", str(scene12 / "tracklets.json"), "--net", str(manifest_path),
+             "--out", str(tmp_path / "reid.json")]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == [f"error: {manifest_path}: layers[1].{key} is not finite"]
+        assert not (tmp_path / "reid.json").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command, flag", FLOAT_FLAGS)
+    def test_non_finite_float_flag_is_usage(self, tmp_path, input_files, command, flag, value):
+        if command == "synth generate":
+            argv = ["synth", "generate", "--num-frames", "4", "--out-dir", str(tmp_path / "scene")]
+        else:
+            argv = _input_file_argv(command, input_files, tmp_path)
+        code, err = _run_quiet([*argv, flag, value])
+        assert code == 1
+        assert err.splitlines() == [f"error: argument {flag}: expected a finite number, got {value!r}"]
+        assert not any(tmp_path.iterdir())
 
     def test_non_finite_features_are_data_error(self, tmp_path, scene12, capsys):
         features = read_tensor(scene12 / "features.mten")
@@ -535,6 +579,21 @@ class TestSynth:
         report = _envelope(report_path)
         assert report["results"]["num_tracklets"] == 2
         assert json.loads((out_dir / "identity_map.json").read_text())["groups"] == [[0, 1]]
+
+    def test_report_inputs_echo_every_flag_but_out(self, tmp_path):
+        out_dir = tmp_path / "scene"
+        report_path = tmp_path / "report.json"
+        argv = ["synth", "generate", "--num-frames", "6", "--switch", "0:3", "--vel-max", "2",
+                "--out-dir", str(out_dir), "--out", str(report_path)]
+        assert cli.run(argv) == 0
+        report = _envelope(report_path)
+        assert report["command"] == "synth generate"
+        assert list(report["inputs"].items()) == [
+            ("width", 96), ("height", 72), ("num_frames", 6), ("num_objects", 3),
+            ("radius_min", 4), ("radius_max", 7), ("vel_min", 1.0), ("vel_max", 2.0),
+            ("switch", [[0, 3]]), ("seed", 0), ("background", "flat"), ("feature_dim", 32),
+            ("out_dir", str(out_dir)),
+        ]
 
     def test_malformed_switch_is_usage(self, tmp_path):
         code = cli.run(

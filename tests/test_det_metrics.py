@@ -201,6 +201,20 @@ class TestF1OperatingPoint:
         assert point["recall"] == 0.5
         assert point["score_threshold"] == 0.9
 
+    @pytest.mark.parametrize("tp_first", [True, False])
+    def test_prefix_keeps_every_tied_score(self, tp_first):
+        # A 0.5 cutoff keeps both detections whichever order they come in.
+        gts = [GroundTruth(frame=0, bbox=(0, 0, 10, 10), label=0)]
+        tp = Detection(frame=0, bbox=(0, 0, 10, 10), score=0.5, label=0)
+        fp = Detection(frame=0, bbox=(50, 0, 60, 10), score=0.5, label=0)
+        dets = [tp, fp] if tp_first else [fp, tp]
+        point = f1_operating_point(dets, gts)
+        assert (point["k"], point["precision"], point["recall"]) == (2, 0.5, 1.0)
+        assert point["f1"] == 2.0 / 3.0
+        assert point["score_threshold"] == 0.5
+        want = oracles.best_f1_prefix(dets, gts, 0.5)
+        assert {k: point[k] for k in want} == want
+
     def test_empty_detections(self):
         gts = [GroundTruth(frame=0, bbox=(0, 0, 1, 1), label=0)]
         point = f1_operating_point([], gts)

@@ -16,7 +16,6 @@ from motionstack.frame_pipeline import (
     StackedInput,
     build_dataset,
     build_input,
-    channel_count,
     diff_image,
     normalize_variant,
 )
@@ -85,10 +84,10 @@ class TestInputConfig:
         assert config.channels == 6
 
     def test_channel_counts(self):
-        assert channel_count("rgb_seq", 5) == 15
-        assert channel_count("diff_seq", 1) == 3
-        assert channel_count("rgb_int") == 6
-        assert channel_count("diff_int") == 6
+        assert InputConfig("rgb_seq", n=5).channels == 15
+        assert InputConfig("diff_seq", n=1).channels == 3
+        assert InputConfig("rgb_int").channels == 6
+        assert InputConfig("diff_int").channels == 6
 
     def test_range_warning(self):
         assert not InputConfig("rgb_seq", n=10).range_warning

@@ -11,9 +11,7 @@ from motionstack.roi_features import (
     OUT_SIZE,
     SAMPLING_RATIO,
     FeatureMap,
-    bilinear_sample,
     pool_boxes,
-    pool_to_vector,
     roi_align,
 )
 
@@ -60,46 +58,39 @@ class TestFeatureMap:
 
 
 class TestBilinearSample:
+    """A 1x1 bin with sampling_ratio=1 takes one bilinear sample at the box centre."""
+
+    @staticmethod
+    def sample(fmap, x, y):
+        # At spatial_scale 1 the box (x, y, x+1, y+1) is centred on feature point (x, y).
+        if not isinstance(fmap, FeatureMap):
+            fmap = FeatureMap(tensor=fmap)
+        return roi_align(fmap, (x, y, x + 1.0, y + 1.0), out_h=1, out_w=1, sampling_ratio=1)[:, 0, 0]
+
     def test_integer_coordinates_hit_pixels(self):
         fmap = _random_map(seed=1)
         for y in range(6):
             for x in range(8):
-                assert np.array_equal(
-                    bilinear_sample(fmap, x, y), fmap.tensor[:, y, x].astype(np.float64)
-                )
+                assert np.array_equal(self.sample(fmap, x, y), fmap.tensor[:, y, x].astype(np.float32))
 
     def test_argument_order_is_x_then_y(self):
         tensor = np.zeros((1, 4, 5))
         tensor[0, 1, 3] = 1.0
-        assert bilinear_sample(tensor, 3, 1)[0] == 1.0
-        assert bilinear_sample(tensor, 1, 3)[0] == 0.0
+        assert self.sample(tensor, 3, 1)[0] == 1.0
+        assert self.sample(tensor, 1, 3)[0] == 0.0
 
     def test_midpoint_average(self):
         tensor = np.zeros((1, 2, 2))
         tensor[0] = [[1.0, 3.0], [5.0, 7.0]]
-        assert bilinear_sample(tensor, 0.5, 0.5)[0] == 4.0
-        assert bilinear_sample(tensor, 0.5, 0.0)[0] == 2.0
+        assert self.sample(tensor, 0.5, 0.5)[0] == 4.0
+        assert self.sample(tensor, 0.5, 0.0)[0] == 2.0
 
     def test_clamps_to_border(self):
         fmap = _random_map(seed=2)
-        corner = fmap.tensor[:, 0, 0].astype(np.float64)
-        assert np.array_equal(bilinear_sample(fmap, -3.0, -10.0), corner)
-        far = fmap.tensor[:, 5, 7].astype(np.float64)
-        assert np.array_equal(bilinear_sample(fmap, 100.0, 100.0), far)
-
-    def test_nan_coordinate_rejected(self):
-        with pytest.raises(ValueError, match="NaN"):
-            bilinear_sample(_random_map(), np.nan, 1.0)
-
-    def test_matches_scalar_oracle(self):
-        fmap = _random_map(c=3, seed=3)
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            x = float(rng.uniform(-2, 10))
-            y = float(rng.uniform(-2, 8))
-            got = bilinear_sample(fmap, x, y)
-            want = oracles.bilinear_at(fmap.tensor, x, y)
-            assert np.allclose(got, want, rtol=0, atol=1e-12)
+        corner = fmap.tensor[:, 0, 0].astype(np.float32)
+        assert np.array_equal(self.sample(fmap, -3.0, -10.0), corner)
+        far = fmap.tensor[:, 5, 7].astype(np.float32)
+        assert np.array_equal(self.sample(fmap, 100.0, 100.0), far)
 
 
 class TestRoiAlign:
@@ -168,15 +159,6 @@ class TestRoiAlign:
 
 
 class TestPooling:
-    def test_pool_to_vector_is_spatial_mean(self):
-        rng = np.random.default_rng(9)
-        grid = rng.normal(0, 1, size=(4, 3, 5)).astype(np.float32)
-        vec = pool_to_vector(grid)
-        assert vec.dtype == np.float32
-        assert np.allclose(vec, grid.astype(np.float64).mean(axis=(1, 2)), atol=1e-7)
-        with pytest.raises(ValueError, match=r"\[C, oh, ow\]"):
-            pool_to_vector(np.zeros((3, 3)))
-
     def test_pool_boxes_matches_per_box_align(self):
         fmap = _random_map(c=3, h=9, w=11, seed=5, scale=0.25)
         boxes = [(0.0, 0.0, 20.0, 20.0), (8.0, 4.0, 30.0, 28.0)]
@@ -184,7 +166,7 @@ class TestPooling:
         assert table.dtype == np.float32
         assert table.shape == (2, 3)
         for i, box in enumerate(boxes):
-            want = pool_to_vector(roi_align(fmap, box))
+            want = roi_align(fmap, box).astype(np.float64).mean(axis=(1, 2))
             assert np.allclose(table[i], want, rtol=1e-6, atol=1e-6)
 
     @settings(max_examples=60, deadline=None)

@@ -115,7 +115,7 @@ class TestGenerate:
             for tid in group:
                 t = tracklets[tid]
                 for f in t.frames:
-                    assert t.box_at(f) == gts[f * num_objects + obj].bbox
+                    assert t.boxes[f - t.start] == gts[f * num_objects + obj].bbox
 
     def test_split_semantics(self, tmp_path):
         out = tmp_path / "scene"
@@ -146,8 +146,8 @@ class TestGenerate:
         for t in tracklets:
             assert t.feature_rows == [f * 2 + t.id for f in t.frames]
         table = load_feature_table(tracklets, scene12 / "features.mten")
-        assert table.matrix.shape == (24, 32)
-        assert table.matrix.dtype == np.float32
+        assert table.matrix64.shape == (24, 32)
+        assert read_tensor(scene12 / "features.mten").dtype == np.float32
 
     def test_features_reconstruct_from_seeded_streams(self, scene12):
         # Row (frame, obj) must equal prototype + sigma * noise where the

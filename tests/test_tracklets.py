@@ -37,14 +37,6 @@ class TestTracklet:
         assert len(t) == 5
         assert list(t.frames) == [5, 6, 7, 8, 9]
 
-    def test_box_at(self):
-        t = _tracklet(0, 5, 9)
-        assert t.box_at(7) == (7.0, 0.0, 8.0, 1.0)
-        with pytest.raises(DataValidationError, match=r"outside \[5, 9\]"):
-            t.box_at(4)
-        with pytest.raises(DataValidationError, match="outside"):
-            t.box_at(10)
-
     def test_validation(self):
         with pytest.raises(DataValidationError, match="nonnegative"):
             _tracklet(-1, 0, 3)
