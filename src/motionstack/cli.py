@@ -38,7 +38,7 @@ from .det_metrics import (
 )
 from .errors import DataValidationError, MotionStackError
 from .frame_pipeline import VARIANTS, FrameSequence, InputConfig, build_dataset, normalize_variant
-from .jsonio import read_json, write_json
+from .jsonio import check_box, read_json, write_json
 from .metric_learning import (
     DEFAULT_MERGE_THRESHOLD,
     EmbeddingNet,
@@ -144,17 +144,7 @@ def _load_boxes_json(path: str) -> np.ndarray:
     raw = doc.get("boxes") if isinstance(doc, dict) else doc
     if not isinstance(raw, list):
         raise DataValidationError(f"{path}: expected a 'boxes' list or a bare list of boxes")
-    boxes = []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, list) or len(entry) != 4:
-            raise DataValidationError(f"{path}: boxes[{i}] must be [x1, y1, x2, y2], got {entry!r}")
-        try:
-            box = [float(v) for v in entry]
-        except (TypeError, ValueError, OverflowError):
-            raise DataValidationError(f"{path}: boxes[{i}] is non-numeric: {entry!r}") from None
-        if not all(isfinite(v) for v in box):
-            raise DataValidationError(f"{path}: boxes[{i}] is non-finite: {entry!r}")
-        boxes.append(box)
+    boxes = [check_box(entry, f"{path}: boxes[{i}]") for i, entry in enumerate(raw)]
     if not boxes:
         raise DataValidationError(f"{path}: no boxes to pool")
     return np.array(boxes, dtype=np.float64)
@@ -258,6 +248,8 @@ def _cmd_mine(args):
 
 
 def _cmd_train(args):
+    if args.per_anchor < 1:  # provenance only: the triplets file fixes the real rate
+        raise ValueError(f"per_anchor must be >= 1, got {args.per_anchor}")
     tracklets = load_tracklets_json(args.tracklets)
     table = load_feature_table(tracklets, args.features)
     triplets = load_triplets_jsonl(args.triplets)
@@ -270,7 +262,6 @@ def _cmd_train(args):
         epochs=args.epochs,
         batch_size=args.batch_size,
         seed=args.seed,
-        triplets_per_anchor=args.per_anchor,
     )
     net, trace = train(net, table, triplets, config)
     save_net(net, args.out_dir)

@@ -17,6 +17,9 @@ the recorded frame indices: an index that falls in a gap snaps to the
 nearest earlier frame, and anything before the first frame clamps to it.
 Stacks built at the start of a sequence therefore repeat the earliest
 frame, which turns difference channels into flat 127.
+
+A ``FrameSequence`` holds each frame once, as its planar uint8 [3, H, W]
+array, so a loaded video costs about ``3·W·H`` bytes per frame.
 """
 
 from __future__ import annotations
@@ -103,49 +106,48 @@ class StackedInput:
     config: InputConfig
 
 
-def diff_image(later: ImageFrame | np.ndarray, earlier: ImageFrame | np.ndarray) -> np.ndarray:
+def diff_image(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
     """Byte-range difference image ``floor((later - earlier + 255) / 2)``.
 
-    Accepts frames or planar uint8 arrays of matching shape. The
-    subtraction runs in signed integers; the +255 shift recenters zero
-    motion on 127.
+    Accepts planar uint8 arrays of matching shape. The subtraction runs in
+    signed integers; the +255 shift recenters zero motion on 127.
     """
-    later_arr = to_planar(later) if isinstance(later, ImageFrame) else np.asarray(later)
-    earlier_arr = to_planar(earlier) if isinstance(earlier, ImageFrame) else np.asarray(earlier)
-    if later_arr.dtype != np.uint8 or earlier_arr.dtype != np.uint8:
+    if later.dtype != np.uint8 or earlier.dtype != np.uint8:
         raise ValueError("difference images are defined on uint8 frames")
-    if later_arr.shape != earlier_arr.shape:
-        raise ValueError(f"frame shapes differ: {later_arr.shape} vs {earlier_arr.shape}")
+    if later.shape != earlier.shape:
+        raise ValueError(f"frame shapes differ: {later.shape} vs {earlier.shape}")
     # int16 is wide enough: later - earlier + 255 lies in [0, 510].
-    spread = later_arr.astype(np.int16) - earlier_arr.astype(np.int16) + 255
+    spread = later.astype(np.int16) - earlier.astype(np.int16) + 255
     return (spread // 2).astype(np.uint8)
 
 
 class FrameSequence:
     """An ordered set of same-sized frames addressable by frame index.
 
-    May be empty; lookups on an empty sequence fail, but dataset building
-    over one is a no-op.
+    Each frame is held once, as its planar uint8 [3, H, W] array (about
+    ``3·W·H`` bytes); the decoded interleaved frame is dropped as soon as
+    it is repacked. May be empty; lookups on an empty sequence fail, but
+    dataset building over one is a no-op.
     """
 
     def __init__(self, frames: Iterable[ImageFrame] = ()):
-        ordered = sorted(frames, key=lambda f: f.frame_index)
-        indices = [f.frame_index for f in ordered]
-        for a, b in zip(indices, indices[1:]):
-            if a == b:
-                raise DataValidationError(f"duplicate frame index {a}")
-        if ordered:
-            first = ordered[0]
-            for f in ordered:
-                if (f.width, f.height) != (first.width, first.height):
+        planes: dict[int, np.ndarray] = {}
+        for f in frames:
+            if f.frame_index in planes:
+                raise DataValidationError(f"duplicate frame index {f.frame_index}")
+            planes[f.frame_index] = to_planar(f)
+        indices = sorted(planes)
+        if indices:
+            first = planes[indices[0]].shape
+            for index in indices:
+                shape = planes[index].shape
+                if shape != first:
                     raise DataValidationError(
-                        f"frame {f.frame_index} is {f.width}x{f.height}, "
-                        f"sequence started at {first.width}x{first.height}"
+                        f"frame {index} is {shape[2]}x{shape[1]}, "
+                        f"sequence started at {first[2]}x{first[1]}"
                     )
-        self._frames = ordered
         self._indices = indices
-        self._by_index = {f.frame_index: f for f in ordered}
-        self._planar_cache: dict[int, np.ndarray] = {}
+        self._planes = planes
 
     @classmethod
     def from_dir(cls, dir_path: str | Path) -> "FrameSequence":
@@ -153,10 +155,7 @@ class FrameSequence:
         return cls(read_ppm(p) for p in sorted(Path(dir_path).glob("*.ppm")))
 
     def __len__(self) -> int:
-        return len(self._frames)
-
-    def __iter__(self):
-        return iter(self._frames)
+        return len(self._indices)
 
     @property
     def indices(self) -> list[int]:
@@ -164,25 +163,14 @@ class FrameSequence:
 
     @property
     def width(self) -> int:
-        if not self._frames:
-            raise FrameLookupError("empty frame sequence has no dimensions")
-        return self._frames[0].width
+        return self.planar(0).shape[2]  # every frame has the same size
 
     @property
     def height(self) -> int:
-        if not self._frames:
-            raise FrameLookupError("empty frame sequence has no dimensions")
-        return self._frames[0].height
+        return self.planar(0).shape[1]
 
     def __contains__(self, index: int) -> bool:
-        return index in self._by_index
-
-    def frame_at(self, index: int) -> ImageFrame:
-        """Exact lookup by frame index."""
-        try:
-            return self._by_index[index]
-        except KeyError:
-            raise FrameLookupError(f"no frame with index {index}") from None
+        return index in self._planes
 
     def resolve(self, requested: int) -> int:
         """Map a requested index to the nearest recorded index at or before it.
@@ -197,13 +185,8 @@ class FrameSequence:
         return self._indices[pos]
 
     def planar(self, requested: int) -> np.ndarray:
-        """The resolved frame as a uint8 [3, H, W] tensor (cached)."""
-        index = self.resolve(requested)
-        cached = self._planar_cache.get(index)
-        if cached is None:
-            cached = to_planar(self._by_index[index])
-            self._planar_cache[index] = cached
-        return cached
+        """The resolved frame as its stored uint8 [3, H, W] array."""
+        return self._planes[self.resolve(requested)]
 
 
 def build_input(source: FrameSequence, t: int, config: InputConfig) -> StackedInput:
@@ -213,7 +196,8 @@ def build_input(source: FrameSequence, t: int, config: InputConfig) -> StackedIn
     layout reaches for are clamp-resolved. Channel order is newest-first,
     so channels 0..2 are always the RGB planes of frame ``t``.
     """
-    source.frame_at(t)  # membership gate; past lookups below may clamp
+    if t not in source:  # past lookups below may clamp; the target may not
+        raise FrameLookupError(f"no frame with index {t}")
     variant, n, delta = config.variant, config.n, config.delta
 
     if variant == "rgb_seq":
@@ -227,7 +211,7 @@ def build_input(source: FrameSequence, t: int, config: InputConfig) -> StackedIn
     else:  # diff_int
         parts = [source.planar(t), diff_image(source.planar(t), source.planar(t - delta))]
 
-    tensor = np.ascontiguousarray(np.concatenate(parts, axis=0))
+    tensor = np.concatenate(parts, axis=0)
     return StackedInput(tensor=tensor, target_frame_index=t, config=config)
 
 

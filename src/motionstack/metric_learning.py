@@ -376,12 +376,11 @@ class TrainConfig:
     epochs: int = 20
     batch_size: int = 64
     seed: int = 0
-    triplets_per_anchor: int = 1
 
     def __post_init__(self) -> None:
         if not self.margin > 0:
             raise ValueError(f"margin must be positive, got {self.margin}")
-        for name in ("epochs", "batch_size", "triplets_per_anchor"):
+        for name in ("epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.learning_rate < 0:

@@ -15,6 +15,7 @@ to uint8/float32 with 1 to 4 dimensions.
 from __future__ import annotations
 
 import json
+import math
 import re
 import struct
 from dataclasses import dataclass
@@ -96,7 +97,7 @@ def read_tensor(path: str | Path) -> np.ndarray:
     ):
         raise TensorFormatError(f"{path}: invalid shape {shape!r}")
     dtype = _DTYPE_BY_CODE[code]
-    expected = int(np.prod(shape)) * dtype.itemsize
+    expected = math.prod(shape) * dtype.itemsize  # Python ints: an int64 product can wrap to a small size
     payload = data[body + header_len :]
     if len(payload) != expected:
         raise TensorFormatError(

@@ -21,7 +21,7 @@ from motionstack.frame_pipeline import FrameSequence
 from motionstack.metric_learning import EmbeddingNet, load_net, save_net
 from motionstack.roi_features import FeatureMap, pool_boxes
 from motionstack.synth_scenes import SceneConfig, generate
-from motionstack.tensor_io import read_tensor, write_tensor
+from motionstack.tensor_io import MAGIC, read_tensor, write_tensor
 from motionstack.weight_surgery import (
     ConvLayerWeights,
     expand_first_layer,
@@ -167,6 +167,13 @@ class TestExitCodes:
         code, err = _run_quiet([*argv, flag, value])
         assert code == 1
         assert err.splitlines() == [f"error: argument {flag}: expected a finite number, got {value!r}"]
+        assert not any(tmp_path.iterdir())
+
+    def test_train_per_anchor_below_one_is_usage(self, tmp_path, input_files):
+        argv = _input_file_argv("train", input_files, tmp_path)
+        code, err = _run_quiet([*argv, "--per-anchor", "0", "--out", str(tmp_path / "train.json")])
+        assert code == 1
+        assert err.splitlines() == ["error: per_anchor must be >= 1, got 0"]
         assert not any(tmp_path.iterdir())
 
     def test_non_finite_features_are_data_error(self, tmp_path, scene12, capsys):
@@ -502,6 +509,44 @@ class TestFeatures:
              "--boxes", str(tmp_path / "boxes.json"), "--out-features", str(tmp_path / "p.mten")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "box, message",
+        [
+            ("[0, NaN, 3, 3]", "non-finite bbox [0, nan, 3, 3]"),
+            ("[3, 0, 0, 3]", "bbox must satisfy x2 > x1 and y2 > y1, got [3, 0, 0, 3]"),
+        ],
+        ids=["nan", "inverted"],
+    )
+    def test_bad_box_is_data_error(self, tmp_path, box, message):
+        write_tensor(np.ones((1, 4, 4), dtype=np.float32), tmp_path / "map.mten")
+        boxes_path = tmp_path / "boxes.json"
+        boxes_path.write_text(f'{{"boxes": [[0, 0, 3, 3], {box}]}}')
+        code, err = _run_quiet(
+            ["features", "--map", str(tmp_path / "map.mten"), "--scale", "1.0",
+             "--boxes", str(boxes_path), "--out-features", str(tmp_path / "p.mten"),
+             "--out", str(tmp_path / "r.json")]
+        )
+        assert code == 2
+        assert err.splitlines() == [f"error: {boxes_path}: boxes[1]: {message}"]
+        assert not (tmp_path / "p.mten").exists()
+        assert not (tmp_path / "r.json").exists()
+
+    def test_overflowing_map_shape_is_data_error(self, tmp_path):
+        # 2**32 * 2**32 wraps to 0 in int64, which an empty payload would match.
+        map_path = tmp_path / "map.mten"
+        header = json.dumps({"dtype": "f32", "shape": [1, 2**32, 2**32]}).encode()
+        header += b" " * (-(12 + len(header)) % 64)
+        map_path.write_bytes(MAGIC + len(header).to_bytes(4, "little") + header)
+        (tmp_path / "boxes.json").write_text("[[0, 0, 3, 3]]")
+        code, err = _run_quiet(
+            ["features", "--map", str(map_path), "--scale", "1.0",
+             "--boxes", str(tmp_path / "boxes.json"), "--out-features", str(tmp_path / "p.mten")]
+        )
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {map_path}: payload length mismatch")
+        assert not (tmp_path / "p.mten").exists()
 
 
 class TestMetricLearningPipeline:

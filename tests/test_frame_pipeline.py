@@ -1,6 +1,7 @@
 """Frame stacking and difference-image tests."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,3 +253,19 @@ class TestBuildDataset:
         frames_dir.mkdir()
         manifest = build_dataset(FrameSequence.from_dir(frames_dir), InputConfig("rgb_seq"), tmp_path / "o")
         assert manifest["items"] == []
+
+    def test_holds_each_frame_once(self, tmp_path):
+        frames_dir = tmp_path / "frames"
+        frames_dir.mkdir()
+        _make_frames(frames_dir, 60, width=80, height=60)
+        planar_bytes = 60 * 3 * 80 * 60
+        tracemalloc.start()
+        try:
+            source = FrameSequence.from_dir(frames_dir)
+            build_dataset(source, InputConfig("diff_seq", n=5), tmp_path / "out")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Keeping the decoded interleaved frames next to a planar copy of
+        # each peaks near 2.2x the video's planar bytes here.
+        assert peak < 1.5 * planar_bytes

@@ -507,7 +507,7 @@ class TestTraining:
     def test_config_defaults_and_validation(self):
         config = TrainConfig()
         assert (config.margin, config.learning_rate, config.epochs) == (1.0, 1e-3, 20)
-        assert (config.batch_size, config.seed, config.triplets_per_anchor) == (64, 0, 1)
+        assert (config.batch_size, config.seed) == (64, 0)
         with pytest.raises(ValueError, match="margin"):
             TrainConfig(margin=0.0)
         with pytest.raises(ValueError, match="epochs"):

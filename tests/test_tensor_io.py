@@ -146,6 +146,15 @@ class TestTensorErrors:
         with pytest.raises(TensorFormatError, match="dtype code"):
             read_tensor(path)
 
+    def test_overflowing_shape_is_length_mismatch(self, tmp_path):
+        # 2**32 * 2**32 wraps to 0 in int64, which the empty payload would match.
+        path = tmp_path / "t.mten"
+        header = json.dumps({"dtype": "u8", "shape": [2**32, 2**32]}).encode()
+        header += b" " * (-(12 + len(header)) % 64)
+        path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header)
+        with pytest.raises(TensorFormatError, match="payload length mismatch"):
+            read_tensor(path)
+
     def test_payload_length_mismatch(self, tmp_path):
         path = tmp_path / "t.mten"
         write_tensor(np.zeros(8, dtype=np.uint8), path)
