@@ -109,16 +109,20 @@ class StackedInput:
 def diff_image(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
     """Byte-range difference image ``floor((later - earlier + 255) / 2)``.
 
-    Accepts planar uint8 arrays of matching shape. The subtraction runs in
-    signed integers; the +255 shift recenters zero motion on 127.
+    Accepts planar uint8 arrays of matching shape. With ``b = ~earlier``
+    (``255 - earlier``) it is the halving add ``(later & b) + ((later ^ b) >> 1)``,
+    so no temporary is wider than a byte; zero motion lands on 127.
     """
     if later.dtype != np.uint8 or earlier.dtype != np.uint8:
         raise ValueError("difference images are defined on uint8 frames")
     if later.shape != earlier.shape:
         raise ValueError(f"frame shapes differ: {later.shape} vs {earlier.shape}")
-    # int16 is wide enough: later - earlier + 255 lies in [0, 510].
-    spread = later.astype(np.int16) - earlier.astype(np.int16) + 255
-    return (spread // 2).astype(np.uint8)
+    flipped = ~earlier
+    out = later & flipped
+    np.bitwise_xor(later, flipped, out=flipped)
+    flipped >>= 1
+    out += flipped
+    return out
 
 
 class FrameSequence:
@@ -160,14 +164,6 @@ class FrameSequence:
     @property
     def indices(self) -> list[int]:
         return list(self._indices)
-
-    @property
-    def width(self) -> int:
-        return self.planar(0).shape[2]  # every frame has the same size
-
-    @property
-    def height(self) -> int:
-        return self.planar(0).shape[1]
 
     def __contains__(self, index: int) -> bool:
         return index in self._planes

@@ -6,7 +6,9 @@ every artifact the rest of the pipeline consumes: PPM frames, per-frame
 ground-truth boxes (class 0), tracklets (ground-truth trajectories split at
 injected id switches, later fragments receiving fresh sequential ids), the
 true identity grouping, and per-(object, frame) feature vectors built as
-well-separated identity prototypes plus seeded Gaussian noise.
+well-separated identity prototypes plus seeded Gaussian noise. Each disc is
+tested only inside its bounding window, clamped to the canvas, with the
+same float64 per-pixel expression as a test over the whole canvas.
 
 ``perturb_detections`` degrades ground truth into a detection set with
 controlled drop-outs, corner jitter, and low-scoring false positives, which
@@ -172,13 +174,22 @@ def _background(config: SceneConfig) -> np.ndarray:
     return canvas
 
 
+def _window(center: float, radius: float, size: int) -> tuple[int, int]:
+    # The pixels a disc can cover, clamped into [0, size] so a negative end cannot wrap round.
+    lo, hi = math.floor(center - radius), math.ceil(center + radius) + 1
+    return min(max(lo, 0), size), min(max(hi, 0), size)
+
+
 def _render(config: SceneConfig, background: np.ndarray, blobs: Sequence[_Blob]) -> np.ndarray:
     frame = background.copy()
-    ys = np.arange(config.height, dtype=np.float64)[:, None]
-    xs = np.arange(config.width, dtype=np.float64)[None, :]
     for blob in blobs:
-        mask = (xs - blob.cx) ** 2 + (ys - blob.cy) ** 2 <= float(blob.radius) ** 2
-        frame[mask] = blob.color
+        r = float(blob.radius)
+        x0, x1 = _window(blob.cx, r, config.width)
+        y0, y1 = _window(blob.cy, r, config.height)
+        xs = np.arange(x0, x1, dtype=np.float64)[None, :]
+        ys = np.arange(y0, y1, dtype=np.float64)[:, None]
+        mask = (xs - blob.cx) ** 2 + (ys - blob.cy) ** 2 <= r ** 2
+        frame[y0:y1, x0:x1][mask] = blob.color
     return frame
 
 

@@ -202,7 +202,7 @@ def write_ppm(frame: ImageFrame, path: str | Path) -> None:
     """Write a frame as a binary P6 PPM with maxval 255."""
     with open(path, "wb") as fh:
         fh.write(f"P6\n{frame.width} {frame.height}\n255\n".encode("ascii"))
-        fh.write(frame.pixels.tobytes())
+        fh.write(memoryview(np.ascontiguousarray(frame.pixels, dtype=np.uint8)))
 
 
 def to_planar(frame: ImageFrame) -> np.ndarray:

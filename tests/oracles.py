@@ -24,6 +24,28 @@ def diff_pixel(later: int, earlier: int) -> int:
     return (later - earlier + 255) // 2
 
 
+def diff_image_int16(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """``floor((later - earlier + 255) / 2)`` computed in widened int16."""
+    # int16 is wide enough: later - earlier + 255 lies in [0, 510].
+    spread = later.astype(np.int16) - earlier.astype(np.int16) + 255
+    return (spread // 2).astype(np.uint8)
+
+
+# ---------------------------------------------------------------------------
+# scene rendering
+
+
+def render_full_canvas(config, background: np.ndarray, blobs) -> np.ndarray:
+    """Paint every blob's disc by testing every pixel of the canvas."""
+    frame = background.copy()
+    ys = np.arange(config.height, dtype=np.float64)[:, None]
+    xs = np.arange(config.width, dtype=np.float64)[None, :]
+    for blob in blobs:
+        mask = (xs - blob.cx) ** 2 + (ys - blob.cy) ** 2 <= float(blob.radius) ** 2
+        frame[mask] = blob.color
+    return frame
+
+
 # ---------------------------------------------------------------------------
 # detection metrics
 

@@ -4,8 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from motionstack import synth_scenes
 from motionstack.det_metrics import (
     IOU_GRID,
     GroundTruth,
@@ -23,6 +26,9 @@ from motionstack.synth_scenes import (
     NOISE_SIGMA,
     PROTOTYPE_SCALE,
     SceneConfig,
+    _background,
+    _Blob,
+    _render,
     generate,
     perturb_detections,
 )
@@ -221,6 +227,99 @@ class TestGenerate:
         frame = read_ppm(textured_dir / "frames" / "frame_000000.ppm")
         colors = {tuple(int(v) for v in p) for p in frame.pixels.reshape(-1, 3)}
         assert (24, 26, 30) in colors and (44, 46, 52) in colors
+
+
+_W, _H = 40, 30
+
+
+def _blob(radius, cx, cy, color=(200, 120, 80)):
+    return _Blob(radius, float(cx), float(cy), 0.0, 0.0, color)
+
+
+def _canvas_config(background):
+    return SceneConfig(width=_W, height=_H, radius_range=(1, 8), background=background)
+
+
+def _assert_render_matches_oracle(blobs, background="flat"):
+    config = _canvas_config(background)
+    canvas = _background(config)
+    untouched = canvas.copy()
+    got = _render(config, canvas, blobs)
+    want = oracles.render_full_canvas(config, canvas, blobs)
+    assert got.dtype == want.dtype == np.uint8 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(canvas, untouched)
+    return got
+
+
+@st.composite
+def _random_blobs(draw):
+    blobs = []
+    for i in range(draw(st.integers(1, 4))):
+        r = draw(st.integers(1, 8))
+        cx = draw(st.floats(-2.0 * r, _W + 2.0 * r, allow_nan=False))
+        cy = draw(st.floats(-2.0 * r, _H + 2.0 * r, allow_nan=False))
+        blobs.append(_blob(r, cx, cy, (64 + 40 * i, 255 - 40 * i, 100)))
+    return blobs
+
+
+class TestRender:
+    """The windowed renderer against the full-canvas oracle, bit for bit."""
+
+    @pytest.mark.parametrize("background", BACKGROUND_MODES)
+    def test_radius_one_at_fractional_centres(self, background):
+        centres = [(3.5, 4.25), (10.999, 7.001), (0.5, 0.5), (20.0, 15.0), (30.49, 22.51)]
+        _assert_render_matches_oracle([_blob(1, cx, cy) for cx, cy in centres], background)
+
+    @pytest.mark.parametrize("background", BACKGROUND_MODES)
+    @pytest.mark.parametrize("r", [1, 3, 6])
+    def test_blobs_touching_each_edge(self, background, r):
+        edges = [(r, 15.0), (_W - 1 - r, 15.0), (20.0, r), (20.0, _H - 1 - r), (0.0, 0.0), (_W - 1, _H - 1)]
+        for cx, cy in edges:
+            frame = _assert_render_matches_oracle([_blob(r, cx, cy)], background)
+            assert (frame == (200, 120, 80)).all(axis=2).any()
+
+    @pytest.mark.parametrize("background", BACKGROUND_MODES)
+    @pytest.mark.parametrize("r", [1, 4, 8])
+    def test_blobs_partly_and_wholly_off_each_side(self, background, r):
+        partly = [(0.5 - r, 15.0), (_W - 1.5 + r, 15.0), (20.0, 0.25 - r), (20.0, _H - 1.25 + r)]
+        wholly = [(-r - 1.5, 15.0), (_W + r + 0.5, 15.0), (20.0, -r - 1.0), (20.0, _H + r + 0.75)]
+        # Windows that end before 0 or start past the far edge clamp to empty slices.
+        far = [(-_W / 2, 15.0), (1.5 * _W, 15.0), (20.0, -_H / 2), (20.0, 1.5 * _H), (-r - 2.5, -r - 2.5)]
+        far += [(-1000.0, 15.0), (_W + 1000.0, 15.0), (20.0, -1000.0), (20.0, _H + 1000.0), (-1e9, 1e9)]
+        for cx, cy in partly:
+            frame = _assert_render_matches_oracle([_blob(r, cx, cy)], background)
+            assert (frame == (200, 120, 80)).all(axis=2).any()
+        for cx, cy in wholly + far:
+            frame = _assert_render_matches_oracle([_blob(r, cx, cy)], background)
+            assert np.array_equal(frame, _background(_canvas_config(background)))
+
+    @pytest.mark.parametrize("background", BACKGROUND_MODES)
+    def test_overlapping_blobs_paint_in_order(self, background):
+        first = _blob(6, 15.0, 12.0, (250, 10, 10))
+        second = _blob(5, 19.5, 14.5, (10, 250, 10))
+        forward = _assert_render_matches_oracle([first, second], background)
+        backward = _assert_render_matches_oracle([second, first], background)
+        assert not np.array_equal(forward, backward)
+        assert tuple(forward[14, 17]) == (10, 250, 10)
+        assert tuple(backward[14, 17]) == (250, 10, 10)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_random_blobs(), st.sampled_from(BACKGROUND_MODES))
+    def test_random_centres_match_oracle(self, blobs, background):
+        _assert_render_matches_oracle(blobs, background)
+
+    def test_fast_blobs_leaving_the_canvas_render_like_the_oracle(self, tmp_path, monkeypatch):
+        config = dict(
+            width=48, height=36, num_frames=12, num_objects=3, radius_range=(2, 5),
+            velocity_range=(300.0, 500.0), seed=9173, background="textured",
+        )
+        generate(SceneConfig(**config), tmp_path / "windowed")
+        monkeypatch.setattr(synth_scenes, "_render", oracles.render_full_canvas)
+        generate(SceneConfig(**config), tmp_path / "oracle")
+        assert _tree_bytes(tmp_path / "windowed") == _tree_bytes(tmp_path / "oracle")
+        boxes = [g.bbox for g in load_ground_truth_jsonl(tmp_path / "windowed" / "gt.jsonl")]
+        assert any(x2 < 0.0 or x1 > 47.0 or y2 < 0.0 or y1 > 35.0 for x1, y1, x2, y2 in boxes)
 
 
 class TestPerturb:
