@@ -8,7 +8,11 @@ Detections and ground truth travel as JSON Lines, one object per line:
 Matching is the usual greedy sweep: detections ordered by descending score
 (ties by frame, then input order), each one claiming the not-yet-matched
 ground-truth box of the same frame and class with the highest IoU, provided
-that IoU clears the threshold. Average precision is 101-point interpolated
+that IoU clears the threshold. As in pycocotools, each matching call first
+computes the IoUs of every detection against the boxes of its own (frame,
+class) slot in float64 numpy, with the scalar formula's operation order and
+in blocks of detections so memory stays bounded; the greedy sweep then runs
+over the cached values. Average precision is 101-point interpolated
 (recall grid 0.00, 0.01, ..., 1.00 with the monotone precision envelope),
 and the headline number averages AP over IoU thresholds 0.50 to 0.95 in
 steps of 0.05. The operating point picks the score cutoff maximizing F1,
@@ -23,10 +27,14 @@ from math import isfinite
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import DataValidationError
 from .jsonio import check_box, read_jsonl, write_jsonl
 
 IOU_GRID = tuple((50 + 5 * i) / 100.0 for i in range(10))
+# Most (detection, ground truth) IoUs one matching call holds at once: about 10 MiB of arrays.
+_PAIR_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -96,17 +104,30 @@ def write_ground_truth_jsonl(gts: Iterable[GroundTruth], path: str | Path) -> No
     write_jsonl(({"frame": g.frame, "bbox": list(g.bbox), "class": g.label} for g in gts), path)
 
 
-def iou(a: Sequence[float], b: Sequence[float]) -> float:
-    """Intersection over union of two [x1, y1, x2, y2] boxes; 0.0 when the union is empty."""
-    ix = min(a[2], b[2]) - max(a[0], b[0])
-    iy = min(a[3], b[3]) - max(a[1], b[1])
-    if ix <= 0 or iy <= 0:
-        return 0.0
-    inter = ix * iy
-    union = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
-    if union <= 0:
-        return 0.0
-    return inter / union
+def iou(a, b) -> np.ndarray | float:
+    """Intersection over union of [x1, y1, x2, y2] boxes; 0.0 where the overlap or union is empty.
+
+    ``a`` and ``b`` are shaped ``(..., 4)`` and broadcast against each other;
+    two single boxes give one float. The float64 arithmetic is the scalar
+    formula's, operation for operation: ``ix * iy`` for the intersection,
+    ``(area_a + area_b) - inter`` for the union, and ``<= 0`` guards, so a
+    NaN union (from overflowing areas) still reaches the division.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+        iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+        inter = ix * iy
+        area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+        area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+        union = (area_a + area_b) - inter
+        value = inter / union
+    return np.where((ix <= 0) | (iy <= 0) | (union <= 0), 0.0, value)[()]
+
+
+def _boxes(records) -> np.ndarray:
+    return np.array([r.bbox for r in records], dtype=np.float64).reshape(-1, 4)
 
 
 def score_order(dets: Sequence[Detection]) -> list[int]:
@@ -133,32 +154,52 @@ def match_detections(
     takes the highest-IoU candidate, and on IoU ties the earliest box in
     input order wins.
     """
-    by_slot: dict[tuple[int, int], list[int]] = {}
-    for j, g in enumerate(gts):
-        by_slot.setdefault((g.frame, g.label), []).append(j)
+    # Frames and labels are arbitrary JSON ints, so slots are numbered through
+    # a dict; a detection whose slot has no ground truth gets the empty slot
+    # numbered len(slots).
+    slots: dict[tuple[int, int], int] = {}
+    gt_slot = np.array([slots.setdefault((g.frame, g.label), len(slots)) for g in gts], dtype=np.intp)
+    det_slot = np.array([slots.get((d.frame, d.label), len(slots)) for d in dets], dtype=np.intp)
+
+    gt_by_slot = np.argsort(gt_slot, kind="stable")
+    slot_size = np.bincount(gt_slot, minlength=len(slots) + 1)
+    slot_start = np.cumsum(slot_size) - slot_size
+    det_boxes, gt_boxes = _boxes(dets), _boxes(gts)
+
+    # Pair each detection with every box of its slot, its k-th pair with the
+    # slot's k-th box in input order, and keep the pairs whose IoU clears the
+    # threshold. Detections go in blocks of at most _PAIR_BLOCK pairs (or one
+    # detection's), so memory stays flat on dense input; the loop runs once
+    # even without detections.
+    step = max(1, _PAIR_BLOCK // max(1, int(slot_size.max())))
+    blocks = []
+    for start in range(0, max(len(dets), 1), step):
+        slot = det_slot[start : start + step]
+        count = slot_size[slot]
+        pair_det = np.repeat(np.arange(start, start + len(slot)), count)
+        first_pair = np.cumsum(count) - count
+        pair_gt = gt_by_slot[np.arange(len(pair_det)) + np.repeat(slot_start[slot] - first_pair, count)]
+        values = iou(det_boxes[pair_det], gt_boxes[pair_gt])
+        keep = (values >= iou_threshold) & (values > 0)
+        blocks.append((pair_det[keep], pair_gt[keep], values[keep]))
+    cand_det, cand_gt, cand_iou = (np.concatenate(parts) for parts in zip(*blocks))
+
+    # Each detection's candidates, best first: highest IoU, then earliest box.
+    cand_gt = cand_gt[np.lexsort((cand_gt, -cand_iou, cand_det))].tolist()
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(cand_det, minlength=len(dets))))).tolist()
 
     order = score_order(dets)
     taken = [False] * len(gts)
-    flags: list[bool] = []
     matched: list[int | None] = []
     for i in order:
-        d = dets[i]
-        best_j = None
-        best_iou = 0.0
-        for j in by_slot.get((d.frame, d.label), ()):
-            if taken[j]:
-                continue
-            value = iou(d.bbox, gts[j].bbox)
-            if value >= iou_threshold and value > best_iou:
-                best_iou = value
-                best_j = j
-        if best_j is None:
-            flags.append(False)
-            matched.append(None)
+        for j in cand_gt[bounds[i] : bounds[i + 1]]:
+            if not taken[j]:
+                taken[j] = True
+                matched.append(j)
+                break
         else:
-            taken[best_j] = True
-            flags.append(True)
-            matched.append(best_j)
+            matched.append(None)
+    flags = [j is not None for j in matched]
 
     fn_by_frame: dict[int, int] = {}
     for j, g in enumerate(gts):
@@ -171,34 +212,15 @@ def ap_101(flags: Sequence[bool], num_gt: int) -> float:
     """101-point interpolated average precision from ordered match flags."""
     if num_gt <= 0:
         return 0.0
-    recalls: list[float] = []
-    precisions: list[float] = []
-    tp = 0
-    fp = 0
-    for is_tp in flags:
-        if is_tp:
-            tp += 1
-        else:
-            fp += 1
-        recalls.append(tp / num_gt)
-        precisions.append(tp / (tp + fp))
-
-    # Monotone envelope: env[i] = best precision at or beyond curve point i.
-    env = [0.0] * len(precisions)
-    best = 0.0
-    for i in range(len(precisions) - 1, -1, -1):
-        if precisions[i] > best:
-            best = precisions[i]
-        env[i] = best
-
-    values: list[float] = []
-    j = 0
-    for i in range(101):
-        r = i / 100.0
-        while j < len(recalls) and recalls[j] < r:
-            j += 1
-        values.append(env[j] if j < len(recalls) else 0.0)
-    return sum(values) / 101.0
+    tp = np.cumsum(np.asarray(flags, dtype=bool))
+    recalls = tp / num_gt
+    precisions = tp / np.arange(1, len(tp) + 1)
+    # Monotone envelope: env[i] = best precision at or beyond curve point i,
+    # with 0.0 for recall levels the curve never reaches.
+    env = np.append(np.maximum.accumulate(precisions[::-1])[::-1], 0.0)
+    reached = np.searchsorted(recalls, np.arange(101) / 100.0, side="left")
+    # Python floats summed in order, as the textbook formula does.
+    return sum(env[reached].tolist()) / 101.0
 
 
 def average_precision(

@@ -1,8 +1,10 @@
 """Deterministic synthetic scenes for desk-scale end-to-end verification.
 
 ``generate`` renders colored filled-circle blobs moving with constant
-velocity and wall bounce over a flat or checkerboard background, and emits
-every artifact the rest of the pipeline consumes: PPM frames, per-frame
+velocity and wall bounce over a flat or checkerboard background (a blob that
+crosses the canvas within one frame bounces as often as its path requires,
+so every box stays on the canvas at any speed), and emits every artifact
+the rest of the pipeline consumes: PPM frames, per-frame
 ground-truth boxes (class 0), tracklets (ground-truth trajectories split at
 injected id switches, later fragments receiving fresh sequential ids), the
 true identity grouping, and per-(object, frame) feature vectors built as
@@ -141,24 +143,27 @@ def _spawn_blobs(config: SceneConfig) -> list[_Blob]:
     return blobs
 
 
+def _reflect(pos: float, vel: float, lo: float, hi: float) -> tuple[float, float]:
+    # Fold a position that moved past a wall back into [lo, hi] (hi > lo).
+    if lo <= pos <= hi:
+        return pos, vel
+    once = 2 * lo - pos if pos < lo else 2 * hi - pos
+    if lo <= once <= hi:
+        return once, -vel
+    # Faster than the free span: the path is periodic with period 2 * span,
+    # and the second half of each period is travelled after an odd number
+    # of bounces. Python's % keeps the phase in [0, 2 * span].
+    span = hi - lo
+    phase = (pos - lo) % (2 * span)
+    if phase <= span:
+        return lo + phase, vel
+    return lo + (2 * span - phase), -vel
+
+
 def _step(blob: _Blob, width: int, height: int) -> None:
     # Advance one frame, reflecting off walls so the blob stays inside.
-    blob.cx += blob.vx
-    blob.cy += blob.vy
-    lo_x, hi_x = float(blob.radius), float(width - 1 - blob.radius)
-    lo_y, hi_y = float(blob.radius), float(height - 1 - blob.radius)
-    if blob.cx < lo_x:
-        blob.cx = 2 * lo_x - blob.cx
-        blob.vx = -blob.vx
-    elif blob.cx > hi_x:
-        blob.cx = 2 * hi_x - blob.cx
-        blob.vx = -blob.vx
-    if blob.cy < lo_y:
-        blob.cy = 2 * lo_y - blob.cy
-        blob.vy = -blob.vy
-    elif blob.cy > hi_y:
-        blob.cy = 2 * hi_y - blob.cy
-        blob.vy = -blob.vy
+    blob.cx, blob.vx = _reflect(blob.cx + blob.vx, blob.vx, float(blob.radius), float(width - 1 - blob.radius))
+    blob.cy, blob.vy = _reflect(blob.cy + blob.vy, blob.vy, float(blob.radius), float(height - 1 - blob.radius))
 
 
 def _background(config: SceneConfig) -> np.ndarray:

@@ -46,6 +46,19 @@ def render_full_canvas(config, background: np.ndarray, blobs) -> np.ndarray:
     return frame
 
 
+def reflect_bounces(pos: float, vel: float, lo: float, hi: float) -> tuple[float, float, int]:
+    """Mirror a point that moved to ``pos`` off the walls of [lo, hi], one bounce at a time.
+
+    Returns the final position, the velocity and the number of bounces.
+    """
+    bounces = 0
+    while not lo <= pos <= hi:
+        pos = 2 * lo - pos if pos < lo else 2 * hi - pos
+        vel = -vel
+        bounces += 1
+    return pos, vel, bounces
+
+
 # ---------------------------------------------------------------------------
 # detection metrics
 
@@ -97,6 +110,29 @@ def greedy_flags(dets, gts, thr: float) -> list[bool]:
             taken[best_j] = True
             flags.append(True)
     return flags
+
+
+def greedy_match(dets, gts, thr: float) -> tuple[list[bool], list[int | None]]:
+    """Match flags and claimed ground-truth indices in evaluation order, by direct scan."""
+    taken = [False] * len(gts)
+    flags = []
+    matched = []
+    for i in selection_order(dets):
+        d = dets[i]
+        best_j = None
+        best_iou = 0.0
+        for j, g in enumerate(gts):
+            if taken[j] or g.frame != d.frame or g.label != d.label:
+                continue
+            value = iou_boxes(d.bbox, g.bbox)
+            if value >= thr and value > best_iou:
+                best_iou = value
+                best_j = j
+        if best_j is not None:
+            taken[best_j] = True
+        flags.append(best_j is not None)
+        matched.append(best_j)
+    return flags, matched
 
 
 def interp_ap_101(flags, num_gt: int) -> float:

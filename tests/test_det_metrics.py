@@ -1,12 +1,17 @@
 """Detection metric tests: matching, AP, operating points, JSONL interchange."""
 
 import json
+import random
+import struct
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from motionstack import det_metrics
 from motionstack.det_metrics import (
     IOU_GRID,
     Detection,
@@ -61,6 +66,63 @@ def _random_instance(seed):
     return dets, gts
 
 
+def _dense_instance(seed):
+    """A crowded instance: few slots, duplicate boxes, exact-threshold IoUs, scores in 0.01 steps."""
+    rng = random.Random(seed)
+    gts = []
+    for _ in range(rng.randint(1, 12)):
+        x, y = rng.randint(0, 6), rng.randint(0, 6)
+        gts.append(GroundTruth(frame=rng.randint(0, 2), bbox=(x, y, x + 10, y + 10), label=rng.randint(0, 1)))
+    gts += [rng.choice(gts) for _ in range(rng.randint(1, 3))]
+    dets = []
+    for _ in range(rng.randint(1, 20)):
+        if rng.random() < 0.7:
+            # A 10x10 box cut to height h has IoU h / 10 with it: exactly 0.5, 0.55, ..., 1.0.
+            g = rng.choice(gts)
+            x1, y1, x2, _ = g.bbox
+            frame, bbox, label = g.frame, (x1, y1, x2, y1 + rng.randint(10, 20) / 2), g.label
+        else:
+            x, y = rng.randint(0, 10), rng.randint(0, 10)
+            bbox = (x, y, x + rng.randint(2, 12), y + rng.randint(2, 12))
+            frame, label = rng.randint(0, 2), rng.randint(0, 2)  # class 2 has no ground truth
+        dets.append(Detection(frame=frame, bbox=bbox, score=rng.randint(0, 100) / 100, label=label))
+    if seed % 6 == 0:
+        dets = []
+    elif seed % 6 == 1:
+        gts = []
+    return dets, gts
+
+
+@st.composite
+def _float_box_pairs(draw):
+    """Two float boxes that overlap freely, touch, nest or are disjoint, at a drawn scale."""
+    coord = st.floats(-100.0, 100.0)
+    size = st.floats(1e-3, 50.0)
+    x, y, w, h = draw(coord), draw(coord), draw(size), draw(size)
+    a = (x, y, x + w, y + h)
+    relation = draw(st.sampled_from(["free", "touching", "nested", "disjoint"]))
+    if relation == "free":
+        bx, by = draw(coord), draw(coord)
+        b = (bx, by, bx + draw(size), by + draw(size))
+    elif relation == "touching":
+        by = draw(coord)
+        b = (a[2], by, a[2] + draw(size), by + draw(size))
+    elif relation == "nested":
+        fraction_pair = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted)
+        fx, fy = draw(fraction_pair), draw(fraction_pair)
+        b = (x + fx[0] * w, y + fy[0] * h, x + fx[1] * w, y + fy[1] * h)
+    else:
+        bx, by = a[2] + draw(size), draw(coord)
+        b = (bx, by, bx + draw(size), by + draw(size))
+    # At 1e150 every product stays finite; at 1e200 the areas overflow to inf and the union is NaN.
+    scale = draw(st.sampled_from([1.0, 1e-3, 1e150, 1e200]))
+    return tuple(v * scale for v in a), tuple(v * scale for v in b)
+
+
+def _bits(value):
+    return struct.pack("<d", float(value))
+
+
 class TestIou:
     @settings(max_examples=80, deadline=None)
     @given(int_boxes, int_boxes)
@@ -84,6 +146,23 @@ class TestIou:
 
     def test_grid(self):
         assert IOU_GRID == (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_float_box_pairs())
+    def test_matches_scalar_oracle_bit_for_bit(self, pair):
+        a, b = pair
+        assert _bits(iou(a, b)) == _bits(oracles.iou_boxes(a, b))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_float_box_pairs(), min_size=1, max_size=12))
+    def test_array_form_matches_each_scalar_pair(self, pairs):
+        a = np.array([p for p, _ in pairs])
+        b = np.array([q for _, q in pairs])
+        assert [_bits(v) for v in iou(a, b)] == [_bits(oracles.iou_boxes(p, q)) for p, q in pairs]
+        grid = iou(a[:, None, :], b[None, :, :])
+        assert grid.shape == (len(pairs), len(pairs))
+        want = [[_bits(oracles.iou_boxes(p, q)) for q in b.tolist()] for p in a.tolist()]
+        assert [[_bits(v) for v in row] for row in grid] == want
 
 
 class TestScoreOrder:
@@ -148,6 +227,27 @@ class TestMatching:
             for thr in (0.3, 0.5, 0.75):
                 result = match_detections(dets, gts, thr)
                 assert result.flags == oracles.greedy_flags(dets, gts, thr)
+
+    @pytest.mark.parametrize("block", [1, 7, det_metrics._PAIR_BLOCK])
+    def test_whole_result_matches_scan_oracle_on_dense_instances(self, block, monkeypatch):
+        monkeypatch.setattr(det_metrics, "_PAIR_BLOCK", block)
+        on_threshold = 0
+        for seed in range(60):
+            dets, gts = _dense_instance(seed)
+            for thr in IOU_GRID:
+                result = match_detections(dets, gts, thr)
+                flags, matched = oracles.greedy_match(dets, gts, thr)
+                claimed = set(matched)
+                assert result.order == oracles.selection_order(dets)
+                assert result.flags == flags
+                assert result.matched_gt == matched
+                assert result.fn_by_frame == Counter(g.frame for j, g in enumerate(gts) if j not in claimed)
+                on_threshold += sum(
+                    oracles.iou_boxes(dets[i].bbox, gts[j].bbox) == thr
+                    for i, j in zip(result.order, matched)
+                    if j is not None
+                )
+        assert on_threshold > 0
 
 
 class TestAp101:

@@ -29,6 +29,7 @@ from motionstack.synth_scenes import (
     _background,
     _Blob,
     _render,
+    _step,
     generate,
     perturb_detections,
 )
@@ -319,7 +320,28 @@ class TestRender:
         generate(SceneConfig(**config), tmp_path / "oracle")
         assert _tree_bytes(tmp_path / "windowed") == _tree_bytes(tmp_path / "oracle")
         boxes = [g.bbox for g in load_ground_truth_jsonl(tmp_path / "windowed" / "gt.jsonl")]
-        assert any(x2 < 0.0 or x1 > 47.0 or y2 < 0.0 or y1 > 35.0 for x1, y1, x2, y2 in boxes)
+        assert all(0.0 <= x1 and x2 <= 47.0 and 0.0 <= y1 and y2 <= 35.0 for x1, y1, x2, y2 in boxes)
+
+
+class TestStep:
+    """Wall bounces keep every blob centre inside [r, size - 1 - r] at any speed."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8), st.integers(18, 60), st.floats(0.0, 1.0), st.floats(-5000.0, 5000.0))
+    def test_matches_one_bounce_at_a_time(self, r, size, where, velocity):
+        lo, hi = float(r), float(size - 1 - r)
+        start = lo + where * (hi - lo)
+        blob = _Blob(r, start, start, velocity, -velocity, (200, 120, 80))
+        _step(blob, size, size)
+        for pos, vel, moved in ((blob.cx, blob.vx, velocity), (blob.cy, blob.vy, -velocity)):
+            want_pos, want_vel, bounces = oracles.reflect_bounces(start + moved, moved, lo, hi)
+            assert lo <= pos <= hi and abs(vel) == abs(moved)
+            if bounces <= 1:
+                assert (pos, vel) == (want_pos, want_vel)  # the single reflection, bit for bit
+            else:
+                assert pos == pytest.approx(want_pos, abs=1e-6)
+                if lo + 1e-6 < want_pos < hi - 1e-6:
+                    assert vel == want_vel
 
 
 class TestPerturb:
