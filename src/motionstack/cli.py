@@ -14,9 +14,10 @@ timestamps or absolute-path echoes beyond the flags as given, so a rerun
 with identical inputs and seeds is byte-identical.
 
 ``MOTIONSTACK_THREADS``, when set, must be a positive integer, so a typo
-fails loudly. It caps nothing yet: motionstack starts no threads of its own,
-and the BLAS library behind numpy (OpenBLAS, for one) runs its own thread
-pool whatever this value says.
+fails loudly. It sizes the BLAS thread pool behind numpy: importing the
+package sets it as the default for ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS``, so an explicit BLAS variable
+still wins. motionstack starts no threads of its own.
 """
 
 from __future__ import annotations

@@ -15,13 +15,17 @@ in blocks of detections so memory stays bounded; the greedy sweep then runs
 over the cached values. Average precision is 101-point interpolated
 (recall grid 0.00, 0.01, ..., 1.00 with the monotone precision envelope),
 and the headline number averages AP over IoU thresholds 0.50 to 0.95 in
-steps of 0.05. The operating point picks the score cutoff maximizing F1,
+steps of 0.05. ``evaluate`` runs one pooled matching per threshold and
+reads each class's AP off it: matching never crosses a (frame, class)
+slot, and a class's detections keep their own score order within the
+pooled one. The operating point picks the score cutoff maximizing F1,
 preferring the shortest prefix on ties; since a cutoff keeps every tied
 score, only prefixes followed by a lower score, or by nothing, are candidates.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import isfinite
 from pathlib import Path
@@ -223,14 +227,6 @@ def ap_101(flags: Sequence[bool], num_gt: int) -> float:
     return sum(env[reached].tolist()) / 101.0
 
 
-def average_precision(
-    dets: Sequence[Detection], gts: Sequence[GroundTruth], iou_threshold: float
-) -> float:
-    """AP of one class at one IoU threshold."""
-    result = match_detections(dets, gts, iou_threshold)
-    return ap_101(result.flags, len(gts))
-
-
 def f1_operating_point(
     dets: Sequence[Detection], gts: Sequence[GroundTruth], iou_threshold: float = 0.5
 ) -> dict:
@@ -265,12 +261,7 @@ def f1_operating_point(
     }
 
 
-def evaluate(
-    dets: Sequence[Detection],
-    gts: Sequence[GroundTruth],
-    iou_thresholds: Sequence[float] = IOU_GRID,
-    operating_iou: float = 0.5,
-) -> dict:
+def evaluate(dets: Sequence[Detection], gts: Sequence[GroundTruth]) -> dict:
     """Full evaluation summary.
 
     ``ap_per_threshold[i]`` is the class-mean AP at the i-th IoU threshold,
@@ -282,34 +273,36 @@ def evaluate(
     plain Python types ready for JSON.
     """
     classes = sorted({g.label for g in gts} | {d.label for d in dets})
-    per_class: dict[str, dict] = {}
-    sweeps: list[list[float]] = []
-    for label in classes:
-        class_dets = [d for d in dets if d.label == label]
-        class_gts = [g for g in gts if g.label == label]
-        sweep = [average_precision(class_dets, class_gts, thr) for thr in iou_thresholds]
-        per_class[str(label)] = {
-            "ap_per_threshold": sweep,
-            "ap50": sweep[0] if sweep else 0.0,
-            "num_gt": len(class_gts),
-            "num_detections": len(class_dets),
-        }
-        sweeps.append(sweep)
+    # Each class's positions in the pooled evaluation order, which every
+    # matching call shares.
+    positions: dict[int, list[int]] = {label: [] for label in classes}
+    for pos, i in enumerate(score_order(dets)):
+        positions[dets[i].label].append(pos)
+    num_gt = Counter(g.label for g in gts)
+    sweeps: dict[int, list[float]] = {label: [] for label in classes}
+    for thr in IOU_GRID:
+        flags = np.array(match_detections(dets, gts, thr).flags, dtype=bool)
+        for label in classes:
+            sweeps[label].append(ap_101(flags[positions[label]], num_gt[label]))
 
-    n_classes = len(classes)
-    if n_classes:
-        ap_per_threshold = [
-            sum(sweep[i] for sweep in sweeps) / n_classes for i in range(len(iou_thresholds))
-        ]
-    else:
-        ap_per_threshold = [0.0] * len(iou_thresholds)
-    operating = f1_operating_point(dets, gts, operating_iou)
+    per_class = {
+        str(label): {
+            "ap_per_threshold": sweeps[label],
+            "ap50": sweeps[label][0],
+            "num_gt": num_gt[label],
+            "num_detections": len(positions[label]),
+        }
+        for label in classes
+    }
+    n_classes = max(len(classes), 1)  # no classes: every mean is 0 / 1
+    ap_per_threshold = [sum(sweeps[label][i] for label in classes) / n_classes for i in range(len(IOU_GRID))]
+    operating = f1_operating_point(dets, gts)
     return {
         "precision": operating["precision"],
         "recall": operating["recall"],
         "ap_per_threshold": ap_per_threshold,
-        "map50": ap_per_threshold[0] if ap_per_threshold else 0.0,
-        "map5095": sum(ap_per_threshold) / len(ap_per_threshold) if ap_per_threshold else 0.0,
+        "map50": ap_per_threshold[0],
+        "map5095": sum(ap_per_threshold) / len(ap_per_threshold),
         "operating_point": operating,
         "per_class": per_class,
         "num_detections": len(dets),

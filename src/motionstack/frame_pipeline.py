@@ -38,6 +38,7 @@ from .tensor_io import ImageFrame, parse_frame_index, read_ppm, to_planar, write
 
 VARIANTS = ("rgb_seq", "rgb_int", "diff_seq", "diff_int")
 _SEQ_VARIANTS = ("rgb_seq", "diff_seq")
+_DIFF_VARIANTS = ("diff_seq", "diff_int")
 
 PAPER_N_RANGE = range(1, 11)
 PAPER_DELTA_RANGE = range(1, 6)
@@ -194,19 +195,10 @@ def build_input(source: FrameSequence, t: int, config: InputConfig) -> StackedIn
     """
     if t not in source:  # past lookups below may clamp; the target may not
         raise FrameLookupError(f"no frame with index {t}")
-    variant, n, delta = config.variant, config.n, config.delta
-
-    if variant == "rgb_seq":
-        parts = [source.planar(t - k) for k in range(n)]
-    elif variant == "rgb_int":
-        parts = [source.planar(t), source.planar(t - delta)]
-    elif variant == "diff_seq":
-        parts = [source.planar(t)]
-        for k in range(1, n):
-            parts.append(diff_image(source.planar(t - k + 1), source.planar(t - k)))
-    else:  # diff_int
-        parts = [source.planar(t), diff_image(source.planar(t), source.planar(t - delta))]
-
+    offsets = range(config.n) if config.variant in _SEQ_VARIANTS else (0, config.delta)
+    parts = [source.planar(t - k) for k in offsets]
+    if config.variant in _DIFF_VARIANTS:
+        parts[1:] = [diff_image(later, earlier) for later, earlier in zip(parts, parts[1:])]
     tensor = np.concatenate(parts, axis=0)
     return StackedInput(tensor=tensor, target_frame_index=t, config=config)
 

@@ -17,7 +17,6 @@ from motionstack.det_metrics import (
     Detection,
     GroundTruth,
     ap_101,
-    average_precision,
     evaluate,
     f1_operating_point,
     iou,
@@ -90,6 +89,30 @@ def _dense_instance(seed):
         dets = []
     elif seed % 6 == 1:
         gts = []
+    return dets, gts
+
+
+MULTI_CLASS_LABELS = (0, -3, 2**70)
+
+
+def _multi_class_instance(seed):
+    """Classes 0, -3 and 2**70 sharing frames and boxes, plus class 7 that only detections use."""
+    rng = random.Random(seed)
+    gts = []
+    for k in range(rng.randint(6, 14)):
+        x, y = rng.randint(0, 6), rng.randint(0, 6)
+        label = MULTI_CLASS_LABELS[k % 3]
+        gts.append(GroundTruth(frame=rng.randint(0, 2), bbox=(x, y, x + 10, y + 10), label=label))
+    dets = []
+    for k in range(rng.randint(10, 30)):
+        g = rng.choice(gts)
+        x1, y1, x2, _ = g.bbox
+        # A 10x10 box cut to height h has IoU h / 10 with its source box.
+        bbox = (x1, y1, x2, y1 + rng.randint(10, 20) / 2)
+        label = g.label if rng.random() < 0.7 else rng.choice(MULTI_CLASS_LABELS)
+        if k == 0:
+            label = 7  # a class without ground truth
+        dets.append(Detection(frame=g.frame, bbox=bbox, score=rng.randint(0, 10) / 10, label=label))
     return dets, gts
 
 
@@ -272,15 +295,6 @@ class TestAp101:
                 flags[flags.index(True)] = False
             assert ap_101(flags, num_gt) == oracles.interp_ap_101(flags, num_gt)
 
-    def test_average_precision_wrapper(self):
-        dets, gts = _random_instance(5)
-        label_dets = [d for d in dets if d.label == 0]
-        label_gts = [g for g in gts if g.label == 0]
-        want = oracles.interp_ap_101(
-            oracles.greedy_flags(label_dets, label_gts, 0.5), len(label_gts)
-        )
-        assert average_precision(label_dets, label_gts, 0.5) == want
-
 
 class TestF1OperatingPoint:
     def test_tie_keeps_shortest_prefix(self):
@@ -381,6 +395,32 @@ class TestEvaluate:
         assert report["per_class"] == {}
         assert report["num_detections"] == 0
         assert report["num_ground_truth"] == 0
+
+    def test_one_pooled_matching_per_threshold_serves_every_class(self, monkeypatch):
+        match = det_metrics.match_detections
+        calls = []
+
+        def counting_match(dets, gts, iou_threshold):
+            calls.append(iou_threshold)
+            return match(dets, gts, iou_threshold)
+
+        monkeypatch.setattr(det_metrics, "match_detections", counting_match)
+        partial = 0
+        for seed in range(20):
+            dets, gts = _multi_class_instance(seed)
+            calls.clear()
+            report = evaluate(dets, gts)
+            assert len(calls) == 11  # ten thresholds plus the operating point
+            assert set(report["per_class"]) == {str(label) for label in (*MULTI_CLASS_LABELS, 7)}
+            for label in (*MULTI_CLASS_LABELS, 7):
+                class_dets = [d for d in dets if d.label == label]
+                class_gts = [g for g in gts if g.label == label]
+                want = [ap_101(match(class_dets, class_gts, thr).flags, len(class_gts)) for thr in IOU_GRID]
+                got = report["per_class"][str(label)]
+                assert got["ap_per_threshold"] == want
+                assert (got["num_gt"], got["num_detections"]) == (len(class_gts), len(class_dets))
+                partial += sum(0.0 < ap < 1.0 for ap in want)
+        assert partial > 0
 
     def test_report_is_json_ready(self):
         dets, gts = _random_instance(3)
