@@ -334,48 +334,28 @@ def _cmd_project(args):
 
 
 def _cmd_synth_generate(args):
-    try:
-        config = SceneConfig(
-            width=args.width,
-            height=args.height,
-            num_frames=args.num_frames,
-            num_objects=args.num_objects,
-            radius_range=(args.radius_min, args.radius_max),
-            velocity_range=(args.vel_min, args.vel_max),
-            id_switch_events=tuple(args.switch),
-            seed=args.seed,
-            background=args.background,
-            feature_dim=args.feature_dim,
-        )
-    except MotionStackError as exc:
-        # Scene parameters come straight from flags, so this is a usage error.
-        raise _UsageError(str(exc)) from exc
-    manifest = generate(config, args.out_dir)
-    results = {
-        "num_frames": manifest["num_frames"],
-        "num_tracklets": manifest["num_tracklets"],
-        "num_ground_truth": manifest["num_ground_truth"],
-        "frames_dir": "frames",
-        "gt": "gt.jsonl",
-        "tracklets": "tracklets.json",
-        "identity_map": "identity_map.json",
-        "features": "features.mten",
-        "scene": "scene.json",
-    }
+    config = SceneConfig(
+        width=args.width,
+        height=args.height,
+        num_frames=args.num_frames,
+        num_objects=args.num_objects,
+        radius_range=(args.radius_min, args.radius_max),
+        velocity_range=(args.vel_min, args.vel_max),
+        id_switch_events=tuple(args.switch),
+        seed=args.seed,
+        background=args.background,
+        feature_dim=args.feature_dim,
+    )
+    results = generate(config, args.out_dir)
     summary = (
-        f"synth generate: {manifest['num_frames']} frames, "
-        f"{manifest['num_tracklets']} tracklets, "
-        f"{manifest['num_ground_truth']} gt boxes in {args.out_dir}"
+        f"synth generate: {results['num_frames']} frames, "
+        f"{results['num_tracklets']} tracklets, "
+        f"{results['num_ground_truth']} gt boxes in {args.out_dir}"
     )
     return results, summary
 
 
 def _cmd_synth_perturb(args):
-    for name, rate in (("--drop-rate", args.drop_rate), ("--fp-rate", args.fp_rate)):
-        if not 0.0 <= rate <= 1.0:
-            raise _UsageError(f"{name} must be in [0, 1], got {rate}")
-    if args.jitter_px < 0:
-        raise _UsageError(f"--jitter-px must be nonnegative, got {args.jitter_px}")
     if (args.canvas_width is None) != (args.canvas_height is None):
         raise _UsageError("--canvas-width and --canvas-height must be given together")
     canvas = None

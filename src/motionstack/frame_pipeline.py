@@ -32,7 +32,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DataValidationError, FrameLookupError
+from .errors import DataValidationError, FrameIndexParseError, FrameLookupError
 from .jsonio import write_json
 from .tensor_io import ImageFrame, parse_frame_index, read_ppm, to_planar, write_tensor
 
@@ -210,7 +210,7 @@ def _label_files_by_index(labels_dir: Path) -> dict[int, Path]:
             continue
         try:
             index = parse_frame_index(path)
-        except Exception:
+        except FrameIndexParseError:
             continue
         if index in mapping:
             raise DataValidationError(f"{labels_dir}: two label files claim frame {index}")

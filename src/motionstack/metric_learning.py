@@ -399,7 +399,8 @@ def train(
     ``config.seed``; updates run in float64 and are stored back to the
     net's float32 weights once at the end. The trace holds each epoch's
     mean per-triplet loss, accumulated in a fixed order so it is invariant
-    to the shuffle.
+    to the shuffle. A run whose final weights or losses are not finite
+    float32 values raises ValueError and leaves the net unchanged.
     """
     if table.dim != net.in_dim:
         raise DataValidationError(f"net expects {net.in_dim}-d features, table holds {table.dim}-d")
@@ -416,22 +417,33 @@ def train(
     rng = np.random.default_rng(config.seed)
     count = len(triplets)
     trace: list[float] = []
-    for _ in range(config.epochs):
-        if count == 0:
-            trace.append(0.0)
-            continue
-        order = rng.permutation(count)
-        epoch_losses = np.zeros(count, dtype=np.float64)
-        for lo in range(0, count, config.batch_size):
-            batch = order[lo : lo + config.batch_size]
-            xa, xp, xn = x[rows[:, batch]]
-            _, losses, grads = gradients_on_params(params, xa, xp, xn, config.margin)
-            epoch_losses[batch] = losses
-            params = [
-                (w - config.learning_rate * gw, b - config.learning_rate * gb)
-                for (w, b), (gw, gb) in zip(params, grads)
-            ]
-        trace.append(float(epoch_losses.sum() / count))
+    # A diverging run overflows mid-epoch; it is caught once, after the last epoch.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.epochs):
+            if count == 0:
+                trace.append(0.0)
+                continue
+            order = rng.permutation(count)
+            epoch_losses = np.zeros(count, dtype=np.float64)
+            for lo in range(0, count, config.batch_size):
+                batch = order[lo : lo + config.batch_size]
+                xa, xp, xn = x[rows[:, batch]]
+                _, losses, grads = gradients_on_params(params, xa, xp, xn, config.margin)
+                epoch_losses[batch] = losses
+                params = [
+                    (w - config.learning_rate * gw, b - config.learning_rate * gb)
+                    for (w, b), (gw, gb) in zip(params, grads)
+                ]
+            trace.append(float(epoch_losses.sum() / count))
+    # Reductions, not an elementwise test, so no weight-sized temporary is
+    # allocated; NaN propagates through min and max and fails the test.
+    limit = np.finfo(np.float32).max
+    fits = all(-limit <= p.min() and p.max() <= limit for layer in params for p in layer)
+    if not (fits and np.isfinite(trace).all()):
+        raise ValueError(
+            f"training diverged at learning_rate {config.learning_rate}: the weights or the loss "
+            "are no longer finite float32 values"
+        )
     set_params(net, params)
     return net, trace
 

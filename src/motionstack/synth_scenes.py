@@ -24,14 +24,13 @@ streams keyed on (seed, frame).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .det_metrics import Detection, GroundTruth, write_ground_truth_jsonl
-from .errors import DataValidationError
 from .jsonio import write_json
 from .tensor_io import ImageFrame, write_ppm, write_tensor
 from .tracklets import Tracklet, write_identity_map, write_tracklets_json
@@ -66,57 +65,43 @@ class SceneConfig:
 
     def __post_init__(self) -> None:
         if self.num_frames < 1:
-            raise DataValidationError(f"num_frames must be >= 1, got {self.num_frames}")
+            raise ValueError(f"num_frames must be >= 1, got {self.num_frames}")
         if self.num_objects < 1:
-            raise DataValidationError(f"num_objects must be >= 1, got {self.num_objects}")
+            raise ValueError(f"num_objects must be >= 1, got {self.num_objects}")
         r_min, r_max = self.radius_range
         if not (isinstance(r_min, int) and isinstance(r_max, int)) or r_min < 1 or r_min > r_max:
-            raise DataValidationError(f"radius_range must be integers 1 <= min <= max, got {self.radius_range}")
+            raise ValueError(f"radius_range must be integers 1 <= min <= max, got {self.radius_range}")
         v_min, v_max = self.velocity_range
         if not (0 <= v_min <= v_max) or not (math.isfinite(v_min) and math.isfinite(v_max)):
-            raise DataValidationError(f"velocity_range must satisfy 0 <= min <= max, got {self.velocity_range}")
+            raise ValueError(f"velocity_range must satisfy 0 <= min <= max, got {self.velocity_range}")
         # Spawn interval for a blob center is [r, size-1-r]; it must be nonempty.
         if min(self.width, self.height) <= 2 * r_max + 1:
-            raise DataValidationError(
+            raise ValueError(
                 f"canvas {self.width}x{self.height} cannot fit a radius-{r_max} blob"
             )
         if self.background not in BACKGROUND_MODES:
-            raise DataValidationError(
+            raise ValueError(
                 f"background must be one of {BACKGROUND_MODES}, got {self.background!r}"
             )
         if self.feature_dim < self.num_objects:
-            raise DataValidationError(
+            raise ValueError(
                 f"feature_dim {self.feature_dim} cannot host {self.num_objects} orthogonal prototypes"
             )
         events = [tuple(e) for e in self.id_switch_events]
         seen: set[tuple[int, int]] = set()
         for obj, frame in events:
             if not (isinstance(obj, int) and isinstance(frame, int)):
-                raise DataValidationError(f"id switch events must be (object, frame) integers, got {(obj, frame)!r}")
+                raise ValueError(f"id switch events must be (object, frame) integers, got {(obj, frame)!r}")
             if not 0 <= obj < self.num_objects:
-                raise DataValidationError(f"id switch object {obj} outside 0..{self.num_objects - 1}")
+                raise ValueError(f"id switch object {obj} outside 0..{self.num_objects - 1}")
             if not 1 <= frame <= self.num_frames - 1:
-                raise DataValidationError(
+                raise ValueError(
                     f"id switch frame {frame} outside 1..{self.num_frames - 1}"
                 )
             if (obj, frame) in seen:
-                raise DataValidationError(f"duplicate id switch event {(obj, frame)}")
+                raise ValueError(f"duplicate id switch event {(obj, frame)}")
             seen.add((obj, frame))
         self.id_switch_events = tuple(events)
-
-    def to_dict(self) -> dict:
-        return {
-            "width": self.width,
-            "height": self.height,
-            "num_frames": self.num_frames,
-            "num_objects": self.num_objects,
-            "radius_range": list(self.radius_range),
-            "velocity_range": list(self.velocity_range),
-            "id_switch_events": [list(e) for e in self.id_switch_events],
-            "seed": self.seed,
-            "background": self.background,
-            "feature_dim": self.feature_dim,
-        }
 
 
 @dataclass
@@ -238,15 +223,25 @@ def _split_tracklets(
 
 
 def generate(config: SceneConfig, out_dir: str | Path) -> dict:
-    """Render a scene and write every artifact; returns a manifest of paths.
+    """Render a scene and write every artifact; returns its counts and file names.
 
     Layout under ``out_dir``: ``frames/frame_%06d.ppm``, ``gt.jsonl``,
     ``tracklets.json``, ``identity_map.json``, ``features.mten`` ([T, D]
     float32, row ``frame * num_objects + object``), and ``scene.json``
-    recording the config and relative artifact paths.
+    recording the config and relative artifact paths. The returned dict
+    holds the frame, tracklet and box counts, then every artifact's path
+    relative to ``out_dir``.
     """
     out_dir = Path(out_dir)
-    frames_dir = out_dir / "frames"
+    names = {
+        "frames_dir": "frames",
+        "gt": "gt.jsonl",
+        "tracklets": "tracklets.json",
+        "identity_map": "identity_map.json",
+        "features": "features.mten",
+    }
+    frame_files = [f"frame_{f:06d}.ppm" for f in range(config.num_frames)]
+    frames_dir = out_dir / names["frames_dir"]
     frames_dir.mkdir(parents=True, exist_ok=True)
 
     blobs = _spawn_blobs(config)
@@ -265,7 +260,7 @@ def generate(config: SceneConfig, out_dir: str | Path) -> dict:
         canvas = _render(config, background, blobs)
         write_ppm(
             ImageFrame(width=config.width, height=config.height, pixels=canvas, frame_index=frame),
-            frames_dir / f"frame_{frame:06d}.ppm",
+            frames_dir / frame_files[frame],
         )
         noise = np.random.default_rng([config.seed, 1, frame]).normal(
             0.0, 1.0, size=(config.num_objects, config.feature_dim)
@@ -278,31 +273,33 @@ def generate(config: SceneConfig, out_dir: str | Path) -> dict:
 
     tracklets, groups = _split_tracklets(config, boxes)
 
-    write_ground_truth_jsonl(gts, out_dir / "gt.jsonl")
-    write_tracklets_json(tracklets, out_dir / "tracklets.json")
-    write_identity_map(groups, out_dir / "identity_map.json")
-    write_tensor(features.astype(np.float32), out_dir / "features.mten")
-    manifest = {
-        "config": config.to_dict(),
-        "frames_dir": "frames",
-        "frame_files": [f"frame_{f:06d}.ppm" for f in range(config.num_frames)],
-        "gt": "gt.jsonl",
-        "tracklets": "tracklets.json",
-        "identity_map": "identity_map.json",
-        "features": "features.mten",
-    }
-    write_json(manifest, out_dir / "scene.json")
-    return {
-        "frames_dir": frames_dir,
-        "gt": out_dir / "gt.jsonl",
-        "tracklets": out_dir / "tracklets.json",
-        "identity_map": out_dir / "identity_map.json",
-        "features": out_dir / "features.mten",
-        "scene": out_dir / "scene.json",
+    write_ground_truth_jsonl(gts, out_dir / names["gt"])
+    write_tracklets_json(tracklets, out_dir / names["tracklets"])
+    write_identity_map(groups, out_dir / names["identity_map"])
+    write_tensor(features.astype(np.float32), out_dir / names["features"])
+    report = {
         "num_frames": config.num_frames,
         "num_tracklets": len(tracklets),
         "num_ground_truth": len(gts),
+        **names,
+        "scene": "scene.json",
     }
+    # frames_dir keeps its place ahead of frame_files when names is merged in.
+    scene = {"config": asdict(config), "frames_dir": names["frames_dir"], "frame_files": frame_files}
+    write_json({**scene, **names}, out_dir / report["scene"])
+    return report
+
+
+def _unit_span(lo: float, hi: float) -> tuple[float, float]:
+    # One pixel around the midpoint of a collapsed span, halving before the
+    # sum so it cannot overflow. From 2**52 up the half pixels round away;
+    # then the span is the float step beside the midpoint, on its side
+    # towards zero so that it stays finite.
+    mid = lo / 2.0 + hi / 2.0
+    if mid - 0.5 < mid + 0.5:
+        return mid - 0.5, mid + 0.5
+    step = math.nextafter(mid, 0.0)
+    return min(mid, step), max(mid, step)
 
 
 def perturb_detections(
@@ -320,13 +317,15 @@ def perturb_detections(
     jitter_px] (collapsed boxes are re-expanded minimally). Each frame then
     receives one false positive with probability ``fp_rate``, scored
     strictly below every true score. ``canvas`` bounds false-positive
-    boxes; by default it is inferred from the ground-truth extents.
+    boxes; by default it is inferred from the ground-truth extents. A rate
+    outside [0, 1], a negative or non-finite jitter, or one that pushes a
+    corner past the float range raises ValueError.
     """
     for name, rate in (("drop_rate", drop_rate), ("fp_rate", fp_rate)):
         if not 0.0 <= rate <= 1.0:
-            raise DataValidationError(f"{name} must be in [0, 1], got {rate}")
-    if jitter_px < 0:
-        raise DataValidationError(f"jitter_px must be nonnegative, got {jitter_px}")
+            raise ValueError(f"{name} must be in [0, 1], got {rate}")
+    if not 0 <= jitter_px < math.inf:
+        raise ValueError(f"jitter_px must be finite and nonnegative, got {jitter_px}")
     if canvas is not None:
         width, height = canvas
     elif gts:
@@ -343,13 +342,15 @@ def perturb_detections(
         dx1, dy1, dx2, dy2 = (float(v) * jitter_px for v in rng.uniform(-1.0, 1.0, size=4))
         x1, y1, x2, y2 = g.bbox
         x1, y1, x2, y2 = x1 + dx1, y1 + dy1, x2 + dx2, y2 + dy2
+        if not all(map(math.isfinite, (x1, y1, x2, y2))):
+            raise ValueError(
+                f"jitter_px {jitter_px} moves a box corner in frame {g.frame} past the float range"
+            )
         # Jitter can invert a small box; keep it valid around its center.
         if x2 <= x1:
-            mid = (x1 + x2) / 2.0
-            x1, x2 = mid - 0.5, mid + 0.5
+            x1, x2 = _unit_span(x1, x2)
         if y2 <= y1:
-            mid = (y1 + y2) / 2.0
-            y1, y2 = mid - 0.5, mid + 0.5
+            y1, y2 = _unit_span(y1, y2)
         dets.append(Detection(frame=g.frame, bbox=(x1, y1, x2, y2), score=1.0, label=g.label))
 
     min_true = min((d.score for d in dets), default=1.0)

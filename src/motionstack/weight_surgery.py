@@ -41,8 +41,10 @@ class ConvLayerWeights:
 
     def __post_init__(self) -> None:
         self.weight = np.asarray(self.weight)
-        if self.weight.ndim != 4:
-            raise ValueError(f"conv weight must be [c_out, c_in, kh, kw], got shape {self.weight.shape}")
+        if self.weight.ndim != 4 or 0 in self.weight.shape:
+            raise ValueError(
+                f"conv weight must be [c_out, c_in, kh, kw], each >= 1, got shape {self.weight.shape}"
+            )
         if self.weight.dtype != np.float32:
             raise ValueError(f"conv weight must be float32, got {self.weight.dtype}")
         if self.bias is not None:
@@ -67,41 +69,29 @@ class ConvLayerWeights:
         return (self.weight.shape[2], self.weight.shape[3])
 
 
-def replicate_init(layer: ConvLayerWeights, n: int) -> ConvLayerWeights:
-    """Tile the filters ``n`` times along c_in and scale each copy by 1/n.
-
-    [c_out, c_in, kh, kw] becomes [c_out, n*c_in, kh, kw]; the bias carries
-    over unchanged. With n=1 the weights come back byte-identical.
-    """
-    if n < 1:
-        raise ValueError(f"replication factor must be >= 1, got {n}")
-    bias = None if layer.bias is None else layer.bias.copy()
-    if n == 1:
-        return ConvLayerWeights(weight=layer.weight.copy(), bias=bias)
-    tiled = np.tile(layer.weight, (1, n, 1, 1))
-    return ConvLayerWeights(weight=np.ascontiguousarray(tiled / np.float32(n)), bias=bias)
-
-
-def random_init_first_layer(c_out: int, c_in: int, kh: int, kw: int, seed: int) -> ConvLayerWeights:
-    """Fresh first-layer weights, uniform on [-b, b] with b = 1/sqrt(c_in*kh*kw), zero bias."""
-    for name, value in (("c_out", c_out), ("c_in", c_in), ("kh", kh), ("kw", kw)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-    bound = 1.0 / np.sqrt(c_in * kh * kw)
-    rng = np.random.default_rng(seed)
-    weight = rng.uniform(-bound, bound, size=(c_out, c_in, kh, kw)).astype(np.float32)
-    return ConvLayerWeights(weight=weight, bias=np.zeros(c_out, dtype=np.float32))
-
-
 def expand_first_layer(layer: ConvLayerWeights, n: int, mode: str, seed: int = 0) -> ConvLayerWeights:
-    """Widen a layer to n times its input channels by either surgery mode."""
+    """Widen a layer from [c_out, c_in, kh, kw] to [c_out, n*c_in, kh, kw].
+
+    ``replicate`` tiles the filters ``n`` times along c_in and scales each
+    copy by 1/n; the bias carries over unchanged, and with n=1 the weights
+    come back byte-identical. ``random`` draws fresh weights from ``seed``,
+    uniform on [-b, b] with b = 1/sqrt(n*c_in*kh*kw), and a zero bias.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if mode == "replicate":
-        return replicate_init(layer, n)
+        bias = None if layer.bias is None else layer.bias.copy()
+        if n == 1:
+            return ConvLayerWeights(weight=layer.weight.copy(), bias=bias)
+        tiled = np.tile(layer.weight, (1, n, 1, 1))
+        return ConvLayerWeights(weight=np.ascontiguousarray(tiled / np.float32(n)), bias=bias)
     if mode == "random":
+        c_in = n * layer.c_in
         kh, kw = layer.kernel
-        return random_init_first_layer(layer.c_out, n * layer.c_in, kh, kw, seed)
+        bound = 1.0 / np.sqrt(c_in * kh * kw)
+        rng = np.random.default_rng(seed)
+        weight = rng.uniform(-bound, bound, size=(layer.c_out, c_in, kh, kw)).astype(np.float32)
+        return ConvLayerWeights(weight=weight, bias=np.zeros(layer.c_out, dtype=np.float32))
     raise ValueError(f"unknown surgery mode {mode!r}; expected one of {', '.join(MODES)}")
 
 

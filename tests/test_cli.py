@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -601,6 +602,29 @@ class TestMetricLearningPipeline:
         assert _envelope(tmp_path / "project.json")["results"] == {"num_points": 40, "embedded": True}
         capsys.readouterr()
 
+    def test_diverging_train_is_usage_and_writes_nothing(self, tmp_path, capsys):
+        scene = tmp_path / "scene"
+        assert cli.run(["synth", "generate", "--num-frames", "40", "--seed", "7",
+                        "--switch", "1:20", "--out-dir", str(scene)]) == 0
+        triplets = tmp_path / "triplets.jsonl"
+        assert cli.run(["mine", "--tracklets", str(scene / "tracklets.json"), "--min-len", "5",
+                        "--seed", "3", "--out-triplets", str(triplets)]) == 0
+        capsys.readouterr()
+        code = cli.run(
+            ["train", "--features", str(scene / "features.mten"),
+             "--tracklets", str(scene / "tracklets.json"), "--triplets", str(triplets),
+             "--epochs", "4", "--lr", "1e200", "--out-dir", str(tmp_path / "net"),
+             "--out", str(tmp_path / "train.json")]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.splitlines() == [
+            "error: training diverged at learning_rate 1e+200: the weights or the loss "
+            "are no longer finite float32 values"
+        ]
+        assert not (tmp_path / "net").exists()
+        assert not (tmp_path / "train.json").exists()
+
 
 class TestSynth:
     def test_generate_rerun_is_byte_identical(self, tmp_path):
@@ -640,6 +664,23 @@ class TestSynth:
             ("out_dir", str(out_dir)),
         ]
 
+    def test_generate_report_names_the_files_written(self, tmp_path):
+        out_dir = tmp_path / "scene"
+        report_path = tmp_path / "report.json"
+        argv = ["synth", "generate", "--num-frames", "3", "--num-objects", "1",
+                "--out-dir", str(out_dir), "--out", str(report_path)]
+        assert cli.run(argv) == 0
+        results = _envelope(report_path)["results"]
+        names = {key: value for key, value in results.items() if not key.startswith("num_")}
+        assert sorted(names.values()) == sorted(p.name for p in out_dir.iterdir())
+        scene = json.loads((out_dir / names["scene"]).read_text())
+        del names["scene"]
+        assert list(scene) == ["config", "frames_dir", "frame_files", "gt", "tracklets",
+                               "identity_map", "features"]
+        assert {key: scene[key] for key in names} == names
+        frames = sorted(p.name for p in (out_dir / names["frames_dir"]).iterdir())
+        assert scene["frame_files"] == frames
+
     def test_malformed_switch_is_usage(self, tmp_path):
         code = cli.run(
             ["synth", "generate", "--switch", "0-5", "--out-dir", str(tmp_path / "s")]
@@ -660,6 +701,17 @@ class TestSynth:
         assert cli.run(base + ["--jitter-px", "-1"]) == 1
         assert cli.run(base + ["--canvas-width", "50"]) == 1
 
+    @pytest.mark.parametrize("jitter", ["1e16", "1e308"])
+    def test_huge_jitter_writes_boxes_eval_accepts(self, tmp_path, scene12, jitter):
+        dets = tmp_path / "d.jsonl"
+        gt = str(scene12 / "gt.jsonl")
+        code, err = _run_quiet(["synth", "perturb", "--gt", gt, "--jitter-px", jitter,
+                                "--out-dets", str(dets)])
+        assert (code, err) == (0, "")
+        code, err = _run_quiet(["eval", "--dets", str(dets), "--gt", gt,
+                                "--out", str(tmp_path / "eval.json")])
+        assert (code, err) == (0, "")
+
     def test_perturb_report_counts(self, tmp_path, scene12):
         report_path = tmp_path / "report.json"
         code = cli.run(
@@ -673,6 +725,30 @@ class TestSynth:
         assert results["num_true"] == 24
         assert results["num_false_positives"] == 12
         assert results["num_detections"] == 36
+
+
+def _readme_commands():
+    """Every command of README's "Command line" block, as argv lists for cli.run."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("motionstack ")]
+
+
+class TestReadme:
+    def test_command_line_block_runs(self, tmp_path, monkeypatch):
+        # The block's inputs that no earlier command in it writes.
+        rng = np.random.default_rng(0)
+        weight = rng.normal(0, 0.3, size=(8, 3, 7, 7)).astype(np.float32)
+        save_conv_layer(ConvLayerWeights(weight=weight), tmp_path / "conv1.mten")
+        write_tensor(np.ones((4, 18, 24), dtype=np.float32), tmp_path / "fmap.mten")
+        (tmp_path / "boxes.json").write_text(json.dumps({"boxes": [[4, 4, 40, 30], [50, 20, 90, 70]]}))
+        monkeypatch.chdir(tmp_path)
+        commands = _readme_commands()
+        assert len(commands) == 10
+        for argv in commands:
+            code, err = _run_quiet(argv)
+            assert (argv[0], code, err) == (argv[0], 0, "")
 
 
 def _console_script_spec():

@@ -1,6 +1,7 @@
 """Synthetic scene generation and perturbation tests."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from motionstack.det_metrics import (
     load_ground_truth_jsonl,
     write_detections_jsonl,
 )
-from motionstack.errors import DataValidationError
+from motionstack.errors import MotionStackError
 from motionstack.frame_pipeline import FrameSequence, InputConfig, build_input
 from motionstack.metric_learning import load_feature_table
 from motionstack.synth_scenes import (
@@ -53,10 +54,6 @@ class TestSceneConfig:
         assert config.feature_dim == DEFAULT_FEATURE_DIM == 32
         assert BACKGROUND_MODES == ("flat", "textured")
 
-    def test_to_dict_is_json_ready(self):
-        config = SceneConfig(id_switch_events=((0, 5),))
-        assert json.loads(json.dumps(config.to_dict())) == config.to_dict()
-
     @pytest.mark.parametrize(
         "kwargs,pattern",
         [
@@ -77,8 +74,10 @@ class TestSceneConfig:
         ],
     )
     def test_validation(self, kwargs, pattern):
-        with pytest.raises(DataValidationError, match=pattern):
+        # Scene parameters are arguments, not file contents: a plain ValueError.
+        with pytest.raises(ValueError, match=pattern) as caught:
             SceneConfig(**kwargs)
+        assert not isinstance(caught.value, MotionStackError)
 
     def test_zero_velocity_allowed(self):
         assert SceneConfig(velocity_range=(0.0, 0.0)).velocity_range == (0.0, 0.0)
@@ -102,7 +101,8 @@ class TestGenerate:
         frames = sorted((scene12 / "frames").glob("*.ppm"))
         assert [p.name for p in frames] == [f"frame_{f:06d}.ppm" for f in range(12)]
         manifest = json.loads((scene12 / "scene.json").read_text())
-        assert manifest["config"] == SceneConfig(num_frames=12, num_objects=2, seed=7).to_dict()
+        config = asdict(SceneConfig(num_frames=12, num_objects=2, seed=7))
+        assert manifest["config"] == json.loads(json.dumps(config))
         assert manifest["frame_files"] == [p.name for p in frames]
 
     def test_returned_counts(self, tmp_path):
@@ -409,12 +409,29 @@ class TestPerturb:
             assert d.bbox[3] <= 40.0
 
     def test_rate_validation(self, scene_gts):
-        with pytest.raises(DataValidationError, match="drop_rate"):
-            perturb_detections(scene_gts, 1.5, 0.0, 0.0)
-        with pytest.raises(DataValidationError, match="fp_rate"):
-            perturb_detections(scene_gts, 0.0, 0.0, -0.1)
-        with pytest.raises(DataValidationError, match="jitter_px"):
-            perturb_detections(scene_gts, 0.0, -1.0, 0.0)
+        for args, pattern in (
+            ((1.5, 0.0, 0.0), "drop_rate"),
+            ((0.0, 0.0, -0.1), "fp_rate"),
+            ((0.0, -1.0, 0.0), "jitter_px"),
+            ((0.0, np.nan, 0.0), "jitter_px must be finite"),
+            ((0.0, np.inf, 0.0), "jitter_px must be finite"),
+        ):
+            with pytest.raises(ValueError, match=pattern) as caught:
+                perturb_detections(scene_gts, *args)
+            assert not isinstance(caught.value, MotionStackError)
+
+    @pytest.mark.parametrize("jitter", [1e16, 1e308, np.finfo(np.float64).max])
+    def test_huge_jitter_keeps_boxes_valid(self, scene_gts, jitter):
+        # Past 2**52 the half-pixel re-expansion rounds away, and near the
+        # top of the float range a corner sum would overflow.
+        for d in perturb_detections(scene_gts, 0.0, jitter, 0.0, seed=1):
+            x1, y1, x2, y2 = d.bbox
+            assert np.all(np.isfinite(d.bbox)) and x2 > x1 and y2 > y1
+
+    def test_corner_past_the_float_range_rejected(self):
+        gts = [GroundTruth(frame=f, bbox=(-1.7e308, -1.7e308, 1.7e308, 1.7e308), label=0) for f in range(4)]
+        with pytest.raises(ValueError, match="past the float range"):
+            perturb_detections(gts, 0.0, 1e308, 0.0)
 
     def test_empty_ground_truth(self):
         assert perturb_detections([], 0.0, 0.0, 0.0) == []

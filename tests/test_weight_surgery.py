@@ -10,8 +10,6 @@ from motionstack.weight_surgery import (
     conv2d_reference,
     expand_first_layer,
     load_conv_layer,
-    random_init_first_layer,
-    replicate_init,
     save_conv_layer,
 )
 
@@ -27,6 +25,8 @@ class TestConvLayerWeights:
     def test_shape_and_dtype_validation(self):
         with pytest.raises(ValueError, match="c_out, c_in, kh, kw"):
             ConvLayerWeights(weight=np.zeros((3, 3, 3), np.float32))
+        with pytest.raises(ValueError, match=r"each >= 1, got shape \(4, 0, 3, 3\)"):
+            ConvLayerWeights(weight=np.zeros((4, 0, 3, 3), np.float32))
         with pytest.raises(ValueError, match="float32"):
             ConvLayerWeights(weight=np.zeros((1, 1, 1, 1), np.float64))
         with pytest.raises(ValueError, match="bias must be float32"):
@@ -44,7 +44,7 @@ class TestConvLayerWeights:
 class TestReplicateInit:
     def test_n1_is_byte_identical_copy(self):
         layer = _layer()
-        out = replicate_init(layer, 1)
+        out = expand_first_layer(layer, 1, "replicate")
         assert out.weight.tobytes() == layer.weight.tobytes()
         assert out.bias.tobytes() == layer.bias.tobytes()
         assert out.weight is not layer.weight
@@ -52,7 +52,7 @@ class TestReplicateInit:
     def test_tiles_and_scales(self):
         layer = _layer()
         n = 4
-        out = replicate_init(layer, n)
+        out = expand_first_layer(layer, n, "replicate")
         assert out.weight.shape == (layer.c_out, n * layer.c_in, *layer.kernel)
         scaled = layer.weight / np.float32(n)
         for k in range(n):
@@ -61,13 +61,13 @@ class TestReplicateInit:
 
     def test_bias_carries_over_unchanged(self):
         layer = _layer()
-        out = replicate_init(layer, 3)
+        out = expand_first_layer(layer, 3, "replicate")
         assert np.array_equal(out.bias, layer.bias)
-        assert replicate_init(_layer(with_bias=False), 3).bias is None
+        assert expand_first_layer(_layer(with_bias=False), 3, "replicate").bias is None
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError, match=">= 1"):
-            replicate_init(_layer(), 0)
+            expand_first_layer(_layer(), 0, "replicate")
 
     def test_static_stack_response_matches_original(self):
         # The whole point of the 1/n scaling: n copies of one image through
@@ -77,38 +77,37 @@ class TestReplicateInit:
         image = rng.random((3, 10, 12)).astype(np.float32)
         stack = np.concatenate([image] * 4, axis=0)
         base = conv2d_reference(image, layer)
-        widened = conv2d_reference(stack, replicate_init(layer, 4))
+        widened = conv2d_reference(stack, expand_first_layer(layer, 4, "replicate"))
         assert np.allclose(widened, base, rtol=1e-5, atol=1e-5)
 
 
 class TestRandomInit:
     def test_bounds_and_zero_bias(self):
-        out = random_init_first_layer(8, 9, 3, 3, seed=1)
+        out = expand_first_layer(_layer(c_out=8, c_in=3), 3, "random", seed=1)
         bound = 1.0 / np.sqrt(9 * 3 * 3)
         assert out.weight.shape == (8, 9, 3, 3)
         assert np.all(np.abs(out.weight) <= bound)
         assert np.all(out.bias == 0.0)
 
     def test_seeded(self):
-        a = random_init_first_layer(4, 6, 3, 3, seed=7)
-        b = random_init_first_layer(4, 6, 3, 3, seed=7)
-        c = random_init_first_layer(4, 6, 3, 3, seed=8)
+        layer = _layer(c_in=2)
+        a = expand_first_layer(layer, 3, "random", seed=7)
+        b = expand_first_layer(layer, 3, "random", seed=7)
+        c = expand_first_layer(layer, 3, "random", seed=8)
         assert a.weight.tobytes() == b.weight.tobytes()
         assert a.weight.tobytes() != c.weight.tobytes()
-
-    def test_rejects_bad_dims(self):
-        with pytest.raises(ValueError, match="c_in"):
-            random_init_first_layer(1, 0, 3, 3, seed=0)
 
 
 class TestExpandFirstLayer:
     def test_modes(self):
         layer = _layer()
         rep = expand_first_layer(layer, 3, "replicate")
-        assert rep.weight.tobytes() == replicate_init(layer, 3).weight.tobytes()
+        assert rep.weight.tobytes() == (np.tile(layer.weight, (1, 3, 1, 1)) / np.float32(3)).tobytes()
         rand = expand_first_layer(layer, 3, "random", seed=5)
         assert rand.weight.shape == (4, 9, 3, 3)
-        assert rand.weight.tobytes() == random_init_first_layer(4, 9, 3, 3, seed=5).weight.tobytes()
+        # The random draw depends on the layer's shape alone, not its values.
+        other = expand_first_layer(_layer(seed=9, with_bias=False), 3, "random", seed=5)
+        assert rand.weight.tobytes() == other.weight.tobytes()
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown surgery mode"):
