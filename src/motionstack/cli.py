@@ -38,10 +38,11 @@ from .det_metrics import (
     write_detections_jsonl,
 )
 from .errors import DataValidationError, MotionStackError
-from .frame_pipeline import VARIANTS, FrameSequence, InputConfig, build_dataset, normalize_variant
-from .jsonio import check_box, read_json, write_json
+from .frame_pipeline import MANIFEST_NAME, VARIANTS, FrameSequence, InputConfig, build_dataset, normalize_variant
+from .jsonio import check_box, expect, read_json, write_json
 from .metric_learning import (
     DEFAULT_MERGE_THRESHOLD,
+    NET_MANIFEST_NAME,
     EmbeddingNet,
     TrainConfig,
     load_feature_table,
@@ -77,25 +78,15 @@ from .tracklets import (
 from .weight_surgery import MODES, expand_first_layer, load_conv_layer, save_conv_layer
 
 
-class _UsageError(Exception):
-    """Raised for malformed flags or flag values; mapped to exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # argparse would exit(2); keep the contract
-        raise _UsageError(message)
+    def error(self, message: str):  # argparse would exit(2); a ValueError exits 1
+        raise ValueError(message)
 
 
 def _check_threads_env() -> None:
     raw = os.environ.get("MOTIONSTACK_THREADS")
-    if raw is None:
-        return
-    try:
-        value = int(raw)
-    except ValueError:
-        raise _UsageError(f"MOTIONSTACK_THREADS must be a positive integer, got {raw!r}") from None
-    if value < 1:
-        raise _UsageError(f"MOTIONSTACK_THREADS must be a positive integer, got {raw!r}")
+    if raw is not None and not (raw.isdecimal() and int(raw) >= 1):  # digits only, as for --seed
+        raise ValueError(f"MOTIONSTACK_THREADS must be a positive integer, got {raw!r}")
 
 
 _NOT_INPUTS = ("func", "command", "synth_command", "out")
@@ -126,6 +117,12 @@ def _finite_float(raw: str) -> float:
     return value
 
 
+def _seed(raw: str) -> int:
+    if not raw.isdecimal():  # digits only, so no sign: a seed is never negative
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {raw!r}")
+    return int(raw)
+
+
 def _parse_switch(raw: str) -> tuple[int, int]:
     obj_s, sep, frame_s = raw.partition(":")
     if not sep:
@@ -142,9 +139,7 @@ def _parse_hidden(raw: str) -> tuple[int, ...]:
 
 def _load_boxes_json(path: str) -> np.ndarray:
     doc = read_json(path)
-    raw = doc.get("boxes") if isinstance(doc, dict) else doc
-    if not isinstance(raw, list):
-        raise DataValidationError(f"{path}: expected a 'boxes' list or a bare list of boxes")
+    raw = expect(doc.get("boxes") if isinstance(doc, dict) else doc, list, f"{path}: boxes")
     boxes = [check_box(entry, f"{path}: boxes[{i}]") for i, entry in enumerate(raw)]
     if not boxes:
         raise DataValidationError(f"{path}: no boxes to pool")
@@ -176,7 +171,7 @@ def _cmd_stack(args):
     results = {
         "num_items": len(manifest["items"]),
         "config": manifest["config"],
-        "manifest": "manifest.json",
+        "manifest": MANIFEST_NAME,
     }
     summary = (
         f"stack: wrote {len(manifest['items'])} tensors "
@@ -214,7 +209,7 @@ def _cmd_eval(args):
 
 def _cmd_features(args):
     if not args.scale > 0:
-        raise _UsageError(f"--scale must be positive, got {args.scale}")
+        raise ValueError(f"--scale must be positive, got {args.scale}")
     tensor = read_tensor(args.map)
     try:
         fmap = FeatureMap(tensor, spatial_scale=args.scale)
@@ -265,14 +260,14 @@ def _cmd_train(args):
         seed=args.seed,
     )
     net, trace = train(net, table, triplets, config)
-    save_net(net, args.out_dir)
+    manifest_path = save_net(net, args.out_dir)
     results = {
         "num_triplets": len(triplets),
         "layer_dims": net.layer_dims,
         "loss_trace": trace,
         "initial_loss": trace[0],
         "final_loss": trace[-1],
-        "net": "net.json",
+        "net": manifest_path.name,
     }
     summary = (
         f"train: {args.epochs} epochs on {len(triplets)} triplets, "
@@ -357,11 +352,11 @@ def _cmd_synth_generate(args):
 
 def _cmd_synth_perturb(args):
     if (args.canvas_width is None) != (args.canvas_height is None):
-        raise _UsageError("--canvas-width and --canvas-height must be given together")
+        raise ValueError("--canvas-width and --canvas-height must be given together")
     canvas = None
     if args.canvas_width is not None:
         if args.canvas_width < 1 or args.canvas_height < 1:
-            raise _UsageError("canvas dimensions must be positive")
+            raise ValueError("canvas dimensions must be positive")
         canvas = (args.canvas_width, args.canvas_height)
     gts = load_ground_truth_jsonl(args.gt)
     dets = perturb_detections(
@@ -415,7 +410,7 @@ def build_parser() -> _Parser:
     p.add_argument("--weights", type=Path, required=True, help="input conv layer (.mten + sidecar)")
     p.add_argument("--mode", required=True, choices=MODES, help="replicate tiles and rescales; random redraws")
     p.add_argument("--n", type=int, required=True, help="stacking factor")
-    p.add_argument("--seed", type=int, default=0, help="seed for random mode")
+    p.add_argument("--seed", type=_seed, default=0, help="seed for random mode")
     p.add_argument("--out-weights", type=Path, required=True, help="output conv layer path")
     p.add_argument("--out", type=Path, default=None, help="JSON report path")
     p.set_defaults(func=_cmd_surgery)
@@ -439,7 +434,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("mine", help="sample training triplets from tracklets")
     p.add_argument("--tracklets", type=Path, required=True, help="tracklets JSON")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
+    p.add_argument("--seed", type=_seed, default=0, help="sampling seed")
     p.add_argument("--per-anchor", type=int, default=1, help="triplets per anchor frame")
     p.add_argument(
         "--min-len", type=int, default=MIN_TRACKLET_LEN, help="minimum tracklet length to keep"
@@ -456,7 +451,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lr", type=_finite_float, default=1e-3, help="learning rate")
     p.add_argument("--margin", type=_finite_float, default=1.0, help="triplet loss margin")
     p.add_argument("--batch-size", type=int, default=64, help="minibatch size")
-    p.add_argument("--seed", type=int, default=0, help="init and shuffle seed")
+    p.add_argument("--seed", type=_seed, default=0, help="init and shuffle seed")
     p.add_argument("--per-anchor", type=int, default=1, help="recorded mining rate (provenance)")
     p.add_argument(
         "--hidden", type=_parse_hidden, default=(512, 256), help="hidden widths, e.g. 512,256"
@@ -471,7 +466,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("reid", help="propose tracklet merges from embedding centroids")
     p.add_argument("--features", type=Path, required=True, help="feature matrix MTENSOR [T, D]")
     p.add_argument("--tracklets", type=Path, required=True, help="tracklets JSON")
-    p.add_argument("--net", type=Path, required=True, help="trained net manifest (net.json)")
+    p.add_argument("--net", type=Path, required=True, help=f"trained net manifest ({NET_MANIFEST_NAME})")
     p.add_argument(
         "--threshold",
         type=_finite_float,
@@ -515,7 +510,7 @@ def build_parser() -> _Parser:
         metavar="OBJECT:FRAME",
         help="inject an id switch (repeatable)",
     )
-    g.add_argument("--seed", type=int, default=0, help="scene seed")
+    g.add_argument("--seed", type=_seed, default=0, help="scene seed")
     g.add_argument("--background", choices=BACKGROUND_MODES, default="flat", help="background mode")
     g.add_argument("--feature-dim", type=int, default=DEFAULT_FEATURE_DIM, help="feature vector width")
     g.add_argument("--out-dir", type=Path, required=True, help="scene output directory")
@@ -527,7 +522,7 @@ def build_parser() -> _Parser:
     g.add_argument("--drop-rate", type=_finite_float, default=0.0, help="box drop probability")
     g.add_argument("--jitter-px", type=_finite_float, default=0.0, help="corner jitter amplitude")
     g.add_argument("--fp-rate", type=_finite_float, default=0.0, help="false positives per frame")
-    g.add_argument("--seed", type=int, default=0, help="perturbation seed")
+    g.add_argument("--seed", type=_seed, default=0, help="perturbation seed")
     g.add_argument("--canvas-width", type=int, default=None, help="false-positive box bound")
     g.add_argument("--canvas-height", type=int, default=None, help="false-positive box bound")
     g.add_argument("--out-dets", type=Path, required=True, help="output detections JSON-lines")
@@ -546,9 +541,6 @@ def run(argv=None) -> int:
         _emit_report(args, results)
         print(summary)
         return 0
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except SystemExit as exc:  # argparse --help
         return int(exc.code) if exc.code else 0
     except MotionStackError as exc:
@@ -558,8 +550,8 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
-        # Input files raise MotionStackError, so the bare ValueErrors left
-        # come from flag values a library call rejects, such as surgery --n 0.
+        # Input files raise MotionStackError, so a bare ValueError is a usage error: the
+        # parser's, a flag check here, or a flag value a library call rejects (surgery --n 0).
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

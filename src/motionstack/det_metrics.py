@@ -27,14 +27,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import isfinite
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DataValidationError
-from .jsonio import check_box, read_jsonl, write_jsonl
+from .jsonio import check_box, check_number, expect, read_jsonl, write_jsonl
 
 IOU_GRID = tuple((50 + 5 * i) / 100.0 for i in range(10))
 # Most (detection, ground truth) IoUs one matching call holds at once: about 10 MiB of arrays.
@@ -56,29 +55,18 @@ class GroundTruth:
     label: int
 
 
-def _check_int(record: dict, key: str, where: str) -> int:
-    if key not in record:
-        raise DataValidationError(f"{where}: missing '{key}'")
-    raw = record[key]
-    if not isinstance(raw, int) or isinstance(raw, bool):
-        raise DataValidationError(f"{where}: {key} must be an integer, got {raw!r}")
-    return raw
-
-
 def load_detections_jsonl(path: str | Path) -> list[Detection]:
     out = []
     for where, record in read_jsonl(path):
-        score = record.get("score")
-        if not isinstance(score, (int, float)) or isinstance(score, bool) or not isfinite(score):
-            raise DataValidationError(f"{where}: score must be a finite number, got {score!r}")
+        score = check_number(record.get("score"), f"{where}: score")
         if not 0.0 <= score <= 1.0:
-            raise DataValidationError(f"{where}: score must lie in [0, 1], got {score!r}")
+            raise DataValidationError(f"{where}: score must lie in [0, 1], got {record['score']!r}")
         out.append(
             Detection(
-                frame=_check_int(record, "frame", where),
+                frame=expect(record.get("frame"), int, f"{where}: frame"),
                 bbox=check_box(record.get("bbox"), where),
-                score=float(score),
-                label=_check_int(record, "class", where),
+                score=score,
+                label=expect(record.get("class"), int, f"{where}: class"),
             )
         )
     return out
@@ -89,9 +77,9 @@ def load_ground_truth_jsonl(path: str | Path) -> list[GroundTruth]:
     for where, record in read_jsonl(path):
         out.append(
             GroundTruth(
-                frame=_check_int(record, "frame", where),
+                frame=expect(record.get("frame"), int, f"{where}: frame"),
                 bbox=check_box(record.get("bbox"), where),
-                label=_check_int(record, "class", where),
+                label=expect(record.get("class"), int, f"{where}: class"),
             )
         )
     return out

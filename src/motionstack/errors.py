@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 Every class doubles as a ValueError (or LookupError) so callers that do not
-care about the precise failure can catch the built-in, while tests and the
-CLI can distinguish conditions by type.
+care about the precise failure can catch the built-in. Defects are told
+apart by message, not by subclass: every bad PPM frame is a ``PpmError``.
 """
 
 
@@ -15,23 +15,7 @@ class TensorFormatError(MotionStackError, ValueError):
 
 
 class PpmError(MotionStackError, ValueError):
-    """Base class for PPM decode failures."""
-
-
-class UnsupportedPpmFormat(PpmError):
-    """File is not a binary (P6) PPM image."""
-
-
-class MalformedPpmHeader(PpmError):
-    """PPM header tokens are missing or not numeric."""
-
-
-class UnsupportedPpmMaxval(PpmError):
-    """PPM maxval is not 255."""
-
-
-class TruncatedPpmPayload(PpmError):
-    """PPM pixel payload is shorter than the header promises."""
+    """A PPM frame that is not binary P6 with maxval 255, or whose header or payload is cut short."""
 
 
 class FrameIndexParseError(MotionStackError, ValueError):

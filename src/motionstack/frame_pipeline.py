@@ -37,6 +37,7 @@ from .jsonio import write_json
 from .tensor_io import ImageFrame, parse_frame_index, read_ppm, to_planar, write_tensor
 
 VARIANTS = ("rgb_seq", "rgb_int", "diff_seq", "diff_int")
+MANIFEST_NAME = "manifest.json"
 _SEQ_VARIANTS = ("rgb_seq", "diff_seq")
 _DIFF_VARIANTS = ("diff_seq", "diff_int")
 
@@ -257,5 +258,5 @@ def build_dataset(
         items.append({"index": t, "tensor": tensor_name, "label": label_name})
 
     manifest = {"config": config.to_dict(), "items": items}
-    write_json(manifest, out_dir / "manifest.json")
+    write_json(manifest, out_dir / MANIFEST_NAME)
     return manifest

@@ -3,6 +3,8 @@
 Readers raise ``DataValidationError`` naming the file (and line) for bytes
 that are not UTF-8, text that is not JSON, and JSON-lines records that are
 not objects; a missing file still raises ``OSError``. Writers emit UTF-8.
+The type rules of the values inside live here too, worded ``{where} must be
+{kind}, got {JSON}``. A number is a finite int or float; a bool is neither.
 """
 
 from __future__ import annotations
@@ -56,16 +58,47 @@ def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
-def check_box(raw: Any, where: str) -> tuple[float, float, float, float]:
-    """Validate an ``[x1, y1, x2, y2]`` box with finite corners, x2 > x1 and y2 > y1."""
-    if not isinstance(raw, (list, tuple)) or len(raw) != 4:
-        raise DataValidationError(f"{where}: bbox must be [x1, y1, x2, y2], got {raw!r}")
+_KINDS = {int: "an integer", list: "a list", dict: "an object", str: "a string", bool: "true or false"}
+_NUMBERS = {int, float}
+
+
+def expect(raw: Any, kind: type, where: str) -> Any:
+    """Return ``raw`` if it is a JSON value of ``kind``, one of the keys of ``_KINDS``."""
+    if type(raw) is not kind:  # not isinstance: a bool is not an integer
+        raise DataValidationError(f"{where} must be {_KINDS[kind]}, got {json.dumps(raw)}")
+    return raw
+
+
+def expect_ints(raw: Any, where: str) -> list[int]:
+    """Return ``raw`` if it is a list of integers, checked in one pass over the entries."""
+    if not {int}.issuperset(map(type, expect(raw, list, where))):
+        for k, v in enumerate(raw):  # name the first entry that is not an integer
+            expect(v, int, f"{where}[{k}]")
+    return raw
+
+
+def check_number(raw: Any, where: str) -> float:
+    """Return ``raw`` as a float if it is a finite JSON number."""
     try:
-        x1, y1, x2, y2 = (float(v) for v in raw)
-    except (TypeError, ValueError, OverflowError):
-        raise DataValidationError(f"{where}: non-numeric bbox {raw!r}") from None
-    if not all(isfinite(v) for v in (x1, y1, x2, y2)):
-        raise DataValidationError(f"{where}: non-finite bbox {raw!r}")
+        if type(raw) in _NUMBERS and isfinite(raw):
+            return float(raw)
+    except OverflowError:  # an integer past the float range is rejected, not rounded to inf
+        pass
+    raise DataValidationError(f"{where} must be a finite number, got {json.dumps(raw)}")
+
+
+def check_box(raw: Any, where: str) -> tuple[float, float, float, float]:
+    """Validate an ``[x1, y1, x2, y2]`` list of finite numbers with x2 > x1 and y2 > y1."""
+    if type(raw) is not list or len(raw) != 4:
+        raise DataValidationError(f"{where}: bbox must be [x1, y1, x2, y2], got {json.dumps(raw)}")
+    try:  # check_number's rule in one pass over the corners
+        valid = _NUMBERS.issuperset(map(type, raw)) and all(map(isfinite, raw))
+    except OverflowError:
+        valid = False
+    if not valid:
+        for k, v in enumerate(raw):  # name the first bad corner
+            check_number(v, f"{where}: bbox[{k}]")
+    x1, y1, x2, y2 = box = tuple(map(float, raw))
     if x2 <= x1 or y2 <= y1:
-        raise DataValidationError(f"{where}: bbox must satisfy x2 > x1 and y2 > y1, got {raw!r}")
-    return (x1, y1, x2, y2)
+        raise DataValidationError(f"{where}: bbox must satisfy x2 > x1 and y2 > y1, got {json.dumps(raw)}")
+    return box

@@ -37,7 +37,6 @@ plots as ``id,frame,x,y`` CSV.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -45,7 +44,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataValidationError
-from .jsonio import read_json, read_jsonl, write_json, write_jsonl
+from .jsonio import expect, expect_ints, read_json, read_jsonl, write_json, write_jsonl
 from .tensor_io import read_tensor, write_tensor
 from .tracklets import Tracklet, enumerate_keys, overlap_graph, temporal_overlap
 
@@ -172,12 +171,8 @@ def mine_triplets(tracklets: Sequence[Tracklet], rng_seed: int, per_anchor: int 
 
 
 def _check_ref(raw, where: str) -> tuple[int, int]:
-    if (
-        not isinstance(raw, (list, tuple))
-        or len(raw) != 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in raw)
-    ):
-        raise DataValidationError(f"{where}: expected [tracklet_id, frame], got {raw!r}")
+    if len(expect_ints(raw, where)) != 2:
+        raise DataValidationError(f"{where}: expected [tracklet_id, frame], got {raw}")  # ints print as JSON
     return (raw[0], raw[1])
 
 
@@ -188,9 +183,9 @@ def load_triplets_jsonl(path: str | Path) -> list[Triplet]:
             raise DataValidationError(f"{where}: expected an object with keys a, p, n")
         out.append(
             Triplet(
-                anchor=_check_ref(record["a"], where),
-                positive=_check_ref(record["p"], where),
-                negative=_check_ref(record["n"], where),
+                anchor=_check_ref(record["a"], f"{where}: a"),
+                positive=_check_ref(record["p"], f"{where}: p"),
+                negative=_check_ref(record["n"], f"{where}: n"),
             )
         )
     return out
@@ -637,34 +632,25 @@ def save_net(net: EmbeddingNet, out_dir: str | Path) -> Path:
 def load_net(manifest_path: str | Path) -> EmbeddingNet:
     """Read a net saved by ``save_net``; tensor paths resolve next to the manifest."""
     manifest_path = Path(manifest_path)
-    manifest = read_json(manifest_path)
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("layers"), list):
-        raise DataValidationError(f"{manifest_path}: expected an object with a 'layers' list")
-    declared = manifest.get("layer_dims")
-    if declared is not None and not isinstance(declared, list):
-        raise DataValidationError(f"{manifest_path}: layer_dims must be a list of layer widths")
+    manifest = expect(read_json(manifest_path), dict, str(manifest_path))
     base = manifest_path.parent
     weights = []
     biases = []
-    for l, entry in enumerate(manifest["layers"]):
-        if not isinstance(entry, dict) or "weight" not in entry or "bias" not in entry:
-            raise DataValidationError(f"{manifest_path}: layers[{l}] must name weight and bias files")
+    for l, entry in enumerate(expect(manifest.get("layers"), list, f"{manifest_path}: layers")):
+        expect(entry, dict, f"{manifest_path}: layers[{l}]")
         for key, tensors in (("weight", weights), ("bias", biases)):
-            if not isinstance(entry[key], str):
-                raise DataValidationError(f"{manifest_path}: layers[{l}].{key} must be a file name string")
-            tensors.append(read_tensor(base / entry[key]))
+            name = expect(entry.get(key), str, f"{manifest_path}: layers[{l}].{key}")
+            tensors.append(read_tensor(base / name))
             if not np.isfinite(tensors[-1]).all():
                 raise DataValidationError(f"{manifest_path}: layers[{l}].{key} is not finite")
     normalize_output = manifest.get("normalize_output", False)
-    if not isinstance(normalize_output, bool):
-        raise DataValidationError(
-            f"{manifest_path}: normalize_output must be true or false, got {json.dumps(normalize_output)}"
-        )
+    expect(normalize_output, bool, f"{manifest_path}: normalize_output")
     try:
         net = EmbeddingNet(weights=weights, biases=biases, normalize_output=normalize_output)
     except ValueError as exc:
         raise DataValidationError(f"{manifest_path}: {exc}") from exc
-    if declared is not None and declared != net.layer_dims:
+    declared = manifest.get("layer_dims")
+    if declared is not None and expect(declared, list, f"{manifest_path}: layer_dims") != net.layer_dims:
         raise DataValidationError(
             f"{manifest_path}: declares layer_dims {declared}, tensors give {net.layer_dims}"
         )

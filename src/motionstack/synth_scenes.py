@@ -64,6 +64,8 @@ class SceneConfig:
     feature_dim: int = DEFAULT_FEATURE_DIM
 
     def __post_init__(self) -> None:
+        if self.seed < 0:  # checked before generate writes anything; numpy would reject it later
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.num_frames < 1:
             raise ValueError(f"num_frames must be >= 1, got {self.num_frames}")
         if self.num_objects < 1:

@@ -23,14 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    FrameIndexParseError,
-    MalformedPpmHeader,
-    TensorFormatError,
-    TruncatedPpmPayload,
-    UnsupportedPpmFormat,
-    UnsupportedPpmMaxval,
-)
+from .errors import FrameIndexParseError, PpmError, TensorFormatError
 
 MAGIC = b"MTENSOR\x00"
 MAX_DIMS = 4
@@ -93,7 +86,7 @@ def read_tensor(path: str | Path) -> np.ndarray:
     if (
         not isinstance(shape, list)
         or not 1 <= len(shape) <= MAX_DIMS
-        or not all(isinstance(d, int) and d >= 1 for d in shape)
+        or not all(type(d) is int and d >= 1 for d in shape)  # a JSON true is no dimension
     ):
         raise TensorFormatError(f"{path}: invalid shape {shape!r}")
     dtype = _DTYPE_BY_CODE[code]
@@ -157,7 +150,7 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     while pos < n and data[pos] not in _WHITESPACE:
         pos += 1
     if start == pos:
-        raise MalformedPpmHeader("unexpected end of PPM header")
+        raise PpmError("unexpected end of PPM header")
     return data[start:pos], pos
 
 
@@ -170,24 +163,24 @@ def read_ppm(path: str | Path) -> ImageFrame:
     data = path.read_bytes()
     magic, pos = _next_token(data, 0)
     if magic != b"P6":
-        raise UnsupportedPpmFormat(f"{path}: unsupported format {magic!r}, only binary P6 is accepted")
+        raise PpmError(f"{path}: unsupported format {magic!r}, only binary P6 is accepted")
     fields = []
     for _ in range(3):
         token, pos = _next_token(data, pos)
         try:
             fields.append(int(token))
         except ValueError as exc:
-            raise MalformedPpmHeader(f"{path}: non-numeric header token {token!r}") from exc
+            raise PpmError(f"{path}: non-numeric header token {token!r}") from exc
     width, height, maxval = fields
     if width < 1 or height < 1:
-        raise MalformedPpmHeader(f"{path}: non-positive dimensions {width}x{height}")
+        raise PpmError(f"{path}: non-positive dimensions {width}x{height}")
     if maxval != 255:
-        raise UnsupportedPpmMaxval(f"{path}: maxval {maxval} unsupported, expected 255")
+        raise PpmError(f"{path}: maxval {maxval} unsupported, expected 255")
     if pos >= len(data) or data[pos] not in _WHITESPACE:
-        raise MalformedPpmHeader(f"{path}: missing whitespace after maxval")
+        raise PpmError(f"{path}: missing whitespace after maxval")
     payload = data[pos + 1 : pos + 1 + 3 * width * height]
     if len(payload) < 3 * width * height:
-        raise TruncatedPpmPayload(
+        raise PpmError(
             f"{path}: payload holds {len(payload)} bytes, header promises {3 * width * height}"
         )
     return ImageFrame(

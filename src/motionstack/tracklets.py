@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DataValidationError
-from .jsonio import check_box, read_json, write_json
+from .jsonio import check_box, expect, expect_ints, read_json, write_json
 
 MIN_TRACKLET_LEN = 16
 
@@ -103,12 +103,6 @@ def enumerate_keys(tracklets: Sequence[Tracklet]) -> list[tuple[int, int]]:
     return keys
 
 
-def _require_int(value, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise DataValidationError(f"{where}: expected an integer, got {value!r}")
-    return value
-
-
 def load_tracklets_json(path: str | Path) -> list[Tracklet]:
     """Read and validate a tracklet document; ids must be unique."""
     doc = read_json(path)
@@ -118,27 +112,18 @@ def load_tracklets_json(path: str | Path) -> list[Tracklet]:
     seen: set[int] = set()
     for pos, entry in enumerate(doc["tracklets"]):
         where = f"{path}: tracklets[{pos}]"
-        if not isinstance(entry, dict):
-            raise DataValidationError(f"{where}: expected an object")
-        tid = _require_int(entry.get("id"), f"{where}.id")
+        expect(entry, dict, where)
+        tid = expect(entry.get("id"), int, f"{where}.id")
         if tid in seen:
             raise DataValidationError(f"{where}: duplicate tracklet id {tid}")
         seen.add(tid)
-        start = _require_int(entry.get("start"), f"{where}.start")
-        end = _require_int(entry.get("end"), f"{where}.end")
-        raw_boxes = entry.get("boxes")
-        if not isinstance(raw_boxes, list):
-            raise DataValidationError(f"{where}: 'boxes' must be a list")
+        start = expect(entry.get("start"), int, f"{where}.start")
+        end = expect(entry.get("end"), int, f"{where}.end")
+        raw_boxes = expect(entry.get("boxes"), list, f"{where}.boxes")
         boxes = [check_box(b, f"{where}.boxes[{k}]") for k, b in enumerate(raw_boxes)]
-        feature_rows = None
-        if "feature_rows" in entry and entry["feature_rows"] is not None:
-            raw_rows = entry["feature_rows"]
-            if not isinstance(raw_rows, list):
-                raise DataValidationError(f"{where}: 'feature_rows' must be a list")
-            feature_rows = [
-                _require_int(r, f"{where}.feature_rows[{k}]") for k, r in enumerate(raw_rows)
-            ]
-            if any(r < 0 for r in feature_rows):
+        feature_rows = entry.get("feature_rows")
+        if feature_rows is not None:
+            if any(r < 0 for r in expect_ints(feature_rows, f"{where}.feature_rows")):
                 raise DataValidationError(f"{where}: negative feature row index")
         out.append(Tracklet(id=tid, start=start, end=end, boxes=boxes, feature_rows=feature_rows))
     return out
@@ -163,9 +148,9 @@ def load_identity_map(path: str | Path) -> list[list[int]]:
     seen: set[int] = set()
     for pos, raw in enumerate(doc["groups"]):
         where = f"{path}: groups[{pos}]"
-        if not isinstance(raw, list) or not raw:
+        group = expect_ints(raw, where)
+        if not group:
             raise DataValidationError(f"{where}: expected a nonempty list of ids")
-        group = [_require_int(v, where) for v in raw]
         for tid in group:
             if tid in seen:
                 raise DataValidationError(f"{where}: id {tid} appears in more than one group")

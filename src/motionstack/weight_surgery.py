@@ -26,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataValidationError
-from .jsonio import read_json, write_json
+from .jsonio import expect, read_json, write_json
 from .tensor_io import read_tensor, write_tensor
 
 MODES = ("replicate", "random")
@@ -160,22 +160,16 @@ def load_conv_layer(path: str | Path) -> ConvLayerWeights:
     """
     path = Path(path)
     weight = read_tensor(path)
-    if weight.ndim != 4 or weight.dtype != np.float32:
-        raise DataValidationError(
-            f"{path}: expected a float32 [c_out, c_in, kh, kw] tensor, got {weight.dtype} {weight.shape}"
-        )
     sidecar = _sidecar_path(path)
     bias = None
     if sidecar.exists():
-        meta = read_json(sidecar)
-        if not isinstance(meta, dict):
-            raise DataValidationError(f"{sidecar}: expected an object")
-        declared = (meta.get("c_out"), meta.get("c_in"), meta.get("kh"), meta.get("kw"))
+        meta = expect(read_json(sidecar), dict, str(sidecar))
+        declared = tuple(expect(meta.get(k), int, f"{sidecar}: {k}") for k in ("c_out", "c_in", "kh", "kw"))
         if tuple(weight.shape) != declared:
             raise DataValidationError(
                 f"{sidecar}: declares shape {declared}, tensor has {tuple(weight.shape)}"
             )
-        if meta.get("bias"):
+        if expect(meta.get("bias", False), bool, f"{sidecar}: bias"):
             bias_file = _bias_path(path)
             if not bias_file.exists():
                 raise DataValidationError(f"{sidecar}: declares a bias but {bias_file} is missing")

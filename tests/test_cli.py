@@ -6,6 +6,7 @@ import json
 import os
 import shlex
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -111,12 +112,21 @@ class TestExitCodes:
         monkeypatch.setenv("MOTIONSTACK_THREADS", "2")
         assert cli.run(argv) == 0
 
+    @pytest.mark.parametrize("value", ["+2", " 2", "2_0"])
+    def test_threads_env_takes_digits_only(self, monkeypatch, tmp_path, scene12, value):
+        monkeypatch.setenv("MOTIONSTACK_THREADS", value)
+        code, err = _run_quiet(["synth", "perturb", "--gt", str(scene12 / "gt.jsonl"),
+                                "--out-dets", str(tmp_path / "d.jsonl")])
+        assert code == 1
+        assert err.splitlines() == [f"error: MOTIONSTACK_THREADS must be a positive integer, got {value!r}"]
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("weight", 5, "layers[0].weight must be a file name string"),
-            ("bias", ["a"], "layers[0].bias must be a file name string"),
-            ("layer_dims", 5, "layer_dims must be a list of layer widths"),
+            ("weight", 5, "layers[0].weight must be a string, got 5"),
+            ("bias", ["a"], 'layers[0].bias must be a string, got ["a"]'),
+            ("layer_dims", 5, "layer_dims must be a list, got 5"),
             ("normalize_output", "false", "normalize_output must be true or false, got \"false\""),
             ("normalize_output", 0, "normalize_output must be true or false, got 0"),
             ("normalize_output", None, "normalize_output must be true or false, got null"),
@@ -169,6 +179,17 @@ class TestExitCodes:
         assert code == 1
         assert err.splitlines() == [f"error: argument {flag}: expected a finite number, got {value!r}"]
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["surgery", "mine", "train", "synth generate", "synth perturb"])
+    def test_negative_seed_is_usage_and_writes_nothing(self, tmp_path, input_files, command):
+        if command == "synth generate":
+            argv = ["synth", "generate", "--num-frames", "4", "--out-dir", str(tmp_path / "scene")]
+        else:
+            argv = _input_file_argv(command, input_files, tmp_path)
+        code, err = _run_quiet([*argv, "--seed", "-1"])
+        assert code == 1
+        assert err.splitlines() == ["error: argument --seed: expected a nonnegative integer, got '-1'"]
+        assert not any(tmp_path.iterdir())  # for synth generate: no scene/frames directory
 
     def test_train_per_anchor_below_one_is_usage(self, tmp_path, input_files):
         argv = _input_file_argv("train", input_files, tmp_path)
@@ -274,6 +295,58 @@ def _run_quiet(argv):
 
 WRONG_TYPE_DOCS = (b"[]", b"[1, 2]", b'"text"', b"42", b"null", b"true")
 
+_BOOL_DIM_HEADER = b'{"dtype":"f32","shape":[true,3]}'
+
+# One malformed file per loader: (subcommand, file name, contents, the
+# error line's text after the file's path).
+MALFORMED_FILES = {
+    "dets-401-digit-score": (
+        "eval", "dets.jsonl",
+        b'{"frame": 0, "bbox": [0, 0, 4, 4], "score": 1' + b"0" * 400 + b', "class": 0}\n',
+        ":1: score must be a finite number, got 1" + "0" * 400,
+    ),
+    "gt-string-and-bool-corners": (
+        "eval", "gt.jsonl",
+        b'{"frame": 0, "bbox": ["0", "0", "4", true], "class": 0}\n',
+        ':1: bbox[0] must be a finite number, got "0"',
+    ),
+    "tracklets-bool-id": (
+        "mine", "tracklets.json",
+        b'{"tracklets": [{"id": true, "start": 0, "end": 0, "boxes": [[0, 0, 1, 1]]}]}',
+        ": tracklets[0].id must be an integer, got true",
+    ),
+    "identity-map-float-id": (
+        "reid", "identity_map.json",
+        b'{"groups": [[0, 1.0]]}',
+        ": groups[0][1] must be an integer, got 1.0",
+    ),
+    "triplets-bool-frame": (
+        "train", "triplets.jsonl",
+        b'{"a": [0, true], "p": [0, 1], "n": [1, 0]}\n',
+        ":1: a[1] must be an integer, got true",
+    ),
+    "net-manifest-file-name": (
+        "project", "net.json",
+        b'{"layers": [{"weight": 5, "bias": "layer0.bias.mten"}]}',
+        ": layers[0].weight must be a string, got 5",
+    ),
+    "conv-sidecar-string-bias-flag": (
+        "surgery", "conv.json",
+        b'{"c_out": 4, "c_in": 3, "kh": 3, "kw": 3, "bias": "false"}',
+        ': bias must be true or false, got "false"',
+    ),
+    "boxes-bool-corner": (
+        "features", "boxes.json",
+        b'{"boxes": [[0, 0, 4, true]]}',
+        ": boxes[0]: bbox[3] must be a finite number, got true",
+    ),
+    "mtensor-bool-dimension": (
+        "features", "map.mten",
+        MAGIC + struct.pack("<I", len(_BOOL_DIM_HEADER)) + _BOOL_DIM_HEADER + bytes(12),
+        ": invalid shape [True, 3]",
+    ),
+}
+
 
 def _corrupt(data, kind, pos, mask, wrong):
     if kind == "truncate":
@@ -295,7 +368,20 @@ class TestInputFiles:
         (tmp_path / "conv.json").write_text("[4, 3, 3, 3]")
         code = cli.run(_input_file_argv("surgery", tmp_path, tmp_path))
         assert code == 2
-        assert capsys.readouterr().err.splitlines() == [f"error: {tmp_path / 'conv.json'}: expected an object"]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {tmp_path / 'conv.json'} must be an object, got [4, 3, 3, 3]"
+        ]
+
+    @pytest.mark.parametrize(
+        "command, name, data, message", list(MALFORMED_FILES.values()), ids=list(MALFORMED_FILES)
+    )
+    def test_malformed_file_is_one_located_line(self, tmp_path, input_files, command, name, data, message):
+        d = tmp_path / "in"
+        shutil.copytree(input_files, d)
+        (d / name).write_bytes(data)
+        code, err = _run_quiet(_input_file_argv(command, d, tmp_path))
+        assert code == 2
+        assert err.splitlines() == [f"error: {d / name}{message}"]  # one line, so no traceback
 
     def test_wrong_length_bias_is_data_error(self, tmp_path, input_files, capsys):
         for name in ("conv.mten", "conv.json"):
@@ -514,7 +600,7 @@ class TestFeatures:
     @pytest.mark.parametrize(
         "box, message",
         [
-            ("[0, NaN, 3, 3]", "non-finite bbox [0, nan, 3, 3]"),
+            ("[0, NaN, 3, 3]", "bbox[1] must be a finite number, got NaN"),
             ("[3, 0, 0, 3]", "bbox must satisfy x2 > x1 and y2 > y1, got [3, 0, 0, 3]"),
         ],
         ids=["nan", "inverted"],

@@ -464,12 +464,15 @@ class TestJsonl:
         "line,pattern",
         [
             ('[1, 2]', "expected an object"),
-            ('{"frame": 0, "bbox": [0, 0, 1, 1]}', "missing 'class'"),
+            ('{"frame": 0, "bbox": [0, 0, 1, 1]}', "class must be an integer, got null"),
             ('{"frame": 0, "bbox": [0, 0, 1, 1], "class": true}', "class must be an integer"),
             ('{"frame": 0.5, "bbox": [0, 0, 1, 1], "class": 0}', "frame must be an integer"),
             ('{"frame": 0, "bbox": [0, 0, 1], "class": 0}', r"bbox must be \[x1, y1, x2, y2\]"),
-            ('{"frame": 0, "bbox": [0, 0, "a", 1], "class": 0}', "non-numeric bbox"),
-            ('{"frame": 0, "bbox": [0, 0, Infinity, 1], "class": 0}', "non-finite bbox"),
+            ('{"frame": 0, "bbox": [0, 0, "a", 1], "class": 0}', r'bbox\[2\] must be a finite number, got "a"'),
+            (
+                '{"frame": 0, "bbox": [0, 0, Infinity, 1], "class": 0}',
+                r"bbox\[2\] must be a finite number, got Infinity",
+            ),
             ('{"frame": 0, "bbox": [5, 0, 5, 1], "class": 0}', "x2 > x1"),
             ('{"frame": 0, "bbox": [0, 3, 1, 2], "class": 0}', "y2 > y1"),
         ],

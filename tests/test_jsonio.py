@@ -51,5 +51,5 @@ class TestWrite:
 
 
 def test_check_box_rejects_a_corner_too_large_for_a_float():
-    with pytest.raises(DataValidationError, match=r"w: non-numeric bbox"):
+    with pytest.raises(DataValidationError, match=r"w: bbox\[2\] must be a finite number, got 1000"):
         check_box([0, 0, 10**400, 1], "w")

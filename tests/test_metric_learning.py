@@ -216,7 +216,7 @@ class TestTripletsJsonl:
         [
             ('{"a": [0, 1], "p": [0, 2]}', "keys a, p, n"),
             ('{"a": [0], "p": [0, 2], "n": [1, 0]}', r"expected \[tracklet_id, frame\]"),
-            ('{"a": [0, 1.5], "p": [0, 2], "n": [1, 0]}', r"expected \[tracklet_id, frame\]"),
+            ('{"a": [0, 1.5], "p": [0, 2], "n": [1, 0]}', r"a\[1\] must be an integer, got 1\.5"),
             ("nope", "invalid JSON"),
         ],
     )
@@ -811,11 +811,11 @@ class TestNetSerialization:
 
         doc_bad = dict(doc, layers=[{"weight": "layer0.weight.mten"}])
         manifest_path.write_text(json.dumps(doc_bad))
-        with pytest.raises(DataValidationError, match="name weight and bias"):
+        with pytest.raises(DataValidationError, match=r"layers\[0\]\.bias must be a string, got null"):
             load_net(manifest_path)
 
         manifest_path.write_text('{"layers": 3}')
-        with pytest.raises(DataValidationError, match="'layers' list"):
+        with pytest.raises(DataValidationError, match="layers must be a list, got 3"):
             load_net(manifest_path)
 
         manifest_path.write_text("{broken")

@@ -71,6 +71,7 @@ class TestSceneConfig:
             ({"id_switch_events": ((0, 0),)}, "frame 0 outside"),
             ({"id_switch_events": ((0, 64),)}, "outside 1..63"),
             ({"id_switch_events": ((0, 9), (0, 9))}, "duplicate id switch"),
+            ({"seed": -1}, "seed must be nonnegative, got -1"),
         ],
     )
     def test_validation(self, kwargs, pattern):

@@ -9,14 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from motionstack.errors import (
-    FrameIndexParseError,
-    MalformedPpmHeader,
-    TensorFormatError,
-    TruncatedPpmPayload,
-    UnsupportedPpmFormat,
-    UnsupportedPpmMaxval,
-)
+from motionstack.errors import FrameIndexParseError, PpmError, TensorFormatError
 from motionstack.tensor_io import (
     MAGIC,
     ImageFrame,
@@ -205,25 +198,25 @@ class TestPpm:
     def test_rejects_p3(self, tmp_path):
         path = tmp_path / "img_1.ppm"
         path.write_bytes(b"P3\n1 1\n255\n0 0 0\n")
-        with pytest.raises(UnsupportedPpmFormat):
+        with pytest.raises(PpmError, match=r"img_1\.ppm: unsupported format b'P3', only binary P6"):
             read_ppm(path)
 
     def test_rejects_non_numeric_header(self, tmp_path):
         path = tmp_path / "img_1.ppm"
         path.write_bytes(b"P6\nwide 1\n255\n" + bytes(3))
-        with pytest.raises(MalformedPpmHeader):
+        with pytest.raises(PpmError, match=r"img_1\.ppm: non-numeric header token b'wide'"):
             read_ppm(path)
 
     def test_rejects_wrong_maxval(self, tmp_path):
         path = tmp_path / "img_1.ppm"
         path.write_bytes(b"P6\n1 1\n65535\n" + bytes(6))
-        with pytest.raises(UnsupportedPpmMaxval):
+        with pytest.raises(PpmError, match=r"img_1\.ppm: maxval 65535 unsupported, expected 255"):
             read_ppm(path)
 
     def test_rejects_short_payload(self, tmp_path):
         path = tmp_path / "img_1.ppm"
         path.write_bytes(b"P6\n2 2\n255\n" + bytes(5))
-        with pytest.raises(TruncatedPpmPayload):
+        with pytest.raises(PpmError, match=r"img_1\.ppm: payload holds 5 bytes, header promises 12"):
             read_ppm(path)
 
     def test_to_planar_channel_layout(self):

@@ -142,9 +142,15 @@ class TestTrackletsJson:
         "doc,pattern",
         [
             ([1, 2], "'tracklets' list"),
-            ({"tracklets": [[]]}, "expected an object"),
-            ({"tracklets": [{"id": "x", "start": 0, "end": 0, "boxes": []}]}, "expected an integer"),
-            ({"tracklets": [{"id": 0, "start": 0, "end": 0, "boxes": 3}]}, "'boxes' must be a list"),
+            ({"tracklets": [[]]}, r"tracklets\[0\] must be an object, got \[\]"),
+            (
+                {"tracklets": [{"id": "x", "start": 0, "end": 0, "boxes": []}]},
+                r'tracklets\[0\]\.id must be an integer, got "x"',
+            ),
+            (
+                {"tracklets": [{"id": 0, "start": 0, "end": 0, "boxes": 3}]},
+                r"tracklets\[0\]\.boxes must be a list, got 3",
+            ),
             (
                 {"tracklets": [{"id": 0, "start": 0, "end": 0, "boxes": [[0, 0, 1]]}]},
                 r"box must be \[x1, y1, x2, y2\]",
@@ -195,7 +201,7 @@ class TestIdentityMap:
             ({"groups": "x"}, "'groups' list"),
             ({"groups": [[]]}, "nonempty list"),
             ({"groups": [[0], [1, 0]]}, "appears in more than one group"),
-            ({"groups": [["a"]]}, "expected an integer"),
+            ({"groups": [["a"]]}, r'groups\[0\]\[0\] must be an integer, got "a"'),
         ],
     )
     def test_validation(self, tmp_path, doc, pattern):

@@ -203,6 +203,22 @@ class TestSaveLoad:
         with pytest.raises(DataValidationError, match="bias"):
             load_conv_layer(path)
 
+    @pytest.mark.parametrize(
+        "before, after, message",
+        [
+            ('"bias": true', '"bias": "false"', 'bias must be true or false, got "false"'),
+            ('"c_out": 4', '"c_out": 4.0', "c_out must be an integer, got 4.0"),
+            ('"kh": 3', '"kh": true', "kh must be an integer, got true"),
+        ],
+    )
+    def test_sidecar_value_types(self, tmp_path, before, after, message):
+        path = tmp_path / "w.mten"
+        save_conv_layer(_layer(), path)
+        sidecar = tmp_path / "w.json"
+        sidecar.write_text(sidecar.read_text().replace(before, after))
+        with pytest.raises(DataValidationError, match=f"w.json: {message}"):
+            load_conv_layer(path)
+
     def test_wrong_rank_tensor_rejected(self, tmp_path):
         from motionstack.tensor_io import write_tensor
 
