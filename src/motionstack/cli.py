@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _thread_count
 from .det_metrics import (
     evaluate,
     load_detections_jsonl,
@@ -41,6 +41,7 @@ from .errors import DataValidationError, MotionStackError
 from .frame_pipeline import MANIFEST_NAME, VARIANTS, FrameSequence, InputConfig, build_dataset, normalize_variant
 from .jsonio import check_box, expect, read_json, write_json
 from .metric_learning import (
+    DEFAULT_HIDDEN,
     DEFAULT_MERGE_THRESHOLD,
     NET_MANIFEST_NAME,
     EmbeddingNet,
@@ -62,7 +63,6 @@ from .metric_learning import (
 from .roi_features import OUT_SIZE, SAMPLING_RATIO, FeatureMap, pool_boxes
 from .synth_scenes import (
     BACKGROUND_MODES,
-    DEFAULT_FEATURE_DIM,
     SceneConfig,
     generate,
     perturb_detections,
@@ -85,7 +85,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _check_threads_env() -> None:
     raw = os.environ.get("MOTIONSTACK_THREADS")
-    if raw is not None and not (raw.isdecimal() and int(raw) >= 1):  # digits only, as for --seed
+    if raw is not None and _thread_count(raw) < 1:
         raise ValueError(f"MOTIONSTACK_THREADS must be a positive integer, got {raw!r}")
 
 
@@ -259,7 +259,10 @@ def _cmd_train(args):
         batch_size=args.batch_size,
         seed=args.seed,
     )
-    net, trace = train(net, table, triplets, config)
+    try:
+        net, trace = train(net, table, triplets, config)
+    except DataValidationError as exc:  # a triplet names a frame with no feature row
+        raise DataValidationError(f"{args.triplets}: {exc}") from exc
     manifest_path = save_net(net, args.out_dir)
     results = {
         "num_triplets": len(triplets),
@@ -281,7 +284,7 @@ def _cmd_reid(args):
     table = load_feature_table(tracklets, args.features)
     net = _load_net_for(args.net, table)
     embeddings = tracklet_embeddings(net, tracklets, table)
-    centroids = tracklet_centroids(net, tracklets, table, embeddings)
+    centroids = tracklet_centroids(embeddings)
     merges = propose_merges(centroids, tracklets, args.threshold)
 
     groups_def = load_identity_map(args.identity_map) if args.identity_map else None
@@ -317,10 +320,11 @@ def _cmd_project(args):
     tracklets = load_tracklets_json(args.tracklets)
     table = load_feature_table(tracklets, args.features)
     keys = enumerate_keys(tracklets)
-    rows = np.array([table.row(tid, f) for tid, f in keys], dtype=np.intp)
-    points = table.matrix64[rows]
-    if args.net is not None:
-        points = _load_net_for(args.net, table).embed_batch(points)
+    if args.net is None:
+        points = table.matrix64[table.rows(keys)]
+    else:  # tracklet by tracklet, as reid embeds, so no hidden layer of the whole scene is held
+        embeddings = tracklet_embeddings(_load_net_for(args.net, table), tracklets, table)
+        points = np.concatenate(list(embeddings.values()))
     coords = pca_project_2d(points)
     write_scatter_csv(keys, coords, args.out_csv)
     results = {"num_points": len(keys), "embedded": args.net is not None}
@@ -447,14 +451,14 @@ def build_parser() -> _Parser:
     p.add_argument("--features", type=Path, required=True, help="feature matrix MTENSOR [T, D]")
     p.add_argument("--tracklets", type=Path, required=True, help="tracklets JSON")
     p.add_argument("--triplets", type=Path, required=True, help="triplets JSON-lines")
-    p.add_argument("--epochs", type=int, default=20, help="training epochs")
-    p.add_argument("--lr", type=_finite_float, default=1e-3, help="learning rate")
-    p.add_argument("--margin", type=_finite_float, default=1.0, help="triplet loss margin")
-    p.add_argument("--batch-size", type=int, default=64, help="minibatch size")
-    p.add_argument("--seed", type=_seed, default=0, help="init and shuffle seed")
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs, help="training epochs")
+    p.add_argument("--lr", type=_finite_float, default=TrainConfig.learning_rate, help="learning rate")
+    p.add_argument("--margin", type=_finite_float, default=TrainConfig.margin, help="triplet loss margin")
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size, help="minibatch size")
+    p.add_argument("--seed", type=_seed, default=TrainConfig.seed, help="init and shuffle seed")
     p.add_argument("--per-anchor", type=int, default=1, help="recorded mining rate (provenance)")
     p.add_argument(
-        "--hidden", type=_parse_hidden, default=(512, 256), help="hidden widths, e.g. 512,256"
+        "--hidden", type=_parse_hidden, default=DEFAULT_HIDDEN, help="hidden widths, e.g. 512,256"
     )
     p.add_argument(
         "--normalize-output", action="store_true", help="L2-normalize embeddings at inference"
@@ -494,25 +498,26 @@ def build_parser() -> _Parser:
     synth_sub = p.add_subparsers(dest="synth_command", required=True, metavar="action", parser_class=_Parser)
 
     g = synth_sub.add_parser("generate", help="render a scene with full ground truth")
-    g.add_argument("--width", type=int, default=96, help="canvas width in pixels")
-    g.add_argument("--height", type=int, default=72, help="canvas height in pixels")
-    g.add_argument("--num-frames", type=int, default=64, help="frames to render")
-    g.add_argument("--num-objects", type=int, default=3, help="moving blobs")
-    g.add_argument("--radius-min", type=int, default=4, help="smallest blob radius")
-    g.add_argument("--radius-max", type=int, default=7, help="largest blob radius")
-    g.add_argument("--vel-min", type=_finite_float, default=1.0, help="slowest speed, px/frame")
-    g.add_argument("--vel-max", type=_finite_float, default=2.5, help="fastest speed, px/frame")
+    scene = SceneConfig()
+    g.add_argument("--width", type=int, default=scene.width, help="canvas width in pixels")
+    g.add_argument("--height", type=int, default=scene.height, help="canvas height in pixels")
+    g.add_argument("--num-frames", type=int, default=scene.num_frames, help="frames to render")
+    g.add_argument("--num-objects", type=int, default=scene.num_objects, help="moving blobs")
+    g.add_argument("--radius-min", type=int, default=scene.radius_range[0], help="smallest blob radius")
+    g.add_argument("--radius-max", type=int, default=scene.radius_range[1], help="largest blob radius")
+    g.add_argument("--vel-min", type=_finite_float, default=scene.velocity_range[0], help="slowest speed, px/frame")
+    g.add_argument("--vel-max", type=_finite_float, default=scene.velocity_range[1], help="fastest speed, px/frame")
     g.add_argument(
         "--switch",
         type=_parse_switch,
         action="append",
-        default=[],
+        default=list(scene.id_switch_events),
         metavar="OBJECT:FRAME",
         help="inject an id switch (repeatable)",
     )
-    g.add_argument("--seed", type=_seed, default=0, help="scene seed")
-    g.add_argument("--background", choices=BACKGROUND_MODES, default="flat", help="background mode")
-    g.add_argument("--feature-dim", type=int, default=DEFAULT_FEATURE_DIM, help="feature vector width")
+    g.add_argument("--seed", type=_seed, default=scene.seed, help="scene seed")
+    g.add_argument("--background", choices=BACKGROUND_MODES, default=scene.background, help="background mode")
+    g.add_argument("--feature-dim", type=int, default=scene.feature_dim, help="feature vector width")
     g.add_argument("--out-dir", type=Path, required=True, help="scene output directory")
     g.add_argument("--out", type=Path, default=None, help="JSON report path")
     g.set_defaults(func=_cmd_synth_generate)

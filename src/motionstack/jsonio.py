@@ -4,7 +4,8 @@ Readers raise ``DataValidationError`` naming the file (and line) for bytes
 that are not UTF-8, text that is not JSON, and JSON-lines records that are
 not objects; a missing file still raises ``OSError``. Writers emit UTF-8.
 The type rules of the values inside live here too, worded ``{where} must be
-{kind}, got {JSON}``. A number is a finite int or float; a bool is neither.
+{kind}, got {JSON}``, a rejected value cut to its first 80 characters.
+A number is a finite int or float; a bool is neither.
 """
 
 from __future__ import annotations
@@ -42,10 +43,7 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[str, dict]]:
         if not line:
             continue
         where = f"{path}:{lineno}"
-        record = _parse(line, where)
-        if not isinstance(record, dict):
-            raise DataValidationError(f"{where}: expected an object, got {type(record).__name__}")
-        yield where, record
+        yield where, expect(_parse(line, where), dict, where)
 
 
 def write_json(doc: Any, path: str | Path) -> None:
@@ -58,6 +56,16 @@ def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
+# Characters of a rejected value that an error repeats, so a value as long as
+# the file still gives a one-line message of bounded length.
+_ECHO_LIMIT = 80
+
+
+def _echo(raw: Any) -> str:
+    text = json.dumps(raw)
+    return text if len(text) <= _ECHO_LIMIT else text[:_ECHO_LIMIT] + "..."
+
+
 _KINDS = {int: "an integer", list: "a list", dict: "an object", str: "a string", bool: "true or false"}
 _NUMBERS = {int, float}
 
@@ -65,7 +73,7 @@ _NUMBERS = {int, float}
 def expect(raw: Any, kind: type, where: str) -> Any:
     """Return ``raw`` if it is a JSON value of ``kind``, one of the keys of ``_KINDS``."""
     if type(raw) is not kind:  # not isinstance: a bool is not an integer
-        raise DataValidationError(f"{where} must be {_KINDS[kind]}, got {json.dumps(raw)}")
+        raise DataValidationError(f"{where} must be {_KINDS[kind]}, got {_echo(raw)}")
     return raw
 
 
@@ -84,13 +92,13 @@ def check_number(raw: Any, where: str) -> float:
             return float(raw)
     except OverflowError:  # an integer past the float range is rejected, not rounded to inf
         pass
-    raise DataValidationError(f"{where} must be a finite number, got {json.dumps(raw)}")
+    raise DataValidationError(f"{where} must be a finite number, got {_echo(raw)}")
 
 
 def check_box(raw: Any, where: str) -> tuple[float, float, float, float]:
     """Validate an ``[x1, y1, x2, y2]`` list of finite numbers with x2 > x1 and y2 > y1."""
     if type(raw) is not list or len(raw) != 4:
-        raise DataValidationError(f"{where}: bbox must be [x1, y1, x2, y2], got {json.dumps(raw)}")
+        raise DataValidationError(f"{where}: bbox must be [x1, y1, x2, y2], got {_echo(raw)}")
     try:  # check_number's rule in one pass over the corners
         valid = _NUMBERS.issuperset(map(type, raw)) and all(map(isfinite, raw))
     except OverflowError:
@@ -100,5 +108,5 @@ def check_box(raw: Any, where: str) -> tuple[float, float, float, float]:
             check_number(v, f"{where}: bbox[{k}]")
     x1, y1, x2, y2 = box = tuple(map(float, raw))
     if x2 <= x1 or y2 <= y1:
-        raise DataValidationError(f"{where}: bbox must satisfy x2 > x1 and y2 > y1, got {json.dumps(raw)}")
+        raise DataValidationError(f"{where}: bbox must satisfy x2 > x1 and y2 > y1, got {_echo(raw)}")
     return box

@@ -39,7 +39,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -99,21 +99,21 @@ class FeatureTable:
     def dim(self) -> int:
         return self.matrix64.shape[1]
 
-    def row(self, tracklet_id: int, frame: int) -> int:
+    def rows(self, keys: Iterable[tuple[int, int]]) -> np.ndarray:
+        """Feature rows of ``(tracklet id, frame)`` keys, in key order (intp array)."""
         try:
-            return self._index[(tracklet_id, frame)]
-        except KeyError:
+            return np.array([self._index[key] for key in keys], dtype=np.intp)
+        except KeyError as exc:
+            tracklet_id, frame = exc.args[0]
             raise DataValidationError(f"no feature row for tracklet {tracklet_id} frame {frame}") from None
-
-    def rows_for(self, tracklet: Tracklet) -> np.ndarray:
-        return np.array([self.row(tracklet.id, f) for f in tracklet.frames], dtype=np.intp)
 
 
 def load_feature_table(tracklets: Sequence[Tracklet], path: str | Path) -> FeatureTable:
     matrix = read_tensor(path)
-    if matrix.ndim != 2:
-        raise DataValidationError(f"{path}: feature matrix must be 2-d, got shape {matrix.shape}")
-    return FeatureTable(tracklets, matrix)
+    try:
+        return FeatureTable(tracklets, matrix)
+    except DataValidationError as exc:
+        raise DataValidationError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -280,15 +280,6 @@ def params64(net: EmbeddingNet) -> list[tuple[np.ndarray, np.ndarray]]:
     ]
 
 
-def set_params(net: EmbeddingNet, params: Sequence[tuple[np.ndarray, np.ndarray]]) -> None:
-    """Store float64 training params back into the net's float32 slots."""
-    if len(params) != len(net.weights):
-        raise ValueError(f"expected {len(net.weights)} layers, got {len(params)}")
-    for l, (w, b) in enumerate(params):
-        net.weights[l] = np.asarray(w, dtype=np.float32)
-        net.biases[l] = np.asarray(b, dtype=np.float32)
-
-
 def _forward_full(params, x):
     # Returns (acts, zs): acts[0] is the input, acts[-1] the embedding.
     acts = [x]
@@ -323,14 +314,9 @@ def _stacked_forward(params, xa, xp, xn, margin: float):
     return acts, zs, terms
 
 
-def batch_losses_on_params(params, xa, xp, xn, margin: float) -> np.ndarray:
-    """Per-triplet hinge losses, float64 [B]."""
-    return np.maximum(_stacked_forward(params, xa, xp, xn, margin)[2], 0.0)
-
-
 def loss_on_params(params, xa, xp, xn, margin: float) -> float:
     """Mean hinge loss of a batch (the quantity training descends)."""
-    return float(batch_losses_on_params(params, xa, xp, xn, margin).mean())
+    return float(np.maximum(_stacked_forward(params, xa, xp, xn, margin)[2], 0.0).mean())
 
 
 def gradients_on_params(params, xa, xp, xn, margin: float):
@@ -401,10 +387,9 @@ def train(
         raise DataValidationError(f"net expects {net.in_dim}-d features, table holds {table.dim}-d")
     # [3, N] feature rows: anchors, positives, negatives.
     rows = np.array(
-        [[table.row(*t.anchor) for t in triplets],
-         [table.row(*t.positive) for t in triplets],
-         [table.row(*t.negative) for t in triplets]],
-        dtype=np.intp,
+        [table.rows(t.anchor for t in triplets),
+         table.rows(t.positive for t in triplets),
+         table.rows(t.negative for t in triplets)],
     )
     x = table.matrix64
 
@@ -439,7 +424,9 @@ def train(
             f"training diverged at learning_rate {config.learning_rate}: the weights or the loss "
             "are no longer finite float32 values"
         )
-    set_params(net, params)
+    for l, (w, b) in enumerate(params):
+        net.weights[l] = w.astype(np.float32)
+        net.biases[l] = b.astype(np.float32)
     return net, trace
 
 
@@ -450,23 +437,12 @@ def tracklet_embeddings(
     net: EmbeddingNet, tracklets: Sequence[Tracklet], table: FeatureTable
 ) -> dict[int, np.ndarray]:
     """Each tracklet's frame embeddings, keyed by id (float64 [frames, 128])."""
-    return {t.id: net.embed_batch(table.matrix64[table.rows_for(t)]) for t in tracklets}
+    return {t.id: net.embed_batch(table.matrix64[table.rows((t.id, f) for f in t.frames)]) for t in tracklets}
 
 
-def tracklet_centroids(
-    net: EmbeddingNet,
-    tracklets: Sequence[Tracklet],
-    table: FeatureTable,
-    embeddings: Mapping[int, np.ndarray] | None = None,
-) -> dict[int, np.ndarray]:
-    """Mean embedding of each tracklet's frames, keyed by id (float64 [128]).
-
-    ``embeddings``, as returned by ``tracklet_embeddings`` for the same
-    arguments, are averaged instead of being computed again.
-    """
-    if embeddings is None:
-        embeddings = tracklet_embeddings(net, tracklets, table)
-    return {t.id: embeddings[t.id].mean(axis=0) for t in tracklets}
+def tracklet_centroids(embeddings: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
+    """Mean of each tracklet's frame embeddings, as from ``tracklet_embeddings`` (float64 [128])."""
+    return {tid: frames.mean(axis=0) for tid, frames in embeddings.items()}
 
 
 # Rows of ``a`` per scratch block in ``_pair_distances``. At 300 samples of

@@ -105,12 +105,10 @@ def enumerate_keys(tracklets: Sequence[Tracklet]) -> list[tuple[int, int]]:
 
 def load_tracklets_json(path: str | Path) -> list[Tracklet]:
     """Read and validate a tracklet document; ids must be unique."""
-    doc = read_json(path)
-    if not isinstance(doc, dict) or not isinstance(doc.get("tracklets"), list):
-        raise DataValidationError(f"{path}: expected an object with a 'tracklets' list")
+    doc = expect(read_json(path), dict, str(path))
     out: list[Tracklet] = []
     seen: set[int] = set()
-    for pos, entry in enumerate(doc["tracklets"]):
+    for pos, entry in enumerate(expect(doc.get("tracklets"), list, f"{path}: tracklets")):
         where = f"{path}: tracklets[{pos}]"
         expect(entry, dict, where)
         tid = expect(entry.get("id"), int, f"{where}.id")
@@ -141,12 +139,10 @@ def write_tracklets_json(tracklets: Sequence[Tracklet], path: str | Path) -> Non
 
 def load_identity_map(path: str | Path) -> list[list[int]]:
     """Read a {"groups": [[id, ...], ...]} document; an id may appear once."""
-    doc = read_json(path)
-    if not isinstance(doc, dict) or not isinstance(doc.get("groups"), list):
-        raise DataValidationError(f"{path}: expected an object with a 'groups' list")
+    doc = expect(read_json(path), dict, str(path))
     groups: list[list[int]] = []
     seen: set[int] = set()
-    for pos, raw in enumerate(doc["groups"]):
+    for pos, raw in enumerate(expect(doc.get("groups"), list, f"{path}: groups")):
         where = f"{path}: groups[{pos}]"
         group = expect_ints(raw, where)
         if not group:

@@ -31,6 +31,7 @@ from motionstack.metric_learning import (
     propose_merges,
     separation_metrics,
     tracklet_centroids,
+    tracklet_embeddings,
     train,
 )
 from motionstack.roi_features import FeatureMap, roi_align
@@ -295,7 +296,7 @@ class TestAcceptance:
             def ratio(net):
                 samples = {}
                 for t in tracklets:
-                    emb = net.embed_batch(table.matrix64[table.rows_for(t)])
+                    emb = net.embed_batch(table.matrix64[table.rows((t.id, f) for f in t.frames)])
                     samples.setdefault(id_to_group[t.id], []).extend(emb)
                 return separation_metrics(samples)["ratio"]
 
@@ -305,7 +306,7 @@ class TestAcceptance:
             net, _ = train(net, table, triplets, TrainConfig(learning_rate=0.05, epochs=50, seed=0))
             after = ratio(net)
 
-            merges = propose_merges(tracklet_centroids(net, tracklets, table), tracklets, DEFAULT_MERGE_THRESHOLD)
+            merges = propose_merges(tracklet_centroids(tracklet_embeddings(net, tracklets, table)), tracklets, DEFAULT_MERGE_THRESHOLD)
             assert {tuple(sorted(pair)) for pair in merges} == {(0, 6), (1, 7), (2, 8)}
             assert after < 0.5 * before
             assert time.perf_counter() - start < 120.0

@@ -1,6 +1,7 @@
 """Command-line interface tests, driven in process through cli.run."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -20,10 +21,19 @@ from hypothesis import strategies as st
 import motionstack
 from motionstack import __version__, cli
 from motionstack.frame_pipeline import FrameSequence
-from motionstack.metric_learning import EmbeddingNet, load_net, save_net
+from motionstack.metric_learning import (
+    DEFAULT_HIDDEN,
+    EmbeddingNet,
+    TrainConfig,
+    load_feature_table,
+    load_net,
+    pca_project_2d,
+    save_net,
+)
 from motionstack.roi_features import FeatureMap, pool_boxes
 from motionstack.synth_scenes import SceneConfig, generate
 from motionstack.tensor_io import MAGIC, read_tensor, write_tensor
+from motionstack.tracklets import enumerate_keys, load_tracklets_json
 from motionstack.weight_surgery import (
     ConvLayerWeights,
     expand_first_layer,
@@ -214,7 +224,7 @@ class TestExitCodes:
         )
         err = capsys.readouterr().err
         assert code == 2
-        assert err.splitlines() == ["error: feature row 5 column 2 is not finite: nan"]
+        assert err.splitlines() == [f"error: {bad}: feature row 5 column 2 is not finite: nan"]
         assert not (tmp_path / "train.json").exists()
 
 
@@ -297,13 +307,22 @@ WRONG_TYPE_DOCS = (b"[]", b"[1, 2]", b'"text"', b"42", b"null", b"true")
 
 _BOOL_DIM_HEADER = b'{"dtype":"f32","shape":[true,3]}'
 
+
+def _f32_tensor(values):
+    """MTENSOR bytes of ``values`` as float32."""
+    arr = np.asarray(values, dtype="<f4")
+    header = json.dumps({"dtype": "f32", "shape": list(arr.shape)}).encode()
+    return MAGIC + struct.pack("<I", len(header)) + header + arr.tobytes()
+
+
 # One malformed file per loader: (subcommand, file name, contents, the
-# error line's text after the file's path).
+# error line's text after the file's path). Where a defect in another file
+# makes the error name this one, the contents are {other file name: contents}.
 MALFORMED_FILES = {
     "dets-401-digit-score": (
         "eval", "dets.jsonl",
         b'{"frame": 0, "bbox": [0, 0, 4, 4], "score": 1' + b"0" * 400 + b', "class": 0}\n',
-        ":1: score must be a finite number, got 1" + "0" * 400,
+        ":1: score must be a finite number, got 1" + "0" * 79 + "...",
     ),
     "gt-string-and-bool-corners": (
         "eval", "gt.jsonl",
@@ -340,10 +359,40 @@ MALFORMED_FILES = {
         b'{"boxes": [[0, 0, 4, true]]}',
         ": boxes[0]: bbox[3] must be a finite number, got true",
     ),
+    "boxes-object-of-2000-boxes": (
+        "features", "boxes.json",
+        json.dumps({"boxes": {str(i): [0, 0, 4, 4] for i in range(2000)}}).encode(),
+        ': boxes must be a list, got {"0": [0, 0, 4, 4], "1": [0, 0, 4, 4], "2": [0, 0, 4, 4], "3": [0, 0, 4, 4], "4"...',
+    ),
     "mtensor-bool-dimension": (
         "features", "map.mten",
         MAGIC + struct.pack("<I", len(_BOOL_DIM_HEADER)) + _BOOL_DIM_HEADER + bytes(12),
         ": invalid shape [True, 3]",
+    ),
+    "features-nan": (
+        "train", "features.mten",
+        _f32_tensor(np.where(np.arange(20).reshape(4, 5) == 19, np.nan, 0.0)),
+        ": feature row 3 column 4 is not finite: nan",
+    ),
+    "features-1-d": (
+        "reid", "features.mten",
+        _f32_tensor(np.zeros(4)),
+        ": feature matrix must be [T, D], got shape (4,)",
+    ),
+    "features-row-out-of-range": (
+        "project", "features.mten",
+        _f32_tensor(np.zeros((2, 5))),
+        ": tracklet 0 frame 1: feature row 2 outside matrix of 2 rows",
+    ),
+    "features-row-count": (
+        "train", "features.mten",
+        {"tracklets.json": b'{"tracklets": [{"id": 0, "start": 0, "end": 0, "boxes": [[0, 0, 1, 1]]}]}'},
+        ": feature matrix has 24 rows, tracklets enumerate 1 frames",
+    ),
+    "triplets-frame-without-feature-row": (
+        "train", "triplets.jsonl",
+        b'{"a": [0, 999], "p": [0, 1], "n": [1, 0]}\n',
+        ": no feature row for tracklet 0 frame 999",
     ),
 }
 
@@ -378,7 +427,8 @@ class TestInputFiles:
     def test_malformed_file_is_one_located_line(self, tmp_path, input_files, command, name, data, message):
         d = tmp_path / "in"
         shutil.copytree(input_files, d)
-        (d / name).write_bytes(data)
+        for written, contents in (data if isinstance(data, dict) else {name: data}).items():
+            (d / written).write_bytes(contents)
         code, err = _run_quiet(_input_file_argv(command, d, tmp_path))
         assert code == 2
         assert err.splitlines() == [f"error: {d / name}{message}"]  # one line, so no traceback
@@ -685,6 +735,14 @@ class TestMetricLearningPipeline:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "id,frame,x,y"
         assert len(lines) == 41
+        # Embedded tracklet by tracklet, the points are those of the whole scene embedded at once.
+        tracklets = load_tracklets_json(scene / "tracklets.json")
+        table = load_feature_table(tracklets, scene / "features.mten")
+        keys = enumerate_keys(tracklets)
+        assert [tuple(map(int, line.split(",")[:2])) for line in lines[1:]] == keys
+        want = pca_project_2d(net.embed_batch(table.matrix64[table.rows(keys)]))
+        got = np.array([[float(v) for v in line.split(",")[2:]] for line in lines[1:]])
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
         assert _envelope(tmp_path / "project.json")["results"] == {"num_points": 40, "embedded": True}
         capsys.readouterr()
 
@@ -821,6 +879,22 @@ def _readme_commands():
     return [shlex.split(line)[1:] for line in lines if line.startswith("motionstack ")]
 
 
+class TestDefaults:
+    def test_flag_defaults_are_the_library_defaults(self):
+        """Compared by repr, so an int default where the library has a float shows too."""
+        parser = cli.build_parser()
+        train = parser.parse_args(["train", "--features", "f", "--tracklets", "t", "--triplets", "p",
+                                   "--out-dir", "o"])
+        config = TrainConfig()
+        assert repr((train.epochs, train.lr, train.margin, train.batch_size, train.seed, train.hidden)) == repr(
+            (config.epochs, config.learning_rate, config.margin, config.batch_size, config.seed, DEFAULT_HIDDEN)
+        )
+        g = parser.parse_args(["synth", "generate", "--out-dir", "o"])
+        flags = (g.width, g.height, g.num_frames, g.num_objects, (g.radius_min, g.radius_max),
+                 (g.vel_min, g.vel_max), tuple(g.switch), g.seed, g.background, g.feature_dim)
+        assert repr(flags) == repr(dataclasses.astuple(SceneConfig()))
+
+
 class TestReadme:
     def test_command_line_block_runs(self, tmp_path, monkeypatch):
         # The block's inputs that no earlier command in it writes.
@@ -920,4 +994,9 @@ class TestBlasThreads:
 
     def test_invalid_value_sets_nothing(self):
         _, *blas = self._probe(MOTIONSTACK_THREADS="abc")
+        assert blas == [None, None, None]
+
+    @pytest.mark.parametrize("value", ["2_0", " 3", "+4"])
+    def test_value_int_would_take_sets_nothing(self, value):
+        _, *blas = self._probe(MOTIONSTACK_THREADS=value)
         assert blas == [None, None, None]

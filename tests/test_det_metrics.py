@@ -463,7 +463,7 @@ class TestJsonl:
     @pytest.mark.parametrize(
         "line,pattern",
         [
-            ('[1, 2]', "expected an object"),
+            pytest.param('[1, 2]', r"gt\.jsonl:1 must be an object, got \[1, 2\]", id="[1, 2]-expected an object"),
             ('{"frame": 0, "bbox": [0, 0, 1, 1]}', "class must be an integer, got null"),
             ('{"frame": 0, "bbox": [0, 0, 1, 1], "class": true}', "class must be an integer"),
             ('{"frame": 0.5, "bbox": [0, 0, 1, 1], "class": 0}', "frame must be an integer"),

@@ -3,7 +3,7 @@
 import pytest
 
 from motionstack.errors import DataValidationError
-from motionstack.jsonio import check_box, read_json, read_jsonl, write_json, write_jsonl
+from motionstack.jsonio import check_box, check_number, expect, read_json, read_jsonl, write_json, write_jsonl
 
 
 class TestRead:
@@ -19,7 +19,11 @@ class TestRead:
     @pytest.mark.parametrize(
         "data, message",
         [
-            (b'{"k": 1}\n\n[1]\n', r"a\.jsonl:3: expected an object, got list"),
+            pytest.param(
+                b'{"k": 1}\n\n[1]\n',
+                r"a\.jsonl:3 must be an object, got \[1\]",
+                id='{"k": 1}\n\n[1]\n-' + r"a\.jsonl:3: expected an object, got list",
+            ),
             (b'{"k": 1}\r\nnope\r\n', r"a\.jsonl:2: invalid JSON"),
             (b'{"k": 1}\n{"k": "\xe9"}\n', r"a\.jsonl: not UTF-8 text"),
         ],
@@ -53,3 +57,17 @@ class TestWrite:
 def test_check_box_rejects_a_corner_too_large_for_a_float():
     with pytest.raises(DataValidationError, match=r"w: bbox\[2\] must be a finite number, got 1000"):
         check_box([0, 0, 10**400, 1], "w")
+
+
+@pytest.mark.parametrize(
+    "check",
+    [lambda raw: expect(raw, list, "w"), lambda raw: check_number(raw, "w"), lambda raw: check_box(raw, "w")],
+    ids=["expect", "check_number", "check_box"],
+)
+def test_rejected_value_is_echoed_as_a_bounded_prefix(check):
+    raw = {str(i): [0, 0, 4, 4] for i in range(2000)}
+    with pytest.raises(DataValidationError) as caught:
+        check(raw)
+    message = str(caught.value)
+    assert message.endswith(' {"0": [0, 0, 4, 4], "1": [0, 0, 4, 4], "2": [0, 0, 4, 4], "3": [0, 0, 4, 4], "4"...')
+    assert len(message) < 150

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,6 @@ from motionstack.metric_learning import (
     Triplet,
     _SEPARATION_BLOCK,
     _pair_distances,
-    batch_losses_on_params,
     gradients_on_params,
     load_feature_table,
     load_net,
@@ -35,7 +35,6 @@ from motionstack.metric_learning import (
     propose_merges,
     save_net,
     separation_metrics,
-    set_params,
     tracklet_centroids,
     tracklet_embeddings,
     train,
@@ -76,19 +75,17 @@ class TestFeatureTable:
         matrix = np.arange(15, dtype=np.float32).reshape(5, 3)
         table = FeatureTable(ts, matrix)
         assert table.dim == 3
-        assert table.row(2, 0) == 0
-        assert table.row(5, 10) == 3
+        assert list(table.rows([(2, 0), (5, 10)])) == [0, 3]
         assert table.matrix64.dtype == np.float64
-        assert np.array_equal(table.matrix64[table.row(5, 11)], [12.0, 13.0, 14.0])
-        assert list(table.rows_for(ts[1])) == [3, 4]
+        assert np.array_equal(table.matrix64[table.rows([(5, 11)])], [[12.0, 13.0, 14.0]])
+        assert table.rows((5, f) for f in ts[1].frames).tolist() == [3, 4]
+        assert table.rows([]).dtype == np.intp
 
     def test_explicit_rows(self):
         ts = [_tr(0, 0, 1, rows=[3, 1]), _tr(1, 0, 0, rows=[0])]
         matrix = np.arange(8, dtype=np.float32).reshape(4, 2)
         table = FeatureTable(ts, matrix)
-        assert table.row(0, 0) == 3
-        assert table.row(0, 1) == 1
-        assert table.row(1, 0) == 0
+        assert list(table.rows([(0, 0), (0, 1), (1, 0)])) == [3, 1, 0]
 
     def test_all_or_none_rows(self):
         ts = [_tr(0, 0, 0, rows=[0]), _tr(1, 0, 0)]
@@ -105,8 +102,8 @@ class TestFeatureTable:
 
     def test_unknown_key(self):
         table = FeatureTable([_tr(0, 0, 1)], np.zeros((2, 4), np.float32))
-        with pytest.raises(DataValidationError, match="no feature row"):
-            table.row(0, 9)
+        with pytest.raises(DataValidationError, match="no feature row for tracklet 0 frame 9"):
+            table.rows([(0, 1), (0, 9), (3, 0)])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_feature_names_first_row(self, bad):
@@ -127,7 +124,7 @@ class TestFeatureTable:
         table = load_feature_table([_tr(0, 0, 2)], path)
         assert np.array_equal(table.matrix64, matrix)
         write_tensor(np.zeros(3, np.float32), path)
-        with pytest.raises(DataValidationError, match="2-d"):
+        with pytest.raises(DataValidationError, match=re.escape(f"{path}: feature matrix must be [T, D]")):
             load_feature_table([_tr(0, 0, 2)], path)
 
 
@@ -337,7 +334,7 @@ class TestLossAndGradients:
         net = EmbeddingNet.init(4, hidden=(6,), seed=0)
         params = params64(net)
         xa, xp, xn = (rng.normal(size=(5, 4)) for _ in range(3))
-        losses = batch_losses_on_params(params, xa, xp, xn, 1.0)
+        losses = gradients_on_params(params, xa, xp, xn, 1.0)[1]
         for i in range(5):
             ea, ep, en = (
                 net.embed_batch(x[i : i + 1])[0] for x in (xa, xp, xn)
@@ -478,7 +475,7 @@ class TestStackedGradients:
         mean_loss, losses, grads = gradients_on_params(params, xa, xp, xn, margin)
         np.testing.assert_allclose(losses, want_losses, rtol=1e-12, atol=0)
         assert mean_loss == pytest.approx(want_losses.mean(), rel=1e-12, abs=0)
-        assert np.array_equal(batch_losses_on_params(params, xa, xp, xn, margin), losses)
+        assert loss_on_params(params, xa, xp, xn, margin) == mean_loss
         for (gw, gb), (ww, wb) in zip(grads, want_grads):
             for got, want in ((gw, ww), (gb, wb)):
                 assert got.shape == want.shape
@@ -523,9 +520,9 @@ class TestTraining:
         before = [w.tobytes() for w in net.weights] + [b.tobytes() for b in net.biases]
         initial_loss = loss_on_params(
             params64(net),
-            table.matrix64[[table.row(*t.anchor) for t in triplets]],
-            table.matrix64[[table.row(*t.positive) for t in triplets]],
-            table.matrix64[[table.row(*t.negative) for t in triplets]],
+            table.matrix64[table.rows(t.anchor for t in triplets)],
+            table.matrix64[table.rows(t.positive for t in triplets)],
+            table.matrix64[table.rows(t.negative for t in triplets)],
             1.0,
         )
         # batch_size divides the 40 triplets, so every batch matmul has the
@@ -597,22 +594,13 @@ class TestReid:
         matrix = np.random.default_rng(0).normal(size=(4, 5)).astype(np.float32)
         table = FeatureTable(ts, matrix)
         net = EmbeddingNet.init(5, hidden=(6,), seed=0)
-        centroids = tracklet_centroids(net, ts, table)
+        embeddings = tracklet_embeddings(net, ts, table)
+        assert [e.shape for e in embeddings.values()] == [(3, OUT_DIM), (1, OUT_DIM)]
+        centroids = tracklet_centroids(embeddings)
         assert set(centroids) == {0, 4}
         want = net.embed_batch(table.matrix64[[0, 1, 2]]).mean(axis=0)
         assert np.array_equal(centroids[0], want)
         assert np.array_equal(centroids[4], net.embed_batch(table.matrix64[[3]])[0])
-
-    def test_centroids_average_given_embeddings(self):
-        ts = [_tr(0, 0, 2), _tr(4, 1, 1)]
-        table = FeatureTable(ts, np.random.default_rng(1).normal(size=(4, 5)).astype(np.float32))
-        net = EmbeddingNet.init(5, hidden=(6,), seed=0)
-        embeddings = tracklet_embeddings(net, ts, table)
-        assert [e.shape for e in embeddings.values()] == [(3, OUT_DIM), (1, OUT_DIM)]
-        given_centroids = tracklet_centroids(net, ts, table, embeddings)
-        computed = tracklet_centroids(net, ts, table)
-        for tid in (0, 4):
-            assert given_centroids[tid].tobytes() == computed[tid].tobytes()
 
     def test_propose_merges_rules(self):
         ts = [_tr(0, 0, 9), _tr(1, 20, 29), _tr(2, 5, 14), _tr(3, 40, 49)]

@@ -177,7 +177,7 @@ class TestGenerate:
         means = []
         for group in groups:
             rows = np.concatenate(
-                [table.rows_for(t) for t in tracklets if t.id in set(group)]
+                [table.rows((t.id, f) for f in t.frames) for t in tracklets if t.id in set(group)]
             )
             means.append(table.matrix64[rows].mean(axis=0))
         for i in range(len(means)):

@@ -141,7 +141,7 @@ class TestTrackletsJson:
     @pytest.mark.parametrize(
         "doc,pattern",
         [
-            ([1, 2], "'tracklets' list"),
+            pytest.param([1, 2], r"t\.json must be an object, got \[1, 2\]", id="doc0-'tracklets' list"),
             ({"tracklets": [[]]}, r"tracklets\[0\] must be an object, got \[\]"),
             (
                 {"tracklets": [{"id": "x", "start": 0, "end": 0, "boxes": []}]},
@@ -173,6 +173,7 @@ class TestTrackletsJson:
                 },
                 "negative feature row",
             ),
+            ({"tracklets": 3}, r"t\.json: tracklets must be a list, got 3"),
         ],
     )
     def test_document_validation(self, tmp_path, doc, pattern):
@@ -198,10 +199,11 @@ class TestIdentityMap:
     @pytest.mark.parametrize(
         "doc,pattern",
         [
-            ({"groups": "x"}, "'groups' list"),
+            pytest.param({"groups": "x"}, r'groups must be a list, got "x"', id="doc0-'groups' list"),
             ({"groups": [[]]}, "nonempty list"),
             ({"groups": [[0], [1, 0]]}, "appears in more than one group"),
             ({"groups": [["a"]]}, r'groups\[0\]\[0\] must be an integer, got "a"'),
+            ([[0]], r"identity\.json must be an object, got \[\[0\]\]"),
         ],
     )
     def test_validation(self, tmp_path, doc, pattern):
