@@ -287,26 +287,21 @@ def _cmd_reid(args):
     centroids = tracklet_centroids(embeddings)
     merges = propose_merges(centroids, tracklets, args.threshold)
 
-    groups_def = load_identity_map(args.identity_map) if args.identity_map else None
-    id_to_group: dict[int, object] = {}
-    if groups_def is not None:
-        for gi, group in enumerate(groups_def):
+    group_of: dict[int, object] = {t.id: f"ungrouped_{t.id}" for t in tracklets}
+    if args.identity_map:
+        for gi, group in enumerate(load_identity_map(args.identity_map)):
             for tid in group:
-                id_to_group[tid] = gi
+                group_of[tid] = gi
     samples: dict[object, list[np.ndarray]] = {}
     for t in tracklets:
-        if groups_def is None:
-            key: object = t.id
-        else:
-            key = id_to_group.get(t.id, f"ungrouped_{t.id}")
-        samples.setdefault(key, []).extend(embeddings[t.id])
+        samples.setdefault(group_of[t.id], []).extend(embeddings[t.id])
     separation = separation_metrics(samples)
 
     results = {
         "threshold": args.threshold,
         "merges": [list(pair) for pair in merges],
         "separation": separation,
-        "grouping": "identity_map" if groups_def is not None else "tracklet_id",
+        "grouping": "identity_map" if args.identity_map else "tracklet_id",
         "num_tracklets": len(tracklets),
     }
     summary = (

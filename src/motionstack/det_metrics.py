@@ -55,34 +55,28 @@ class GroundTruth:
     label: int
 
 
+def _record_fields(record: dict, where: str) -> tuple[int, tuple[float, float, float, float], int]:
+    # The (frame, bbox, class) rules of both record kinds, checked in that order.
+    return (
+        expect(record.get("frame"), int, f"{where}: frame"),
+        check_box(record.get("bbox"), where),
+        expect(record.get("class"), int, f"{where}: class"),
+    )
+
+
 def load_detections_jsonl(path: str | Path) -> list[Detection]:
     out = []
     for where, record in read_jsonl(path):
         score = check_number(record.get("score"), f"{where}: score")
         if not 0.0 <= score <= 1.0:
             raise DataValidationError(f"{where}: score must lie in [0, 1], got {record['score']!r}")
-        out.append(
-            Detection(
-                frame=expect(record.get("frame"), int, f"{where}: frame"),
-                bbox=check_box(record.get("bbox"), where),
-                score=score,
-                label=expect(record.get("class"), int, f"{where}: class"),
-            )
-        )
+        frame, bbox, label = _record_fields(record, where)
+        out.append(Detection(frame=frame, bbox=bbox, score=score, label=label))
     return out
 
 
 def load_ground_truth_jsonl(path: str | Path) -> list[GroundTruth]:
-    out = []
-    for where, record in read_jsonl(path):
-        out.append(
-            GroundTruth(
-                frame=expect(record.get("frame"), int, f"{where}: frame"),
-                bbox=check_box(record.get("bbox"), where),
-                label=expect(record.get("class"), int, f"{where}: class"),
-            )
-        )
-    return out
+    return [GroundTruth(*_record_fields(record, where)) for where, record in read_jsonl(path)]
 
 
 def write_detections_jsonl(dets: Iterable[Detection], path: str | Path) -> None:

@@ -44,7 +44,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataValidationError
-from .jsonio import expect, expect_ints, read_json, read_jsonl, write_json, write_jsonl
+from .jsonio import _echo, expect, expect_ints, read_json, read_jsonl, write_json, write_jsonl
 from .tensor_io import read_tensor, write_tensor
 from .tracklets import Tracklet, enumerate_keys, overlap_graph, temporal_overlap
 
@@ -60,9 +60,9 @@ class FeatureTable:
     """Binds a [T, D_in] feature matrix to tracklet (id, frame) keys.
 
     Row lookup uses each tracklet's explicit ``feature_rows`` when given
-    (all tracklets must carry them consistently), else enumeration order:
-    tracklet file order, frames ascending, which must then exactly fill the
-    matrix.
+    (``load_tracklets_json`` lets every tracklet or none carry them), else
+    enumeration order: tracklet file order, frames ascending, which must
+    then exactly fill the matrix.
     """
 
     def __init__(self, tracklets: Sequence[Tracklet], matrix: np.ndarray):
@@ -73,11 +73,8 @@ class FeatureTable:
         if not finite.all():
             r, c = np.argwhere(~finite)[0]
             raise DataValidationError(f"feature row {r} column {c} is not finite: {matrix[r, c]}")
-        with_rows = [t for t in tracklets if t.feature_rows is not None]
-        if with_rows and len(with_rows) != len(tracklets):
-            raise DataValidationError("either every tracklet or none may carry feature_rows")
         index: dict[tuple[int, int], int] = {}
-        if with_rows:
+        if any(t.feature_rows is not None for t in tracklets):
             for t in tracklets:
                 for f, r in zip(t.frames, t.feature_rows):
                     if r >= len(matrix):
@@ -172,7 +169,7 @@ def mine_triplets(tracklets: Sequence[Tracklet], rng_seed: int, per_anchor: int 
 
 def _check_ref(raw, where: str) -> tuple[int, int]:
     if len(expect_ints(raw, where)) != 2:
-        raise DataValidationError(f"{where}: expected [tracklet_id, frame], got {raw}")  # ints print as JSON
+        raise DataValidationError(f"{where}: expected [tracklet_id, frame], got {_echo(raw)}")
     return (raw[0], raw[1])
 
 
@@ -266,7 +263,8 @@ class EmbeddingNet:
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != self.in_dim:
             raise ValueError(f"expected [B, {self.in_dim}] features, got shape {features.shape}")
-        out = embed_on_params(params64(self), features)
+        for out in _forward(params64(self), features):
+            pass  # each layer's output replaces the last, so one is kept at a time
         if self.normalize_output:
             norms = np.linalg.norm(out, axis=1, keepdims=True)
             out = np.divide(out, norms, out=np.zeros_like(out), where=norms > 0)
@@ -280,43 +278,31 @@ def params64(net: EmbeddingNet) -> list[tuple[np.ndarray, np.ndarray]]:
     ]
 
 
-def _forward_full(params, x):
-    # Returns (acts, zs): acts[0] is the input, acts[-1] the embedding.
-    acts = [x]
-    zs = []
+def _forward(params, x: np.ndarray):
+    # Yields each layer's output of float64 rows ``x``, the last one the
+    # embedding; the bias and the hidden layers' ReLU are applied in place.
     last = len(params) - 1
     for l, (w, b) in enumerate(params):
-        z = acts[-1] @ w.T + b
-        zs.append(z)
-        acts.append(z if l == last else np.maximum(z, 0.0))
-    return acts, zs
-
-
-def embed_on_params(params, x: np.ndarray) -> np.ndarray:
-    # The float ops of _forward_full, keeping one layer's output at a time.
-    z = np.asarray(x, dtype=np.float64)
-    last = len(params) - 1
-    for l, (w, b) in enumerate(params):
-        z = z @ w.T
-        z += b
+        x = x @ w.T
+        x += b
         if l < last:
-            np.maximum(z, 0.0, out=z)
-    return z
+            np.maximum(x, 0.0, out=x)
+        yield x
 
 
 def _stacked_forward(params, xa, xp, xn, margin: float):
-    # One pass over the [3B, D] stack of anchor, positive and negative rows;
-    # returns (acts, zs) of the stack and the [B] hinge terms before the clamp.
+    # One pass over the [3B, D] stack of anchor, positive and negative rows; returns
+    # its activations (input first, embedding last) and the [B] hinge terms before the clamp.
     x = np.concatenate([xa, xp, xn], dtype=np.float64)
-    acts, zs = _forward_full(params, x)
+    acts = [x, *_forward(params, x)]
     ea, ep, en = np.split(acts[-1], 3)
     terms = np.sum((ea - ep) ** 2, axis=1) - np.sum((ea - en) ** 2, axis=1) + margin
-    return acts, zs, terms
+    return acts, terms
 
 
 def loss_on_params(params, xa, xp, xn, margin: float) -> float:
     """Mean hinge loss of a batch (the quantity training descends)."""
-    return float(np.maximum(_stacked_forward(params, xa, xp, xn, margin)[2], 0.0).mean())
+    return float(np.maximum(_stacked_forward(params, xa, xp, xn, margin)[1], 0.0).mean())
 
 
 def gradients_on_params(params, xa, xp, xn, margin: float):
@@ -328,7 +314,7 @@ def gradients_on_params(params, xa, xp, xn, margin: float):
     back-propagated, as one stacked batch of their anchor, positive and
     negative rows.
     """
-    acts, zs, terms = _stacked_forward(params, xa, xp, xn, margin)
+    acts, terms = _stacked_forward(params, xa, xp, xn, margin)
     losses = np.maximum(terms, 0.0)
     batch = len(losses)
     mean_loss = float(losses.mean()) if batch else 0.0
@@ -343,7 +329,8 @@ def gradients_on_params(params, xa, xp, xn, margin: float):
         grads[l] = (g.T @ acts[l][rows], g.sum(axis=0))
         if l > 0:
             # ReLU subgradient: strictly positive pre-activations pass, 0 at 0.
-            g = (g @ params[l][0]) * (zs[l - 1][rows] > 0.0)
+            # A ReLU output is > 0 exactly where its pre-activation is.
+            g = (g @ params[l][0]) * (acts[l][rows] > 0.0)
     return mean_loss, losses, grads
 
 
@@ -628,6 +615,6 @@ def load_net(manifest_path: str | Path) -> EmbeddingNet:
     declared = manifest.get("layer_dims")
     if declared is not None and expect(declared, list, f"{manifest_path}: layer_dims") != net.layer_dims:
         raise DataValidationError(
-            f"{manifest_path}: declares layer_dims {declared}, tensors give {net.layer_dims}"
+            f"{manifest_path}: declares layer_dims {_echo(declared)}, tensors give {net.layer_dims}"
         )
     return net

@@ -34,8 +34,13 @@ _CODE_BY_DTYPE = {np.dtype(np.uint8): "u8", np.dtype(np.float32): "f32"}
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 
 
-def check_tensor(arr: np.ndarray) -> np.ndarray:
-    """Validate dtype/shape constraints and return a C-contiguous array."""
+def write_tensor(arr: np.ndarray, path: str | Path) -> None:
+    """Write a uint8 or float32 array of 1 to 4 positive dims as an MTENSOR container at ``path``.
+
+    The array is converted once, to little-endian row-major order, before the
+    file is opened, so a failed conversion leaves no file; the payload is then
+    written from that array's own buffer, with no copy to ``bytes``.
+    """
     arr = np.asarray(arr)
     if arr.dtype not in _CODE_BY_DTYPE:
         raise ValueError(f"unsupported tensor dtype {arr.dtype}; expected uint8 or float32")
@@ -43,21 +48,15 @@ def check_tensor(arr: np.ndarray) -> np.ndarray:
         raise ValueError(f"tensor must have 1..{MAX_DIMS} dims, got shape {arr.shape}")
     if any(d < 1 for d in arr.shape):
         raise ValueError(f"tensor dims must be positive, got shape {arr.shape}")
-    return np.ascontiguousarray(arr)
-
-
-def write_tensor(arr: np.ndarray, path: str | Path) -> None:
-    """Serialize an array to an MTENSOR container at ``path``."""
-    arr = check_tensor(arr)
     code = _CODE_BY_DTYPE[arr.dtype]
+    payload = np.ascontiguousarray(arr, dtype=_DTYPE_BY_CODE[code])
     header = json.dumps({"dtype": code, "shape": list(arr.shape)}, separators=(",", ":")).encode("utf-8")
     header += b" " * (-(len(MAGIC) + 4 + len(header)) % _HEADER_ALIGN)
-    payload = np.ascontiguousarray(arr, dtype=_DTYPE_BY_CODE[code]).tobytes()
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
-        fh.write(payload)
+        fh.write(memoryview(payload).cast("B"))
 
 
 def read_tensor(path: str | Path) -> np.ndarray:

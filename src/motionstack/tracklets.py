@@ -11,9 +11,9 @@ document::
 
 with ``boxes`` holding exactly ``end - start + 1`` entries. The optional
 ``feature_rows`` list maps each frame to a row of an external feature
-matrix; when absent, consumers fall back to enumeration order (file order,
-frames ascending). Identity maps, used to state which tracklet ids belong
-to the same physical object, are::
+matrix, carried by every tracklet or by none; when absent, consumers fall
+back to enumeration order (file order, frames ascending). Identity maps,
+used to state which tracklet ids belong to the same physical object, are::
 
     {"groups": [[1, 17], [15, 21], ...]}
 
@@ -123,6 +123,8 @@ def load_tracklets_json(path: str | Path) -> list[Tracklet]:
         if feature_rows is not None:
             if any(r < 0 for r in expect_ints(feature_rows, f"{where}.feature_rows")):
                 raise DataValidationError(f"{where}: negative feature row index")
+        if out and (feature_rows is None) != (out[0].feature_rows is None):
+            raise DataValidationError(f"{where}: either every tracklet or none may carry feature_rows")
         out.append(Tracklet(id=tid, start=start, end=end, boxes=boxes, feature_rows=feature_rows))
     return out
 

@@ -29,6 +29,7 @@ from motionstack.metric_learning import (
     load_net,
     pca_project_2d,
     save_net,
+    separation_metrics,
 )
 from motionstack.roi_features import FeatureMap, pool_boxes
 from motionstack.synth_scenes import SceneConfig, generate
@@ -394,6 +395,27 @@ MALFORMED_FILES = {
         b'{"a": [0, 999], "p": [0, 1], "n": [1, 0]}\n',
         ": no feature row for tracklet 0 frame 999",
     ),
+    "triplets-anchor-of-5000-ints": (
+        "train", "triplets.jsonl",
+        json.dumps({"a": list(range(5000)), "p": [0, 1], "n": [1, 0]}).encode() + b"\n",
+        ":1: a: expected [tracklet_id, frame], got " + json.dumps(list(range(5000)))[:80] + "...",
+    ),
+    "net-manifest-5000-layer-dims": (
+        "reid", "net.json",
+        json.dumps({
+            "layer_dims": list(range(5000)),
+            "layers": [{"weight": f"layer{l}.weight.mten", "bias": f"layer{l}.bias.mten"} for l in range(2)],
+        }).encode(),
+        ": declares layer_dims " + json.dumps(list(range(5000)))[:80] + "..., tensors give [32, 6, 128]",
+    ),
+    "tracklets-feature-rows-on-some": (
+        "reid", "tracklets.json",
+        json.dumps({"tracklets": [
+            {"id": 0, "start": 0, "end": 0, "boxes": [[0, 0, 1, 1]], "feature_rows": [0]},
+            {"id": 1, "start": 0, "end": 0, "boxes": [[0, 0, 1, 1]]},
+        ]}).encode(),
+        ": tracklets[1]: either every tracklet or none may carry feature_rows",
+    ),
 }
 
 
@@ -745,6 +767,33 @@ class TestMetricLearningPipeline:
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
         assert _envelope(tmp_path / "project.json")["results"] == {"num_points": 40, "embedded": True}
         capsys.readouterr()
+
+    def test_reid_separation_is_the_same_three_ways(self, tmp_path):
+        # Group keys only label the groups: one group per tracklet gives the same
+        # floats with or without an identity map, whatever order the map lists them in.
+        scene = tmp_path / "scene"
+        generate(SceneConfig(num_frames=20, num_objects=3, feature_dim=8, seed=5,
+                             id_switch_events=((1, 10),)), scene)
+        tracklets = load_tracklets_json(scene / "tracklets.json")
+        assert len(tracklets) == 4
+        net = EmbeddingNet.init(8, hidden=(6,), seed=2)
+        save_net(net, tmp_path / "net")
+        own_groups = tmp_path / "own_groups.json"
+        own_groups.write_text(json.dumps({"groups": [[t.id] for t in reversed(tracklets)]}))
+        separations = []
+        for grouping in ([], ["--identity-map", str(own_groups)]):
+            code, err = _run_quiet(
+                ["reid", "--features", str(scene / "features.mten"), "--tracklets", str(scene / "tracklets.json"),
+                 "--net", str(tmp_path / "net" / "net.json"), *grouping, "--out", str(tmp_path / "reid.json")]
+            )
+            assert (code, err) == (0, "")
+            separations.append(_envelope(tmp_path / "reid.json")["results"]["separation"])
+        table = load_feature_table(tracklets, scene / "features.mten")
+        by_hand = separation_metrics(
+            {t.id: list(net.embed_batch(table.matrix64[table.rows((t.id, f) for f in t.frames)]))
+             for t in tracklets}
+        )
+        assert separations == [by_hand, by_hand]
 
     def test_diverging_train_is_usage_and_writes_nothing(self, tmp_path, capsys):
         scene = tmp_path / "scene"

@@ -109,7 +109,7 @@ class TestEnumerateKeys:
 
 class TestTrackletsJson:
     def test_round_trip(self, tmp_path):
-        ts = [_tracklet(0, 0, 3), _tracklet(5, 2, 4, feature_rows=[10, 11, 12])]
+        ts = [_tracklet(0, 0, 3, feature_rows=[0, 1, 2, 3]), _tracklet(5, 2, 4, feature_rows=[10, 11, 12])]
         path = tmp_path / "tracklets.json"
         write_tracklets_json(ts, path)
         assert load_tracklets_json(path) == ts
@@ -174,6 +174,16 @@ class TestTrackletsJson:
                 "negative feature row",
             ),
             ({"tracklets": 3}, r"t\.json: tracklets must be a list, got 3"),
+            pytest.param(
+                {
+                    "tracklets": [
+                        {"id": 0, "start": 0, "end": 0, "boxes": [[0, 0, 1, 1]], "feature_rows": [0]},
+                        {"id": 1, "start": 0, "end": 0, "boxes": [[0, 0, 1, 1]]},
+                    ]
+                },
+                r"t\.json: tracklets\[1\]: either every tracklet or none may carry feature_rows",
+                id="doc8-rows on some",
+            ),
         ],
     )
     def test_document_validation(self, tmp_path, doc, pattern):
