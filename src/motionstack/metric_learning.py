@@ -46,7 +46,7 @@ import numpy as np
 from .errors import DataValidationError
 from .jsonio import _echo, expect, expect_ints, read_json, read_jsonl, write_json, write_jsonl
 from .tensor_io import read_tensor, write_tensor
-from .tracklets import Tracklet, enumerate_keys, overlap_graph, temporal_overlap
+from .tracklets import Tracklet, check_feature_rows, enumerate_keys, overlap_graph, temporal_overlap
 
 OUT_DIM = 128
 DEFAULT_HIDDEN = (512, 256)
@@ -60,9 +60,9 @@ class FeatureTable:
     """Binds a [T, D_in] feature matrix to tracklet (id, frame) keys.
 
     Row lookup uses each tracklet's explicit ``feature_rows`` when given
-    (``load_tracklets_json`` lets every tracklet or none carry them), else
-    enumeration order: tracklet file order, frames ascending, which must
-    then exactly fill the matrix.
+    (all tracklets must carry them consistently), else enumeration order:
+    tracklet file order, frames ascending, which must then exactly fill the
+    matrix.
     """
 
     def __init__(self, tracklets: Sequence[Tracklet], matrix: np.ndarray):
@@ -73,8 +73,9 @@ class FeatureTable:
         if not finite.all():
             r, c = np.argwhere(~finite)[0]
             raise DataValidationError(f"feature row {r} column {c} is not finite: {matrix[r, c]}")
+        check_feature_rows(tracklets, "tracklets")
         index: dict[tuple[int, int], int] = {}
-        if any(t.feature_rows is not None for t in tracklets):
+        if tracklets and tracklets[0].feature_rows is not None:
             for t in tracklets:
                 for f, r in zip(t.frames, t.feature_rows):
                     if r >= len(matrix):

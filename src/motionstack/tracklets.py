@@ -103,6 +103,13 @@ def enumerate_keys(tracklets: Sequence[Tracklet]) -> list[tuple[int, int]]:
     return keys
 
 
+def check_feature_rows(tracklets: Sequence[Tracklet], where: str) -> None:
+    """Every tracklet carries ``feature_rows`` or none does; names the first that differs."""
+    for pos, t in enumerate(tracklets):
+        if (t.feature_rows is None) != (tracklets[0].feature_rows is None):
+            raise DataValidationError(f"{where}[{pos}]: either every tracklet or none may carry feature_rows")
+
+
 def load_tracklets_json(path: str | Path) -> list[Tracklet]:
     """Read and validate a tracklet document; ids must be unique."""
     doc = expect(read_json(path), dict, str(path))
@@ -123,9 +130,8 @@ def load_tracklets_json(path: str | Path) -> list[Tracklet]:
         if feature_rows is not None:
             if any(r < 0 for r in expect_ints(feature_rows, f"{where}.feature_rows")):
                 raise DataValidationError(f"{where}: negative feature row index")
-        if out and (feature_rows is None) != (out[0].feature_rows is None):
-            raise DataValidationError(f"{where}: either every tracklet or none may carry feature_rows")
         out.append(Tracklet(id=tid, start=start, end=end, boxes=boxes, feature_rows=feature_rows))
+    check_feature_rows(out, f"{path}: tracklets")
     return out
 
 

@@ -87,6 +87,11 @@ class TestFeatureTable:
         table = FeatureTable(ts, matrix)
         assert list(table.rows([(0, 0), (0, 1), (1, 0)])) == [3, 1, 0]
 
+    def test_all_or_none_rows(self):
+        ts = [_tr(0, 0, 0, rows=[0]), _tr(1, 0, 0)]
+        with pytest.raises(DataValidationError, match="every tracklet or none"):
+            FeatureTable(ts, np.zeros((2, 2), np.float32))
+
     def test_canonical_count_mismatch(self):
         with pytest.raises(DataValidationError, match="enumerate"):
             FeatureTable([_tr(0, 0, 2)], np.zeros((2, 4), np.float32))

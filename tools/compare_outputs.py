@@ -21,7 +21,7 @@ file inside the output directory, so they are compared with the artifacts.
 The script prints one line per seed, naming the first file (in sorted path
 order) whose bytes differ or that only one tree wrote, and exits 0 when
 every seed matched and 1 otherwise. A seed's directories are deleted once
-they match, unless ``--keep`` is given; at the default size they hold about
+they match and kept when they differ; at the default size they hold about
 2 GB, mostly stacks.
 """
 
@@ -152,7 +152,6 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="source tree under test")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1], help="seeds to run (default 1)")
     parser.add_argument("--work", type=Path, default=None, help="output directory (default: a temporary one)")
-    parser.add_argument("--keep", action="store_true", help="keep the outputs of seeds that matched")
     args = parser.parse_args(argv)
     for tree in (args.parent, args.change):
         if not (tree / "src" / "motionstack" / "cli.py").is_file():
@@ -170,8 +169,7 @@ def main(argv=None) -> int:
         count = sum(1 for p in outs["parent"].rglob("*") if p.is_file())
         if diff is None:
             print(f"seed {seed}: identical, {count} files")
-            if not args.keep:
-                shutil.rmtree(seed_dir)
+            shutil.rmtree(seed_dir)
         else:
             differs += 1
             print(f"seed {seed}: first difference: {diff} (outputs kept in {seed_dir})")
