@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataValidationError
-from .jsonio import check_box, check_number, expect, read_jsonl, write_jsonl
+from .jsonio import _echo, check_box, check_number, expect, read_jsonl, write_jsonl
 
 IOU_GRID = tuple((50 + 5 * i) / 100.0 for i in range(10))
 # Most (detection, ground truth) IoUs one matching call holds at once: about 10 MiB of arrays.
@@ -69,7 +69,7 @@ def load_detections_jsonl(path: str | Path) -> list[Detection]:
     for where, record in read_jsonl(path):
         score = check_number(record.get("score"), f"{where}: score")
         if not 0.0 <= score <= 1.0:
-            raise DataValidationError(f"{where}: score must lie in [0, 1], got {record['score']!r}")
+            raise DataValidationError(f"{where}: score must lie in [0, 1], got {_echo(record['score'])}")
         frame, bbox, label = _record_fields(record, where)
         out.append(Detection(frame=frame, bbox=bbox, score=score, label=label))
     return out

@@ -25,9 +25,11 @@ The pieces, in pipeline order:
   centroid pairs within a distance threshold that do not overlap in time
   (one individual cannot appear twice in a frame), separation statistics,
   and a deterministic 2-d PCA projection for scatter export. Separation
-  statistics are computed in fixed row blocks, so their scratch memory is
-  O(block * n * D), not O(n^2 * D), and each distance is bit-identical to the
-  plain broadcast formula.
+  statistics run each group pair on a pool of worker threads, in fixed row
+  blocks, so their scratch memory is O(workers * (block * n * D + n^2)), not
+  O(n^2 * D). The caller allocates all of it, so the workers allocate no
+  array. Each distance is bit-identical to the plain broadcast formula, and
+  the statistics are the same at any worker count.
 
 Triplets interchange as JSON lines ``{"a": [id, frame], "p": ..., "n": ...}``;
 a trained net as one MTENSOR per weight/bias plus a JSON manifest; scatter
@@ -37,12 +39,15 @@ plots as ``id,frame,x,y`` CSV.
 from __future__ import annotations
 
 import csv
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import _thread_count
 from .errors import DataValidationError
 from .jsonio import _echo, expect, expect_ints, read_json, read_jsonl, write_json, write_jsonl
 from .tensor_io import read_tensor, write_tensor
@@ -398,10 +403,10 @@ def train(
                 xa, xp, xn = x[rows[:, batch]]
                 _, losses, grads = gradients_on_params(params, xa, xp, xn, config.margin)
                 epoch_losses[batch] = losses
-                params = [
-                    (w - config.learning_rate * gw, b - config.learning_rate * gb)
-                    for (w, b), (gw, gb) in zip(params, grads)
-                ]
+                # In place: the gradients are fresh arrays and params64 copied the net.
+                for (w, b), (gw, gb) in zip(params, grads):
+                    w -= np.multiply(gw, config.learning_rate, out=gw)
+                    b -= np.multiply(gb, config.learning_rate, out=gb)
             trace.append(float(epoch_losses.sum() / count))
     # Reductions, not an elementwise test, so no weight-sized temporary is
     # allocated; NaN propagates through min and max and fails the test.
@@ -439,23 +444,37 @@ def tracklet_centroids(embeddings: Mapping[int, np.ndarray]) -> dict[int, np.nda
 _SEPARATION_BLOCK = 4
 
 
-def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _pair_distances(a: np.ndarray, b: np.ndarray, buf=None, out=None) -> np.ndarray:
     """Euclidean distances [len(a), len(b)] between the rows of two float64 matrices.
 
     Same arithmetic, and so the same floats, as
     ``np.sqrt(np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2))``, but
     computed ``_SEPARATION_BLOCK`` rows of ``a`` at a time in one reused
     [block, len(b), D] buffer instead of one [len(a), len(b), D] temporary.
+    Given a flat float64 ``buf`` of at least ``block * b.size`` elements and a
+    C-contiguous [len(a), len(b)] ``out``, it allocates no array.
     """
-    dist = np.empty((len(a), len(b)), dtype=np.float64)
-    buf = np.empty((min(_SEPARATION_BLOCK, len(a)), len(b), a.shape[1]), dtype=np.float64)
+    if out is None:
+        out = np.empty((len(a), len(b)), dtype=np.float64)
+    if buf is None:
+        buf = np.empty(min(_SEPARATION_BLOCK, len(a)) * b.size, dtype=np.float64)
     for lo in range(0, len(a), _SEPARATION_BLOCK):
         rows = a[lo : lo + _SEPARATION_BLOCK]
-        part = buf[: len(rows)]
+        part = buf[: len(rows) * b.size].reshape(len(rows), *b.shape)
+        dist = out[lo : lo + len(rows)]
         np.subtract(rows[:, None, :], b[None, :, :], out=part)
         np.square(part, out=part)
-        np.sqrt(part.sum(axis=2), out=dist[lo : lo + len(rows)])
-    return dist
+        np.add.reduce(part, axis=2, out=dist)
+        np.sqrt(dist, out=dist)
+    return out
+
+
+def _separation_workers(blocks: int) -> int:
+    # MOTIONSTACK_THREADS when set, else the CPUs this process may run on; never more than blocks.
+    threads = _thread_count(os.environ.get("MOTIONSTACK_THREADS", ""))
+    if threads < 1:
+        threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(threads, blocks)
 
 
 def separation_metrics(groups: Mapping[object, Sequence[np.ndarray]]) -> dict:
@@ -465,30 +484,60 @@ def separation_metrics(groups: Mapping[object, Sequence[np.ndarray]]) -> dict:
     samples; ``inter_mean`` averages distances across distinct groups;
     ``ratio`` is their quotient, defined as 0 for the degenerate inter == 0
     case. At least two identities are required.
+
+    Each intra-group triangle and each inter-group rectangle is one block,
+    summed on a pool of ``_separation_workers`` threads into its own slot;
+    the slots are added in key order, so the result does not depend on the
+    worker count.
     """
     keys = list(groups.keys())
     if len(keys) < 2:
         raise DataValidationError(f"separation metrics need >= 2 identities, got {len(keys)}")
-    vecs = {k: np.asarray(np.stack(groups[k]), dtype=np.float64) for k in keys}
+    vecs = [np.asarray(np.stack(groups[k]), dtype=np.float64) for k in keys]
+    intra = [(v, v) for v in vecs if len(v) >= 2]
+    blocks = intra + [(a, b) for i, a in enumerate(vecs) for b in vecs[i + 1 :]]
+    # Flat indices of each intra matrix's upper triangle, row by row as np.triu_indices.
+    triangles = {
+        len(v): np.ravel_multi_index(np.triu_indices(len(v), k=1), (len(v), len(v))) for v, _ in intra
+    }
+    sums = [0.0] * len(blocks)
+    workers = _separation_workers(len(blocks))
+    # Every worker's scratch is allocated here: a worker only runs out= ufuncs into it,
+    # so no thread's allocator arena keeps freed buffers resident.
+    n = max(len(v) for v in vecs)
+    scratch = [
+        (
+            np.empty(min(_SEPARATION_BLOCK, n) * n * vecs[0].shape[1], dtype=np.float64),
+            np.empty(n * n, dtype=np.float64),
+            np.empty(n * (n - 1) // 2, dtype=np.float64),
+        )
+        for _ in range(workers)
+    ]
+
+    def work(worker: int) -> None:
+        buf, flat, tri = scratch[worker]
+        for i in range(worker, len(blocks), workers):
+            a, b = blocks[i]
+            dist = _pair_distances(a, b, buf, flat[: len(a) * len(b)].reshape(len(a), len(b)))
+            if i < len(intra):
+                index = triangles[len(a)]
+                dist = np.take(flat, index, out=tri[: len(index)], mode="clip")
+            sums[i] = float(dist.sum())
+
+    if workers == 1:
+        work(0)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(work, range(workers)))  # re-raises a worker's exception here
 
     intra_sum = 0.0
-    intra_count = 0
-    for k in keys:
-        v = vecs[k]
-        if len(v) < 2:
-            continue
-        dist = _pair_distances(v, v)
-        iu = np.triu_indices(len(v), k=1)
-        intra_sum += float(dist[iu].sum())
-        intra_count += len(iu[0])
-
+    for s in sums[: len(intra)]:
+        intra_sum += s
     inter_sum = 0.0
-    inter_count = 0
-    for i, ka in enumerate(keys):
-        for kb in keys[i + 1 :]:
-            dist = _pair_distances(vecs[ka], vecs[kb])
-            inter_sum += float(dist.sum())
-            inter_count += dist.size
+    for s in sums[len(intra) :]:
+        inter_sum += s
+    intra_count = sum(len(v) * (len(v) - 1) // 2 for v, _ in intra)
+    inter_count = sum(len(a) * len(b) for a, b in blocks[len(intra) :])
 
     intra_mean = intra_sum / intra_count if intra_count else 0.0
     inter_mean = inter_sum / inter_count if inter_count else 0.0

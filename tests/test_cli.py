@@ -325,6 +325,11 @@ MALFORMED_FILES = {
         b'{"frame": 0, "bbox": [0, 0, 4, 4], "score": 1' + b"0" * 400 + b', "class": 0}\n',
         ":1: score must be a finite number, got 1" + "0" * 79 + "...",
     ),
+    "dets-301-digit-score": (
+        "eval", "dets.jsonl",
+        b'{"frame": 0, "bbox": [0, 0, 4, 4], "score": 1' + b"0" * 300 + b', "class": 0}\n',
+        ":1: score must lie in [0, 1], got 1" + "0" * 79 + "...",
+    ),
     "gt-string-and-bool-corners": (
         "eval", "gt.jsonl",
         b'{"frame": 0, "bbox": ["0", "0", "4", true], "class": 0}\n',

@@ -3,6 +3,8 @@
 import csv
 import json
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -727,6 +729,58 @@ class TestReid:
             tracemalloc.stop()
         # The broadcast form builds [600, 600, 64] float64 temporaries (~184 MB).
         assert peak < 32 * 2**20
+
+
+    # Unequal groups at OUT_DIM: one block, three blocks (intra, intra, inter) and
+    # fourteen; 7 workers exceed the block count of the first two. At seed 3, adding
+    # the fourteen block sums in another order changes the result.
+    POOL_INPUTS = {
+        "one-block": (1, 3),
+        "three-blocks": (_SEPARATION_BLOCK + 1, 2, 1),
+        "fourteen-blocks": (2 * _SEPARATION_BLOCK + 3, 1, 3 * _SEPARATION_BLOCK, 5, _SEPARATION_BLOCK - 1),
+    }
+
+    @pytest.mark.parametrize("sizes", list(POOL_INPUTS.values()), ids=list(POOL_INPUTS))
+    def test_separation_is_the_same_at_any_worker_count(self, monkeypatch, sizes):
+        rng = np.random.default_rng(3)
+        groups = {k: list(rng.normal(size=(n, OUT_DIM))) for k, n in enumerate(sizes)}
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the workers as often as the interpreter can
+        try:
+            for threads in ("1", "2", "7"):
+                monkeypatch.setenv("MOTIONSTACK_THREADS", threads)
+                results.append(separation_metrics(groups))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[0] == results[1] == results[2]
+
+    def test_separation_pool_ends_with_the_call(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        groups = {k: list(rng.normal(size=(9, 4))) for k in range(4)}
+        monkeypatch.setenv("MOTIONSTACK_THREADS", "2")
+        before = threading.active_count()
+        separation_metrics(groups)
+        assert threading.active_count() == before
+
+    def test_one_separation_worker_starts_no_thread(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+        rng = np.random.default_rng(5)
+        groups = {k: list(rng.normal(size=(9, 4))) for k in range(4)}
+        monkeypatch.setenv("MOTIONSTACK_THREADS", "1")
+        separation_metrics(groups)
+        assert started == []
+        monkeypatch.setenv("MOTIONSTACK_THREADS", "2")
+        separation_metrics(groups)
+        assert started  # while two workers do start the pool
+
+    def test_separation_worker_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setenv("MOTIONSTACK_THREADS", "2")
+        groups = {"a": [np.zeros(3)] * 2, "b": [np.zeros(3)] * 2, "c": [np.zeros(4)] * 2}
+        with pytest.raises(ValueError):
+            separation_metrics(groups)
 
 
 class TestProjection:
