@@ -530,6 +530,7 @@ def separation_metrics(groups: Mapping[object, Sequence[np.ndarray]]) -> dict:
         with ThreadPoolExecutor(workers) as pool:
             list(pool.map(work, range(workers)))  # re-raises a worker's exception here
 
+    # Left to right, as one running sum: sum() compensates the rounding on Python 3.12+.
     intra_sum = 0.0
     for s in sums[: len(intra)]:
         intra_sum += s
