@@ -17,7 +17,10 @@ with identical inputs and seeds is byte-identical.
 fails loudly. It sizes the BLAS thread pool behind numpy: importing the
 package sets it as the default for ``OPENBLAS_NUM_THREADS``,
 ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS``, so an explicit BLAS variable
-still wins. motionstack starts no threads of its own.
+still wins. The same count sizes the pool for ``reid``'s separation
+statistics; unset, that pool has one thread per CPU the process may run on.
+Either way a fixed scratch-memory budget caps it, and a count of one starts
+no thread.
 """
 
 from __future__ import annotations

@@ -27,9 +27,10 @@ The pieces, in pipeline order:
   and a deterministic 2-d PCA projection for scatter export. Separation
   statistics run each group pair on a pool of worker threads, in fixed row
   blocks, so their scratch memory is O(workers * (block * n * D + n^2)), not
-  O(n^2 * D). The caller allocates all of it, so the workers allocate no
-  array. Each distance is bit-identical to the plain broadcast formula, and
-  the statistics are the same at any worker count.
+  O(n^2 * D), and the worker count is capped so that this stays within a
+  fixed budget (one worker always runs). The caller allocates all of it, so
+  the workers allocate no array. Each distance is bit-identical to the plain
+  broadcast formula, and the statistics are the same at any worker count.
 
 Triplets interchange as JSON lines ``{"a": [id, frame], "p": ..., "n": ...}``;
 a trained net as one MTENSOR per weight/bias plus a JSON manifest; scatter
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import csv
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -439,9 +439,16 @@ def tracklet_centroids(embeddings: Mapping[int, np.ndarray]) -> dict[int, np.nda
 
 
 # Rows of ``a`` per scratch block in ``_pair_distances``. At 300 samples of
-# 128-d embeddings the [4, 300, 128] float64 buffer is 1.2 MB and stays in a
-# 2 MB L2 cache; 16 rows measured about 10% slower on such a core.
-_SEPARATION_BLOCK = 4
+# 128-d embeddings the [2, 300, 128] float64 buffer is 0.6 MB. On a 2-core Xeon
+# with a 2 MB L2 per core, one 300x300 rectangle took a median 24.7, 22.7, 26.3
+# and 30.3 ms at 1, 2, 4 and 8 rows.
+_SEPARATION_BLOCK = 2
+
+# All separation workers' scratch together, in bytes, so the peak memory does
+# not grow with the core count. At 300 samples per identity a worker holds
+# 1.3 MB, so 3 fit, and the benchmark's reid_train peak RSS stayed within
+# 1.6 MiB of one worker's at 2 to 16 threads.
+_SEPARATION_SCRATCH_BYTES = 4 << 20
 
 
 def _pair_distances(a: np.ndarray, b: np.ndarray, buf=None, out=None) -> np.ndarray:
@@ -469,12 +476,16 @@ def _pair_distances(a: np.ndarray, b: np.ndarray, buf=None, out=None) -> np.ndar
     return out
 
 
-def _separation_workers(blocks: int) -> int:
-    # MOTIONSTACK_THREADS when set, else the CPUs this process may run on; never more than blocks.
+def _separation_workers(blocks: int, scratch_bytes: int) -> int:
+    """Worker count: MOTIONSTACK_THREADS when set, else the CPUs this process may run on.
+
+    Never more than ``blocks``, nor more workers of ``scratch_bytes`` each than
+    ``_SEPARATION_SCRATCH_BYTES`` holds, but always at least one.
+    """
     threads = _thread_count(os.environ.get("MOTIONSTACK_THREADS", ""))
     if threads < 1:
         threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(threads, blocks)
+    return max(1, min(threads, blocks, _SEPARATION_SCRATCH_BYTES // scratch_bytes))
 
 
 def separation_metrics(groups: Mapping[object, Sequence[np.ndarray]]) -> dict:
@@ -496,37 +507,37 @@ def separation_metrics(groups: Mapping[object, Sequence[np.ndarray]]) -> dict:
     vecs = [np.asarray(np.stack(groups[k]), dtype=np.float64) for k in keys]
     intra = [(v, v) for v in vecs if len(v) >= 2]
     blocks = intra + [(a, b) for i, a in enumerate(vecs) for b in vecs[i + 1 :]]
-    # Flat indices of each intra matrix's upper triangle, row by row as np.triu_indices.
-    triangles = {
-        len(v): np.ravel_multi_index(np.triu_indices(len(v), k=1), (len(v), len(v))) for v, _ in intra
-    }
     sums = [0.0] * len(blocks)
-    workers = _separation_workers(len(blocks))
     # Every worker's scratch is allocated here: a worker only runs out= ufuncs into it,
-    # so no thread's allocator arena keeps freed buffers resident.
+    # so no thread's allocator arena keeps freed buffers resident. ``flat`` holds any
+    # block's distances: a rectangle, or a triangle's upper half row by row.
     n = max(len(v) for v in vecs)
+    buf_size = min(_SEPARATION_BLOCK, n) * n * vecs[0].shape[1]
+    workers = _separation_workers(len(blocks), 8 * (buf_size + n * n))
     scratch = [
-        (
-            np.empty(min(_SEPARATION_BLOCK, n) * n * vecs[0].shape[1], dtype=np.float64),
-            np.empty(n * n, dtype=np.float64),
-            np.empty(n * (n - 1) // 2, dtype=np.float64),
-        )
-        for _ in range(workers)
+        (np.empty(buf_size, dtype=np.float64), np.empty(n * n, dtype=np.float64)) for _ in range(workers)
     ]
 
     def work(worker: int) -> None:
-        buf, flat, tri = scratch[worker]
+        buf, flat = scratch[worker]
         for i in range(worker, len(blocks), workers):
             a, b = blocks[i]
-            dist = _pair_distances(a, b, buf, flat[: len(a) * len(b)].reshape(len(a), len(b)))
             if i < len(intra):
-                index = triangles[len(a)]
-                dist = np.take(flat, index, out=tri[: len(index)], mode="clip")
+                # Row r's distances to rows r+1.. only: the upper triangle in np.triu_indices order.
+                dist = flat[: len(a) * (len(a) - 1) // 2]
+                end = 0
+                for r in range(len(a) - 1):
+                    start, end = end, end + len(a) - 1 - r
+                    _pair_distances(a[r : r + 1], a[r + 1 :], buf, dist[start:end].reshape(1, -1))
+            else:
+                dist = _pair_distances(a, b, buf, flat[: len(a) * len(b)].reshape(len(a), len(b)))
             sums[i] = float(dist.sum())
 
     if workers == 1:
         work(0)
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only a pool pays for the import
+
         with ThreadPoolExecutor(workers) as pool:
             list(pool.map(work, range(workers)))  # re-raises a worker's exception here
 

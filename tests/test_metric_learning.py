@@ -25,7 +25,9 @@ from motionstack.metric_learning import (
     TrainConfig,
     Triplet,
     _SEPARATION_BLOCK,
+    _SEPARATION_SCRATCH_BYTES,
     _pair_distances,
+    _separation_workers,
     gradients_on_params,
     load_feature_table,
     load_net,
@@ -736,8 +738,8 @@ class TestReid:
     # the fourteen block sums in another order changes the result.
     POOL_INPUTS = {
         "one-block": (1, 3),
-        "three-blocks": (_SEPARATION_BLOCK + 1, 2, 1),
-        "fourteen-blocks": (2 * _SEPARATION_BLOCK + 3, 1, 3 * _SEPARATION_BLOCK, 5, _SEPARATION_BLOCK - 1),
+        "three-blocks": (5, 2, 1),
+        "fourteen-blocks": (11, 1, 12, 5, 3),
     }
 
     @pytest.mark.parametrize("sizes", list(POOL_INPUTS.values()), ids=list(POOL_INPUTS))
@@ -775,6 +777,29 @@ class TestReid:
         monkeypatch.setenv("MOTIONSTACK_THREADS", "2")
         separation_metrics(groups)
         assert started  # while two workers do start the pool
+
+    def test_separation_workers_fit_the_scratch_budget(self, monkeypatch):
+        monkeypatch.setenv("MOTIONSTACK_THREADS", "64")
+        per_worker = _SEPARATION_SCRATCH_BYTES // 3
+        assert _separation_workers(78, per_worker) == 3
+        assert _separation_workers(2, per_worker) == 2
+        assert _separation_workers(78, 2 * _SEPARATION_SCRATCH_BYTES) == 1  # one always runs
+
+    def test_separation_memory_does_not_grow_with_the_thread_count(self, monkeypatch):
+        # 200 samples at OUT_DIM: about 0.7 MB of scratch per worker, so 16
+        # uncapped workers would hold about 12 MB.
+        rng = np.random.default_rng(3)
+        groups = {k: rng.normal(size=(200, OUT_DIM)) for k in range(6)}
+        peaks = {}
+        for threads in ("1", "16"):
+            monkeypatch.setenv("MOTIONSTACK_THREADS", threads)
+            tracemalloc.start()
+            try:
+                separation_metrics(groups)
+                peaks[threads] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["16"] < peaks["1"] + _SEPARATION_SCRATCH_BYTES
 
     def test_separation_worker_error_reaches_the_caller(self, monkeypatch):
         monkeypatch.setenv("MOTIONSTACK_THREADS", "2")
