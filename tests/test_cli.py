@@ -33,7 +33,7 @@ from motionstack.metric_learning import (
 )
 from motionstack.roi_features import FeatureMap, pool_boxes
 from motionstack.synth_scenes import SceneConfig, generate
-from motionstack.tensor_io import MAGIC, read_tensor, write_tensor
+from motionstack.tensor_io import MAGIC, ImageFrame, read_tensor, write_ppm, write_tensor
 from motionstack.tracklets import enumerate_keys, load_tracklets_json
 from motionstack.weight_surgery import (
     ConvLayerWeights,
@@ -424,6 +424,40 @@ MALFORMED_FILES = {
 }
 
 
+def _truncate_last_frame(frames):
+    path = frames / "frame_000011.ppm"
+    data = path.read_bytes()
+    path.write_bytes(data[:-1])
+    payload = len(data) - len(b"P6\n96 72\n255\n")
+    return f"{path}: payload holds {payload - 1} bytes, header promises {payload}"
+
+
+def _bad_magic(frames):
+    path = frames / "frame_000004.ppm"
+    path.write_bytes(b"P3" + path.read_bytes()[2:])
+    return f"{path}: unsupported format b'P3', only binary P6 is accepted"
+
+
+def _mixed_sizes(frames):
+    write_ppm(ImageFrame(width=4, height=2, pixels=np.zeros(24, np.uint8)), frames / "frame_000007.ppm")
+    return "frame 7 is 4x2, sequence started at 96x72"
+
+
+def _shared_index(frames):
+    shutil.copyfile(frames / "frame_000003.ppm", frames / "copy_3.ppm")
+    return "duplicate frame index 3"
+
+
+# Defects in a `stack` frame directory: each edits the copied 12-frame,
+# 96x72 scene and returns the error line's text after "error: ".
+MALFORMED_FRAMES = {
+    "last-frame-truncated": _truncate_last_frame,
+    "bad-magic": _bad_magic,
+    "mixed-sizes": _mixed_sizes,
+    "shared-index": _shared_index,
+}
+
+
 def _corrupt(data, kind, pos, mask, wrong):
     if kind == "truncate":
         return data[: pos % len(data)]
@@ -534,6 +568,19 @@ class TestStack:
         assert tensor.shape[0] == 6
         assert np.array_equal(tensor[:3], source.planar(5))
         assert np.array_equal(tensor[3:], source.planar(4))
+
+    @pytest.mark.parametrize("defect", sorted(MALFORMED_FRAMES))
+    def test_malformed_frames_fail_before_any_write(self, tmp_path, scene12, defect):
+        frames = tmp_path / "frames"
+        shutil.copytree(scene12 / "frames", frames)
+        message = MALFORMED_FRAMES[defect](frames)
+        out_dir = tmp_path / "stacks"
+        code, err = _run_quiet(["stack", "--frames", str(frames), "--variant", "diff_seq",
+                                "--n", "3", "--out-dir", str(out_dir)])
+        assert code == 2
+        assert err.splitlines() == [f"error: {message}"]
+        assert not list(out_dir.glob("stack_*.mten"))
+        assert not (out_dir / "manifest.json").exists()
 
     def test_out_of_range_parameters_warn(self, tmp_path, scene12, capsys):
         code = cli.run(
