@@ -194,6 +194,18 @@ def match_detections(
     return MatchResult(order=order, flags=flags, matched_gt=matched, fn_by_frame=fn_by_frame)
 
 
+def _sum_in_order(values: Iterable[float]) -> float:
+    """Floats added left to right, as the textbook formulas do.
+
+    The built-in ``sum()`` compensates the rounding from Python 3.12 on,
+    which would change the last bits of a report between Python versions.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def ap_101(flags: Sequence[bool], num_gt: int) -> float:
     """101-point interpolated average precision from ordered match flags."""
     if num_gt <= 0:
@@ -205,8 +217,7 @@ def ap_101(flags: Sequence[bool], num_gt: int) -> float:
     # with 0.0 for recall levels the curve never reaches.
     env = np.append(np.maximum.accumulate(precisions[::-1])[::-1], 0.0)
     reached = np.searchsorted(recalls, np.arange(101) / 100.0, side="left")
-    # Python floats summed in order, as the textbook formula does.
-    return sum(env[reached].tolist()) / 101.0
+    return _sum_in_order(env[reached].tolist()) / 101.0
 
 
 def f1_operating_point(
@@ -277,14 +288,16 @@ def evaluate(dets: Sequence[Detection], gts: Sequence[GroundTruth]) -> dict:
         for label in classes
     }
     n_classes = max(len(classes), 1)  # no classes: every mean is 0 / 1
-    ap_per_threshold = [sum(sweeps[label][i] for label in classes) / n_classes for i in range(len(IOU_GRID))]
+    ap_per_threshold = [
+        _sum_in_order(sweeps[label][i] for label in classes) / n_classes for i in range(len(IOU_GRID))
+    ]
     operating = f1_operating_point(dets, gts)
     return {
         "precision": operating["precision"],
         "recall": operating["recall"],
         "ap_per_threshold": ap_per_threshold,
         "map50": ap_per_threshold[0],
-        "map5095": sum(ap_per_threshold) / len(ap_per_threshold),
+        "map5095": _sum_in_order(ap_per_threshold) / len(ap_per_threshold),
         "operating_point": operating,
         "per_class": per_class,
         "num_detections": len(dets),

@@ -18,8 +18,13 @@ nearest earlier frame, and anything before the first frame clamps to it.
 Stacks built at the start of a sequence therefore repeat the earliest
 frame, which turns difference channels into flat 127.
 
-A ``FrameSequence`` holds each frame once, as its planar uint8 [3, H, W]
-array, so a loaded video costs about ``3·W·H`` bytes per frame.
+A ``FrameSequence`` indexes a directory of frames and decodes each one,
+as its planar uint8 [3, H, W] array (``3·W·H`` bytes), when first asked
+for it. ``build_dataset`` walks the targets in index order and keeps only
+the layout's window: a layout reaches at most ``reach`` frames back
+(``n - 1`` for the sequence layouts, ``delta`` for the pairs), so a stack
+run holds ``(reach + 1) * 3·W·H`` bytes of frames, whatever the video's
+length.
 """
 
 from __future__ import annotations
@@ -28,13 +33,12 @@ import shutil
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
 from .errors import DataValidationError, FrameIndexParseError, FrameLookupError
 from .jsonio import write_json
-from .tensor_io import ImageFrame, parse_frame_index, read_ppm, to_planar, write_tensor
+from .tensor_io import parse_frame_index, read_ppm, read_ppm_header, to_planar, write_tensor
 
 VARIANTS = ("rgb_seq", "rgb_int", "diff_seq", "diff_int")
 MANIFEST_NAME = "manifest.json"
@@ -83,6 +87,11 @@ class InputConfig:
         return 3 * self.n
 
     @property
+    def offsets(self) -> tuple[int, ...]:
+        """How far back from the target each stacked frame lies, newest first."""
+        return tuple(range(self.n)) if self.variant in _SEQ_VARIANTS else (0, self.delta)
+
+    @property
     def range_warning(self) -> bool:
         if self.variant in _SEQ_VARIANTS:
             return self.n not in PAPER_N_RANGE
@@ -128,37 +137,41 @@ def diff_image(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
 
 
 class FrameSequence:
-    """An ordered set of same-sized frames addressable by frame index.
+    """The same-sized PPM frames of one directory, addressable by frame index.
 
-    Each frame is held once, as its planar uint8 [3, H, W] array (about
-    ``3·W·H`` bytes); the decoded interleaved frame is dropped as soon as
-    it is repacked. May be empty; lookups on an empty sequence fail, but
-    dataset building over one is a no-op.
+    ``planar`` decodes a frame on first use and keeps it, so random access
+    to every frame holds the whole video, while a stack run holds only the
+    layout's window, ``(reach + 1) * 3·W·H`` bytes: ``build_dataset`` drops
+    each frame once no later target reaches it. May be empty; lookups on
+    an empty sequence fail, but dataset building over one is a no-op.
     """
 
-    def __init__(self, frames: Iterable[ImageFrame] = ()):
-        planes: dict[int, np.ndarray] = {}
-        for f in frames:
-            if f.frame_index in planes:
-                raise DataValidationError(f"duplicate frame index {f.frame_index}")
-            planes[f.frame_index] = to_planar(f)
-        indices = sorted(planes)
-        if indices:
-            first = planes[indices[0]].shape
-            for index in indices:
-                shape = planes[index].shape
-                if shape != first:
-                    raise DataValidationError(
-                        f"frame {index} is {shape[2]}x{shape[1]}, "
-                        f"sequence started at {first[2]}x{first[1]}"
-                    )
-        self._indices = indices
-        self._planes = planes
+    def __init__(self, paths: dict[int, Path], size: tuple[int, int]):
+        self._indices = sorted(paths)
+        self._paths = paths
+        self._size = size
+        self._planes: dict[int, np.ndarray] = {}
 
     @classmethod
     def from_dir(cls, dir_path: str | Path) -> "FrameSequence":
-        """Load every ``*.ppm`` file in a directory, ordered by frame index."""
-        return cls(read_ppm(p) for p in sorted(Path(dir_path).glob("*.ppm")))
+        """Index every ``*.ppm`` file in a directory by the frame index in its name.
+
+        No frame is decoded, yet a bad directory fails here: each header must
+        pass ``read_ppm``'s rules (files in name order), no two files may
+        share an index, and every frame must have the lowest index's size.
+        """
+        paths: dict[int, Path] = {}
+        sizes: dict[int, tuple[int, int]] = {}
+        for path in sorted(Path(dir_path).glob("*.ppm")):
+            width, height, index = read_ppm_header(path)
+            if index in paths:
+                raise DataValidationError(f"duplicate frame index {index}")
+            paths[index] = path
+            sizes[index] = (width, height)
+        source = cls(paths, sizes[min(sizes)] if sizes else (0, 0))
+        for index in source._indices:
+            source._check_size(index, *sizes[index])
+        return source
 
     def __len__(self) -> int:
         return len(self._indices)
@@ -168,7 +181,7 @@ class FrameSequence:
         return list(self._indices)
 
     def __contains__(self, index: int) -> bool:
-        return index in self._planes
+        return index in self._paths
 
     def resolve(self, requested: int) -> int:
         """Map a requested index to the nearest recorded index at or before it.
@@ -183,8 +196,25 @@ class FrameSequence:
         return self._indices[pos]
 
     def planar(self, requested: int) -> np.ndarray:
-        """The resolved frame as its stored uint8 [3, H, W] array."""
-        return self._planes[self.resolve(requested)]
+        """The resolved frame as a uint8 [3, H, W] array, decoded by ``read_ppm`` on first use."""
+        index = self.resolve(requested)
+        plane = self._planes.get(index)
+        if plane is None:
+            frame = read_ppm(self._paths[index])
+            self._check_size(index, frame.width, frame.height)
+            plane = self._planes[index] = to_planar(frame)
+        return plane
+
+    def _check_size(self, index: int, width: int, height: int) -> None:
+        if (width, height) != self._size:
+            raise DataValidationError(
+                f"frame {index} is {width}x{height}, sequence started at {self._size[0]}x{self._size[1]}"
+            )
+
+    def _drop_before(self, index: int) -> None:
+        """Forget the decoded frames below ``index``; ``planar`` decodes them again if asked."""
+        for held in [i for i in self._planes if i < index]:
+            del self._planes[held]
 
 
 def build_input(source: FrameSequence, t: int, config: InputConfig) -> StackedInput:
@@ -196,8 +226,7 @@ def build_input(source: FrameSequence, t: int, config: InputConfig) -> StackedIn
     """
     if t not in source:  # past lookups below may clamp; the target may not
         raise FrameLookupError(f"no frame with index {t}")
-    offsets = range(config.n) if config.variant in _SEQ_VARIANTS else (0, config.delta)
-    parts = [source.planar(t - k) for k in offsets]
+    parts = [source.planar(t - k) for k in config.offsets]
     if config.variant in _DIFF_VARIANTS:
         parts[1:] = [diff_image(later, earlier) for later, earlier in zip(parts, parts[1:])]
     tensor = np.concatenate(parts, axis=0)
@@ -244,10 +273,12 @@ def build_dataset(
         labels = _label_files_by_index(labels_dir)
 
     items = []
+    reach = max(config.offsets)
     for t in source.indices:
-        stacked = build_input(source, t, config)
+        source._drop_before(source.resolve(t - reach))  # no later target reaches further back
         tensor_name = f"stack_{t}.mten"
-        write_tensor(stacked.tensor, out_dir / tensor_name)
+        # Not bound to a name, so one stack is freed before the next is built.
+        write_tensor(build_input(source, t, config).tensor, out_dir / tensor_name)
         label_name = None
         if labels is not None:
             src = labels.get(t)

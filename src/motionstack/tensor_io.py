@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import struct
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ _HEADER_ALIGN = 64
 _DTYPE_BY_CODE = {"u8": np.dtype("<u1"), "f32": np.dtype("<f4")}
 _CODE_BY_DTYPE = {np.dtype(np.uint8): "u8", np.dtype(np.float32): "f32"}
 _WHITESPACE = b" \t\n\r\x0b\x0c"
+_PPM_HEADER_PREFIX = 256
 
 
 def write_tensor(arr: np.ndarray, path: str | Path) -> None:
@@ -153,13 +155,14 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     return data[start:pos], pos
 
 
-def read_ppm(path: str | Path) -> ImageFrame:
-    """Decode a binary P6 PPM file with maxval 255.
+def _ppm_header(data: bytes, path: Path, size: int) -> tuple[int, int, int, int]:
+    """Check a P6 header at the start of ``data``, a prefix of the ``size``-byte file ``path``.
 
-    The frame index is parsed from the trailing digits of the file stem.
+    Returns ``(width, height, payload offset, frame index)``. The rules and
+    their order are ``read_ppm``'s: magic, three numeric tokens, positive
+    dimensions, maxval 255, one whitespace byte, a payload at least
+    ``3·W·H`` bytes long, and a frame index in the file stem.
     """
-    path = Path(path)
-    data = path.read_bytes()
     magic, pos = _next_token(data, 0)
     if magic != b"P6":
         raise PpmError(f"{path}: unsupported format {magic!r}, only binary P6 is accepted")
@@ -177,17 +180,49 @@ def read_ppm(path: str | Path) -> ImageFrame:
         raise PpmError(f"{path}: maxval {maxval} unsupported, expected 255")
     if pos >= len(data) or data[pos] not in _WHITESPACE:
         raise PpmError(f"{path}: missing whitespace after maxval")
-    payload = data[pos + 1 : pos + 1 + 3 * width * height]
-    if len(payload) < 3 * width * height:
-        raise PpmError(
-            f"{path}: payload holds {len(payload)} bytes, header promises {3 * width * height}"
-        )
+    start = pos + 1
+    if size - start < 3 * width * height:
+        raise PpmError(f"{path}: payload holds {size - start} bytes, header promises {3 * width * height}")
+    return width, height, start, parse_frame_index(path)
+
+
+def read_ppm(path: str | Path) -> ImageFrame:
+    """Decode a binary P6 PPM file with maxval 255.
+
+    The frame index is parsed from the trailing digits of the file stem.
+    """
+    path = Path(path)
+    data = path.read_bytes()
+    width, height, start, index = _ppm_header(data, path, len(data))
     return ImageFrame(
         width=width,
         height=height,
-        pixels=np.frombuffer(payload, dtype=np.uint8).copy(),
-        frame_index=parse_frame_index(path),
+        pixels=np.frombuffer(data, dtype=np.uint8, count=3 * width * height, offset=start).copy(),
+        frame_index=index,
     )
+
+
+def read_ppm_header(path: str | Path) -> tuple[int, int, int]:
+    """``(width, height, frame index)`` of a PPM file that ``read_ppm`` would accept.
+
+    Applies every rule of ``read_ppm`` and raises the same errors, but reads
+    only the header: the payload length comes from the file size. A header
+    that does not parse within the bytes read so far (long ``#`` comments)
+    is read further, up to the whole file, before its error is raised.
+    """
+    path = Path(path)
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        data = fh.read(_PPM_HEADER_PREFIX)
+        while True:
+            try:
+                width, height, _, index = _ppm_header(data, path, size)
+                return width, height, index
+            except PpmError:
+                more = fh.read(len(data))
+                if not more:
+                    raise
+                data += more
 
 
 def write_ppm(frame: ImageFrame, path: str | Path) -> None:

@@ -1,5 +1,6 @@
 """Detection metric tests: matching, AP, operating points, JSONL interchange."""
 
+import builtins
 import json
 import random
 import struct
@@ -114,6 +115,19 @@ def _multi_class_instance(seed):
             label = 7  # a class without ground truth
         dets.append(Detection(frame=g.frame, bbox=bbox, score=rng.randint(0, 10) / 10, label=label))
     return dets, gts
+
+
+def _compensated_sum(values, start=0):
+    """The built-in sum() as Python 3.12 runs it: integers exactly, floats with Neumaier's compensation."""
+    values = list(values)
+    if all(isinstance(v, int) for v in values):
+        return builtins.sum(values, start)
+    total, compensation = float(start), 0.0
+    for v in values:
+        t = total + v
+        compensation += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + compensation
 
 
 @st.composite
@@ -421,6 +435,15 @@ class TestEvaluate:
                 assert (got["num_gt"], got["num_detections"]) == (len(class_gts), len(class_dets))
                 partial += sum(0.0 < ap < 1.0 for ap in want)
         assert partial > 0
+
+    def test_report_does_not_depend_on_a_compensated_sum(self, monkeypatch):
+        # Python 3.12+'s built-in sum() of floats is Neumaier-compensated; an
+        # evaluate that summed with it would report other bits than on 3.10/3.11.
+        assert _compensated_sum([0.1] * 10) == 1.0  # a left-to-right sum gives 0.9999999999999999
+        instances = [_multi_class_instance(seed) for seed in range(20)]
+        reports = [evaluate(dets, gts) for dets, gts in instances]
+        monkeypatch.setattr(det_metrics, "sum", _compensated_sum, raising=False)
+        assert [evaluate(dets, gts) for dets, gts in instances] == reports
 
     def test_report_is_json_ready(self):
         dets, gts = _random_instance(3)

@@ -284,3 +284,23 @@ class TestBuildDataset:
         # Keeping the decoded interleaved frames next to a planar copy of
         # each peaks near 2.2x the video's planar bytes here.
         assert peak < 1.5 * planar_bytes
+
+    @pytest.mark.parametrize("count", [10, 40])
+    def test_memory_does_not_grow_with_clip_length(self, tmp_path, count):
+        frames_dir = tmp_path / "frames"
+        frames_dir.mkdir()
+        _make_frames(frames_dir, count, width=320, height=240)
+        config = InputConfig("diff_seq", n=5)
+        frame_bytes = 3 * 320 * 240
+        reach = max(config.offsets)
+        tracemalloc.start()
+        try:
+            build_dataset(FrameSequence.from_dir(frames_dir), config, tmp_path / "out")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The window of reach + 1 planes, two frames of decode or diff
+        # scratch, and the stack being built: its own bytes plus the diff
+        # parts it is concatenated from. Measured: 14 frames' bytes.
+        stack_bytes = config.channels * 320 * 240
+        assert peak < (reach + 3) * frame_bytes + 2 * stack_bytes

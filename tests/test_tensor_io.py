@@ -15,6 +15,7 @@ from motionstack.tensor_io import (
     ImageFrame,
     parse_frame_index,
     read_ppm,
+    read_ppm_header,
     read_tensor,
     to_planar,
     write_ppm,
@@ -218,6 +219,40 @@ class TestPpm:
         path.write_bytes(b"P6\n2 2\n255\n" + bytes(5))
         with pytest.raises(PpmError, match=r"img_1\.ppm: payload holds 5 bytes, header promises 12"):
             read_ppm(path)
+
+    def test_header_read_past_its_prefix(self, tmp_path):
+        path = tmp_path / "img_7.ppm"
+        path.write_bytes(b"P6\n# " + b"x" * 5000 + b"\n2 1\n255\n" + bytes(6))
+        assert read_ppm_header(path) == (2, 1, 7)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(PpmError, match=r"img_7\.ppm: payload holds 5 bytes, header promises 6"):
+            read_ppm_header(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        comment=st.integers(0, 700),
+        name=st.sampled_from(("frame_000003.ppm", "frame.ppm")),
+        kind=st.sampled_from(("none", "truncate", "flip")),
+        pos=st.integers(0, 1 << 12),
+        mask=st.integers(1, 255),
+    )
+    def test_header_check_raises_what_decoding_raises(self, tmp_path_factory, comment, name, kind, pos, mask):
+        data = b"P6\n" + (b"# " + b"c" * comment + b"\n" if comment else b"") + b"3 2\n255\n" + bytes(18)
+        i = pos % len(data)
+        if kind == "truncate":
+            data = data[:i]
+        elif kind == "flip":
+            data = data[:i] + bytes([data[i] ^ mask]) + data[i + 1 :]
+        path = tmp_path_factory.mktemp("ppm") / name
+        path.write_bytes(data)
+        try:
+            frame = read_ppm(path)
+        except (PpmError, FrameIndexParseError) as exc:
+            with pytest.raises(type(exc)) as caught:
+                read_ppm_header(path)
+            assert str(caught.value) == str(exc)
+        else:
+            assert read_ppm_header(path) == (frame.width, frame.height, frame.frame_index)
 
     def test_to_planar_channel_layout(self):
         # One red, one green pixel: planes must separate cleanly.
