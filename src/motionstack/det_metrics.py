@@ -195,11 +195,7 @@ def match_detections(
 
 
 def _sum_in_order(values: Iterable[float]) -> float:
-    """Floats added left to right, as the textbook formulas do.
-
-    The built-in ``sum()`` compensates the rounding from Python 3.12 on,
-    which would change the last bits of a report between Python versions.
-    """
+    """Floats added left to right, as the textbook formulas do; ``sum()`` compensates from Python 3.12 on."""
     total = 0.0
     for value in values:
         total += value

@@ -18,13 +18,10 @@ nearest earlier frame, and anything before the first frame clamps to it.
 Stacks built at the start of a sequence therefore repeat the earliest
 frame, which turns difference channels into flat 127.
 
-A ``FrameSequence`` indexes a directory of frames and decodes each one,
-as its planar uint8 [3, H, W] array (``3·W·H`` bytes), when first asked
-for it. ``build_dataset`` walks the targets in index order and keeps only
-the layout's window: a layout reaches at most ``reach`` frames back
-(``n - 1`` for the sequence layouts, ``delta`` for the pairs), so a stack
-run holds ``(reach + 1) * 3·W·H`` bytes of frames, whatever the video's
-length.
+A ``FrameSequence`` decodes each frame, as its planar uint8 [3, H, W]
+array, when first asked for it. A layout reaches at most ``reach`` frames
+back (``n - 1``, or ``delta`` for the pair layouts), so a stack run holds
+the layout's window of ``(reach + 1) * 3·W·H`` bytes, not the video.
 """
 
 from __future__ import annotations

@@ -158,10 +158,8 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
 def _ppm_header(data: bytes, path: Path, size: int) -> tuple[int, int, int, int]:
     """Check a P6 header at the start of ``data``, a prefix of the ``size``-byte file ``path``.
 
-    Returns ``(width, height, payload offset, frame index)``. The rules and
-    their order are ``read_ppm``'s: magic, three numeric tokens, positive
-    dimensions, maxval 255, one whitespace byte, a payload at least
-    ``3·W·H`` bytes long, and a frame index in the file stem.
+    Returns ``(width, height, payload offset, frame index)``. These are all
+    of ``read_ppm``'s rules, in the order it applies them.
     """
     magic, pos = _next_token(data, 0)
     if magic != b"P6":
