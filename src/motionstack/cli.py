@@ -17,10 +17,8 @@ with identical inputs and seeds is byte-identical.
 fails loudly. It sizes the BLAS thread pool behind numpy: importing the
 package sets it as the default for ``OPENBLAS_NUM_THREADS``,
 ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS``, so an explicit BLAS variable
-still wins. The same count sizes the pool for ``reid``'s separation
-statistics; unset, that pool has one thread per CPU the process may run on.
-Either way a fixed scratch-memory budget caps it, and a count of one starts
-no thread.
+still wins. That pool also runs the products behind ``reid``'s separation
+statistics, which start no thread of their own.
 """
 
 from __future__ import annotations

@@ -25,12 +25,10 @@ The pieces, in pipeline order:
   centroid pairs within a distance threshold that do not overlap in time
   (one individual cannot appear twice in a frame), separation statistics,
   and a deterministic 2-d PCA projection for scatter export. Separation
-  statistics run each group pair on a pool of worker threads, in fixed row
-  blocks, so their scratch memory is O(workers * (block * n * D + n^2)), not
-  O(n^2 * D), and the worker count is capped so that this stays within a
-  fixed budget (one worker always runs). The caller allocates all of it, so
-  the workers allocate no array. Each distance is bit-identical to the plain
-  broadcast formula, and the statistics are the same at any worker count.
+  statistics take distances from one BLAS product per block of rows, with
+  cancelling pairs recomputed directly, in O(block) scratch memory, and add
+  the row sums with ``math.fsum``, so the block size does not change how
+  the distances are added.
 
 Triplets interchange as JSON lines ``{"a": [id, frame], "p": ..., "n": ...}``;
 a trained net as one MTENSOR per weight/bias plus a JSON manifest; scatter
@@ -40,14 +38,13 @@ plots as ``id,frame,x,y`` CSV.
 from __future__ import annotations
 
 import csv
-import os
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import _thread_count
 from .errors import DataValidationError
 from .jsonio import _echo, expect, expect_ints, read_json, read_jsonl, write_json, write_jsonl
 from .tensor_io import read_tensor, write_tensor
@@ -438,54 +435,36 @@ def tracklet_centroids(embeddings: Mapping[int, np.ndarray]) -> dict[int, np.nda
     return {tid: frames.mean(axis=0) for tid, frames in embeddings.items()}
 
 
-# Rows of ``a`` per scratch block in ``_pair_distances``. At 300 samples of
-# 128-d embeddings the [2, 300, 128] float64 buffer is 0.6 MB. On a 2-core Xeon
-# with a 2 MB L2 per core, one 300x300 rectangle took a median 24.7, 22.7, 26.3
-# and 30.3 ms at 1, 2, 4 and 8 rows.
-_SEPARATION_BLOCK = 2
-
-# All separation workers' scratch together, in bytes, so the peak memory does
-# not grow with the core count. At 300 samples per identity a worker holds
-# 1.3 MB, so 3 fit, and the benchmark's reid_train peak RSS stayed within
-# 1.6 MiB of one worker's at 2 to 16 threads.
-_SEPARATION_SCRATCH_BYTES = 4 << 20
+# Bytes of one block's [rows, len(b)] float64 distances in ``_distance_blocks``; a
+# block holds a few arrays of that size. At 300 samples per identity a whole group
+# fits one block; at 3,000 a block is 43 rows.
+_SEPARATION_BLOCK_BYTES = 1 << 20
 
 
-def _pair_distances(a: np.ndarray, b: np.ndarray, buf=None, out=None) -> np.ndarray:
-    """Euclidean distances [len(a), len(b)] between the rows of two float64 matrices.
+def _distance_blocks(a: np.ndarray, b: np.ndarray):
+    """Yield (first row, [rows, len(b)] Euclidean distances) for whole-row blocks of ``a``.
 
-    Same arithmetic, and so the same floats, as
-    ``np.sqrt(np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2))``, but
-    computed ``_SEPARATION_BLOCK`` rows of ``a`` at a time in one reused
-    [block, len(b), D] buffer instead of one [len(a), len(b), D] temporary.
-    Given a flat float64 ``buf`` of at least ``block * b.size`` elements and a
-    C-contiguous [len(a), len(b)] ``out``, it allocates no array.
+    Squared distances come from the Gram expansion ``|a|^2 + |b|^2 - 2 a.b``,
+    one BLAS product per block. Where that cancels, ``d2 < 1e-2 * (|a|^2 + |b|^2)``,
+    the pair is recomputed as ``sum((a_i - b_j)**2)``, so coincident rows are
+    exactly 0 and a kept pair is accurate to about 4e-13 relative.
     """
-    if out is None:
-        out = np.empty((len(a), len(b)), dtype=np.float64)
-    if buf is None:
-        buf = np.empty(min(_SEPARATION_BLOCK, len(a)) * b.size, dtype=np.float64)
-    for lo in range(0, len(a), _SEPARATION_BLOCK):
-        rows = a[lo : lo + _SEPARATION_BLOCK]
-        part = buf[: len(rows) * b.size].reshape(len(rows), *b.shape)
-        dist = out[lo : lo + len(rows)]
-        np.subtract(rows[:, None, :], b[None, :, :], out=part)
-        np.square(part, out=part)
-        np.add.reduce(part, axis=2, out=dist)
-        np.sqrt(dist, out=dist)
-    return out
-
-
-def _separation_workers(blocks: int, scratch_bytes: int) -> int:
-    """Worker count: MOTIONSTACK_THREADS when set, else the CPUs this process may run on.
-
-    Never more than ``blocks``, nor more workers of ``scratch_bytes`` each than
-    ``_SEPARATION_SCRATCH_BYTES`` holds, but always at least one.
-    """
-    threads = _thread_count(os.environ.get("MOTIONSTACK_THREADS", ""))
-    if threads < 1:
-        threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, min(threads, blocks, _SEPARATION_SCRATCH_BYTES // scratch_bytes))
+    a2 = np.square(a).sum(axis=1)
+    b2 = np.square(b).sum(axis=1)
+    step = max(1, _SEPARATION_BLOCK_BYTES // (8 * len(b)))
+    pairs = max(1, _SEPARATION_BLOCK_BYTES // (8 * b.shape[1]))
+    for lo in range(0, len(a), step):
+        rows = a[lo : lo + step]
+        d2 = rows @ b.T
+        d2 *= -2.0
+        norms = a2[lo : lo + step, None] + b2
+        d2 += norms
+        r, c = np.nonzero(d2 < np.multiply(norms, 1e-2, out=norms))
+        for s in range(0, len(r), pairs):  # in chunks, so no scratch grows with the pair count
+            diff = rows[r[s : s + pairs]] - b[c[s : s + pairs]]
+            d2[r[s : s + pairs], c[s : s + pairs]] = np.square(diff, out=diff).sum(axis=1)
+        np.maximum(d2, 0.0, out=d2)
+        yield lo, np.sqrt(d2, out=d2)
 
 
 def separation_metrics(groups: Mapping[object, Sequence[np.ndarray]]) -> dict:
@@ -496,63 +475,33 @@ def separation_metrics(groups: Mapping[object, Sequence[np.ndarray]]) -> dict:
     ``ratio`` is their quotient, defined as 0 for the degenerate inter == 0
     case. At least two identities are required.
 
-    Each intra-group triangle and each inter-group rectangle is one block,
-    summed on a pool of ``_separation_workers`` threads into its own slot;
-    the slots are added in key order, so the result does not depend on the
-    worker count.
+    Distances come from ``_distance_blocks``, within rel 1e-12 of the
+    direct formula, and a distance between coincident samples is exactly 0.
+    Each row's distances are summed with ``np.sum``, and all row sums with
+    one correctly rounded ``math.fsum`` per mean, so the block size does not
+    change how the distances are added, and reruns are bit-identical. BLAS
+    may round a product differently at another block shape or thread count
+    (a one-row block goes through gemv), which can move a mean by its last
+    bit.
     """
     keys = list(groups.keys())
     if len(keys) < 2:
         raise DataValidationError(f"separation metrics need >= 2 identities, got {len(keys)}")
     vecs = [np.asarray(np.stack(groups[k]), dtype=np.float64) for k in keys]
-    intra = [(v, v) for v in vecs if len(v) >= 2]
-    blocks = intra + [(a, b) for i, a in enumerate(vecs) for b in vecs[i + 1 :]]
-    sums = [0.0] * len(blocks)
-    # Every worker's scratch is allocated here: a worker only runs out= ufuncs into it,
-    # so no thread's allocator arena keeps freed buffers resident. ``flat`` holds any
-    # block's distances: a rectangle, or a triangle's upper half row by row.
-    n = max(len(v) for v in vecs)
-    buf_size = min(_SEPARATION_BLOCK, n) * n * vecs[0].shape[1]
-    workers = _separation_workers(len(blocks), 8 * (buf_size + n * n))
-    scratch = [
-        (np.empty(buf_size, dtype=np.float64), np.empty(n * n, dtype=np.float64)) for _ in range(workers)
-    ]
+    intra_rows: list[float] = []
+    inter_rows: list[float] = []
+    for i, a in enumerate(vecs):
+        for lo, dist in _distance_blocks(a, a):
+            # Row r keeps only its distances to rows r+1..: the upper triangle.
+            intra_rows.extend(np.triu(dist, lo + 1).sum(axis=1).tolist())
+        for b in vecs[i + 1 :]:
+            for _, dist in _distance_blocks(a, b):
+                inter_rows.extend(dist.sum(axis=1).tolist())
+    intra_count = sum(len(v) * (len(v) - 1) // 2 for v in vecs)
+    inter_count = sum(len(a) * len(b) for i, a in enumerate(vecs) for b in vecs[i + 1 :])
 
-    def work(worker: int) -> None:
-        buf, flat = scratch[worker]
-        for i in range(worker, len(blocks), workers):
-            a, b = blocks[i]
-            if i < len(intra):
-                # Row r's distances to rows r+1.. only: the upper triangle in np.triu_indices order.
-                dist = flat[: len(a) * (len(a) - 1) // 2]
-                end = 0
-                for r in range(len(a) - 1):
-                    start, end = end, end + len(a) - 1 - r
-                    _pair_distances(a[r : r + 1], a[r + 1 :], buf, dist[start:end].reshape(1, -1))
-            else:
-                dist = _pair_distances(a, b, buf, flat[: len(a) * len(b)].reshape(len(a), len(b)))
-            sums[i] = float(dist.sum())
-
-    if workers == 1:
-        work(0)
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # only a pool pays for the import
-
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(work, range(workers)))  # re-raises a worker's exception here
-
-    # Left to right, as one running sum: sum() compensates the rounding on Python 3.12+.
-    intra_sum = 0.0
-    for s in sums[: len(intra)]:
-        intra_sum += s
-    inter_sum = 0.0
-    for s in sums[len(intra) :]:
-        inter_sum += s
-    intra_count = sum(len(v) * (len(v) - 1) // 2 for v, _ in intra)
-    inter_count = sum(len(a) * len(b) for a, b in blocks[len(intra) :])
-
-    intra_mean = intra_sum / intra_count if intra_count else 0.0
-    inter_mean = inter_sum / inter_count if inter_count else 0.0
+    intra_mean = math.fsum(intra_rows) / intra_count if intra_count else 0.0
+    inter_mean = math.fsum(inter_rows) / inter_count if inter_count else 0.0
     ratio = intra_mean / inter_mean if inter_mean > 0 else 0.0
     return {"intra_mean": intra_mean, "inter_mean": inter_mean, "ratio": ratio}
 

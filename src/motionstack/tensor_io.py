@@ -137,7 +137,7 @@ class ImageFrame:
         return self.pixels.reshape(self.height, self.width, 3)
 
 
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
+def _next_token(data: bytes, pos: int, path: Path) -> tuple[bytes, int]:
     n = len(data)
     while pos < n:
         if data[pos] in _WHITESPACE:
@@ -151,7 +151,7 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     while pos < n and data[pos] not in _WHITESPACE:
         pos += 1
     if start == pos:
-        raise PpmError("unexpected end of PPM header")
+        raise PpmError(f"{path}: unexpected end of PPM header")
     return data[start:pos], pos
 
 
@@ -161,12 +161,12 @@ def _ppm_header(data: bytes, path: Path, size: int) -> tuple[int, int, int, int]
     Returns ``(width, height, payload offset, frame index)``. These are all
     of ``read_ppm``'s rules, in the order it applies them.
     """
-    magic, pos = _next_token(data, 0)
+    magic, pos = _next_token(data, 0, path)
     if magic != b"P6":
         raise PpmError(f"{path}: unsupported format {magic!r}, only binary P6 is accepted")
     fields = []
     for _ in range(3):
-        token, pos = _next_token(data, pos)
+        token, pos = _next_token(data, pos, path)
         try:
             fields.append(int(token))
         except ValueError as exc:

@@ -135,6 +135,14 @@ def greedy_match(dets, gts, thr: float) -> tuple[list[bool], list[int | None]]:
     return flags, matched
 
 
+def _sum_left_to_right(values) -> float:
+    """One running float sum, as the textbook formulas add; ``sum()`` compensates from Python 3.12 on."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def interp_ap_101(flags, num_gt: int) -> float:
     """Textbook 101-point AP: max precision at recall >= each grid point."""
     if num_gt <= 0:
@@ -155,7 +163,7 @@ def interp_ap_101(flags, num_gt: int) -> float:
         r = i / 100.0
         candidates = [p for p, rec in zip(precisions, recalls) if rec >= r]
         values.append(max(candidates) if candidates else 0.0)
-    return sum(values) / 101.0
+    return _sum_left_to_right(values) / 101.0
 
 
 def best_f1_prefix(dets, gts, thr: float) -> dict:
@@ -204,7 +212,7 @@ def evaluate_oracle(dets, gts, thresholds) -> dict:
         per_class[str(label)] = sweep
     if classes:
         ap_per_threshold = [
-            sum(sweep[i] for sweep in sweeps) / len(classes) for i in range(len(thresholds))
+            _sum_left_to_right(sweep[i] for sweep in sweeps) / len(classes) for i in range(len(thresholds))
         ]
     else:
         ap_per_threshold = [0.0] * len(thresholds)
@@ -212,7 +220,7 @@ def evaluate_oracle(dets, gts, thresholds) -> dict:
     return {
         "ap_per_threshold": ap_per_threshold,
         "map50": ap_per_threshold[0] if ap_per_threshold else 0.0,
-        "map5095": sum(ap_per_threshold) / len(ap_per_threshold) if ap_per_threshold else 0.0,
+        "map5095": _sum_left_to_right(ap_per_threshold) / len(ap_per_threshold) if ap_per_threshold else 0.0,
         "per_class": per_class,
         "precision": operating["precision"],
         "recall": operating["recall"],

@@ -438,6 +438,12 @@ def _bad_magic(frames):
     return f"{path}: unsupported format b'P3', only binary P6 is accepted"
 
 
+def _cut_header(frames):
+    path = frames / "frame_000005.ppm"
+    path.write_bytes(b"P6\n96")
+    return f"{path}: unexpected end of PPM header"
+
+
 def _mixed_sizes(frames):
     write_ppm(ImageFrame(width=4, height=2, pixels=np.zeros(24, np.uint8)), frames / "frame_000007.ppm")
     return "frame 7 is 4x2, sequence started at 96x72"
@@ -453,6 +459,7 @@ def _shared_index(frames):
 MALFORMED_FRAMES = {
     "last-frame-truncated": _truncate_last_frame,
     "bad-magic": _bad_magic,
+    "cut-header": _cut_header,
     "mixed-sizes": _mixed_sizes,
     "shared-index": _shared_index,
 }

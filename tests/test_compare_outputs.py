@@ -1,7 +1,10 @@
 """The output-comparison tool: its command chain parses, and it names the first difference."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
+
+import pytest
 
 from motionstack import cli
 
@@ -38,3 +41,33 @@ def test_first_difference_names_the_first_file_in_path_order(tmp_path):
     (a / "logs" / "00_eval.txt").write_text("exit 2\n")
     (a / "m.csv").write_text("")
     assert compare_outputs.first_difference(a, b) == "m.csv (only in the parent)"
+
+
+def test_change_env_reaches_only_the_change(tmp_path, monkeypatch):
+    for tree in ("parent", "change"):
+        (tmp_path / tree / "src" / "motionstack").mkdir(parents=True)
+        (tmp_path / tree / "src" / "motionstack" / "cli.py").write_text("")
+    seen = []
+
+    def fake_run(args, cwd, env, **kwargs):
+        seen.append((Path(cwd).name, env.get("MOTIONSTACK_THREADS"), env.get("EMPTY")))
+        return subprocess.CompletedProcess(args, 0, "", "")
+
+    monkeypatch.setattr(compare_outputs.subprocess, "run", fake_run)
+    monkeypatch.setattr(compare_outputs, "write_partial_map", lambda out: None)
+    monkeypatch.delenv("MOTIONSTACK_THREADS", raising=False)
+    code = compare_outputs.main(
+        [str(tmp_path / "parent"), str(tmp_path / "change"), "--seeds", "7", "--work", str(tmp_path / "work"),
+         "--change-env", "MOTIONSTACK_THREADS=1", "--change-env", "EMPTY="]
+    )
+    assert code == 0  # no command wrote anything, so both sides hold the same inputs
+    steps = len(compare_outputs.chain(7))
+    assert seen == [("parent", None, None)] * steps + [("change", "1", "")] * steps
+
+
+def test_change_env_needs_a_name_and_an_equals_sign(capsys):
+    for bad in ("MOTIONSTACK_THREADS", "=1"):
+        with pytest.raises(SystemExit) as exc:
+            compare_outputs.main(["a", "b", "--change-env", bad])
+        assert exc.value.code == 2
+        assert "expected NAME=VALUE" in capsys.readouterr().err

@@ -2,10 +2,13 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
 import sys
-import threading
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
+from motionstack import metric_learning
 from motionstack.errors import DataValidationError
 from motionstack.metric_learning import (
     DEFAULT_HIDDEN,
@@ -24,10 +28,8 @@ from motionstack.metric_learning import (
     FeatureTable,
     TrainConfig,
     Triplet,
-    _SEPARATION_BLOCK,
-    _SEPARATION_SCRATCH_BYTES,
-    _pair_distances,
-    _separation_workers,
+    _SEPARATION_BLOCK_BYTES,
+    _distance_blocks,
     gradients_on_params,
     load_feature_table,
     load_net,
@@ -664,9 +666,9 @@ class TestReid:
     @given(st.data())
     def test_separation_matches_loop_oracle_across_block_edges(self, data):
         dim = data.draw(st.integers(1, 8))
-        sizes = st.sampled_from(
-            [1, _SEPARATION_BLOCK - 1, _SEPARATION_BLOCK, _SEPARATION_BLOCK + 1, 2 * _SEPARATION_BLOCK + 3]
-        )
+        sizes = st.sampled_from([1, 2, 3, 7, 8])
+        # Row blocks of one row, of a few rows, and of a whole group.
+        block_bytes = data.draw(st.sampled_from([1, 16, 56, _SEPARATION_BLOCK_BYTES]))
         # Quarter steps keep every nonzero squared difference far from underflow.
         values = st.integers(-40, 40).map(lambda k: k / 4.0)
         groups = {}
@@ -676,49 +678,54 @@ class TestReid:
             for src, dst in data.draw(st.lists(st.tuples(row, row), max_size=3)):
                 v[dst] = v[src]
             groups[key] = list(v)
-        got = separation_metrics(groups)
+        with mock.patch.object(metric_learning, "_SEPARATION_BLOCK_BYTES", block_bytes):
+            got = separation_metrics(groups)
+            dists = {k: np.concatenate([d for _, d in _distance_blocks(np.stack(v), np.stack(v))])
+                     for k, v in groups.items()}
         want = oracles.separation_loops(groups)
         for key in ("intra_mean", "inter_mean", "ratio"):
             assert got[key] == pytest.approx(want[key], rel=1e-12)
-        for v in groups.values():
+        for k, v in groups.items():
             v = np.stack(v)
-            dist = _pair_distances(v, v)
             same = (v[:, None, :] == v[None, :, :]).all(axis=2)
-            assert (dist[same] == 0.0).all()
-            assert (dist[~same] > 0.0).all()
+            assert (dists[k][same] == 0.0).all()
+            assert (dists[k][~same] > 0.0).all()
 
-    def test_separation_equals_broadcast_formula_exactly(self):
-        def broadcast_dist(a, b):
-            return np.sqrt(np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2))
+    @pytest.mark.parametrize("rows", [1, 2, 7, 30])
+    def test_separation_is_the_same_at_any_block_size(self, monkeypatch, rows):
+        # Quarter steps at OUT_DIM: BLAS computes every product exactly, whatever
+        # the block shape (a one-row block goes through gemv, and its rounding can
+        # differ), so this checks the blocking and the sums. The distances are
+        # square roots, so adding them in another grouping changes the result of
+        # about half of these scenes.
+        sizes = (24, 1, 30, 17, 9, 3)
+        scenes = []
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            groups = {k: list(rng.integers(-40, 41, size=(n, OUT_DIM)) / 4.0) for k, n in enumerate(sizes)}
+            scenes.append((groups, separation_metrics(groups)))
+        monkeypatch.setattr(metric_learning, "_SEPARATION_BLOCK_BYTES", rows * 8 * max(sizes))
+        for groups, whole in scenes:
+            assert separation_metrics(groups) == whole
 
-        def broadcast_separation(groups):
-            vecs = {k: np.stack(v) for k, v in groups.items()}
-            keys = list(vecs)
-            intra_sum, intra_count = 0.0, 0
-            for k in keys:
-                if len(vecs[k]) < 2:
-                    continue
-                iu = np.triu_indices(len(vecs[k]), k=1)
-                intra_sum += float(broadcast_dist(vecs[k], vecs[k])[iu].sum())
-                intra_count += len(iu[0])
-            inter_sum, inter_count = 0.0, 0
-            for i, ka in enumerate(keys):
-                for kb in keys[i + 1 :]:
-                    dist = broadcast_dist(vecs[ka], vecs[kb])
-                    inter_sum += float(dist.sum())
-                    inter_count += dist.size
-            intra_mean = intra_sum / intra_count if intra_count else 0.0
-            inter_mean = inter_sum / inter_count if inter_count else 0.0
-            ratio = intra_mean / inter_mean if inter_mean > 0 else 0.0
-            return {"intra_mean": intra_mean, "inter_mean": inter_mean, "ratio": ratio}
-
-        rng = np.random.default_rng(11)
-        for dim in (3, OUT_DIM):
-            sizes = (4 * _SEPARATION_BLOCK + 1, 3 * _SEPARATION_BLOCK, 2 * _SEPARATION_BLOCK + 3, 1)
-            groups = {k: list(rng.normal(size=(n, dim))) for k, n in enumerate(sizes)}
-            assert separation_metrics(groups) == broadcast_separation(groups)
-            a, b = np.stack(groups[0]), np.stack(groups[2])
-            assert np.array_equal(_pair_distances(a, b), broadcast_dist(a, b))
+    def test_separation_is_the_same_at_one_and_two_blas_threads(self):
+        code = (
+            "import numpy as np; from motionstack.metric_learning import OUT_DIM, separation_metrics; "
+            "rng = np.random.default_rng(3); "
+            "print(repr(separation_metrics({k: list(rng.normal(size=(n, OUT_DIM))) "
+            "for k, n in enumerate((150, 1, 120, 97))})))"
+        )
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(metric_learning.__file__).resolve().parents[1])
+        reprs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  timeout=60, env={**env, "MOTIONSTACK_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            reprs.append(proc.stdout)
+        assert reprs[0] == reprs[1]
+        assert "intra_mean" in reprs[0]
 
     def test_separation_scratch_memory_is_bounded(self):
         rng = np.random.default_rng(3)
@@ -732,74 +739,28 @@ class TestReid:
         # The broadcast form builds [600, 600, 64] float64 temporaries (~184 MB).
         assert peak < 32 * 2**20
 
-
-    # Unequal groups at OUT_DIM: one block, three blocks (intra, intra, inter) and
-    # fourteen; 7 workers exceed the block count of the first two. At seed 3, adding
-    # the fourteen block sums in another order changes the result.
-    POOL_INPUTS = {
-        "one-block": (1, 3),
-        "three-blocks": (5, 2, 1),
-        "fourteen-blocks": (11, 1, 12, 5, 3),
-    }
-
-    @pytest.mark.parametrize("sizes", list(POOL_INPUTS.values()), ids=list(POOL_INPUTS))
-    def test_separation_is_the_same_at_any_worker_count(self, monkeypatch, sizes):
+    def test_separation_memory_does_not_grow_with_the_group_size(self):
         rng = np.random.default_rng(3)
-        groups = {k: list(rng.normal(size=(n, OUT_DIM))) for k, n in enumerate(sizes)}
-        results = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # interleave the workers as often as the interpreter can
+        groups = {k: rng.normal(size=(3000, OUT_DIM)) for k in ("a", "b")}
+        tracemalloc.start()
         try:
-            for threads in ("1", "2", "7"):
-                monkeypatch.setenv("MOTIONSTACK_THREADS", threads)
-                results.append(separation_metrics(groups))
+            separation_metrics(groups)
+            _, peak = tracemalloc.get_traced_memory()
         finally:
-            sys.setswitchinterval(interval)
-        assert results[0] == results[1] == results[2]
+            tracemalloc.stop()
+        # The two stacked groups hold 5.9 MiB; one [3000, 3000] distance matrix would be 68.7 MiB.
+        assert peak < 16 * 2**20
 
-    def test_separation_pool_ends_with_the_call(self, monkeypatch):
+    def test_separation_of_near_duplicates_matches_loop_oracle(self):
+        # Norms near 1e4 and rows about 1e-3 apart: the Gram expansion alone loses
+        # every digit here, so each pair must be recomputed from its difference.
         rng = np.random.default_rng(5)
-        groups = {k: list(rng.normal(size=(9, 4))) for k in range(4)}
-        monkeypatch.setenv("MOTIONSTACK_THREADS", "2")
-        before = threading.active_count()
-        separation_metrics(groups)
-        assert threading.active_count() == before
-
-    def test_one_separation_worker_starts_no_thread(self, monkeypatch):
-        started = []
-        start = threading.Thread.start
-        monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
-        rng = np.random.default_rng(5)
-        groups = {k: list(rng.normal(size=(9, 4))) for k in range(4)}
-        monkeypatch.setenv("MOTIONSTACK_THREADS", "1")
-        separation_metrics(groups)
-        assert started == []
-        monkeypatch.setenv("MOTIONSTACK_THREADS", "2")
-        separation_metrics(groups)
-        assert started  # while two workers do start the pool
-
-    def test_separation_workers_fit_the_scratch_budget(self, monkeypatch):
-        monkeypatch.setenv("MOTIONSTACK_THREADS", "64")
-        per_worker = _SEPARATION_SCRATCH_BYTES // 3
-        assert _separation_workers(78, per_worker) == 3
-        assert _separation_workers(2, per_worker) == 2
-        assert _separation_workers(78, 2 * _SEPARATION_SCRATCH_BYTES) == 1  # one always runs
-
-    def test_separation_memory_does_not_grow_with_the_thread_count(self, monkeypatch):
-        # 200 samples at OUT_DIM: about 0.7 MB of scratch per worker, so 16
-        # uncapped workers would hold about 12 MB.
-        rng = np.random.default_rng(3)
-        groups = {k: rng.normal(size=(200, OUT_DIM)) for k in range(6)}
-        peaks = {}
-        for threads in ("1", "16"):
-            monkeypatch.setenv("MOTIONSTACK_THREADS", threads)
-            tracemalloc.start()
-            try:
-                separation_metrics(groups)
-                peaks[threads] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peaks["16"] < peaks["1"] + _SEPARATION_SCRATCH_BYTES
+        base = rng.normal(size=OUT_DIM) * (1e4 / np.sqrt(OUT_DIM))
+        groups = {k: list(base + rng.normal(size=(6, OUT_DIM)) * (1e-3 / np.sqrt(OUT_DIM))) for k in range(3)}
+        got = separation_metrics(groups)
+        want = oracles.separation_loops(groups)
+        for key in ("intra_mean", "inter_mean", "ratio"):
+            assert got[key] == pytest.approx(want[key], rel=1e-12)
 
     def test_separation_worker_error_reaches_the_caller(self, monkeypatch):
         monkeypatch.setenv("MOTIONSTACK_THREADS", "2")

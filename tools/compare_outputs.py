@@ -1,8 +1,11 @@
 """Run README's command chain from two source trees and diff their outputs byte for byte.
 
     python tools/compare_outputs.py PARENT CHANGE --seeds 1 7 9173
+    python tools/compare_outputs.py TREE TREE --seeds 7 --change-env MOTIONSTACK_THREADS=1
 
-PARENT and CHANGE are checkouts of motionstack. For each seed the script
+PARENT and CHANGE are checkouts of motionstack; they may be the same tree
+when ``--change-env NAME=VALUE`` (repeatable) sets a variable for the
+change's commands only, so that one tree is compared under two environments. For each seed the script
 writes one set of seeded inputs (a 64x3x7x7 conv layer, a 256x60x80 feature
 map and 2,000 boxes), then runs every ``motionstack`` command of the chain
 below once per tree, as a subprocess with ``PYTHONPATH=<tree>/src`` in its own
@@ -119,9 +122,13 @@ def chain(seed: int) -> list[list[str]]:
     return commands
 
 
-def run_chain(tree: Path, out: Path, seed: int) -> None:
-    """Run the chain from ``tree``'s sources in ``out``, logging each command to ``out/logs``."""
-    env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+def run_chain(tree: Path, out: Path, seed: int, extra_env: dict[str, str] | None = None) -> None:
+    """Run the chain from ``tree``'s sources in ``out``, logging each command to ``out/logs``.
+
+    ``extra_env`` is added to this process's environment for every command.
+    """
+    env = {**os.environ, **(extra_env or {})}
+    env.update(PYTHONPATH=str(tree.resolve() / "src"), PYTHONDONTWRITEBYTECODE="1")
     (out / "logs").mkdir()
     for step, argv in enumerate(chain(seed)):
         done = subprocess.run(
@@ -146,12 +153,22 @@ def first_difference(a: Path, b: Path) -> str | None:
     return None
 
 
+def env_assignment(text: str) -> tuple[str, str]:
+    """``NAME=VALUE`` as ``(NAME, VALUE)``; the value may be empty, the name may not."""
+    name, sep, value = text.partition("=")
+    if not sep or not name:
+        raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {text!r}")
+    return name, value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("parent", type=Path, help="source tree whose outputs are the reference")
     parser.add_argument("change", type=Path, help="source tree under test")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1], help="seeds to run (default 1)")
     parser.add_argument("--work", type=Path, default=None, help="output directory (default: a temporary one)")
+    parser.add_argument("--change-env", type=env_assignment, action="append", default=[],
+                        metavar="NAME=VALUE", help="set a variable for the change's commands only (repeatable)")
     args = parser.parse_args(argv)
     for tree in (args.parent, args.change):
         if not (tree / "src" / "motionstack" / "cli.py").is_file():
@@ -161,10 +178,11 @@ def main(argv=None) -> int:
     for seed in args.seeds:
         seed_dir = work / f"seed{seed}"
         outs = {side: seed_dir / side for side in ("parent", "change")}
-        for side, tree in (("parent", args.parent), ("change", args.change)):
+        sides = (("parent", args.parent, {}), ("change", args.change, dict(args.change_env)))
+        for side, tree, extra_env in sides:
             outs[side].mkdir(parents=True)
             write_inputs(outs[side], seed)
-            run_chain(tree, outs[side], seed)
+            run_chain(tree, outs[side], seed, extra_env)
         diff = first_difference(outs["parent"], outs["change"])
         count = sum(1 for p in outs["parent"].rglob("*") if p.is_file())
         if diff is None:
