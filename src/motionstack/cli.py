@@ -40,7 +40,7 @@ from .det_metrics import (
 )
 from .errors import DataValidationError, MotionStackError
 from .frame_pipeline import MANIFEST_NAME, VARIANTS, FrameSequence, InputConfig, build_dataset, normalize_variant
-from .jsonio import check_box, expect, read_json, write_json
+from .jsonio import check_boxes, expect, read_json, write_json
 from .metric_learning import (
     DEFAULT_HIDDEN,
     DEFAULT_MERGE_THRESHOLD,
@@ -141,10 +141,10 @@ def _parse_hidden(raw: str) -> tuple[int, ...]:
 def _load_boxes_json(path: str) -> np.ndarray:
     doc = read_json(path)
     raw = expect(doc.get("boxes") if isinstance(doc, dict) else doc, list, f"{path}: boxes")
-    boxes = [check_box(entry, f"{path}: boxes[{i}]") for i, entry in enumerate(raw)]
-    if not boxes:
+    boxes = check_boxes(raw, f"{path}: boxes")
+    if not len(boxes):
         raise DataValidationError(f"{path}: no boxes to pool")
-    return np.array(boxes, dtype=np.float64)
+    return boxes
 
 
 def _load_net_for(path: Path, table) -> EmbeddingNet:

@@ -21,7 +21,8 @@ frame, which turns difference channels into flat 127.
 A ``FrameSequence`` decodes each frame, as its planar uint8 [3, H, W]
 array, when first asked for it. A layout reaches at most ``reach`` frames
 back (``n - 1``, or ``delta`` for the pair layouts), so a stack run holds
-the layout's window of ``(reach + 1) * 3·W·H`` bytes, not the video.
+the layout's window of ``(reach + 1) * 3·W·H`` bytes, not the video, and
+fills one stack buffer in place for every target.
 """
 
 from __future__ import annotations
@@ -114,19 +115,26 @@ class StackedInput:
     config: InputConfig
 
 
-def diff_image(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+def diff_image(later: np.ndarray, earlier: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Byte-range difference image ``floor((later - earlier + 255) / 2)``.
 
     Accepts planar uint8 arrays of matching shape. With ``b = ~earlier``
     (``255 - earlier``) it is the halving add ``(later & b) + ((later ^ b) >> 1)``,
-    so no temporary is wider than a byte; zero motion lands on 127.
+    so no temporary is wider than a byte; zero motion lands on 127. As in
+    numpy, ``out`` (a uint8 array of the same shape, sharing no memory with
+    either input) receives the result and is returned.
     """
     if later.dtype != np.uint8 or earlier.dtype != np.uint8:
         raise ValueError("difference images are defined on uint8 frames")
     if later.shape != earlier.shape:
         raise ValueError(f"frame shapes differ: {later.shape} vs {earlier.shape}")
+    if out is not None:
+        if out.dtype != np.uint8 or out.shape != later.shape:
+            raise ValueError(f"out must be uint8 of shape {later.shape}, got {out.dtype} {out.shape}")
+        if np.shares_memory(out, later) or np.shares_memory(out, earlier):
+            raise ValueError("out must not overlap the frames it is computed from")
     flipped = ~earlier
-    out = later & flipped
+    out = np.bitwise_and(later, flipped, out=out)
     np.bitwise_xor(later, flipped, out=flipped)
     flipped >>= 1
     out += flipped
@@ -221,13 +229,24 @@ def build_input(source: FrameSequence, t: int, config: InputConfig) -> StackedIn
     layout reaches for are clamp-resolved. Channel order is newest-first,
     so channels 0..2 are always the RGB planes of frame ``t``.
     """
+    return StackedInput(tensor=_stack(source, t, config), target_frame_index=t, config=config)
+
+
+def _stack(source: FrameSequence, t: int, config: InputConfig, out: np.ndarray | None = None) -> np.ndarray:
+    """Target ``t``'s stack, written into ``out`` (uint8 [channels, H, W]) or a new array."""
     if t not in source:  # past lookups below may clamp; the target may not
         raise FrameLookupError(f"no frame with index {t}")
-    parts = [source.planar(t - k) for k in config.offsets]
-    if config.variant in _DIFF_VARIANTS:
-        parts[1:] = [diff_image(later, earlier) for later, earlier in zip(parts, parts[1:])]
-    tensor = np.concatenate(parts, axis=0)
-    return StackedInput(tensor=tensor, target_frame_index=t, config=config)
+    planes = [source.planar(t - k) for k in config.offsets]
+    if out is None:
+        out = np.empty((config.channels, *planes[0].shape[1:]), dtype=np.uint8)
+    out[:3] = planes[0]
+    for k in range(1, len(planes)):
+        part = out[3 * k : 3 * k + 3]
+        if config.variant in _DIFF_VARIANTS:
+            diff_image(planes[k - 1], planes[k], out=part)
+        else:
+            part[...] = planes[k]
+    return out
 
 
 def _label_files_by_index(labels_dir: Path) -> dict[int, Path]:
@@ -256,33 +275,39 @@ def build_dataset(
     Each target frame t becomes ``stack_<t>.mten`` in ``out_dir``. When
     ``labels_dir`` is given, the per-frame label file (matched by the frame
     index in its stem) is copied verbatim next to the stacks and recorded
-    in the manifest; a frame without a label file is an error. The manifest
-    is returned and also written to ``out_dir/manifest.json``. An empty
-    source yields an empty manifest.
+    in the manifest; a frame without a label file is an error, raised
+    before any stack is written. The manifest is returned and also written
+    to ``out_dir/manifest.json``, after every stack; an existing manifest is
+    deleted first, so a run that fails part-way leaves none. An empty source
+    yields an empty manifest. Every stack is built in one reused buffer.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    labels = None
+    # An earlier run's manifest would describe stacks this run may overwrite,
+    # and the new one is written only once every stack is.
+    (out_dir / MANIFEST_NAME).unlink(missing_ok=True)
+    labels = {}
     if labels_dir is not None:
         labels_dir = Path(labels_dir)
         if not labels_dir.is_dir():
             raise DataValidationError(f"labels directory {labels_dir} does not exist")
         labels = _label_files_by_index(labels_dir)
+        for t in source.indices:
+            if t not in labels:
+                raise DataValidationError(f"no label file for frame {t} in {labels_dir}")
 
     items = []
     reach = max(config.offsets)
+    stack = None  # one buffer, refilled for every target
     for t in source.indices:
         source._drop_before(source.resolve(t - reach))  # no later target reaches further back
         tensor_name = f"stack_{t}.mten"
-        # Not bound to a name, so one stack is freed before the next is built.
-        write_tensor(build_input(source, t, config).tensor, out_dir / tensor_name)
+        stack = _stack(source, t, config, stack)
+        write_tensor(stack, out_dir / tensor_name)
         label_name = None
-        if labels is not None:
-            src = labels.get(t)
-            if src is None:
-                raise DataValidationError(f"no label file for frame {t} in {labels_dir}")
-            label_name = src.name
-            shutil.copyfile(src, out_dir / label_name)
+        if labels_dir is not None:
+            label_name = labels[t].name
+            shutil.copyfile(labels[t], out_dir / label_name)
         items.append({"index": t, "tensor": tensor_name, "label": label_name})
 
     manifest = {"config": config.to_dict(), "items": items}

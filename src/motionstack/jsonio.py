@@ -15,6 +15,8 @@ from math import isfinite
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
+import numpy as np
+
 from .errors import DataValidationError
 
 
@@ -110,3 +112,20 @@ def check_box(raw: Any, where: str) -> tuple[float, float, float, float]:
     if x2 <= x1 or y2 <= y1:
         raise DataValidationError(f"{where}: bbox must satisfy x2 > x1 and y2 > y1, got {_echo(raw)}")
     return box
+
+
+def check_boxes(raw: list, where: str) -> np.ndarray:
+    """Validate a list of boxes as ``check_box`` does, naming box i ``{where}[{i}]``: float64 [N, 4].
+
+    All boxes are checked at once; only a list that fails goes through
+    ``check_box`` box by box, to raise its message for the first bad box.
+    """
+    try:  # check_box's rules on the whole list
+        if all(type(b) is list and len(b) == 4 and _NUMBERS.issuperset(map(type, b)) for b in raw):
+            boxes = np.array(raw, dtype=np.float64).reshape(len(raw), 4)
+            x1, y1, x2, y2 = boxes.T
+            if np.isfinite(boxes).all() and (x2 > x1).all() and (y2 > y1).all():
+                return boxes
+    except OverflowError:  # an integer past the float range
+        pass
+    return np.array([check_box(b, f"{where}[{i}]") for i, b in enumerate(raw)], dtype=np.float64)

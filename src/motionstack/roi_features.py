@@ -18,6 +18,12 @@ one row of ``Wy`` (``Wx``) per bin holding the mean weights of its y (x)
 samples. A descriptor is the same contraction with weights averaged over
 all bins, so no per-sample tensor is built, and only the float64 summation
 order differs from interpolating each sample.
+
+Boxes are pooled in row-major order of their windows on the map (top row,
+then left column), not in input order, so that consecutive boxes read map
+rows that are still in cache. Each box's arithmetic does not depend on the
+order, and each result is rounded from float64 straight into its own row of
+the float32 output, so the descriptors are the same bits in any order.
 """
 
 from __future__ import annotations
@@ -74,30 +80,40 @@ def _bilinear_weights(pos: np.ndarray, n: int) -> np.ndarray:
     flat = np.clip(pos, 0.0, n - 1.0).reshape(-1, pos.shape[-1])
     i0 = np.floor(flat).astype(np.intp)
     frac = flat - i0
-    row = np.arange(len(flat))[:, None]
-    weights = np.zeros((len(flat), n))
-    np.add.at(weights, (row, i0), 1.0 - frac)
-    np.add.at(weights, (row, np.minimum(i0 + 1, n - 1)), frac)
+    # One scatter-add of every (cell, weight) pair: first each sample's own
+    # pixel, then the clamped pixel after it, so each cell sums its terms in
+    # the order two sequential ``np.add.at`` passes would.
+    cells = np.arange(len(flat))[:, None] * n
+    weights = np.bincount(
+        np.concatenate([(cells + i0).ravel(), (cells + np.minimum(i0 + 1, n - 1)).ravel()]),
+        np.concatenate([(1.0 - frac).ravel(), frac.ravel()]),
+        minlength=len(flat) * n,
+    )
     return (weights / pos.shape[-1]).reshape(pos.shape[:-1] + (n,))
 
 
-def _window(weights: np.ndarray):
-    # Per box of weights [N, bins, n], the [lo, hi) range of nonzero columns.
+def _windows(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per box of weights [N, bins, n], the [lo, hi) range of nonzero columns."""
     touched = (weights != 0).any(axis=1)
-    return zip(touched.argmax(axis=1), weights.shape[-1] - touched[:, ::-1].argmax(axis=1))
+    return touched.argmax(axis=1), weights.shape[-1] - touched[:, ::-1].argmax(axis=1)
 
 
 def _pool(fmap: FeatureMap, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Mean bilinear samples over ys [N, by, k] x xs [N, bx, k]: float64 [N, by, bx, C].
+    """Mean bilinear samples over ys [N, by, k] x xs [N, bx, k]: float32 [N, by, bx, C].
 
     The map goes channels-last, so a box's window of rows and columns is an
-    [h, w * C] view and both contractions run in BLAS without a copy.
+    [h, w * C] view and both contractions run in float64 in BLAS without a
+    copy. Boxes are visited in row-major order of their windows' top-left
+    corners, and each result is rounded into its own box's slot.
     """
     hwc = np.ascontiguousarray(fmap.tensor.transpose(1, 2, 0), dtype=np.float64)
     wy, wx = _bilinear_weights(ys, hwc.shape[0]), _bilinear_weights(xs, hwc.shape[1])
     c = hwc.shape[2]
-    out = np.empty((len(wy), wy.shape[1], wx.shape[1], c))
-    for i, ((y0, y1), (x0, x1)) in enumerate(zip(_window(wy), _window(wx))):
+    (top, bottom), (left, right) = _windows(wy), _windows(wx)
+    out = np.empty((len(wy), wy.shape[1], wx.shape[1], c), dtype=np.float32)
+    order = np.lexsort((left, top))
+    windows = zip(order.tolist(), *(a[order].tolist() for a in (top, bottom, left, right)))
+    for i, y0, y1, x0, x1 in windows:
         rows = wy[i, :, y0:y1] @ hwc[y0:y1, x0:x1].reshape(y1 - y0, (x1 - x0) * c)
         out[i] = wx[i, :, x0:x1] @ rows.reshape(len(rows), x1 - x0, c)
     return out
@@ -125,7 +141,7 @@ def roi_align(
     _check_pool_params(out_h, out_w, sampling_ratio)
     boxes = np.asarray(box, dtype=np.float64).reshape(1, 4)
     ys, xs = _sample_coords(boxes, fmap.spatial_scale, out_h, out_w, sampling_ratio)
-    return _pool(fmap, ys, xs)[0].transpose(2, 0, 1).astype(np.float32)
+    return np.ascontiguousarray(_pool(fmap, ys, xs)[0].transpose(2, 0, 1))
 
 
 def pool_boxes(
@@ -144,4 +160,4 @@ def pool_boxes(
     # Pooling every sample of a box at once averages its per-bin weight rows.
     n = len(boxes)
     pooled = _pool(fmap, ys.reshape(n, 1, out_h * sampling_ratio), xs.reshape(n, 1, out_w * sampling_ratio))
-    return pooled[:, 0, 0].astype(np.float32)
+    return pooled.reshape(n, pooled.shape[-1])

@@ -65,39 +65,47 @@ def read_tensor(path: str | Path) -> np.ndarray:
     """Read an MTENSOR container back into a numpy array.
 
     Raises TensorFormatError on bad magic, a malformed header, an unknown
-    dtype code, or a header/payload length mismatch.
+    dtype code, or a header/payload length mismatch. The payload length
+    comes from the file size, so a header declaring more than the file
+    holds fails before anything is allocated; the payload is then read
+    straight into the returned array.
     """
-    data = Path(path).read_bytes()
-    if len(data) < len(MAGIC) + 4 or data[: len(MAGIC)] != MAGIC:
-        raise TensorFormatError(f"{path}: not an MTENSOR container (bad magic)")
-    (header_len,) = struct.unpack("<I", data[len(MAGIC) : len(MAGIC) + 4])
-    body = len(MAGIC) + 4
-    if len(data) < body + header_len:
-        raise TensorFormatError(f"{path}: truncated header ({header_len} bytes declared)")
-    try:
-        meta = json.loads(data[body : body + header_len].decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nesting too deep
-        raise TensorFormatError(f"{path}: unparseable header: {exc}") from exc
-    if not isinstance(meta, dict) or "dtype" not in meta or "shape" not in meta:
-        raise TensorFormatError(f"{path}: header missing dtype/shape")
-    code = meta["dtype"]
-    if not isinstance(code, str) or code not in _DTYPE_BY_CODE:
-        raise TensorFormatError(f"{path}: unknown dtype code {code!r}")
-    shape = meta["shape"]
-    if (
-        not isinstance(shape, list)
-        or not 1 <= len(shape) <= MAX_DIMS
-        or not all(type(d) is int and d >= 1 for d in shape)  # a JSON true is no dimension
-    ):
-        raise TensorFormatError(f"{path}: invalid shape {shape!r}")
-    dtype = _DTYPE_BY_CODE[code]
-    expected = math.prod(shape) * dtype.itemsize  # Python ints: an int64 product can wrap to a small size
-    payload = data[body + header_len :]
-    if len(payload) != expected:
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(len(MAGIC) + 4)
+        if len(prefix) < len(MAGIC) + 4 or prefix[: len(MAGIC)] != MAGIC:
+            raise TensorFormatError(f"{path}: not an MTENSOR container (bad magic)")
+        (header_len,) = struct.unpack("<I", prefix[len(MAGIC) :])
+        body = len(prefix)
+        if size < body + header_len:
+            raise TensorFormatError(f"{path}: truncated header ({header_len} bytes declared)")
+        try:
+            meta = json.loads(fh.read(header_len).decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nesting too deep
+            raise TensorFormatError(f"{path}: unparseable header: {exc}") from exc
+        if not isinstance(meta, dict) or "dtype" not in meta or "shape" not in meta:
+            raise TensorFormatError(f"{path}: header missing dtype/shape")
+        code = meta["dtype"]
+        if not isinstance(code, str) or code not in _DTYPE_BY_CODE:
+            raise TensorFormatError(f"{path}: unknown dtype code {code!r}")
+        shape = meta["shape"]
+        if (
+            not isinstance(shape, list)
+            or not 1 <= len(shape) <= MAX_DIMS
+            or not all(type(d) is int and d >= 1 for d in shape)  # a JSON true is no dimension
+        ):
+            raise TensorFormatError(f"{path}: invalid shape {shape!r}")
+        dtype = _DTYPE_BY_CODE[code]
+        expected = math.prod(shape) * dtype.itemsize  # Python ints: an int64 product can wrap to a small size
+        held = size - body - header_len
+        if held == expected:
+            arr = np.empty(shape, dtype=dtype)
+            held = fh.readinto(memoryview(arr).cast("B"))  # short only if the file shrank meanwhile
+    if held != expected:
         raise TensorFormatError(
-            f"{path}: payload length mismatch: header declares {expected} bytes, file holds {len(payload)}"
+            f"{path}: payload length mismatch: header declares {expected} bytes, file holds {held}"
         )
-    return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+    return arr
 
 
 _LAST_DIGIT_RUN = re.compile(r"(\d+)(?!.*\d)")

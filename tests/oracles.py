@@ -280,6 +280,22 @@ def bilinear_at(arr: np.ndarray, x: float, y: float) -> np.ndarray:
     )
 
 
+def bilinear_weights_add_at(pos: np.ndarray, n: int) -> np.ndarray:
+    """[..., n] mean clamped linear-interpolation weights of pos [..., k], by two ``np.add.at`` passes.
+
+    Every sample adds ``1 - frac`` to its own pixel in one pass, then
+    ``frac`` to the next (clamped) pixel in a second pass.
+    """
+    flat = np.clip(pos, 0.0, n - 1.0).reshape(-1, pos.shape[-1])
+    i0 = np.floor(flat).astype(np.intp)
+    frac = flat - i0
+    row = np.arange(len(flat))[:, None]
+    weights = np.zeros((len(flat), n))
+    np.add.at(weights, (row, i0), 1.0 - frac)
+    np.add.at(weights, (row, np.minimum(i0 + 1, n - 1)), frac)
+    return (weights / pos.shape[-1]).reshape(pos.shape[:-1] + (n,))
+
+
 def roi_align_loops(arr, spatial_scale, box, out_h, out_w, ratio) -> np.ndarray:
     """Loop RoIAlign: half-pixel projection, per-bin sample grid, averaging."""
     arr = np.asarray(arr, dtype=np.float64)

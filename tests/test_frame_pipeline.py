@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from motionstack.errors import DataValidationError, FrameLookupError
+from motionstack.errors import DataValidationError, FrameLookupError, PpmError
 from motionstack.frame_pipeline import (
     FrameSequence,
     InputConfig,
@@ -82,6 +82,30 @@ class TestDiffImage:
     def test_rejects_non_uint8(self):
         with pytest.raises(ValueError, match="uint8"):
             diff_image(np.zeros((3, 2, 2), np.float32), np.zeros((3, 2, 2), np.uint8))
+
+    @settings(max_examples=40, deadline=None)
+    @given(arrays(np.uint8, (3, 4, 5)), arrays(np.uint8, (3, 4, 5)))
+    def test_out_receives_the_result(self, a, b):
+        stack = np.full((9, 4, 5), 7, dtype=np.uint8)
+        out = stack[3:6]
+        assert diff_image(a, b, out=out) is out
+        assert np.array_equal(out, oracles.diff_image_int16(a, b))
+        assert np.all(stack[:3] == 7) and np.all(stack[6:] == 7)
+
+    def test_rejects_out_overlapping_an_input(self):
+        frames = np.zeros((2, 3, 4, 5), dtype=np.uint8)
+        later, earlier = frames
+        for out in (later, earlier, frames.reshape(-1)[30:90].reshape(3, 4, 5)):
+            with pytest.raises(ValueError, match="overlap"):
+                diff_image(later, earlier, out=out)
+        interleaved = np.zeros((3, 4, 10), dtype=np.uint8)  # shares bounds, not bytes
+        assert diff_image(interleaved[..., ::2], earlier, out=interleaved[..., 1::2]) is not None
+
+    def test_rejects_out_of_another_shape_or_dtype(self):
+        a = np.zeros((3, 2, 2), np.uint8)
+        for out in (np.zeros((3, 2, 3), np.uint8), np.zeros((2, 3, 2, 2), np.uint8), np.zeros((3, 2, 2), np.int16)):
+            with pytest.raises(ValueError, match="out must be uint8"):
+                diff_image(a, a.copy(), out=out)
 
 
 class TestInputConfig:
@@ -203,7 +227,66 @@ class TestBuildInput:
         assert stacked.tensor.flags.c_contiguous
 
 
+def _make_gapped_frames(dir_path, indices, width=6, height=4, seed=3):
+    rng = np.random.default_rng(seed)
+    for t in indices:
+        pixels = rng.integers(0, 256, size=3 * width * height, dtype=np.uint8)
+        write_ppm(ImageFrame(width=width, height=height, pixels=pixels, frame_index=t), dir_path / f"f_{t}.ppm")
+
+
 class TestBuildDataset:
+    @pytest.mark.parametrize(
+        "config",
+        [InputConfig("rgb_seq", n=4), InputConfig("rgb_int", delta=3), InputConfig("diff_seq", n=4),
+         InputConfig("diff_int", delta=3)],
+        ids=lambda c: c.variant,
+    )
+    def test_each_stack_equals_a_fresh_build_input(self, tmp_path, config):
+        # Gaps snap back to earlier frames and the first targets clamp to
+        # frame 3, so one reused stack buffer sees every kind of refill.
+        frames_dir = tmp_path / "frames"
+        frames_dir.mkdir()
+        _make_gapped_frames(frames_dir, [3, 4, 7, 8, 9, 12, 20])
+        source = FrameSequence.from_dir(frames_dir)
+        manifest = build_dataset(source, config, tmp_path / "out")
+        fresh = FrameSequence.from_dir(frames_dir)
+        assert [item["index"] for item in manifest["items"]] == fresh.indices
+        for item in manifest["items"]:
+            want = build_input(fresh, item["index"], config).tensor
+            assert np.array_equal(read_tensor(tmp_path / "out" / item["tensor"]), want)
+
+    def test_missing_label_fails_before_any_stack_and_leaves_no_manifest(self, tmp_path):
+        frames_dir = tmp_path / "frames"
+        labels_dir = tmp_path / "labels"
+        out = tmp_path / "out"
+        frames_dir.mkdir()
+        labels_dir.mkdir()
+        _make_frames(frames_dir, 3)
+        for t in range(3):
+            (labels_dir / f"frame_{t:04d}.txt").write_text(f"{t}\n")
+        build_dataset(FrameSequence.from_dir(frames_dir), InputConfig("rgb_seq"), out, labels_dir)
+        first_run = {path.name: path.read_bytes() for path in out.iterdir()}
+        (labels_dir / "frame_0002.txt").unlink()
+        with pytest.raises(DataValidationError, match="no label file for frame 2"):
+            build_dataset(FrameSequence.from_dir(frames_dir), InputConfig("diff_seq", n=3), out, labels_dir)
+        assert not (out / "manifest.json").exists()
+        del first_run["manifest.json"]
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == first_run
+
+    def test_frame_cut_after_indexing_leaves_no_manifest(self, tmp_path):
+        frames_dir = tmp_path / "frames"
+        out = tmp_path / "out"
+        frames_dir.mkdir()
+        _make_frames(frames_dir, 4)
+        build_dataset(FrameSequence.from_dir(frames_dir), InputConfig("rgb_seq"), out)
+        source = FrameSequence.from_dir(frames_dir)
+        cut = frames_dir / "frame_0002.ppm"
+        cut.write_bytes(cut.read_bytes()[:-5])
+        with pytest.raises(PpmError, match="payload holds"):
+            build_dataset(source, InputConfig("diff_seq", n=3), out)
+        assert not (out / "manifest.json").exists()
+        assert read_tensor(out / "stack_1.mten").shape[0] == 9  # this run got that far
+
     def test_writes_tensor_per_frame_and_manifest(self, tmp_path):
         frames_dir = tmp_path / "frames"
         frames_dir.mkdir()
@@ -300,7 +383,7 @@ class TestBuildDataset:
         finally:
             tracemalloc.stop()
         # The window of reach + 1 planes, two frames of decode or diff
-        # scratch, and the stack being built: its own bytes plus the diff
-        # parts it is concatenated from. Measured: 14 frames' bytes.
+        # scratch, and the one stack buffer. Measured: 11 frames' bytes
+        # (14 when each stack was concatenated from fresh diff parts).
         stack_bytes = config.channels * 320 * 240
         assert peak < (reach + 3) * frame_bytes + 2 * stack_bytes

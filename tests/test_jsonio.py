@@ -1,9 +1,19 @@
 """The shared JSON/JSON-lines layer: located errors and stable output bytes."""
 
+import numpy as np
 import pytest
 
 from motionstack.errors import DataValidationError
-from motionstack.jsonio import check_box, check_number, expect, read_json, read_jsonl, write_json, write_jsonl
+from motionstack.jsonio import (
+    check_box,
+    check_boxes,
+    check_number,
+    expect,
+    read_json,
+    read_jsonl,
+    write_json,
+    write_jsonl,
+)
 
 
 class TestRead:
@@ -57,6 +67,37 @@ class TestWrite:
 def test_check_box_rejects_a_corner_too_large_for_a_float():
     with pytest.raises(DataValidationError, match=r"w: bbox\[2\] must be a finite number, got 1000"):
         check_box([0, 0, 10**400, 1], "w")
+
+
+def _check_box_by_box(raw, where):
+    return [check_box(b, f"{where}[{i}]") for i, b in enumerate(raw)]
+
+
+_GOOD_BOXES = [[0, 0, 4, 4], [1.5, 2, 3.25, 9], [2**60, -7, 2**60 + 2**10, 1e300]]
+
+
+def test_check_boxes_equals_check_box_on_valid_boxes():
+    got = check_boxes(_GOOD_BOXES, "f: boxes")
+    assert got.dtype == np.float64
+    assert got.shape == (3, 4)
+    assert got.tolist() == [list(box) for box in _check_box_by_box(_GOOD_BOXES, "f: boxes")]
+    assert check_boxes([], "f: boxes").shape == (0, 4)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[0, True, 4, 4], [0, float("nan"), 4, 4], [0, 0, float("inf"), 4], [0, 0, 10**400, 4], [0, 0, 4], [4, 0, 4, 4],
+     [0, 4, 4, 1], "box", None],
+    ids=["bool", "nan", "inf", "int-past-float", "length", "x2<=x1", "y2<=y1", "string", "null"],
+)
+def test_check_boxes_names_the_first_bad_box_as_check_box_does(bad):
+    raw = _GOOD_BOXES + [bad] + _GOOD_BOXES
+    with pytest.raises(DataValidationError) as want:
+        _check_box_by_box(raw, "f: boxes")
+    assert "f: boxes[3]" in str(want.value)
+    with pytest.raises(DataValidationError) as got:
+        check_boxes(raw, "f: boxes")
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize(

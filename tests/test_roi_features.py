@@ -11,6 +11,7 @@ from motionstack.roi_features import (
     OUT_SIZE,
     SAMPLING_RATIO,
     FeatureMap,
+    _bilinear_weights,
     pool_boxes,
     roi_align,
 )
@@ -196,3 +197,52 @@ class TestPooling:
     def test_pool_boxes_rejects_non_finite_box(self, bad):
         with pytest.raises(DataValidationError, match=r"box 1 \[.*\] has a non-finite"):
             pool_boxes(_random_map(), [(0.0, 0.0, 4.0, 4.0), bad])
+
+
+def _bits(arr):
+    return arr.view(np.uint32 if arr.dtype == np.float32 else np.uint64)
+
+
+class TestPoolingOrder:
+    """Boxes are pooled in window order, so their order must not reach the values."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(pooling_cases(), st.randoms(use_true_random=False))
+    def test_pool_boxes_of_permuted_boxes_is_the_permuted_table(self, case, random):
+        fmap, boxes, out_h, out_w, ratio = case
+        boxes = np.array(boxes)
+        perm = np.array(random.sample(range(len(boxes)), len(boxes)))
+        table = pool_boxes(fmap, boxes, out_h, out_w, ratio)
+        assert np.array_equal(_bits(pool_boxes(fmap, boxes[perm], out_h, out_w, ratio)), _bits(table[perm]))
+
+    def test_many_overlapping_boxes_in_reverse_and_shuffled_order(self):
+        # Many boxes share window rows and corners, so the visit order and
+        # the input order differ everywhere.
+        rng = np.random.default_rng(11)
+        fmap = FeatureMap(tensor=rng.standard_normal((16, 15, 20), dtype=np.float32), spatial_scale=0.25)
+        wh = rng.uniform(8.0, 64.0, size=(300, 2))
+        xy = rng.uniform(-8.0, 1.0, size=(300, 2)) * (np.array([80.0, 60.0]) - wh)
+        boxes = np.round(np.hstack([xy, xy + wh]), 2)
+        boxes[:50] = boxes[50]  # duplicates tie in the visit order
+        table = pool_boxes(fmap, boxes)
+        for perm in (np.arange(300)[::-1], rng.permutation(300)):
+            assert np.array_equal(_bits(pool_boxes(fmap, boxes[perm])), _bits(table[perm]))
+        assert np.array_equal(_bits(table[:50]), _bits(np.repeat(table[50:51], 50, axis=0)))
+
+
+class TestBilinearWeights:
+    @pytest.mark.parametrize("n", [1, 2, 5, 80])
+    def test_matches_add_at_oracle_bitwise(self, n):
+        # Samples on pixel centres, between them, on the last pixel and
+        # clamped from both sides, where a sample's two pixels coincide.
+        # Rows 20 on crowd 14 samples onto about two pixels, so each cell
+        # sums many terms and any other addition order moves some bits.
+        rng = np.random.default_rng(n)
+        pos = rng.uniform(-3.0, n + 2.0, size=(40, 3, 14))
+        pos[20:] = rng.integers(0, n, size=(20, 3, 1)) + rng.uniform(0.0, 2.0, size=(20, 3, 14))
+        pos[0, 0, :6] = [-1.0, 0.0, 0.5, n - 1.0, n - 0.5, n + 4.0]
+        pos[1, 1] = np.floor(pos[1, 1])
+        got = _bilinear_weights(pos, n)
+        want = oracles.bilinear_weights_add_at(pos, n)
+        assert got.shape == want.shape == (40, 3, n)
+        assert np.array_equal(_bits(got), _bits(want))

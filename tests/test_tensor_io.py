@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +149,21 @@ class TestTensorErrors:
         path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header)
         with pytest.raises(TensorFormatError, match="payload length mismatch"):
             read_tensor(path)
+
+    def test_huge_declared_shape_fails_before_allocating(self, tmp_path):
+        # 256 MiB declared over a 64-byte payload: the length check comes first.
+        path = tmp_path / "t.mten"
+        header = json.dumps({"dtype": "f32", "shape": [1 << 13, 1 << 13]}).encode()
+        header += b" " * (-(12 + len(header)) % 64)
+        path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header + bytes(64))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TensorFormatError, match=f"header declares {1 << 28} bytes, file holds 64$"):
+                read_tensor(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_payload_length_mismatch(self, tmp_path):
         path = tmp_path / "t.mten"
