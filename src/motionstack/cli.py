@@ -12,26 +12,18 @@ every flag except ``--out``, defaults included, keyed by its argparse name
 (hyphens become underscores), with paths as given. Reports contain no
 timestamps or absolute-path echoes beyond the flags as given, so a rerun
 with identical inputs and seeds is byte-identical.
-
-``MOTIONSTACK_THREADS``, when set, must be a positive integer, so a typo
-fails loudly. It sizes the BLAS thread pool behind numpy: importing the
-package sets it as the default for ``OPENBLAS_NUM_THREADS``,
-``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS``, so an explicit BLAS variable
-still wins. That pool also runs the products behind ``reid``'s separation
-statistics, which start no thread of their own.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from math import isfinite, nan
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, _thread_count
+from . import __version__
 from .det_metrics import (
     evaluate,
     load_detections_jsonl,
@@ -82,12 +74,6 @@ from .weight_surgery import MODES, expand_first_layer, load_conv_layer, save_con
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse would exit(2); a ValueError exits 1
         raise ValueError(message)
-
-
-def _check_threads_env() -> None:
-    raw = os.environ.get("MOTIONSTACK_THREADS")
-    if raw is not None and _thread_count(raw) < 1:
-        raise ValueError(f"MOTIONSTACK_THREADS must be a positive integer, got {raw!r}")
 
 
 _NOT_INPUTS = ("func", "command", "synth_command", "out")
@@ -537,7 +523,6 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _check_threads_env()
         results, summary = args.func(args)
         _emit_report(args, results)
         print(summary)

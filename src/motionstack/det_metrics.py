@@ -225,22 +225,16 @@ def f1_operating_point(
     prefix, and an empty prefix reports precision and recall of 0.
     """
     result = match_detections(dets, gts, iou_threshold)
-    scores = [dets[i].score for i in result.order]
+    scores = np.array([dets[i].score for i in result.order])
     num_gt = len(gts)
-    best_k = 0
-    best_f1 = 0.0
-    tp = 0
-    for k, is_tp in enumerate(result.flags, start=1):
-        if is_tp:
-            tp += 1
-        if k < len(scores) and scores[k] == scores[k - 1]:
-            continue  # no cutoff keeps a detection but not its tied successor
-        denom = k + num_gt
-        f1 = 2.0 * tp / denom if denom > 0 else 0.0
-        if f1 > best_f1:
-            best_f1 = f1
-            best_k = k
-    tp_at_best = sum(result.flags[:best_k])
+    tp = np.cumsum(result.flags)
+    k = np.arange(1, len(tp) + 1)
+    # No cutoff keeps a detection but not its tied successor.
+    cut = np.append(scores[1:] != scores[:-1], True)
+    f1 = np.where(cut, 2.0 * tp / (k + num_gt), 0.0)
+    best_f1 = float(f1.max(initial=0.0))
+    best_k = int(np.argmax(f1)) + 1 if best_f1 > 0 else 0
+    tp_at_best = int(tp[best_k - 1]) if best_k > 0 else 0
     return {
         "k": best_k,
         "precision": tp_at_best / best_k if best_k > 0 else 0.0,

@@ -48,7 +48,7 @@ import numpy as np
 from .errors import DataValidationError
 from .jsonio import _echo, expect, expect_ints, read_json, read_jsonl, write_json, write_jsonl
 from .tensor_io import read_tensor, write_tensor
-from .tracklets import Tracklet, check_feature_rows, enumerate_keys, overlap_graph, temporal_overlap
+from .tracklets import Tracklet, check_feature_rows, enumerate_keys, overlap_graph
 
 OUT_DIM = 128
 DEFAULT_HIDDEN = (512, 256)
@@ -303,11 +303,6 @@ def _stacked_forward(params, xa, xp, xn, margin: float):
     return acts, terms
 
 
-def loss_on_params(params, xa, xp, xn, margin: float) -> float:
-    """Mean hinge loss of a batch (the quantity training descends)."""
-    return float(np.maximum(_stacked_forward(params, xa, xp, xn, margin)[1], 0.0).mean())
-
-
 def gradients_on_params(params, xa, xp, xn, margin: float):
     """Analytic gradients of the mean batch loss.
 
@@ -519,15 +514,15 @@ def propose_merges(
     """
     if threshold < 0:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
-    by_id = {t.id: t for t in tracklets}
+    graph = overlap_graph(tracklets)
     for tid in centroids:
-        if tid not in by_id:
+        if tid not in graph:
             raise DataValidationError(f"centroid for unknown tracklet id {tid}")
     ids = sorted(centroids.keys())
     scored: list[tuple[float, int, int]] = []
     for i, a in enumerate(ids):
         for b in ids[i + 1 :]:
-            if temporal_overlap(by_id[a], by_id[b]):
+            if b in graph[a]:
                 continue
             dist = float(np.linalg.norm(np.asarray(centroids[a]) - np.asarray(centroids[b])))
             if dist <= threshold:

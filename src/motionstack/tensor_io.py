@@ -192,43 +192,51 @@ def _ppm_header(data: bytes, path: Path, size: int) -> tuple[int, int, int, int]
     return width, height, start, parse_frame_index(path)
 
 
+def _read_ppm_header(fh, path: Path) -> tuple[int, int, int, int]:
+    """``_ppm_header`` of the open file ``fh``; the payload length comes from the file size.
+
+    A header that does not parse within the bytes read so far (long ``#``
+    comments) is read further, up to the whole file, before its error is raised.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    data = fh.read(_PPM_HEADER_PREFIX)
+    while True:
+        try:
+            return _ppm_header(data, path, size)
+        except PpmError:
+            more = fh.read(len(data))
+            if not more:
+                raise
+            data += more
+
+
 def read_ppm(path: str | Path) -> ImageFrame:
     """Decode a binary P6 PPM file with maxval 255.
 
-    The frame index is parsed from the trailing digits of the file stem.
+    The frame index is parsed from the trailing digits of the file stem;
+    the pixels are read straight into the frame's buffer.
     """
     path = Path(path)
-    data = path.read_bytes()
-    width, height, start, index = _ppm_header(data, path, len(data))
-    return ImageFrame(
-        width=width,
-        height=height,
-        pixels=np.frombuffer(data, dtype=np.uint8, count=3 * width * height, offset=start).copy(),
-        frame_index=index,
-    )
+    with open(path, "rb") as fh:
+        width, height, start, index = _read_ppm_header(fh, path)
+        pixels = np.empty(3 * width * height, dtype=np.uint8)
+        fh.seek(start)
+        held = fh.readinto(pixels)  # short only if the file shrank meanwhile
+    if held != pixels.size:
+        raise PpmError(f"{path}: payload holds {held} bytes, header promises {pixels.size}")
+    return ImageFrame(width=width, height=height, pixels=pixels, frame_index=index)
 
 
 def read_ppm_header(path: str | Path) -> tuple[int, int, int]:
     """``(width, height, frame index)`` of a PPM file that ``read_ppm`` would accept.
 
     Applies every rule of ``read_ppm`` and raises the same errors, but reads
-    only the header: the payload length comes from the file size. A header
-    that does not parse within the bytes read so far (long ``#`` comments)
-    is read further, up to the whole file, before its error is raised.
+    only the header.
     """
     path = Path(path)
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        data = fh.read(_PPM_HEADER_PREFIX)
-        while True:
-            try:
-                width, height, _, index = _ppm_header(data, path, size)
-                return width, height, index
-            except PpmError:
-                more = fh.read(len(data))
-                if not more:
-                    raise
-                data += more
+        width, height, _, index = _read_ppm_header(fh, path)
+    return width, height, index
 
 
 def write_ppm(frame: ImageFrame, path: str | Path) -> None:

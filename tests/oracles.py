@@ -13,8 +13,6 @@ import math
 
 import numpy as np
 
-from motionstack.metric_learning import loss_on_params
-
 
 # ---------------------------------------------------------------------------
 # pixel difference
@@ -335,7 +333,23 @@ def triplet_loss(ea, ep, en, margin: float) -> float:
 
 
 def fd_gradients(params, xa, xp, xn, margin: float, eps: float = 1e-3):
-    """Central finite differences of the mean batch loss, coordinate by coordinate."""
+    """Central finite differences of the mean batch loss, coordinate by coordinate.
+
+    The loss runs each row through a plain affine -> ReLU -> ... -> affine
+    chain and averages ``triplet_loss`` over the batch.
+    """
+
+    def embed(x):
+        for l, (w, b) in enumerate(params):
+            x = w @ x + b
+            if l < len(params) - 1:
+                x = np.maximum(x, 0.0)
+        return x
+
+    def mean_loss():
+        losses = [triplet_loss(embed(a), embed(p), embed(n), margin) for a, p, n in zip(xa, xp, xn)]
+        return _sum_left_to_right(losses) / len(losses)
+
     grads = []
     for l, (w, b) in enumerate(params):
         gw = np.zeros_like(w)
@@ -346,9 +360,9 @@ def fd_gradients(params, xa, xp, xn, margin: float, eps: float = 1e-3):
             for k in range(flat.size):
                 saved = flat[k]
                 flat[k] = saved + eps
-                hi = loss_on_params(params, xa, xp, xn, margin)
+                hi = mean_loss()
                 flat[k] = saved - eps
-                lo = loss_on_params(params, xa, xp, xn, margin)
+                lo = mean_loss()
                 flat[k] = saved
                 gflat[k] = (hi - lo) / (2.0 * eps)
         grads.append((gw, gb))

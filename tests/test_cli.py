@@ -113,25 +113,6 @@ class TestExitCodes:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
-    def test_threads_env_validated(self, monkeypatch, tmp_path, scene12):
-        argv = ["synth", "perturb", "--gt", str(scene12 / "gt.jsonl"),
-                "--out-dets", str(tmp_path / "d.jsonl")]
-        monkeypatch.setenv("MOTIONSTACK_THREADS", "abc")
-        assert cli.run(argv) == 1
-        monkeypatch.setenv("MOTIONSTACK_THREADS", "0")
-        assert cli.run(argv) == 1
-        monkeypatch.setenv("MOTIONSTACK_THREADS", "2")
-        assert cli.run(argv) == 0
-
-    @pytest.mark.parametrize("value", ["+2", " 2", "2_0"])
-    def test_threads_env_takes_digits_only(self, monkeypatch, tmp_path, scene12, value):
-        monkeypatch.setenv("MOTIONSTACK_THREADS", value)
-        code, err = _run_quiet(["synth", "perturb", "--gt", str(scene12 / "gt.jsonl"),
-                                "--out-dets", str(tmp_path / "d.jsonl")])
-        assert code == 1
-        assert err.splitlines() == [f"error: MOTIONSTACK_THREADS must be a positive integer, got {value!r}"]
-        assert not any(tmp_path.iterdir())
-
     @pytest.mark.parametrize(
         "field, value, message",
         [
@@ -1071,40 +1052,3 @@ class TestConsoleScript:
                 assert "Traceback" not in proc.stderr
                 lines = proc.stderr.splitlines()
                 assert len(lines) == 1 and lines[0].startswith("error: "), (exe, argv, lines)
-
-
-@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads through /proc")
-class TestBlasThreads:
-    """MOTIONSTACK_THREADS sizes the BLAS pool that numpy starts on its first import."""
-
-    BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-    PROBE = (
-        "import json, os, motionstack.cli, numpy as np; a = np.ones((300, 300)); a @ a; "
-        "print(json.dumps([len(os.listdir('/proc/self/task'))] + [os.environ.get(k) for k in {vars!r}]))"
-    )
-
-    def _probe(self, **variables):
-        """Thread count after one matmul, then the BLAS variables, in a fresh interpreter."""
-        env = {k: v for k, v in os.environ.items() if k not in (*self.BLAS_VARS, "MOTIONSTACK_THREADS")}
-        env["PYTHONPATH"] = str(Path(motionstack.__file__).resolve().parents[1])
-        env.update(variables)
-        code = self.PROBE.format(vars=self.BLAS_VARS)
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
-        assert proc.returncode == 0, proc.stderr
-        return json.loads(proc.stdout)
-
-    def test_one_thread(self):
-        assert self._probe(MOTIONSTACK_THREADS="1") == [1, "1", "1", "1"]
-
-    def test_explicit_blas_variable_wins(self):
-        _, *blas = self._probe(MOTIONSTACK_THREADS="1", OPENBLAS_NUM_THREADS="2")
-        assert blas == ["2", "1", "1"]
-
-    def test_invalid_value_sets_nothing(self):
-        _, *blas = self._probe(MOTIONSTACK_THREADS="abc")
-        assert blas == [None, None, None]
-
-    @pytest.mark.parametrize("value", ["2_0", " 3", "+4"])
-    def test_value_int_would_take_sets_nothing(self, value):
-        _, *blas = self._probe(MOTIONSTACK_THREADS=value)
-        assert blas == [None, None, None]

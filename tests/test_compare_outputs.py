@@ -50,15 +50,15 @@ def test_change_env_reaches_only_the_change(tmp_path, monkeypatch):
     seen = []
 
     def fake_run(args, cwd, env, **kwargs):
-        seen.append((Path(cwd).name, env.get("MOTIONSTACK_THREADS"), env.get("EMPTY")))
+        seen.append((Path(cwd).name, env.get("OPENBLAS_NUM_THREADS"), env.get("EMPTY")))
         return subprocess.CompletedProcess(args, 0, "", "")
 
     monkeypatch.setattr(compare_outputs.subprocess, "run", fake_run)
     monkeypatch.setattr(compare_outputs, "write_partial_map", lambda out: None)
-    monkeypatch.delenv("MOTIONSTACK_THREADS", raising=False)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     code = compare_outputs.main(
         [str(tmp_path / "parent"), str(tmp_path / "change"), "--seeds", "7", "--work", str(tmp_path / "work"),
-         "--change-env", "MOTIONSTACK_THREADS=1", "--change-env", "EMPTY="]
+         "--change-env", "OPENBLAS_NUM_THREADS=1", "--change-env", "EMPTY="]
     )
     assert code == 0  # no command wrote anything, so both sides hold the same inputs
     steps = len(compare_outputs.chain(7))
@@ -66,7 +66,7 @@ def test_change_env_reaches_only_the_change(tmp_path, monkeypatch):
 
 
 def test_change_env_needs_a_name_and_an_equals_sign(capsys):
-    for bad in ("MOTIONSTACK_THREADS", "=1"):
+    for bad in ("OPENBLAS_NUM_THREADS", "=1"):
         with pytest.raises(SystemExit) as exc:
             compare_outputs.main(["a", "b", "--change-env", bad])
         assert exc.value.code == 2

@@ -355,8 +355,12 @@ class TestF1OperatingPoint:
         }
 
     def test_matches_prefix_oracle(self):
-        for seed in range(30):
-            dets, gts = _random_instance(seed)
+        instances = [_random_instance(seed) for seed in range(30)]
+        for seed in range(60):
+            # Tie-heavy: up to 20 detections share 11 scores, so many prefixes end inside a tie.
+            dets, gts = _dense_instance(seed)
+            instances.append(([Detection(d.frame, d.bbox, round(d.score, 1), d.label) for d in dets], gts))
+        for dets, gts in instances:
             got = f1_operating_point(dets, gts, 0.5)
             want = oracles.best_f1_prefix(dets, gts, 0.5)
             assert {key: got[key] for key in want} == want

@@ -34,7 +34,6 @@ from motionstack.metric_learning import (
     load_feature_table,
     load_net,
     load_triplets_jsonl,
-    loss_on_params,
     mine_triplets,
     params64,
     pca_project_2d,
@@ -346,7 +345,6 @@ class TestLossAndGradients:
                 net.embed_batch(x[i : i + 1])[0] for x in (xa, xp, xn)
             )
             assert losses[i] == pytest.approx(oracles.triplet_loss(ea, ep, en, 1.0), abs=1e-9)
-        assert loss_on_params(params, xa, xp, xn, 1.0) == pytest.approx(losses.mean(), abs=0)
 
     def _clear_batch(self, params, seed, margin):
         # Redraw until every ReLU preactivation and every hinge term is far
@@ -481,7 +479,6 @@ class TestStackedGradients:
         mean_loss, losses, grads = gradients_on_params(params, xa, xp, xn, margin)
         np.testing.assert_allclose(losses, want_losses, rtol=1e-12, atol=0)
         assert mean_loss == pytest.approx(want_losses.mean(), rel=1e-12, abs=0)
-        assert loss_on_params(params, xa, xp, xn, margin) == mean_loss
         for (gw, gb), (ww, wb) in zip(grads, want_grads):
             for got, want in ((gw, ww), (gb, wb)):
                 assert got.shape == want.shape
@@ -524,13 +521,13 @@ class TestTraining:
         _, table, triplets = _training_setup()
         net = EmbeddingNet.init(6, hidden=(8,), seed=2)
         before = [w.tobytes() for w in net.weights] + [b.tobytes() for b in net.biases]
-        initial_loss = loss_on_params(
+        initial_loss = gradients_on_params(
             params64(net),
             table.matrix64[table.rows(t.anchor for t in triplets)],
             table.matrix64[table.rows(t.positive for t in triplets)],
             table.matrix64[table.rows(t.negative for t in triplets)],
             1.0,
-        )
+        )[0]
         # batch_size divides the 40 triplets, so every batch matmul has the
         # same shape and per-triplet losses are reproduced bitwise per epoch
         trained, trace = train(
@@ -709,23 +706,29 @@ class TestReid:
             assert separation_metrics(groups) == whole
 
     def test_separation_is_the_same_at_one_and_two_blas_threads(self):
+        # Each child prints the statistics, then its thread count (0 without /proc).
         code = (
-            "import numpy as np; from motionstack.metric_learning import OUT_DIM, separation_metrics; "
+            "import os, numpy as np; from motionstack.metric_learning import OUT_DIM, separation_metrics; "
             "rng = np.random.default_rng(3); "
             "print(repr(separation_metrics({k: list(rng.normal(size=(n, OUT_DIM))) "
-            "for k, n in enumerate((150, 1, 120, 97))})))"
+            "for k, n in enumerate((150, 1, 120, 97))}))); "
+            "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 0)"
         )
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-        env["PYTHONPATH"] = str(Path(metric_learning.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": str(Path(metric_learning.__file__).resolve().parents[1])}
         reprs = []
+        tasks = []
         for threads in ("1", "2"):
+            blas = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads)
             proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                                  timeout=60, env={**env, "MOTIONSTACK_THREADS": threads})
+                                  timeout=60, env={**env, **blas})
             assert proc.returncode == 0, proc.stderr
-            reprs.append(proc.stdout)
+            stats, count = proc.stdout.splitlines()
+            reprs.append(stats)
+            tasks.append(int(count))
         assert reprs[0] == reprs[1]
         assert "intra_mean" in reprs[0]
+        if Path("/proc/self/task").is_dir():
+            assert tasks[0] == 1  # motionstack starts no thread of its own
 
     def test_separation_scratch_memory_is_bounded(self):
         rng = np.random.default_rng(3)
@@ -762,8 +765,7 @@ class TestReid:
         for key in ("intra_mean", "inter_mean", "ratio"):
             assert got[key] == pytest.approx(want[key], rel=1e-12)
 
-    def test_separation_worker_error_reaches_the_caller(self, monkeypatch):
-        monkeypatch.setenv("MOTIONSTACK_THREADS", "2")
+    def test_separation_worker_error_reaches_the_caller(self):
         groups = {"a": [np.zeros(3)] * 2, "b": [np.zeros(3)] * 2, "c": [np.zeros(4)] * 2}
         with pytest.raises(ValueError):
             separation_metrics(groups)

@@ -201,6 +201,20 @@ class TestPpm:
         assert back.frame_index == 5
         assert np.array_equal(back.pixels, frame.pixels)
 
+    def test_read_holds_the_payload_once(self, tmp_path):
+        # The pixels go straight into the frame's buffer, with no whole-file copy beside it.
+        payload = 3 * 320 * 240
+        path = tmp_path / "frame_1.ppm"
+        write_ppm(ImageFrame(width=320, height=240, pixels=np.zeros(payload, dtype=np.uint8)), path)
+        tracemalloc.start()
+        try:
+            frame = read_ppm(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert frame.pixels.size == payload
+        assert peak <= 1.25 * payload
+
     def test_header_comments_are_skipped(self, tmp_path):
         path = tmp_path / "img_1.ppm"
         path.write_bytes(b"P6 # comment\n# another\n2 1\n255\n" + bytes(6))

@@ -1,7 +1,7 @@
 """Run README's command chain from two source trees and diff their outputs byte for byte.
 
     python tools/compare_outputs.py PARENT CHANGE --seeds 1 7 9173
-    python tools/compare_outputs.py TREE TREE --seeds 7 --change-env MOTIONSTACK_THREADS=1
+    python tools/compare_outputs.py TREE TREE --seeds 7 --change-env OPENBLAS_NUM_THREADS=1
 
 PARENT and CHANGE are checkouts of motionstack; they may be the same tree
 when ``--change-env NAME=VALUE`` (repeatable) sets a variable for the
