@@ -64,7 +64,7 @@ _ECHO_LIMIT = 80
 
 
 def _echo(raw: Any) -> str:
-    text = json.dumps(raw)
+    text = json.dumps(raw, default=repr)  # a value from outside JSON, such as a numpy int, echoes its repr
     return text if len(text) <= _ECHO_LIMIT else text[:_ECHO_LIMIT] + "..."
 
 

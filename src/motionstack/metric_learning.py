@@ -82,7 +82,8 @@ class FeatureTable:
                 for f, r in zip(t.frames, t.feature_rows):
                     if r >= len(matrix):
                         raise DataValidationError(
-                            f"tracklet {t.id} frame {f}: feature row {r} outside matrix of {len(matrix)} rows"
+                            f"tracklet {_echo(t.id)} frame {_echo(f)}: feature row {_echo(r)} "
+                            f"outside matrix of {len(matrix)} rows"
                         )
                     index[(t.id, f)] = r
         else:
@@ -105,7 +106,9 @@ class FeatureTable:
             return np.array([self._index[key] for key in keys], dtype=np.intp)
         except KeyError as exc:
             tracklet_id, frame = exc.args[0]
-            raise DataValidationError(f"no feature row for tracklet {tracklet_id} frame {frame}") from None
+            raise DataValidationError(
+                f"no feature row for tracklet {_echo(tracklet_id)} frame {_echo(frame)}"
+            ) from None
 
 
 def load_feature_table(tracklets: Sequence[Tracklet], path: str | Path) -> FeatureTable:

@@ -1,23 +1,23 @@
-"""RoI feature pooling over convolutional feature maps.
+"""RoIAlign descriptor pooling over convolutional feature maps.
 
 Boxes live in image coordinates and are projected onto a [C, Hf, Wf]
 feature map with a half-pixel shift, ``coord * spatial_scale - 0.5``, so
-that pixel centers line up across resolutions. Each output bin averages
-``sampling_ratio`` x ``sampling_ratio`` bilinear samples placed on a
-regular grid inside the bin. Sample points are clamped into the valid map
-rectangle before interpolation, so boxes hanging over the edge reuse
-border values instead of fading to zero. Averaging the pooled grid per
-channel turns a box into a fixed-length descriptor.
+that pixel centers line up across resolutions. A box is split into
+``out_h`` x ``out_w`` bins, and each bin takes ``sampling_ratio`` x
+``sampling_ratio`` bilinear samples on a regular grid inside it, as in
+RoIAlign. Sample points are clamped into the valid map rectangle before
+interpolation, so boxes hanging over the edge reuse border values instead
+of fading to zero. The mean of all of a box's samples per channel is its
+fixed-length descriptor.
 
 Everything is computed in separable form. Clamped bilinear interpolation
 at (x, y) is ``sum_ij wy[i] * wx[j] * map[c, i, j]``, where ``wy`` puts
 ``1 - ly`` on row ``floor(y)`` and ``ly`` on the clamped row below, and
-``wx`` does the same over columns. A bin's samples pair every y-sample with
-every x-sample, so their mean factorises too: ``Wy @ map[c] @ Wx.T``, with
-one row of ``Wy`` (``Wx``) per bin holding the mean weights of its y (x)
-samples. A descriptor is the same contraction with weights averaged over
-all bins, so no per-sample tensor is built, and only the float64 summation
-order differs from interpolating each sample.
+``wx`` does the same over columns. The samples pair every y-position with
+every x-position, so their mean factorises too: ``wy @ map[c] @ wx``, with
+``wy`` (``wx``) the mean weights of the box's y (x) positions. No
+per-sample tensor is built, and only the float64 summation order differs
+from interpolating each sample.
 
 Boxes are pooled in row-major order of their windows on the map (top row,
 then left column), not in input order, so that consecutive boxes read map
@@ -93,55 +93,9 @@ def _bilinear_weights(pos: np.ndarray, n: int) -> np.ndarray:
 
 
 def _windows(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per box of weights [N, bins, n], the [lo, hi) range of nonzero columns."""
-    touched = (weights != 0).any(axis=1)
-    return touched.argmax(axis=1), weights.shape[-1] - touched[:, ::-1].argmax(axis=1)
-
-
-def _pool(fmap: FeatureMap, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Mean bilinear samples over ys [N, by, k] x xs [N, bx, k]: float32 [N, by, bx, C].
-
-    The map goes channels-last, so a box's window of rows and columns is an
-    [h, w * C] view and both contractions run in float64 in BLAS without a
-    copy. Boxes are visited in row-major order of their windows' top-left
-    corners, and each result is rounded into its own box's slot.
-    """
-    hwc = np.ascontiguousarray(fmap.tensor.transpose(1, 2, 0), dtype=np.float64)
-    wy, wx = _bilinear_weights(ys, hwc.shape[0]), _bilinear_weights(xs, hwc.shape[1])
-    c = hwc.shape[2]
-    (top, bottom), (left, right) = _windows(wy), _windows(wx)
-    out = np.empty((len(wy), wy.shape[1], wx.shape[1], c), dtype=np.float32)
-    order = np.lexsort((left, top))
-    windows = zip(order.tolist(), *(a[order].tolist() for a in (top, bottom, left, right)))
-    for i, y0, y1, x0, x1 in windows:
-        rows = wy[i, :, y0:y1] @ hwc[y0:y1, x0:x1].reshape(y1 - y0, (x1 - x0) * c)
-        out[i] = wx[i, :, x0:x1] @ rows.reshape(len(rows), x1 - x0, c)
-    return out
-
-
-def _check_pool_params(out_h: int, out_w: int, sampling_ratio: int) -> None:
-    if out_h < 1 or out_w < 1:
-        raise ValueError(f"output size must be positive, got {out_h}x{out_w}")
-    if sampling_ratio < 1:
-        raise ValueError(f"sampling_ratio must be >= 1, got {sampling_ratio}")
-
-
-def roi_align(
-    fmap: FeatureMap,
-    box,
-    out_h: int = OUT_SIZE,
-    out_w: int = OUT_SIZE,
-    sampling_ratio: int = SAMPLING_RATIO,
-) -> np.ndarray:
-    """Pool one [x1, y1, x2, y2] image-coordinate box to float32 [C, out_h, out_w].
-
-    The box must have positive area after scaling. Interpolation runs in
-    float64.
-    """
-    _check_pool_params(out_h, out_w, sampling_ratio)
-    boxes = np.asarray(box, dtype=np.float64).reshape(1, 4)
-    ys, xs = _sample_coords(boxes, fmap.spatial_scale, out_h, out_w, sampling_ratio)
-    return np.ascontiguousarray(_pool(fmap, ys, xs)[0].transpose(2, 0, 1))
+    """Per row of weights [N, n], the [lo, hi) range of nonzero columns."""
+    touched = weights != 0
+    return touched.argmax(axis=1), weights.shape[1] - touched[:, ::-1].argmax(axis=1)
 
 
 def pool_boxes(
@@ -151,13 +105,29 @@ def pool_boxes(
     out_w: int = OUT_SIZE,
     sampling_ratio: int = SAMPLING_RATIO,
 ) -> np.ndarray:
-    """RoI-align every box and average over space: float32 [N, C] descriptors."""
-    _check_pool_params(out_h, out_w, sampling_ratio)
+    """RoI-align every box and average over space: float32 [N, C] descriptors.
+
+    Every box must have positive area after scaling. The map goes
+    channels-last, so a box's window of rows and columns is an [h, w * C]
+    view and both contractions run in float64 in BLAS without a copy.
+    """
+    if out_h < 1 or out_w < 1:
+        raise ValueError(f"output size must be positive, got {out_h}x{out_w}")
+    if sampling_ratio < 1:
+        raise ValueError(f"sampling_ratio must be >= 1, got {sampling_ratio}")
     boxes = np.asarray(boxes, dtype=np.float64)
     if boxes.ndim != 2 or boxes.shape[1] != 4:
         raise ValueError(f"boxes must be [N, 4], got shape {boxes.shape}")
     ys, xs = _sample_coords(boxes, fmap.spatial_scale, out_h, out_w, sampling_ratio)
-    # Pooling every sample of a box at once averages its per-bin weight rows.
-    n = len(boxes)
-    pooled = _pool(fmap, ys.reshape(n, 1, out_h * sampling_ratio), xs.reshape(n, 1, out_w * sampling_ratio))
-    return pooled.reshape(n, pooled.shape[-1])
+    hwc = np.ascontiguousarray(fmap.tensor.transpose(1, 2, 0), dtype=np.float64)
+    n, c = len(boxes), hwc.shape[2]
+    wy = _bilinear_weights(ys.reshape(n, out_h * sampling_ratio), hwc.shape[0])
+    wx = _bilinear_weights(xs.reshape(n, out_w * sampling_ratio), hwc.shape[1])
+    (top, bottom), (left, right) = _windows(wy), _windows(wx)
+    out = np.empty((n, c), dtype=np.float32)
+    order = np.lexsort((left, top))
+    windows = zip(order.tolist(), *(a[order].tolist() for a in (top, bottom, left, right)))
+    for i, y0, y1, x0, x1 in windows:
+        rows = wy[i, y0:y1] @ hwc[y0:y1, x0:x1].reshape(y1 - y0, (x1 - x0) * c)
+        out[i] = wx[i, x0:x1] @ rows.reshape(x1 - x0, c)
+    return out

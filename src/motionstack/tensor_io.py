@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FrameIndexParseError, PpmError, TensorFormatError
+from .jsonio import _echo
 
 MAGIC = b"MTENSOR\x00"
 MAX_DIMS = 4
@@ -87,14 +88,14 @@ def read_tensor(path: str | Path) -> np.ndarray:
             raise TensorFormatError(f"{path}: header missing dtype/shape")
         code = meta["dtype"]
         if not isinstance(code, str) or code not in _DTYPE_BY_CODE:
-            raise TensorFormatError(f"{path}: unknown dtype code {code!r}")
+            raise TensorFormatError(f"{path}: unknown dtype code {_echo(code)}")
         shape = meta["shape"]
         if (
             not isinstance(shape, list)
             or not 1 <= len(shape) <= MAX_DIMS
             or not all(type(d) is int and d >= 1 for d in shape)  # a JSON true is no dimension
         ):
-            raise TensorFormatError(f"{path}: invalid shape {shape!r}")
+            raise TensorFormatError(f"{path}: invalid shape {_echo(shape)}")
         dtype = _DTYPE_BY_CODE[code]
         expected = math.prod(shape) * dtype.itemsize  # Python ints: an int64 product can wrap to a small size
         held = size - body - header_len
@@ -103,7 +104,7 @@ def read_tensor(path: str | Path) -> np.ndarray:
             held = fh.readinto(memoryview(arr).cast("B"))  # short only if the file shrank meanwhile
     if held != expected:
         raise TensorFormatError(
-            f"{path}: payload length mismatch: header declares {expected} bytes, file holds {held}"
+            f"{path}: payload length mismatch: header declares {_echo(expected)} bytes, file holds {held}"
         )
     return arr
 

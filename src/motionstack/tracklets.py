@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DataValidationError
-from .jsonio import check_box, expect, expect_ints, read_json, write_json
+from .jsonio import _echo, check_box, expect, expect_ints, read_json, write_json
 
 MIN_TRACKLET_LEN = 16
 
@@ -44,15 +44,19 @@ class Tracklet:
 
     def __post_init__(self) -> None:
         if not isinstance(self.id, int) or self.id < 0:
-            raise DataValidationError(f"tracklet id must be a nonnegative integer, got {self.id!r}")
+            raise DataValidationError(f"tracklet id must be a nonnegative integer, got {_echo(self.id)}")
         if self.start > self.end:
-            raise DataValidationError(f"tracklet {self.id}: start {self.start} > end {self.end}")
+            raise DataValidationError(
+                f"tracklet {_echo(self.id)}: start {_echo(self.start)} > end {_echo(self.end)}"
+            )
         frames = self.end - self.start + 1  # len() overflows on absurd intervals
         if len(self.boxes) != frames:
-            raise DataValidationError(f"tracklet {self.id}: {len(self.boxes)} boxes for {frames} frames")
+            raise DataValidationError(
+                f"tracklet {_echo(self.id)}: {len(self.boxes)} boxes for {_echo(frames)} frames"
+            )
         if self.feature_rows is not None and len(self.feature_rows) != frames:
             raise DataValidationError(
-                f"tracklet {self.id}: {len(self.feature_rows)} feature rows for {frames} frames"
+                f"tracklet {_echo(self.id)}: {len(self.feature_rows)} feature rows for {_echo(frames)} frames"
             )
 
     def __len__(self) -> int:
@@ -130,7 +134,10 @@ def load_tracklets_json(path: str | Path) -> list[Tracklet]:
         if feature_rows is not None:
             if any(r < 0 for r in expect_ints(feature_rows, f"{where}.feature_rows")):
                 raise DataValidationError(f"{where}: negative feature row index")
-        out.append(Tracklet(id=tid, start=start, end=end, boxes=boxes, feature_rows=feature_rows))
+        try:
+            out.append(Tracklet(id=tid, start=start, end=end, boxes=boxes, feature_rows=feature_rows))
+        except DataValidationError as exc:
+            raise DataValidationError(f"{where}: {exc}") from exc
     check_feature_rows(out, f"{path}: tracklets")
     return out
 

@@ -13,8 +13,7 @@ and there are two ways to get there:
 
 Weights are float32 and interchange as an MTENSOR file plus a JSON sidecar
 ``{"c_out","c_in","kh","kw","bias"}`` (bias, when present, in a second
-MTENSOR next to the weight file). ``conv2d_reference`` is the plain
-cross-correlation used to verify the replication identity.
+MTENSOR next to the weight file).
 """
 
 from __future__ import annotations
@@ -23,10 +22,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataValidationError
-from .jsonio import expect, read_json, write_json
+from .jsonio import _echo, expect, read_json, write_json
 from .tensor_io import read_tensor, write_tensor
 
 MODES = ("replicate", "random")
@@ -95,38 +93,6 @@ def expand_first_layer(layer: ConvLayerWeights, n: int, mode: str, seed: int = 0
     raise ValueError(f"unknown surgery mode {mode!r}; expected one of {', '.join(MODES)}")
 
 
-def conv2d_reference(
-    image: np.ndarray, layer: ConvLayerWeights, stride: int = 1, pad: int = 0
-) -> np.ndarray:
-    """Direct cross-correlation of a [c_in, H, W] input with the layer.
-
-    Zero padding of ``pad`` on each spatial edge; output is float32
-    [c_out, floor((H + 2*pad - kh) / stride) + 1, ...likewise W].
-    """
-    image = np.asarray(image)
-    if image.ndim != 3:
-        raise ValueError(f"image must be [c_in, H, W], got shape {image.shape}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if pad < 0:
-        raise ValueError(f"pad must be >= 0, got {pad}")
-    kh, kw = layer.kernel
-    if image.shape[0] != layer.c_in:
-        raise ValueError(f"image has {image.shape[0]} channels, weights expect {layer.c_in}")
-    image = image.astype(np.float32, copy=False)
-    if pad:
-        image = np.pad(image, ((0, 0), (pad, pad), (pad, pad)))
-    if image.shape[1] < kh or image.shape[2] < kw:
-        raise ValueError(f"kernel {(kh, kw)} larger than padded input {image.shape[1:]}")
-    # [c_in, H', W', kh, kw] patches at the requested stride, then contract
-    # channel and kernel axes in one shot.
-    patches = sliding_window_view(image, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    out = np.einsum("oikl,ihwkl->ohw", layer.weight, patches, optimize=True).astype(np.float32)
-    if layer.bias is not None:
-        out = out + layer.bias[:, None, None]
-    return np.ascontiguousarray(out)
-
-
 def _sidecar_path(weight_path: Path) -> Path:
     return weight_path.with_suffix(".json")
 
@@ -167,7 +133,7 @@ def load_conv_layer(path: str | Path) -> ConvLayerWeights:
         declared = tuple(expect(meta.get(k), int, f"{sidecar}: {k}") for k in ("c_out", "c_in", "kh", "kw"))
         if tuple(weight.shape) != declared:
             raise DataValidationError(
-                f"{sidecar}: declares shape {declared}, tensor has {tuple(weight.shape)}"
+                f"{sidecar}: declares shape {_echo(declared)}, tensor has {list(weight.shape)}"
             )
         if expect(meta.get("bias", False), bool, f"{sidecar}: bias"):
             bias_file = _bias_path(path)

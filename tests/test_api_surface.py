@@ -19,12 +19,7 @@ PACKAGE = ROOT / "src" / "motionstack"
 
 # Public names kept without a caller in the scanned files, as
 # "module.name" or "module.Class.method", each with its reason.
-ALLOWED = {
-    "roi_features.roi_align": "refereed public API: the one-box RoIAlign that the tests check "
-    "against oracles.roi_align_loops and that pool_boxes averages",
-    "weight_surgery.conv2d_reference": "refereed public API: the reference convolution that shows "
-    "an expanded first layer computes what the original did",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def _scanned_files() -> list[Path]:

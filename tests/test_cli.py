@@ -287,7 +287,17 @@ def _run_quiet(argv):
 
 WRONG_TYPE_DOCS = (b"[]", b"[1, 2]", b'"text"', b"42", b"null", b"true")
 
-_BOOL_DIM_HEADER = b'{"dtype":"f32","shape":[true,3]}'
+_BIG = "1" + "0" * 400  # a 401-digit integer, as JSON text; errors echo its first 80 characters
+
+
+def _mtensor(header):
+    """MTENSOR bytes of a JSON ``header`` string with a 12-byte payload."""
+    return MAGIC + struct.pack("<I", len(header)) + header.encode() + bytes(12)
+
+
+def _tracklets(entry):
+    """A tracklets.json of one tracklet, ``entry`` holding its JSON fields."""
+    return ('{"tracklets": [{' + entry + "}]}").encode()
 
 
 def _f32_tensor(values):
@@ -353,8 +363,8 @@ MALFORMED_FILES = {
     ),
     "mtensor-bool-dimension": (
         "features", "map.mten",
-        MAGIC + struct.pack("<I", len(_BOOL_DIM_HEADER)) + _BOOL_DIM_HEADER + bytes(12),
-        ": invalid shape [True, 3]",
+        _mtensor('{"dtype":"f32","shape":[true,3]}'),
+        ": invalid shape [true, 3]",
     ),
     "features-nan": (
         "train", "features.mten",
@@ -393,6 +403,58 @@ MALFORMED_FILES = {
             "layers": [{"weight": f"layer{l}.weight.mten", "bias": f"layer{l}.bias.mten"} for l in range(2)],
         }).encode(),
         ": declares layer_dims " + json.dumps(list(range(5000)))[:80] + "..., tensors give [32, 6, 128]",
+    ),
+    "tracklets-start-after-end": (
+        "mine", "tracklets.json",
+        _tracklets('"id": 0, "start": 5, "end": 3, "boxes": []'),
+        ": tracklets[0]: tracklet 0: start 5 > end 3",
+    ),
+    "tracklets-401-digit-end": (
+        "mine", "tracklets.json",
+        _tracklets(f'"id": 0, "start": 1, "end": {_BIG}, "boxes": [[0, 0, 1, 1]]'),
+        f": tracklets[0]: tracklet 0: 1 boxes for {_BIG[:80]}... frames",
+    ),
+    "tracklets-401-digit-id-and-start": (
+        "mine", "tracklets.json",
+        _tracklets(f'"id": {_BIG}, "start": {_BIG}, "end": 0, "boxes": []'),
+        f": tracklets[0]: tracklet {_BIG[:80]}...: start {_BIG[:80]}... > end 0",
+    ),
+    "tracklets-401-digit-negative-id": (
+        "mine", "tracklets.json",
+        _tracklets(f'"id": -{_BIG}, "start": 0, "end": 0, "boxes": [[0, 0, 1, 1]]'),
+        f": tracklets[0]: tracklet id must be a nonnegative integer, got -{_BIG[:79]}...",
+    ),
+    "mtensor-400-char-dtype-code": (
+        "features", "map.mten",
+        _mtensor(json.dumps({"dtype": "x" * 400, "shape": [3]})),
+        ': unknown dtype code "' + "x" * 79 + "...",
+    ),
+    "mtensor-401-digit-negative-dimension": (
+        "features", "map.mten",
+        _mtensor(f'{{"dtype": "f32", "shape": [-{_BIG}]}}'),
+        f": invalid shape [-{_BIG[:78]}...",
+    ),
+    "mtensor-401-digit-dimension": (
+        "features", "map.mten",
+        _mtensor(f'{{"dtype": "f32", "shape": [{_BIG}]}}'),
+        f": payload length mismatch: header declares 4{_BIG[1:80]}... bytes, file holds 12",
+    ),
+    "conv-sidecar-401-digit-c-out": (
+        "surgery", "conv.json",
+        f'{{"c_out": {_BIG}, "c_in": 3, "kh": 3, "kw": 3, "bias": true}}'.encode(),
+        f": declares shape [{_BIG[:79]}..., tensor has [4, 3, 3, 3]",
+    ),
+    "features-401-digit-row": (
+        "project", "features.mten",
+        {"tracklets.json": _tracklets(
+            f'"id": 0, "start": 0, "end": 0, "boxes": [[0, 0, 1, 1]], "feature_rows": [{_BIG}]'
+        )},
+        f": tracklet 0 frame 0: feature row {_BIG[:80]}... outside matrix of 24 rows",
+    ),
+    "triplets-401-digit-frame": (
+        "train", "triplets.jsonl",
+        f'{{"a": [0, {_BIG}], "p": [0, 1], "n": [1, 0]}}\n'.encode(),
+        f": no feature row for tracklet 0 frame {_BIG[:80]}...",
     ),
     "tracklets-feature-rows-on-some": (
         "reid", "tracklets.json",

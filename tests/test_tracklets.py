@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +41,8 @@ class TestTracklet:
     def test_validation(self):
         with pytest.raises(DataValidationError, match="nonnegative"):
             _tracklet(-1, 0, 3)
+        with pytest.raises(DataValidationError, match="nonnegative integer, got \""):
+            _tracklet(np.int64(1), 0, 3)  # not JSON, so the error echoes its repr
         with pytest.raises(DataValidationError, match="start 5 > end 3"):
             Tracklet(id=0, start=5, end=3, boxes=[])
         with pytest.raises(DataValidationError, match="2 boxes for 3 frames"):

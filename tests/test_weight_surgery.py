@@ -1,4 +1,4 @@
-"""First-layer widening and reference convolution tests."""
+"""First-layer widening, initialisation and weight file tests."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ import oracles
 from motionstack.errors import DataValidationError
 from motionstack.weight_surgery import (
     ConvLayerWeights,
-    conv2d_reference,
     expand_first_layer,
     load_conv_layer,
     save_conv_layer,
@@ -76,8 +75,9 @@ class TestReplicateInit:
         layer = _layer(seed=3)
         image = rng.random((3, 10, 12)).astype(np.float32)
         stack = np.concatenate([image] * 4, axis=0)
-        base = conv2d_reference(image, layer)
-        widened = conv2d_reference(stack, expand_first_layer(layer, 4, "replicate"))
+        base = oracles.conv2d_loops(image, layer.weight, layer.bias)
+        wide = expand_first_layer(layer, 4, "replicate")
+        widened = oracles.conv2d_loops(stack, wide.weight, wide.bias)
         assert np.allclose(widened, base, rtol=1e-5, atol=1e-5)
 
 
@@ -112,51 +112,6 @@ class TestExpandFirstLayer:
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown surgery mode"):
             expand_first_layer(_layer(), 2, "xavier")
-
-
-class TestConv2dReference:
-    @pytest.mark.parametrize(
-        "c_out,c_in,kh,kw,h,w,stride,pad",
-        [
-            (1, 1, 1, 1, 3, 3, 1, 0),
-            (2, 3, 3, 3, 8, 9, 1, 0),
-            (3, 2, 3, 2, 7, 7, 2, 1),
-            (2, 4, 5, 3, 10, 6, 3, 2),
-            (4, 3, 2, 2, 5, 5, 1, 3),
-        ],
-    )
-    def test_matches_loop_oracle(self, c_out, c_in, kh, kw, h, w, stride, pad):
-        rng = np.random.default_rng(c_out * 100 + h)
-        layer = ConvLayerWeights(
-            weight=rng.normal(0, 0.5, size=(c_out, c_in, kh, kw)).astype(np.float32),
-            bias=rng.normal(0, 0.2, size=c_out).astype(np.float32),
-        )
-        image = rng.random((c_in, h, w)).astype(np.float32)
-        got = conv2d_reference(image, layer, stride=stride, pad=pad)
-        want = oracles.conv2d_loops(image, layer.weight, layer.bias, stride=stride, pad=pad)
-        assert got.dtype == np.float32
-        assert got.shape == want.shape
-        assert np.allclose(got, want, rtol=1e-4, atol=1e-5)
-
-    def test_output_shape_formula(self):
-        layer = _layer(c_out=2, c_in=3, kh=3, kw=3, with_bias=False)
-        out = conv2d_reference(np.zeros((3, 11, 9), np.float32), layer, stride=2, pad=1)
-        assert out.shape == (2, (11 + 2 - 3) // 2 + 1, (9 + 2 - 3) // 2 + 1)
-
-    def test_uint8_input_accepted(self):
-        layer = _layer(with_bias=False)
-        image = np.full((3, 5, 5), 10, np.uint8)
-        out = conv2d_reference(image, layer)
-        want = oracles.conv2d_loops(image, layer.weight, None)
-        assert np.allclose(out, want, rtol=1e-5, atol=1e-4)
-
-    def test_channel_mismatch(self):
-        with pytest.raises(ValueError, match="channels"):
-            conv2d_reference(np.zeros((2, 5, 5), np.float32), _layer())
-
-    def test_kernel_larger_than_input(self):
-        with pytest.raises(ValueError, match="larger than padded input"):
-            conv2d_reference(np.zeros((3, 2, 2), np.float32), _layer())
 
 
 class TestSaveLoad:
