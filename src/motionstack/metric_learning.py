@@ -78,11 +78,11 @@ class FeatureTable:
         check_feature_rows(tracklets, "tracklets")
         index: dict[tuple[int, int], int] = {}
         if tracklets and tracklets[0].feature_rows is not None:
-            for t in tracklets:
-                for f, r in zip(t.frames, t.feature_rows):
+            for pos, t in enumerate(tracklets):
+                for k, (f, r) in enumerate(zip(t.frames, t.feature_rows)):
                     if r >= len(matrix):
                         raise DataValidationError(
-                            f"tracklet {_echo(t.id)} frame {_echo(f)}: feature row {_echo(r)} "
+                            f"tracklets[{pos}].feature_rows[{k}]: feature row {_echo(r)} "
                             f"outside matrix of {len(matrix)} rows"
                         )
                     index[(t.id, f)] = r

@@ -19,6 +19,10 @@ every x-position, so their mean factorises too: ``wy @ map[c] @ wx``, with
 per-sample tensor is built, and only the float64 summation order differs
 from interpolating each sample.
 
+A ``FeatureMap`` holds its map once, converted when it is built into a
+C-contiguous float64 [Hf, Wf, C] array, in which a box's window is one view;
+``tensor`` is that array's [C, Hf, Wf] view, so pooling converts nothing.
+
 Boxes are pooled in row-major order of their windows on the map (top row,
 then left column), not in input order, so that consecutive boxes read map
 rows that are still in cache. Each box's arithmetic does not depend on the
@@ -40,17 +44,21 @@ SAMPLING_RATIO = 2
 
 @dataclass(eq=False)
 class FeatureMap:
-    """A [C, Hf, Wf] float map plus its feature-pixels-per-image-pixel ratio."""
+    """A [C, Hf, Wf] map plus its feature-pixels-per-image-pixel ratio.
+
+    The map is held once, as its own float64 [Hf, Wf, C] copy; ``tensor`` is its [C, Hf, Wf] view.
+    """
 
     tensor: np.ndarray = field(repr=False)
     spatial_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        self.tensor = np.asarray(self.tensor)
-        if self.tensor.ndim != 3:
-            raise ValueError(f"feature map must be [C, Hf, Wf], got shape {self.tensor.shape}")
+        tensor = np.asarray(self.tensor)
+        if tensor.ndim != 3:
+            raise ValueError(f"feature map must be [C, Hf, Wf], got shape {tensor.shape}")
         if not self.spatial_scale > 0:
             raise ValueError(f"spatial_scale must be positive, got {self.spatial_scale}")
+        self.tensor = np.array(tensor.transpose(1, 2, 0), dtype=np.float64, order="C").transpose(2, 0, 1)
 
 
 def _sample_coords(boxes: np.ndarray, spatial_scale: float, out_h: int, out_w: int, ratio: int):
@@ -107,7 +115,7 @@ def pool_boxes(
 ) -> np.ndarray:
     """RoI-align every box and average over space: float32 [N, C] descriptors.
 
-    Every box must have positive area after scaling. The map goes
+    Every box must have positive area after scaling. The map is already
     channels-last, so a box's window of rows and columns is an [h, w * C]
     view and both contractions run in float64 in BLAS without a copy.
     """

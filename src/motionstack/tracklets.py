@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DataValidationError
-from .jsonio import _echo, check_box, expect, expect_ints, read_json, write_json
+from .jsonio import _echo, check_boxes, expect, expect_ints, read_json, write_json
 
 MIN_TRACKLET_LEN = 16
 
@@ -129,7 +129,7 @@ def load_tracklets_json(path: str | Path) -> list[Tracklet]:
         start = expect(entry.get("start"), int, f"{where}.start")
         end = expect(entry.get("end"), int, f"{where}.end")
         raw_boxes = expect(entry.get("boxes"), list, f"{where}.boxes")
-        boxes = [check_box(b, f"{where}.boxes[{k}]") for k, b in enumerate(raw_boxes)]
+        boxes = list(map(tuple, check_boxes(raw_boxes, f"{where}.boxes").tolist()))
         feature_rows = entry.get("feature_rows")
         if feature_rows is not None:
             if any(r < 0 for r in expect_ints(feature_rows, f"{where}.feature_rows")):

@@ -11,6 +11,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -379,7 +380,7 @@ MALFORMED_FILES = {
     "features-row-out-of-range": (
         "project", "features.mten",
         _f32_tensor(np.zeros((2, 5))),
-        ": tracklet 0 frame 1: feature row 2 outside matrix of 2 rows",
+        ": tracklets[0].feature_rows[1]: feature row 2 outside matrix of 2 rows",
     ),
     "features-row-count": (
         "train", "features.mten",
@@ -449,7 +450,14 @@ MALFORMED_FILES = {
         {"tracklets.json": _tracklets(
             f'"id": 0, "start": 0, "end": 0, "boxes": [[0, 0, 1, 1]], "feature_rows": [{_BIG}]'
         )},
-        f": tracklet 0 frame 0: feature row {_BIG[:80]}... outside matrix of 24 rows",
+        f": tracklets[0].feature_rows[0]: feature row {_BIG[:80]}... outside matrix of 24 rows",
+    ),
+    "features-401-digit-id-start-and-row": (
+        "project", "features.mten",
+        {"tracklets.json": _tracklets(
+            f'"id": {_BIG}, "start": {_BIG}, "end": {_BIG}, "boxes": [[0, 0, 1, 1]], "feature_rows": [{_BIG}]'
+        )},
+        f": tracklets[0].feature_rows[0]: feature row {_BIG[:80]}... outside matrix of 24 rows",
     ),
     "triplets-401-digit-frame": (
         "train", "triplets.jsonl",
@@ -743,6 +751,27 @@ class TestFeatures:
         assert np.array_equal(got, want)
         report = _envelope(tmp_path / "r.json")
         assert report["results"] == {"num_boxes": 2, "channels": 2}
+
+    def test_a_run_holds_one_copy_of_the_map(self, tmp_path):
+        """The float32 map read from the file is dropped once the float64 map exists."""
+        rng = np.random.default_rng(0)
+        fmap = rng.standard_normal((256, 60, 80), dtype=np.float32)
+        write_tensor(fmap, tmp_path / "map.mten")
+        wh = rng.uniform(8.0, 64.0, size=(1000, 2))
+        xy = rng.uniform(0.0, 1.0, size=(1000, 2)) * (np.array([320.0, 240.0]) - wh)
+        (tmp_path / "boxes.json").write_text(json.dumps({"boxes": np.hstack([xy, xy + wh]).tolist()}))
+        argv = ["features", "--map", str(tmp_path / "map.mten"), "--scale", "0.25",
+                "--boxes", str(tmp_path / "boxes.json"), "--out-features", str(tmp_path / "p.mten")]
+        tracemalloc.start()
+        try:
+            code, _ = _run_quiet(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        # Reading and converting the map need its float32 and float64 forms at
+        # once; pooling next to both would add the pooling scratch on top.
+        assert peak < 3 * fmap.nbytes + (1 << 20)
 
     def test_bare_list_boxes_accepted(self, tmp_path):
         write_tensor(np.ones((1, 4, 4), dtype=np.float32), tmp_path / "map.mten")
@@ -1044,6 +1073,14 @@ class TestDefaults:
         flags = (g.width, g.height, g.num_frames, g.num_objects, (g.radius_min, g.radius_max),
                  (g.vel_min, g.vel_max), tuple(g.switch), g.seed, g.background, g.feature_dim)
         assert repr(flags) == repr(dataclasses.astuple(SceneConfig()))
+
+    def test_parser_is_built_once_and_keeps_no_state(self):
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        switched = parser.parse_args(["synth", "generate", "--switch", "1:2", "--out-dir", "o"])
+        plain = parser.parse_args(["synth", "generate", "--out-dir", "o"])
+        assert switched.switch == [*SceneConfig().id_switch_events, (1, 2)]
+        assert tuple(plain.switch) == SceneConfig().id_switch_events
 
 
 class TestReadme:

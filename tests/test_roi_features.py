@@ -1,5 +1,7 @@
 """RoI pooling tests against scalar-loop references and analytic fields."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,35 @@ class TestFeatureMap:
             FeatureMap(tensor=np.zeros((4, 4)))
         with pytest.raises(ValueError, match="spatial_scale"):
             FeatureMap(tensor=np.zeros((1, 4, 4)), spatial_scale=0.0)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            np.arange(60, dtype=np.float32).reshape(3, 4, 5),
+            np.arange(60, dtype=np.float64).reshape(4, 5, 3).transpose(2, 0, 1),  # already channels-last
+        ],
+        ids=["float32", "float64-channels-last"],
+    )
+    def test_holds_one_float64_channels_last_copy(self, source):
+        tensor = FeatureMap(source).tensor
+        assert tensor.dtype == np.float64 and tensor.shape == (3, 4, 5)
+        assert tensor.transpose(1, 2, 0).flags.c_contiguous
+        assert np.array_equal(tensor, source)
+        assert not np.shares_memory(tensor, source)
+
+    def test_pool_boxes_copies_no_map(self):
+        rng = np.random.default_rng(0)
+        fmap = FeatureMap(rng.standard_normal((256, 60, 80), dtype=np.float32), spatial_scale=0.25)
+        wh = rng.uniform(8.0, 64.0, size=(200, 2))
+        xy = rng.uniform(0.0, 1.0, size=(200, 2)) * (np.array([320.0, 240.0]) - wh)
+        boxes = np.hstack([xy, xy + wh])
+        tracemalloc.start()
+        try:
+            pool_boxes(fmap, boxes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < fmap.tensor.nbytes // 2  # not even a float32 copy of the 9.4 MiB map
 
 
 class TestBilinearSample:
