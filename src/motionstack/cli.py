@@ -274,7 +274,7 @@ def _cmd_reid(args):
     tracklets = load_tracklets_json(args.tracklets)
     table = load_feature_table(tracklets, args.features)
     net = _load_net_for(args.net, table)
-    embeddings = tracklet_embeddings(net, tracklets, table)
+    matrix, embeddings = tracklet_embeddings(net, tracklets, table)
     centroids = tracklet_centroids(embeddings)
     merges = propose_merges(centroids, tracklets, args.threshold)
 
@@ -283,10 +283,15 @@ def _cmd_reid(args):
         for gi, group in enumerate(load_identity_map(args.identity_map)):
             for tid in group:
                 group_of[tid] = gi
-    samples: dict[object, list[np.ndarray]] = {}
+    # Each group's matrix rows, tracklets in file order: one gather per group.
+    group_rows: dict[object, list[range]] = {}
+    lo = 0
     for t in tracklets:
-        samples.setdefault(group_of[t.id], []).extend(embeddings[t.id])
-    separation = separation_metrics(samples)
+        group_rows.setdefault(group_of[t.id], []).append(range(lo, lo + len(t.frames)))
+        lo += len(t.frames)
+    separation = separation_metrics(
+        {g: matrix[np.concatenate(spans)] for g, spans in group_rows.items()}
+    )
 
     results = {
         "threshold": args.threshold,
@@ -308,10 +313,10 @@ def _cmd_project(args):
     keys = enumerate_keys(tracklets)
     if args.net is None:
         points = table.matrix64[table.rows(keys)]
-    else:  # tracklet by tracklet, as reid embeds, so no hidden layer of the whole scene is held
-        embeddings = tracklet_embeddings(_load_net_for(args.net, table), tracklets, table)
-        points = np.concatenate(list(embeddings.values()))
-    coords = pca_project_2d(points)
+    else:
+        points, _ = tracklet_embeddings(_load_net_for(args.net, table), tracklets, table)
+    del table  # the float64 features are not needed by the projection
+    coords = pca_project_2d(points)  # centers points, this function's own copy, in place
     write_scatter_csv(keys, coords, args.out_csv)
     results = {"num_points": len(keys), "embedded": args.net is not None}
     summary = f"project: wrote {len(keys)} points to {args.out_csv}"

@@ -36,8 +36,9 @@ from .errors import DataValidationError
 from .jsonio import _echo, check_box, check_number, expect, read_jsonl, write_jsonl
 
 IOU_GRID = tuple((50 + 5 * i) / 100.0 for i in range(10))
-# Most (detection, ground truth) IoUs one matching call holds at once: about 10 MiB of arrays.
-_PAIR_BLOCK = 1 << 16
+# Most (detection, ground truth) IoUs one matching call holds at once. A pair
+# takes about 160 bytes of arrays in flight, so a block peaks near 2.5 MiB.
+_PAIR_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)

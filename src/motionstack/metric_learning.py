@@ -423,9 +423,21 @@ def train(
 
 def tracklet_embeddings(
     net: EmbeddingNet, tracklets: Sequence[Tracklet], table: FeatureTable
-) -> dict[int, np.ndarray]:
-    """Each tracklet's frame embeddings, keyed by id (float64 [frames, 128])."""
-    return {t.id: net.embed_batch(table.matrix64[table.rows((t.id, f) for f in t.frames)]) for t in tracklets}
+) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """Every frame's embedding, held once: (matrix, views by tracklet id).
+
+    ``matrix`` is float64 [frames, 128] in ``enumerate_keys`` order, and
+    each view is that tracklet's [frames, 128] slice of it. Tracklets are
+    embedded one at a time, so no hidden layer of the whole scene is held.
+    """
+    matrix = np.empty((sum(len(t.frames) for t in tracklets), OUT_DIM), dtype=np.float64)
+    views: dict[int, np.ndarray] = {}
+    lo = 0
+    for t in tracklets:
+        view = views[t.id] = matrix[lo : lo + len(t.frames)]
+        view[...] = net.embed_batch(table.matrix64[table.rows((t.id, f) for f in t.frames)])
+        lo += len(t.frames)
+    return matrix, views
 
 
 def tracklet_centroids(embeddings: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
@@ -485,7 +497,7 @@ def separation_metrics(groups: Mapping[object, Sequence[np.ndarray]]) -> dict:
     keys = list(groups.keys())
     if len(keys) < 2:
         raise DataValidationError(f"separation metrics need >= 2 identities, got {len(keys)}")
-    vecs = [np.asarray(np.stack(groups[k]), dtype=np.float64) for k in keys]
+    vecs = [np.asarray(groups[k], dtype=np.float64) for k in keys]
     intra_rows: list[float] = []
     inter_rows: list[float] = []
     for i, a in enumerate(vecs):
@@ -543,14 +555,24 @@ def pca_project_2d(embeddings: np.ndarray) -> np.ndarray:
     Sign convention: each component's largest-magnitude loading is
     positive. Rank-deficient data pads the missing coordinate with zeros.
     Requires at least 2 samples.
+
+    A float64 array argument is centered in place (it must be writable),
+    so no second [N, D] copy is made; any other argument is converted to a
+    float64 copy first, and that copy is centered. The directions come from
+    the SVD of the centered data's QR factor R (at most [D, D]), so neither
+    Q nor the [N, D] left singular vectors are formed. LAPACK's ``dgesdd`` takes that
+    same QR-first route itself when N >= 11/6 D, so on such tall data the
+    result equals the direct ``np.linalg.svd(centered)`` route bit for bit;
+    on shorter data it can differ in the last bits.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     if embeddings.ndim != 2:
         raise DataValidationError(f"embeddings must be [N, D], got shape {embeddings.shape}")
     if len(embeddings) < 2:
         raise DataValidationError(f"projection needs >= 2 samples, got {len(embeddings)}")
-    centered = embeddings - embeddings.mean(axis=0)
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
+    centered = embeddings
+    centered -= embeddings.mean(axis=0)
+    _, _, vt = np.linalg.svd(np.linalg.qr(centered, mode="r"), full_matrices=False)
     coords = np.zeros((len(embeddings), 2), dtype=np.float64)
     for c in range(min(2, vt.shape[0])):
         component = vt[c]

@@ -301,7 +301,7 @@ class TestAcceptance:
             net, _ = train(net, table, triplets, TrainConfig(learning_rate=0.05, epochs=50, seed=0))
             after = ratio(net)
 
-            merges = propose_merges(tracklet_centroids(tracklet_embeddings(net, tracklets, table)), tracklets, DEFAULT_MERGE_THRESHOLD)
+            merges = propose_merges(tracklet_centroids(tracklet_embeddings(net, tracklets, table)[1]), tracklets, DEFAULT_MERGE_THRESHOLD)
             assert {tuple(sorted(pair)) for pair in merges} == {(0, 6), (1, 7), (2, 8)}
             assert after < 0.5 * before
             assert time.perf_counter() - start < 120.0

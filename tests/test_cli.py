@@ -24,6 +24,7 @@ from motionstack import __version__, cli
 from motionstack.frame_pipeline import FrameSequence
 from motionstack.metric_learning import (
     DEFAULT_HIDDEN,
+    OUT_DIM,
     EmbeddingNet,
     TrainConfig,
     load_feature_table,
@@ -898,6 +899,29 @@ class TestMetricLearningPipeline:
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
         assert _envelope(tmp_path / "project.json")["results"] == {"num_points": 40, "embedded": True}
         capsys.readouterr()
+
+    def test_project_holds_the_embeddings_about_once(self, tmp_path):
+        # Embedded straight into one matrix, centered in place and projected from its
+        # QR factor: no per-tracklet copies, no centered copy and no [N, 128] U.
+        scene = tmp_path / "scene"
+        generate(SceneConfig(num_frames=300, num_objects=12, seed=3), scene)
+        tracklets = load_tracklets_json(scene / "tracklets.json")
+        save_net(EmbeddingNet.init(read_tensor(scene / "features.mten").shape[1], seed=0), tmp_path / "net")
+        argv = ["project", "--features", str(scene / "features.mten"),
+                "--tracklets", str(scene / "tracklets.json"), "--net", str(tmp_path / "net" / "net.json"),
+                "--out-csv", str(tmp_path / "scatter.csv")]
+        tracemalloc.start()
+        try:
+            code, _ = _run_quiet(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        embedding_bytes = len(enumerate_keys(tracklets)) * OUT_DIM * 8
+        assert embedding_bytes == 3600 * OUT_DIM * 8
+        # Room for the matrix, numpy's QR copy of it and one tracklet's embedding
+        # scratch, but not for a second and third full-size copy.
+        assert peak <= 3 * embedding_bytes
 
     def test_reid_separation_is_the_same_three_ways(self, tmp_path):
         # Group keys only label the groups: one group per tracklet gives the same

@@ -265,7 +265,7 @@ class TestMatching:
                 result = match_detections(dets, gts, thr)
                 assert result.flags == oracles.greedy_flags(dets, gts, thr)
 
-    @pytest.mark.parametrize("block", [1, 7, det_metrics._PAIR_BLOCK])
+    @pytest.mark.parametrize("block", [1, 7, det_metrics._PAIR_BLOCK, 1 << 16])
     def test_whole_result_matches_scan_oracle_on_dense_instances(self, block, monkeypatch):
         monkeypatch.setattr(det_metrics, "_PAIR_BLOCK", block)
         on_threshold = 0

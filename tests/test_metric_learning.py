@@ -597,8 +597,12 @@ class TestReid:
         matrix = np.random.default_rng(0).normal(size=(4, 5)).astype(np.float32)
         table = FeatureTable(ts, matrix)
         net = EmbeddingNet.init(5, hidden=(6,), seed=0)
-        embeddings = tracklet_embeddings(net, ts, table)
+        matrix, embeddings = tracklet_embeddings(net, ts, table)
         assert [e.shape for e in embeddings.values()] == [(3, OUT_DIM), (1, OUT_DIM)]
+        # One float64 matrix in enumerate_keys order; each tracklet's rows are a view of it.
+        assert matrix.dtype == np.float64 and matrix.shape == (4, OUT_DIM)
+        assert all(np.shares_memory(e, matrix) for e in embeddings.values())
+        assert np.array_equal(np.concatenate(list(embeddings.values())), matrix)
         centroids = tracklet_centroids(embeddings)
         assert set(centroids) == {0, 4}
         want = net.embed_batch(table.matrix64[[0, 1, 2]]).mean(axis=0)
@@ -778,6 +782,44 @@ class TestProjection:
         want = oracles.pca_top2(data)
         assert got.shape == (20, 2)
         assert np.allclose(got, want, atol=1e-8)
+
+    @staticmethod
+    def _svd_of_centered(data):
+        # The direct route: the SVD of the whole centered matrix, U included.
+        centered = data - data.mean(axis=0)
+        _, _, vt = np.linalg.svd(centered, full_matrices=False)
+        coords = np.zeros((len(data), 2))
+        for c in range(min(2, vt.shape[0])):
+            component = vt[c] if vt[c][np.argmax(np.abs(vt[c]))] >= 0 else -vt[c]
+            coords[:, c] = centered @ component
+        return coords
+
+    @pytest.mark.parametrize("shape", [(3600, 128), (235, 128), (1000, 64), (400, 32), (56, 30), (11, 6), (2, 1)])
+    def test_tall_data_matches_the_direct_svd_bit_for_bit(self, shape):
+        # LAPACK's dgesdd factors a matrix with rows >= 11/6 columns as QR first
+        # itself, so the SVD of the QR factor R yields the very same directions.
+        assert shape[0] >= 11 / 6 * shape[1]
+        data = np.random.default_rng(shape[0] * 7 + shape[1]).normal(size=shape) * 3.0 + 1.5
+        want = self._svd_of_centered(data)
+        assert np.array_equal(pca_project_2d(data), want)
+
+    @pytest.mark.parametrize("shape", [(2, 6), (5, 128), (20, 6), (128, 128), (200, 128), (300, 200)])
+    def test_short_data_stays_within_the_oracle_tolerance(self, shape):
+        data = np.random.default_rng(shape[0] * 7 + shape[1]).normal(size=shape)
+        direct, oracle = self._svd_of_centered(data), oracles.pca_top2(data)
+        got = pca_project_2d(data)
+        assert np.allclose(got, direct, atol=1e-8)
+        assert np.allclose(got, oracle, atol=1e-8)
+
+    def test_a_float64_argument_is_centered_in_place(self):
+        data = np.random.default_rng(2).normal(size=(300, 16)) + 5.0
+        kept = data.copy()
+        want = self._svd_of_centered(kept)
+        assert np.array_equal(pca_project_2d(data), want)
+        assert np.array_equal(data, kept - kept.mean(axis=0))
+        as_float32 = kept.astype(np.float32)
+        pca_project_2d(as_float32)  # converted to a float64 copy, which is centered instead
+        assert np.array_equal(as_float32, kept.astype(np.float32))
 
     def test_sign_convention(self):
         rng = np.random.default_rng(1)
