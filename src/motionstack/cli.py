@@ -358,7 +358,7 @@ def _cmd_synth_perturb(args):
         gts, args.drop_rate, args.jitter_px, args.fp_rate, seed=args.seed, canvas=canvas
     )
     write_detections_jsonl(dets, args.out_dets)
-    num_true = sum(1 for d in dets if d.score == 1.0)
+    num_true = int(np.count_nonzero(dets.score == 1.0))
     results = {
         "num_ground_truth": len(gts),
         "num_detections": len(dets),

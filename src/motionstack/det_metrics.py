@@ -5,14 +5,24 @@ Detections and ground truth travel as JSON Lines, one object per line:
 * detections:   ``{"frame": int, "bbox": [x1, y1, x2, y2], "score": float, "class": label}``
 * ground truth: ``{"frame": int, "bbox": [x1, y1, x2, y2], "class": label}``
 
+In memory both are ``BoxColumns``: integer frame and class columns, a
+float64 box array and, for detections, a float64 score column. The loaders
+check whole columns and re-read a file line by line only to name its
+first bad value; the writers build each line from the columns, with the
+bytes ``json.dumps`` gives it. Every function here also takes a list of
+``Detection`` or ``GroundTruth`` records, converted once by ``as_columns``.
+
 Matching is the usual greedy sweep: detections ordered by descending score
 (ties by frame, then input order), each one claiming the not-yet-matched
 ground-truth box of the same frame and class with the highest IoU, provided
 that IoU clears the threshold. As in pycocotools, each matching call first
 computes the IoUs of every detection against the boxes of its own (frame,
-class) slot in float64 numpy, with the scalar formula's operation order and
-in blocks of detections so memory stays bounded; the greedy sweep then runs
-over the cached values. Average precision is 101-point interpolated
+class) slot that overlap it along x, in float64 numpy, with the scalar
+formula's operation order and in blocks of detections so memory stays
+bounded; slots are numbered by factorising the frame and class columns.
+The greedy sweep then runs over the cached values, and only for
+detections that share a candidate box with another detection: the rest
+take their best candidate at once. Average precision is 101-point interpolated
 (recall grid 0.00, 0.01, ..., 1.00 with the monotone precision envelope),
 and the headline number averages AP over IoU thresholds 0.50 to 0.95 in
 steps of 0.05. ``evaluate`` runs one pooled matching per threshold and
@@ -25,19 +35,30 @@ score, only prefixes followed by a lower score, or by nothing, are candidates.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import DataValidationError
-from .jsonio import _echo, check_box, check_number, expect, read_jsonl, write_jsonl
+from .jsonio import (
+    _echo,
+    _int_array,
+    array_rows,
+    check_box,
+    check_number,
+    expect,
+    read_jsonl,
+    read_jsonl_columns,
+    write_lines,
+)
 
 IOU_GRID = tuple((50 + 5 * i) / 100.0 for i in range(10))
-# Most (detection, ground truth) IoUs one matching call holds at once. A pair
-# takes about 160 bytes of arrays in flight, so a block peaks near 2.5 MiB.
+# Most (detection, ground truth) pairs one matching call holds at once. A pair
+# takes about 60 bytes of arrays in flight, and one that overlaps along x about
+# 160, so a block peaks between 1 and 2.5 MiB.
 _PAIR_BLOCK = 1 << 14
 
 
@@ -56,39 +77,106 @@ class GroundTruth:
     label: int
 
 
-def _record_fields(record: dict, where: str) -> tuple[int, tuple[float, float, float, float], int]:
-    # The (frame, bbox, class) rules of both record kinds, checked in that order.
-    return (
-        expect(record.get("frame"), int, f"{where}: frame"),
-        check_box(record.get("bbox"), where),
-        expect(record.get("class"), int, f"{where}: class"),
+class BoxColumns(Sequence):
+    """Detections or ground truth as columns, and a read-only sequence of their records.
+
+    ``frame`` and ``label`` are int64 [N], or object [N] of Python ints where
+    a value does not fit int64; ``boxes`` is float64 [N, 4]; ``score`` is
+    float64 [N] for detections and None for ground truth. Indexing and
+    iterating give ``Detection`` or ``GroundTruth`` records of Python
+    values, and the columns compare equal to a list of equal records.
+    """
+
+    __slots__ = ("frame", "boxes", "label", "score")
+
+    def __init__(self, frame: np.ndarray, boxes: np.ndarray, label: np.ndarray, score: np.ndarray | None = None):
+        self.frame, self.boxes, self.label, self.score = frame, boxes, label, score
+
+    def __len__(self) -> int:
+        return len(self.boxes)
+
+    def __getitem__(self, i: int):
+        box = tuple(self.boxes[i].tolist())
+        if self.score is None:
+            return GroundTruth(int(self.frame[i]), box, int(self.label[i]))
+        return Detection(int(self.frame[i]), box, float(self.score[i]), int(self.label[i]))
+
+    def __iter__(self):
+        boxes = map(tuple, self.boxes.tolist())
+        if self.score is None:
+            return map(GroundTruth, self.frame.tolist(), boxes, self.label.tolist())
+        return map(Detection, self.frame.tolist(), boxes, self.score.tolist(), self.label.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, (BoxColumns, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+
+def as_columns(records: Iterable[Detection] | Iterable[GroundTruth], scored: bool) -> BoxColumns:
+    """``records`` as ``BoxColumns``: columns as they are, records converted once.
+
+    ``scored`` says whether the records are detections, which carry a score.
+    """
+    if isinstance(records, BoxColumns):
+        return records
+    records = list(records)
+    return BoxColumns(
+        _int_array([r.frame for r in records]),
+        np.array([r.bbox for r in records], dtype=np.float64).reshape(-1, 4),
+        _int_array([r.label for r in records]),
+        np.array([r.score for r in records], dtype=np.float64) if scored else None,
     )
 
 
-def load_detections_jsonl(path: str | Path) -> list[Detection]:
+def _records_per_line(path: str | Path, scored: bool) -> list[Detection] | list[GroundTruth]:
+    # Every record checked field by field, in the order of its messages:
+    # score, then frame, bbox and class.
     out = []
     for where, record in read_jsonl(path):
-        score = check_number(record.get("score"), f"{where}: score")
-        if not 0.0 <= score <= 1.0:
-            raise DataValidationError(f"{where}: score must lie in [0, 1], got {_echo(record['score'])}")
-        frame, bbox, label = _record_fields(record, where)
-        out.append(Detection(frame=frame, bbox=bbox, score=score, label=label))
+        if scored:
+            score = check_number(record.get("score"), f"{where}: score")
+            if not 0.0 <= score <= 1.0:
+                raise DataValidationError(f"{where}: score must lie in [0, 1], got {_echo(record['score'])}")
+        frame = expect(record.get("frame"), int, f"{where}: frame")
+        bbox = check_box(record.get("bbox"), where)
+        label = expect(record.get("class"), int, f"{where}: class")
+        out.append(Detection(frame, bbox, score, label) if scored else GroundTruth(frame, bbox, label))
     return out
 
 
-def load_ground_truth_jsonl(path: str | Path) -> list[GroundTruth]:
-    return [GroundTruth(*_record_fields(record, where)) for where, record in read_jsonl(path)]
+def _load(path: str | Path, scored: bool) -> BoxColumns:
+    kinds = {"frame": "int", "bbox": "box", "class": "int", **({"score": "number"} if scored else {})}
+    columns = read_jsonl_columns(path, kinds)
+    if columns is not None:
+        score = columns.get("score")
+        if score is None or ((score >= 0.0) & (score <= 1.0)).all():
+            return BoxColumns(columns["frame"], columns["bbox"], columns["class"], score)
+    return as_columns(_records_per_line(path, scored), scored)
+
+
+def load_detections_jsonl(path: str | Path) -> BoxColumns:
+    return _load(path, scored=True)
+
+
+def load_ground_truth_jsonl(path: str | Path) -> BoxColumns:
+    return _load(path, scored=False)
+
+
+_DETECTION_LINE = '{"frame": %d, "bbox": [%r, %r, %r, %r], "score": %r, "class": %d}\n'
+_GROUND_TRUTH_LINE = '{"frame": %d, "bbox": [%r, %r, %r, %r], "class": %d}\n'
 
 
 def write_detections_jsonl(dets: Iterable[Detection], path: str | Path) -> None:
-    write_jsonl(
-        ({"frame": d.frame, "bbox": list(d.bbox), "score": d.score, "class": d.label} for d in dets),
-        path,
-    )
+    dets = as_columns(dets, scored=True)
+    write_lines(_DETECTION_LINE, array_rows(dets.frame, *dets.boxes.T, dets.score, dets.label), path)
 
 
 def write_ground_truth_jsonl(gts: Iterable[GroundTruth], path: str | Path) -> None:
-    write_jsonl(({"frame": g.frame, "bbox": list(g.bbox), "class": g.label} for g in gts), path)
+    gts = as_columns(gts, scored=False)
+    write_lines(_GROUND_TRUTH_LINE, array_rows(gts.frame, *gts.boxes.T, gts.label), path)
 
 
 def iou(a, b) -> np.ndarray | float:
@@ -113,13 +201,16 @@ def iou(a, b) -> np.ndarray | float:
     return np.where((ix <= 0) | (iy <= 0) | (union <= 0), 0.0, value)[()]
 
 
-def _boxes(records) -> np.ndarray:
-    return np.array([r.bbox for r in records], dtype=np.float64).reshape(-1, 4)
+def _ranks(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The distinct values of the joined integer columns, ascending, and each
+    # entry's rank among them.
+    return np.unique(np.concatenate(columns), return_inverse=True)
 
 
 def score_order(dets: Sequence[Detection]) -> list[int]:
     """Evaluation order: descending score, ties by (frame, input position)."""
-    return sorted(range(len(dets)), key=lambda i: (-dets[i].score, dets[i].frame, i))
+    dets = as_columns(dets, scored=True)
+    return np.lexsort((_ranks(dets.frame)[1], -dets.score)).tolist()  # lexsort is stable
 
 
 @dataclass
@@ -129,7 +220,7 @@ class MatchResult:
     order: list[int]           # detection indices in evaluation order
     flags: list[bool]          # True where the detection matched a ground-truth box
     matched_gt: list[int | None]  # index of the claimed ground-truth box, or None
-    fn_by_frame: dict[int, int]   # unmatched ground-truth boxes per frame
+    fn_by_frame: dict[int, int]   # unmatched ground-truth boxes per frame, in frame order
 
 
 def match_detections(
@@ -141,58 +232,74 @@ def match_detections(
     takes the highest-IoU candidate, and on IoU ties the earliest box in
     input order wins.
     """
-    # Frames and labels are arbitrary JSON ints, so slots are numbered through
-    # a dict; a detection whose slot has no ground truth gets the empty slot
-    # numbered len(slots).
-    slots: dict[tuple[int, int], int] = {}
-    gt_slot = np.array([slots.setdefault((g.frame, g.label), len(slots)) for g in gts], dtype=np.intp)
-    det_slot = np.array([slots.get((d.frame, d.label), len(slots)) for d in dets], dtype=np.intp)
+    dets, gts = as_columns(dets, scored=True), as_columns(gts, scored=False)
+    n = len(dets)
+    # Frames and labels are arbitrary JSON ints, so a slot is numbered by
+    # the ranks of its frame and its label among all of them.
+    frames, frame_rank = _ranks(dets.frame, gts.frame)
+    labels, label_rank = _ranks(dets.label, gts.label)
+    slot = np.unique(frame_rank * len(labels) + label_rank, return_inverse=True)[1]
+    det_slot, gt_slot = slot[:n], slot[n:]
 
     gt_by_slot = np.argsort(gt_slot, kind="stable")
-    slot_size = np.bincount(gt_slot, minlength=len(slots) + 1)
+    slot_size = np.bincount(gt_slot, minlength=slot.max(initial=-1) + 1)
     slot_start = np.cumsum(slot_size) - slot_size
-    det_boxes, gt_boxes = _boxes(dets), _boxes(gts)
 
     # Pair each detection with every box of its slot, its k-th pair with the
     # slot's k-th box in input order, and keep the pairs whose IoU clears the
     # threshold. Detections go in blocks of at most _PAIR_BLOCK pairs (or one
     # detection's), so memory stays flat on dense input; the loop runs once
     # even without detections.
-    step = max(1, _PAIR_BLOCK // max(1, int(slot_size.max())))
+    step = max(1, _PAIR_BLOCK // max(1, int(slot_size.max(initial=0))))
     blocks = []
-    for start in range(0, max(len(dets), 1), step):
-        slot = det_slot[start : start + step]
-        count = slot_size[slot]
-        pair_det = np.repeat(np.arange(start, start + len(slot)), count)
-        first_pair = np.cumsum(count) - count
-        pair_gt = gt_by_slot[np.arange(len(pair_det)) + np.repeat(slot_start[slot] - first_pair, count)]
-        values = iou(det_boxes[pair_det], gt_boxes[pair_gt])
+    for start in range(0, max(n, 1), step):
+        block_slot = det_slot[start : start + step]
+        size = slot_size[block_slot]
+        pair_det = np.repeat(np.arange(start, start + len(block_slot)), size)
+        first_pair = np.cumsum(size) - size
+        pair_gt = gt_by_slot[np.arange(len(pair_det)) + np.repeat(slot_start[block_slot] - first_pair, size)]
+        # Only pairs that overlap along x can have a positive IoU.
+        right = np.minimum(dets.boxes[pair_det, 2], gts.boxes[pair_gt, 2])
+        overlap = right > np.maximum(dets.boxes[pair_det, 0], gts.boxes[pair_gt, 0])
+        pair_det, pair_gt = pair_det[overlap], pair_gt[overlap]
+        values = iou(dets.boxes[pair_det], gts.boxes[pair_gt])
         keep = (values >= iou_threshold) & (values > 0)
         blocks.append((pair_det[keep], pair_gt[keep], values[keep]))
     cand_det, cand_gt, cand_iou = (np.concatenate(parts) for parts in zip(*blocks))
 
     # Each detection's candidates, best first: highest IoU, then earliest box.
-    cand_gt = cand_gt[np.lexsort((cand_gt, -cand_iou, cand_det))].tolist()
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(cand_det, minlength=len(dets))))).tolist()
-
+    best_first = np.lexsort((cand_gt, -cand_iou, cand_det))
+    cand_det, cand_gt = cand_det[best_first], cand_gt[best_first]
+    count = np.bincount(cand_det, minlength=n)
+    first = np.cumsum(count) - count
+    # A detection whose candidates no other detection lists takes its best
+    # one whatever is claimed before it, so only the others need the greedy
+    # sweep, and they never reach a box of the first kind.
+    shared = np.bincount(cand_gt, minlength=len(gts))[cand_gt] > 1
+    contested = np.bincount(cand_det, weights=shared, minlength=n) > 0
+    claim = np.full(n, -1)
+    alone = np.flatnonzero((count > 0) & ~contested)
+    claim[alone] = cand_gt[first[alone]]
     order = score_order(dets)
-    taken = [False] * len(gts)
-    matched: list[int | None] = []
-    for i in order:
-        for j in cand_gt[bounds[i] : bounds[i + 1]]:
-            if not taken[j]:
-                taken[j] = True
-                matched.append(j)
+    by_order = np.array(order, dtype=np.intp)
+    swept = by_order[contested[by_order]]
+    candidates = cand_gt.tolist()
+    taken = set()
+    for i, lo, hi in zip(swept.tolist(), first[swept].tolist(), (first + count)[swept].tolist()):
+        for j in candidates[lo:hi]:
+            if j not in taken:
+                taken.add(j)
+                claim[i] = j
                 break
-        else:
-            matched.append(None)
-    flags = [j is not None for j in matched]
+    matched = [None if j < 0 else j for j in claim[by_order].tolist()]
 
-    fn_by_frame: dict[int, int] = {}
-    for j, g in enumerate(gts):
-        if not taken[j]:
-            fn_by_frame[g.frame] = fn_by_frame.get(g.frame, 0) + 1
-    return MatchResult(order=order, flags=flags, matched_gt=matched, fn_by_frame=fn_by_frame)
+    free = np.ones(len(gts), dtype=bool)
+    free[claim[claim >= 0]] = False
+    free_frame, misses = np.unique(frame_rank[n:][free], return_counts=True)
+    fn_by_frame = dict(zip(frames[free_frame].tolist(), misses.tolist()))
+    return MatchResult(
+        order=order, flags=[j is not None for j in matched], matched_gt=matched, fn_by_frame=fn_by_frame
+    )
 
 
 def _sum_in_order(values: Iterable[float]) -> float:
@@ -225,8 +332,9 @@ def f1_operating_point(
     F1 of the length-k prefix is 2*tp/(k + num_gt); ties prefer the shorter
     prefix, and an empty prefix reports precision and recall of 0.
     """
+    dets = as_columns(dets, scored=True)
     result = match_detections(dets, gts, iou_threshold)
-    scores = np.array([dets[i].score for i in result.order])
+    scores = dets.score[result.order]
     num_gt = len(gts)
     tp = np.cumsum(result.flags)
     k = np.arange(1, len(tp) + 1)
@@ -241,7 +349,7 @@ def f1_operating_point(
         "precision": tp_at_best / best_k if best_k > 0 else 0.0,
         "recall": tp_at_best / num_gt if num_gt > 0 else 0.0,
         "f1": best_f1,
-        "score_threshold": dets[result.order[best_k - 1]].score if best_k > 0 else None,
+        "score_threshold": float(scores[best_k - 1]) if best_k > 0 else None,
     }
 
 
@@ -256,31 +364,32 @@ def evaluate(dets: Sequence[Detection], gts: Sequence[GroundTruth]) -> dict:
     the best-F1 operating point on the pooled IoU-0.5 matching. Returns
     plain Python types ready for JSON.
     """
-    classes = sorted({g.label for g in gts} | {d.label for d in dets})
+    dets, gts = as_columns(dets, scored=True), as_columns(gts, scored=False)
+    labels, label_rank = _ranks(dets.label, gts.label)
+    classes = labels.tolist()
     # Each class's positions in the pooled evaluation order, which every
     # matching call shares.
-    positions: dict[int, list[int]] = {label: [] for label in classes}
-    for pos, i in enumerate(score_order(dets)):
-        positions[dets[i].label].append(pos)
-    num_gt = Counter(g.label for g in gts)
-    sweeps: dict[int, list[float]] = {label: [] for label in classes}
+    by_position = label_rank[: len(dets)][score_order(dets)]
+    positions = [np.flatnonzero(by_position == c) for c in range(len(classes))]
+    num_gt = np.bincount(label_rank[len(dets) :], minlength=len(classes)).tolist()
+    sweeps: list[list[float]] = [[] for _ in classes]
     for thr in IOU_GRID:
         flags = np.array(match_detections(dets, gts, thr).flags, dtype=bool)
-        for label in classes:
-            sweeps[label].append(ap_101(flags[positions[label]], num_gt[label]))
+        for c, sweep in enumerate(sweeps):
+            sweep.append(ap_101(flags[positions[c]], num_gt[c]))
 
     per_class = {
         str(label): {
-            "ap_per_threshold": sweeps[label],
-            "ap50": sweeps[label][0],
-            "num_gt": num_gt[label],
-            "num_detections": len(positions[label]),
+            "ap_per_threshold": sweeps[c],
+            "ap50": sweeps[c][0],
+            "num_gt": num_gt[c],
+            "num_detections": len(positions[c]),
         }
-        for label in classes
+        for c, label in enumerate(classes)
     }
     n_classes = max(len(classes), 1)  # no classes: every mean is 0 / 1
     ap_per_threshold = [
-        _sum_in_order(sweeps[label][i] for label in classes) / n_classes for i in range(len(IOU_GRID))
+        _sum_in_order(sweep[i] for sweep in sweeps) / n_classes for i in range(len(IOU_GRID))
     ]
     operating = f1_operating_point(dets, gts)
     return {

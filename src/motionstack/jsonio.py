@@ -6,14 +6,22 @@ not objects; a missing file still raises ``OSError``. Writers emit UTF-8.
 The type rules of the values inside live here too, worded ``{where} must be
 {kind}, got {JSON}``, a rejected value cut to its first 80 characters.
 A number is a finite int or float; a bool is neither.
+
+Record files are read as columns: ``read_jsonl_columns`` parses each line
+once and checks each key's values as one column, and a loader falls back
+to checking line by line, through ``read_jsonl``, only to name the first
+bad value. ``write_lines`` writes such records back from columns, with the
+bytes ``json.dumps`` gives them.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain, islice
 from math import isfinite
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -52,10 +60,27 @@ def write_json(doc: Any, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
+def write_lines(template: str, rows: Iterable[tuple], path: str | Path) -> None:
+    """Write one ``template % row`` line per row of Python values.
+
+    A template spells a record as ``json.dumps`` does, with ``%d`` for each
+    int and ``%r`` for each float, so a finite float comes out as the
+    shortest repr that ``json.dumps`` also writes.
+    """
+    lines = map(template.__mod__, rows)
     with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record) + "\n")
+        while chunk := "".join(islice(lines, _ROWS)):
+            fh.write(chunk)
+
+
+# Rows that ``write_lines`` and ``array_rows`` hold at once.
+_ROWS = 512
+
+
+def array_rows(*columns: np.ndarray) -> Iterator[tuple]:
+    """The rows of equal-length 1-D arrays as tuples of Python values, converted ``_ROWS`` at a time."""
+    for lo in range(0, len(columns[0]), _ROWS):
+        yield from zip(*(column[lo : lo + _ROWS].tolist() for column in columns))
 
 
 # Characters of a rejected value that an error repeats, so a value as long as
@@ -114,18 +139,112 @@ def check_box(raw: Any, where: str) -> tuple[float, float, float, float]:
     return box
 
 
+def _box_column(values) -> np.ndarray | None:
+    # check_box's rules on a whole list of boxes at once: float64 [N, 4], or
+    # None if any box breaks one.
+    try:
+        if (
+            {list}.issuperset(map(type, values))
+            and {4}.issuperset(map(len, values))
+            and _NUMBERS.issuperset(map(type, chain.from_iterable(values)))
+        ):
+            boxes = np.array(values, dtype=np.float64).reshape(len(values), 4)
+            x1, y1, x2, y2 = boxes.T
+            if np.isfinite(boxes).all() and (x2 > x1).all() and (y2 > y1).all():
+                return boxes
+    except OverflowError:  # an integer past the float range
+        pass
+    return None
+
+
 def check_boxes(raw: list, where: str) -> np.ndarray:
     """Validate a list of boxes as ``check_box`` does, naming box i ``{where}[{i}]``: float64 [N, 4].
 
     All boxes are checked at once; only a list that fails goes through
     ``check_box`` box by box, to raise its message for the first bad box.
     """
-    try:  # check_box's rules on the whole list
-        if all(type(b) is list and len(b) == 4 and _NUMBERS.issuperset(map(type, b)) for b in raw):
-            boxes = np.array(raw, dtype=np.float64).reshape(len(raw), 4)
-            x1, y1, x2, y2 = boxes.T
-            if np.isfinite(boxes).all() and (x2 > x1).all() and (y2 > y1).all():
-                return boxes
-    except OverflowError:  # an integer past the float range
-        pass
+    boxes = _box_column(raw)
+    if boxes is not None:
+        return boxes
     return np.array([check_box(b, f"{where}[{i}]") for i, b in enumerate(raw)], dtype=np.float64)
+
+
+def _int_array(values) -> np.ndarray:
+    # int64 [N], or object [N] of Python ints where a value does not fit.
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _int_column(values) -> np.ndarray | None:
+    return _int_array(values) if {int}.issuperset(map(type, values)) else None
+
+
+def _number_column(values) -> np.ndarray | None:
+    # check_number's rule on a whole column: finite float64 [N].
+    try:
+        if _NUMBERS.issuperset(map(type, values)):
+            numbers = np.array(values, dtype=np.float64)
+            if np.isfinite(numbers).all():
+                return numbers
+    except OverflowError:
+        pass
+    return None
+
+
+def _int_pair_column(values) -> np.ndarray | None:
+    # [int, int] lists, as an object [N] array of tuples of the same Python ints.
+    if (
+        {list}.issuperset(map(type, values))
+        and {2}.issuperset(map(len, values))
+        and {int}.issuperset(map(type, chain.from_iterable(values)))
+    ):
+        return np.fromiter(map(tuple, values), dtype=object, count=len(values))
+    return None
+
+
+_COLUMNS = {"int": _int_column, "number": _number_column, "box": _box_column, "int pair": _int_pair_column}
+_scan = json.JSONDecoder().scan_once  # json.loads' parser, without its per-call wrapper
+
+
+def read_jsonl_columns(path: str | Path, kinds: Mapping[str, str]) -> dict[str, np.ndarray] | None:
+    """Each key of ``kinds`` (two or more) as one checked column over the nonblank lines, or None.
+
+    The kinds are ``"int"`` (int64 [N]; object dtype, of Python ints, where
+    a value does not fit int64), ``"number"`` (finite float64 [N]),
+    ``"box"`` (float64 [N, 4], as ``check_box`` accepts) and ``"int pair"``
+    (object [N] of ``(int, int)`` tuples). A bool is none of them. Each
+    line is parsed once and only its values are kept, and the columns are
+    checked ``_ROWS`` lines at a time. None means some line is not JSON,
+    not an object or lacks a key, or some column breaks its rule: the
+    caller then reads the file line by line to name the first bad value.
+    """
+    get = itemgetter(*kinds)
+    checks = [_COLUMNS[kind] for kind in kinds.values()]
+
+    def checked(rows: list[tuple]) -> list | None:
+        columns = [check(values) for check, values in zip(checks, zip(*rows) if rows else [()] * len(checks))]
+        return None if any(column is None for column in columns) else columns
+
+    blocks, rows = [], []
+    try:
+        for line in _read_text(path).split("\n"):
+            line = line.strip()
+            if not line:
+                continue
+            record, end = _scan(line, 0)
+            if end != len(line):  # text after the value
+                return None
+            rows.append(get(record))  # KeyError or TypeError unless an object with every key
+            if len(rows) == _ROWS:
+                blocks.append(checked(rows))
+                if blocks[-1] is None:
+                    return None
+                rows = []
+        blocks.append(checked(rows))
+    except (ValueError, RecursionError, StopIteration, KeyError, TypeError):
+        return None
+    if blocks[-1] is None:
+        return None
+    return {key: np.concatenate(parts) for key, parts in zip(kinds, zip(*blocks))}

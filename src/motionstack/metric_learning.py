@@ -46,7 +46,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataValidationError
-from .jsonio import _echo, expect, expect_ints, read_json, read_jsonl, write_json, write_jsonl
+from .jsonio import _echo, expect, expect_ints, read_json, read_jsonl, read_jsonl_columns, write_json, write_lines
 from .tensor_io import read_tensor, write_tensor
 from .tracklets import Tracklet, check_feature_rows, enumerate_keys, overlap_graph
 
@@ -179,7 +179,8 @@ def _check_ref(raw, where: str) -> tuple[int, int]:
     return (raw[0], raw[1])
 
 
-def load_triplets_jsonl(path: str | Path) -> list[Triplet]:
+def _triplets_per_line(path: str | Path) -> list[Triplet]:
+    # Every record checked field by field, to name the first bad one.
     out: list[Triplet] = []
     for where, record in read_jsonl(path):
         if not all(k in record for k in ("a", "p", "n")):
@@ -194,9 +195,18 @@ def load_triplets_jsonl(path: str | Path) -> list[Triplet]:
     return out
 
 
+def load_triplets_jsonl(path: str | Path) -> list[Triplet]:
+    columns = read_jsonl_columns(path, {"a": "int pair", "p": "int pair", "n": "int pair"})
+    if columns is None:
+        return _triplets_per_line(path)
+    return list(map(Triplet, columns["a"], columns["p"], columns["n"]))
+
+
 def write_triplets_jsonl(triplets: Sequence[Triplet], path: str | Path) -> None:
-    write_jsonl(
-        ({"a": list(t.anchor), "p": list(t.positive), "n": list(t.negative)} for t in triplets), path
+    write_lines(
+        '{"a": [%d, %d], "p": [%d, %d], "n": [%d, %d]}\n',
+        ((*t.anchor, *t.positive, *t.negative) for t in triplets),
+        path,
     )
 
 
@@ -266,15 +276,21 @@ class EmbeddingNet:
 
     def embed_batch(self, features: np.ndarray) -> np.ndarray:
         """Embed [B, D_in] rows to float64 [B, 128], honoring the normalize toggle."""
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim != 2 or features.shape[1] != self.in_dim:
-            raise ValueError(f"expected [B, {self.in_dim}] features, got shape {features.shape}")
-        for out in _forward(params64(self), features):
-            pass  # each layer's output replaces the last, so one is kept at a time
-        if self.normalize_output:
-            norms = np.linalg.norm(out, axis=1, keepdims=True)
-            out = np.divide(out, norms, out=np.zeros_like(out), where=norms > 0)
-        return out
+        return _embed(self, params64(self), features)
+
+
+def _embed(net: EmbeddingNet, params, features: np.ndarray) -> np.ndarray:
+    # ``net.embed_batch`` with the net's float64 ``params`` from the caller,
+    # who may convert them once for many batches.
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[1] != net.in_dim:
+        raise ValueError(f"expected [B, {net.in_dim}] features, got shape {features.shape}")
+    for out in _forward(params, features):
+        pass  # each layer's output replaces the last, so one is kept at a time
+    if net.normalize_output:
+        norms = np.linalg.norm(out, axis=1, keepdims=True)
+        out = np.divide(out, norms, out=np.zeros_like(out), where=norms > 0)
+    return out
 
 
 def params64(net: EmbeddingNet) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -432,10 +448,11 @@ def tracklet_embeddings(
     """
     matrix = np.empty((sum(len(t.frames) for t in tracklets), OUT_DIM), dtype=np.float64)
     views: dict[int, np.ndarray] = {}
+    params = params64(net)  # once for every tracklet
     lo = 0
     for t in tracklets:
         view = views[t.id] = matrix[lo : lo + len(t.frames)]
-        view[...] = net.embed_batch(table.matrix64[table.rows((t.id, f) for f in t.frames)])
+        view[...] = _embed(net, params, table.matrix64[table.rows((t.id, f) for f in t.frames)])
         lo += len(t.frames)
     return matrix, views
 

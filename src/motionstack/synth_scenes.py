@@ -30,8 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .det_metrics import Detection, GroundTruth, write_ground_truth_jsonl
-from .jsonio import write_json
+from .det_metrics import BoxColumns, GroundTruth, as_columns, write_ground_truth_jsonl
+from .jsonio import _int_array, write_json
 from .tensor_io import ImageFrame, write_ppm, write_tensor
 from .tracklets import Tracklet, write_identity_map, write_tracklets_json
 
@@ -252,7 +252,7 @@ def generate(config: SceneConfig, out_dir: str | Path) -> dict:
     for obj in range(config.num_objects):
         prototypes[obj, obj] = PROTOTYPE_SCALE
 
-    gts: list[GroundTruth] = []
+    gt_boxes: list[tuple[float, float, float, float]] = []
     boxes: dict[int, list[tuple[float, float, float, float]]] = {o: [] for o in range(config.num_objects)}
     features = np.zeros((config.num_frames * config.num_objects, config.feature_dim), dtype=np.float64)
     for frame in range(config.num_frames):
@@ -270,11 +270,16 @@ def generate(config: SceneConfig, out_dir: str | Path) -> dict:
         for obj, blob in enumerate(blobs):
             box = _blob_box(blob)
             boxes[obj].append(box)
-            gts.append(GroundTruth(frame=frame, bbox=box, label=0))
+            gt_boxes.append(box)
             features[frame * config.num_objects + obj] = prototypes[obj] + NOISE_SIGMA * noise[obj]
 
     tracklets, groups = _split_tracklets(config, boxes)
 
+    gts = BoxColumns(  # in (frame, object) order, every box of class 0
+        np.repeat(np.arange(config.num_frames), config.num_objects),
+        np.array(gt_boxes, dtype=np.float64).reshape(-1, 4),
+        np.zeros(len(gt_boxes), dtype=np.int64),
+    )
     write_ground_truth_jsonl(gts, out_dir / names["gt"])
     write_tracklets_json(tracklets, out_dir / names["tracklets"])
     write_identity_map(groups, out_dir / names["identity_map"])
@@ -311,7 +316,7 @@ def perturb_detections(
     fp_rate: float,
     seed: int = 0,
     canvas: tuple[int, int] | None = None,
-) -> list[Detection]:
+) -> BoxColumns:
     """Degrade ground truth into detections with controlled imperfection.
 
     Each box survives with probability ``1 - drop_rate`` (score 1.0), its
@@ -328,41 +333,59 @@ def perturb_detections(
             raise ValueError(f"{name} must be in [0, 1], got {rate}")
     if not 0 <= jitter_px < math.inf:
         raise ValueError(f"jitter_px must be finite and nonnegative, got {jitter_px}")
+    gts = as_columns(gts, scored=False)
     if canvas is not None:
         width, height = canvas
-    elif gts:
-        width = int(math.ceil(max(g.bbox[2] for g in gts))) + 1
-        height = int(math.ceil(max(g.bbox[3] for g in gts))) + 1
+    elif len(gts):
+        width = int(math.ceil(gts.boxes[:, 2].max())) + 1
+        height = int(math.ceil(gts.boxes[:, 3].max())) + 1
     else:
         width, height = 64, 64
 
     rng = np.random.default_rng(seed)
-    dets: list[Detection] = []
-    for g in gts:
-        if float(rng.uniform()) < drop_rate:
-            continue
-        dx1, dy1, dx2, dy2 = (float(v) * jitter_px for v in rng.uniform(-1.0, 1.0, size=4))
-        x1, y1, x2, y2 = g.bbox
-        x1, y1, x2, y2 = x1 + dx1, y1 + dy1, x2 + dx2, y2 + dy2
-        if not all(map(math.isfinite, (x1, y1, x2, y2))):
-            raise ValueError(
-                f"jitter_px {jitter_px} moves a box corner in frame {g.frame} past the float range"
-            )
-        # Jitter can invert a small box; keep it valid around its center.
-        if x2 <= x1:
-            x1, x2 = _unit_span(x1, x2)
-        if y2 <= y1:
-            y1, y2 = _unit_span(y1, y2)
-        dets.append(Detection(frame=g.frame, bbox=(x1, y1, x2, y2), score=1.0, label=g.label))
+    # Box by box, the generator gives one uniform draw for the drop and, for
+    # a kept box, four for its corner offsets. Those draws are read from one
+    # buffer, and the generator is then left where box-by-box calls leave it.
+    state = rng.bit_generator.state
+    draws = rng.random(5 * len(gts))
+    dropped = (draws < drop_rate).tolist()
+    start = np.empty(len(gts), dtype=np.intp)
+    used = 0
+    for i in range(len(gts)):
+        start[i] = used
+        used += 1 if dropped[used] else 5
+    rng.bit_generator.state = state
+    rng.random(used)
+    kept = np.flatnonzero(draws[start] >= drop_rate)
+    # uniform(-1, 1) is -1 + 2 * draw, exactly as numpy computes it.
+    offsets = (draws[start[kept, None] + np.arange(1, 5)] * 2.0 - 1.0) * jitter_px
+    with np.errstate(over="ignore"):
+        boxes = gts.boxes[kept] + offsets
+    finite = np.isfinite(boxes).all(axis=1)
+    if not finite.all():
+        frame = gts.frame[kept[np.argmin(finite)]]
+        raise ValueError(f"jitter_px {jitter_px} moves a box corner in frame {frame} past the float range")
+    # Jitter can invert a small box; keep it valid around its center.
+    for lo, hi in ((0, 2), (1, 3)):
+        for r in np.flatnonzero(boxes[:, hi] <= boxes[:, lo]).tolist():
+            boxes[r, lo], boxes[r, hi] = _unit_span(float(boxes[r, lo]), float(boxes[r, hi]))
 
-    min_true = min((d.score for d in dets), default=1.0)
-    for frame in sorted({g.frame for g in gts}):
+    fp_frames: list[int] = []
+    fp_boxes: list[tuple[float, float, float, float]] = []
+    fp_scores: list[float] = []
+    for frame in sorted(set(gts.frame.tolist())):  # a bare np.unique would import numpy.ma, 0.6 MiB
         if float(rng.uniform()) >= fp_rate:
             continue
         w = float(rng.uniform(3.0, max(4.0, width / 4.0)))
         h = float(rng.uniform(3.0, max(4.0, height / 4.0)))
         x1 = float(rng.uniform(0.0, max(1.0, width - w)))
         y1 = float(rng.uniform(0.0, max(1.0, height - h)))
-        score = float(rng.uniform(0.05, 0.95)) * min_true * 0.999
-        dets.append(Detection(frame=frame, bbox=(x1, y1, x1 + w, y1 + h), score=score, label=0))
-    return dets
+        fp_frames.append(frame)
+        fp_boxes.append((x1, y1, x1 + w, y1 + h))
+        fp_scores.append(float(rng.uniform(0.05, 0.95)) * 0.999)  # below every true score, 1.0
+    return BoxColumns(
+        np.concatenate((gts.frame[kept], _int_array(fp_frames))),
+        np.concatenate((boxes, np.array(fp_boxes, dtype=np.float64).reshape(-1, 4))),
+        np.concatenate((gts.label[kept], np.zeros(len(fp_frames), dtype=np.int64))),
+        np.concatenate((np.ones(len(kept)), np.array(fp_scores, dtype=np.float64))),
+    )

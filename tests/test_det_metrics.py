@@ -449,6 +449,28 @@ class TestEvaluate:
         monkeypatch.setattr(det_metrics, "sum", _compensated_sum, raising=False)
         assert [evaluate(dets, gts) for dets, gts in instances] == reports
 
+    def test_loaded_object_columns_match_the_oracle(self, tmp_path):
+        # Classes 0, -3 and 2**70 and a frame past int64 load as object
+        # columns; scores in 0.1 steps tie.
+        object_frames = 0
+        for seed in range(20):
+            dets, gts = _multi_class_instance(seed)
+            past = 2**64  # frame 2 moves past int64
+            dets = [Detection(d.frame if d.frame < 2 else past, d.bbox, d.score, d.label) for d in dets]
+            gts = [GroundTruth(g.frame if g.frame < 2 else past, g.bbox, g.label) for g in gts]
+            write_detections_jsonl(dets, tmp_path / "dets.jsonl")
+            write_ground_truth_jsonl(gts, tmp_path / "gt.jsonl")
+            dets = load_detections_jsonl(tmp_path / "dets.jsonl")
+            gts = load_ground_truth_jsonl(tmp_path / "gt.jsonl")
+            assert dets.label.dtype == object and gts.label.dtype == object
+            object_frames += gts.frame.dtype == object
+            report = evaluate(dets, gts)
+            want = oracles.evaluate_oracle(dets, gts, IOU_GRID)
+            for key in ("ap_per_threshold", "map50", "map5095", "precision", "recall"):
+                assert report[key] == want[key]
+            assert {key: value["ap_per_threshold"] for key, value in report["per_class"].items()} == want["per_class"]
+        assert object_frames > 0
+
     def test_report_is_json_ready(self):
         dets, gts = _random_instance(3)
         report = evaluate(dets, gts)

@@ -1,8 +1,16 @@
 """The shared JSON/JSON-lines layer: located errors and stable output bytes."""
 
+import json
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from motionstack import jsonio
 from motionstack.errors import DataValidationError
 from motionstack.jsonio import (
     check_box,
@@ -12,7 +20,7 @@ from motionstack.jsonio import (
     read_json,
     read_jsonl,
     write_json,
-    write_jsonl,
+    write_lines,
 )
 
 
@@ -58,10 +66,13 @@ class TestWrite:
         assert path.read_bytes() == b'{\n  "b": [\n    1,\n    2\n  ]\n}\n'
         assert read_json(path) == {"b": [1, 2]}
 
-    def test_jsonl_is_one_compact_object_per_line(self, tmp_path):
+    def test_lines_are_the_bytes_json_dumps_writes(self, tmp_path):
         path = tmp_path / "a.jsonl"
-        write_jsonl(({"i": i} for i in range(2)), path)
-        assert path.read_bytes() == b'{"i": 0}\n{"i": 1}\n'
+        rows = [(0, 0.1, 2**70), (-3, 1e300, 7), (5, -0.0, 0), (1, 1.0, -1), (2, 5e-324, 3), (4, 0.1 + 0.2, 9)]
+        rows *= 200  # more lines than one write holds
+        write_lines('{"i": %d, "x": [%r], "c": %d}\n', rows, path)
+        want = "".join(json.dumps({"i": i, "x": [x], "c": c}) + "\n" for i, x, c in rows)
+        assert path.read_bytes() == want.encode()
 
 
 def test_check_box_rejects_a_corner_too_large_for_a_float():
@@ -112,3 +123,108 @@ def test_rejected_value_is_echoed_as_a_bounded_prefix(check):
     message = str(caught.value)
     assert message.endswith(' {"0": [0, 0, 4, 4], "1": [0, 0, 4, 4], "2": [0, 0, 4, 4], "3": [0, 0, 4, 4], "4"...')
     assert len(message) < 150
+
+
+# Record files through the column path and the per-line path: valid files and
+# files with one mutation must give the same records or the same message.
+
+_INTS = st.one_of(st.integers(0, 20), st.sampled_from([-3, 2**63 - 1, 2**63, 2**70, -(2**63) - 1]))
+_CORNER = st.one_of(st.integers(-50, 300), st.floats(-50.0, 300.0))
+_SIZE = st.one_of(st.integers(1, 40), st.floats(0.5, 40.0))
+_MUTATIONS = (
+    None, "bool", "2**70", "nan", "string", "five corners", "inverted", "missing key", "non-object", "blank lines",
+    "trailing text",
+)
+
+
+@st.composite
+def _box(draw):
+    x, y = draw(_CORNER), draw(_CORNER)
+    return [x, y, x + draw(_SIZE), y + draw(_SIZE)]
+
+
+@st.composite
+def _record(draw, kind):
+    if kind == "triplets":
+        return {key: [draw(_INTS), draw(_INTS)] for key in ("a", "p", "n")}
+    record = {"frame": draw(_INTS), "bbox": draw(_box())}
+    if kind == "detections":
+        record["score"] = draw(st.one_of(st.integers(0, 100).map(lambda k: k / 100), st.sampled_from([0, 1])))
+    record["class"] = draw(st.sampled_from([0, -3, 7, 2**70]))
+    return record
+
+
+def _mutate(records, lines, mutation, draw):
+    # Apply ``mutation`` to one record or line, in place.
+    i = draw(st.integers(0, len(records) - 1))
+    record = records[i]
+    shaped = mutation in ("nan", "five corners", "inverted") and "bbox" in record  # aim at the box
+    key = "bbox" if shaped else draw(st.sampled_from(sorted(record)))
+    value = record[key]
+    if mutation == "bool":
+        if isinstance(value, list):
+            value[draw(st.integers(0, len(value) - 1))] = draw(st.booleans())
+        else:
+            record[key] = draw(st.booleans())
+    elif mutation in ("2**70", "nan", "string"):
+        new = {"2**70": 2**70, "nan": float("nan"), "string": "0.5"}[mutation]
+        if isinstance(value, list):
+            value[draw(st.integers(0, len(value) - 1))] = new
+        else:
+            record[key] = new
+    elif mutation == "five corners":
+        record[key] = (value if isinstance(value, list) else [value]) + [1]
+    elif mutation == "inverted" and key == "bbox":
+        axis = draw(st.sampled_from([0, 1]))  # swap x1 and x2, or y1 and y2
+        value[axis], value[axis + 2] = value[axis + 2], value[axis]
+    elif mutation == "inverted":
+        record[key] = value[:1] if isinstance(value, list) else [value]
+    elif mutation == "missing key":
+        del record[key]
+    lines[:] = [json.dumps(r) for r in records]
+    if mutation == "non-object":
+        lines[i] = draw(st.sampled_from(["[1, 2]", '"frame"', "3", "null"]))
+    elif mutation == "blank lines":
+        lines.insert(i, draw(st.sampled_from(["", "   ", "\t"])))
+    elif mutation == "trailing text":
+        lines[i] += draw(st.sampled_from([" x", " {}", ",", "]"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_column_and_per_line_paths_agree_on_record_files(data):
+    from motionstack import det_metrics, metric_learning
+
+    kind = data.draw(st.sampled_from(["detections", "ground truth", "triplets"]))
+    load, per_line, module, fallback = {
+        "detections": (det_metrics.load_detections_jsonl, lambda p: det_metrics._records_per_line(p, scored=True),
+                       det_metrics, "_records_per_line"),
+        "ground truth": (det_metrics.load_ground_truth_jsonl,
+                         lambda p: det_metrics._records_per_line(p, scored=False), det_metrics, "_records_per_line"),
+        "triplets": (metric_learning.load_triplets_jsonl, metric_learning._triplets_per_line, metric_learning,
+                     "_triplets_per_line"),
+    }[kind]
+    records = data.draw(st.lists(_record(kind), min_size=1, max_size=8))
+    lines = [json.dumps(r) for r in records]
+    mutation = data.draw(st.sampled_from(_MUTATIONS))
+    if mutation is not None:
+        _mutate(records, lines, mutation, data.draw)
+
+    def outcome(load):
+        try:
+            loaded = load(path)
+        except DataValidationError as exc:
+            return str(exc)
+        # repr tells 1 from 1.0 and from True, and a Python int from a numpy one.
+        return repr(list(loaded)), repr([loaded[i] for i in range(len(loaded))])
+
+    block = data.draw(st.sampled_from([1, 3, jsonio._ROWS]))  # lines checked at once
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(jsonio, "_ROWS", block):
+        path = Path(tmp) / "records.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        want = outcome(per_line)
+        if isinstance(want, str):
+            assert outcome(load) == want
+        else:  # a valid file never needs the per-line path
+            with mock.patch.object(module, fallback, side_effect=AssertionError("fell back to the per-line path")):
+                assert outcome(load) == want

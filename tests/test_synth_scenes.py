@@ -438,6 +438,40 @@ class TestPerturb:
         assert perturb_detections([], 0.0, 0.0, 0.0) == []
         assert perturb_detections([], 0.0, 0.0, 1.0) == []
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_draws_as_box_by_box_calls_would(self, seed):
+        # The true boxes' draws come from one buffer; the reference draws box
+        # by box, as uniform() and uniform(-1, 1, size=4) calls.
+        rng = np.random.default_rng([seed, 5])
+        frames = rng.integers(0, 9, size=60).tolist()
+        sizes = rng.choice([1e-9, 0.5, 4.0], size=(60, 2)).tolist()
+        corners = rng.uniform(0.0, 200.0, size=(60, 2)).tolist()
+        gts = [GroundTruth(f, (x, y, x + w, y + h), f % 3) for f, (x, y), (w, h) in zip(frames, corners, sizes)]
+        drop, jitter, fp = [(0.0, 1.0, 1.0), (0.3, 2.5, 0.5), (1.0, 0.0, 0.3)][seed % 3]
+        got = perturb_detections(gts, drop, jitter, fp, seed=seed)
+
+        draw = np.random.default_rng(seed)
+        want = []
+        for g in gts:
+            if float(draw.uniform()) < drop:
+                continue
+            x1, y1, x2, y2 = (c + float(v) * jitter for c, v in zip(g.bbox, draw.uniform(-1.0, 1.0, size=4)))
+            x1, x2 = synth_scenes._unit_span(x1, x2) if x2 <= x1 else (x1, x2)
+            y1, y2 = synth_scenes._unit_span(y1, y2) if y2 <= y1 else (y1, y2)
+            want.append((g.frame, (x1, y1, x2, y2), 1.0, g.label))
+        true = [(d.frame, d.bbox, d.score, d.label) for d in got if d.score == 1.0]
+        assert repr(true) == repr(want)
+        # The false positives then draw from where the box-by-box calls left off.
+        width = int(np.ceil(max(g.bbox[2] for g in gts))) + 1
+        first_fp = next((d for d in got if d.score < 1.0), None)
+        for frame in sorted({g.frame for g in gts}):
+            if float(draw.uniform()) < fp:
+                w = float(draw.uniform(3.0, max(4.0, width / 4.0)))
+                assert (first_fp.frame, first_fp.bbox[2] - first_fp.bbox[0]) == (frame, pytest.approx(w))
+                break
+        else:
+            assert first_fp is None
+
     def test_write_round_trip(self, tmp_path, scene_gts):
         dets = perturb_detections(scene_gts, 0.2, 0.5, 0.3, seed=4)
         path = tmp_path / "dets.jsonl"

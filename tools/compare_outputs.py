@@ -7,12 +7,16 @@ PARENT and CHANGE are checkouts of motionstack; they may be the same tree
 when ``--change-env NAME=VALUE`` (repeatable) sets a variable for the
 change's commands only, so that one tree is compared under two environments. For each seed the script
 writes one set of seeded inputs (a 64x3x7x7 conv layer, a 256x60x80 feature
-map and 2,000 boxes), then runs every ``motionstack`` command of the chain
-below once per tree, as a subprocess with ``PYTHONPATH=<tree>/src`` in its own
-output directory and with relative paths only:
+map and 2,000 boxes, and a dense detection/ground-truth pair), then runs every
+``motionstack`` command of the chain below once per tree, as a subprocess
+with ``PYTHONPATH=<tree>/src`` in its own output directory and with relative
+paths only:
 
 * ``synth generate`` of a 320x240x300 clip with 12 objects and 6 id
   switches, ``synth perturb`` and ``eval``;
+* ``eval`` of the dense pair: 1,200 boxes of classes 0, -3 and 2**70 over
+  40 frames, one of them past int64, and 2,400 detections scored in 0.01
+  steps;
 * ``stack`` in all four layouts and ``surgery`` in both modes;
 * ``features``;
 * ``mine``, ``train`` (plain and ``--normalize-output``), ``reid`` with the
@@ -56,7 +60,7 @@ def _write_mtensor(arr: np.ndarray, path: Path) -> None:
 
 
 def write_inputs(directory: Path, seed: int) -> None:
-    """The inputs no command makes: a conv layer with bias, a feature map and its boxes."""
+    """The inputs no command makes: a conv layer with bias, a feature map and its boxes, the dense pair."""
     rng = np.random.default_rng([seed, 2])
     _write_mtensor(rng.normal(0.0, 0.05, size=(64, 3, 7, 7)).astype("<f4"), directory / "conv1.mten")
     _write_mtensor(rng.normal(0.0, 0.01, size=64).astype("<f4"), directory / "conv1.bias.mten")
@@ -67,6 +71,42 @@ def write_inputs(directory: Path, seed: int) -> None:
     xy = rng.uniform(0.0, 1.0, size=(2000, 2)) * (np.array([320.0, 240.0]) - wh)
     boxes = np.round(np.hstack([xy, xy + wh]), 2).tolist()
     (directory / "boxes.json").write_text(json.dumps({"boxes": boxes}), encoding="utf-8")
+    write_dense_pair(directory, seed)
+
+
+def write_dense_pair(directory: Path, seed: int) -> None:
+    """``dense_gt.jsonl`` and ``dense_dets.jsonl``: crowded frames, three classes, tied scores.
+
+    30 boxes in each of 40 frames, the last frame numbered past int64, and
+    classes 0, -3 and 2**70. Detections are jittered copies of random boxes
+    (a quarter of them with a random class) plus 400 random boxes, every
+    score a multiple of 0.01.
+    """
+    rng = np.random.default_rng([seed, 3])
+    classes = np.array([0, -3, 2**70], dtype=object)
+    gt_frame = np.repeat(np.array([*range(39), 2**63 + 7], dtype=object), 30)
+    gt_class = classes[rng.integers(3, size=len(gt_frame))]
+    wh = rng.uniform(12.0, 48.0, size=(len(gt_frame), 2))
+    xy = rng.uniform(0.0, 1.0, size=wh.shape) * (np.array([320.0, 240.0]) - wh)
+    gt_box = np.hstack([xy, xy + wh])
+    src = rng.integers(len(gt_frame), size=2000)
+    det_class = np.where(rng.uniform(size=len(src)) < 0.25, classes[rng.integers(3, size=len(src))], gt_class[src])
+    fp_wh = rng.uniform(12.0, 48.0, size=(400, 2))
+    fp_xy = rng.uniform(0.0, 1.0, size=fp_wh.shape) * (np.array([320.0, 240.0]) - fp_wh)
+    det_box = np.vstack([gt_box[src] + rng.uniform(-4.0, 4.0, size=(len(src), 4)), np.hstack([fp_xy, fp_xy + fp_wh])])
+    det_frame = np.concatenate([gt_frame[src], gt_frame[rng.integers(len(gt_frame), size=400)]])
+    det_class = np.concatenate([det_class, classes[rng.integers(3, size=400)]])
+    det_score = np.round(rng.uniform(0.0, 1.0, size=len(det_box)), 2)
+    gt_lines = [
+        json.dumps({"frame": f, "bbox": b, "class": c})
+        for f, b, c in zip(gt_frame.tolist(), np.round(gt_box, 2).tolist(), gt_class.tolist())
+    ]
+    det_lines = [
+        json.dumps({"frame": f, "bbox": b, "score": s, "class": c})
+        for f, b, s, c in zip(det_frame.tolist(), np.round(det_box, 2).tolist(), det_score.tolist(), det_class.tolist())
+    ]
+    (directory / "dense_gt.jsonl").write_text("".join(line + "\n" for line in gt_lines), encoding="utf-8")
+    (directory / "dense_dets.jsonl").write_text("".join(line + "\n" for line in det_lines), encoding="utf-8")
 
 
 def write_partial_map(directory: Path) -> None:
@@ -89,6 +129,7 @@ def chain(seed: int) -> list[list[str]]:
          "--fp-rate", "0.3", "--seed", str(seed), "--canvas-width", "320", "--canvas-height", "240",
          "--out-dets", "dets.jsonl", "--out", "perturb.json"],
         ["eval", "--dets", "dets.jsonl", "--gt", "scene/gt.jsonl", "--out", "eval.json"],
+        ["eval", "--dets", "dense_dets.jsonl", "--gt", "dense_gt.jsonl", "--out", "eval_dense.json"],
     ]
     for layout in STACK_LAYOUTS:
         commands.append(["stack", "--frames", "scene/frames", "--variant", layout, "--n", "5",
