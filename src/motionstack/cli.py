@@ -274,7 +274,7 @@ def _cmd_reid(args):
     tracklets = load_tracklets_json(args.tracklets)
     table = load_feature_table(tracklets, args.features)
     net = _load_net_for(args.net, table)
-    matrix, embeddings = tracklet_embeddings(net, tracklets, table)
+    _, embeddings = tracklet_embeddings(net, tracklets, table)
     centroids = tracklet_centroids(embeddings)
     merges = propose_merges(centroids, tracklets, args.threshold)
 
@@ -283,15 +283,11 @@ def _cmd_reid(args):
         for gi, group in enumerate(load_identity_map(args.identity_map)):
             for tid in group:
                 group_of[tid] = gi
-    # Each group's matrix rows, tracklets in file order: one gather per group.
-    group_rows: dict[object, list[range]] = {}
-    lo = 0
+    # Each group's embeddings, its tracklets in file order.
+    group_views: dict[object, list[np.ndarray]] = {}
     for t in tracklets:
-        group_rows.setdefault(group_of[t.id], []).append(range(lo, lo + len(t.frames)))
-        lo += len(t.frames)
-    separation = separation_metrics(
-        {g: matrix[np.concatenate(spans)] for g, spans in group_rows.items()}
-    )
+        group_views.setdefault(group_of[t.id], []).append(embeddings[t.id])
+    separation = separation_metrics({g: np.concatenate(views) for g, views in group_views.items()})
 
     results = {
         "threshold": args.threshold,

@@ -6,11 +6,13 @@ Detections and ground truth travel as JSON Lines, one object per line:
 * ground truth: ``{"frame": int, "bbox": [x1, y1, x2, y2], "class": label}``
 
 In memory both are ``BoxColumns``: integer frame and class columns, a
-float64 box array and, for detections, a float64 score column. The loaders
-check whole columns and re-read a file line by line only to name its
-first bad value; the writers build each line from the columns, with the
-bytes ``json.dumps`` gives it. Every function here also takes a list of
-``Detection`` or ``GroundTruth`` records, converted once by ``as_columns``.
+float64 box array and, for detections, a float64 score column. Each
+loader states its format once, as the ``kinds`` mapping it gives
+``jsonio.read_records``, which checks whole columns and names the first
+bad value of a file that fails; the writers build each line from the
+columns, with the bytes ``json.dumps`` gives it. Every function here also
+takes a list of ``Detection`` or ``GroundTruth`` records, converted once
+by ``as_columns``.
 
 Matching is the usual greedy sweep: detections ordered by descending score
 (ties by frame, then input order), each one claiming the not-yet-matched
@@ -42,18 +44,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DataValidationError
-from .jsonio import (
-    _echo,
-    _int_array,
-    array_rows,
-    check_box,
-    check_number,
-    expect,
-    read_jsonl,
-    read_jsonl_columns,
-    write_lines,
-)
+from .jsonio import _int_array, array_rows, read_records, write_lines
 
 IOU_GRID = tuple((50 + 5 * i) / 100.0 for i in range(10))
 # Most (detection, ground truth) pairs one matching call holds at once. A pair
@@ -131,38 +122,18 @@ def as_columns(records: Iterable[Detection] | Iterable[GroundTruth], scored: boo
     )
 
 
-def _records_per_line(path: str | Path, scored: bool) -> list[Detection] | list[GroundTruth]:
-    # Every record checked field by field, in the order of its messages:
-    # score, then frame, bbox and class.
-    out = []
-    for where, record in read_jsonl(path):
-        if scored:
-            score = check_number(record.get("score"), f"{where}: score")
-            if not 0.0 <= score <= 1.0:
-                raise DataValidationError(f"{where}: score must lie in [0, 1], got {_echo(record['score'])}")
-        frame = expect(record.get("frame"), int, f"{where}: frame")
-        bbox = check_box(record.get("bbox"), where)
-        label = expect(record.get("class"), int, f"{where}: class")
-        out.append(Detection(frame, bbox, score, label) if scored else GroundTruth(frame, bbox, label))
-    return out
+def _load(path: str | Path, kinds: dict[str, str]) -> BoxColumns:
+    columns = read_records(path, kinds)
+    return BoxColumns(columns["frame"], columns["bbox"], columns["class"], columns.get("score"))
 
 
-def _load(path: str | Path, scored: bool) -> BoxColumns:
-    kinds = {"frame": "int", "bbox": "box", "class": "int", **({"score": "number"} if scored else {})}
-    columns = read_jsonl_columns(path, kinds)
-    if columns is not None:
-        score = columns.get("score")
-        if score is None or ((score >= 0.0) & (score <= 1.0)).all():
-            return BoxColumns(columns["frame"], columns["bbox"], columns["class"], score)
-    return as_columns(_records_per_line(path, scored), scored)
-
-
+# Each format's keys in the order its messages check them: score first.
 def load_detections_jsonl(path: str | Path) -> BoxColumns:
-    return _load(path, scored=True)
+    return _load(path, {"score": "score", "frame": "int", "bbox": "box", "class": "int"})
 
 
 def load_ground_truth_jsonl(path: str | Path) -> BoxColumns:
-    return _load(path, scored=False)
+    return _load(path, {"frame": "int", "bbox": "box", "class": "int"})
 
 
 _DETECTION_LINE = '{"frame": %d, "bbox": [%r, %r, %r, %r], "score": %r, "class": %d}\n'
@@ -283,10 +254,9 @@ def match_detections(
     order = score_order(dets)
     by_order = np.array(order, dtype=np.intp)
     swept = by_order[contested[by_order]]
-    candidates = cand_gt.tolist()
     taken = set()
     for i, lo, hi in zip(swept.tolist(), first[swept].tolist(), (first + count)[swept].tolist()):
-        for j in candidates[lo:hi]:
+        for j in cand_gt[lo:hi].tolist():  # only a swept detection's own candidates as Python ints
             if j not in taken:
                 taken.add(j)
                 claim[i] = j

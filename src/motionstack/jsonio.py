@@ -7,11 +7,12 @@ The type rules of the values inside live here too, worded ``{where} must be
 {kind}, got {JSON}``, a rejected value cut to its first 80 characters.
 A number is a finite int or float; a bool is neither.
 
-Record files are read as columns: ``read_jsonl_columns`` parses each line
-once and checks each key's values as one column, and a loader falls back
-to checking line by line, through ``read_jsonl``, only to name the first
-bad value. ``write_lines`` writes such records back from columns, with the
-bytes ``json.dumps`` gives them.
+Record files are read as columns by ``read_records``, from one mapping of
+each key to its kind: each line is parsed once and each key's values are
+checked as one column, and only a file that fails is walked again record
+by record, through ``read_jsonl``, to name its first bad value.
+``write_lines`` writes such records back from columns, with the bytes
+``json.dumps`` gives them.
 """
 
 from __future__ import annotations
@@ -126,14 +127,7 @@ def check_box(raw: Any, where: str) -> tuple[float, float, float, float]:
     """Validate an ``[x1, y1, x2, y2]`` list of finite numbers with x2 > x1 and y2 > y1."""
     if type(raw) is not list or len(raw) != 4:
         raise DataValidationError(f"{where}: bbox must be [x1, y1, x2, y2], got {_echo(raw)}")
-    try:  # check_number's rule in one pass over the corners
-        valid = _NUMBERS.issuperset(map(type, raw)) and all(map(isfinite, raw))
-    except OverflowError:
-        valid = False
-    if not valid:
-        for k, v in enumerate(raw):  # name the first bad corner
-            check_number(v, f"{where}: bbox[{k}]")
-    x1, y1, x2, y2 = box = tuple(map(float, raw))
+    x1, y1, x2, y2 = box = tuple(check_number(v, f"{where}: bbox[{k}]") for k, v in enumerate(raw))
     if x2 <= x1 or y2 <= y1:
         raise DataValidationError(f"{where}: bbox must satisfy x2 > x1 and y2 > y1, got {_echo(raw)}")
     return box
@@ -181,16 +175,21 @@ def _int_column(values) -> np.ndarray | None:
     return _int_array(values) if {int}.issuperset(map(type, values)) else None
 
 
-def _number_column(values) -> np.ndarray | None:
-    # check_number's rule on a whole column: finite float64 [N].
+def _score_column(values) -> np.ndarray | None:
+    # _check_score's rules on a whole column: float64 [N] in [0, 1].
     try:
         if _NUMBERS.issuperset(map(type, values)):
-            numbers = np.array(values, dtype=np.float64)
-            if np.isfinite(numbers).all():
-                return numbers
-    except OverflowError:
+            scores = np.array(values, dtype=np.float64)
+            if ((scores >= 0.0) & (scores <= 1.0)).all():  # NaN fails both
+                return scores
+    except OverflowError:  # an integer past the float range
         pass
     return None
+
+
+def _check_score(raw: Any, where: str, key: str) -> None:
+    if not 0.0 <= check_number(raw, f"{where}: {key}") <= 1.0:
+        raise DataValidationError(f"{where}: {key} must lie in [0, 1], got {_echo(raw)}")
 
 
 def _int_pair_column(values) -> np.ndarray | None:
@@ -204,28 +203,45 @@ def _int_pair_column(values) -> np.ndarray | None:
     return None
 
 
-_COLUMNS = {"int": _int_column, "number": _number_column, "box": _box_column, "int pair": _int_pair_column}
+def _check_int_pair(raw: Any, where: str, key: str) -> None:
+    if len(expect_ints(raw, f"{where}: {key}")) != 2:
+        raise DataValidationError(f"{where}: {key}: expected [tracklet_id, frame], got {_echo(raw)}")
+
+
+# Each kind of record value: its rule on a whole column, which returns the
+# column or None, and on the one value of ``key`` at ``where``, which raises
+# the message naming a value that breaks it.
+_RECORD_KINDS = {
+    "int": (_int_column, lambda raw, where, key: expect(raw, int, f"{where}: {key}")),
+    "score": (_score_column, _check_score),
+    "box": (_box_column, lambda raw, where, key: check_box(raw, where)),
+    "int pair": (_int_pair_column, _check_int_pair),
+}
 _scan = json.JSONDecoder().scan_once  # json.loads' parser, without its per-call wrapper
 
 
-def read_jsonl_columns(path: str | Path, kinds: Mapping[str, str]) -> dict[str, np.ndarray] | None:
-    """Each key of ``kinds`` (two or more) as one checked column over the nonblank lines, or None.
+def read_records(path: str | Path, kinds: Mapping[str, str]) -> dict[str, np.ndarray]:
+    """Each key of ``kinds`` (two or more) as one checked column over the nonblank lines.
 
     The kinds are ``"int"`` (int64 [N]; object dtype, of Python ints, where
-    a value does not fit int64), ``"number"`` (finite float64 [N]),
+    a value does not fit int64), ``"score"`` (float64 [N] in [0, 1]),
     ``"box"`` (float64 [N, 4], as ``check_box`` accepts) and ``"int pair"``
     (object [N] of ``(int, int)`` tuples). A bool is none of them. Each
     line is parsed once and only its values are kept, and the columns are
-    checked ``_ROWS`` lines at a time. None means some line is not JSON,
-    not an object or lacks a key, or some column breaks its rule: the
-    caller then reads the file line by line to name the first bad value.
+    checked ``_ROWS`` lines at a time. If some line is not JSON, not an
+    object or lacks a key, or some column breaks its rule, the file is
+    walked record by record through ``read_jsonl``, each record's keys
+    checked in ``kinds`` order and a missing key read as null, to raise
+    ``DataValidationError`` for the first bad value.
     """
     get = itemgetter(*kinds)
-    checks = [_COLUMNS[kind] for kind in kinds.values()]
+    column_rules, value_rules = zip(*(_RECORD_KINDS[kind] for kind in kinds.values()))
 
-    def checked(rows: list[tuple]) -> list | None:
-        columns = [check(values) for check, values in zip(checks, zip(*rows) if rows else [()] * len(checks))]
-        return None if any(column is None for column in columns) else columns
+    def checked(rows: list[tuple]) -> list[np.ndarray]:
+        columns = [rule(values) for rule, values in zip(column_rules, zip(*rows) if rows else [()] * len(kinds))]
+        if any(column is None for column in columns):
+            raise ValueError("a column breaks its rule")
+        return columns
 
     blocks, rows = [], []
     try:
@@ -234,17 +250,18 @@ def read_jsonl_columns(path: str | Path, kinds: Mapping[str, str]) -> dict[str, 
             if not line:
                 continue
             record, end = _scan(line, 0)
-            if end != len(line):  # text after the value
-                return None
+            if end != len(line):
+                raise ValueError("text after the value")
             rows.append(get(record))  # KeyError or TypeError unless an object with every key
             if len(rows) == _ROWS:
                 blocks.append(checked(rows))
-                if blocks[-1] is None:
-                    return None
                 rows = []
         blocks.append(checked(rows))
     except (ValueError, RecursionError, StopIteration, KeyError, TypeError):
-        return None
-    if blocks[-1] is None:
-        return None
-    return {key: np.concatenate(parts) for key, parts in zip(kinds, zip(*blocks))}
+        blocks = None
+    if blocks is not None:
+        return {key: np.concatenate(parts) for key, parts in zip(kinds, zip(*blocks))}
+    for where, record in read_jsonl(path):
+        for key, rule in zip(kinds, value_rules):
+            rule(record.get(key), where, key)
+    raise AssertionError(f"{path}: the column checks rejected values that each pass on their own")

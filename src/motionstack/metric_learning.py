@@ -30,7 +30,8 @@ The pieces, in pipeline order:
   the row sums with ``math.fsum``, so the block size does not change how
   the distances are added.
 
-Triplets interchange as JSON lines ``{"a": [id, frame], "p": ..., "n": ...}``;
+Triplets interchange as JSON lines ``{"a": [id, frame], "p": ..., "n": ...}``,
+read through ``jsonio.read_records`` with each key of kind ``"int pair"``;
 a trained net as one MTENSOR per weight/bias plus a JSON manifest; scatter
 plots as ``id,frame,x,y`` CSV.
 """
@@ -46,7 +47,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataValidationError
-from .jsonio import _echo, expect, expect_ints, read_json, read_jsonl, read_jsonl_columns, write_json, write_lines
+from .jsonio import _echo, expect, read_json, read_records, write_json, write_lines
 from .tensor_io import read_tensor, write_tensor
 from .tracklets import Tracklet, check_feature_rows, enumerate_keys, overlap_graph
 
@@ -173,32 +174,8 @@ def mine_triplets(tracklets: Sequence[Tracklet], rng_seed: int, per_anchor: int 
     return triplets
 
 
-def _check_ref(raw, where: str) -> tuple[int, int]:
-    if len(expect_ints(raw, where)) != 2:
-        raise DataValidationError(f"{where}: expected [tracklet_id, frame], got {_echo(raw)}")
-    return (raw[0], raw[1])
-
-
-def _triplets_per_line(path: str | Path) -> list[Triplet]:
-    # Every record checked field by field, to name the first bad one.
-    out: list[Triplet] = []
-    for where, record in read_jsonl(path):
-        if not all(k in record for k in ("a", "p", "n")):
-            raise DataValidationError(f"{where}: expected an object with keys a, p, n")
-        out.append(
-            Triplet(
-                anchor=_check_ref(record["a"], f"{where}: a"),
-                positive=_check_ref(record["p"], f"{where}: p"),
-                negative=_check_ref(record["n"], f"{where}: n"),
-            )
-        )
-    return out
-
-
 def load_triplets_jsonl(path: str | Path) -> list[Triplet]:
-    columns = read_jsonl_columns(path, {"a": "int pair", "p": "int pair", "n": "int pair"})
-    if columns is None:
-        return _triplets_per_line(path)
+    columns = read_records(path, {"a": "int pair", "p": "int pair", "n": "int pair"})
     return list(map(Triplet, columns["a"], columns["p"], columns["n"]))
 
 

@@ -323,6 +323,12 @@ MALFORMED_FILES = {
         b'{"frame": 0, "bbox": [0, 0, 4, 4], "score": 1' + b"0" * 300 + b', "class": 0}\n',
         ":1: score must lie in [0, 1], got 1" + "0" * 79 + "...",
     ),
+    "dets-score-on-line-600": (
+        "eval", "dets.jsonl",
+        b'{"frame": 0, "bbox": [0, 0, 4, 4], "score": 0.5, "class": 0}\n' * 599
+        + b'{"frame": 0, "bbox": [0, 0, 4, 4], "score": 1.5, "class": 0}\n',
+        ":600: score must lie in [0, 1], got 1.5",
+    ),
     "gt-string-and-bool-corners": (
         "eval", "gt.jsonl",
         b'{"frame": 0, "bbox": ["0", "0", "4", true], "class": 0}\n',
@@ -342,6 +348,11 @@ MALFORMED_FILES = {
         "train", "triplets.jsonl",
         b'{"a": [0, true], "p": [0, 1], "n": [1, 0]}\n',
         ":1: a[1] must be an integer, got true",
+    ),
+    "triplets-bool-frame-on-line-600": (
+        "train", "triplets.jsonl",
+        b'{"a": [0, 0], "p": [0, 1], "n": [1, 0]}\n' * 599 + b'{"a": [0, 1], "p": [0, true], "n": [1, 0]}\n',
+        ":600: p[1] must be an integer, got true",
     ),
     "net-manifest-file-name": (
         "project", "net.json",

@@ -17,6 +17,7 @@ from motionstack.jsonio import (
     check_boxes,
     check_number,
     expect,
+    expect_ints,
     read_json,
     read_jsonl,
     write_json,
@@ -125,8 +126,9 @@ def test_rejected_value_is_echoed_as_a_bounded_prefix(check):
     assert len(message) < 150
 
 
-# Record files through the column path and the per-line path: valid files and
-# files with one mutation must give the same records or the same message.
+# Record files through the loaders and through their schemas written out line
+# by line: valid files and files with one mutation must give the same records
+# or the same message.
 
 _INTS = st.one_of(st.integers(0, 20), st.sampled_from([-3, 2**63 - 1, 2**63, 2**70, -(2**63) - 1]))
 _CORNER = st.one_of(st.integers(-50, 300), st.floats(-50.0, 300.0))
@@ -190,19 +192,49 @@ def _mutate(records, lines, mutation, draw):
         lines[i] += draw(st.sampled_from([" x", " {}", ",", "]"]))
 
 
+def _records_per_line(path, scored):
+    # The loaders' schema written out field by field, in the order of their
+    # messages: score, then frame, bbox and class.
+    from motionstack.det_metrics import Detection, GroundTruth
+
+    out = []
+    for where, record in read_jsonl(path):
+        if scored:
+            score = check_number(record.get("score"), f"{where}: score")
+            if not 0.0 <= score <= 1.0:
+                raise DataValidationError(f"{where}: score must lie in [0, 1], got {jsonio._echo(record['score'])}")
+        frame = expect(record.get("frame"), int, f"{where}: frame")
+        bbox = check_box(record.get("bbox"), where)
+        label = expect(record.get("class"), int, f"{where}: class")
+        out.append(Detection(frame, bbox, score, label) if scored else GroundTruth(frame, bbox, label))
+    return out
+
+
+def _triplets_per_line(path):
+    # Keys a, p and n in turn, a missing one read as null.
+    from motionstack.metric_learning import Triplet
+
+    def ref(raw, where):
+        if len(expect_ints(raw, where)) != 2:
+            raise DataValidationError(f"{where}: expected [tracklet_id, frame], got {jsonio._echo(raw)}")
+        return (raw[0], raw[1])
+
+    return [
+        Triplet(*(ref(record.get(key), f"{where}: {key}") for key in ("a", "p", "n")))
+        for where, record in read_jsonl(path)
+    ]
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_column_and_per_line_paths_agree_on_record_files(data):
     from motionstack import det_metrics, metric_learning
 
     kind = data.draw(st.sampled_from(["detections", "ground truth", "triplets"]))
-    load, per_line, module, fallback = {
-        "detections": (det_metrics.load_detections_jsonl, lambda p: det_metrics._records_per_line(p, scored=True),
-                       det_metrics, "_records_per_line"),
-        "ground truth": (det_metrics.load_ground_truth_jsonl,
-                         lambda p: det_metrics._records_per_line(p, scored=False), det_metrics, "_records_per_line"),
-        "triplets": (metric_learning.load_triplets_jsonl, metric_learning._triplets_per_line, metric_learning,
-                     "_triplets_per_line"),
+    load, per_line = {
+        "detections": (det_metrics.load_detections_jsonl, lambda p: _records_per_line(p, scored=True)),
+        "ground truth": (det_metrics.load_ground_truth_jsonl, lambda p: _records_per_line(p, scored=False)),
+        "triplets": (metric_learning.load_triplets_jsonl, _triplets_per_line),
     }[kind]
     records = data.draw(st.lists(_record(kind), min_size=1, max_size=8))
     lines = [json.dumps(r) for r in records]
@@ -225,6 +257,6 @@ def test_column_and_per_line_paths_agree_on_record_files(data):
         want = outcome(per_line)
         if isinstance(want, str):
             assert outcome(load) == want
-        else:  # a valid file never needs the per-line path
-            with mock.patch.object(module, fallback, side_effect=AssertionError("fell back to the per-line path")):
+        else:  # a valid file never needs the record-by-record walk
+            with mock.patch.object(jsonio, "read_jsonl", side_effect=AssertionError("walked the file")):
                 assert outcome(load) == want

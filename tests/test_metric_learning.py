@@ -216,7 +216,7 @@ class TestTripletsJsonl:
     @pytest.mark.parametrize(
         "line,pattern",
         [
-            ('{"a": [0, 1], "p": [0, 2]}', "keys a, p, n"),
+            ('{"a": [0, 1], "p": [0, 2]}', "n must be a list, got null"),
             ('{"a": [0], "p": [0, 2], "n": [1, 0]}', r"expected \[tracklet_id, frame\]"),
             ('{"a": [0, 1.5], "p": [0, 2], "n": [1, 0]}', r"a\[1\] must be an integer, got 1\.5"),
             ("nope", "invalid JSON"),

@@ -7,7 +7,8 @@ PARENT and CHANGE are checkouts of motionstack; they may be the same tree
 when ``--change-env NAME=VALUE`` (repeatable) sets a variable for the
 change's commands only, so that one tree is compared under two environments. For each seed the script
 writes one set of seeded inputs (a 64x3x7x7 conv layer, a 256x60x80 feature
-map and 2,000 boxes, and a dense detection/ground-truth pair), then runs every
+map and 2,000 boxes, a dense detection/ground-truth pair and four malformed
+record files), then runs every
 ``motionstack`` command of the chain below once per tree, as a subprocess
 with ``PYTHONPATH=<tree>/src`` in its own output directory and with relative
 paths only:
@@ -21,7 +22,9 @@ paths only:
 * ``features``;
 * ``mine``, ``train`` (plain and ``--normalize-output``), ``reid`` with the
   scene's identity map, a partial one and none, and ``project`` of the
-  features and of the embeddings.
+  features and of the embeddings;
+* ``eval`` and ``train`` of each malformed record file, so that their exit
+  codes and error lines are compared too.
 
 Each command's exit code, standard output and standard error go to a log
 file inside the output directory, so they are compared with the artifacts.
@@ -60,7 +63,7 @@ def _write_mtensor(arr: np.ndarray, path: Path) -> None:
 
 
 def write_inputs(directory: Path, seed: int) -> None:
-    """The inputs no command makes: a conv layer with bias, a feature map and its boxes, the dense pair."""
+    """The inputs no command makes: a conv layer with bias, a feature map and its boxes, and record files."""
     rng = np.random.default_rng([seed, 2])
     _write_mtensor(rng.normal(0.0, 0.05, size=(64, 3, 7, 7)).astype("<f4"), directory / "conv1.mten")
     _write_mtensor(rng.normal(0.0, 0.01, size=64).astype("<f4"), directory / "conv1.bias.mten")
@@ -72,6 +75,7 @@ def write_inputs(directory: Path, seed: int) -> None:
     boxes = np.round(np.hstack([xy, xy + wh]), 2).tolist()
     (directory / "boxes.json").write_text(json.dumps({"boxes": boxes}), encoding="utf-8")
     write_dense_pair(directory, seed)
+    write_malformed_records(directory)
 
 
 def write_dense_pair(directory: Path, seed: int) -> None:
@@ -107,6 +111,28 @@ def write_dense_pair(directory: Path, seed: int) -> None:
     ]
     (directory / "dense_gt.jsonl").write_text("".join(line + "\n" for line in gt_lines), encoding="utf-8")
     (directory / "dense_dets.jsonl").write_text("".join(line + "\n" for line in det_lines), encoding="utf-8")
+
+
+def write_malformed_records(directory: Path) -> None:
+    """Record files that each break one rule, all but the last made from the dense pair.
+
+    ``bad_box_dets.jsonl`` has x2 == x1 on line 600, past the first block of
+    lines the loaders check at once; ``bad_line_gt.jsonl`` has a list for
+    line 3; ``bad_json_dets.jsonl`` has line 10 cut short; and
+    ``bad_triplets.jsonl`` holds two triplets and a third without ``n``.
+    """
+    dets = (directory / "dense_dets.jsonl").read_text(encoding="utf-8").splitlines()
+    gts = (directory / "dense_gt.jsonl").read_text(encoding="utf-8").splitlines()
+    record = json.loads(dets[599])
+    record["bbox"][2] = record["bbox"][0]
+    files = {
+        "bad_box_dets.jsonl": dets[:599] + [json.dumps(record)] + dets[600:],
+        "bad_line_gt.jsonl": gts[:2] + ["[1, 2]"] + gts[3:],
+        "bad_json_dets.jsonl": dets[:9] + [dets[9][:-1]] + dets[10:],
+        "bad_triplets.jsonl": ['{"a": [0, 0], "p": [0, 1], "n": [1, 0]}'] * 2 + ['{"a": [0, 0], "p": [0, 1]}'],
+    }
+    for name, lines in files.items():
+        (directory / name).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
 def write_partial_map(directory: Path) -> None:
@@ -159,6 +185,10 @@ def chain(seed: int) -> list[list[str]]:
         ["project", *scene, "--out-csv", "scatter_features.csv", "--out", "project_features.json"],
         ["project", *scene, "--net", "net/net.json", "--out-csv", "scatter_net.csv",
          "--out", "project_net.json"],
+        ["eval", "--dets", "bad_box_dets.jsonl", "--gt", "dense_gt.jsonl", "--out", "eval_bad_box.json"],
+        ["eval", "--dets", "dense_dets.jsonl", "--gt", "bad_line_gt.jsonl", "--out", "eval_bad_line.json"],
+        ["eval", "--dets", "bad_json_dets.jsonl", "--gt", "dense_gt.jsonl", "--out", "eval_bad_json.json"],
+        ["train", *scene, "--triplets", "bad_triplets.jsonl", "--out-dir", "net_bad", "--out", "train_bad.json"],
     ]
     return commands
 
