@@ -35,7 +35,7 @@ from .det_metrics import (
 )
 from .errors import DataValidationError, MotionStackError
 from .frame_pipeline import MANIFEST_NAME, VARIANTS, FrameSequence, InputConfig, build_dataset, normalize_variant
-from .jsonio import check_boxes, expect, read_json, write_json
+from .jsonio import check_boxes, expect, read_json, read_jsonl, write_json
 from .metric_learning import (
     DEFAULT_HIDDEN,
     DEFAULT_MERGE_THRESHOLD,
@@ -252,8 +252,14 @@ def _cmd_train(args):
     )
     try:
         net, trace = train(net, table, triplets, config)
-    except DataValidationError as exc:  # a triplet names a frame with no feature row
-        raise DataValidationError(f"{args.triplets}: {exc}") from exc
+    except DataValidationError:  # a key with no feature row: resolve each again, in file order, to name its line
+        for where, record in read_jsonl(args.triplets):
+            for key in ("a", "p", "n"):
+                try:
+                    table.rows([tuple(record[key])])
+                except DataValidationError as exc:
+                    raise DataValidationError(f"{where}: {key}: {exc}") from None
+        raise
     manifest_path = save_net(net, args.out_dir)
     results = {
         "num_triplets": len(triplets),

@@ -164,7 +164,7 @@ def check_boxes(raw: list, where: str) -> np.ndarray:
 
 
 def _int_array(values) -> np.ndarray:
-    # int64 [N], or object [N] of Python ints where a value does not fit.
+    # int64, or object of Python ints where a value does not fit.
     try:
         return np.array(values, dtype=np.int64)
     except OverflowError:
@@ -193,13 +193,13 @@ def _check_score(raw: Any, where: str, key: str) -> None:
 
 
 def _int_pair_column(values) -> np.ndarray | None:
-    # [int, int] lists, as an object [N] array of tuples of the same Python ints.
+    # [int, int] lists, as an _int_array [N, 2].
     if (
         {list}.issuperset(map(type, values))
         and {2}.issuperset(map(len, values))
         and {int}.issuperset(map(type, chain.from_iterable(values)))
     ):
-        return np.fromiter(map(tuple, values), dtype=object, count=len(values))
+        return _int_array(values).reshape(len(values), 2)
     return None
 
 
@@ -226,7 +226,7 @@ def read_records(path: str | Path, kinds: Mapping[str, str]) -> dict[str, np.nda
     The kinds are ``"int"`` (int64 [N]; object dtype, of Python ints, where
     a value does not fit int64), ``"score"`` (float64 [N] in [0, 1]),
     ``"box"`` (float64 [N, 4], as ``check_box`` accepts) and ``"int pair"``
-    (object [N] of ``(int, int)`` tuples). A bool is none of them. Each
+    (int [N, 2], by the rule of ``"int"``). A bool is none of them. Each
     line is parsed once and only its values are kept, and the columns are
     checked ``_ROWS`` lines at a time. If some line is not JSON, not an
     object or lacks a key, or some column breaks its rule, the file is

@@ -30,9 +30,12 @@ The pieces, in pipeline order:
   the row sums with ``math.fsum``, so the block size does not change how
   the distances are added.
 
-Triplets interchange as JSON lines ``{"a": [id, frame], "p": ..., "n": ...}``,
-read through ``jsonio.read_records`` with each key of kind ``"int pair"``;
-a trained net as one MTENSOR per weight/bias plus a JSON manifest; scatter
+A set of triplets is one [T, 3, 2] integer array of (tracklet id, frame)
+keys, anchor, positive and negative in that order: int64, or object of
+Python ints where a value does not fit, from mining through training. It
+interchanges as JSON lines ``{"a": [id, frame], "p": ..., "n": ...}``, read
+through ``jsonio.read_records`` with each key of kind ``"int pair"``; a
+trained net as one MTENSOR per weight/bias plus a JSON manifest; scatter
 plots as ``id,frame,x,y`` CSV.
 """
 
@@ -41,13 +44,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataValidationError
-from .jsonio import _echo, expect, read_json, read_records, write_json, write_lines
+from .jsonio import _echo, _int_array, array_rows, expect, read_json, read_records, write_json, write_lines
 from .tensor_io import read_tensor, write_tensor
 from .tracklets import Tracklet, check_feature_rows, enumerate_keys, overlap_graph
 
@@ -123,16 +127,7 @@ def load_feature_table(tracklets: Sequence[Tracklet], path: str | Path) -> Featu
 # ---------------------------------------------------------------------------
 # triplet mining
 
-@dataclass(frozen=True)
-class Triplet:
-    """References into a feature table: each member is (tracklet id, frame)."""
-
-    anchor: tuple[int, int]
-    positive: tuple[int, int]
-    negative: tuple[int, int]
-
-
-def mine_triplets(tracklets: Sequence[Tracklet], rng_seed: int, per_anchor: int = 1) -> list[Triplet]:
+def mine_triplets(tracklets: Sequence[Tracklet], rng_seed: int, per_anchor: int = 1) -> np.ndarray:
     """Sample triplets from an already min-length-filtered tracklet set.
 
     Every frame of every tracklet anchors ``per_anchor`` triplets, skipping
@@ -140,50 +135,41 @@ def mine_triplets(tracklets: Sequence[Tracklet], rng_seed: int, per_anchor: int 
     positive is drawn uniformly from the anchor tracklet's other frames
     (the anchor itself only for single-frame tracklets); the negative
     uniformly from the pooled frames of all temporally overlapping
-    tracklets. Deterministic for a given seed.
+    tracklets. Deterministic for a given seed. Returns the triplets'
+    [T, 3, 2] keys, as ``load_triplets_jsonl`` does.
     """
     if per_anchor < 1:
         raise ValueError(f"per_anchor must be >= 1, got {per_anchor}")
     graph = overlap_graph(tracklets)
-    by_id = {t.id: t for t in tracklets}
+    mined = [t for t in tracklets if graph[t.id]]  # the others appear in no triplet
+    keys = _int_array(enumerate_keys(mined)).reshape(-1, 2)
+    firsts = accumulate((len(t) for t in mined), initial=0)  # each tracklet's first row of keys
+    spans = {t.id: np.arange(lo, lo + len(t)) for t, lo in zip(mined, firsts)}
     rng = np.random.default_rng(rng_seed)
-    triplets: list[Triplet] = []
-    for t in tracklets:
-        neighbor_ids = sorted(graph[t.id])
-        neg_pool = [(nid, f) for nid in neighbor_ids for f in by_id[nid].frames]
-        if not neg_pool:
-            continue
-        frames = list(t.frames)
-        for pos_of_anchor, anchor_frame in enumerate(frames):
-            for _ in range(per_anchor):
-                if len(frames) >= 2:
-                    # Uniform over the other frames: draw from len-1 slots
-                    # and skip past the anchor's own position.
-                    k = int(rng.integers(len(frames) - 1))
-                    positive_frame = frames[k if k < pos_of_anchor else k + 1]
-                else:
-                    positive_frame = anchor_frame
-                negative = neg_pool[int(rng.integers(len(neg_pool)))]
-                triplets.append(
-                    Triplet(
-                        anchor=(t.id, anchor_frame),
-                        positive=(t.id, positive_frame),
-                        negative=negative,
-                    )
-                )
-    return triplets
+    rows = [np.empty((0, 3), dtype=np.intp)]
+    for t in mined:
+        own = spans[t.id]
+        pool = np.concatenate([spans[nid] for nid in sorted(graph[t.id])])
+        anchor = np.repeat(np.arange(len(own)), per_anchor)
+        if len(own) >= 2:
+            # A positive then a negative draw per triplet, the stream of one scalar draw at
+            # a time. A positive from len-1 slots skips past the anchor's own position.
+            k, negative = rng.integers(np.tile([len(own) - 1, len(pool)], len(anchor))).reshape(-1, 2).T
+            positive = k + (k >= anchor)
+        else:
+            positive, negative = anchor, rng.integers(len(pool), size=len(anchor))
+        rows.append(np.stack([own[anchor], own[positive], pool[negative]], axis=1))
+    return keys[np.concatenate(rows)]
 
 
-def load_triplets_jsonl(path: str | Path) -> list[Triplet]:
+def load_triplets_jsonl(path: str | Path) -> np.ndarray:
     columns = read_records(path, {"a": "int pair", "p": "int pair", "n": "int pair"})
-    return list(map(Triplet, columns["a"], columns["p"], columns["n"]))
+    return np.stack([columns["a"], columns["p"], columns["n"]], axis=1)
 
 
-def write_triplets_jsonl(triplets: Sequence[Triplet], path: str | Path) -> None:
+def write_triplets_jsonl(triplets: np.ndarray, path: str | Path) -> None:
     write_lines(
-        '{"a": [%d, %d], "p": [%d, %d], "n": [%d, %d]}\n',
-        ((*t.anchor, *t.positive, *t.negative) for t in triplets),
-        path,
+        '{"a": [%d, %d], "p": [%d, %d], "n": [%d, %d]}\n', array_rows(*triplets.reshape(-1, 6).T), path
     )
 
 
@@ -352,10 +338,10 @@ class TrainConfig:
 def train(
     net: EmbeddingNet,
     table: FeatureTable,
-    triplets: Sequence[Triplet],
+    triplets: np.ndarray,
     config: TrainConfig,
 ) -> tuple[EmbeddingNet, list[float]]:
-    """Mini-batch gradient descent on the triplet loss; returns (net, loss trace).
+    """Mini-batch gradient descent on the triplet loss over [T, 3, 2] keys; returns (net, loss trace).
 
     The triplet order is reshuffled each epoch from a generator seeded with
     ``config.seed``; updates run in float64 and are stored back to the
@@ -366,12 +352,9 @@ def train(
     """
     if table.dim != net.in_dim:
         raise DataValidationError(f"net expects {net.in_dim}-d features, table holds {table.dim}-d")
-    # [3, N] feature rows: anchors, positives, negatives.
-    rows = np.array(
-        [table.rows(t.anchor for t in triplets),
-         table.rows(t.positive for t in triplets),
-         table.rows(t.negative for t in triplets)],
-    )
+    # [3, N] feature rows: anchors, positives, negatives, resolved in file
+    # order, so a missing key is the first one a reader of the file meets.
+    rows = table.rows(zip(*triplets.reshape(-1, 2).T.tolist())).reshape(-1, 3).T
     x = table.matrix64
 
     params = params64(net)

@@ -264,11 +264,8 @@ class TestAcceptance:
             assert sorted(t.id for t in kept) == [0, 1, 2, 3, 4]
             by_id = {t.id: t for t in kept}
             triplets = mine_triplets(kept, 4, per_anchor=2)
-            assert triplets
-            for tr in triplets:
-                a_id, a_frame = tr.anchor
-                p_id, p_frame = tr.positive
-                n_id, n_frame = tr.negative
+            assert len(triplets)
+            for (a_id, a_frame), (p_id, p_frame), (n_id, n_frame) in triplets.tolist():
                 assert p_id == a_id
                 assert n_id != a_id
                 assert a_frame in by_id[a_id].frames

@@ -402,7 +402,13 @@ MALFORMED_FILES = {
     "triplets-frame-without-feature-row": (
         "train", "triplets.jsonl",
         b'{"a": [0, 999], "p": [0, 1], "n": [1, 0]}\n',
-        ": no feature row for tracklet 0 frame 999",
+        ":1: a: no feature row for tracklet 0 frame 999",
+    ),
+    "triplets-misses-after-a-blank-line": (
+        "train", "triplets.jsonl",
+        b'{"a": [0, 0], "p": [0, 1], "n": [1, 0]}\n\n'
+        b'{"a": [0, 1], "p": [0, 2], "n": [7, 0]}\n{"a": [9, 0], "p": [0, 2], "n": [1, 0]}\n',
+        ":3: n: no feature row for tracklet 7 frame 0",
     ),
     "triplets-anchor-of-5000-ints": (
         "train", "triplets.jsonl",
@@ -474,7 +480,7 @@ MALFORMED_FILES = {
     "triplets-401-digit-frame": (
         "train", "triplets.jsonl",
         f'{{"a": [0, {_BIG}], "p": [0, 1], "n": [1, 0]}}\n'.encode(),
-        f": no feature row for tracklet 0 frame {_BIG[:80]}...",
+        f":1: a: no feature row for tracklet 0 frame {_BIG[:80]}...",
     ),
     "tracklets-feature-rows-on-some": (
         "reid", "tracklets.json",

@@ -211,18 +211,16 @@ def _records_per_line(path, scored):
 
 
 def _triplets_per_line(path):
-    # Keys a, p and n in turn, a missing one read as null.
-    from motionstack.metric_learning import Triplet
-
+    # Keys a, p and n in turn, a missing one read as null; all of them as one
+    # [T, 3, 2] array, int64 unless some value does not fit.
     def ref(raw, where):
         if len(expect_ints(raw, where)) != 2:
             raise DataValidationError(f"{where}: expected [tracklet_id, frame], got {jsonio._echo(raw)}")
-        return (raw[0], raw[1])
+        return raw
 
-    return [
-        Triplet(*(ref(record.get(key), f"{where}: {key}") for key in ("a", "p", "n")))
-        for where, record in read_jsonl(path)
-    ]
+    keys = [[ref(record.get(key), f"{where}: {key}") for key in ("a", "p", "n")] for where, record in read_jsonl(path)]
+    fits = all(-(2**63) <= v < 2**63 for triplet in keys for key in triplet for v in key)
+    return np.array(keys, dtype=np.int64 if fits else object).reshape(len(keys), 3, 2)
 
 
 @settings(max_examples=400, deadline=None)

@@ -27,7 +27,6 @@ from motionstack.metric_learning import (
     EmbeddingNet,
     FeatureTable,
     TrainConfig,
-    Triplet,
     _SEPARATION_BLOCK_BYTES,
     _distance_blocks,
     gradients_on_params,
@@ -47,7 +46,7 @@ from motionstack.metric_learning import (
     write_triplets_jsonl,
 )
 from motionstack.tensor_io import write_tensor
-from motionstack.tracklets import Tracklet
+from motionstack.tracklets import Tracklet, overlap_graph
 
 
 def _tr(tid, start, end, rows=None):
@@ -133,6 +132,26 @@ class TestFeatureTable:
             load_feature_table([_tr(0, 0, 2)], path)
 
 
+def _mine_one_draw_at_a_time(tracklets, rng_seed, per_anchor):
+    # mine_triplets' sampling as a loop of scalar draws: a positive (for
+    # tracklets of two or more frames), then a negative, per triplet.
+    graph = overlap_graph(tracklets)
+    by_id = {t.id: t for t in tracklets}
+    rng = np.random.default_rng(rng_seed)
+    out = []
+    for t in tracklets:
+        pool = [[nid, f] for nid in sorted(graph[t.id]) for f in by_id[nid].frames]
+        frames = list(t.frames)
+        for i in (range(len(frames)) if pool else []):
+            for _ in range(per_anchor):
+                positive = i
+                if len(frames) >= 2:
+                    k = int(rng.integers(len(frames) - 1))
+                    positive = k if k < i else k + 1
+                out.append([[t.id, frames[i]], [t.id, frames[positive]], pool[int(rng.integers(len(pool)))]])
+    return out
+
+
 class TestMining:
     def _setup(self):
         return [_tr(0, 0, 29), _tr(1, 10, 39), _tr(2, 20, 49), _tr(9, 200, 220)]
@@ -147,10 +166,7 @@ class TestMining:
             9: set(),
         }
         triplets = mine_triplets(ts, rng_seed=0, per_anchor=2)
-        for t in triplets:
-            aid, af = t.anchor
-            pid, pf = t.positive
-            nid, nf = t.negative
+        for (aid, af), (pid, pf), (nid, nf) in triplets.tolist():
             assert pid == aid
             assert spans[aid][0] <= af <= spans[aid][1]
             assert spans[pid][0] <= pf <= spans[pid][1]
@@ -162,7 +178,7 @@ class TestMining:
     def test_every_frame_anchors_per_anchor_triplets(self):
         ts = self._setup()
         triplets = mine_triplets(ts, rng_seed=3, per_anchor=2)
-        anchors = [t.anchor for t in triplets]
+        anchors = list(map(tuple, triplets[:, 0].tolist()))
         expected = []
         for t in ts[:3]:  # tracklet 9 overlaps nothing and is skipped
             for f in t.frames:
@@ -172,44 +188,55 @@ class TestMining:
 
     def test_isolated_tracklet_never_appears(self):
         triplets = mine_triplets(self._setup(), rng_seed=1)
-        ids = {t.anchor[0] for t in triplets} | {t.negative[0] for t in triplets}
+        ids = set(triplets[:, 0, 0].tolist()) | set(triplets[:, 2, 0].tolist())
         assert 9 not in ids
 
     def test_deterministic_per_seed(self):
         ts = self._setup()
-        assert mine_triplets(ts, rng_seed=5) == mine_triplets(ts, rng_seed=5)
-        assert mine_triplets(ts, rng_seed=5) != mine_triplets(ts, rng_seed=6)
+        assert np.array_equal(mine_triplets(ts, rng_seed=5), mine_triplets(ts, rng_seed=5))
+        assert not np.array_equal(mine_triplets(ts, rng_seed=5), mine_triplets(ts, rng_seed=6))
 
     def test_single_frame_tracklet_uses_itself_as_positive(self):
         ts = [_tr(3, 7, 7), _tr(4, 0, 20)]
         triplets = mine_triplets(ts, rng_seed=0)
-        own = [t for t in triplets if t.anchor[0] == 3]
+        own = [(a, p) for a, p, _ in triplets.tolist() if a[0] == 3]
         assert len(own) == 1
-        assert own[0].positive == own[0].anchor == (3, 7)
+        assert own[0][1] == own[0][0] == [3, 7]
 
     def test_positive_distribution_covers_other_frames(self):
         ts = [_tr(0, 0, 3), _tr(1, 0, 3)]
         triplets = mine_triplets(ts, rng_seed=0, per_anchor=50)
-        seen = {t.positive[1] for t in triplets if t.anchor == (0, 0)}
+        seen = {p[1] for a, p, _ in triplets.tolist() if a == [0, 0]}
         assert seen == {1, 2, 3}  # never the anchor frame, all others reachable
 
     def test_per_anchor_validation(self):
         with pytest.raises(ValueError, match="per_anchor"):
             mine_triplets(self._setup(), rng_seed=0, per_anchor=0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spans=st.lists(st.tuples(st.integers(-3, 30), st.sampled_from([1, 2, 3, 9])), max_size=7),
+        seed=st.integers(0, 2**32 - 1),
+        per_anchor=st.integers(1, 3),
+        big=st.booleans(),
+    )
+    def test_draws_match_one_scalar_draw_at_a_time(self, spans, seed, per_anchor, big):
+        ts = [_tr(i + big * 2**70, start, start + length - 1) for i, (start, length) in enumerate(spans)]
+        assert mine_triplets(ts, seed, per_anchor).tolist() == _mine_one_draw_at_a_time(ts, seed, per_anchor)
+
     def test_no_overlaps_no_triplets(self):
-        assert mine_triplets([_tr(0, 0, 9), _tr(1, 100, 109)], rng_seed=0) == []
+        assert mine_triplets([_tr(0, 0, 9), _tr(1, 100, 109)], rng_seed=0).tolist() == []
 
 
 class TestTripletsJsonl:
     def test_round_trip(self, tmp_path):
-        triplets = [
-            Triplet(anchor=(0, 5), positive=(0, 9), negative=(3, 5)),
-            Triplet(anchor=(1, 2), positive=(1, 3), negative=(0, 2)),
-        ]
+        triplets = np.array([
+            [(0, 5), (0, 9), (3, 5)],
+            [(1, 2), (1, 3), (0, 2)],
+        ])
         path = tmp_path / "triplets.jsonl"
         write_triplets_jsonl(triplets, path)
-        assert load_triplets_jsonl(path) == triplets
+        assert np.array_equal(load_triplets_jsonl(path), triplets)
         first = json.loads(path.read_text().splitlines()[0])
         assert first == {"a": [0, 5], "p": [0, 9], "n": [3, 5]}
 
@@ -227,6 +254,37 @@ class TestTripletsJsonl:
         path.write_text(line + "\n")
         with pytest.raises(DataValidationError, match=pattern):
             load_triplets_jsonl(path)
+
+    def test_keys_past_int64_stay_python_ints_from_mining_to_training(self, tmp_path):
+        big = 2**70
+        ts = [_tr(big, 0, 2, rows=[5, 3, 1]), _tr(1, 1, 3, rows=[0, 2, 4])]
+        row = {(big, 0): 5, (big, 1): 3, (big, 2): 1, (1, 1): 0, (1, 2): 2, (1, 3): 4}
+        mined = mine_triplets(ts, rng_seed=0, per_anchor=2)
+        path = tmp_path / "triplets.jsonl"
+        write_triplets_jsonl(mined, path)
+        loaded = load_triplets_jsonl(path)
+        assert mined.dtype == loaded.dtype == object
+        assert mined.shape == loaded.shape == (12, 3, 2)
+        assert np.array_equal(mined, loaded)
+        assert {type(v) for v in loaded.ravel()} == {int}
+        assert path.read_text().splitlines() == [
+            json.dumps({"a": [a_id, a_frame], "p": [p_id, p_frame], "n": [n_id, n_frame]})
+            for (a_id, a_frame), (p_id, p_frame), (n_id, n_frame) in mined.tolist()
+        ]
+        table = FeatureTable(ts, np.random.default_rng(0).normal(size=(6, 4)).astype(np.float32))
+        net = EmbeddingNet.init(4, hidden=(5,), seed=0)
+        xa, xp, xn = (table.matrix64[[row[tuple(key)] for key in loaded[:, m].tolist()]] for m in range(3))
+        want = gradients_on_params(params64(net), xa, xp, xn, 1.0)[0]
+        _, trace = train(net, table, loaded, TrainConfig(learning_rate=0.0, epochs=1, batch_size=len(loaded)))
+        assert trace == [pytest.approx(want, rel=1e-12)]
+
+    def test_no_overlaps_mine_an_empty_key_array_that_trains(self):
+        ts = [_tr(0, 0, 9), _tr(1, 100, 109)]
+        triplets = mine_triplets(ts, rng_seed=0)
+        assert triplets.shape == (0, 3, 2) and triplets.dtype == np.int64
+        net = EmbeddingNet.init(2, hidden=(3,), seed=0)
+        _, trace = train(net, FeatureTable(ts, np.zeros((20, 2), np.float32)), triplets, TrainConfig(epochs=2))
+        assert trace == [0.0, 0.0]
 
 
 class TestEmbeddingNet:
@@ -523,9 +581,9 @@ class TestTraining:
         before = [w.tobytes() for w in net.weights] + [b.tobytes() for b in net.biases]
         initial_loss = gradients_on_params(
             params64(net),
-            table.matrix64[table.rows(t.anchor for t in triplets)],
-            table.matrix64[table.rows(t.positive for t in triplets)],
-            table.matrix64[table.rows(t.negative for t in triplets)],
+            table.matrix64[table.rows(map(tuple, triplets[:, 0].tolist()))],
+            table.matrix64[table.rows(map(tuple, triplets[:, 1].tolist()))],
+            table.matrix64[table.rows(map(tuple, triplets[:, 2].tolist()))],
             1.0,
         )[0]
         # batch_size divides the 40 triplets, so every batch matmul has the

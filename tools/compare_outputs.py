@@ -7,7 +7,7 @@ PARENT and CHANGE are checkouts of motionstack; they may be the same tree
 when ``--change-env NAME=VALUE`` (repeatable) sets a variable for the
 change's commands only, so that one tree is compared under two environments. For each seed the script
 writes one set of seeded inputs (a 64x3x7x7 conv layer, a 256x60x80 feature
-map and 2,000 boxes, a dense detection/ground-truth pair and four malformed
+map and 2,000 boxes, a dense detection/ground-truth pair and five malformed
 record files), then runs every
 ``motionstack`` command of the chain below once per tree, as a subprocess
 with ``PYTHONPATH=<tree>/src`` in its own output directory and with relative
@@ -114,12 +114,15 @@ def write_dense_pair(directory: Path, seed: int) -> None:
 
 
 def write_malformed_records(directory: Path) -> None:
-    """Record files that each break one rule, all but the last made from the dense pair.
+    """Record files that each break one rule, all but the triplet files made from the dense pair.
 
     ``bad_box_dets.jsonl`` has x2 == x1 on line 600, past the first block of
     lines the loaders check at once; ``bad_line_gt.jsonl`` has a list for
-    line 3; ``bad_json_dets.jsonl`` has line 10 cut short; and
-    ``bad_triplets.jsonl`` holds two triplets and a third without ``n``.
+    line 3; ``bad_json_dets.jsonl`` has line 10 cut short;
+    ``bad_triplets.jsonl`` holds two triplets and a third without ``n``; and
+    ``miss_triplets.jsonl`` holds a triplet of the scene, a blank line, and
+    triplets naming tracklets the scene lacks, as ``n`` on line 3 and as
+    ``a`` on line 4.
     """
     dets = (directory / "dense_dets.jsonl").read_text(encoding="utf-8").splitlines()
     gts = (directory / "dense_gt.jsonl").read_text(encoding="utf-8").splitlines()
@@ -130,6 +133,10 @@ def write_malformed_records(directory: Path) -> None:
         "bad_line_gt.jsonl": gts[:2] + ["[1, 2]"] + gts[3:],
         "bad_json_dets.jsonl": dets[:9] + [dets[9][:-1]] + dets[10:],
         "bad_triplets.jsonl": ['{"a": [0, 0], "p": [0, 1], "n": [1, 0]}'] * 2 + ['{"a": [0, 0], "p": [0, 1]}'],
+        "miss_triplets.jsonl": [
+            '{"a": [0, 0], "p": [0, 1], "n": [1, 0]}', "",
+            '{"a": [0, 1], "p": [0, 2], "n": [99, 0]}', '{"a": [98, 0], "p": [0, 2], "n": [1, 0]}',
+        ],
     }
     for name, lines in files.items():
         (directory / name).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
@@ -189,6 +196,7 @@ def chain(seed: int) -> list[list[str]]:
         ["eval", "--dets", "dense_dets.jsonl", "--gt", "bad_line_gt.jsonl", "--out", "eval_bad_line.json"],
         ["eval", "--dets", "bad_json_dets.jsonl", "--gt", "dense_gt.jsonl", "--out", "eval_bad_json.json"],
         ["train", *scene, "--triplets", "bad_triplets.jsonl", "--out-dir", "net_bad", "--out", "train_bad.json"],
+        ["train", *scene, "--triplets", "miss_triplets.jsonl", "--out-dir", "net_miss", "--out", "train_miss.json"],
     ]
     return commands
 
