@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from itertools import accumulate, chain
 from math import isfinite, nan
 from pathlib import Path
 
@@ -200,12 +201,11 @@ def _cmd_eval(args):
 def _cmd_features(args):
     if not args.scale > 0:
         raise ValueError(f"--scale must be positive, got {args.scale}")
-    tensor = read_tensor(args.map)
+    tensor = read_tensor(args.map, channels_last=True)  # the float64 layout fmap keeps without a copy
     try:
         fmap = FeatureMap(tensor, spatial_scale=args.scale)
     except ValueError as exc:
         raise DataValidationError(f"{args.map}: {exc}") from exc
-    del tensor  # fmap holds the one float64 copy
     boxes = _load_boxes_json(args.boxes)
     vectors = pool_boxes(fmap, boxes, args.out_h, args.out_w, args.sampling_ratio)
     write_tensor(vectors, args.out_features)
@@ -280,20 +280,21 @@ def _cmd_reid(args):
     tracklets = load_tracklets_json(args.tracklets)
     table = load_feature_table(tracklets, args.features)
     net = _load_net_for(args.net, table)
-    _, embeddings = tracklet_embeddings(net, tracklets, table)
-    centroids = tracklet_centroids(embeddings)
-    merges = propose_merges(centroids, tracklets, args.threshold)
-
     group_of: dict[int, object] = {t.id: f"ungrouped_{t.id}" for t in tracklets}
     if args.identity_map:
         for gi, group in enumerate(load_identity_map(args.identity_map)):
             for tid in group:
                 group_of[tid] = gi
-    # Each group's embeddings, its tracklets in file order.
-    group_views: dict[object, list[np.ndarray]] = {}
+    # Embedded group by group, groups in order of first appearance and each group's
+    # tracklets in file order, so each separation group is one slice of the matrix.
+    members: dict[object, list] = {}
     for t in tracklets:
-        group_views.setdefault(group_of[t.id], []).append(embeddings[t.id])
-    separation = separation_metrics({g: np.concatenate(views) for g, views in group_views.items()})
+        members.setdefault(group_of[t.id], []).append(t)
+    matrix, embeddings = tracklet_embeddings(net, list(chain.from_iterable(members.values())), table)
+    bounds = list(accumulate((sum(map(len, ts)) for ts in members.values()), initial=0))
+    centroids = tracklet_centroids(embeddings)
+    merges = propose_merges(centroids, tracklets, args.threshold)
+    separation = separation_metrics({g: matrix[lo:hi] for g, lo, hi in zip(members, bounds, bounds[1:])})
 
     results = {
         "threshold": args.threshold,
@@ -315,10 +316,12 @@ def _cmd_project(args):
     keys = enumerate_keys(tracklets)
     if args.net is None:
         points = table.matrix64[table.rows(keys)]
+        del table  # the float64 features are not needed by the projection
+        coords = pca_project_2d(points)  # centers points, this function's own copy, in place
     else:
-        points, _ = tracklet_embeddings(_load_net_for(args.net, table), tracklets, table)
-    del table  # the float64 features are not needed by the projection
-    coords = pca_project_2d(points)  # centers points, this function's own copy, in place
+        net = _load_net_for(args.net, table)
+        # Embedded twice, so that one embedding matrix is factored in place (see pca_project_2d).
+        coords = pca_project_2d(lambda: tracklet_embeddings(net, tracklets, table)[0])
     write_scatter_csv(keys, coords, args.out_csv)
     results = {"num_points": len(keys), "embedded": args.net is not None}
     summary = f"project: wrote {len(keys)} points to {args.out_csv}"

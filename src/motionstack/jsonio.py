@@ -61,15 +61,17 @@ def write_json(doc: Any, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-def write_lines(template: str, rows: Iterable[tuple], path: str | Path) -> None:
-    """Write one ``template % row`` line per row of Python values.
+def write_lines(template: str, rows: Iterable[tuple], path: str | Path, head: str = "") -> None:
+    """Write ``head``, then one ``template % row`` line per row of Python values.
 
     A template spells a record as ``json.dumps`` does, with ``%d`` for each
     int and ``%r`` for each float, so a finite float comes out as the
-    shortest repr that ``json.dumps`` also writes.
+    shortest repr that ``json.dumps`` also writes. Line ends are written as
+    the template spells them, on every platform.
     """
     lines = map(template.__mod__, rows)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(head)
         while chunk := "".join(islice(lines, _ROWS)):
             fh.write(chunk)
 
@@ -79,7 +81,10 @@ _ROWS = 512
 
 
 def array_rows(*columns: np.ndarray) -> Iterator[tuple]:
-    """The rows of equal-length 1-D arrays as tuples of Python values, converted ``_ROWS`` at a time."""
+    """The rows of equal-length arrays as tuples of Python values, converted ``_ROWS`` at a time.
+
+    A column of a 2-D array gives each row's values as one list.
+    """
     for lo in range(0, len(columns[0]), _ROWS):
         yield from zip(*(column[lo : lo + _ROWS].tolist() for column in columns))
 

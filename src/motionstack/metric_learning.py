@@ -16,7 +16,10 @@ The pieces, in pipeline order:
   seeded shuffling; bit-reproducible for a given seed. Each batch runs one
   forward pass over its anchor, positive and negative rows stacked together,
   then back-propagates one stacked batch of the active triplets only
-  (inactive hinges have zero gradient). Results can differ in the last bits
+  (inactive hinges have zero gradient). A batch with no active hinge skips
+  its update, which would subtract exact zeros, and each batch's gradients
+  are released before the next batch's are computed, so one gradient set is
+  alive at a time. Results can differ in the last bits
   from versions that ran three per-stream passes; reruns stay
   byte-identical. Non-finite features are rejected. The optional output
   L2-normalization toggle affects inference (embeddings, centroids) only;
@@ -32,23 +35,26 @@ The pieces, in pipeline order:
 
 A set of triplets is one [T, 3, 2] integer array of (tracklet id, frame)
 keys, anchor, positive and negative in that order: int64, or object of
-Python ints where a value does not fit, from mining through training. It
+Python ints where a value does not fit, from mining through training, where
+``FeatureTable.rows`` maps the whole array to feature rows with array
+arithmetic over each tracklet's start, end and first row. It
 interchanges as JSON lines ``{"a": [id, frame], "p": ..., "n": ...}``, read
 through ``jsonio.read_records`` with each key of kind ``"int pair"``; a
 trained net as one MTENSOR per weight/bias plus a JSON manifest; scatter
-plots as ``id,frame,x,y`` CSV.
+plots as ``id,frame,x,y`` CSV, written from a line template with the bytes
+``csv.writer`` gives.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg  # np.linalg.qr's kernel, see _r_factor
 
 from .errors import DataValidationError
 from .jsonio import _echo, _int_array, array_rows, expect, read_json, read_records, write_json, write_lines
@@ -69,7 +75,11 @@ class FeatureTable:
     Row lookup uses each tracklet's explicit ``feature_rows`` when given
     (all tracklets must carry them consistently), else enumeration order:
     tracklet file order, frames ascending, which must then exactly fill the
-    matrix.
+    matrix. Tracklet ids must be unique.
+
+    The table keeps one dict entry per tracklet, its id, and arrays of each
+    tracklet's start, end and first row, so ``rows`` resolves a key array
+    with array arithmetic and builds no object per key.
     """
 
     def __init__(self, tracklets: Sequence[Tracklet], matrix: np.ndarray):
@@ -81,39 +91,70 @@ class FeatureTable:
             r, c = np.argwhere(~finite)[0]
             raise DataValidationError(f"feature row {r} column {c} is not finite: {matrix[r, c]}")
         check_feature_rows(tracklets, "tracklets")
-        index: dict[tuple[int, int], int] = {}
+        # Slot s holds tracklets[s]; the last slot, with no frames, is where an unknown id goes.
+        self._slots: dict[int, int] = {}
+        for s, t in enumerate(tracklets):
+            if self._slots.setdefault(t.id, s) != s:
+                raise DataValidationError(f"tracklets[{s}]: duplicate tracklet id {_echo(t.id)}")
+        self._starts = _int_array([*(t.start for t in tracklets), 0])
+        self._ends = _int_array([*(t.end for t in tracklets), -1])
+        self._firsts = np.cumsum([0, *(len(t) for t in tracklets)])  # in enumeration order
+        self._rows = None  # enumeration order: the rows are the enumeration positions
         if tracklets and tracklets[0].feature_rows is not None:
-            for pos, t in enumerate(tracklets):
-                for k, (f, r) in enumerate(zip(t.frames, t.feature_rows)):
-                    if r >= len(matrix):
-                        raise DataValidationError(
-                            f"tracklets[{pos}].feature_rows[{k}]: feature row {_echo(r)} "
-                            f"outside matrix of {len(matrix)} rows"
-                        )
-                    index[(t.id, f)] = r
-        else:
-            keys = enumerate_keys(tracklets)
-            if len(keys) != len(matrix):
+            rows = _int_array(list(chain.from_iterable(t.feature_rows for t in tracklets)))
+            outside = np.flatnonzero(rows >= len(matrix))
+            if len(outside):
+                i = int(outside[0])
+                pos = int(np.searchsorted(self._firsts, i, side="right")) - 1
+                k = i - int(self._firsts[pos])
                 raise DataValidationError(
-                    f"feature matrix has {len(matrix)} rows, tracklets enumerate {len(keys)} frames"
+                    f"tracklets[{pos}].feature_rows[{k}]: feature row {_echo(tracklets[pos].feature_rows[k])} "
+                    f"outside matrix of {len(matrix)} rows"
                 )
-            index = {k: i for i, k in enumerate(keys)}
-        self._index = index
+            self._rows = rows.astype(np.intp)
+        elif self._firsts[-1] != len(matrix):
+            raise DataValidationError(
+                f"feature matrix has {len(matrix)} rows, tracklets enumerate {self._firsts[-1]} frames"
+            )
         self.matrix64 = matrix.astype(np.float64)
 
     @property
     def dim(self) -> int:
         return self.matrix64.shape[1]
 
-    def rows(self, keys: Iterable[tuple[int, int]]) -> np.ndarray:
-        """Feature rows of ``(tracklet id, frame)`` keys, in key order (intp array)."""
-        try:
-            return np.array([self._index[key] for key in keys], dtype=np.intp)
-        except KeyError as exc:
-            tracklet_id, frame = exc.args[0]
-            raise DataValidationError(
-                f"no feature row for tracklet {_echo(tracklet_id)} frame {_echo(frame)}"
-            ) from None
+    def rows(self, keys: np.ndarray | Iterable[Sequence[int]]) -> np.ndarray:
+        """Feature rows of ``(tracklet id, frame)`` keys, in key order (intp array).
+
+        ``keys`` is an integer [N, 2] array (int64, or object of Python ints
+        past int64), or any sequence of pairs, which is converted to one. A
+        key the table lacks raises ``DataValidationError`` naming the first.
+        """
+        if not isinstance(keys, np.ndarray):
+            keys = _int_array(list(keys))
+        keys = keys.reshape(-1, 2)
+        ids, inverse = np.unique(keys[:, 0], return_inverse=True)
+        slots = np.array([self._slots.get(i, -1) for i in ids.tolist()], dtype=np.intp)[inverse]
+        starts = self._starts[slots]
+        frames = keys[:, 1]
+        # Comparisons first: a difference of int64 keys that are not in the table could wrap.
+        found = (frames >= starts) & (frames <= self._ends[slots])
+        if not found.all():
+            raise _no_feature_row(*keys[np.argmin(found)].tolist())
+        rows = self._firsts[slots] + (frames - starts).astype(np.intp)
+        return rows if self._rows is None else self._rows[rows]
+
+    def tracklet_rows(self, tracklet: Tracklet) -> slice | np.ndarray:
+        """The feature rows of ``tracklet``'s frames, ascending: a slice in enumeration order."""
+        slot = self._slots.get(tracklet.id, -1)
+        start, end = int(self._starts[slot]), int(self._ends[slot])
+        if not start <= tracklet.start <= tracklet.end <= end:
+            raise _no_feature_row(tracklet.id, tracklet.start if not start <= tracklet.start <= end else end + 1)
+        lo = int(self._firsts[slot]) + tracklet.start - start
+        return slice(lo, lo + len(tracklet)) if self._rows is None else self._rows[lo : lo + len(tracklet)]
+
+
+def _no_feature_row(tracklet_id: int, frame: int) -> DataValidationError:
+    return DataValidationError(f"no feature row for tracklet {_echo(tracklet_id)} frame {_echo(frame)}")
 
 
 def load_feature_table(tracklets: Sequence[Tracklet], path: str | Path) -> FeatureTable:
@@ -331,8 +372,8 @@ class TrainConfig:
         for name in ("epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be nonnegative, got {self.learning_rate}")
+        if not 0.0 <= self.learning_rate < math.inf:  # so a zero gradient leaves a weight as it is
+            raise ValueError(f"learning_rate must be finite and nonnegative, got {self.learning_rate}")
 
 
 def train(
@@ -354,7 +395,7 @@ def train(
         raise DataValidationError(f"net expects {net.in_dim}-d features, table holds {table.dim}-d")
     # [3, N] feature rows: anchors, positives, negatives, resolved in file
     # order, so a missing key is the first one a reader of the file meets.
-    rows = table.rows(zip(*triplets.reshape(-1, 2).T.tolist())).reshape(-1, 3).T
+    rows = table.rows(triplets.reshape(-1, 2)).reshape(-1, 3).T
     x = table.matrix64
 
     params = params64(net)
@@ -374,10 +415,13 @@ def train(
                 xa, xp, xn = x[rows[:, batch]]
                 _, losses, grads = gradients_on_params(params, xa, xp, xn, config.margin)
                 epoch_losses[batch] = losses
-                # In place: the gradients are fresh arrays and params64 copied the net.
-                for (w, b), (gw, gb) in zip(params, grads):
-                    w -= np.multiply(gw, config.learning_rate, out=gw)
-                    b -= np.multiply(gb, config.learning_rate, out=gb)
+                # With no hinge active every gradient is 0 and the update an exact no-op.
+                if (losses > 0.0).any():
+                    # In place: the gradients are fresh arrays and params64 copied the net.
+                    for (w, b), (gw, gb) in zip(params, grads):
+                        w -= np.multiply(gw, config.learning_rate, out=gw)
+                        b -= np.multiply(gb, config.learning_rate, out=gb)
+                del grads  # before the next batch's, so one gradient set is alive at a time
             trace.append(float(epoch_losses.sum() / count))
     # Reductions, not an elementwise test, so no weight-sized temporary is
     # allocated; NaN propagates through min and max and fails the test.
@@ -406,14 +450,14 @@ def tracklet_embeddings(
     each view is that tracklet's [frames, 128] slice of it. Tracklets are
     embedded one at a time, so no hidden layer of the whole scene is held.
     """
-    matrix = np.empty((sum(len(t.frames) for t in tracklets), OUT_DIM), dtype=np.float64)
+    matrix = np.empty((sum(len(t) for t in tracklets), OUT_DIM), dtype=np.float64)
     views: dict[int, np.ndarray] = {}
     params = params64(net)  # once for every tracklet
     lo = 0
     for t in tracklets:
-        view = views[t.id] = matrix[lo : lo + len(t.frames)]
-        view[...] = _embed(net, params, table.matrix64[table.rows((t.id, f) for f in t.frames)])
-        lo += len(t.frames)
+        view = views[t.id] = matrix[lo : lo + len(t)]
+        view[...] = _embed(net, params, table.matrix64[table.tracklet_rows(t)])
+        lo += len(t)
     return matrix, views
 
 
@@ -526,7 +570,7 @@ def propose_merges(
 # ---------------------------------------------------------------------------
 # projection
 
-def pca_project_2d(embeddings: np.ndarray) -> np.ndarray:
+def pca_project_2d(embeddings: np.ndarray | Callable[[], np.ndarray]) -> np.ndarray:
     """Mean-centered projection onto the top-2 principal directions.
 
     Sign convention: each component's largest-magnitude loading is
@@ -541,16 +585,28 @@ def pca_project_2d(embeddings: np.ndarray) -> np.ndarray:
     same QR-first route itself when N >= 11/6 D, so on such tall data the
     result equals the direct ``np.linalg.svd(centered)`` route bit for bit;
     on shorter data it can differ in the last bits.
+
+    R is factored from a copy of the centered data, which is then projected,
+    so three [N, D] arrays are held at once: the data, that copy and LAPACK's
+    own. ``embeddings`` may instead be a function that returns the same data
+    each time. It is called twice: the first data is centered and factored
+    in place, and the second, centered by the same mean, is projected. Two
+    [N, D] arrays are then held at once, at the price of making the data
+    twice, and the result is the same bits.
     """
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    if embeddings.ndim != 2:
-        raise DataValidationError(f"embeddings must be [N, D], got shape {embeddings.shape}")
-    if len(embeddings) < 2:
-        raise DataValidationError(f"projection needs >= 2 samples, got {len(embeddings)}")
-    centered = embeddings
-    centered -= embeddings.mean(axis=0)
-    _, _, vt = np.linalg.svd(np.linalg.qr(centered, mode="r"), full_matrices=False)
-    coords = np.zeros((len(embeddings), 2), dtype=np.float64)
+    make = embeddings if callable(embeddings) else None
+    centered = _checked_samples(make() if make else embeddings)
+    mean = centered.mean(axis=0)
+    centered -= mean
+    if make:
+        r = _r_factor(centered)
+        del centered  # now the factorization; freed before the data is made again
+        centered = _checked_samples(make())
+        centered -= mean
+    else:
+        r = _r_factor(centered.copy())
+    _, _, vt = np.linalg.svd(r, full_matrices=False)
+    coords = np.zeros((len(centered), 2), dtype=np.float64)
     for c in range(min(2, vt.shape[0])):
         component = vt[c]
         if component[np.argmax(np.abs(component))] < 0:
@@ -559,18 +615,35 @@ def pca_project_2d(embeddings: np.ndarray) -> np.ndarray:
     return coords
 
 
+def _checked_samples(embeddings) -> np.ndarray:
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    if embeddings.ndim != 2:
+        raise DataValidationError(f"embeddings must be [N, D], got shape {embeddings.shape}")
+    if len(embeddings) < 2:
+        raise DataValidationError(f"projection needs >= 2 samples, got {len(embeddings)}")
+    return embeddings
+
+
+def _r_factor(a: np.ndarray) -> np.ndarray:
+    # R of the QR factorization of float64 [N, D] ``a``, which is overwritten by the
+    # factorization: the LAPACK kernel ``np.linalg.qr(a, mode="r")`` runs, on ``a``
+    # itself instead of on a copy of it, so R is the same bits.
+    _umath_linalg.qr_r_raw(a, signature="d->d")
+    return np.triu(a[: min(a.shape)])
+
+
 def write_scatter_csv(
     keys: Sequence[tuple[int, int]], coords: np.ndarray, path: str | Path
 ) -> None:
-    """Export projected points as ``id,frame,x,y`` CSV rows."""
-    coords = np.asarray(coords)
+    """Export projected points as ``id,frame,x,y`` CSV rows, the bytes ``csv.writer`` gives them.
+
+    Each coordinate is written as the repr of the float it converts to.
+    """
+    coords = np.asarray(coords, dtype=np.float64)
     if len(keys) != len(coords):
         raise ValueError(f"{len(keys)} keys for {len(coords)} points")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "frame", "x", "y"])
-        for (tid, frame), (px, py) in zip(keys, coords):
-            writer.writerow([tid, frame, repr(float(px)), repr(float(py))])
+    points = ((tid, frame, *xy) for (tid, frame), (xy,) in zip(keys, array_rows(coords)))
+    write_lines("%d,%d,%r,%r\r\n", points, path, head="id,frame,x,y\r\n")
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,11 @@ every x-position, so their mean factorises too: ``wy @ map[c] @ wx``, with
 per-sample tensor is built, and only the float64 summation order differs
 from interpolating each sample.
 
-A ``FeatureMap`` holds its map once, converted when it is built into a
-C-contiguous float64 [Hf, Wf, C] array, in which a box's window is one view;
-``tensor`` is that array's [C, Hf, Wf] view, so pooling converts nothing.
+A ``FeatureMap`` holds its map once, as a C-contiguous float64 [Hf, Wf, C]
+array, in which a box's window is one view; ``tensor`` is that array's
+[C, Hf, Wf] view, so pooling converts nothing. A map read with
+``read_tensor(path, channels_last=True)`` is already in that layout and is
+not copied again.
 
 Boxes are pooled in row-major order of their windows on the map (top row,
 then left column), not in input order, so that consecutive boxes read map
@@ -46,7 +48,10 @@ SAMPLING_RATIO = 2
 class FeatureMap:
     """A [C, Hf, Wf] map plus its feature-pixels-per-image-pixel ratio.
 
-    The map is held once, as its own float64 [Hf, Wf, C] copy; ``tensor`` is its [C, Hf, Wf] view.
+    The map is held once, as a C-contiguous float64 [Hf, Wf, C] array; ``tensor``
+    is its [C, Hf, Wf] view. A tensor given in that layout already, such as
+    ``read_tensor(path, channels_last=True)`` returns, is used without a copy;
+    any other is converted into a copy of the map's own.
     """
 
     tensor: np.ndarray = field(repr=False)
@@ -58,7 +63,7 @@ class FeatureMap:
             raise ValueError(f"feature map must be [C, Hf, Wf], got shape {tensor.shape}")
         if not self.spatial_scale > 0:
             raise ValueError(f"spatial_scale must be positive, got {self.spatial_scale}")
-        self.tensor = np.array(tensor.transpose(1, 2, 0), dtype=np.float64, order="C").transpose(2, 0, 1)
+        self.tensor = np.asarray(tensor.transpose(1, 2, 0), dtype=np.float64, order="C").transpose(2, 0, 1)
 
 
 def _sample_coords(boxes: np.ndarray, spatial_scale: float, out_h: int, out_w: int, ratio: int):

@@ -9,7 +9,10 @@ An MTENSOR file is: the 8-byte magic ``MTENSOR\\0``, a 4-byte little-endian
 header length, a UTF-8 JSON header ``{"dtype":"u8"|"f32","shape":[...]}``
 padded with spaces so the payload starts on a 64-byte file offset, then the
 little-endian row-major payload. Tensors are plain numpy arrays restricted
-to uint8/float32 with 1 to 4 dimensions.
+to uint8/float32 with 1 to 4 dimensions. One header check serves both ways
+of reading a container: whole, into an array of its stored dtype, or, for a
+[C, H, W] feature map, a few channels at a time into a float64 [H, W, C]
+array, so the stored copy of the whole map is never held.
 """
 
 from __future__ import annotations
@@ -62,51 +65,89 @@ def write_tensor(arr: np.ndarray, path: str | Path) -> None:
         fh.write(memoryview(payload).cast("B"))
 
 
-def read_tensor(path: str | Path) -> np.ndarray:
-    """Read an MTENSOR container back into a numpy array.
+def _tensor_header(fh, path: str | Path) -> tuple[np.dtype, list[int]]:
+    """Check the MTENSOR header of the open file ``fh``; returns ``(dtype, shape)`` with ``fh`` at the payload.
 
-    Raises TensorFormatError on bad magic, a malformed header, an unknown
-    dtype code, or a header/payload length mismatch. The payload length
-    comes from the file size, so a header declaring more than the file
-    holds fails before anything is allocated; the payload is then read
-    straight into the returned array.
+    These are all of ``read_tensor``'s rules: the magic, the header, the
+    dtype code, the shape, and a payload length, taken from the file size,
+    that matches the shape, so a header declaring more than the file holds
+    fails before anything is allocated.
     """
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        prefix = fh.read(len(MAGIC) + 4)
-        if len(prefix) < len(MAGIC) + 4 or prefix[: len(MAGIC)] != MAGIC:
-            raise TensorFormatError(f"{path}: not an MTENSOR container (bad magic)")
-        (header_len,) = struct.unpack("<I", prefix[len(MAGIC) :])
-        body = len(prefix)
-        if size < body + header_len:
-            raise TensorFormatError(f"{path}: truncated header ({header_len} bytes declared)")
-        try:
-            meta = json.loads(fh.read(header_len).decode("utf-8"))
-        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nesting too deep
-            raise TensorFormatError(f"{path}: unparseable header: {exc}") from exc
-        if not isinstance(meta, dict) or "dtype" not in meta or "shape" not in meta:
-            raise TensorFormatError(f"{path}: header missing dtype/shape")
-        code = meta["dtype"]
-        if not isinstance(code, str) or code not in _DTYPE_BY_CODE:
-            raise TensorFormatError(f"{path}: unknown dtype code {_echo(code)}")
-        shape = meta["shape"]
-        if (
-            not isinstance(shape, list)
-            or not 1 <= len(shape) <= MAX_DIMS
-            or not all(type(d) is int and d >= 1 for d in shape)  # a JSON true is no dimension
-        ):
-            raise TensorFormatError(f"{path}: invalid shape {_echo(shape)}")
-        dtype = _DTYPE_BY_CODE[code]
-        expected = math.prod(shape) * dtype.itemsize  # Python ints: an int64 product can wrap to a small size
-        held = size - body - header_len
-        if held == expected:
-            arr = np.empty(shape, dtype=dtype)
-            held = fh.readinto(memoryview(arr).cast("B"))  # short only if the file shrank meanwhile
+    size = os.fstat(fh.fileno()).st_size
+    prefix = fh.read(len(MAGIC) + 4)
+    if len(prefix) < len(MAGIC) + 4 or prefix[: len(MAGIC)] != MAGIC:
+        raise TensorFormatError(f"{path}: not an MTENSOR container (bad magic)")
+    (header_len,) = struct.unpack("<I", prefix[len(MAGIC) :])
+    body = len(prefix)
+    if size < body + header_len:
+        raise TensorFormatError(f"{path}: truncated header ({header_len} bytes declared)")
+    try:
+        meta = json.loads(fh.read(header_len).decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nesting too deep
+        raise TensorFormatError(f"{path}: unparseable header: {exc}") from exc
+    if not isinstance(meta, dict) or "dtype" not in meta or "shape" not in meta:
+        raise TensorFormatError(f"{path}: header missing dtype/shape")
+    code = meta["dtype"]
+    if not isinstance(code, str) or code not in _DTYPE_BY_CODE:
+        raise TensorFormatError(f"{path}: unknown dtype code {_echo(code)}")
+    shape = meta["shape"]
+    if (
+        not isinstance(shape, list)
+        or not 1 <= len(shape) <= MAX_DIMS
+        or not all(type(d) is int and d >= 1 for d in shape)  # a JSON true is no dimension
+    ):
+        raise TensorFormatError(f"{path}: invalid shape {_echo(shape)}")
+    dtype = _DTYPE_BY_CODE[code]
+    expected = math.prod(shape) * dtype.itemsize  # Python ints: an int64 product can wrap to a small size
+    _check_payload(path, expected, size - body - header_len)
+    return dtype, shape
+
+
+def _check_payload(path: str | Path, expected: int, held: int) -> None:
     if held != expected:
         raise TensorFormatError(
             f"{path}: payload length mismatch: header declares {_echo(expected)} bytes, file holds {held}"
         )
+
+
+# Bytes of stored payload that ``read_tensor(..., channels_last=True)`` reads at a time.
+_CHANNEL_BLOCK_BYTES = 1 << 20
+
+
+def read_tensor(path: str | Path, channels_last: bool = False) -> np.ndarray:
+    """Read an MTENSOR container back into a numpy array.
+
+    Raises TensorFormatError on bad magic, a malformed header, an unknown
+    dtype code, or a header/payload length mismatch (``_tensor_header``).
+    The payload is read straight into the returned array.
+
+    With ``channels_last``, a 3-D [C, H, W] tensor is returned as float64,
+    the [C, H, W] view of a C-contiguous [H, W, C] array (the layout
+    ``roi_features.FeatureMap`` holds). It is filled a few channels at a
+    time, so the stored dtype's copy of the whole tensor is never held.
+    A tensor of another rank is returned as stored.
+    """
+    with open(path, "rb") as fh:
+        dtype, shape = _tensor_header(fh, path)
+        if channels_last and len(shape) == 3:
+            return _read_channels_last(fh, path, dtype, shape)
+        arr = np.empty(shape, dtype=dtype)
+        held = fh.readinto(memoryview(arr).cast("B"))  # short only if the file shrank meanwhile
+    _check_payload(path, arr.nbytes, held)
     return arr
+
+
+def _read_channels_last(fh, path: str | Path, dtype: np.dtype, shape: list[int]) -> np.ndarray:
+    channels, height, width = shape
+    out = np.empty((height, width, channels), dtype=np.float64)
+    step = max(1, _CHANNEL_BLOCK_BYTES // (height * width * dtype.itemsize))
+    block = np.empty((min(step, channels), height, width), dtype=dtype)
+    for lo in range(0, channels, step):
+        part = block[: min(step, channels - lo)]
+        held = fh.readinto(memoryview(part).cast("B"))  # short only if the file shrank meanwhile
+        _check_payload(path, part.nbytes, held)
+        out[:, :, lo : lo + len(part)] = part.transpose(1, 2, 0)
+    return out.transpose(2, 0, 1)
 
 
 _LAST_DIGIT_RUN = re.compile(r"(\d+)(?!.*\d)")

@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import DataValidationError
 from .jsonio import _echo, check_boxes, expect, expect_ints, read_json, write_json
 
@@ -142,14 +144,29 @@ def load_tracklets_json(path: str | Path) -> list[Tracklet]:
     return out
 
 
+# ``json.dumps(doc, indent=2)``'s layout of one tracklet entry, one box and one feature row.
+_ENTRY = '    {\n      "id": %d,\n      "start": %d,\n      "end": %d,\n      "boxes": [\n%s\n      ]%s\n    }'
+_BOX = "        [\n          %r,\n          %r,\n          %r,\n          %r\n        ]"
+_FEATURE_ROWS = ',\n      "feature_rows": [\n%s\n      ]'
+_FEATURE_ROW = "        %d"
+
+
 def write_tracklets_json(tracklets: Sequence[Tracklet], path: str | Path) -> None:
+    """Write a tracklet document with the bytes ``json.dumps(doc, indent=2)`` gives it.
+
+    Each entry is filled into a template, and each coordinate is written as
+    the float it converts to, as ``load_tracklets_json`` reads it back.
+    """
     entries = []
     for t in tracklets:
-        entry: dict = {"id": t.id, "start": t.start, "end": t.end, "boxes": [list(b) for b in t.boxes]}
+        coords = np.asarray(t.boxes, dtype=np.float64).ravel().tolist()
+        boxes = ",\n".join([_BOX] * len(t.boxes)) % tuple(coords)
+        rows = ""
         if t.feature_rows is not None:
-            entry["feature_rows"] = list(t.feature_rows)
-        entries.append(entry)
-    write_json({"tracklets": entries}, path)
+            rows = _FEATURE_ROWS % (",\n".join([_FEATURE_ROW] * len(t.feature_rows)) % tuple(t.feature_rows))
+        entries.append(_ENTRY % (t.id, t.start, t.end, boxes, rows))
+    body = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+    Path(path).write_text('{\n  "tracklets": ' + body + "\n}\n", encoding="utf-8")
 
 
 def load_identity_map(path: str | Path) -> list[list[int]]:

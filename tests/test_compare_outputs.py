@@ -1,4 +1,4 @@
-"""The output-comparison tool: its command chain parses, and it names the first difference."""
+"""The output-comparison tool: its command chain parses, and it names every file that differs."""
 
 import importlib.util
 import subprocess
@@ -28,19 +28,48 @@ def test_every_command_of_the_chain_parses():
     assert all(not arg.startswith("/") for argv in commands for arg in argv)
 
 
-def test_first_difference_names_the_first_file_in_path_order(tmp_path):
+def test_differences_name_every_file_in_path_order(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for root in (a, b):
         (root / "logs").mkdir(parents=True)
         (root / "logs" / "00_eval.txt").write_text("exit 0\n")
         (root / "z.json").write_text("{}")
-    assert compare_outputs.first_difference(a, b) is None
+    assert compare_outputs.differences(a, b) == []
     (b / "z.json").write_text("{ }")
     (b / "logs" / "00_eval.txt").write_text("exit 2\n")
-    assert compare_outputs.first_difference(a, b) == "logs/00_eval.txt"
+    assert compare_outputs.differences(a, b) == ["logs/00_eval.txt", "z.json"]
     (a / "logs" / "00_eval.txt").write_text("exit 2\n")
     (a / "m.csv").write_text("")
-    assert compare_outputs.first_difference(a, b) == "m.csv (only in the parent)"
+    assert compare_outputs.differences(a, b) == ["m.csv (only in the parent)", "z.json"]
+
+
+def test_a_seed_that_differs_lists_every_differing_file(tmp_path, monkeypatch, capsys):
+    for tree in ("parent", "change"):
+        (tmp_path / tree / "src" / "motionstack").mkdir(parents=True)
+        (tmp_path / tree / "src" / "motionstack" / "cli.py").write_text("")
+
+    def fake_chain(tree, out, seed, extra_env):
+        # The change writes one log and one artifact differently, and one file the parent lacks.
+        changed = out.name == "change"
+        (out / "logs").mkdir()
+        for name in ("logs/00_eval.txt", "logs/01_train.txt", "reid.json", "scatter.csv"):
+            (out / name).write_text("2" if changed and name in ("logs/01_train.txt", "scatter.csv") else "1")
+        if changed:
+            (out / "extra.json").write_text("{}")
+
+    monkeypatch.setattr(compare_outputs, "run_chain", fake_chain)
+    monkeypatch.setattr(compare_outputs, "write_inputs", lambda out, seed: None)
+    work = tmp_path / "work"
+    code = compare_outputs.main(
+        [str(tmp_path / "parent"), str(tmp_path / "change"), "--seeds", "7", "--work", str(work)]
+    )
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"seed 7: 3 of 4 files differ (outputs kept in {work / 'seed7'}):",
+        "  extra.json (only in the change)",
+        "  logs/01_train.txt",
+        "  scatter.csv",
+    ]
 
 
 def test_change_env_reaches_only_the_change(tmp_path, monkeypatch):

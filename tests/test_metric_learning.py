@@ -1,6 +1,7 @@
 """Metric-learning tests: feature tables, mining, gradients, training, re-id."""
 
 import csv
+import io
 import json
 import os
 import re
@@ -12,13 +13,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
 from motionstack import metric_learning
 from motionstack.errors import DataValidationError
+from motionstack.jsonio import _echo, _int_array
 from motionstack.metric_learning import (
     DEFAULT_HIDDEN,
     DEFAULT_MERGE_THRESHOLD,
@@ -46,7 +48,7 @@ from motionstack.metric_learning import (
     write_triplets_jsonl,
 )
 from motionstack.tensor_io import write_tensor
-from motionstack.tracklets import Tracklet, overlap_graph
+from motionstack.tracklets import Tracklet, enumerate_keys, overlap_graph
 
 
 def _tr(tid, start, end, rows=None):
@@ -91,6 +93,10 @@ class TestFeatureTable:
         table = FeatureTable(ts, matrix)
         assert list(table.rows([(0, 0), (0, 1), (1, 0)])) == [3, 1, 0]
 
+    def test_duplicate_ids(self):
+        with pytest.raises(DataValidationError, match=r"tracklets\[2\]: duplicate tracklet id 4"):
+            FeatureTable([_tr(4, 0, 1), _tr(2, 0, 1), _tr(4, 5, 6)], np.zeros((6, 2), np.float32))
+
     def test_all_or_none_rows(self):
         ts = [_tr(0, 0, 0, rows=[0]), _tr(1, 0, 0)]
         with pytest.raises(DataValidationError, match="every tracklet or none"):
@@ -130,6 +136,84 @@ class TestFeatureTable:
         write_tensor(np.zeros(3, np.float32), path)
         with pytest.raises(DataValidationError, match=re.escape(f"{path}: feature matrix must be [T, D]")):
             load_feature_table([_tr(0, 0, 2)], path)
+
+
+def _dict_rows(tracklets, keys):
+    # FeatureTable.rows as one dict lookup per (id, frame) tuple, the lookup the array form replaced.
+    if tracklets and tracklets[0].feature_rows is not None:
+        index = {(t.id, f): r for t in tracklets for f, r in zip(t.frames, t.feature_rows)}
+    else:
+        index = {key: i for i, key in enumerate(enumerate_keys(tracklets))}
+    try:
+        return [index[key] for key in map(tuple, keys)]
+    except KeyError as exc:
+        tracklet_id, frame = exc.args[0]
+        return f"no feature row for tracklet {_echo(tracklet_id)} frame {_echo(frame)}"
+
+
+def _table_rows(call):
+    try:
+        return call().tolist()
+    except DataValidationError as exc:
+        return str(exc)
+
+
+# Values on both sides of int64's ends, where a difference of keys would wrap.
+_EDGES = [0, 1, 2**62, 2**63 - 2, 2**63 - 1, 2**63, 2**70, -1, -(2**63), -(2**63) - 1]
+
+
+class TestArrayRowLookup:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        spans=st.lists(
+            st.tuples(st.integers(0, 40) | st.sampled_from(_EDGES[:7]), st.integers(-3, 40) | st.sampled_from(_EDGES),
+                      st.integers(1, 4)),
+            max_size=6, unique_by=lambda span: span[0],
+        ),
+        explicit=st.booleans(),
+        # (tracklet, frame) picks: a frame from the tracklet's start, or an absolute one.
+        picks=st.lists(
+            st.tuples(st.integers(0, 5), st.tuples(st.just(True), st.integers(-1, 5))
+                      | st.tuples(st.just(False), st.sampled_from(_EDGES))),
+            max_size=12,
+        ),
+        strays=st.lists(
+            st.tuples(st.integers(-2, 45) | st.sampled_from(_EDGES), st.integers(-3, 45) | st.sampled_from(_EDGES)),
+            max_size=3,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # Frame -2**63 minus start 2**63 - 1 wraps to 1 in int64, inside the tracklet.
+    @example(spans=[(0, 2**63 - 1, 2)], explicit=False, picks=[(0, (False, -(2**63)))], strays=[], seed=0)
+    def test_rows_match_the_dict_lookup(self, spans, explicit, picks, strays, seed):
+        rng = np.random.default_rng(seed)
+        height = sum(length for _, _, length in spans)
+        ts = [
+            _tr(tid, start, start + length - 1, rows=rng.integers(height, size=length).tolist() if explicit else None)
+            for tid, start, length in spans
+        ]
+        table = FeatureTable(ts, np.zeros((height, 2), np.float32))
+        # Keys of the table's tracklets, frames inside and outside them, and stray keys,
+        # in a drawn order, so a missing key may come first, last or not at all.
+        keys = [
+            [ts[i % len(ts)].id, ts[i % len(ts)].start + frame if relative else frame]
+            for i, (relative, frame) in picks
+        ] if ts else []
+        keys += [list(key) for key in strays]
+        keys = [keys[i] for i in rng.permutation(len(keys))]
+        array = _int_array(keys).reshape(-1, 2)
+        assert _table_rows(lambda: table.rows(array)) == _dict_rows(ts, keys)
+        assert _table_rows(lambda: table.rows(keys)) == _dict_rows(ts, keys)
+        for t in ts:
+            got = table.tracklet_rows(t)
+            got = list(range(got.start, got.stop)) if isinstance(got, slice) else got.tolist()
+            assert got == _dict_rows(ts, [[t.id, f] for f in t.frames])
+        for t in ts:  # a tracklet that runs past the table's on either side names its first missing frame
+            for start, end in ((t.start - 1, t.end), (t.start, t.end + 2)):
+                wider = _tr(t.id, start, end)
+                assert _table_rows(lambda: np.asarray(table.tracklet_rows(wider))) == _dict_rows(
+                    ts, [[t.id, f] for f in wider.frames]
+                )
 
 
 def _mine_one_draw_at_a_time(tracklets, rng_seed, per_anchor):
@@ -561,6 +645,29 @@ def _training_setup(seed=0, spread=0.5):
     return ts, table, triplets
 
 
+def _train_always_updating(net, table, triplets, config):
+    # train's loop with the update applied after every batch, also when no hinge is
+    # active; returns (float64 params, trace, batches with no active hinge).
+    rows = table.rows(triplets.reshape(-1, 2)).reshape(-1, 3).T
+    params = params64(net)
+    rng = np.random.default_rng(config.seed)
+    trace, idle = [], 0
+    for _ in range(config.epochs):
+        order = rng.permutation(len(triplets))
+        epoch_losses = np.zeros(len(triplets))
+        for lo in range(0, len(triplets), config.batch_size):
+            batch = order[lo : lo + config.batch_size]
+            xa, xp, xn = table.matrix64[rows[:, batch]]
+            _, losses, grads = gradients_on_params(params, xa, xp, xn, config.margin)
+            epoch_losses[batch] = losses
+            idle += not (losses > 0.0).any()
+            for (w, b), (gw, gb) in zip(params, grads):
+                w -= config.learning_rate * gw
+                b -= config.learning_rate * gb
+        trace.append(float(epoch_losses.sum() / len(triplets)))
+    return params, trace, idle
+
+
 class TestTraining:
     def test_config_defaults_and_validation(self):
         config = TrainConfig()
@@ -572,8 +679,9 @@ class TestTraining:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError, match="batch_size"):
             TrainConfig(batch_size=0)
-        with pytest.raises(ValueError, match="learning_rate"):
-            TrainConfig(learning_rate=-1e-3)
+        for rate in (-1e-3, np.inf, np.nan):
+            with pytest.raises(ValueError, match="learning_rate must be finite and nonnegative"):
+                TrainConfig(learning_rate=rate)
 
     def test_zero_learning_rate_is_a_no_op(self):
         _, table, triplets = _training_setup()
@@ -597,6 +705,19 @@ class TestTraining:
         assert len(trace) == 4
         assert trace == [trace[0]] * 4  # params never move, so every epoch agrees
         assert trace[0] == pytest.approx(initial_loss, rel=1e-12)
+
+    @pytest.mark.parametrize("spread,batch_size", [(0.3, 3), (0.5, 5), (0.8, 2)])
+    def test_skipping_idle_batches_changes_no_bit(self, spread, batch_size):
+        _, table, triplets = _training_setup(seed=3, spread=spread)
+        config = TrainConfig(learning_rate=0.05, epochs=4, batch_size=batch_size, seed=1)
+        net = EmbeddingNet.init(6, hidden=(8,), seed=2)
+        params, want_trace, idle = _train_always_updating(net, table, triplets, config)
+        assert 0 < idle < 4 * -(-len(triplets) // batch_size)  # some batches skip the update and some do not
+        _, trace = train(net, table, triplets, config)  # the reference trained copies of the weights
+        assert trace == want_trace
+        for l, (w, b) in enumerate(params):
+            assert net.weights[l].tobytes() == w.astype(np.float32).tobytes()
+            assert net.biases[l].tobytes() == b.astype(np.float32).tobytes()
 
     def test_trace_is_shuffle_invariant_at_zero_rate(self):
         _, table, triplets = _training_setup()
@@ -859,15 +980,41 @@ class TestProjection:
         assert shape[0] >= 11 / 6 * shape[1]
         data = np.random.default_rng(shape[0] * 7 + shape[1]).normal(size=shape) * 3.0 + 1.5
         want = self._svd_of_centered(data)
+        assert np.array_equal(pca_project_2d(lambda: data.copy()), want)
         assert np.array_equal(pca_project_2d(data), want)
 
     @pytest.mark.parametrize("shape", [(2, 6), (5, 128), (20, 6), (128, 128), (200, 128), (300, 200)])
     def test_short_data_stays_within_the_oracle_tolerance(self, shape):
         data = np.random.default_rng(shape[0] * 7 + shape[1]).normal(size=shape)
         direct, oracle = self._svd_of_centered(data), oracles.pca_top2(data)
+        made = pca_project_2d(lambda: data.copy())
         got = pca_project_2d(data)
+        assert np.array_equal(made, got)
         assert np.allclose(got, direct, atol=1e-8)
         assert np.allclose(got, oracle, atol=1e-8)
+
+    def test_data_made_twice_is_factored_in_place(self):
+        # Made twice, the data is factored where it lies, so no copy of it joins
+        # the one being factored; given as an array, it is copied to be factored.
+        data = np.random.default_rng(3).normal(size=(3600, 128))
+        made = []
+
+        def make():
+            made.append(data.copy())
+            return made.pop()
+
+        peaks = []
+        for project in (lambda: pca_project_2d(make()), lambda: pca_project_2d(make)):
+            tracemalloc.start()
+            try:
+                coords = project()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[0] > 1.9 * data.nbytes
+        assert peaks[1] < 1.25 * data.nbytes
+        assert np.array_equal(coords, self._svd_of_centered(data))
 
     def test_a_float64_argument_is_centered_in_place(self):
         data = np.random.default_rng(2).normal(size=(300, 16)) + 5.0
@@ -915,6 +1062,27 @@ class TestProjection:
             assert float(row[3]) == y
         with pytest.raises(ValueError, match="keys for"):
             write_scatter_csv(keys, coords[:2], path)
+
+
+    def test_scatter_csv_writes_the_bytes_of_csv_writer(self, tmp_path):
+        def written(keys, coords):
+            out = io.StringIO(newline="")
+            writer = csv.writer(out)
+            writer.writerow(["id", "frame", "x", "y"])
+            for (tid, frame), (px, py) in zip(keys, coords):
+                writer.writerow([tid, frame, repr(float(px)), repr(float(py))])
+            return out.getvalue().encode()
+
+        rng = np.random.default_rng(4)
+        keys = [(int(tid) * 2**20, int(frame)) for tid, frame in rng.integers(0, 2**62, size=(1000, 2))]
+        coords = rng.normal(size=(1000, 2)) * 10.0 ** rng.integers(-300, 300, size=(1000, 2))
+        coords[:3] = [[-0.0, 5e-324], [1e300, -1e300], [0.1, 1e16]]
+        narrow = (rng.normal(size=(1000, 2)) * 10.0 ** rng.integers(-30, 30, size=(1000, 2))).astype(np.float32)
+        path = tmp_path / "scatter.csv"
+        for n in (0, 1, 1000):
+            for points in (coords[:n], narrow[:n], coords[:n].tolist()):
+                write_scatter_csv(keys[:n], points, path)
+                assert path.read_bytes() == written(keys[:n], points)
 
 
 class TestNetSerialization:

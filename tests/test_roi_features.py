@@ -71,7 +71,8 @@ class TestFeatureMap:
         assert tensor.dtype == np.float64 and tensor.shape == (3, 4, 5)
         assert tensor.transpose(1, 2, 0).flags.c_contiguous
         assert np.array_equal(tensor, source)
-        assert not np.shares_memory(tensor, source)
+        # A map already in that layout is kept as it is, not copied again.
+        assert np.shares_memory(tensor, source) == (source.dtype == np.float64)
 
     def test_pool_boxes_copies_no_map(self):
         rng = np.random.default_rng(0)

@@ -3,6 +3,7 @@
 import json
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from motionstack import tensor_io
 from motionstack.errors import FrameIndexParseError, PpmError, TensorFormatError
 from motionstack.tensor_io import (
     MAGIC,
@@ -171,6 +173,50 @@ class TestTensorErrors:
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(TensorFormatError, match="payload length"):
             read_tensor(path)
+
+
+
+class TestChannelsLast:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        arr=st.tuples(st.integers(1, 9), st.integers(1, 4), st.integers(1, 4)).flatmap(
+            lambda s: arrays(np.uint8, s) | arrays(np.float32, s, elements=st.floats(width=32, allow_nan=False))
+        ),
+        block_bytes=st.integers(1, 200),
+    )
+    def test_fills_the_float64_map_block_by_block(self, arr, block_bytes, tmp_path_factory):
+        path = tmp_path_factory.mktemp("cl") / "t.mten"
+        write_tensor(arr, path)
+        with mock.patch.object(tensor_io, "_CHANNEL_BLOCK_BYTES", block_bytes):  # one channel a block, up to all
+            back = read_tensor(path, channels_last=True)
+        assert back.dtype == np.float64 and back.shape == arr.shape
+        assert back.transpose(1, 2, 0).flags.c_contiguous
+        assert back.tobytes() == np.array(arr, dtype=np.float64).tobytes()
+
+    def test_other_ranks_come_back_as_stored(self, tmp_path):
+        for arr in (np.arange(6, dtype=np.float32).reshape(2, 3), np.ones((1, 2, 2, 2), np.uint8)):
+            write_tensor(arr, tmp_path / "t.mten")
+            back = read_tensor(tmp_path / "t.mten", channels_last=True)
+            assert back.dtype == arr.dtype and back.flags.c_contiguous and np.array_equal(back, arr)
+
+    def test_holds_no_stored_copy_of_the_whole_map(self, tmp_path):
+        arr = np.random.default_rng(0).standard_normal((256, 60, 80), dtype=np.float32)
+        write_tensor(arr, tmp_path / "t.mten")
+        tracemalloc.start()
+        try:
+            back = read_tensor(tmp_path / "t.mten", channels_last=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= back.nbytes + tensor_io._CHANNEL_BLOCK_BYTES + (64 << 10)
+
+    def test_rejects_what_the_plain_read_rejects(self, tmp_path):
+        path = tmp_path / "t.mten"
+        write_tensor(np.zeros((2, 3, 4), dtype=np.float32), path)
+        path.write_bytes(path.read_bytes()[:-3])
+        for channels_last in (False, True):
+            with pytest.raises(TensorFormatError, match="header declares 96 bytes, file holds 93$"):
+                read_tensor(path, channels_last=channels_last)
 
 
 class TestFrameIndex:

@@ -117,6 +117,37 @@ class TestTrackletsJson:
         write_tracklets_json(ts, path)
         assert load_tracklets_json(path) == ts
 
+
+    def test_writes_the_bytes_of_json_dumps(self, tmp_path):
+        def dumped(tracklets):
+            entries = []
+            for t in tracklets:
+                entry = {"id": t.id, "start": t.start, "end": t.end, "boxes": [list(b) for b in t.boxes]}
+                if t.feature_rows is not None:
+                    entry["feature_rows"] = list(t.feature_rows)
+                entries.append(entry)
+            return (json.dumps({"tracklets": entries}, indent=2) + "\n").encode()
+
+        rng = np.random.default_rng(0)
+        edges = [-0.0, 5e-324, 1e300, -1e300, 0.1, 1e16, 1e-05]
+        for with_rows in (False, True):
+            tracklets = []
+            for _ in range(1000):
+                length = int(rng.integers(1, 5))
+                start = int(rng.integers(-(2**40), 2**40)) * int(rng.choice([1, 2**40]))  # past int64 at times
+                coords = rng.normal(size=(length, 4)) * 10.0 ** rng.integers(-300, 300, size=(length, 4))
+                coords[rng.uniform(size=coords.shape) < 0.1] = rng.choice(edges)
+                boxes = [tuple(map(np.float64, box)) for box in coords]  # numpy floats, as the synthesizer's may be
+                rows = [int(r) * int(rng.choice([1, 2**70])) for r in rng.integers(0, 99, size=length)]
+                tracklets.append(Tracklet(
+                    id=int(rng.integers(0, 2**62)) * int(rng.choice([1, 2**20])), start=start, end=start + length - 1,
+                    boxes=boxes, feature_rows=rows if with_rows else None,
+                ))
+            path = tmp_path / "t.json"
+            for subset in ([], tracklets[:1], tracklets):
+                write_tracklets_json(subset, path)
+                assert path.read_bytes() == dumped(subset)
+
     def test_null_feature_rows_means_absent(self, tmp_path):
         path = tmp_path / "t.json"
         doc = {

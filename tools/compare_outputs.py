@@ -28,9 +28,11 @@ paths only:
 
 Each command's exit code, standard output and standard error go to a log
 file inside the output directory, so they are compared with the artifacts.
-The script prints one line per seed, naming the first file (in sorted path
-order) whose bytes differ or that only one tree wrote, and exits 0 when
-every seed matched and 1 otherwise. A seed's directories are deleted once
+The script prints one line per seed; for a seed whose outputs differ, that
+line is followed by one line per file (in sorted path order) whose bytes
+differ or that only one tree wrote, so a change that alters one file on
+purpose still shows that every other file matched. It exits 0 when every
+seed matched and 1 otherwise. A seed's directories are deleted once
 they match and kept when they differ; at the default size they hold about
 2 GB, mostly stacks.
 """
@@ -220,16 +222,17 @@ def run_chain(tree: Path, out: Path, seed: int, extra_env: dict[str, str] | None
             write_partial_map(out)
 
 
-def first_difference(a: Path, b: Path) -> str | None:
-    """The first relative path, in sorted order, that only one tree holds or whose bytes differ."""
+def differences(a: Path, b: Path) -> list[str]:
+    """Every relative path, in sorted order, that only one tree holds or whose bytes differ."""
     files_a = {p.relative_to(a).as_posix() for p in a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(b).as_posix() for p in b.rglob("*") if p.is_file()}
+    out = []
     for name in sorted(files_a | files_b):
         if name not in files_a or name not in files_b:
-            return f"{name} (only in {'the change' if name in files_b else 'the parent'})"
-        if (a / name).read_bytes() != (b / name).read_bytes():
-            return name
-    return None
+            out.append(f"{name} (only in {'the change' if name in files_b else 'the parent'})")
+        elif (a / name).read_bytes() != (b / name).read_bytes():
+            out.append(name)
+    return out
 
 
 def env_assignment(text: str) -> tuple[str, str]:
@@ -262,14 +265,16 @@ def main(argv=None) -> int:
             outs[side].mkdir(parents=True)
             write_inputs(outs[side], seed)
             run_chain(tree, outs[side], seed, extra_env)
-        diff = first_difference(outs["parent"], outs["change"])
+        diffs = differences(outs["parent"], outs["change"])
         count = sum(1 for p in outs["parent"].rglob("*") if p.is_file())
-        if diff is None:
+        if not diffs:
             print(f"seed {seed}: identical, {count} files")
             shutil.rmtree(seed_dir)
         else:
             differs += 1
-            print(f"seed {seed}: first difference: {diff} (outputs kept in {seed_dir})")
+            print(f"seed {seed}: {len(diffs)} of {count} files differ (outputs kept in {seed_dir}):")
+            for name in diffs:
+                print(f"  {name}")
     if args.work is None and not any(work.iterdir()):
         work.rmdir()
     return 1 if differs else 0
