@@ -314,13 +314,12 @@ def _cmd_project(args):
     tracklets = load_tracklets_json(args.tracklets)
     table = load_feature_table(tracklets, args.features)
     keys = enumerate_keys(tracklets)
+    # The points are made twice, so that one matrix of them is factored in place (see pca_project_2d).
     if args.net is None:
-        points = table.matrix64[table.rows(keys)]
-        del table  # the float64 features are not needed by the projection
-        coords = pca_project_2d(points)  # centers points, this function's own copy, in place
+        rows = table.rows(keys)
+        coords = pca_project_2d(lambda: table.matrix64[rows])
     else:
         net = _load_net_for(args.net, table)
-        # Embedded twice, so that one embedding matrix is factored in place (see pca_project_2d).
         coords = pca_project_2d(lambda: tracklet_embeddings(net, tracklets, table)[0])
     write_scatter_csv(keys, coords, args.out_csv)
     results = {"num_points": len(keys), "embedded": args.net is not None}

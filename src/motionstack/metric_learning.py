@@ -54,7 +54,11 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from numpy.linalg import _umath_linalg  # np.linalg.qr's kernel, see _r_factor
+
+try:  # np.linalg.qr's LAPACK kernel, where numpy exposes it under this name (numpy 2 does)
+    from numpy.linalg._umath_linalg import qr_r_raw as _qr_r_raw
+except ImportError:
+    _qr_r_raw = None
 
 from .errors import DataValidationError
 from .jsonio import _echo, _int_array, array_rows, expect, read_json, read_records, write_json, write_lines
@@ -586,25 +590,27 @@ def pca_project_2d(embeddings: np.ndarray | Callable[[], np.ndarray]) -> np.ndar
     result equals the direct ``np.linalg.svd(centered)`` route bit for bit;
     on shorter data it can differ in the last bits.
 
-    R is factored from a copy of the centered data, which is then projected,
-    so three [N, D] arrays are held at once: the data, that copy and LAPACK's
-    own. ``embeddings`` may instead be a function that returns the same data
-    each time. It is called twice: the first data is centered and factored
-    in place, and the second, centered by the same mean, is projected. Two
-    [N, D] arrays are then held at once, at the price of making the data
-    twice, and the result is the same bits.
+    ``np.linalg.qr`` factors a copy of the centered array, so an array
+    argument has two [N, D] arrays held at once besides LAPACK's own. For
+    data that is cheaper to make again than to hold twice, ``embeddings``
+    may instead be a function that returns a new array of the same data
+    each time. It is called twice: the first array is centered and
+    factored in place, and the second, centered by the same mean, is
+    projected. One [N, D] array is then held at a time besides LAPACK's,
+    and the result is the same bits.
     """
-    make = embeddings if callable(embeddings) else None
-    centered = _checked_samples(make() if make else embeddings)
-    mean = centered.mean(axis=0)
-    centered -= mean
-    if make:
+    if callable(embeddings):
+        centered = _checked_samples(embeddings())
+        mean = centered.mean(axis=0)
+        centered -= mean
         r = _r_factor(centered)
         del centered  # now the factorization; freed before the data is made again
-        centered = _checked_samples(make())
+        centered = _checked_samples(embeddings())
         centered -= mean
     else:
-        r = _r_factor(centered.copy())
+        centered = _checked_samples(embeddings)
+        centered -= centered.mean(axis=0)
+        r = np.linalg.qr(centered, mode="r")
     _, _, vt = np.linalg.svd(r, full_matrices=False)
     coords = np.zeros((len(centered), 2), dtype=np.float64)
     for c in range(min(2, vt.shape[0])):
@@ -625,11 +631,19 @@ def _checked_samples(embeddings) -> np.ndarray:
 
 
 def _r_factor(a: np.ndarray) -> np.ndarray:
-    # R of the QR factorization of float64 [N, D] ``a``, which is overwritten by the
-    # factorization: the LAPACK kernel ``np.linalg.qr(a, mode="r")`` runs, on ``a``
-    # itself instead of on a copy of it, so R is the same bits.
-    _umath_linalg.qr_r_raw(a, signature="d->d")
+    # R of the QR factorization of float64 [N, D] ``a``. Where numpy names its kernel
+    # ``qr_r_raw``, it runs as in ``np.linalg.qr(a, mode="r")``, error handling included,
+    # but on ``a`` itself, which it overwrites, instead of on a copy; R is the same bits.
+    # Older numpy has no such kernel, and ``np.linalg.qr`` factors a copy of ``a``.
+    if _qr_r_raw is None:
+        return np.linalg.qr(a, mode="r")
+    with np.errstate(call=_raise_qr_error, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        _qr_r_raw(a, signature="d->d")
     return np.triu(a[: min(a.shape)])
+
+
+def _raise_qr_error(err, flag):
+    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
 
 
 def write_scatter_csv(

@@ -993,6 +993,7 @@ class TestProjection:
         assert np.allclose(got, direct, atol=1e-8)
         assert np.allclose(got, oracle, atol=1e-8)
 
+    @pytest.mark.skipif(metric_learning._qr_r_raw is None, reason="this numpy exposes no QR kernel to run in place")
     def test_data_made_twice_is_factored_in_place(self):
         # Made twice, the data is factored where it lies, so no copy of it joins
         # the one being factored; given as an array, it is copied to be factored.
@@ -1015,6 +1016,23 @@ class TestProjection:
         assert peaks[0] > 1.9 * data.nbytes
         assert peaks[1] < 1.25 * data.nbytes
         assert np.array_equal(coords, self._svd_of_centered(data))
+
+    def test_without_the_kernel_numpy_qr_gives_the_same_coordinates(self, monkeypatch):
+        data = np.random.default_rng(4).normal(size=(500, 32)) * 2.0 + 1.0
+        want = pca_project_2d(lambda: data.copy())
+        monkeypatch.setattr(metric_learning, "_qr_r_raw", None)
+        assert np.array_equal(pca_project_2d(lambda: data.copy()), want)
+        assert np.array_equal(pca_project_2d(data.copy()), want)
+
+    def test_a_kernel_failure_raises_linalg_error(self, monkeypatch):
+        # A failing kernel raises the floating-point invalid flag, which np.linalg.qr
+        # turns into LinAlgError; run in place, it must do the same.
+        def failing_kernel(a, signature):
+            return np.sqrt(np.full(1, -1.0))
+
+        monkeypatch.setattr(metric_learning, "_qr_r_raw", failing_kernel)
+        with pytest.raises(np.linalg.LinAlgError, match="QR factorization"):
+            pca_project_2d(lambda: np.eye(3))
 
     def test_a_float64_argument_is_centered_in_place(self):
         data = np.random.default_rng(2).normal(size=(300, 16)) + 5.0
