@@ -294,7 +294,10 @@ def _cmd_reid(args):
     bounds = list(accumulate((sum(map(len, ts)) for ts in members.values()), initial=0))
     centroids = tracklet_centroids(embeddings)
     merges = propose_merges(centroids, tracklets, args.threshold)
-    separation = separation_metrics({g: matrix[lo:hi] for g, lo, hi in zip(members, bounds, bounds[1:])})
+    try:
+        separation = separation_metrics({g: matrix[lo:hi] for g, lo, hi in zip(members, bounds, bounds[1:])})
+    except DataValidationError as exc:  # fewer than two identities: named by the file that groups them
+        raise DataValidationError(f"{args.identity_map or args.tracklets}: {exc}") from None
 
     results = {
         "threshold": args.threshold,
@@ -317,10 +320,14 @@ def _cmd_project(args):
     # The points are made twice, so that one matrix of them is factored in place (see pca_project_2d).
     if args.net is None:
         rows = table.rows(keys)
-        coords = pca_project_2d(lambda: table.matrix64[rows])
+        points = lambda: table.matrix64[rows]
     else:
         net = _load_net_for(args.net, table)
-        coords = pca_project_2d(lambda: tracklet_embeddings(net, tracklets, table)[0])
+        points = lambda: tracklet_embeddings(net, tracklets, table)[0]
+    try:
+        coords = pca_project_2d(points)
+    except DataValidationError as exc:  # fewer than two frames
+        raise DataValidationError(f"{args.tracklets}: {exc}") from None
     write_scatter_csv(keys, coords, args.out_csv)
     results = {"num_points": len(keys), "embedded": args.net is not None}
     summary = f"project: wrote {len(keys)} points to {args.out_csv}"

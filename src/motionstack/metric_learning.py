@@ -33,16 +33,16 @@ The pieces, in pipeline order:
   the row sums with ``math.fsum``, so the block size does not change how
   the distances are added.
 
-A set of triplets is one [T, 3, 2] integer array of (tracklet id, frame)
-keys, anchor, positive and negative in that order: int64, or object of
-Python ints where a value does not fit, from mining through training, where
-``FeatureTable.rows`` maps the whole array to feature rows with array
-arithmetic over each tracklet's start, end and first row. It
-interchanges as JSON lines ``{"a": [id, frame], "p": ..., "n": ...}``, read
-through ``jsonio.read_records`` with each key of kind ``"int pair"``; a
-trained net as one MTENSOR per weight/bias plus a JSON manifest; scatter
-plots as ``id,frame,x,y`` CSV, written from a line template with the bytes
-``csv.writer`` gives.
+(tracklet id, frame) keys have one format, an integer [..., 2] array (int64,
+or object of Python ints where a value does not fit): ``enumerate_keys``'
+[F, 2] keys, and triplets' [T, 3, 2] keys (anchor, positive, negative) from
+mining through training. ``FeatureTable.rows``, the one key-to-row lookup,
+maps a whole key array with array arithmetic over each tracklet's start,
+end and first row. Triplets interchange as JSON lines ``{"a": [id, frame],
+"p": ..., "n": ...}``, read through ``jsonio.read_records`` with each key
+of kind ``"int pair"``; a trained net as one MTENSOR per weight/bias plus a
+JSON manifest; scatter plots as ``id,frame,x,y`` CSV, written from the key
+array through a line template with the bytes ``csv.writer`` gives.
 """
 
 from __future__ import annotations
@@ -134,8 +134,7 @@ class FeatureTable:
         key the table lacks raises ``DataValidationError`` naming the first.
         """
         if not isinstance(keys, np.ndarray):
-            keys = _int_array(list(keys))
-        keys = keys.reshape(-1, 2)
+            keys = _int_array(list(keys)).reshape(-1, 2)
         ids, inverse = np.unique(keys[:, 0], return_inverse=True)
         slots = np.array([self._slots.get(i, -1) for i in ids.tolist()], dtype=np.intp)[inverse]
         starts = self._starts[slots]
@@ -143,22 +142,10 @@ class FeatureTable:
         # Comparisons first: a difference of int64 keys that are not in the table could wrap.
         found = (frames >= starts) & (frames <= self._ends[slots])
         if not found.all():
-            raise _no_feature_row(*keys[np.argmin(found)].tolist())
+            tracklet_id, frame = keys[np.argmin(found)].tolist()
+            raise DataValidationError(f"no feature row for tracklet {_echo(tracklet_id)} frame {_echo(frame)}")
         rows = self._firsts[slots] + (frames - starts).astype(np.intp)
         return rows if self._rows is None else self._rows[rows]
-
-    def tracklet_rows(self, tracklet: Tracklet) -> slice | np.ndarray:
-        """The feature rows of ``tracklet``'s frames, ascending: a slice in enumeration order."""
-        slot = self._slots.get(tracklet.id, -1)
-        start, end = int(self._starts[slot]), int(self._ends[slot])
-        if not start <= tracklet.start <= tracklet.end <= end:
-            raise _no_feature_row(tracklet.id, tracklet.start if not start <= tracklet.start <= end else end + 1)
-        lo = int(self._firsts[slot]) + tracklet.start - start
-        return slice(lo, lo + len(tracklet)) if self._rows is None else self._rows[lo : lo + len(tracklet)]
-
-
-def _no_feature_row(tracklet_id: int, frame: int) -> DataValidationError:
-    return DataValidationError(f"no feature row for tracklet {_echo(tracklet_id)} frame {_echo(frame)}")
 
 
 def load_feature_table(tracklets: Sequence[Tracklet], path: str | Path) -> FeatureTable:
@@ -187,7 +174,7 @@ def mine_triplets(tracklets: Sequence[Tracklet], rng_seed: int, per_anchor: int 
         raise ValueError(f"per_anchor must be >= 1, got {per_anchor}")
     graph = overlap_graph(tracklets)
     mined = [t for t in tracklets if graph[t.id]]  # the others appear in no triplet
-    keys = _int_array(enumerate_keys(mined)).reshape(-1, 2)
+    keys = enumerate_keys(mined)
     firsts = accumulate((len(t) for t in mined), initial=0)  # each tracklet's first row of keys
     spans = {t.id: np.arange(lo, lo + len(t)) for t, lo in zip(mined, firsts)}
     rng = np.random.default_rng(rng_seed)
@@ -451,17 +438,16 @@ def tracklet_embeddings(
     """Every frame's embedding, held once: (matrix, views by tracklet id).
 
     ``matrix`` is float64 [frames, 128] in ``enumerate_keys`` order, and
-    each view is that tracklet's [frames, 128] slice of it. Tracklets are
-    embedded one at a time, so no hidden layer of the whole scene is held.
+    each view is that tracklet's [frames, 128] slice of it. Each tracklet is embedded
+    from its slice of one ``table.rows`` lookup, so no hidden layer of the scene is held.
     """
-    matrix = np.empty((sum(len(t) for t in tracklets), OUT_DIM), dtype=np.float64)
+    rows = table.rows(enumerate_keys(tracklets))
+    matrix = np.empty((len(rows), OUT_DIM), dtype=np.float64)
     views: dict[int, np.ndarray] = {}
     params = params64(net)  # once for every tracklet
-    lo = 0
-    for t in tracklets:
+    for t, lo in zip(tracklets, accumulate(map(len, tracklets), initial=0)):
         view = views[t.id] = matrix[lo : lo + len(t)]
-        view[...] = _embed(net, params, table.matrix64[table.tracklet_rows(t)])
-        lo += len(t)
+        view[...] = _embed(net, params, table.matrix64[rows[lo : lo + len(t)]])
     return matrix, views
 
 
@@ -574,43 +560,31 @@ def propose_merges(
 # ---------------------------------------------------------------------------
 # projection
 
-def pca_project_2d(embeddings: np.ndarray | Callable[[], np.ndarray]) -> np.ndarray:
+def pca_project_2d(make_data: Callable[[], np.ndarray]) -> np.ndarray:
     """Mean-centered projection onto the top-2 principal directions.
 
     Sign convention: each component's largest-magnitude loading is
     positive. Rank-deficient data pads the missing coordinate with zeros.
     Requires at least 2 samples.
 
-    A float64 array argument is centered in place (it must be writable),
-    so no second [N, D] copy is made; any other argument is converted to a
-    float64 copy first, and that copy is centered. The directions come from
-    the SVD of the centered data's QR factor R (at most [D, D]), so neither
-    Q nor the [N, D] left singular vectors are formed. LAPACK's ``dgesdd`` takes that
-    same QR-first route itself when N >= 11/6 D, so on such tall data the
-    result equals the direct ``np.linalg.svd(centered)`` route bit for bit;
-    on shorter data it can differ in the last bits.
-
-    ``np.linalg.qr`` factors a copy of the centered array, so an array
-    argument has two [N, D] arrays held at once besides LAPACK's own. For
-    data that is cheaper to make again than to hold twice, ``embeddings``
-    may instead be a function that returns a new array of the same data
-    each time. It is called twice: the first array is centered and
-    factored in place, and the second, centered by the same mean, is
-    projected. One [N, D] array is then held at a time besides LAPACK's,
-    and the result is the same bits.
+    ``make_data`` returns a new [N, D] array of the same data (float64, or
+    converted to a float64 copy) each time. It is called twice: the first
+    array is centered and factored in place, and the second, centered by the
+    same mean, is projected, so one [N, D] array is held at a time besides
+    LAPACK's. The directions come from the SVD of the centered data's QR
+    factor R (at most [D, D]), so neither Q nor the [N, D] left singular
+    vectors are formed. LAPACK's ``dgesdd`` takes that same QR-first route
+    itself when N >= 11/6 D, so on such tall data the result equals the
+    direct ``np.linalg.svd(centered)`` route bit for bit; on shorter data it
+    can differ in the last bits.
     """
-    if callable(embeddings):
-        centered = _checked_samples(embeddings())
-        mean = centered.mean(axis=0)
-        centered -= mean
-        r = _r_factor(centered)
-        del centered  # now the factorization; freed before the data is made again
-        centered = _checked_samples(embeddings())
-        centered -= mean
-    else:
-        centered = _checked_samples(embeddings)
-        centered -= centered.mean(axis=0)
-        r = np.linalg.qr(centered, mode="r")
+    centered = _checked_samples(make_data())
+    mean = centered.mean(axis=0)
+    centered -= mean
+    r = _r_factor(centered)
+    del centered  # now the factorization; freed before the data is made again
+    centered = _checked_samples(make_data())
+    centered -= mean
     _, _, vt = np.linalg.svd(r, full_matrices=False)
     coords = np.zeros((len(centered), 2), dtype=np.float64)
     for c in range(min(2, vt.shape[0])):
@@ -646,18 +620,15 @@ def _raise_qr_error(err, flag):
     raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
 
 
-def write_scatter_csv(
-    keys: Sequence[tuple[int, int]], coords: np.ndarray, path: str | Path
-) -> None:
-    """Export projected points as ``id,frame,x,y`` CSV rows, the bytes ``csv.writer`` gives them.
+def write_scatter_csv(keys: np.ndarray, coords: np.ndarray, path: str | Path) -> None:
+    """Export [N, 2] keys and their points as ``id,frame,x,y`` CSV rows, the bytes ``csv.writer`` gives.
 
     Each coordinate is written as the repr of the float it converts to.
     """
     coords = np.asarray(coords, dtype=np.float64)
     if len(keys) != len(coords):
         raise ValueError(f"{len(keys)} keys for {len(coords)} points")
-    points = ((tid, frame, *xy) for (tid, frame), (xy,) in zip(keys, array_rows(coords)))
-    write_lines("%d,%d,%r,%r\r\n", points, path, head="id,frame,x,y\r\n")
+    write_lines("%d,%d,%r,%r\r\n", array_rows(*keys.T, *coords.T), path, head="id,frame,x,y\r\n")
 
 
 # ---------------------------------------------------------------------------

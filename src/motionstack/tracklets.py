@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataValidationError
-from .jsonio import _echo, check_boxes, expect, expect_ints, read_json, write_json
+from .jsonio import _echo, _int_array, check_boxes, expect, expect_ints, read_json, write_json
 
 MIN_TRACKLET_LEN = 16
 
@@ -96,17 +96,14 @@ def overlap_graph(tracklets: Sequence[Tracklet]) -> dict[int, set[int]]:
     return graph
 
 
-def enumerate_keys(tracklets: Sequence[Tracklet]) -> list[tuple[int, int]]:
-    """Canonical (id, frame) row order: file order, frames ascending.
+def enumerate_keys(tracklets: Sequence[Tracklet]) -> np.ndarray:
+    """Canonical (id, frame) row order, file order and frames ascending, as an int [F, 2] key array.
 
-    Feature tables stored as [T, D] tensors line their rows up with
-    tracklet frames through this enumeration when no explicit
-    ``feature_rows`` are given.
+    The keys are int64, or object of Python ints past int64, as triplet keys
+    are. Feature tables stored as [T, D] tensors line their rows up with
+    tracklet frames this way when no explicit ``feature_rows`` are given.
     """
-    keys: list[tuple[int, int]] = []
-    for t in tracklets:
-        keys.extend((t.id, f) for f in t.frames)
-    return keys
+    return _int_array([(t.id, f) for t in tracklets for f in t.frames]).reshape(-1, 2)
 
 
 def check_feature_rows(tracklets: Sequence[Tracklet], where: str) -> None:

@@ -270,6 +270,7 @@ def _input_file_argv(command, d, out):
                   "--hidden", "6", "--out-dir", str(out / "net")],
         "reid": ["reid", *scene, "--net", str(d / "net.json"),
                  "--identity-map", str(d / "identity_map.json"), "--out", str(out / "reid.json")],
+        "reid by tracklet": ["reid", *scene, "--net", str(d / "net.json"), "--out", str(out / "reid.json")],
         "project": ["project", *scene, "--net", str(d / "net.json"),
                     "--out-csv", str(out / "scatter.csv")],
         "features": ["features", "--map", str(d / "map.mten"), "--scale", "0.25",
@@ -489,6 +490,21 @@ MALFORMED_FILES = {
             {"id": 1, "start": 0, "end": 0, "boxes": [[0, 0, 1, 1]]},
         ]}).encode(),
         ": tracklets[1]: either every tracklet or none may carry feature_rows",
+    ),
+    "identity-map-of-one-group": (
+        "reid", "identity_map.json",
+        b'{"groups": [[0, 1]]}',
+        ": separation metrics need >= 2 identities, got 1",
+    ),
+    "tracklets-of-one-identity": (
+        "reid by tracklet", "tracklets.json",
+        _tracklets('"id": 0, "start": 0, "end": 1, "boxes": [[0, 0, 1, 1], [0, 0, 1, 1]], "feature_rows": [0, 1]'),
+        ": separation metrics need >= 2 identities, got 1",
+    ),
+    "tracklets-of-one-frame": (
+        "project", "tracklets.json",
+        _tracklets('"id": 0, "start": 0, "end": 0, "boxes": [[0, 0, 1, 1]], "feature_rows": [0]'),
+        ": projection needs >= 2 samples, got 1",
     ),
 }
 
@@ -910,8 +926,8 @@ class TestMetricLearningPipeline:
         tracklets = load_tracklets_json(scene / "tracklets.json")
         table = load_feature_table(tracklets, scene / "features.mten")
         keys = enumerate_keys(tracklets)
-        assert [tuple(map(int, line.split(",")[:2])) for line in lines[1:]] == keys
-        want = pca_project_2d(net.embed_batch(table.matrix64[table.rows(keys)]))
+        assert [list(map(int, line.split(",")[:2])) for line in lines[1:]] == keys.tolist()
+        want = pca_project_2d(lambda: net.embed_batch(table.matrix64[table.rows(keys)]))
         got = np.array([[float(v) for v in line.split(",")[2:]] for line in lines[1:]])
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
         assert _envelope(tmp_path / "project.json")["results"] == {"num_points": 40, "embedded": True}

@@ -143,7 +143,7 @@ def _dict_rows(tracklets, keys):
     if tracklets and tracklets[0].feature_rows is not None:
         index = {(t.id, f): r for t in tracklets for f, r in zip(t.frames, t.feature_rows)}
     else:
-        index = {key: i for i, key in enumerate(enumerate_keys(tracklets))}
+        index = {key: i for i, key in enumerate(map(tuple, enumerate_keys(tracklets).tolist()))}
     try:
         return [index[key] for key in map(tuple, keys)]
     except KeyError as exc:
@@ -204,16 +204,6 @@ class TestArrayRowLookup:
         array = _int_array(keys).reshape(-1, 2)
         assert _table_rows(lambda: table.rows(array)) == _dict_rows(ts, keys)
         assert _table_rows(lambda: table.rows(keys)) == _dict_rows(ts, keys)
-        for t in ts:
-            got = table.tracklet_rows(t)
-            got = list(range(got.start, got.stop)) if isinstance(got, slice) else got.tolist()
-            assert got == _dict_rows(ts, [[t.id, f] for f in t.frames])
-        for t in ts:  # a tracklet that runs past the table's on either side names its first missing frame
-            for start, end in ((t.start - 1, t.end), (t.start, t.end + 2)):
-                wider = _tr(t.id, start, end)
-                assert _table_rows(lambda: np.asarray(table.tracklet_rows(wider))) == _dict_rows(
-                    ts, [[t.id, f] for f in wider.frames]
-                )
 
 
 def _mine_one_draw_at_a_time(tracklets, rng_seed, per_anchor):
@@ -788,6 +778,41 @@ class TestReid:
         assert np.array_equal(centroids[0], want)
         assert np.array_equal(centroids[4], net.embed_batch(table.matrix64[[3]])[0])
 
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_embeddings_are_embed_batch_on_each_tracklets_own_rows(self, explicit):
+        # One row lookup for every tracklet, then one batch per tracklet: each tracklet's
+        # embeddings are the bits embed_batch gives its own rows, in reid's group order too.
+        lengths = {3: 4, 2**70: 3, 0: 5, 11: 2}
+        rng = np.random.default_rng(8)
+        height = sum(lengths.values())
+        own, first = {}, 0
+        for tid, length in lengths.items():
+            own[tid] = rng.permutation(height)[:length].tolist() if explicit else list(range(first, first + length))
+            first += length
+        ts = [_tr(tid, 7 * i, 7 * i + length - 1, own[tid] if explicit else None)
+              for i, (tid, length) in enumerate(lengths.items())]
+        table = FeatureTable(ts, rng.normal(size=(height, 6)).astype(np.float32))
+        net = EmbeddingNet.init(6, hidden=(9,), seed=4)
+        for order in (ts, [ts[2], ts[0], ts[3], ts[1]]):
+            matrix, views = tracklet_embeddings(net, order, table)
+            assert list(views) == [t.id for t in order]
+            assert np.array_equal(matrix, np.concatenate([views[t.id] for t in order]))
+            for t in order:
+                assert np.shares_memory(views[t.id], matrix)
+                assert np.array_equal(views[t.id], net.embed_batch(table.matrix64[own[t.id]]))
+
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_a_tracklet_outside_the_table_names_its_first_missing_frame(self, explicit):
+        ts = [_tr(5, 10, 13, [0, 1, 2, 3] if explicit else None), _tr(2**70, 0, 1, [4, 5] if explicit else None)]
+        table = FeatureTable(ts, np.zeros((6, 3), np.float32))
+        net = EmbeddingNet.init(3, hidden=(4,), seed=0)
+        for outside, frame in (
+            (_tr(5, 9, 13), 9), (_tr(5, 11, 15), 14), (_tr(5, 14, 20), 14), (_tr(2**70, 1, 2), 2), (_tr(6, 10, 11), 10),
+        ):
+            with pytest.raises(DataValidationError) as exc:
+                tracklet_embeddings(net, [ts[1], outside], table)
+            assert str(exc.value) == f"no feature row for tracklet {outside.id} frame {frame}"
+
     def test_propose_merges_rules(self):
         ts = [_tr(0, 0, 9), _tr(1, 20, 29), _tr(2, 5, 14), _tr(3, 40, 49)]
         z = np.zeros(OUT_DIM)
@@ -957,7 +982,7 @@ class TestReid:
 class TestProjection:
     def test_matches_eigendecomposition_oracle(self):
         data = np.random.default_rng(0).normal(size=(20, 6))
-        got = pca_project_2d(data)
+        got = pca_project_2d(lambda: data.copy())
         want = oracles.pca_top2(data)
         assert got.shape == (20, 2)
         assert np.allclose(got, want, atol=1e-8)
@@ -981,22 +1006,27 @@ class TestProjection:
         data = np.random.default_rng(shape[0] * 7 + shape[1]).normal(size=shape) * 3.0 + 1.5
         want = self._svd_of_centered(data)
         assert np.array_equal(pca_project_2d(lambda: data.copy()), want)
-        assert np.array_equal(pca_project_2d(data), want)
+        assert np.array_equal(self._without_the_kernel(data), want)
 
     @pytest.mark.parametrize("shape", [(2, 6), (5, 128), (20, 6), (128, 128), (200, 128), (300, 200)])
     def test_short_data_stays_within_the_oracle_tolerance(self, shape):
         data = np.random.default_rng(shape[0] * 7 + shape[1]).normal(size=shape)
         direct, oracle = self._svd_of_centered(data), oracles.pca_top2(data)
-        made = pca_project_2d(lambda: data.copy())
-        got = pca_project_2d(data)
-        assert np.array_equal(made, got)
+        got = pca_project_2d(lambda: data.copy())
+        assert np.array_equal(self._without_the_kernel(data), got)
         assert np.allclose(got, direct, atol=1e-8)
         assert np.allclose(got, oracle, atol=1e-8)
 
+    @staticmethod
+    def _without_the_kernel(data):
+        # The projection on numpy's own np.linalg.qr, the route where numpy has no in-place kernel.
+        with mock.patch.object(metric_learning, "_qr_r_raw", None):
+            return pca_project_2d(lambda: data.copy())
+
     @pytest.mark.skipif(metric_learning._qr_r_raw is None, reason="this numpy exposes no QR kernel to run in place")
-    def test_data_made_twice_is_factored_in_place(self):
+    def test_data_made_twice_is_factored_in_place(self, monkeypatch):
         # Made twice, the data is factored where it lies, so no copy of it joins
-        # the one being factored; given as an array, it is copied to be factored.
+        # the one being factored; np.linalg.qr, the fallback, factors a copy.
         data = np.random.default_rng(3).normal(size=(3600, 128))
         made = []
 
@@ -1005,10 +1035,11 @@ class TestProjection:
             return made.pop()
 
         peaks = []
-        for project in (lambda: pca_project_2d(make()), lambda: pca_project_2d(make)):
+        for kernel in (None, metric_learning._qr_r_raw):
+            monkeypatch.setattr(metric_learning, "_qr_r_raw", kernel)
             tracemalloc.start()
             try:
-                coords = project()
+                coords = pca_project_2d(make)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -1022,7 +1053,6 @@ class TestProjection:
         want = pca_project_2d(lambda: data.copy())
         monkeypatch.setattr(metric_learning, "_qr_r_raw", None)
         assert np.array_equal(pca_project_2d(lambda: data.copy()), want)
-        assert np.array_equal(pca_project_2d(data.copy()), want)
 
     def test_a_kernel_failure_raises_linalg_error(self, monkeypatch):
         # A failing kernel raises the floating-point invalid flag, which np.linalg.qr
@@ -1034,40 +1064,30 @@ class TestProjection:
         with pytest.raises(np.linalg.LinAlgError, match="QR factorization"):
             pca_project_2d(lambda: np.eye(3))
 
-    def test_a_float64_argument_is_centered_in_place(self):
-        data = np.random.default_rng(2).normal(size=(300, 16)) + 5.0
-        kept = data.copy()
-        want = self._svd_of_centered(kept)
-        assert np.array_equal(pca_project_2d(data), want)
-        assert np.array_equal(data, kept - kept.mean(axis=0))
-        as_float32 = kept.astype(np.float32)
-        pca_project_2d(as_float32)  # converted to a float64 copy, which is centered instead
-        assert np.array_equal(as_float32, kept.astype(np.float32))
-
     def test_sign_convention(self):
         rng = np.random.default_rng(1)
         data = rng.normal(size=(15, 4))
-        coords = pca_project_2d(data)
-        flipped = pca_project_2d(-data)  # same principal directions, mirrored data
+        coords = pca_project_2d(lambda: data.copy())
+        flipped = pca_project_2d(lambda: -data)  # same principal directions, mirrored data
         assert np.allclose(coords, -flipped, atol=1e-8)
 
     def test_rank_one_data_zeroes_second_axis(self):
         t = np.linspace(-2, 2, 9)[:, None]
         direction = np.array([[1.0, 2.0, -1.0]])
         data = t @ direction
-        coords = pca_project_2d(data)
+        coords = pca_project_2d(lambda: data.copy())
         assert np.allclose(coords[:, 1], 0.0, atol=1e-9)
         # First coordinate carries all the variance, oriented by the sign rule.
         assert np.allclose(np.abs(coords[:, 0]), np.abs(t[:, 0]) * np.linalg.norm(direction), atol=1e-9)
 
     def test_validation(self):
         with pytest.raises(DataValidationError, match=">= 2 samples"):
-            pca_project_2d(np.zeros((1, 4)))
+            pca_project_2d(lambda: np.zeros((1, 4)))
         with pytest.raises(DataValidationError, match=r"\[N, D\]"):
-            pca_project_2d(np.zeros(4))
+            pca_project_2d(lambda: np.zeros(4))
 
     def test_scatter_csv(self, tmp_path):
-        keys = [(0, 3), (0, 4), (7, 1)]
+        keys = np.array([(0, 3), (0, 4), (7, 1)])
         coords = np.array([[0.5, -1.25], [1.0, 2.0], [-3.5, 0.125]])
         path = tmp_path / "scatter.csv"
         write_scatter_csv(keys, coords, path)
@@ -1092,7 +1112,7 @@ class TestProjection:
             return out.getvalue().encode()
 
         rng = np.random.default_rng(4)
-        keys = [(int(tid) * 2**20, int(frame)) for tid, frame in rng.integers(0, 2**62, size=(1000, 2))]
+        keys = _int_array([(int(tid) * 2**20, int(frame)) for tid, frame in rng.integers(0, 2**62, size=(1000, 2))])
         coords = rng.normal(size=(1000, 2)) * 10.0 ** rng.integers(-300, 300, size=(1000, 2))
         coords[:3] = [[-0.0, 5e-324], [1e300, -1e300], [0.1, 1e16]]
         narrow = (rng.normal(size=(1000, 2)) * 10.0 ** rng.integers(-30, 30, size=(1000, 2))).astype(np.float32)

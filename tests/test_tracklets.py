@@ -107,7 +107,13 @@ class TestOverlapGraph:
 class TestEnumerateKeys:
     def test_file_order_then_frames_ascending(self):
         ts = [_tracklet(9, 4, 6), _tracklet(2, 0, 1)]
-        assert enumerate_keys(ts) == [(9, 4), (9, 5), (9, 6), (2, 0), (2, 1)]
+        keys = enumerate_keys(ts)
+        assert keys.dtype == np.int64 and keys.tolist() == [[9, 4], [9, 5], [9, 6], [2, 0], [2, 1]]
+
+    def test_keys_past_int64_are_python_ints(self):
+        keys = enumerate_keys([_tracklet(2**70, 3, 4), _tracklet(1, 0, 0)])
+        assert keys.dtype == object and keys.tolist() == [[2**70, 3], [2**70, 4], [1, 0]]
+        assert enumerate_keys([]).shape == (0, 2)
 
 
 class TestTrackletsJson:

@@ -7,8 +7,9 @@ PARENT and CHANGE are checkouts of motionstack; they may be the same tree
 when ``--change-env NAME=VALUE`` (repeatable) sets a variable for the
 change's commands only, so that one tree is compared under two environments. For each seed the script
 writes one set of seeded inputs (a 64x3x7x7 conv layer, a 256x60x80 feature
-map and 2,000 boxes, a dense detection/ground-truth pair and five malformed
-record files), then runs every
+map and 2,000 boxes, a dense detection/ground-truth pair, five malformed
+record files, and four tracklets without ``feature_rows`` with their
+features and identity map), then runs every
 ``motionstack`` command of the chain below once per tree, as a subprocess
 with ``PYTHONPATH=<tree>/src`` in its own output directory and with relative
 paths only:
@@ -23,6 +24,9 @@ paths only:
 * ``mine``, ``train`` (plain and ``--normalize-output``), ``reid`` with the
   scene's identity map, a partial one and none, and ``project`` of the
   features and of the embeddings;
+* ``reid`` and both ``project`` forms on the four tracklets without
+  ``feature_rows``, whose feature rows follow enumeration order (the
+  scene's tracklets all carry ``feature_rows``);
 * ``eval`` and ``train`` of each malformed record file, so that their exit
   codes and error lines are compared too.
 
@@ -78,6 +82,7 @@ def write_inputs(directory: Path, seed: int) -> None:
     (directory / "boxes.json").write_text(json.dumps({"boxes": boxes}), encoding="utf-8")
     write_dense_pair(directory, seed)
     write_malformed_records(directory)
+    write_enumeration_inputs(directory, seed)
 
 
 def write_dense_pair(directory: Path, seed: int) -> None:
@@ -144,6 +149,25 @@ def write_malformed_records(directory: Path) -> None:
         (directory / name).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
+def write_enumeration_inputs(directory: Path, seed: int) -> None:
+    """``enum_tracklets.json`` without ``feature_rows``, its ``enum_features.mten`` and ``enum_map.json``.
+
+    Four tracklets of 205 frames in all, one with id 2**70, two of them
+    overlapping in time; their feature rows follow enumeration order (file
+    order, frames ascending). The features are 32-d, the width of the
+    scene's, so the net trained on the scene embeds them.
+    """
+    rng = np.random.default_rng([seed, 4])
+    tracklets = []
+    for tid, start, end in ((2**70, 0, 39), (3, 20, 74), (0, 80, 139), (7, 150, 199)):
+        xy = rng.uniform(0.0, 200.0, size=(end - start + 1, 2))
+        boxes = np.round(np.hstack([xy, xy + 20.0]), 2).tolist()
+        tracklets.append({"id": tid, "start": start, "end": end, "boxes": boxes})
+    (directory / "enum_tracklets.json").write_text(json.dumps({"tracklets": tracklets}), encoding="utf-8")
+    _write_mtensor(rng.normal(size=(205, 32)).astype("<f4"), directory / "enum_features.mten")
+    (directory / "enum_map.json").write_text(json.dumps({"groups": [[2**70, 0], [3, 7]]}), encoding="utf-8")
+
+
 def write_partial_map(directory: Path) -> None:
     """Every other group of the scene's identity map, so the rest stay ungrouped."""
     groups = json.loads((directory / "scene" / "identity_map.json").read_text(encoding="utf-8"))["groups"]
@@ -156,6 +180,7 @@ def chain(seed: int) -> list[list[str]]:
     objects = sorted(int(o) for o in rng.choice(12, 6, replace=False))
     switches = [a for o in objects for a in ("--switch", f"{o}:{int(rng.integers(60, 241))}")]
     scene = ["--features", "scene/features.mten", "--tracklets", "scene/tracklets.json"]
+    enum = ["--features", "enum_features.mten", "--tracklets", "enum_tracklets.json"]
     commands = [
         ["synth", "generate", "--width", "320", "--height", "240", "--num-frames", "300",
          "--num-objects", "12", *switches, "--seed", str(seed), "--out-dir", "scene",
@@ -194,6 +219,10 @@ def chain(seed: int) -> list[list[str]]:
         ["project", *scene, "--out-csv", "scatter_features.csv", "--out", "project_features.json"],
         ["project", *scene, "--net", "net/net.json", "--out-csv", "scatter_net.csv",
          "--out", "project_net.json"],
+        ["reid", *enum, "--net", "net/net.json", "--identity-map", "enum_map.json", "--out", "reid_enum.json"],
+        ["project", *enum, "--out-csv", "scatter_enum_features.csv", "--out", "project_enum_features.json"],
+        ["project", *enum, "--net", "net/net.json", "--out-csv", "scatter_enum_net.csv",
+         "--out", "project_enum_net.json"],
         ["eval", "--dets", "bad_box_dets.jsonl", "--gt", "dense_gt.jsonl", "--out", "eval_bad_box.json"],
         ["eval", "--dets", "dense_dets.jsonl", "--gt", "bad_line_gt.jsonl", "--out", "eval_bad_line.json"],
         ["eval", "--dets", "bad_json_dets.jsonl", "--gt", "dense_gt.jsonl", "--out", "eval_bad_json.json"],
