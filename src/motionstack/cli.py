@@ -36,7 +36,7 @@ from .det_metrics import (
 )
 from .errors import DataValidationError, MotionStackError
 from .frame_pipeline import MANIFEST_NAME, VARIANTS, FrameSequence, InputConfig, build_dataset, normalize_variant
-from .jsonio import check_boxes, expect, read_json, read_jsonl, write_json
+from .jsonio import _echo, check_boxes, expect, read_json, read_jsonl, write_json
 from .metric_learning import (
     DEFAULT_HIDDEN,
     DEFAULT_MERGE_THRESHOLD,
@@ -280,16 +280,21 @@ def _cmd_reid(args):
     tracklets = load_tracklets_json(args.tracklets)
     table = load_feature_table(tracklets, args.features)
     net = _load_net_for(args.net, table)
-    group_of: dict[int, object] = {t.id: f"ungrouped_{t.id}" for t in tracklets}
+    group_of: dict[int, int] = {}
     if args.identity_map:
+        ids = {t.id for t in tracklets}
         for gi, group in enumerate(load_identity_map(args.identity_map)):
             for tid in group:
+                if tid not in ids:
+                    raise DataValidationError(
+                        f"{args.identity_map}: groups[{gi}]: id {_echo(tid)} names no tracklet in {args.tracklets}"
+                    )
                 group_of[tid] = gi
     # Embedded group by group, groups in order of first appearance and each group's
     # tracklets in file order, so each separation group is one slice of the matrix.
     members: dict[object, list] = {}
     for t in tracklets:
-        members.setdefault(group_of[t.id], []).append(t)
+        members.setdefault(group_of.get(t.id, f"ungrouped_{t.id}"), []).append(t)
     matrix, embeddings = tracklet_embeddings(net, list(chain.from_iterable(members.values())), table)
     bounds = list(accumulate((sum(map(len, ts)) for ts in members.values()), initial=0))
     centroids = tracklet_centroids(embeddings)

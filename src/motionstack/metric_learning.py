@@ -16,9 +16,9 @@ The pieces, in pipeline order:
   seeded shuffling; bit-reproducible for a given seed. Each batch runs one
   forward pass over its anchor, positive and negative rows stacked together,
   then back-propagates one stacked batch of the active triplets only
-  (inactive hinges have zero gradient). A batch with no active hinge skips
-  its update, which would subtract exact zeros, and each batch's gradients
-  are released before the next batch's are computed, so one gradient set is
+  (inactive hinges have zero gradient). A batch with no active hinge has no
+  gradient set and so no update, and each batch's gradients are released
+  before the next batch's are computed, so at most one gradient set is
   alive at a time. Results can differ in the last bits
   from versions that ran three per-stream passes; reruns stay
   byte-identical. Non-finite features are rejected. The optional output
@@ -324,7 +324,8 @@ def gradients_on_params(params, xa, xp, xn, margin: float):
     float64 (dW, db) per layer. Triplets whose hinge is inactive (loss
     term <= 0) contribute exact zeros, so only the active ones are
     back-propagated, as one stacked batch of their anchor, positive and
-    negative rows.
+    negative rows. A batch with no active hinge has an all-zero gradient,
+    and grads is then the empty list.
     """
     acts, terms = _stacked_forward(params, xa, xp, xn, margin)
     losses = np.maximum(terms, 0.0)
@@ -332,7 +333,7 @@ def gradients_on_params(params, xa, xp, xn, margin: float):
     mean_loss = float(losses.mean()) if batch else 0.0
     act = np.flatnonzero(terms > 0.0)
     if len(act) == 0:
-        return mean_loss, losses, [(np.zeros_like(w), np.zeros_like(b)) for w, b in params]
+        return mean_loss, losses, []
     rows = np.concatenate([act, act + batch, act + 2 * batch])
     ea, ep, en = (e[act] for e in np.split(acts[-1], 3))
     g = (2.0 / batch) * np.concatenate([en - ep, ep - ea, ea - en])
@@ -396,9 +397,6 @@ def train(
     # A diverging run overflows mid-epoch; it is caught once, after the last epoch.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.epochs):
-            if count == 0:
-                trace.append(0.0)
-                continue
             order = rng.permutation(count)
             epoch_losses = np.zeros(count, dtype=np.float64)
             for lo in range(0, count, config.batch_size):
@@ -406,14 +404,12 @@ def train(
                 xa, xp, xn = x[rows[:, batch]]
                 _, losses, grads = gradients_on_params(params, xa, xp, xn, config.margin)
                 epoch_losses[batch] = losses
-                # With no hinge active every gradient is 0 and the update an exact no-op.
-                if (losses > 0.0).any():
-                    # In place: the gradients are fresh arrays and params64 copied the net.
-                    for (w, b), (gw, gb) in zip(params, grads):
-                        w -= np.multiply(gw, config.learning_rate, out=gw)
-                        b -= np.multiply(gb, config.learning_rate, out=gb)
+                # In place (the gradients are fresh, params64 copied the net); an idle batch has none.
+                for (w, b), (gw, gb) in zip(params, grads):
+                    w -= np.multiply(gw, config.learning_rate, out=gw)
+                    b -= np.multiply(gb, config.learning_rate, out=gb)
                 del grads  # before the next batch's, so one gradient set is alive at a time
-            trace.append(float(epoch_losses.sum() / count))
+            trace.append(float(epoch_losses.sum() / max(count, 1)))
     # Reductions, not an elementwise test, so no weight-sized temporary is
     # allocated; NaN propagates through min and max and fails the test.
     limit = np.finfo(np.float32).max

@@ -190,9 +190,7 @@ def _blob_box(blob: _Blob) -> tuple[float, float, float, float]:
     return (blob.cx - r, blob.cy - r, blob.cx + r, blob.cy + r)
 
 
-def _split_tracklets(
-    config: SceneConfig, boxes: dict[int, list[tuple[float, float, float, float]]]
-) -> tuple[list[Tracklet], list[list[int]]]:
+def _split_tracklets(config: SceneConfig, boxes: np.ndarray) -> tuple[list[Tracklet], list[list[int]]]:
     # Fresh ids follow generation order of the events sorted by (frame, object).
     fresh: dict[tuple[int, int], int] = {}
     next_id = config.num_objects
@@ -215,7 +213,7 @@ def _split_tracklets(
                     id=tid,
                     start=start,
                     end=end,
-                    boxes=boxes[obj][start : end + 1],
+                    boxes=list(map(tuple, boxes[start : end + 1, obj].tolist())),
                     feature_rows=[f * config.num_objects + obj for f in range(start, end + 1)],
                 )
             )
@@ -248,13 +246,10 @@ def generate(config: SceneConfig, out_dir: str | Path) -> dict:
 
     blobs = _spawn_blobs(config)
     background = _background(config)
-    prototypes = np.zeros((config.num_objects, config.feature_dim), dtype=np.float64)
-    for obj in range(config.num_objects):
-        prototypes[obj, obj] = PROTOTYPE_SCALE
+    prototypes = PROTOTYPE_SCALE * np.eye(config.num_objects, config.feature_dim)
 
-    gt_boxes: list[tuple[float, float, float, float]] = []
-    boxes: dict[int, list[tuple[float, float, float, float]]] = {o: [] for o in range(config.num_objects)}
-    features = np.zeros((config.num_frames * config.num_objects, config.feature_dim), dtype=np.float64)
+    boxes = np.empty((config.num_frames, config.num_objects, 4), dtype=np.float64)
+    features = np.empty((config.num_frames, config.num_objects, config.feature_dim), dtype=np.float64)
     for frame in range(config.num_frames):
         if frame > 0:
             for blob in blobs:
@@ -264,26 +259,23 @@ def generate(config: SceneConfig, out_dir: str | Path) -> dict:
             ImageFrame(width=config.width, height=config.height, pixels=canvas, frame_index=frame),
             frames_dir / frame_files[frame],
         )
+        boxes[frame] = [_blob_box(blob) for blob in blobs]
         noise = np.random.default_rng([config.seed, 1, frame]).normal(
             0.0, 1.0, size=(config.num_objects, config.feature_dim)
         )
-        for obj, blob in enumerate(blobs):
-            box = _blob_box(blob)
-            boxes[obj].append(box)
-            gt_boxes.append(box)
-            features[frame * config.num_objects + obj] = prototypes[obj] + NOISE_SIGMA * noise[obj]
+        features[frame] = prototypes + NOISE_SIGMA * noise
 
     tracklets, groups = _split_tracklets(config, boxes)
 
     gts = BoxColumns(  # in (frame, object) order, every box of class 0
         np.repeat(np.arange(config.num_frames), config.num_objects),
-        np.array(gt_boxes, dtype=np.float64).reshape(-1, 4),
-        np.zeros(len(gt_boxes), dtype=np.int64),
+        boxes.reshape(-1, 4),
+        np.zeros(config.num_frames * config.num_objects, dtype=np.int64),
     )
     write_ground_truth_jsonl(gts, out_dir / names["gt"])
     write_tracklets_json(tracklets, out_dir / names["tracklets"])
     write_identity_map(groups, out_dir / names["identity_map"])
-    write_tensor(features.astype(np.float32), out_dir / names["features"])
+    write_tensor(features.reshape(-1, config.feature_dim).astype(np.float32), out_dir / names["features"])
     report = {
         "num_frames": config.num_frames,
         "num_tracklets": len(tracklets),
@@ -343,22 +335,11 @@ def perturb_detections(
         width, height = 64, 64
 
     rng = np.random.default_rng(seed)
-    # Box by box, the generator gives one uniform draw for the drop and, for
-    # a kept box, four for its corner offsets. Those draws are read from one
-    # buffer, and the generator is then left where box-by-box calls leave it.
-    state = rng.bit_generator.state
-    draws = rng.random(5 * len(gts))
-    dropped = (draws < drop_rate).tolist()
-    start = np.empty(len(gts), dtype=np.intp)
-    used = 0
-    for i in range(len(gts)):
-        start[i] = used
-        used += 1 if dropped[used] else 5
-    rng.bit_generator.state = state
-    rng.random(used)
-    kept = np.flatnonzero(draws[start] >= drop_rate)
+    # Box by box: the drop draw, then a kept box's four corner draws into its row (random returns out).
+    corners = np.empty((len(gts), 4))
+    kept = np.flatnonzero([rng.random() >= drop_rate and rng.random(out=row) is row for row in corners])
     # uniform(-1, 1) is -1 + 2 * draw, exactly as numpy computes it.
-    offsets = (draws[start[kept, None] + np.arange(1, 5)] * 2.0 - 1.0) * jitter_px
+    offsets = (corners[kept] * 2.0 - 1.0) * jitter_px
     with np.errstate(over="ignore"):
         boxes = gts.boxes[kept] + offsets
     finite = np.isfinite(boxes).all(axis=1)

@@ -312,7 +312,8 @@ def _f32_tensor(values):
 
 # One malformed file per loader: (subcommand, file name, contents, the
 # error line's text after the file's path). Where a defect in another file
-# makes the error name this one, the contents are {other file name: contents}.
+# makes the error name this one, the contents are {other file name: contents};
+# where the text names another input file, it is made from the input directory.
 MALFORMED_FILES = {
     "dets-401-digit-score": (
         "eval", "dets.jsonl",
@@ -496,6 +497,11 @@ MALFORMED_FILES = {
         b'{"groups": [[0, 1]]}',
         ": separation metrics need >= 2 identities, got 1",
     ),
+    "identity-map-naming-no-tracklet": (
+        "reid", "identity_map.json",
+        b'{"groups": [[0], [1, 900]]}',
+        lambda d: f": groups[1]: id 900 names no tracklet in {d / 'tracklets.json'}",
+    ),
     "tracklets-of-one-identity": (
         "reid by tracklet", "tracklets.json",
         _tracklets('"id": 0, "start": 0, "end": 1, "boxes": [[0, 0, 1, 1], [0, 0, 1, 1]], "feature_rows": [0, 1]'),
@@ -584,6 +590,8 @@ class TestInputFiles:
             (d / written).write_bytes(contents)
         code, err = _run_quiet(_input_file_argv(command, d, tmp_path))
         assert code == 2
+        if callable(message):  # a message that names another input file by its path
+            message = message(d)
         assert err.splitlines() == [f"error: {d / name}{message}"]  # one line, so no traceback
 
     def test_wrong_length_bias_is_data_error(self, tmp_path, input_files, capsys):

@@ -25,6 +25,8 @@ def test_every_command_of_the_chain_parses():
                    "mine", "train", "reid", "project"}
     variants = {argv[argv.index("--variant") + 1] for argv in commands if argv[0] == "stack"}
     assert variants == {"rgb-seq", "rgb-int", "diff-seq", "diff-int"}
+    drop_rates = [argv[argv.index("--drop-rate") + 1] for argv in commands if argv[:2] == ["synth", "perturb"]]
+    assert drop_rates == ["0.2", "0", "1"]  # the seeded degradation, then both boundaries
     assert all(not arg.startswith("/") for argv in commands for arg in argv)
 
 

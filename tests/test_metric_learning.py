@@ -529,9 +529,7 @@ class TestLossAndGradients:
         mean_loss, losses, grads = gradients_on_params(params, xa, xp, xn, 1.0)
         assert mean_loss == 0.0
         assert np.all(losses == 0.0)
-        for gw, gb in grads:
-            assert np.all(gw == 0.0)
-            assert np.all(gb == 0.0)
+        assert grads == []  # an all-zero gradient is no gradient set at all
 
     def test_empty_batch(self):
         net = EmbeddingNet.init(4, hidden=(6,), seed=0)
@@ -540,7 +538,7 @@ class TestLossAndGradients:
         mean_loss, losses, grads = gradients_on_params(params, empty, empty, empty, 1.0)
         assert mean_loss == 0.0
         assert len(losses) == 0
-        assert all(np.all(gw == 0) and np.all(gb == 0) for gw, gb in grads)
+        assert grads == []
 
 
 def _three_stream_gradients(params, xa, xp, xn, margin):
@@ -637,7 +635,7 @@ def _training_setup(seed=0, spread=0.5):
 
 def _train_always_updating(net, table, triplets, config):
     # train's loop with the update applied after every batch, also when no hinge is
-    # active; returns (float64 params, trace, batches with no active hinge).
+    # active (as zero gradients); returns (float64 params, trace, batches with no active hinge).
     rows = table.rows(triplets.reshape(-1, 2)).reshape(-1, 3).T
     params = params64(net)
     rng = np.random.default_rng(config.seed)
@@ -651,6 +649,7 @@ def _train_always_updating(net, table, triplets, config):
             _, losses, grads = gradients_on_params(params, xa, xp, xn, config.margin)
             epoch_losses[batch] = losses
             idle += not (losses > 0.0).any()
+            grads = grads or [(np.zeros_like(w), np.zeros_like(b)) for w, b in params]
             for (w, b), (gw, gb) in zip(params, grads):
                 w -= config.learning_rate * gw
                 b -= config.learning_rate * gb
@@ -708,6 +707,38 @@ class TestTraining:
         for l, (w, b) in enumerate(params):
             assert net.weights[l].tobytes() == w.astype(np.float32).tobytes()
             assert net.biases[l].tobytes() == b.astype(np.float32).tobytes()
+
+    def test_idle_batches_leave_every_weight_and_hold_no_gradient_set(self):
+        # Positives repeat the anchor's features and negatives lie 50 away in every
+        # coordinate, so every hinge is inactive from the first batch on.
+        ts = [_tr(0, 0, 9), _tr(1, 0, 9)]
+        v = np.random.default_rng(4).normal(size=32)
+        table = FeatureTable(ts, np.concatenate([np.tile(v, (10, 1)), np.tile(v + 50.0, (10, 1))]).astype(np.float32))
+        triplets = mine_triplets(ts, rng_seed=0, per_anchor=2)
+        net = EmbeddingNet.init(32, seed=0)  # 32-512-256-128
+        xa, xp, xn = (table.matrix64[table.rows(triplets[:, k])] for k in range(3))
+        assert not gradients_on_params(params64(net), xa, xp, xn, 1.0)[1].any()
+        before = [w.tobytes() for w in net.weights] + [b.tobytes() for b in net.biases]
+        gradient_set = 8 * sum(w.size + b.size for w, b in zip(net.weights, net.biases))  # ~1.4 MiB
+        tracemalloc.start()
+        try:
+            _, trace = train(net, table, triplets, TrainConfig(learning_rate=0.05, epochs=2, batch_size=4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace == [0.0, 0.0]
+        assert [w.tobytes() for w in net.weights] + [b.tobytes() for b in net.biases] == before
+        # train holds its float64 copy of the weights (one set) and, at the end, the float32
+        # result (half a set); a zero gradient set per idle batch would lift the peak past 2 sets.
+        assert peak < 1.75 * gradient_set
+
+    def test_no_triplets_give_a_trace_of_zeros(self):
+        _, table, _ = _training_setup()
+        net = EmbeddingNet.init(6, hidden=(8,), seed=2)
+        before = [w.tobytes() for w in net.weights] + [b.tobytes() for b in net.biases]
+        _, trace = train(net, table, np.zeros((0, 3, 2), dtype=np.int64), TrainConfig(epochs=3))
+        assert trace == [0.0, 0.0, 0.0]
+        assert [w.tobytes() for w in net.weights] + [b.tobytes() for b in net.biases] == before
 
     def test_trace_is_shuffle_invariant_at_zero_rate(self):
         _, table, triplets = _training_setup()

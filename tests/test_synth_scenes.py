@@ -1,5 +1,6 @@
 """Synthetic scene generation and perturbation tests."""
 
+import hashlib
 import json
 from dataclasses import asdict
 
@@ -440,8 +441,9 @@ class TestPerturb:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_draws_as_box_by_box_calls_would(self, seed):
-        # The true boxes' draws come from one buffer; the reference draws box
-        # by box, as uniform() and uniform(-1, 1, size=4) calls.
+        # perturb_detections draws box by box with random() and random(4); the
+        # reference makes the same draws as uniform() and uniform(-1, 1, size=4)
+        # calls, so it also referees the mapping of a draw to a corner offset.
         rng = np.random.default_rng([seed, 5])
         frames = rng.integers(0, 9, size=60).tolist()
         sizes = rng.choice([1e-9, 0.5, 4.0], size=(60, 2)).tolist()
@@ -477,3 +479,64 @@ class TestPerturb:
         path = tmp_path / "dets.jsonl"
         write_detections_jsonl(dets, path)
         assert load_detections_jsonl(path) == dets
+
+
+# SHA-256 of the artifacts of a 96x72, 64-frame, 3-object scene with two
+# switches, and of perturb_detections' output on its ground truth. None of
+# them goes through a BLAS product, so every digest is strict.
+_GOLDEN_FILES = (
+    "gt.jsonl",
+    "tracklets.json",
+    "identity_map.json",
+    "features.mten",
+    "scene.json",
+    "frames/frame_000000.ppm",
+    "frames/frame_000063.ppm",
+)
+_GOLDEN_PERTURB = ((0.2, 1.0, 0.3), (0.0, 40.0, 1.0))  # (drop_rate, jitter_px, fp_rate)
+_GOLDEN_DIGESTS = {
+    1: (
+        "f5a7b6f7c03e57f811dea58bd97beb18db18a7cc646c851a2127a19b9fc96266",
+        "fb776ed8abab7c9c606d366d5f18271b0c1f9ab35f4daa98747592debd5a2b89",
+        "9624d4ea6df0a1c86ccd78441125b38e1f8ba86af360ecdc1615836928d108fb",
+        "1eb89c3242b2271ca98bfcef5da61ee06dea243ebe6b3fd0678030dbaafc77ec",
+        "7507187302c52b1b75df882a732e2ef6248b92ea30c99b85159a29dc3757993c",
+        "1ce7ff590e992d5677734e1aeaff78a1a504c4b32953817eff8eac3ca2dad8dc",
+        "4924b87854e94c1b37cda5279742f759e5557fc4f99801804c786813eb8386d3",
+        "b48973a20acbfa4d6039d68f6f183cbb8532d4b8fcb1657358a312c7fbec1a91",
+        "a5e5edc5160553a6a4d800b260afc3d741e5d32682f3ea5355b54c325174c1a8",
+    ),
+    7: (
+        "425cb02cc8e051394a8cba8384c09349559dedaa086fdc0c57a001bba3d8efda",
+        "239c61e55f290d689756a3696caea70053d3eb9368ec979aac9e170b85212105",
+        "9624d4ea6df0a1c86ccd78441125b38e1f8ba86af360ecdc1615836928d108fb",
+        "673fb57482468b2cc217a8ad84d25a168cfe3f7c6296db3c95912033a449da5d",
+        "6856f72db92e8ac6ae4d600a35a8a0576cb5259f41babf219e29cc3989296b62",
+        "c12c56f81013a37d84eaf9d6df4824bb07470eb30e6c1a26e1fd8d2b594a3f71",
+        "48393c2c65ebdf6963c4b54aa73ab68b1275ac99f99aa9573a66aa9711dc5ca3",
+        "87783c8ec975ac8522815efe7cfcfedc7a3c1cbc9dec7185ab230f9884d99b3f",
+        "c6979d5a70434c892ebeaadbdef249f737bc0bdcb802c36f9eb8cfd2dae97be0",
+    ),
+    9173: (
+        "1756df6ab2fcb6856263a777644440181c7a9af63f577203b0266fa2f3b49d4f",
+        "c7340f042be4ba28aa17c67acff61ba9e2c2118607a0c647b898cf15bf64903f",
+        "9624d4ea6df0a1c86ccd78441125b38e1f8ba86af360ecdc1615836928d108fb",
+        "61f28093e099ba0afecf654ecb7e3200a61b32901820a293461170f391bafe91",
+        "d11ac950efc1217b9367000317b5a0362f8d03c01c5bdb29a0cc0c3ea712c805",
+        "b467b3e25f34d5746b9370a7fb114ff5ce0316d3da8d6edeccce669e8e201d0a",
+        "68468ed55e8aae6f66a336a7af03f45818e2037987b6ddf1565974b42d793cf1",
+        "cdb48ec16b75554245cd90e8f482b59be926de9907a18e116c508c974e9e410c",
+        "70459b7826869e14855ff566b333fa77012263a826569cb21d04362061fdc0aa",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_GOLDEN_DIGESTS))
+def test_golden_digests(tmp_path, seed):
+    generate(SceneConfig(id_switch_events=((0, 20), (2, 40)), seed=seed), tmp_path)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in _GOLDEN_FILES}
+    gts = load_ground_truth_jsonl(tmp_path / "gt.jsonl")
+    for rates in _GOLDEN_PERTURB:
+        write_detections_jsonl(perturb_detections(gts, *rates, seed=seed), tmp_path / "dets.jsonl")
+        got[f"perturb {rates}"] = hashlib.sha256((tmp_path / "dets.jsonl").read_bytes()).hexdigest()
+    assert got == dict(zip(got, _GOLDEN_DIGESTS[seed]))

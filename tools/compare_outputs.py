@@ -15,7 +15,8 @@ with ``PYTHONPATH=<tree>/src`` in its own output directory and with relative
 paths only:
 
 * ``synth generate`` of a 320x240x300 clip with 12 objects and 6 id
-  switches, ``synth perturb`` and ``eval``;
+  switches, ``synth perturb`` and ``eval``, then ``synth perturb`` at its
+  boundaries: every box kept under 40 px jitter, and every box dropped;
 * ``eval`` of the dense pair: 1,200 boxes of classes 0, -3 and 2**70 over
   40 frames, one of them past int64, and 2,400 detections scored in 0.01
   steps;
@@ -188,6 +189,12 @@ def chain(seed: int) -> list[list[str]]:
         ["synth", "perturb", "--gt", "scene/gt.jsonl", "--drop-rate", "0.2", "--jitter-px", "1.0",
          "--fp-rate", "0.3", "--seed", str(seed), "--canvas-width", "320", "--canvas-height", "240",
          "--out-dets", "dets.jsonl", "--out", "perturb.json"],
+        # Every box kept, with corners jittered far enough to collapse boxes, and
+        # the canvas inferred from the ground truth; then every box dropped.
+        ["synth", "perturb", "--gt", "scene/gt.jsonl", "--drop-rate", "0", "--jitter-px", "40",
+         "--fp-rate", "1", "--seed", str(seed), "--out-dets", "dets_kept.jsonl", "--out", "perturb_kept.json"],
+        ["synth", "perturb", "--gt", "scene/gt.jsonl", "--drop-rate", "1", "--fp-rate", "0",
+         "--seed", str(seed), "--out-dets", "dets_dropped.jsonl", "--out", "perturb_dropped.json"],
         ["eval", "--dets", "dets.jsonl", "--gt", "scene/gt.jsonl", "--out", "eval.json"],
         ["eval", "--dets", "dense_dets.jsonl", "--gt", "dense_gt.jsonl", "--out", "eval_dense.json"],
     ]
