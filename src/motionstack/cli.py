@@ -115,17 +115,28 @@ def _seed(raw: str) -> int:
 
 
 def _parse_switch(raw: str) -> tuple[int, int]:
-    obj_s, sep, frame_s = raw.partition(":")
-    if not sep:
-        raise ValueError(f"expected OBJECT:FRAME, got {raw!r}")
-    return (int(obj_s), int(frame_s))
+    try:
+        obj, frame = map(int, raw.split(":"))
+    except ValueError:  # not two parts, or a part that is no integer
+        raise argparse.ArgumentTypeError(f"expected OBJECT:FRAME, two integers, got {raw!r}") from None
+    return obj, frame
 
 
 def _parse_hidden(raw: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ValueError(f"expected comma-separated layer widths, got {raw!r}")
-    return tuple(int(p) for p in parts)
+    try:
+        widths = tuple(int(p) for p in raw.split(",") if p.strip())
+    except ValueError:
+        widths = ()
+    if not widths:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integer layer widths, got {raw!r}")
+    return widths
+
+
+def _variant(raw: str) -> str:
+    try:
+        return normalize_variant(raw)
+    except ValueError as exc:  # argparse would print only the function's name
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load_boxes_json(path: str) -> np.ndarray:
@@ -155,8 +166,6 @@ def _cmd_stack(args):
             "warning: parameters outside the evaluated range (n 1..10, delta 1..5)",
             file=sys.stderr,
         )
-    if not args.frames.is_dir():
-        raise FileNotFoundError(f"frame directory {args.frames} does not exist")
     source = FrameSequence.from_dir(args.frames)
     manifest = build_dataset(source, config, args.out_dir, labels_dir=args.labels)
     results = {
@@ -406,7 +415,7 @@ def build_parser() -> _Parser:
     p.add_argument("--frames", type=Path, required=True, help="directory of *.ppm frames")
     p.add_argument(
         "--variant",
-        type=normalize_variant,
+        type=_variant,
         required=True,
         choices=VARIANTS,
         help="stacking layout (hyphens accepted, e.g. rgb-seq)",

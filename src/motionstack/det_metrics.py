@@ -294,16 +294,14 @@ def ap_101(flags: Sequence[bool], num_gt: int) -> float:
     return _sum_in_order(env[reached].tolist()) / 101.0
 
 
-def f1_operating_point(
-    dets: Sequence[Detection], gts: Sequence[GroundTruth], iou_threshold: float = 0.5
-) -> dict:
-    """Best-F1 score cutoff over the pooled detection list.
+def f1_operating_point(dets: Sequence[Detection], gts: Sequence[GroundTruth]) -> dict:
+    """Best-F1 score cutoff over the pooled detection list, matched at IoU ``IOU_GRID[0]`` (0.5).
 
     F1 of the length-k prefix is 2*tp/(k + num_gt); ties prefer the shorter
     prefix, and an empty prefix reports precision and recall of 0.
     """
     dets = as_columns(dets, scored=True)
-    result = match_detections(dets, gts, iou_threshold)
+    result = match_detections(dets, gts, IOU_GRID[0])
     scores = dets.score[result.order]
     num_gt = len(gts)
     tp = np.cumsum(result.flags)

@@ -18,10 +18,6 @@ class PpmError(MotionStackError, ValueError):
     """A PPM frame that is not binary P6 with maxval 255, or whose header or payload is cut short."""
 
 
-class FrameIndexParseError(MotionStackError, ValueError):
-    """File stem contains no decimal digits to derive a frame index from."""
-
-
 class FrameLookupError(MotionStackError, LookupError):
     """Requested target frame index is absent from the frame source."""
 

@@ -18,15 +18,18 @@ nearest earlier frame, and anything before the first frame clamps to it.
 Stacks built at the start of a sequence therefore repeat the earliest
 frame, which turns difference channels into flat 127.
 
-A ``FrameSequence`` decodes each frame, as its planar uint8 [3, H, W]
-array, when first asked for it. A layout reaches at most ``reach`` frames
-back (``n - 1``, or ``delta`` for the pair layouts), so a stack run holds
-the layout's window of ``(reach + 1) * 3·W·H`` bytes, not the video, and
-fills one stack buffer in place for every target.
+A ``FrameSequence`` owns a frame directory: it numbers each frame by the
+last run of digits in its file stem (``frame_000012.ppm`` is frame 12),
+names by its path each file it rejects, and decodes each frame, as its
+planar uint8 [3, H, W] array, when first asked for it. A layout reaches at
+most ``reach`` frames back (``n - 1``, or ``delta`` for the pair layouts),
+so a stack run holds the layout's window of ``(reach + 1) * 3·W·H`` bytes,
+not the video, and fills one stack buffer in place for every target.
 """
 
 from __future__ import annotations
 
+import re
 import shutil
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -34,9 +37,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataValidationError, FrameIndexParseError, FrameLookupError
-from .jsonio import write_json
-from .tensor_io import parse_frame_index, read_ppm, read_ppm_header, to_planar, write_tensor
+from .errors import DataValidationError, FrameLookupError
+from .jsonio import _echo, write_json
+from .tensor_io import read_ppm, read_ppm_header, to_planar, write_tensor
 
 VARIANTS = ("rgb_seq", "rgb_int", "diff_seq", "diff_int")
 MANIFEST_NAME = "manifest.json"
@@ -45,6 +48,14 @@ _DIFF_VARIANTS = ("diff_seq", "diff_int")
 
 PAPER_N_RANGE = range(1, 11)
 PAPER_DELTA_RANGE = range(1, 6)
+
+_LAST_DIGIT_RUN = re.compile(r"(\d+)(?!.*\d)")
+
+
+def parse_frame_index(path: str | Path) -> int | None:
+    """A frame or label file's frame index, the last run of decimal digits in its stem; None without one."""
+    match = _LAST_DIGIT_RUN.search(Path(path).stem)
+    return None if match is None else int(match.group(1))
 
 
 def normalize_variant(name: str) -> str:
@@ -161,18 +172,28 @@ class FrameSequence:
     def from_dir(cls, dir_path: str | Path) -> "FrameSequence":
         """Index every ``*.ppm`` file in a directory by the frame index in its name.
 
-        No frame is decoded, yet a bad directory fails here: each header must
-        pass ``read_ppm``'s rules (files in name order), no two files may
-        share an index, and every frame must have the lowest index's size.
+        No frame is decoded, yet a bad directory fails here, each error led by
+        the file's path: in name order, each header must pass ``read_ppm``'s
+        rules and each stem hold an index; no two files may share an index,
+        and every frame must have the lowest index's size. A path that is no
+        directory raises ``FileNotFoundError``.
         """
+        dir_path = Path(dir_path)
+        if not dir_path.is_dir():
+            raise FileNotFoundError(f"frame directory {dir_path} does not exist")
         paths: dict[int, Path] = {}
         sizes: dict[int, tuple[int, int]] = {}
-        for path in sorted(Path(dir_path).glob("*.ppm")):
-            width, height, index = read_ppm_header(path)
+        for path in sorted(dir_path.glob("*.ppm")):
+            size = read_ppm_header(path)
+            index = parse_frame_index(path)
+            if index is None:
+                raise DataValidationError(f"{path}: no frame number in file stem")
             if index in paths:
-                raise DataValidationError(f"duplicate frame index {index}")
+                raise DataValidationError(
+                    f"{path}: duplicate frame index {_echo(index)}, shared with {paths[index].name}"
+                )
             paths[index] = path
-            sizes[index] = (width, height)
+            sizes[index] = size
         source = cls(paths, sizes[min(sizes)] if sizes else (0, 0))
         for index in source._indices:
             source._check_size(index, *sizes[index])
@@ -213,7 +234,8 @@ class FrameSequence:
     def _check_size(self, index: int, width: int, height: int) -> None:
         if (width, height) != self._size:
             raise DataValidationError(
-                f"frame {index} is {width}x{height}, sequence started at {self._size[0]}x{self._size[1]}"
+                f"{self._paths[index]}: frame {_echo(index)} is {width}x{height}, "
+                f"sequence started at {self._size[0]}x{self._size[1]}"
             )
 
     def _drop_before(self, index: int) -> None:
@@ -252,11 +274,8 @@ def _stack(source: FrameSequence, t: int, config: InputConfig, out: np.ndarray |
 def _label_files_by_index(labels_dir: Path) -> dict[int, Path]:
     mapping: dict[int, Path] = {}
     for path in sorted(labels_dir.iterdir()):
-        if not path.is_file():
-            continue
-        try:
-            index = parse_frame_index(path)
-        except FrameIndexParseError:
+        index = parse_frame_index(path)
+        if index is None or not path.is_file():
             continue
         if index in mapping:
             raise DataValidationError(f"{labels_dir}: two label files claim frame {index}")
@@ -275,11 +294,12 @@ def build_dataset(
     Each target frame t becomes ``stack_<t>.mten`` in ``out_dir``. When
     ``labels_dir`` is given, the per-frame label file (matched by the frame
     index in its stem) is copied verbatim next to the stacks and recorded
-    in the manifest; a frame without a label file is an error, raised
-    before any stack is written. The manifest is returned and also written
-    to ``out_dir/manifest.json``, after every stack; an existing manifest is
-    deleted first, so a run that fails part-way leaves none. An empty source
-    yields an empty manifest. Every stack is built in one reused buffer.
+    in the manifest; a missing ``labels_dir`` or a frame without a label
+    file is an error, raised before any stack is written. The manifest is
+    returned and also written to ``out_dir/manifest.json``, after every
+    stack; an existing manifest is deleted first, so a run that fails
+    part-way leaves none. An empty source yields an empty manifest. Every
+    stack is built in one reused buffer.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -290,7 +310,7 @@ def build_dataset(
     if labels_dir is not None:
         labels_dir = Path(labels_dir)
         if not labels_dir.is_dir():
-            raise DataValidationError(f"labels directory {labels_dir} does not exist")
+            raise FileNotFoundError(f"labels directory {labels_dir} does not exist")
         labels = _label_files_by_index(labels_dir)
         for t in source.indices:
             if t not in labels:

@@ -95,6 +95,9 @@ _ECHO_LIMIT = 80
 
 
 def _echo(raw: Any) -> str:
+    if type(raw) is int and raw.bit_length() > 8 * _ECHO_LIMIT:  # str() refuses more than 4,300 digits
+        lead = abs(raw) // 10 ** (raw.bit_length() * 3 // 10 - 2 * _ECHO_LIMIT)  # at least 160 leading digits
+        raw = -lead if raw < 0 else lead
     text = json.dumps(raw, default=repr)  # a value from outside JSON, such as a numpy int, echoes its repr
     return text if len(text) <= _ECHO_LIMIT else text[:_ECHO_LIMIT] + "..."
 

@@ -307,27 +307,20 @@ def _forward(params, x: np.ndarray):
         yield x
 
 
-def _stacked_forward(params, xa, xp, xn, margin: float):
-    # One pass over the [3B, D] stack of anchor, positive and negative rows; returns
-    # its activations (input first, embedding last) and the [B] hinge terms before the clamp.
-    x = np.concatenate([xa, xp, xn], dtype=np.float64)
-    acts = [x, *_forward(params, x)]
-    ea, ep, en = np.split(acts[-1], 3)
-    terms = np.sum((ea - ep) ** 2, axis=1) - np.sum((ea - en) ** 2, axis=1) + margin
-    return acts, terms
-
-
 def gradients_on_params(params, xa, xp, xn, margin: float):
     """Analytic gradients of the mean batch loss.
 
     Returns (mean_loss, per_triplet_losses, grads) with grads a list of
-    float64 (dW, db) per layer. Triplets whose hinge is inactive (loss
-    term <= 0) contribute exact zeros, so only the active ones are
-    back-propagated, as one stacked batch of their anchor, positive and
-    negative rows. A batch with no active hinge has an all-zero gradient,
-    and grads is then the empty list.
+    float64 (dW, db) per layer, from one forward pass over the [3B, D] stack
+    of anchor, positive and negative rows. Triplets whose hinge is inactive
+    (loss term <= 0) contribute exact zeros, so only the active ones are
+    back-propagated, as one stacked batch of their rows. A batch with no
+    active hinge has an all-zero gradient, and grads is then the empty list.
     """
-    acts, terms = _stacked_forward(params, xa, xp, xn, margin)
+    x = np.concatenate([xa, xp, xn], dtype=np.float64)
+    acts = [x, *_forward(params, x)]  # input first, embedding last
+    ea, ep, en = np.split(acts[-1], 3)
+    terms = np.sum((ea - ep) ** 2, axis=1) - np.sum((ea - en) ** 2, axis=1) + margin
     losses = np.maximum(terms, 0.0)
     batch = len(losses)
     mean_loss = float(losses.mean()) if batch else 0.0
@@ -335,7 +328,7 @@ def gradients_on_params(params, xa, xp, xn, margin: float):
     if len(act) == 0:
         return mean_loss, losses, []
     rows = np.concatenate([act, act + batch, act + 2 * batch])
-    ea, ep, en = (e[act] for e in np.split(acts[-1], 3))
+    ea, ep, en = ea[act], ep[act], en[act]
     g = (2.0 / batch) * np.concatenate([en - ep, ep - ea, ea - en])
     grads = [None] * len(params)
     for l in range(len(params) - 1, -1, -1):

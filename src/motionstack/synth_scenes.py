@@ -256,8 +256,7 @@ def generate(config: SceneConfig, out_dir: str | Path) -> dict:
                 _step(blob, config.width, config.height)
         canvas = _render(config, background, blobs)
         write_ppm(
-            ImageFrame(width=config.width, height=config.height, pixels=canvas, frame_index=frame),
-            frames_dir / frame_files[frame],
+            ImageFrame(width=config.width, height=config.height, pixels=canvas), frames_dir / frame_files[frame]
         )
         boxes[frame] = [_blob_box(blob) for blob in blobs]
         noise = np.random.default_rng([config.seed, 1, frame]).normal(

@@ -2,7 +2,8 @@
 
 Two on-disk formats make up the interchange surface of the whole toolkit:
 
-* binary PPM (P6, maxval 255) for input frames, and
+* binary PPM (P6, maxval 255) for input frames, read by their bytes alone
+  (the frame index in a file's name is ``frame_pipeline``'s rule), and
 * the MTENSOR container for everything numeric (stacks, weights, features).
 
 An MTENSOR file is: the 8-byte magic ``MTENSOR\\0``, a 4-byte little-endian
@@ -20,14 +21,13 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FrameIndexParseError, PpmError, TensorFormatError
+from .errors import PpmError, TensorFormatError
 from .jsonio import _echo
 
 MAGIC = b"MTENSOR\x00"
@@ -150,26 +150,13 @@ def _read_channels_last(fh, path: str | Path, dtype: np.dtype, shape: list[int])
     return out.transpose(2, 0, 1)
 
 
-_LAST_DIGIT_RUN = re.compile(r"(\d+)(?!.*\d)")
-
-
-def parse_frame_index(name: str | Path) -> int:
-    """Derive a frame index from the last run of decimal digits in the file stem."""
-    stem = Path(name).stem
-    match = _LAST_DIGIT_RUN.search(stem)
-    if match is None:
-        raise FrameIndexParseError(f"no frame number in file stem {stem!r}")
-    return int(match.group(1))
-
-
 @dataclass(eq=False)
 class ImageFrame:
-    """A decoded RGB frame: interleaved 8-bit pixel buffer plus its index."""
+    """A decoded RGB frame: its interleaved 8-bit pixel buffer."""
 
     width: int
     height: int
     pixels: np.ndarray
-    frame_index: int = 0
 
     def __post_init__(self) -> None:
         self.pixels = np.asarray(self.pixels, dtype=np.uint8).reshape(-1)
@@ -179,8 +166,6 @@ class ImageFrame:
             raise ValueError(
                 f"pixel buffer has {self.pixels.size} bytes, expected {3 * self.width * self.height}"
             )
-        if self.frame_index < 0:
-            raise ValueError(f"frame_index must be nonnegative, got {self.frame_index}")
 
     def rgb(self) -> np.ndarray:
         """Pixels viewed as an (H, W, 3) array."""
@@ -205,36 +190,36 @@ def _next_token(data: bytes, pos: int, path: Path) -> tuple[bytes, int]:
     return data[start:pos], pos
 
 
-def _ppm_header(data: bytes, path: Path, size: int) -> tuple[int, int, int, int]:
+def _ppm_header(data: bytes, path: Path, size: int) -> tuple[int, int, int]:
     """Check a P6 header at the start of ``data``, a prefix of the ``size``-byte file ``path``.
 
-    Returns ``(width, height, payload offset, frame index)``. These are all
-    of ``read_ppm``'s rules, in the order it applies them.
+    Returns ``(width, height, payload offset)``. These are all of
+    ``read_ppm``'s rules, in the order it applies them.
     """
     magic, pos = _next_token(data, 0, path)
     if magic != b"P6":
-        raise PpmError(f"{path}: unsupported format {magic!r}, only binary P6 is accepted")
+        raise PpmError(f"{path}: unsupported format {_echo(magic.decode('latin-1'))}, only binary P6 is accepted")
     fields = []
     for _ in range(3):
         token, pos = _next_token(data, pos, path)
         try:
             fields.append(int(token))
         except ValueError as exc:
-            raise PpmError(f"{path}: non-numeric header token {token!r}") from exc
+            raise PpmError(f"{path}: non-numeric header token {_echo(token.decode('latin-1'))}") from exc
     width, height, maxval = fields
     if width < 1 or height < 1:
-        raise PpmError(f"{path}: non-positive dimensions {width}x{height}")
+        raise PpmError(f"{path}: non-positive dimensions {_echo(width)}x{_echo(height)}")
     if maxval != 255:
-        raise PpmError(f"{path}: maxval {maxval} unsupported, expected 255")
+        raise PpmError(f"{path}: maxval {_echo(maxval)} unsupported, expected 255")
     if pos >= len(data) or data[pos] not in _WHITESPACE:
         raise PpmError(f"{path}: missing whitespace after maxval")
     start = pos + 1
     if size - start < 3 * width * height:
-        raise PpmError(f"{path}: payload holds {size - start} bytes, header promises {3 * width * height}")
-    return width, height, start, parse_frame_index(path)
+        raise PpmError(f"{path}: payload holds {size - start} bytes, header promises {_echo(3 * width * height)}")
+    return width, height, start
 
 
-def _read_ppm_header(fh, path: Path) -> tuple[int, int, int, int]:
+def _read_ppm_header(fh, path: Path) -> tuple[int, int, int]:
     """``_ppm_header`` of the open file ``fh``; the payload length comes from the file size.
 
     A header that does not parse within the bytes read so far (long ``#``
@@ -253,32 +238,28 @@ def _read_ppm_header(fh, path: Path) -> tuple[int, int, int, int]:
 
 
 def read_ppm(path: str | Path) -> ImageFrame:
-    """Decode a binary P6 PPM file with maxval 255.
-
-    The frame index is parsed from the trailing digits of the file stem;
-    the pixels are read straight into the frame's buffer.
-    """
+    """Decode a binary P6 PPM file with maxval 255, whatever its name, straight into the frame's buffer."""
     path = Path(path)
     with open(path, "rb") as fh:
-        width, height, start, index = _read_ppm_header(fh, path)
+        width, height, start = _read_ppm_header(fh, path)
         pixels = np.empty(3 * width * height, dtype=np.uint8)
         fh.seek(start)
         held = fh.readinto(pixels)  # short only if the file shrank meanwhile
     if held != pixels.size:
         raise PpmError(f"{path}: payload holds {held} bytes, header promises {pixels.size}")
-    return ImageFrame(width=width, height=height, pixels=pixels, frame_index=index)
+    return ImageFrame(width=width, height=height, pixels=pixels)
 
 
-def read_ppm_header(path: str | Path) -> tuple[int, int, int]:
-    """``(width, height, frame index)`` of a PPM file that ``read_ppm`` would accept.
+def read_ppm_header(path: str | Path) -> tuple[int, int]:
+    """``(width, height)`` of a PPM file that ``read_ppm`` would accept.
 
     Applies every rule of ``read_ppm`` and raises the same errors, but reads
     only the header.
     """
     path = Path(path)
     with open(path, "rb") as fh:
-        width, height, _, index = _read_ppm_header(fh, path)
-    return width, height, index
+        width, height, _ = _read_ppm_header(fh, path)
+    return width, height
 
 
 def write_ppm(frame: ImageFrame, path: str | Path) -> None:

@@ -123,7 +123,7 @@ def load_tracklets_json(path: str | Path) -> list[Tracklet]:
         expect(entry, dict, where)
         tid = expect(entry.get("id"), int, f"{where}.id")
         if tid in seen:
-            raise DataValidationError(f"{where}: duplicate tracklet id {tid}")
+            raise DataValidationError(f"{where}: duplicate tracklet id {_echo(tid)}")
         seen.add(tid)
         start = expect(entry.get("start"), int, f"{where}.start")
         end = expect(entry.get("end"), int, f"{where}.end")
@@ -178,7 +178,7 @@ def load_identity_map(path: str | Path) -> list[list[int]]:
             raise DataValidationError(f"{where}: expected a nonempty list of ids")
         for tid in group:
             if tid in seen:
-                raise DataValidationError(f"{where}: id {tid} appears in more than one group")
+                raise DataValidationError(f"{where}: id {_echo(tid)} appears in more than one group")
             seen.add(tid)
         groups.append(group)
     return groups

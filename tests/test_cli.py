@@ -185,6 +185,31 @@ class TestExitCodes:
         assert err.splitlines() == ["error: argument --seed: expected a nonnegative integer, got '-1'"]
         assert not any(tmp_path.iterdir())  # for synth generate: no scene/frames directory
 
+    @pytest.mark.parametrize(
+        "command, flag, value, expected",
+        [
+            ("synth generate", "--switch", "x", "expected OBJECT:FRAME, two integers, got 'x'"),
+            ("synth generate", "--switch", "1:x", "expected OBJECT:FRAME, two integers, got '1:x'"),
+            ("synth generate", "--switch", "1:2:3", "expected OBJECT:FRAME, two integers, got '1:2:3'"),
+            ("train", "--hidden", "5,x", "expected comma-separated integer layer widths, got '5,x'"),
+            ("train", "--hidden", ",", "expected comma-separated integer layer widths, got ','"),
+            ("stack", "--variant", "foo",
+             "unknown stacking variant 'foo'; expected one of rgb_seq, rgb_int, diff_seq, diff_int"),
+        ],
+    )
+    def test_bad_flag_value_says_what_was_expected(self, tmp_path, input_files, scene12, command, flag, value,
+                                                   expected):
+        argv = {
+            "synth generate": ["synth", "generate", "--num-frames", "4", "--out-dir", str(tmp_path / "scene")],
+            "train": _input_file_argv("train", input_files, tmp_path),
+            "stack": ["stack", "--frames", str(scene12 / "frames"), "--variant", "rgb_seq",
+                      "--out-dir", str(tmp_path / "stacks")],
+        }[command]
+        code, err = _run_quiet([*argv, flag, value])
+        assert code == 1
+        assert err.splitlines() == [f"error: argument {flag}: {expected}"]  # no function's name
+        assert not any(tmp_path.iterdir())
+
     def test_train_per_anchor_below_one_is_usage(self, tmp_path, input_files):
         argv = _input_file_argv("train", input_files, tmp_path)
         code, err = _run_quiet([*argv, "--per-anchor", "0", "--out", str(tmp_path / "train.json")])
@@ -460,6 +485,11 @@ MALFORMED_FILES = {
         _mtensor(f'{{"dtype": "f32", "shape": [{_BIG}]}}'),
         f": payload length mismatch: header declares 4{_BIG[1:80]}... bytes, file holds 12",
     ),
+    "mtensor-two-4001-digit-dimensions": (  # a payload size too long for str()
+        "features", "map.mten",
+        _mtensor(f'{{"dtype": "f32", "shape": [1{"0" * 4000}, 1{"0" * 4000}]}}'),
+        f": payload length mismatch: header declares 4{'0' * 79}... bytes, file holds 12",
+    ),
     "conv-sidecar-401-digit-c-out": (
         "surgery", "conv.json",
         f'{{"c_out": {_BIG}, "c_in": 3, "kh": 3, "kw": 3, "bias": true}}'.encode(),
@@ -491,6 +521,17 @@ MALFORMED_FILES = {
             {"id": 1, "start": 0, "end": 0, "boxes": [[0, 0, 1, 1]]},
         ]}).encode(),
         ": tracklets[1]: either every tracklet or none may carry feature_rows",
+    ),
+    "tracklets-401-digit-id-twice": (
+        "mine", "tracklets.json",
+        ('{"tracklets": [' + ", ".join([f'{{"id": {_BIG}, "start": 0, "end": 0, "boxes": [[0, 0, 1, 1]]}}'] * 2)
+         + "]}").encode(),
+        f": tracklets[1]: duplicate tracklet id {_BIG[:80]}...",
+    ),
+    "identity-map-401-digit-id-in-two-groups": (
+        "reid", "identity_map.json",
+        f'{{"groups": [[{_BIG}], [0, {_BIG}]]}}'.encode(),
+        f": groups[1]: id {_BIG[:80]}... appears in more than one group",
     ),
     "identity-map-of-one-group": (
         "reid", "identity_map.json",
@@ -526,7 +567,20 @@ def _truncate_last_frame(frames):
 def _bad_magic(frames):
     path = frames / "frame_000004.ppm"
     path.write_bytes(b"P3" + path.read_bytes()[2:])
-    return f"{path}: unsupported format b'P3', only binary P6 is accepted"
+    return f'{path}: unsupported format "P3", only binary P6 is accepted'
+
+
+def _5000_char_magic(frames):
+    path = frames / "frame_000004.ppm"
+    path.write_bytes(b"P" * 5000 + path.read_bytes()[2:])
+    return f'{path}: unsupported format "{"P" * 79}..., only binary P6 is accepted'
+
+
+def _3000_digit_width(frames):
+    path = frames / "frame_000009.ppm"
+    path.write_bytes(b"P6\n" + b"1" * 3000 + path.read_bytes()[5:])  # height 72 kept
+    payload = path.stat().st_size - len(b"P6\n" + b"1" * 3000 + b" 72\n255\n")
+    return f"{path}: payload holds {payload} bytes, header promises {str(216 * int('1' * 3000))[:80]}..."
 
 
 def _cut_header(frames):
@@ -537,12 +591,17 @@ def _cut_header(frames):
 
 def _mixed_sizes(frames):
     write_ppm(ImageFrame(width=4, height=2, pixels=np.zeros(24, np.uint8)), frames / "frame_000007.ppm")
-    return "frame 7 is 4x2, sequence started at 96x72"
+    return f"{frames / 'frame_000007.ppm'}: frame 7 is 4x2, sequence started at 96x72"
 
 
 def _shared_index(frames):
-    shutil.copyfile(frames / "frame_000003.ppm", frames / "copy_3.ppm")
-    return "duplicate frame index 3"
+    shutil.copyfile(frames / "frame_000003.ppm", frames / "copy_3.ppm")  # read first, in name order
+    return f"{frames / 'frame_000003.ppm'}: duplicate frame index 3, shared with copy_3.ppm"
+
+
+def _name_without_digits(frames):
+    shutil.copyfile(frames / "frame_000003.ppm", frames / "cover.ppm")
+    return f"{frames / 'cover.ppm'}: no frame number in file stem"
 
 
 # Defects in a `stack` frame directory: each edits the copied 12-frame,
@@ -553,6 +612,9 @@ MALFORMED_FRAMES = {
     "cut-header": _cut_header,
     "mixed-sizes": _mixed_sizes,
     "shared-index": _shared_index,
+    "name-without-digits": _name_without_digits,
+    "5000-char-magic": _5000_char_magic,
+    "3000-digit-width": _3000_digit_width,
 }
 
 
@@ -679,8 +741,19 @@ class TestStack:
                                 "--n", "3", "--out-dir", str(out_dir)])
         assert code == 2
         assert err.splitlines() == [f"error: {message}"]
+        assert len(message) <= len(str(frames)) + 300  # a file in frames, and at most 300 more characters
         assert not list(out_dir.glob("stack_*.mten"))
         assert not (out_dir / "manifest.json").exists()
+
+    @pytest.mark.parametrize("kind", ["frame", "labels"])
+    def test_missing_directory_is_an_io_error(self, tmp_path, scene12, kind):
+        missing = tmp_path / "missing"
+        frames, labels = (missing, []) if kind == "frame" else (scene12 / "frames", ["--labels", str(missing)])
+        code, err = _run_quiet(["stack", "--frames", str(frames), *labels, "--variant", "diff_seq",
+                                "--out-dir", str(tmp_path / "stacks")])
+        assert code == 3
+        assert err.splitlines() == [f"error: {kind} directory {missing} does not exist"]
+        assert not list(tmp_path.glob("stacks/*"))
 
     def test_out_of_range_parameters_warn(self, tmp_path, scene12, capsys):
         code = cli.run(

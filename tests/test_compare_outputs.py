@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from motionstack import cli
+from motionstack.synth_scenes import SceneConfig, generate
 
 _SPEC = importlib.util.spec_from_file_location(
     "compare_outputs", Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
@@ -27,7 +28,25 @@ def test_every_command_of_the_chain_parses():
     assert variants == {"rgb-seq", "rgb-int", "diff-seq", "diff-int"}
     drop_rates = [argv[argv.index("--drop-rate") + 1] for argv in commands if argv[:2] == ["synth", "perturb"]]
     assert drop_rates == ["0.2", "0", "1"]  # the seeded degradation, then both boundaries
+    frames = [argv[argv.index("--frames") + 1] for argv in commands if argv[0] == "stack"]
+    assert frames[4:] == ["frames_shared", "frames_sized", "scene/frames"]  # the defects, after the layouts
+    labels = [argv[argv.index("--labels") + 1] for argv in commands if "--labels" in argv]
+    assert labels == ["no_labels"]  # a directory that nothing writes
     assert all(not arg.startswith("/") for argv in commands for arg in argv)
+
+
+def test_defective_frame_directories_fail_on_their_defect(tmp_path, capsys):
+    generate(SceneConfig(width=32, height=24, num_frames=4, num_objects=1, seed=1), tmp_path / "scene")
+    compare_outputs.write_scene_inputs(tmp_path)
+    want = {
+        "frames_shared": "frame_000001.ppm: duplicate frame index 1, shared with copy_1.ppm",
+        "frames_sized": "frame_000002.ppm: frame 2 is 4x2, sequence started at 32x24",
+    }
+    for name, message in want.items():
+        code = cli.run(["stack", "--frames", str(tmp_path / name), "--variant", "rgb-seq",
+                        "--out-dir", str(tmp_path / f"stacks_{name}")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {tmp_path / name / message}"]
 
 
 def test_differences_name_every_file_in_path_order(tmp_path):
@@ -85,7 +104,7 @@ def test_change_env_reaches_only_the_change(tmp_path, monkeypatch):
         return subprocess.CompletedProcess(args, 0, "", "")
 
     monkeypatch.setattr(compare_outputs.subprocess, "run", fake_run)
-    monkeypatch.setattr(compare_outputs, "write_partial_map", lambda out: None)
+    monkeypatch.setattr(compare_outputs, "write_scene_inputs", lambda out: None)
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     code = compare_outputs.main(
         [str(tmp_path / "parent"), str(tmp_path / "change"), "--seeds", "7", "--work", str(tmp_path / "work"),

@@ -386,7 +386,7 @@ class TestF1OperatingPoint:
             dets, gts = _dense_instance(seed)
             instances.append(([Detection(d.frame, d.bbox, round(d.score, 1), d.label) for d in dets], gts))
         for dets, gts in instances:
-            got = f1_operating_point(dets, gts, 0.5)
+            got = f1_operating_point(dets, gts)
             want = oracles.best_f1_prefix(dets, gts, 0.5)
             assert {key: got[key] for key in want} == want
 

@@ -19,6 +19,7 @@ from motionstack.frame_pipeline import (
     build_input,
     diff_image,
     normalize_variant,
+    parse_frame_index,
 )
 from motionstack.tensor_io import ImageFrame, read_tensor, write_ppm
 
@@ -28,7 +29,7 @@ def _make_frames(dir_path, count, width=6, height=4, seed=0):
     frames = []
     for t in range(count):
         pixels = rng.integers(0, 256, size=3 * width * height, dtype=np.uint8)
-        frame = ImageFrame(width=width, height=height, pixels=pixels, frame_index=t)
+        frame = ImageFrame(width=width, height=height, pixels=pixels)
         write_ppm(frame, dir_path / f"frame_{t:04d}.ppm")
         frames.append(frame)
     return frames
@@ -144,6 +145,18 @@ class TestInputConfig:
             InputConfig("rgb_int", delta=0)
 
 
+class TestFrameIndex:
+    def test_trailing_digits(self):
+        assert parse_frame_index("frame_000123.ppm") == 123
+        assert parse_frame_index("cam2_frame_7.ppm") == 7
+
+    def test_last_digit_run_wins(self):
+        assert parse_frame_index("take3_frame10.ppm") == 10
+
+    def test_no_digits(self):
+        assert parse_frame_index("frame.ppm") is None
+
+
 class TestFrameSequence:
     def test_orders_by_parsed_index(self, tmp_path):
         _make_frames(tmp_path, 3)
@@ -159,10 +172,49 @@ class TestFrameSequence:
 
     def test_rejects_mixed_sizes(self, tmp_path):
         _make_frames(tmp_path, 2)
-        odd = ImageFrame(width=2, height=2, pixels=np.zeros(12, np.uint8), frame_index=9)
+        odd = ImageFrame(width=2, height=2, pixels=np.zeros(12, np.uint8))
         write_ppm(odd, tmp_path / "frame_0009.ppm")
         with pytest.raises(DataValidationError, match="sequence started at"):
             FrameSequence.from_dir(tmp_path)
+
+    def test_each_rejection_starts_with_the_files_path(self, tmp_path):
+        _make_frames(tmp_path, 3)
+        (tmp_path / "copy_0001.ppm").write_bytes((tmp_path / "frame_0001.ppm").read_bytes())
+        with pytest.raises(DataValidationError) as caught:
+            FrameSequence.from_dir(tmp_path)
+        assert str(caught.value) == (
+            f"{tmp_path / 'frame_0001.ppm'}: duplicate frame index 1, shared with copy_0001.ppm"
+        )
+        (tmp_path / "copy_0001.ppm").unlink()
+        write_ppm(ImageFrame(width=2, height=2, pixels=np.zeros(12, np.uint8)), tmp_path / "frame_0002.ppm")
+        with pytest.raises(DataValidationError) as caught:
+            FrameSequence.from_dir(tmp_path)
+        assert str(caught.value) == f"{tmp_path / 'frame_0002.ppm'}: frame 2 is 2x2, sequence started at 6x4"
+        (tmp_path / "frame_0002.ppm").unlink()
+        (tmp_path / "cover.ppm").write_bytes((tmp_path / "frame_0001.ppm").read_bytes())
+        with pytest.raises(DataValidationError) as caught:
+            FrameSequence.from_dir(tmp_path)
+        assert str(caught.value) == f"{tmp_path / 'cover.ppm'}: no frame number in file stem"
+
+    def test_size_recheck_on_decode_names_the_frame(self, tmp_path):
+        _make_frames(tmp_path, 2)
+        source = FrameSequence.from_dir(tmp_path)
+        write_ppm(ImageFrame(width=2, height=2, pixels=np.zeros(12, np.uint8)), tmp_path / "frame_0001.ppm")
+        with pytest.raises(DataValidationError) as caught:
+            source.planar(1)
+        assert str(caught.value) == f"{tmp_path / 'frame_0001.ppm'}: frame 1 is 2x2, sequence started at 6x4"
+
+    def test_header_is_checked_before_the_name(self, tmp_path):
+        (tmp_path / "cover.ppm").write_bytes(b"P3\n1 1\n255\n0 0 0\n")
+        with pytest.raises(PpmError, match="unsupported format"):
+            FrameSequence.from_dir(tmp_path)
+
+    def test_missing_directory_is_not_an_empty_sequence(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match=f"^frame directory {tmp_path / 'typo'} does not exist$"):
+            FrameSequence.from_dir(tmp_path / "typo")
+        (tmp_path / "file.ppm").write_bytes(b"")
+        with pytest.raises(FileNotFoundError):
+            FrameSequence.from_dir(tmp_path / "file.ppm")
 
     def test_resolve_clamps_backward(self, tmp_path):
         _make_frames(tmp_path, 4)
@@ -231,7 +283,7 @@ def _make_gapped_frames(dir_path, indices, width=6, height=4, seed=3):
     rng = np.random.default_rng(seed)
     for t in indices:
         pixels = rng.integers(0, 256, size=3 * width * height, dtype=np.uint8)
-        write_ppm(ImageFrame(width=width, height=height, pixels=pixels, frame_index=t), dir_path / f"f_{t}.ppm")
+        write_ppm(ImageFrame(width=width, height=height, pixels=pixels), dir_path / f"f_{t}.ppm")
 
 
 class TestBuildDataset:
@@ -332,6 +384,16 @@ class TestBuildDataset:
             build_dataset(
                 FrameSequence.from_dir(frames_dir), InputConfig("rgb_seq"), tmp_path / "o", labels_dir
             )
+
+    def test_missing_labels_directory_is_an_io_error(self, tmp_path):
+        frames_dir = tmp_path / "frames"
+        frames_dir.mkdir()
+        _make_frames(frames_dir, 2)
+        with pytest.raises(FileNotFoundError, match="labels directory .*nolabels does not exist"):
+            build_dataset(
+                FrameSequence.from_dir(frames_dir), InputConfig("rgb_seq"), tmp_path / "o", tmp_path / "nolabels"
+            )
+        assert not list((tmp_path / "o").iterdir())
 
     def test_two_labels_for_one_frame_fail(self, tmp_path):
         frames_dir = tmp_path / "frames"

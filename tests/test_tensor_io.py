@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from motionstack import tensor_io
-from motionstack.errors import FrameIndexParseError, PpmError, TensorFormatError
+from motionstack.errors import PpmError, TensorFormatError
 from motionstack.tensor_io import (
     MAGIC,
     ImageFrame,
-    parse_frame_index,
     read_ppm,
     read_ppm_header,
     read_tensor,
@@ -219,24 +218,11 @@ class TestChannelsLast:
                 read_tensor(path, channels_last=channels_last)
 
 
-class TestFrameIndex:
-    def test_trailing_digits(self):
-        assert parse_frame_index("frame_000123.ppm") == 123
-        assert parse_frame_index("cam2_frame_7.ppm") == 7
-
-    def test_last_digit_run_wins(self):
-        assert parse_frame_index("take3_frame10.ppm") == 10
-
-    def test_no_digits(self):
-        with pytest.raises(FrameIndexParseError):
-            parse_frame_index("frame.ppm")
-
-
 class TestPpm:
-    def _frame(self, w=4, h=3, index=5):
+    def _frame(self, w=4, h=3):
         rng = np.random.default_rng(0)
         pixels = rng.integers(0, 256, size=3 * w * h, dtype=np.uint8)
-        return ImageFrame(width=w, height=h, pixels=pixels, frame_index=index)
+        return ImageFrame(width=w, height=h, pixels=pixels)
 
     def test_round_trip(self, tmp_path):
         frame = self._frame()
@@ -244,7 +230,6 @@ class TestPpm:
         write_ppm(frame, path)
         back = read_ppm(path)
         assert (back.width, back.height) == (frame.width, frame.height)
-        assert back.frame_index == 5
         assert np.array_equal(back.pixels, frame.pixels)
 
     def test_read_holds_the_payload_once(self, tmp_path):
@@ -275,13 +260,13 @@ class TestPpm:
     def test_rejects_p3(self, tmp_path):
         path = tmp_path / "img_1.ppm"
         path.write_bytes(b"P3\n1 1\n255\n0 0 0\n")
-        with pytest.raises(PpmError, match=r"img_1\.ppm: unsupported format b'P3', only binary P6"):
+        with pytest.raises(PpmError, match=r'img_1\.ppm: unsupported format "P3", only binary P6'):
             read_ppm(path)
 
     def test_rejects_non_numeric_header(self, tmp_path):
         path = tmp_path / "img_1.ppm"
         path.write_bytes(b"P6\nwide 1\n255\n" + bytes(3))
-        with pytest.raises(PpmError, match=r"img_1\.ppm: non-numeric header token b'wide'"):
+        with pytest.raises(PpmError, match=r'img_1\.ppm: non-numeric header token "wide"'):
             read_ppm(path)
 
     def test_rejects_wrong_maxval(self, tmp_path):
@@ -296,10 +281,40 @@ class TestPpm:
         with pytest.raises(PpmError, match=r"img_1\.ppm: payload holds 5 bytes, header promises 12"):
             read_ppm(path)
 
+    def test_reads_a_file_whatever_its_name(self, tmp_path):
+        frame = self._frame()
+        path = tmp_path / "cover.ppm"  # no digits: a frame index is frame_pipeline's rule, not the codec's
+        write_ppm(frame, path)
+        assert np.array_equal(read_ppm(path).pixels, frame.pixels)
+        assert read_ppm_header(path) == (4, 3)
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            (b"P" * 5000 + b"\n1 1\n255\n", 'unsupported format "' + "P" * 79 + "..."),
+            (b"P6\n" + b"w" * 5000 + b" 1\n255\n", 'non-numeric header token "' + "w" * 79 + "..."),
+            (b"P6\n-" + b"9" * 3000 + b" 1\n255\n", "non-positive dimensions -" + "9" * 79 + "...x1"),
+            (b"P6\n1 1\n" + b"7" * 3000 + b"\n", "maxval " + "7" * 80 + "... unsupported, expected 255"),
+            (b"P6\n" + b"1" * 3000 + b" 1\n255\n", "payload holds 3 bytes, header promises 3" + "3" * 79 + "..."),
+            # 3 * w * h has about 8,000 digits, more than str() converts
+            (b"P6\n" + b"1" * 4000 + b" " + b"1" * 4000 + b"\n255\n", "payload holds 3 bytes, header promises 3"),
+        ],
+        ids=["5000-char-magic", "5000-char-token", "3000-digit-negative-width", "3000-digit-maxval",
+             "3000-digit-width", "4000-digit-width-and-height"],
+    )
+    def test_header_errors_cut_what_they_echo(self, tmp_path, header, message):
+        path = tmp_path / "img_1.ppm"
+        path.write_bytes(header + bytes(3))
+        for read in (read_ppm, read_ppm_header):
+            with pytest.raises(PpmError) as caught:
+                read(path)
+            assert str(caught.value).startswith(f"{path}: {message}")
+            assert len(str(caught.value)) <= len(str(path)) + 150
+
     def test_header_read_past_its_prefix(self, tmp_path):
         path = tmp_path / "img_7.ppm"
         path.write_bytes(b"P6\n# " + b"x" * 5000 + b"\n2 1\n255\n" + bytes(6))
-        assert read_ppm_header(path) == (2, 1, 7)
+        assert read_ppm_header(path) == (2, 1)
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(PpmError, match=r"img_7\.ppm: payload holds 5 bytes, header promises 6"):
             read_ppm_header(path)
@@ -323,17 +338,17 @@ class TestPpm:
         path.write_bytes(data)
         try:
             frame = read_ppm(path)
-        except (PpmError, FrameIndexParseError) as exc:
+        except PpmError as exc:
             with pytest.raises(type(exc)) as caught:
                 read_ppm_header(path)
             assert str(caught.value) == str(exc)
         else:
-            assert read_ppm_header(path) == (frame.width, frame.height, frame.frame_index)
+            assert read_ppm_header(path) == (frame.width, frame.height)
 
     def test_to_planar_channel_layout(self):
         # One red, one green pixel: planes must separate cleanly.
         pixels = np.array([255, 0, 0, 0, 255, 0], dtype=np.uint8)
-        frame = ImageFrame(width=2, height=1, pixels=pixels, frame_index=0)
+        frame = ImageFrame(width=2, height=1, pixels=pixels)
         planar = to_planar(frame)
         assert planar.shape == (3, 1, 2)
         assert planar[0, 0, 0] == 255 and planar[1, 0, 1] == 255

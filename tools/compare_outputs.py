@@ -28,8 +28,11 @@ paths only:
 * ``reid`` and both ``project`` forms on the four tracklets without
   ``feature_rows``, whose feature rows follow enumeration order (the
   scene's tracklets all carry ``feature_rows``);
-* ``eval`` and ``train`` of each malformed record file, so that their exit
-  codes and error lines are compared too.
+* ``eval`` and ``train`` of each malformed record file, and ``stack`` of
+  two defective frame directories made from the scene's first three frames
+  (two files sharing a frame index; a frame of another size) and with a
+  missing ``--labels`` directory, so that their exit codes and error lines
+  are compared too.
 
 Each command's exit code, standard output and standard error go to a log
 file inside the output directory, so they are compared with the artifacts.
@@ -169,10 +172,23 @@ def write_enumeration_inputs(directory: Path, seed: int) -> None:
     (directory / "enum_map.json").write_text(json.dumps({"groups": [[2**70, 0], [3, 7]]}), encoding="utf-8")
 
 
-def write_partial_map(directory: Path) -> None:
-    """Every other group of the scene's identity map, so the rest stay ungrouped."""
+def write_scene_inputs(directory: Path) -> None:
+    """The inputs made from the scene: a partial identity map and two defective frame directories.
+
+    ``partial_map.json`` holds every other group of the scene's identity
+    map, so the rest stay ungrouped. ``frames_shared`` and ``frames_sized``
+    hold copies of the scene's first three frames; in ``frames_shared``,
+    ``copy_1.ppm`` repeats frame 1, and in ``frames_sized`` frame 2 is 4x2.
+    """
     groups = json.loads((directory / "scene" / "identity_map.json").read_text(encoding="utf-8"))["groups"]
     (directory / "partial_map.json").write_text(json.dumps({"groups": groups[::2]}), encoding="utf-8")
+    first = sorted((directory / "scene" / "frames").glob("*.ppm"))[:3]
+    for name in ("frames_shared", "frames_sized"):
+        (directory / name).mkdir()
+        for path in first:
+            shutil.copyfile(path, directory / name / path.name)
+    shutil.copyfile(first[1], directory / "frames_shared" / "copy_1.ppm")
+    (directory / "frames_sized" / first[2].name).write_bytes(b"P6\n4 2\n255\n" + bytes(24))
 
 
 def chain(seed: int) -> list[list[str]]:
@@ -235,6 +251,10 @@ def chain(seed: int) -> list[list[str]]:
         ["eval", "--dets", "bad_json_dets.jsonl", "--gt", "dense_gt.jsonl", "--out", "eval_bad_json.json"],
         ["train", *scene, "--triplets", "bad_triplets.jsonl", "--out-dir", "net_bad", "--out", "train_bad.json"],
         ["train", *scene, "--triplets", "miss_triplets.jsonl", "--out-dir", "net_miss", "--out", "train_miss.json"],
+        ["stack", "--frames", "frames_shared", "--variant", "rgb-seq", "--out-dir", "stacks_shared"],
+        ["stack", "--frames", "frames_sized", "--variant", "rgb-seq", "--out-dir", "stacks_sized"],
+        ["stack", "--frames", "scene/frames", "--variant", "rgb-seq", "--labels", "no_labels",
+         "--out-dir", "stacks_no_labels"],
     ]
     return commands
 
@@ -255,7 +275,7 @@ def run_chain(tree: Path, out: Path, seed: int, extra_env: dict[str, str] | None
         log += f"--- stdout\n{done.stdout}--- stderr\n{done.stderr}"
         (out / "logs" / f"{step:02d}_{argv[0]}.txt").write_text(log, encoding="utf-8")
         if argv[:2] == ["synth", "generate"] and done.returncode == 0:
-            write_partial_map(out)
+            write_scene_inputs(out)
 
 
 def differences(a: Path, b: Path) -> list[str]:
