@@ -104,13 +104,13 @@ def _finite_float(raw: str) -> float:
     except ValueError:
         value = nan
     if not isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {raw!r}")
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {_echo(raw)}")
     return value
 
 
 def _seed(raw: str) -> int:
     if not raw.isdecimal():  # digits only, so no sign: a seed is never negative
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {raw!r}")
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {_echo(raw)}")
     return int(raw)
 
 
@@ -118,7 +118,7 @@ def _parse_switch(raw: str) -> tuple[int, int]:
     try:
         obj, frame = map(int, raw.split(":"))
     except ValueError:  # not two parts, or a part that is no integer
-        raise argparse.ArgumentTypeError(f"expected OBJECT:FRAME, two integers, got {raw!r}") from None
+        raise argparse.ArgumentTypeError(f"expected OBJECT:FRAME, two integers, got {_echo(raw)}") from None
     return obj, frame
 
 
@@ -128,7 +128,7 @@ def _parse_hidden(raw: str) -> tuple[int, ...]:
     except ValueError:
         widths = ()
     if not widths:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integer layer widths, got {raw!r}")
+        raise argparse.ArgumentTypeError(f"expected comma-separated integer layer widths, got {_echo(raw)}")
     return widths
 
 

@@ -61,7 +61,7 @@ def parse_frame_index(path: str | Path) -> int | None:
 def normalize_variant(name: str) -> str:
     variant = name.strip().lower().replace("-", "_")
     if variant not in VARIANTS:
-        raise ValueError(f"unknown stacking variant {name!r}; expected one of {', '.join(VARIANTS)}")
+        raise ValueError(f"unknown stacking variant {_echo(name)}; expected one of {', '.join(VARIANTS)}")
     return variant
 
 
@@ -278,7 +278,9 @@ def _label_files_by_index(labels_dir: Path) -> dict[int, Path]:
         if index is None or not path.is_file():
             continue
         if index in mapping:
-            raise DataValidationError(f"{labels_dir}: two label files claim frame {index}")
+            raise DataValidationError(
+                f"{path}: two label files claim frame {_echo(index)}, this one and {mapping[index].name}"
+            )
         mapping[index] = path
     return mapping
 
@@ -294,18 +296,14 @@ def build_dataset(
     Each target frame t becomes ``stack_<t>.mten`` in ``out_dir``. When
     ``labels_dir`` is given, the per-frame label file (matched by the frame
     index in its stem) is copied verbatim next to the stacks and recorded
-    in the manifest; a missing ``labels_dir`` or a frame without a label
-    file is an error, raised before any stack is written. The manifest is
-    returned and also written to ``out_dir/manifest.json``, after every
-    stack; an existing manifest is deleted first, so a run that fails
-    part-way leaves none. An empty source yields an empty manifest. Every
-    stack is built in one reused buffer.
+    in the manifest; a missing ``labels_dir``, two label files for one frame
+    or a frame without a label file is an error, raised before ``out_dir``
+    or anything in it is touched. The manifest is returned and also written
+    to ``out_dir/manifest.json``, after every stack; an existing manifest is
+    deleted before the first stack, so a run that fails part-way leaves
+    none. An empty source yields an empty manifest. Every stack is built in
+    one reused buffer.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # An earlier run's manifest would describe stacks this run may overwrite,
-    # and the new one is written only once every stack is.
-    (out_dir / MANIFEST_NAME).unlink(missing_ok=True)
     labels = {}
     if labels_dir is not None:
         labels_dir = Path(labels_dir)
@@ -315,6 +313,11 @@ def build_dataset(
         for t in source.indices:
             if t not in labels:
                 raise DataValidationError(f"no label file for frame {t} in {labels_dir}")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    # An earlier run's manifest would describe stacks this run may overwrite,
+    # and the new one is written only once every stack is.
+    (out_dir / MANIFEST_NAME).unlink(missing_ok=True)
 
     items = []
     reach = max(config.offsets)

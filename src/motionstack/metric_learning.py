@@ -469,11 +469,13 @@ def _distance_blocks(a: np.ndarray, b: np.ndarray):
         d2 *= -2.0
         norms = a2[lo : lo + step, None] + b2
         d2 += norms
-        r, c = np.nonzero(d2 < np.multiply(norms, 1e-2, out=norms))
-        for s in range(0, len(r), pairs):  # in chunks, so no scratch grows with the pair count
-            diff = rows[r[s : s + pairs]] - b[c[s : s + pairs]]
-            d2[r[s : s + pairs], c[s : s + pairs]] = np.square(diff, out=diff).sum(axis=1)
-        np.maximum(d2, 0.0, out=d2)
+        # Every d2 < 0 cancels too, as norms >= 0, so no distance comes out negative.
+        cancelled = d2 < np.multiply(norms, 1e-2, out=norms)
+        if cancelled.any():  # most blocks between two groups have no such pair
+            r, c = np.nonzero(cancelled)
+            for s in range(0, len(r), pairs):  # in chunks, so no scratch grows with the pair count
+                diff = rows[r[s : s + pairs]] - b[c[s : s + pairs]]
+                d2[r[s : s + pairs], c[s : s + pairs]] = np.square(diff, out=diff).sum(axis=1)
         yield lo, np.sqrt(d2, out=d2)
 
 

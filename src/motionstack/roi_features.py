@@ -15,9 +15,11 @@ at (x, y) is ``sum_ij wy[i] * wx[j] * map[c, i, j]``, where ``wy`` puts
 ``1 - ly`` on row ``floor(y)`` and ``ly`` on the clamped row below, and
 ``wx`` does the same over columns. The samples pair every y-position with
 every x-position, so their mean factorises too: ``wy @ map[c] @ wx``, with
-``wy`` (``wx``) the mean weights of the box's y (x) positions. No
-per-sample tensor is built, and only the float64 summation order differs
-from interpolating each sample.
+``wy`` (``wx``) the mean weights of the box's y (x) positions. Each box
+holds those weights over its window only, the rows (columns) from its
+lowest sample pixel to the last pixel given weight, so no [N, Hf] or
+[N, Wf] array is built. No per-sample tensor is built either, and only the
+float64 summation order differs from interpolating each sample.
 
 A ``FeatureMap`` holds its map once, as a C-contiguous float64 [Hf, Wf, C]
 array, in which a box's window is one view; ``tensor`` is that array's
@@ -88,27 +90,37 @@ def _sample_coords(boxes: np.ndarray, spatial_scale: float, out_h: int, out_w: i
     return grid(f[:, 1], f[:, 3], out_h), grid(f[:, 0], f[:, 2], out_w)
 
 
-def _bilinear_weights(pos: np.ndarray, n: int) -> np.ndarray:
-    """[..., n] weights averaging clamped linear interpolation at pos [..., k] on n pixels."""
+def _bilinear_weights(pos: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean clamped linear-interpolation weights of pos [..., k] on n pixels, per row's window.
+
+    Returns ``(weights [..., span], lo, hi)``: a row's nonzero weights sit on
+    pixels ``[lo, hi)`` and in its first ``hi - lo`` entries, zeros after;
+    ``span`` is the widest window.
+    """
     flat = np.clip(pos, 0.0, n - 1.0).reshape(-1, pos.shape[-1])
     i0 = np.floor(flat).astype(np.intp)
     frac = flat - i0
+    i1 = np.minimum(i0 + 1, n - 1)
+    # Each sample's own pixel always gets weight (``1 - frac`` > 0), so the
+    # lowest one opens the window; the pixel after the highest closes it.
+    lo, hi = i0.min(axis=1), i1.max(axis=1) + 1
+    span = int((hi - lo).max(initial=0))
     # One scatter-add of every (cell, weight) pair: first each sample's own
     # pixel, then the clamped pixel after it, so each cell sums its terms in
     # the order two sequential ``np.add.at`` passes would.
-    cells = np.arange(len(flat))[:, None] * n
+    cells = (np.arange(len(flat)) * span - lo)[:, None]
     weights = np.bincount(
-        np.concatenate([(cells + i0).ravel(), (cells + np.minimum(i0 + 1, n - 1)).ravel()]),
+        np.concatenate([(cells + i0).ravel(), (cells + i1).ravel()]),
         np.concatenate([(1.0 - frac).ravel(), frac.ravel()]),
-        minlength=len(flat) * n,
+        minlength=len(flat) * span,
     )
-    return (weights / pos.shape[-1]).reshape(pos.shape[:-1] + (n,))
-
-
-def _windows(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of weights [N, n], the [lo, hi) range of nonzero columns."""
-    touched = weights != 0
-    return touched.argmax(axis=1), weights.shape[1] - touched[:, ::-1].argmax(axis=1)
+    weights = (weights / pos.shape[-1]).reshape(len(flat), span)
+    # The last pixel may get only ``frac`` terms that are, or round to, zero
+    # (every sample on its own pixel); then the pixel before it closes the window.
+    hi -= weights[np.arange(len(flat)), hi - lo - 1] == 0
+    span = int((hi - lo).max(initial=0))
+    lead = pos.shape[:-1]
+    return weights[:, :span].reshape(lead + (span,)), lo.reshape(lead), hi.reshape(lead)
 
 
 def pool_boxes(
@@ -134,13 +146,13 @@ def pool_boxes(
     ys, xs = _sample_coords(boxes, fmap.spatial_scale, out_h, out_w, sampling_ratio)
     hwc = np.ascontiguousarray(fmap.tensor.transpose(1, 2, 0), dtype=np.float64)
     n, c = len(boxes), hwc.shape[2]
-    wy = _bilinear_weights(ys.reshape(n, out_h * sampling_ratio), hwc.shape[0])
-    wx = _bilinear_weights(xs.reshape(n, out_w * sampling_ratio), hwc.shape[1])
-    (top, bottom), (left, right) = _windows(wy), _windows(wx)
+    wy, top, bottom = _bilinear_weights(ys.reshape(n, out_h * sampling_ratio), hwc.shape[0])
+    wx, left, right = _bilinear_weights(xs.reshape(n, out_w * sampling_ratio), hwc.shape[1])
+    del ys, xs  # not held through the box loop
     out = np.empty((n, c), dtype=np.float32)
     order = np.lexsort((left, top))
     windows = zip(order.tolist(), *(a[order].tolist() for a in (top, bottom, left, right)))
     for i, y0, y1, x0, x1 in windows:
-        rows = wy[i, y0:y1] @ hwc[y0:y1, x0:x1].reshape(y1 - y0, (x1 - x0) * c)
-        out[i] = wx[i, x0:x1] @ rows.reshape(x1 - x0, c)
+        rows = wy[i, : y1 - y0] @ hwc[y0:y1, x0:x1].reshape(y1 - y0, (x1 - x0) * c)
+        out[i] = wx[i, : x1 - x0] @ rows.reshape(x1 - x0, c)
     return out

@@ -171,7 +171,7 @@ class TestExitCodes:
             argv = _input_file_argv(command, input_files, tmp_path)
         code, err = _run_quiet([*argv, flag, value])
         assert code == 1
-        assert err.splitlines() == [f"error: argument {flag}: expected a finite number, got {value!r}"]
+        assert err.splitlines() == [f'error: argument {flag}: expected a finite number, got "{value}"']
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["surgery", "mine", "train", "synth generate", "synth perturb"])
@@ -182,32 +182,40 @@ class TestExitCodes:
             argv = _input_file_argv(command, input_files, tmp_path)
         code, err = _run_quiet([*argv, "--seed", "-1"])
         assert code == 1
-        assert err.splitlines() == ["error: argument --seed: expected a nonnegative integer, got '-1'"]
+        assert err.splitlines() == ['error: argument --seed: expected a nonnegative integer, got "-1"']
         assert not any(tmp_path.iterdir())  # for synth generate: no scene/frames directory
 
     @pytest.mark.parametrize(
         "command, flag, value, expected",
         [
-            ("synth generate", "--switch", "x", "expected OBJECT:FRAME, two integers, got 'x'"),
-            ("synth generate", "--switch", "1:x", "expected OBJECT:FRAME, two integers, got '1:x'"),
-            ("synth generate", "--switch", "1:2:3", "expected OBJECT:FRAME, two integers, got '1:2:3'"),
-            ("train", "--hidden", "5,x", "expected comma-separated integer layer widths, got '5,x'"),
-            ("train", "--hidden", ",", "expected comma-separated integer layer widths, got ','"),
+            ("synth generate", "--switch", "x", 'expected OBJECT:FRAME, two integers, got "x"'),
+            ("synth generate", "--switch", "1:x", 'expected OBJECT:FRAME, two integers, got "1:x"'),
+            ("synth generate", "--switch", "1:2:3", 'expected OBJECT:FRAME, two integers, got "1:2:3"'),
+            ("train", "--hidden", "5,x", 'expected comma-separated integer layer widths, got "5,x"'),
+            ("train", "--hidden", ",", 'expected comma-separated integer layer widths, got ","'),
             ("stack", "--variant", "foo",
-             "unknown stacking variant 'foo'; expected one of rgb_seq, rgb_int, diff_seq, diff_int"),
+             'unknown stacking variant "foo"; expected one of rgb_seq, rgb_int, diff_seq, diff_int'),
         ],
     )
     def test_bad_flag_value_says_what_was_expected(self, tmp_path, input_files, scene12, command, flag, value,
                                                    expected):
-        argv = {
-            "synth generate": ["synth", "generate", "--num-frames", "4", "--out-dir", str(tmp_path / "scene")],
-            "train": _input_file_argv("train", input_files, tmp_path),
-            "stack": ["stack", "--frames", str(scene12 / "frames"), "--variant", "rgb_seq",
-                      "--out-dir", str(tmp_path / "stacks")],
-        }[command]
-        code, err = _run_quiet([*argv, flag, value])
+        code, err = _run_quiet([*_flag_argv(command, tmp_path, input_files, scene12), flag, value])
         assert code == 1
         assert err.splitlines() == [f"error: argument {flag}: {expected}"]  # no function's name
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("synth generate", "--switch"), ("train", "--hidden"), ("train", "--lr"), ("train", "--seed"),
+         ("stack", "--variant")],
+    )
+    def test_long_flag_value_is_cut_in_its_error_line(self, tmp_path, input_files, scene12, command, flag):
+        value = "1:" + "x" * 5000
+        code, err = _run_quiet([*_flag_argv(command, tmp_path, input_files, scene12), flag, value])
+        assert code == 1
+        [line] = err.splitlines()
+        assert line.startswith(f"error: argument {flag}: ") and "xxx..." in line
+        assert len(line) <= 200
         assert not any(tmp_path.iterdir())
 
     def test_train_per_anchor_below_one_is_usage(self, tmp_path, input_files):
@@ -303,6 +311,16 @@ def _input_file_argv(command, d, out):
         "surgery": ["surgery", "--weights", str(d / "conv.mten"), "--mode", "replicate", "--n", "2",
                     "--out-weights", str(out / "conv2.mten")],
     }[command]
+
+
+def _flag_argv(command, tmp_path, input_files, scene12):
+    """A valid command line of ``command``, to which a test appends one bad flag value."""
+    if command == "synth generate":
+        return ["synth", "generate", "--num-frames", "4", "--out-dir", str(tmp_path / "scene")]
+    if command == "stack":
+        return ["stack", "--frames", str(scene12 / "frames"), "--variant", "rgb_seq",
+                "--out-dir", str(tmp_path / "stacks")]
+    return _input_file_argv(command, input_files, tmp_path)
 
 
 def _run_quiet(argv):
@@ -753,7 +771,7 @@ class TestStack:
                                 "--out-dir", str(tmp_path / "stacks")])
         assert code == 3
         assert err.splitlines() == [f"error: {kind} directory {missing} does not exist"]
-        assert not list(tmp_path.glob("stacks/*"))
+        assert not (tmp_path / "stacks").exists()
 
     def test_out_of_range_parameters_warn(self, tmp_path, scene12, capsys):
         code = cli.run(

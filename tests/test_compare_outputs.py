@@ -1,9 +1,11 @@
 """The output-comparison tool: its command chain parses, and it names every file that differs."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from motionstack import cli
@@ -32,7 +34,20 @@ def test_every_command_of_the_chain_parses():
     assert frames[4:] == ["frames_shared", "frames_sized", "scene/frames"]  # the defects, after the layouts
     labels = [argv[argv.index("--labels") + 1] for argv in commands if "--labels" in argv]
     assert labels == ["no_labels"]  # a directory that nothing writes
+    boxes = [argv[argv.index("--boxes") + 1] for argv in commands if argv[0] == "features"]
+    assert boxes == ["boxes.json", "edge_boxes.json"]
     assert all(not arg.startswith("/") for argv in commands for arg in argv)
+
+
+def test_edge_boxes_reach_every_edge_case(tmp_path):
+    compare_outputs.write_edge_boxes(tmp_path, 7)
+    boxes = np.array(json.loads((tmp_path / "edge_boxes.json").read_text())["boxes"])
+    x1, y1, x2, y2 = boxes.T
+    assert boxes.shape == (500, 4) and (x2 > x1).all() and (y2 > y1).all()
+    assert (x1 < 0).any() and (y1 < 0).any() and (x2 > 320).any() and (y2 > 240).any()
+    assert (x2 < 0).any() and (y1 > 240).any()  # wholly outside the image
+    assert (x2 - x1 < 4).any() and (y2 - y1 < 4).any()  # narrower than a feature pixel at scale 0.25
+    assert ((x1 <= 0) & (y1 <= 0) & (x2 >= 320) & (y2 >= 240)).any()  # the whole image
 
 
 def test_defective_frame_directories_fail_on_their_defect(tmp_path, capsys):

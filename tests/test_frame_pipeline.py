@@ -307,7 +307,7 @@ class TestBuildDataset:
             want = build_input(fresh, item["index"], config).tensor
             assert np.array_equal(read_tensor(tmp_path / "out" / item["tensor"]), want)
 
-    def test_missing_label_fails_before_any_stack_and_leaves_no_manifest(self, tmp_path):
+    def test_missing_label_fails_before_any_write(self, tmp_path):
         frames_dir = tmp_path / "frames"
         labels_dir = tmp_path / "labels"
         out = tmp_path / "out"
@@ -321,8 +321,7 @@ class TestBuildDataset:
         (labels_dir / "frame_0002.txt").unlink()
         with pytest.raises(DataValidationError, match="no label file for frame 2"):
             build_dataset(FrameSequence.from_dir(frames_dir), InputConfig("diff_seq", n=3), out, labels_dir)
-        assert not (out / "manifest.json").exists()
-        del first_run["manifest.json"]
+        # The earlier run's manifest still describes every stack, none of which was touched.
         assert {path.name: path.read_bytes() for path in out.iterdir()} == first_run
 
     def test_frame_cut_after_indexing_leaves_no_manifest(self, tmp_path):
@@ -384,6 +383,7 @@ class TestBuildDataset:
             build_dataset(
                 FrameSequence.from_dir(frames_dir), InputConfig("rgb_seq"), tmp_path / "o", labels_dir
             )
+        assert not (tmp_path / "o").exists()
 
     def test_missing_labels_directory_is_an_io_error(self, tmp_path):
         frames_dir = tmp_path / "frames"
@@ -393,7 +393,7 @@ class TestBuildDataset:
             build_dataset(
                 FrameSequence.from_dir(frames_dir), InputConfig("rgb_seq"), tmp_path / "o", tmp_path / "nolabels"
             )
-        assert not list((tmp_path / "o").iterdir())
+        assert not (tmp_path / "o").exists()
 
     def test_two_labels_for_one_frame_fail(self, tmp_path):
         frames_dir = tmp_path / "frames"
@@ -403,10 +403,13 @@ class TestBuildDataset:
         _make_frames(frames_dir, 1)
         (labels_dir / "frame_0000.txt").write_text("a\n")
         (labels_dir / "other_0.txt").write_text("b\n")
-        with pytest.raises(DataValidationError, match="claim frame 0"):
+        with pytest.raises(DataValidationError) as info:
             build_dataset(
                 FrameSequence.from_dir(frames_dir), InputConfig("rgb_seq"), tmp_path / "o", labels_dir
             )
+        want = f"{labels_dir / 'other_0.txt'}: two label files claim frame 0, this one and frame_0000.txt"
+        assert str(info.value) == want
+        assert not (tmp_path / "o").exists()
 
     def test_empty_source_is_a_no_op(self, tmp_path):
         frames_dir = tmp_path / "frames"

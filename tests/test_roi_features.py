@@ -88,6 +88,25 @@ class TestFeatureMap:
             tracemalloc.stop()
         assert peak < fmap.tensor.nbytes // 2  # not even a float32 copy of the 9.4 MiB map
 
+    def test_scratch_does_not_grow_with_the_map(self):
+        # The same boxes, all inside the smaller map, pooled on a map with 4x
+        # the rows and 4x the columns: only the boxes' windows are held.
+        rng = np.random.default_rng(1)
+        wh = rng.uniform(8.0, 64.0, size=(2000, 2))
+        xy = rng.uniform(0.0, 1.0, size=(2000, 2)) * (np.array([320.0, 240.0]) - wh)
+        boxes = np.hstack([xy, xy + wh])
+        scratch = []
+        for h, w in [(60, 80), (240, 320)]:
+            fmap = FeatureMap(rng.standard_normal((4, h, w)), spatial_scale=0.25)
+            tracemalloc.start()
+            try:
+                out = pool_boxes(fmap, boxes)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            scratch.append(peak - out.nbytes)
+        assert abs(scratch[1] - scratch[0]) <= 64 * 1024, scratch
+
 
 class TestBilinearSample:
     """A 1x1 bin with sampling_ratio=1 takes one bilinear sample at the box centre."""
@@ -242,7 +261,31 @@ class TestBilinearWeights:
         pos[20:] = rng.integers(0, n, size=(20, 3, 1)) + rng.uniform(0.0, 2.0, size=(20, 3, 14))
         pos[0, 0, :6] = [-1.0, 0.0, 0.5, n - 1.0, n - 0.5, n + 4.0]
         pos[1, 1] = np.floor(pos[1, 1])
-        got = _bilinear_weights(pos, n)
         want = oracles.bilinear_weights_add_at(pos, n)
+        got = _dense_weights(*_bilinear_weights(pos, n), n)
         assert got.shape == want.shape == (40, 3, n)
         assert np.array_equal(_bits(got), _bits(want))
+
+    def test_window_ends_at_the_last_nonzero_weight(self):
+        # One sample a denormal past pixel 0 among 13 on it: its weight on
+        # pixel 1 rounds to zero in the mean, so the window is pixel 0 alone.
+        pos = np.zeros((2, 14))
+        pos[0, 0] = 5e-324
+        pos[1, 0] = 0.5
+        weights, lo, hi = _bilinear_weights(pos, 4)
+        assert lo.tolist() == [0, 0] and hi.tolist() == [1, 2] and weights.shape == (2, 2)
+        want = oracles.bilinear_weights_add_at(pos, 4)
+        assert np.array_equal(_bits(_dense_weights(weights, lo, hi, 4)), _bits(want))
+
+
+def _dense_weights(weights, lo, hi, n):
+    """Scatter window-form weights into [..., n] rows, checking each window is the row's nonzero support."""
+    dense = np.zeros(weights.shape[:-1] + (n,))
+    for idx in np.ndindex(lo.shape):
+        a, b = lo[idx], hi[idx]
+        assert 0 <= a < b <= min(n, a + weights.shape[-1])
+        dense[idx][a:b] = weights[idx][: b - a]
+        assert not weights[idx][b - a :].any()
+        support = np.flatnonzero(dense[idx])
+        assert (support[0], support[-1] + 1) == (a, b)
+    return dense

@@ -7,9 +7,9 @@ PARENT and CHANGE are checkouts of motionstack; they may be the same tree
 when ``--change-env NAME=VALUE`` (repeatable) sets a variable for the
 change's commands only, so that one tree is compared under two environments. For each seed the script
 writes one set of seeded inputs (a 64x3x7x7 conv layer, a 256x60x80 feature
-map and 2,000 boxes, a dense detection/ground-truth pair, five malformed
-record files, and four tracklets without ``feature_rows`` with their
-features and identity map), then runs every
+map with 2,000 boxes and 500 edge-case boxes, a dense detection/ground-truth
+pair, five malformed record files, and four tracklets without
+``feature_rows`` with their features and identity map), then runs every
 ``motionstack`` command of the chain below once per tree, as a subprocess
 with ``PYTHONPATH=<tree>/src`` in its own output directory and with relative
 paths only:
@@ -21,7 +21,9 @@ paths only:
   40 frames, one of them past int64, and 2,400 detections scored in 0.01
   steps;
 * ``stack`` in all four layouts and ``surgery`` in both modes;
-* ``features``;
+* ``features`` of the 2,000 boxes, then of 500 boxes that hang past each
+  edge, are sub-pixel wide or are larger than the map, so that clamped
+  windows and a window spanning the whole map are compared too;
 * ``mine``, ``train`` (plain and ``--normalize-output``), ``reid`` with the
   scene's identity map, a partial one and none, and ``project`` of the
   features and of the embeddings;
@@ -84,9 +86,26 @@ def write_inputs(directory: Path, seed: int) -> None:
     xy = rng.uniform(0.0, 1.0, size=(2000, 2)) * (np.array([320.0, 240.0]) - wh)
     boxes = np.round(np.hstack([xy, xy + wh]), 2).tolist()
     (directory / "boxes.json").write_text(json.dumps({"boxes": boxes}), encoding="utf-8")
+    write_edge_boxes(directory, seed)
     write_dense_pair(directory, seed)
     write_malformed_records(directory)
     write_enumeration_inputs(directory, seed)
+
+
+def write_edge_boxes(directory: Path, seed: int) -> None:
+    """``edge_boxes.json``: 500 boxes on ``fmap.mten``'s 320x240 image that test the window edges.
+
+    Sides run from 0.1 px to 800 px, log-uniform, so some boxes are narrower
+    than a feature pixel and some larger than the image; centres run from
+    half the image before its top-left corner to half past its bottom-right,
+    so boxes hang past every edge or lie wholly outside it. The last box
+    covers the whole image and more.
+    """
+    rng = np.random.default_rng([seed, 5])
+    wh = np.exp(rng.uniform(np.log(0.1), np.log(800.0), size=(499, 2)))
+    xy = rng.uniform(-0.5, 1.5, size=(499, 2)) * np.array([320.0, 240.0]) - wh / 2
+    boxes = np.round(np.hstack([xy, xy + wh]), 2).tolist() + [[-100.0, -100.0, 500.0, 400.0]]
+    (directory / "edge_boxes.json").write_text(json.dumps({"boxes": boxes}), encoding="utf-8")
 
 
 def write_dense_pair(directory: Path, seed: int) -> None:
@@ -224,6 +243,8 @@ def chain(seed: int) -> list[list[str]]:
     commands += [
         ["features", "--map", "fmap.mten", "--scale", "0.25", "--boxes", "boxes.json",
          "--out-features", "pooled.mten", "--out", "features.json"],
+        ["features", "--map", "fmap.mten", "--scale", "0.25", "--boxes", "edge_boxes.json",
+         "--out-features", "pooled_edge.mten", "--out", "features_edge.json"],
         ["mine", "--tracklets", "scene/tracklets.json", "--seed", str(seed), "--per-anchor", "2",
          "--out-triplets", "triplets.jsonl", "--out", "mine.json"],
     ]
