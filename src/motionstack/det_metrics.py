@@ -5,7 +5,7 @@ Detections and ground truth travel as JSON Lines, one object per line:
 * detections:   ``{"frame": int, "bbox": [x1, y1, x2, y2], "score": float, "class": label}``
 * ground truth: ``{"frame": int, "bbox": [x1, y1, x2, y2], "class": label}``
 
-In memory both are ``BoxColumns``: integer frame and class columns, a
+In memory both are ``BoxColumns``: int64 frame and class columns, a
 float64 box array and, for detections, a float64 score column. Each
 loader states its format once, as the ``kinds`` mapping it gives
 ``jsonio.read_records``, which checks whole columns and names the first
@@ -44,7 +44,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .jsonio import _int_array, array_rows, read_records, write_lines
+from .jsonio import array_rows, read_records, write_lines
 
 IOU_GRID = tuple((50 + 5 * i) / 100.0 for i in range(10))
 # Most (detection, ground truth) pairs one matching call holds at once. A pair
@@ -71,11 +71,10 @@ class GroundTruth:
 class BoxColumns(Sequence):
     """Detections or ground truth as columns, and a read-only sequence of their records.
 
-    ``frame`` and ``label`` are int64 [N], or object [N] of Python ints where
-    a value does not fit int64; ``boxes`` is float64 [N, 4]; ``score`` is
-    float64 [N] for detections and None for ground truth. Indexing and
-    iterating give ``Detection`` or ``GroundTruth`` records of Python
-    values, and the columns compare equal to a list of equal records.
+    ``frame`` and ``label`` are int64 [N]; ``boxes`` is float64 [N, 4];
+    ``score`` is float64 [N] for detections and None for ground truth.
+    Indexing and iterating give ``Detection`` or ``GroundTruth`` records of
+    Python values, and the columns compare equal to a list of equal records.
     """
 
     __slots__ = ("frame", "boxes", "label", "score")
@@ -115,9 +114,9 @@ def as_columns(records: Iterable[Detection] | Iterable[GroundTruth], scored: boo
         return records
     records = list(records)
     return BoxColumns(
-        _int_array([r.frame for r in records]),
+        np.array([r.frame for r in records], dtype=np.int64),
         np.array([r.bbox for r in records], dtype=np.float64).reshape(-1, 4),
-        _int_array([r.label for r in records]),
+        np.array([r.label for r in records], dtype=np.int64),
         np.array([r.score for r in records], dtype=np.float64) if scored else None,
     )
 
@@ -181,7 +180,7 @@ def _ranks(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def score_order(dets: Sequence[Detection]) -> list[int]:
     """Evaluation order: descending score, ties by (frame, input position)."""
     dets = as_columns(dets, scored=True)
-    return np.lexsort((_ranks(dets.frame)[1], -dets.score)).tolist()  # lexsort is stable
+    return np.lexsort((dets.frame, -dets.score)).tolist()  # lexsort is stable
 
 
 @dataclass
@@ -205,8 +204,8 @@ def match_detections(
     """
     dets, gts = as_columns(dets, scored=True), as_columns(gts, scored=False)
     n = len(dets)
-    # Frames and labels are arbitrary JSON ints, so a slot is numbered by
-    # the ranks of its frame and its label among all of them.
+    # Frames and labels span int64, where frame * K + label could wrap, so a
+    # slot is numbered by the ranks of its frame and its label among all of them.
     frames, frame_rank = _ranks(dets.frame, gts.frame)
     labels, label_rank = _ranks(dets.label, gts.label)
     slot = np.unique(frame_rank * len(labels) + label_rank, return_inverse=True)[1]

@@ -4,8 +4,8 @@ Readers raise ``DataValidationError`` naming the file (and line) for bytes
 that are not UTF-8, text that is not JSON, and JSON-lines records that are
 not objects; a missing file still raises ``OSError``. Writers emit UTF-8.
 The type rules of the values inside live here too, worded ``{where} must be
-{kind}, got {JSON}``, a rejected value cut to its first 80 characters.
-A number is a finite int or float; a bool is neither.
+{kind}, got {JSON}``, a rejected value cut to its first 80 characters. An
+integer fits int64; a number is a finite int or float; a bool is neither.
 
 Record files are read as columns by ``read_records``, from one mapping of
 each key to its kind: each line is parsed once and each key's values are
@@ -113,11 +113,23 @@ def expect(raw: Any, kind: type, where: str) -> Any:
     return raw
 
 
-def expect_ints(raw: Any, where: str) -> list[int]:
-    """Return ``raw`` if it is a list of integers, checked in one pass over the entries."""
-    if not {int}.issuperset(map(type, expect(raw, list, where))):
-        for k, v in enumerate(raw):  # name the first entry that is not an integer
-            expect(v, int, f"{where}[{k}]")
+_INT64, _NONNEGATIVE = range(-(2**63), 2**63), range(2**63)
+
+
+def expect_int(raw: Any, where: str, nonnegative: bool = False) -> int:
+    """Return ``raw`` if it is an integer that fits int64, and is not negative if ``nonnegative``."""
+    if expect(raw, int, where) not in (_NONNEGATIVE if nonnegative else _INT64):
+        kind = "a nonnegative integer" if nonnegative and raw < 0 else "an integer in int64 range"
+        raise DataValidationError(f"{where} must be {kind}, got {_echo(raw)}")
+    return raw
+
+
+def expect_ints(raw: Any, where: str, nonnegative: bool = False) -> list[int]:
+    """Return ``raw`` if it is a list of ``expect_int`` integers, checked as a whole first."""
+    ints, fits = expect(raw, list, where), _NONNEGATIVE if nonnegative else _INT64
+    if not ({int}.issuperset(map(type, ints)) and min(ints, default=0) in fits and max(ints, default=0) in fits):
+        for k, v in enumerate(raw):  # name the first entry that breaks the rule
+            expect_int(v, f"{where}[{k}]", nonnegative)
     return raw
 
 
@@ -171,16 +183,11 @@ def check_boxes(raw: list, where: str) -> np.ndarray:
     return np.array([check_box(b, f"{where}[{i}]") for i, b in enumerate(raw)], dtype=np.float64)
 
 
-def _int_array(values) -> np.ndarray:
-    # int64, or object of Python ints where a value does not fit.
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
 def _int_column(values) -> np.ndarray | None:
-    return _int_array(values) if {int}.issuperset(map(type, values)) else None
+    try:
+        return np.array(values, dtype=np.int64) if {int}.issuperset(map(type, values)) else None
+    except OverflowError:  # an integer outside int64
+        return None
 
 
 def _score_column(values) -> np.ndarray | None:
@@ -201,13 +208,10 @@ def _check_score(raw: Any, where: str, key: str) -> None:
 
 
 def _int_pair_column(values) -> np.ndarray | None:
-    # [int, int] lists, as an _int_array [N, 2].
-    if (
-        {list}.issuperset(map(type, values))
-        and {2}.issuperset(map(len, values))
-        and {int}.issuperset(map(type, chain.from_iterable(values)))
-    ):
-        return _int_array(values).reshape(len(values), 2)
+    # [int, int] lists, as an int64 [N, 2].
+    if {list}.issuperset(map(type, values)) and {2}.issuperset(map(len, values)):
+        column = _int_column(list(chain.from_iterable(values)))
+        return None if column is None else column.reshape(len(values), 2)
     return None
 
 
@@ -220,7 +224,7 @@ def _check_int_pair(raw: Any, where: str, key: str) -> None:
 # column or None, and on the one value of ``key`` at ``where``, which raises
 # the message naming a value that breaks it.
 _RECORD_KINDS = {
-    "int": (_int_column, lambda raw, where, key: expect(raw, int, f"{where}: {key}")),
+    "int": (_int_column, lambda raw, where, key: expect_int(raw, f"{where}: {key}")),
     "score": (_score_column, _check_score),
     "box": (_box_column, lambda raw, where, key: check_box(raw, where)),
     "int pair": (_int_pair_column, _check_int_pair),
@@ -231,16 +235,15 @@ _scan = json.JSONDecoder().scan_once  # json.loads' parser, without its per-call
 def read_records(path: str | Path, kinds: Mapping[str, str]) -> dict[str, np.ndarray]:
     """Each key of ``kinds`` (two or more) as one checked column over the nonblank lines.
 
-    The kinds are ``"int"`` (int64 [N]; object dtype, of Python ints, where
-    a value does not fit int64), ``"score"`` (float64 [N] in [0, 1]),
-    ``"box"`` (float64 [N, 4], as ``check_box`` accepts) and ``"int pair"``
-    (int [N, 2], by the rule of ``"int"``). A bool is none of them. Each
-    line is parsed once and only its values are kept, and the columns are
-    checked ``_ROWS`` lines at a time. If some line is not JSON, not an
-    object or lacks a key, or some column breaks its rule, the file is
-    walked record by record through ``read_jsonl``, each record's keys
-    checked in ``kinds`` order and a missing key read as null, to raise
-    ``DataValidationError`` for the first bad value.
+    The kinds are ``"int"`` (int64 [N], as ``expect_int`` accepts),
+    ``"score"`` (float64 [N] in [0, 1]), ``"box"`` (float64 [N, 4], as
+    ``check_box`` accepts) and ``"int pair"`` (int64 [N, 2]). A bool is
+    none of them. Each line is parsed once and only its values are kept,
+    and the columns are checked ``_ROWS`` lines at a time. If some line is
+    not JSON, not an object or lacks a key, or some column breaks its rule,
+    the file is walked record by record through ``read_jsonl``, each
+    record's keys checked in ``kinds`` order and a missing key read as
+    null, to raise ``DataValidationError`` for the first bad value.
     """
     get = itemgetter(*kinds)
     column_rules, value_rules = zip(*(_RECORD_KINDS[kind] for kind in kinds.values()))

@@ -33,16 +33,16 @@ The pieces, in pipeline order:
   the row sums with ``math.fsum``, so the block size does not change how
   the distances are added.
 
-(tracklet id, frame) keys have one format, an integer [..., 2] array (int64,
-or object of Python ints where a value does not fit): ``enumerate_keys``'
-[F, 2] keys, and triplets' [T, 3, 2] keys (anchor, positive, negative) from
-mining through training. ``FeatureTable.rows``, the one key-to-row lookup,
-maps a whole key array with array arithmetic over each tracklet's start,
-end and first row. Triplets interchange as JSON lines ``{"a": [id, frame],
-"p": ..., "n": ...}``, read through ``jsonio.read_records`` with each key
-of kind ``"int pair"``; a trained net as one MTENSOR per weight/bias plus a
-JSON manifest; scatter plots as ``id,frame,x,y`` CSV, written from the key
-array through a line template with the bytes ``csv.writer`` gives.
+(tracklet id, frame) keys have one format, an int64 [..., 2] array:
+``enumerate_keys``' [F, 2] keys, and triplets' [T, 3, 2] keys (anchor,
+positive, negative) from mining through training. ``FeatureTable.rows``,
+the one key-to-row lookup, maps a whole key array with array arithmetic
+over each tracklet's start, end and first row. Triplets interchange as JSON
+lines ``{"a": [id, frame], "p": ..., "n": ...}``, read through
+``jsonio.read_records`` with each key of kind ``"int pair"``; a trained net
+as one MTENSOR per weight/bias plus a JSON manifest; scatter plots as
+``id,frame,x,y`` CSV, written from the key array through a line template
+with the bytes ``csv.writer`` gives.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ except ImportError:
     _qr_r_raw = None
 
 from .errors import DataValidationError
-from .jsonio import _echo, _int_array, array_rows, expect, read_json, read_records, write_json, write_lines
+from .jsonio import _echo, array_rows, expect, read_json, read_records, write_json, write_lines
 from .tensor_io import read_tensor, write_tensor
 from .tracklets import Tracklet, check_feature_rows, enumerate_keys, overlap_graph
 
@@ -100,12 +100,12 @@ class FeatureTable:
         for s, t in enumerate(tracklets):
             if self._slots.setdefault(t.id, s) != s:
                 raise DataValidationError(f"tracklets[{s}]: duplicate tracklet id {_echo(t.id)}")
-        self._starts = _int_array([*(t.start for t in tracklets), 0])
-        self._ends = _int_array([*(t.end for t in tracklets), -1])
+        self._starts = np.array([*(t.start for t in tracklets), 0], dtype=np.int64)
+        self._ends = np.array([*(t.end for t in tracklets), -1], dtype=np.int64)
         self._firsts = np.cumsum([0, *(len(t) for t in tracklets)])  # in enumeration order
         self._rows = None  # enumeration order: the rows are the enumeration positions
         if tracklets and tracklets[0].feature_rows is not None:
-            rows = _int_array(list(chain.from_iterable(t.feature_rows for t in tracklets)))
+            rows = np.array(list(chain.from_iterable(t.feature_rows for t in tracklets)), dtype=np.int64)
             outside = np.flatnonzero(rows >= len(matrix))
             if len(outside):
                 i = int(outside[0])
@@ -129,12 +129,12 @@ class FeatureTable:
     def rows(self, keys: np.ndarray | Iterable[Sequence[int]]) -> np.ndarray:
         """Feature rows of ``(tracklet id, frame)`` keys, in key order (intp array).
 
-        ``keys`` is an integer [N, 2] array (int64, or object of Python ints
-        past int64), or any sequence of pairs, which is converted to one. A
-        key the table lacks raises ``DataValidationError`` naming the first.
+        ``keys`` is an int64 [N, 2] array, or any sequence of pairs, which is
+        converted to one. A key the table lacks raises ``DataValidationError``
+        naming the first.
         """
         if not isinstance(keys, np.ndarray):
-            keys = _int_array(list(keys)).reshape(-1, 2)
+            keys = np.array(list(keys), dtype=np.int64).reshape(-1, 2)
         ids, inverse = np.unique(keys[:, 0], return_inverse=True)
         slots = np.array([self._slots.get(i, -1) for i in ids.tolist()], dtype=np.intp)[inverse]
         starts = self._starts[slots]

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .det_metrics import BoxColumns, GroundTruth, as_columns, write_ground_truth_jsonl
-from .jsonio import _int_array, write_json
+from .jsonio import write_json
 from .tensor_io import ImageFrame, write_ppm, write_tensor
 from .tracklets import Tracklet, write_identity_map, write_tracklets_json
 
@@ -364,7 +364,7 @@ def perturb_detections(
         fp_boxes.append((x1, y1, x1 + w, y1 + h))
         fp_scores.append(float(rng.uniform(0.05, 0.95)) * 0.999)  # below every true score, 1.0
     return BoxColumns(
-        np.concatenate((gts.frame[kept], _int_array(fp_frames))),
+        np.concatenate((gts.frame[kept], np.array(fp_frames, dtype=np.int64))),
         np.concatenate((boxes, np.array(fp_boxes, dtype=np.float64).reshape(-1, 4))),
         np.concatenate((gts.label[kept], np.zeros(len(fp_frames), dtype=np.int64))),
         np.concatenate((np.ones(len(kept)), np.array(fp_scores, dtype=np.float64))),

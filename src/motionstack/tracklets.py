@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataValidationError
-from .jsonio import _echo, _int_array, check_boxes, expect, expect_ints, read_json, write_json
+from .jsonio import _echo, check_boxes, expect, expect_int, expect_ints, read_json, write_json
 
 MIN_TRACKLET_LEN = 16
 
@@ -97,13 +97,12 @@ def overlap_graph(tracklets: Sequence[Tracklet]) -> dict[int, set[int]]:
 
 
 def enumerate_keys(tracklets: Sequence[Tracklet]) -> np.ndarray:
-    """Canonical (id, frame) row order, file order and frames ascending, as an int [F, 2] key array.
+    """Canonical (id, frame) row order, file order and frames ascending, as an int64 [F, 2] key array.
 
-    The keys are int64, or object of Python ints past int64, as triplet keys
-    are. Feature tables stored as [T, D] tensors line their rows up with
+    Feature tables stored as [T, D] tensors line their rows up with
     tracklet frames this way when no explicit ``feature_rows`` are given.
     """
-    return _int_array([(t.id, f) for t in tracklets for f in t.frames]).reshape(-1, 2)
+    return np.array([(t.id, f) for t in tracklets for f in t.frames], dtype=np.int64).reshape(-1, 2)
 
 
 def check_feature_rows(tracklets: Sequence[Tracklet], where: str) -> None:
@@ -121,18 +120,17 @@ def load_tracklets_json(path: str | Path) -> list[Tracklet]:
     for pos, entry in enumerate(expect(doc.get("tracklets"), list, f"{path}: tracklets")):
         where = f"{path}: tracklets[{pos}]"
         expect(entry, dict, where)
-        tid = expect(entry.get("id"), int, f"{where}.id")
+        tid = expect_int(entry.get("id"), f"{where}.id")
         if tid in seen:
             raise DataValidationError(f"{where}: duplicate tracklet id {_echo(tid)}")
         seen.add(tid)
-        start = expect(entry.get("start"), int, f"{where}.start")
-        end = expect(entry.get("end"), int, f"{where}.end")
+        start = expect_int(entry.get("start"), f"{where}.start")
+        end = expect_int(entry.get("end"), f"{where}.end")
         raw_boxes = expect(entry.get("boxes"), list, f"{where}.boxes")
         boxes = list(map(tuple, check_boxes(raw_boxes, f"{where}.boxes").tolist()))
         feature_rows = entry.get("feature_rows")
         if feature_rows is not None:
-            if any(r < 0 for r in expect_ints(feature_rows, f"{where}.feature_rows")):
-                raise DataValidationError(f"{where}: negative feature row index")
+            expect_ints(feature_rows, f"{where}.feature_rows", nonnegative=True)
         try:
             out.append(Tracklet(id=tid, start=start, end=end, boxes=boxes, feature_rows=feature_rows))
         except DataValidationError as exc:

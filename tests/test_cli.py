@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import shlex
 import shutil
 import struct
@@ -476,17 +477,17 @@ MALFORMED_FILES = {
     "tracklets-401-digit-end": (
         "mine", "tracklets.json",
         _tracklets(f'"id": 0, "start": 1, "end": {_BIG}, "boxes": [[0, 0, 1, 1]]'),
-        f": tracklets[0]: tracklet 0: 1 boxes for {_BIG[:80]}... frames",
+        f": tracklets[0].end must be an integer in int64 range, got {_BIG[:80]}...",
     ),
     "tracklets-401-digit-id-and-start": (
         "mine", "tracklets.json",
         _tracklets(f'"id": {_BIG}, "start": {_BIG}, "end": 0, "boxes": []'),
-        f": tracklets[0]: tracklet {_BIG[:80]}...: start {_BIG[:80]}... > end 0",
+        f": tracklets[0].id must be an integer in int64 range, got {_BIG[:80]}...",
     ),
     "tracklets-401-digit-negative-id": (
         "mine", "tracklets.json",
         _tracklets(f'"id": -{_BIG}, "start": 0, "end": 0, "boxes": [[0, 0, 1, 1]]'),
-        f": tracklets[0]: tracklet id must be a nonnegative integer, got -{_BIG[:79]}...",
+        f": tracklets[0].id must be an integer in int64 range, got -{_BIG[:79]}...",
     ),
     "mtensor-400-char-dtype-code": (
         "features", "map.mten",
@@ -514,23 +515,21 @@ MALFORMED_FILES = {
         f": declares shape [{_BIG[:79]}..., tensor has [4, 3, 3, 3]",
     ),
     "features-401-digit-row": (
-        "project", "features.mten",
-        {"tracklets.json": _tracklets(
-            f'"id": 0, "start": 0, "end": 0, "boxes": [[0, 0, 1, 1]], "feature_rows": [{_BIG}]'
-        )},
-        f": tracklets[0].feature_rows[0]: feature row {_BIG[:80]}... outside matrix of 24 rows",
+        "project", "tracklets.json",
+        _tracklets(f'"id": 0, "start": 0, "end": 0, "boxes": [[0, 0, 1, 1]], "feature_rows": [{_BIG}]'),
+        f": tracklets[0].feature_rows[0] must be an integer in int64 range, got {_BIG[:80]}...",
     ),
     "features-401-digit-id-start-and-row": (
-        "project", "features.mten",
-        {"tracklets.json": _tracklets(
+        "project", "tracklets.json",
+        _tracklets(
             f'"id": {_BIG}, "start": {_BIG}, "end": {_BIG}, "boxes": [[0, 0, 1, 1]], "feature_rows": [{_BIG}]'
-        )},
-        f": tracklets[0].feature_rows[0]: feature row {_BIG[:80]}... outside matrix of 24 rows",
+        ),
+        f": tracklets[0].id must be an integer in int64 range, got {_BIG[:80]}...",
     ),
     "triplets-401-digit-frame": (
         "train", "triplets.jsonl",
         f'{{"a": [0, {_BIG}], "p": [0, 1], "n": [1, 0]}}\n'.encode(),
-        f":1: a: no feature row for tracklet 0 frame {_BIG[:80]}...",
+        f":1: a[1] must be an integer in int64 range, got {_BIG[:80]}...",
     ),
     "tracklets-feature-rows-on-some": (
         "reid", "tracklets.json",
@@ -544,12 +543,49 @@ MALFORMED_FILES = {
         "mine", "tracklets.json",
         ('{"tracklets": [' + ", ".join([f'{{"id": {_BIG}, "start": 0, "end": 0, "boxes": [[0, 0, 1, 1]]}}'] * 2)
          + "]}").encode(),
-        f": tracklets[1]: duplicate tracklet id {_BIG[:80]}...",
+        f": tracklets[0].id must be an integer in int64 range, got {_BIG[:80]}...",
     ),
     "identity-map-401-digit-id-in-two-groups": (
         "reid", "identity_map.json",
         f'{{"groups": [[{_BIG}], [0, {_BIG}]]}}'.encode(),
-        f": groups[1]: id {_BIG[:80]}... appears in more than one group",
+        f": groups[0][0] must be an integer in int64 range, got {_BIG[:80]}...",
+    ),
+    "dets-class-one-past-int64": (
+        "eval", "dets.jsonl",
+        b'{"frame": 0, "bbox": [0, 0, 4, 4], "score": 0.5, "class": 9223372036854775808}\n',
+        ":1: class must be an integer in int64 range, got 9223372036854775808",
+    ),
+    "gt-frame-one-below-int64": (
+        "eval", "gt.jsonl",
+        b'{"frame": -9223372036854775809, "bbox": [0, 0, 4, 4], "class": 0}\n',
+        ":1: frame must be an integer in int64 range, got -9223372036854775809",
+    ),
+    "triplets-frame-one-past-int64-on-line-600": (
+        "train", "triplets.jsonl",
+        b'{"a": [0, 0], "p": [0, 1], "n": [1, 0]}\n' * 599
+        + b'{"a": [0, 1], "p": [0, 9223372036854775808], "n": [1, 0]}\n',
+        ":600: p[1] must be an integer in int64 range, got 9223372036854775808",
+    ),
+    "tracklets-start-one-past-int64": (
+        "mine", "tracklets.json",
+        _tracklets('"id": 0, "start": 9223372036854775808, "end": 9223372036854775808, "boxes": [[0, 0, 1, 1]]'),
+        ": tracklets[0].start must be an integer in int64 range, got 9223372036854775808",
+    ),
+    "tracklets-feature-row-one-past-int64": (
+        "reid", "tracklets.json",
+        _tracklets('"id": 0, "start": 0, "end": 1, "boxes": [[0, 0, 1, 1], [0, 0, 1, 1]], '
+                   '"feature_rows": [0, 9223372036854775808]'),
+        ": tracklets[0].feature_rows[1] must be an integer in int64 range, got 9223372036854775808",
+    ),
+    "tracklets-negative-feature-row": (
+        "project", "tracklets.json",
+        _tracklets('"id": 0, "start": 0, "end": 1, "boxes": [[0, 0, 1, 1], [0, 0, 1, 1]], "feature_rows": [0, -1]'),
+        ": tracklets[0].feature_rows[1] must be a nonnegative integer, got -1",
+    ),
+    "identity-map-id-one-past-int64": (
+        "reid", "identity_map.json",
+        b'{"groups": [[0], [1, 9223372036854775808]]}',
+        ": groups[1][1] must be an integer in int64 range, got 9223372036854775808",
     ),
     "identity-map-of-one-group": (
         "reid", "identity_map.json",
@@ -673,6 +709,21 @@ class TestInputFiles:
         if callable(message):  # a message that names another input file by its path
             message = message(d)
         assert err.splitlines() == [f"error: {d / name}{message}"]  # one line, so no traceback
+
+    @pytest.mark.parametrize(
+        "case", [case for case, entry in MALFORMED_FILES.items() if re.search("int64 range|nonnegative", str(entry[3]))]
+    )
+    def test_value_outside_int64_leaves_the_output_directory_as_it_was(self, tmp_path, input_files, case):
+        command, name, data, message = MALFORMED_FILES[case]
+        d, out = tmp_path / "in", tmp_path / "out"
+        shutil.copytree(input_files, d)
+        (d / name).write_bytes(data)
+        out.mkdir()
+        (out / "kept.txt").write_text("kept")
+        code, err = _run_quiet(_input_file_argv(command, d, out))
+        assert (code, err.splitlines()) == (2, [f"error: {d / name}{message}"])
+        assert len(err.rstrip("\n")) <= len(f"error: {d / name}") + 300
+        assert [p.name for p in out.iterdir()] == ["kept.txt"] and (out / "kept.txt").read_text() == "kept"
 
     def test_wrong_length_bias_is_data_error(self, tmp_path, input_files, capsys):
         for name in ("conv.mten", "conv.json"):

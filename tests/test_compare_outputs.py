@@ -9,7 +9,11 @@ import numpy as np
 import pytest
 
 from motionstack import cli
+from motionstack.det_metrics import load_detections_jsonl, load_ground_truth_jsonl
+from motionstack.errors import DataValidationError
+from motionstack.metric_learning import load_triplets_jsonl
 from motionstack.synth_scenes import SceneConfig, generate
+from motionstack.tracklets import load_identity_map, load_tracklets_json
 
 _SPEC = importlib.util.spec_from_file_location(
     "compare_outputs", Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
@@ -36,6 +40,12 @@ def test_every_command_of_the_chain_parses():
     assert labels == ["no_labels"]  # a directory that nothing writes
     boxes = [argv[argv.index("--boxes") + 1] for argv in commands if argv[0] == "features"]
     assert boxes == ["boxes.json", "edge_boxes.json"]
+    outside = [(argv[0], arg) for argv in commands for arg in argv if arg.startswith(("past_", "neg_"))]
+    assert outside == [
+        ("eval", "past_class_dets.jsonl"), ("eval", "past_frame_gt.jsonl"), ("train", "past_triplets.jsonl"),
+        ("reid", "past_start_tracklets.json"), ("reid", "past_row_tracklets.json"),
+        ("reid", "neg_row_tracklets.json"), ("reid", "past_map.json"),
+    ]
     assert all(not arg.startswith("/") for argv in commands for arg in argv)
 
 
@@ -48,6 +58,37 @@ def test_edge_boxes_reach_every_edge_case(tmp_path):
     assert (x2 < 0).any() and (y1 > 240).any()  # wholly outside the image
     assert (x2 - x1 < 4).any() and (y2 - y1 < 4).any()  # narrower than a feature pixel at scale 0.25
     assert ((x1 <= 0) & (y1 <= 0) & (x2 >= 320) & (y2 >= 240)).any()  # the whole image
+
+
+def test_files_outside_int64_fail_on_their_first_value(tmp_path):
+    compare_outputs.write_dense_pair(tmp_path, 7)
+    compare_outputs.write_enumeration_inputs(tmp_path, 7)
+    compare_outputs.write_outside_int64(tmp_path)
+    past, low = "9223372036854775808", "-9223372036854775809"
+    want = {
+        "past_class_dets.jsonl": (load_detections_jsonl, f":600: class must be an integer in int64 range, got {past}"),
+        "past_frame_gt.jsonl": (load_ground_truth_jsonl, f":3: frame must be an integer in int64 range, got {low}"),
+        "past_triplets.jsonl": (load_triplets_jsonl, f":600: p[1] must be an integer in int64 range, got {past}"),
+        "past_start_tracklets.json": (
+            load_tracklets_json, f": tracklets[1].start must be an integer in int64 range, got {past}"
+        ),
+        "past_row_tracklets.json": (
+            load_tracklets_json, f": tracklets[0].feature_rows[5] must be an integer in int64 range, got {past}"
+        ),
+        "neg_row_tracklets.json": (
+            load_tracklets_json, ": tracklets[1].feature_rows[3] must be a nonnegative integer, got -1"
+        ),
+        "past_map.json": (load_identity_map, f": groups[1][1] must be an integer in int64 range, got {past}"),
+    }
+    for name, (load, message) in want.items():
+        with pytest.raises(DataValidationError) as exc:
+            load(tmp_path / name)
+        assert str(exc.value) == f"{tmp_path / name}{message}"
+    # The dense pair and the enumeration inputs themselves load, with int64's top as a frame, class and id.
+    gts = load_ground_truth_jsonl(tmp_path / "dense_gt.jsonl")
+    assert int(gts.frame.max()) == int(gts.label.max()) == 2**63 - 1
+    assert [t.id for t in load_tracklets_json(tmp_path / "enum_tracklets.json")] == [2**63 - 1, 3, 0, 7]
+    assert load_identity_map(tmp_path / "enum_map.json") == [[2**63 - 1, 0], [3, 7]]
 
 
 def test_defective_frame_directories_fail_on_their_defect(tmp_path, capsys):

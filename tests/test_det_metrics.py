@@ -94,11 +94,11 @@ def _dense_instance(seed):
     return dets, gts
 
 
-MULTI_CLASS_LABELS = (0, -3, 2**70)
+MULTI_CLASS_LABELS = (0, -(2**63), 2**63 - 1)
 
 
 def _multi_class_instance(seed):
-    """Classes 0, -3 and 2**70 sharing frames and boxes, plus class 7 that only detections use."""
+    """Classes 0, -2**63 and 2**63 - 1 sharing frames and boxes, plus class 7 that only detections use."""
     rng = random.Random(seed)
     gts = []
     for k in range(rng.randint(6, 14)):
@@ -474,27 +474,27 @@ class TestEvaluate:
         monkeypatch.setattr(det_metrics, "sum", _compensated_sum, raising=False)
         assert [evaluate(dets, gts) for dets, gts in instances] == reports
 
-    def test_loaded_object_columns_match_the_oracle(self, tmp_path):
-        # Classes 0, -3 and 2**70 and a frame past int64 load as object
-        # columns; scores in 0.1 steps tie.
-        object_frames = 0
+    def test_loaded_int64_extremes_match_the_oracle(self, tmp_path):
+        # Classes 0, -2**63 and 2**63 - 1, frames 0 and 2 moved to int64's
+        # ends, and scores in 0.1 steps that tie.
+        extreme_frames = 0
         for seed in range(20):
             dets, gts = _multi_class_instance(seed)
-            past = 2**64  # frame 2 moves past int64
-            dets = [Detection(d.frame if d.frame < 2 else past, d.bbox, d.score, d.label) for d in dets]
-            gts = [GroundTruth(g.frame if g.frame < 2 else past, g.bbox, g.label) for g in gts]
+            frame = {0: -(2**63), 1: 1, 2: 2**63 - 1}
+            dets = [Detection(frame[d.frame], d.bbox, d.score, d.label) for d in dets]
+            gts = [GroundTruth(frame[g.frame], g.bbox, g.label) for g in gts]
             write_detections_jsonl(dets, tmp_path / "dets.jsonl")
             write_ground_truth_jsonl(gts, tmp_path / "gt.jsonl")
             dets = load_detections_jsonl(tmp_path / "dets.jsonl")
             gts = load_ground_truth_jsonl(tmp_path / "gt.jsonl")
-            assert dets.label.dtype == object and gts.label.dtype == object
-            object_frames += gts.frame.dtype == object
+            assert dets.label.dtype == gts.label.dtype == dets.frame.dtype == gts.frame.dtype == np.int64
+            extreme_frames += {-(2**63), 2**63 - 1} <= set(gts.frame.tolist())
             report = evaluate(dets, gts)
             want = oracles.evaluate_oracle(dets, gts, IOU_GRID)
             for key in ("ap_per_threshold", "map50", "map5095", "precision", "recall"):
                 assert report[key] == want[key]
             assert {key: value["ap_per_threshold"] for key, value in report["per_class"].items()} == want["per_class"]
-        assert object_frames > 0
+        assert extreme_frames > 0
 
     def test_report_is_json_ready(self):
         dets, gts = _random_instance(3)

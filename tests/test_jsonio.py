@@ -17,6 +17,7 @@ from motionstack.jsonio import (
     check_boxes,
     check_number,
     expect,
+    expect_int,
     expect_ints,
     read_json,
     read_jsonl,
@@ -126,15 +127,44 @@ def test_rejected_value_is_echoed_as_a_bounded_prefix(check):
     assert len(message) < 150
 
 
+@pytest.mark.parametrize(
+    "raw, nonnegative, message",
+    [
+        ([2**63 - 1, -(2**63), 0], False, None),
+        ([0, True], False, "w[1] must be an integer, got true"),
+        ([0, 2**63], False, "w[1] must be an integer in int64 range, got 9223372036854775808"),
+        ([-(2**63) - 1, 1.5], False, "w[0] must be an integer in int64 range, got -9223372036854775809"),
+        ([1, 10**4000], False, "w[1] must be an integer in int64 range, got 1" + "0" * 79 + "..."),
+        ([2**63 - 1, 0], True, None),
+        ([0, -1], True, "w[1] must be a nonnegative integer, got -1"),
+        ([5, -(2**70)], True, "w[1] must be a nonnegative integer, got -1180591620717411303424"),
+        ([0, 2**63], True, "w[1] must be an integer in int64 range, got 9223372036854775808"),
+    ],
+)
+def test_expect_ints_names_the_first_entry_outside_int64(raw, nonnegative, message):
+    if message is None:
+        assert expect_ints(raw, "w", nonnegative) is raw
+        assert [expect_int(v, "w", nonnegative) for v in raw] == raw
+        return
+    with pytest.raises(DataValidationError) as caught:
+        expect_ints(raw, "w", nonnegative)
+    assert str(caught.value) == message
+    k = int(message[2])
+    with pytest.raises(DataValidationError) as caught:
+        expect_int(raw[k], f"w[{k}]", nonnegative)
+    assert str(caught.value) == message
+
+
 # Record files through the loaders and through their schemas written out line
 # by line: valid files and files with one mutation must give the same records
 # or the same message.
 
-_INTS = st.one_of(st.integers(0, 20), st.sampled_from([-3, 2**63 - 1, 2**63, 2**70, -(2**63) - 1]))
+_INTS = st.one_of(st.integers(0, 20), st.sampled_from([-3, 2**63 - 1, -(2**63)]))  # int64's ends
+_PAST_INT64 = st.sampled_from([2**63, -(2**63) - 1, 2**70])
 _CORNER = st.one_of(st.integers(-50, 300), st.floats(-50.0, 300.0))
 _SIZE = st.one_of(st.integers(1, 40), st.floats(0.5, 40.0))
 _MUTATIONS = (
-    None, "bool", "2**70", "nan", "string", "five corners", "inverted", "missing key", "non-object", "blank lines",
+    None, "bool", "past int64", "nan", "string", "five corners", "inverted", "missing key", "non-object", "blank lines",
     "trailing text",
 )
 
@@ -152,7 +182,7 @@ def _record(draw, kind):
     record = {"frame": draw(_INTS), "bbox": draw(_box())}
     if kind == "detections":
         record["score"] = draw(st.one_of(st.integers(0, 100).map(lambda k: k / 100), st.sampled_from([0, 1])))
-    record["class"] = draw(st.sampled_from([0, -3, 7, 2**70]))
+    record["class"] = draw(st.sampled_from([0, -3, 7, 2**63 - 1, -(2**63)]))
     return record
 
 
@@ -168,8 +198,8 @@ def _mutate(records, lines, mutation, draw):
             value[draw(st.integers(0, len(value) - 1))] = draw(st.booleans())
         else:
             record[key] = draw(st.booleans())
-    elif mutation in ("2**70", "nan", "string"):
-        new = {"2**70": 2**70, "nan": float("nan"), "string": "0.5"}[mutation]
+    elif mutation in ("past int64", "nan", "string"):
+        new = {"past int64": draw(_PAST_INT64), "nan": float("nan"), "string": "0.5"}[mutation]
         if isinstance(value, list):
             value[draw(st.integers(0, len(value) - 1))] = new
         else:
@@ -192,6 +222,13 @@ def _mutate(records, lines, mutation, draw):
         lines[i] += draw(st.sampled_from([" x", " {}", ",", "]"]))
 
 
+def _int64(raw, where):
+    # An integer that fits int64.
+    if not -(2**63) <= expect(raw, int, where) < 2**63:
+        raise DataValidationError(f"{where} must be an integer in int64 range, got {jsonio._echo(raw)}")
+    return raw
+
+
 def _records_per_line(path, scored):
     # The loaders' schema written out field by field, in the order of their
     # messages: score, then frame, bbox and class.
@@ -203,24 +240,25 @@ def _records_per_line(path, scored):
             score = check_number(record.get("score"), f"{where}: score")
             if not 0.0 <= score <= 1.0:
                 raise DataValidationError(f"{where}: score must lie in [0, 1], got {jsonio._echo(record['score'])}")
-        frame = expect(record.get("frame"), int, f"{where}: frame")
+        frame = _int64(record.get("frame"), f"{where}: frame")
         bbox = check_box(record.get("bbox"), where)
-        label = expect(record.get("class"), int, f"{where}: class")
+        label = _int64(record.get("class"), f"{where}: class")
         out.append(Detection(frame, bbox, score, label) if scored else GroundTruth(frame, bbox, label))
     return out
 
 
 def _triplets_per_line(path):
     # Keys a, p and n in turn, a missing one read as null; all of them as one
-    # [T, 3, 2] array, int64 unless some value does not fit.
+    # int64 [T, 3, 2] array.
     def ref(raw, where):
-        if len(expect_ints(raw, where)) != 2:
+        for k, v in enumerate(expect(raw, list, where)):
+            _int64(v, f"{where}[{k}]")
+        if len(raw) != 2:
             raise DataValidationError(f"{where}: expected [tracklet_id, frame], got {jsonio._echo(raw)}")
         return raw
 
     keys = [[ref(record.get(key), f"{where}: {key}") for key in ("a", "p", "n")] for where, record in read_jsonl(path)]
-    fits = all(-(2**63) <= v < 2**63 for triplet in keys for key in triplet for v in key)
-    return np.array(keys, dtype=np.int64 if fits else object).reshape(len(keys), 3, 2)
+    return np.array(keys, dtype=np.int64).reshape(len(keys), 3, 2)
 
 
 @settings(max_examples=400, deadline=None)

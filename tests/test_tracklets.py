@@ -110,10 +110,11 @@ class TestEnumerateKeys:
         keys = enumerate_keys(ts)
         assert keys.dtype == np.int64 and keys.tolist() == [[9, 4], [9, 5], [9, 6], [2, 0], [2, 1]]
 
-    def test_keys_past_int64_are_python_ints(self):
-        keys = enumerate_keys([_tracklet(2**70, 3, 4), _tracklet(1, 0, 0)])
-        assert keys.dtype == object and keys.tolist() == [[2**70, 3], [2**70, 4], [1, 0]]
-        assert enumerate_keys([]).shape == (0, 2)
+    def test_keys_at_the_int64_extremes_are_int64(self):
+        big, low = 2**63 - 1, -(2**63)
+        keys = enumerate_keys([_tracklet(big, big - 1, big), _tracklet(1, low, low)])
+        assert keys.dtype == np.int64 and keys.tolist() == [[big, big - 1], [big, big], [1, low]]
+        assert enumerate_keys([]).shape == (0, 2) and enumerate_keys([]).dtype == np.int64
 
 
 class TestTrackletsJson:
@@ -165,10 +166,15 @@ class TestTrackletsJson:
         assert load_tracklets_json(path)[0].feature_rows is None
 
     def test_absurd_interval_is_data_error(self, tmp_path):
+        # The widest int64 interval holds 2**64 frames, more than len() can count.
         path = tmp_path / "t.json"
-        doc = {"tracklets": [{"id": 0, "start": 0, "end": 10**20, "boxes": [[0, 0, 1, 1]]}]}
+        doc = {"tracklets": [{"id": 0, "start": -(2**63), "end": 2**63 - 1, "boxes": [[0, 0, 1, 1]]}]}
         path.write_text(json.dumps(doc))
-        with pytest.raises(DataValidationError, match="1 boxes for 100000000000000000001 frames"):
+        with pytest.raises(DataValidationError, match="1 boxes for 18446744073709551616 frames"):
+            load_tracklets_json(path)
+        doc["tracklets"][0]["end"] = 10**20
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataValidationError, match=r"\]\.end must be an integer in int64 range, got 10{20}$"):
             load_tracklets_json(path)
 
     def test_duplicate_id_rejected(self, tmp_path):
@@ -199,19 +205,20 @@ class TestTrackletsJson:
                 {"tracklets": [{"id": 0, "start": 0, "end": 0, "boxes": [[2, 0, 1, 1]]}]},
                 "x2 > x1",
             ),
-            (
+            pytest.param(
                 {
                     "tracklets": [
                         {
                             "id": 0,
                             "start": 0,
-                            "end": 0,
-                            "boxes": [[0, 0, 1, 1]],
-                            "feature_rows": [-1],
+                            "end": 1,
+                            "boxes": [[0, 0, 1, 1], [0, 0, 1, 1]],
+                            "feature_rows": [0, -1],
                         }
                     ]
                 },
-                "negative feature row",
+                r"/t\.json: tracklets\[0\]\.feature_rows\[1\] must be a nonnegative integer, got -1$",
+                id="doc6-negative feature row",
             ),
             ({"tracklets": 3}, r"t\.json: tracklets must be a list, got 3"),
             pytest.param(

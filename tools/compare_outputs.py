@@ -8,8 +8,9 @@ when ``--change-env NAME=VALUE`` (repeatable) sets a variable for the
 change's commands only, so that one tree is compared under two environments. For each seed the script
 writes one set of seeded inputs (a 64x3x7x7 conv layer, a 256x60x80 feature
 map with 2,000 boxes and 500 edge-case boxes, a dense detection/ground-truth
-pair, five malformed record files, and four tracklets without
-``feature_rows`` with their features and identity map), then runs every
+pair, five malformed record files, four tracklets without ``feature_rows``
+with their features and identity map, and six files that break the int64
+or nonnegative rule of their integers), then runs every
 ``motionstack`` command of the chain below once per tree, as a subprocess
 with ``PYTHONPATH=<tree>/src`` in its own output directory and with relative
 paths only:
@@ -17,9 +18,9 @@ paths only:
 * ``synth generate`` of a 320x240x300 clip with 12 objects and 6 id
   switches, ``synth perturb`` and ``eval``, then ``synth perturb`` at its
   boundaries: every box kept under 40 px jitter, and every box dropped;
-* ``eval`` of the dense pair: 1,200 boxes of classes 0, -3 and 2**70 over
-  40 frames, one of them past int64, and 2,400 detections scored in 0.01
-  steps;
+* ``eval`` of the dense pair: 1,200 boxes of classes 0, -3 and 2**63 - 1
+  over 40 frames, the last numbered 2**63 - 1, and 2,400 detections scored
+  in 0.01 steps;
 * ``stack`` in all four layouts and ``surgery`` in both modes;
 * ``features`` of the 2,000 boxes, then of 500 boxes that hang past each
   edge, are sub-pixel wide or are larger than the map, so that clamped
@@ -30,7 +31,8 @@ paths only:
 * ``reid`` and both ``project`` forms on the four tracklets without
   ``feature_rows``, whose feature rows follow enumeration order (the
   scene's tracklets all carry ``feature_rows``);
-* ``eval`` and ``train`` of each malformed record file, and ``stack`` of
+* ``eval``, ``train`` and ``reid`` of each malformed record, tracklet and
+  identity-map file, and ``stack`` of
   two defective frame directories made from the scene's first three frames
   (two files sharing a frame index; a frame of another size) and with a
   missing ``--labels`` directory, so that their exit codes and error lines
@@ -90,6 +92,7 @@ def write_inputs(directory: Path, seed: int) -> None:
     write_dense_pair(directory, seed)
     write_malformed_records(directory)
     write_enumeration_inputs(directory, seed)
+    write_outside_int64(directory)
 
 
 def write_edge_boxes(directory: Path, seed: int) -> None:
@@ -111,14 +114,14 @@ def write_edge_boxes(directory: Path, seed: int) -> None:
 def write_dense_pair(directory: Path, seed: int) -> None:
     """``dense_gt.jsonl`` and ``dense_dets.jsonl``: crowded frames, three classes, tied scores.
 
-    30 boxes in each of 40 frames, the last frame numbered past int64, and
-    classes 0, -3 and 2**70. Detections are jittered copies of random boxes
+    30 boxes in each of 40 frames, the last frame numbered 2**63 - 1, and
+    classes 0, -3 and 2**63 - 1, int64's top. Detections are jittered copies of random boxes
     (a quarter of them with a random class) plus 400 random boxes, every
     score a multiple of 0.01.
     """
     rng = np.random.default_rng([seed, 3])
-    classes = np.array([0, -3, 2**70], dtype=object)
-    gt_frame = np.repeat(np.array([*range(39), 2**63 + 7], dtype=object), 30)
+    classes = np.array([0, -3, 2**63 - 1])
+    gt_frame = np.repeat(np.array([*range(39), 2**63 - 1]), 30)
     gt_class = classes[rng.integers(3, size=len(gt_frame))]
     wh = rng.uniform(12.0, 48.0, size=(len(gt_frame), 2))
     xy = rng.uniform(0.0, 1.0, size=wh.shape) * (np.array([320.0, 240.0]) - wh)
@@ -175,20 +178,65 @@ def write_malformed_records(directory: Path) -> None:
 def write_enumeration_inputs(directory: Path, seed: int) -> None:
     """``enum_tracklets.json`` without ``feature_rows``, its ``enum_features.mten`` and ``enum_map.json``.
 
-    Four tracklets of 205 frames in all, one with id 2**70, two of them
+    Four tracklets of 205 frames in all, one with id 2**63 - 1, two of them
     overlapping in time; their feature rows follow enumeration order (file
     order, frames ascending). The features are 32-d, the width of the
     scene's, so the net trained on the scene embeds them.
     """
     rng = np.random.default_rng([seed, 4])
     tracklets = []
-    for tid, start, end in ((2**70, 0, 39), (3, 20, 74), (0, 80, 139), (7, 150, 199)):
+    for tid, start, end in ((2**63 - 1, 0, 39), (3, 20, 74), (0, 80, 139), (7, 150, 199)):
         xy = rng.uniform(0.0, 200.0, size=(end - start + 1, 2))
         boxes = np.round(np.hstack([xy, xy + 20.0]), 2).tolist()
         tracklets.append({"id": tid, "start": start, "end": end, "boxes": boxes})
     (directory / "enum_tracklets.json").write_text(json.dumps({"tracklets": tracklets}), encoding="utf-8")
     _write_mtensor(rng.normal(size=(205, 32)).astype("<f4"), directory / "enum_features.mten")
-    (directory / "enum_map.json").write_text(json.dumps({"groups": [[2**70, 0], [3, 7]]}), encoding="utf-8")
+    (directory / "enum_map.json").write_text(json.dumps({"groups": [[2**63 - 1, 0], [3, 7]]}), encoding="utf-8")
+
+
+def write_outside_int64(directory: Path) -> None:
+    """Files that each hold an integer outside int64, or a negative feature row, and then a second defect.
+
+    A value one past int64 is rejected where it stands:
+    ``past_class_dets.jsonl`` has class 2**63 on line 600 of the dense
+    detections, ``past_frame_gt.jsonl`` frame -2**63 - 1 on line 3 of the
+    dense ground truth, and ``past_triplets.jsonl`` frame 2**63 on line 600.
+    ``past_start_tracklets.json`` moves the enumeration tracklet 3 to start
+    2**63, ``past_row_tracklets.json`` gives the enumeration tracklets
+    ``feature_rows`` with row 2**63 in the first, and
+    ``neg_row_tracklets.json`` row -1 in the second; ``past_map.json`` puts id
+    2**63 in the second group. Each but the negative row is followed by a
+    defect that every tree rejects (a list line, a triplet without ``n``, an
+    id of true, a string id), so a tree that took the value exits 2 too.
+    """
+    dets = (directory / "dense_dets.jsonl").read_text(encoding="utf-8").splitlines()
+    gts = (directory / "dense_gt.jsonl").read_text(encoding="utf-8").splitlines()
+    det, gt = json.loads(dets[599]), json.loads(gts[2])
+    det["class"], gt["frame"] = 2**63, -(2**63) - 1
+    triplet = '{"a": [0, 0], "p": [0, 1], "n": [1, 0]}'
+    files = {
+        "past_class_dets.jsonl": dets[:599] + [json.dumps(det)] + dets[600:899] + ["[1, 2]"] + dets[900:],
+        "past_frame_gt.jsonl": gts[:2] + [json.dumps(gt)] + gts[3:4] + ["[1, 2]"] + gts[5:],
+        "past_triplets.jsonl": [triplet] * 599 + ['{"a": [0, 1], "p": [0, 9223372036854775808], "n": [1, 0]}',
+                                                  '{"a": [0, 0], "p": [0, 1]}'],
+    }
+    for name, lines in files.items():
+        (directory / name).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    tracklets = json.loads((directory / "enum_tracklets.json").read_text(encoding="utf-8"))["tracklets"]
+    first = 0
+    for t in tracklets:
+        t["feature_rows"] = list(range(first, first + len(t["boxes"])))
+        first += len(t["boxes"])
+    docs = {name: json.loads(json.dumps(tracklets)) for name in ("past_start", "past_row", "neg_row")}
+    docs["past_start"][1].update(start=2**63, end=2**63 + 54)
+    docs["past_row"][0]["feature_rows"][5] = 2**63
+    docs["neg_row"][1]["feature_rows"][3] = -1
+    for name, doc in docs.items():
+        if name != "neg_row":
+            doc[3]["id"] = True
+        (directory / f"{name}_tracklets.json").write_text(json.dumps({"tracklets": doc}), encoding="utf-8")
+    groups = {"groups": [[2**63 - 1, 0], [3, 2**63], ["7"]]}
+    (directory / "past_map.json").write_text(json.dumps(groups), encoding="utf-8")
 
 
 def write_scene_inputs(directory: Path) -> None:
@@ -272,6 +320,15 @@ def chain(seed: int) -> list[list[str]]:
         ["eval", "--dets", "bad_json_dets.jsonl", "--gt", "dense_gt.jsonl", "--out", "eval_bad_json.json"],
         ["train", *scene, "--triplets", "bad_triplets.jsonl", "--out-dir", "net_bad", "--out", "train_bad.json"],
         ["train", *scene, "--triplets", "miss_triplets.jsonl", "--out-dir", "net_miss", "--out", "train_miss.json"],
+        ["eval", "--dets", "past_class_dets.jsonl", "--gt", "dense_gt.jsonl", "--out", "eval_past_class.json"],
+        ["eval", "--dets", "dense_dets.jsonl", "--gt", "past_frame_gt.jsonl", "--out", "eval_past_frame.json"],
+        ["train", *scene, "--triplets", "past_triplets.jsonl", "--out-dir", "net_past", "--out", "train_past.json"],
+    ]
+    for name in ("past_start", "past_row", "neg_row"):
+        commands.append(["reid", "--features", "enum_features.mten", "--tracklets", f"{name}_tracklets.json",
+                         "--net", "net/net.json", "--out", f"reid_{name}.json"])
+    commands += [
+        ["reid", *enum, "--net", "net/net.json", "--identity-map", "past_map.json", "--out", "reid_past_map.json"],
         ["stack", "--frames", "frames_shared", "--variant", "rgb-seq", "--out-dir", "stacks_shared"],
         ["stack", "--frames", "frames_sized", "--variant", "rgb-seq", "--out-dir", "stacks_sized"],
         ["stack", "--frames", "scene/frames", "--variant", "rgb-seq", "--labels", "no_labels",
