@@ -474,6 +474,21 @@ MALFORMED_FILES = {
         _tracklets('"id": 0, "start": 5, "end": 3, "boxes": []'),
         ": tracklets[0]: tracklet 0: start 5 > end 3",
     ),
+    "tracklets-boxes-short-of-frames": (
+        "mine", "tracklets.json",
+        _tracklets('"id": 0, "start": 0, "end": 2, "boxes": [[0, 0, 1, 1], [0, 0, 1, 1]]'),
+        ": tracklets[0]: tracklet 0: 2 boxes for 3 frames",
+    ),
+    "tracklets-feature-rows-short-of-frames": (
+        "reid", "tracklets.json",
+        _tracklets('"id": 0, "start": 0, "end": 1, "boxes": [[0, 0, 1, 1], [0, 0, 1, 1]], "feature_rows": [0]'),
+        ": tracklets[0]: tracklet 0: 1 feature rows for 2 frames",
+    ),
+    "tracklets-negative-id": (
+        "mine", "tracklets.json",
+        _tracklets('"id": -1, "start": 0, "end": 0, "boxes": [[0, 0, 1, 1]]'),
+        ": tracklets[0]: tracklet id must be a nonnegative integer, got -1",
+    ),
     "tracklets-401-digit-end": (
         "mine", "tracklets.json",
         _tracklets(f'"id": 0, "start": 1, "end": {_BIG}, "boxes": [[0, 0, 1, 1]]'),

@@ -46,6 +46,9 @@ def test_every_command_of_the_chain_parses():
         ("reid", "past_start_tracklets.json"), ("reid", "past_row_tracklets.json"),
         ("reid", "neg_row_tracklets.json"), ("reid", "past_map.json"),
     ]
+    reversed_order = [argv for argv in commands if "rev_tracklets.json" in argv]
+    assert [argv[0] for argv in reversed_order] == ["mine", "reid"]
+    assert reversed_order[1][reversed_order[1].index("--identity-map") + 1] == "scene/identity_map.json"
     assert all(not arg.startswith("/") for argv in commands for arg in argv)
 
 

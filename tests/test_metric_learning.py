@@ -48,7 +48,7 @@ from motionstack.metric_learning import (
     write_triplets_jsonl,
 )
 from motionstack.tensor_io import write_tensor
-from motionstack.tracklets import Tracklet, enumerate_keys, overlap_graph
+from motionstack.tracklets import Tracklet, enumerate_keys
 
 
 def _tr(tid, start, end, rows=None):
@@ -209,13 +209,14 @@ class TestArrayRowLookup:
 
 def _mine_one_draw_at_a_time(tracklets, rng_seed, per_anchor):
     # mine_triplets' sampling as a loop of scalar draws: a positive (for
-    # tracklets of two or more frames), then a negative, per triplet.
-    graph = overlap_graph(tracklets)
-    by_id = {t.id: t for t in tracklets}
+    # tracklets of two or more frames), then a negative, per triplet. The
+    # negatives of an anchor are the frames of every tracklet of another id
+    # whose closed interval meets the anchor's, in ascending id order.
+    by_id = sorted(tracklets, key=lambda u: u.id)
     rng = np.random.default_rng(rng_seed)
     out = []
     for t in tracklets:
-        pool = [[nid, f] for nid in sorted(graph[t.id]) for f in by_id[nid].frames]
+        pool = [[u.id, f] for u in by_id if u.id != t.id and u.start <= t.end and t.start <= u.end for f in u.frames]
         frames = list(t.frames)
         for i in (range(len(frames)) if pool else []):
             for _ in range(per_anchor):
@@ -291,12 +292,13 @@ class TestMining:
     @settings(max_examples=60, deadline=None)
     @given(
         spans=st.lists(st.tuples(st.integers(-3, 30), st.sampled_from([1, 2, 3, 9])), max_size=7),
+        ids=st.permutations(range(7)),  # so file order is not id order
         seed=st.integers(0, 2**32 - 1),
         per_anchor=st.integers(1, 3),
         big=st.booleans(),
     )
-    def test_draws_match_one_scalar_draw_at_a_time(self, spans, seed, per_anchor, big):
-        ts = [_tr(i + big * (2**63 - 7), start, start + length - 1) for i, (start, length) in enumerate(spans)]
+    def test_draws_match_one_scalar_draw_at_a_time(self, spans, ids, seed, per_anchor, big):
+        ts = [_tr(tid + big * (2**63 - 7), start, start + length - 1) for tid, (start, length) in zip(ids, spans)]
         assert mine_triplets(ts, seed, per_anchor).tolist() == _mine_one_draw_at_a_time(ts, seed, per_anchor)
 
     def test_no_overlaps_no_triplets(self):

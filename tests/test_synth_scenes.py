@@ -21,7 +21,7 @@ from motionstack.det_metrics import (
 )
 from motionstack.errors import MotionStackError
 from motionstack.frame_pipeline import FrameSequence, InputConfig, build_input
-from motionstack.metric_learning import load_feature_table
+from motionstack.metric_learning import load_feature_table, mine_triplets, write_triplets_jsonl
 from motionstack.synth_scenes import (
     BACKGROUND_MODES,
     DEFAULT_FEATURE_DIM,
@@ -36,7 +36,7 @@ from motionstack.synth_scenes import (
     perturb_detections,
 )
 from motionstack.tensor_io import read_ppm, read_tensor
-from motionstack.tracklets import load_identity_map, load_tracklets_json
+from motionstack.tracklets import filter_min_length, load_identity_map, load_tracklets_json
 
 
 def _tree_bytes(root):
@@ -482,8 +482,9 @@ class TestPerturb:
 
 
 # SHA-256 of the artifacts of a 96x72, 64-frame, 3-object scene with two
-# switches, and of perturb_detections' output on its ground truth. None of
-# them goes through a BLAS product, so every digest is strict.
+# switches, of perturb_detections' output on its ground truth, and of the
+# triplets mined from its tracklets in file order and in reversed file order.
+# None of them goes through a BLAS product, so every digest is strict.
 _GOLDEN_FILES = (
     "gt.jsonl",
     "tracklets.json",
@@ -505,6 +506,8 @@ _GOLDEN_DIGESTS = {
         "4924b87854e94c1b37cda5279742f759e5557fc4f99801804c786813eb8386d3",
         "b48973a20acbfa4d6039d68f6f183cbb8532d4b8fcb1657358a312c7fbec1a91",
         "a5e5edc5160553a6a4d800b260afc3d741e5d32682f3ea5355b54c325174c1a8",
+        "2b5cca22747f9a5e9ae02a49b9b67e09f34ecf8123d94cd9afeded04a17586c9",
+        "68baee69aeaaf69cf1d30fb95fe0fb184cbad1c1d107e584374fd877e653a39a",
     ),
     7: (
         "425cb02cc8e051394a8cba8384c09349559dedaa086fdc0c57a001bba3d8efda",
@@ -516,6 +519,8 @@ _GOLDEN_DIGESTS = {
         "48393c2c65ebdf6963c4b54aa73ab68b1275ac99f99aa9573a66aa9711dc5ca3",
         "87783c8ec975ac8522815efe7cfcfedc7a3c1cbc9dec7185ab230f9884d99b3f",
         "c6979d5a70434c892ebeaadbdef249f737bc0bdcb802c36f9eb8cfd2dae97be0",
+        "4f51d754059d64fb1122914950e03dd1e81731bb049e39b8ed885c615dd89949",
+        "eff0d469a8b5c8f70237453a1fea3f149653b7dda1e40d2f8355531eab1551cd",
     ),
     9173: (
         "1756df6ab2fcb6856263a777644440181c7a9af63f577203b0266fa2f3b49d4f",
@@ -527,6 +532,8 @@ _GOLDEN_DIGESTS = {
         "68468ed55e8aae6f66a336a7af03f45818e2037987b6ddf1565974b42d793cf1",
         "cdb48ec16b75554245cd90e8f482b59be926de9907a18e116c508c974e9e410c",
         "70459b7826869e14855ff566b333fa77012263a826569cb21d04362061fdc0aa",
+        "93e374814affba936a2e7814003c269069ec5e7c2378b129cb962fe504f462e3",
+        "dad6173419838380fbe596bc95ddbae2e60e15d906f7a75c9c873f48e6eebb94",
     ),
 }
 
@@ -539,4 +546,11 @@ def test_golden_digests(tmp_path, seed):
     for rates in _GOLDEN_PERTURB:
         write_detections_jsonl(perturb_detections(gts, *rates, seed=seed), tmp_path / "dets.jsonl")
         got[f"perturb {rates}"] = hashlib.sha256((tmp_path / "dets.jsonl").read_bytes()).hexdigest()
+    doc = json.loads((tmp_path / "tracklets.json").read_text())
+    doc["tracklets"].reverse()  # ids no longer rise with file position
+    (tmp_path / "rev_tracklets.json").write_text(json.dumps(doc))
+    for name in ("tracklets.json", "rev_tracklets.json"):
+        kept = filter_min_length(load_tracklets_json(tmp_path / name))
+        write_triplets_jsonl(mine_triplets(kept, seed, per_anchor=2), tmp_path / "triplets.jsonl")
+        got[f"mine {name}"] = hashlib.sha256((tmp_path / "triplets.jsonl").read_bytes()).hexdigest()
     assert got == dict(zip(got, _GOLDEN_DIGESTS[seed]))

@@ -28,6 +28,10 @@ paths only:
 * ``mine``, ``train`` (plain and ``--normalize-output``), ``reid`` with the
   scene's identity map, a partial one and none, and ``project`` of the
   features and of the embeddings;
+* ``mine`` and ``reid`` with the scene's identity map on the scene's
+  tracklets in reversed file order, so that the order of a mined negative
+  pool (ascending id, not file order) and of the separation groups is
+  compared too (``synth generate`` writes tracklets in ascending id order);
 * ``reid`` and both ``project`` forms on the four tracklets without
   ``feature_rows``, whose feature rows follow enumeration order (the
   scene's tracklets all carry ``feature_rows``);
@@ -240,13 +244,17 @@ def write_outside_int64(directory: Path) -> None:
 
 
 def write_scene_inputs(directory: Path) -> None:
-    """The inputs made from the scene: a partial identity map and two defective frame directories.
+    """The inputs made from the scene: reversed tracklets, a partial identity map and two defective frame directories.
 
-    ``partial_map.json`` holds every other group of the scene's identity
+    ``rev_tracklets.json`` holds the scene's tracklets in reversed file
+    order. ``partial_map.json`` holds every other group of the scene's identity
     map, so the rest stay ungrouped. ``frames_shared`` and ``frames_sized``
     hold copies of the scene's first three frames; in ``frames_shared``,
     ``copy_1.ppm`` repeats frame 1, and in ``frames_sized`` frame 2 is 4x2.
     """
+    doc = json.loads((directory / "scene" / "tracklets.json").read_text(encoding="utf-8"))
+    doc["tracklets"].reverse()
+    (directory / "rev_tracklets.json").write_text(json.dumps(doc), encoding="utf-8")
     groups = json.loads((directory / "scene" / "identity_map.json").read_text(encoding="utf-8"))["groups"]
     (directory / "partial_map.json").write_text(json.dumps({"groups": groups[::2]}), encoding="utf-8")
     first = sorted((directory / "scene" / "frames").glob("*.ppm"))[:3]
@@ -295,6 +303,8 @@ def chain(seed: int) -> list[list[str]]:
          "--out-features", "pooled_edge.mten", "--out", "features_edge.json"],
         ["mine", "--tracklets", "scene/tracklets.json", "--seed", str(seed), "--per-anchor", "2",
          "--out-triplets", "triplets.jsonl", "--out", "mine.json"],
+        ["mine", "--tracklets", "rev_tracklets.json", "--seed", str(seed), "--per-anchor", "2",
+         "--out-triplets", "rev_triplets.jsonl", "--out", "mine_rev.json"],
     ]
     for net, flags in (("net", []), ("net_unit", ["--normalize-output"])):
         commands.append(["train", *scene, "--triplets", "triplets.jsonl", "--epochs", "3", "--lr", "0.05",
@@ -307,6 +317,8 @@ def chain(seed: int) -> list[list[str]]:
         ("unit", "net_unit", ["--identity-map", "scene/identity_map.json"]),
     ):
         commands.append(["reid", *scene, "--net", f"{net}/net.json", *grouping, "--out", f"reid_{name}.json"])
+    commands.append(["reid", "--features", "scene/features.mten", "--tracklets", "rev_tracklets.json",
+                     "--net", "net/net.json", "--identity-map", "scene/identity_map.json", "--out", "reid_rev.json"])
     commands += [
         ["project", *scene, "--out-csv", "scatter_features.csv", "--out", "project_features.json"],
         ["project", *scene, "--net", "net/net.json", "--out-csv", "scatter_net.csv",
