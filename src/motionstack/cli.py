@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from itertools import accumulate, chain
 from math import isfinite, nan
 from pathlib import Path
 
@@ -291,7 +290,7 @@ def _cmd_reid(args):
     net = _load_net_for(args.net, table)
     group_of: dict[int, int] = {}
     if args.identity_map:
-        ids = {t.id for t in tracklets}
+        ids = set(tracklets.id.tolist())
         for gi, group in enumerate(load_identity_map(args.identity_map)):
             for tid in group:
                 if tid not in ids:
@@ -301,11 +300,12 @@ def _cmd_reid(args):
                 group_of[tid] = gi
     # Embedded group by group, groups in order of first appearance and each group's
     # tracklets in file order, so each separation group is one slice of the matrix.
-    members: dict[object, list] = {}
-    for t in tracklets:
-        members.setdefault(group_of.get(t.id, f"ungrouped_{t.id}"), []).append(t)
-    matrix, embeddings = tracklet_embeddings(net, list(chain.from_iterable(members.values())), table)
-    bounds = list(accumulate((sum(map(len, ts)) for ts in members.values()), initial=0))
+    members: dict[object, list[int]] = {}
+    for pos, tid in enumerate(tracklets.id.tolist()):
+        members.setdefault(group_of.get(tid, f"ungrouped_{tid}"), []).append(pos)
+    grouped = tracklets.take(np.array([pos for group in members.values() for pos in group], dtype=np.intp))
+    matrix, embeddings = tracklet_embeddings(net, grouped, table)
+    bounds = grouped.firsts[np.cumsum([0, *map(len, members.values())])].tolist()
     centroids = tracklet_centroids(embeddings)
     merges = propose_merges(centroids, tracklets, args.threshold)
     try:

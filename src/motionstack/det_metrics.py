@@ -92,7 +92,7 @@ class BoxColumns(Sequence):
         return Detection(int(self.frame[i]), box, float(self.score[i]), int(self.label[i]))
 
     def __iter__(self):
-        boxes = map(tuple, self.boxes.tolist())
+        boxes = zip(*self.boxes.T.tolist())  # one tuple per box
         if self.score is None:
             return map(GroundTruth, self.frame.tolist(), boxes, self.label.tolist())
         return map(Detection, self.frame.tolist(), boxes, self.score.tolist(), self.label.tolist())

@@ -5,8 +5,8 @@ The pieces, in pipeline order:
 * mining: every frame of every (already length-filtered) tracklet serves as
   an anchor; positives come from other frames of the anchor's own tracklet,
   negatives uniformly from all frames of tracklets with a different id that
-  temporally overlap the anchor's. Anchors with no overlapping foreign
-  tracklet are skipped.
+  temporally overlap the anchor's, pooled in ascending id order. Anchors with
+  no overlapping foreign tracklet are skipped.
 * encoder: an MLP [D_in, 512, 256, 128] (hidden widths configurable, the
   128-d output fixed), affine -> ReLU -> affine -> ReLU -> affine, weights
   stored float32, all arithmetic in float64.
@@ -33,23 +33,22 @@ The pieces, in pipeline order:
   the row sums with ``math.fsum``, so the block size does not change how
   the distances are added.
 
-(tracklet id, frame) keys have one format, an int64 [..., 2] array:
-``enumerate_keys``' [F, 2] keys, and triplets' [T, 3, 2] keys (anchor,
-positive, negative) from mining through training. ``FeatureTable.rows``,
-the one key-to-row lookup, maps a whole key array with array arithmetic
-over each tracklet's start, end and first row. Triplets interchange as JSON
-lines ``{"a": [id, frame], "p": ..., "n": ...}``, read through
-``jsonio.read_records`` with each key of kind ``"int pair"``; a trained net
-as one MTENSOR per weight/bias plus a JSON manifest; scatter plots as
-``id,frame,x,y`` CSV, written from the key array through a line template
-with the bytes ``csv.writer`` gives.
+Tracklets arrive as ``tracklets.Tracklets`` columns. (tracklet id, frame) keys
+have one format, an int64 [..., 2] array: ``enumerate_keys``' [F, 2] keys, and
+triplets' [T, 3, 2] keys (anchor, positive, negative) from mining through
+training. ``FeatureTable.rows``, the one key-to-row lookup, maps a whole key
+array with array arithmetic over the start, end and ``firsts`` columns.
+Triplets interchange as JSON lines ``{"a": [id, frame], "p": ..., "n": ...}``,
+read through ``jsonio.read_records`` with each key of kind ``"int pair"``; a
+trained net as one MTENSOR per weight/bias plus a JSON manifest; scatter
+plots as ``id,frame,x,y`` CSV, written from the key array through a line
+template with the bytes ``csv.writer`` gives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -63,7 +62,7 @@ except ImportError:
 from .errors import DataValidationError
 from .jsonio import _echo, array_rows, expect, read_json, read_records, write_json, write_lines
 from .tensor_io import read_tensor, write_tensor
-from .tracklets import Tracklet, check_feature_rows, enumerate_keys, overlap_graph
+from .tracklets import Tracklets, enumerate_keys, temporal_overlap
 
 OUT_DIM = 128
 DEFAULT_HIDDEN = (512, 256)
@@ -76,17 +75,16 @@ DEFAULT_MERGE_THRESHOLD = 0.5
 class FeatureTable:
     """Binds a [T, D_in] feature matrix to tracklet (id, frame) keys.
 
-    Row lookup uses each tracklet's explicit ``feature_rows`` when given
-    (all tracklets must carry them consistently), else enumeration order:
-    tracklet file order, frames ascending, which must then exactly fill the
-    matrix. Tracklet ids must be unique.
+    Row lookup uses the tracklets' ``feature_rows`` column when they carry
+    one, else enumeration order: tracklet file order, frames ascending,
+    which must then exactly fill the matrix. Tracklet ids must be unique.
 
-    The table keeps one dict entry per tracklet, its id, and arrays of each
-    tracklet's start, end and first row, so ``rows`` resolves a key array
+    The table keeps one dict entry per tracklet, its id, and the tracklets'
+    start, end and ``firsts`` columns, so ``rows`` resolves a key array
     with array arithmetic and builds no object per key.
     """
 
-    def __init__(self, tracklets: Sequence[Tracklet], matrix: np.ndarray):
+    def __init__(self, tracklets: Tracklets, matrix: np.ndarray):
         matrix = np.asarray(matrix)
         if matrix.ndim != 2:
             raise DataValidationError(f"feature matrix must be [T, D], got shape {matrix.shape}")
@@ -94,25 +92,23 @@ class FeatureTable:
         if not finite.all():
             r, c = np.argwhere(~finite)[0]
             raise DataValidationError(f"feature row {r} column {c} is not finite: {matrix[r, c]}")
-        check_feature_rows(tracklets, "tracklets")
         # Slot s holds tracklets[s]; the last slot, with no frames, is where an unknown id goes.
         self._slots: dict[int, int] = {}
-        for s, t in enumerate(tracklets):
-            if self._slots.setdefault(t.id, s) != s:
-                raise DataValidationError(f"tracklets[{s}]: duplicate tracklet id {_echo(t.id)}")
-        self._starts = np.array([*(t.start for t in tracklets), 0], dtype=np.int64)
-        self._ends = np.array([*(t.end for t in tracklets), -1], dtype=np.int64)
-        self._firsts = np.cumsum([0, *(len(t) for t in tracklets)])  # in enumeration order
+        for s, tid in enumerate(tracklets.id.tolist()):
+            if self._slots.setdefault(tid, s) != s:
+                raise DataValidationError(f"tracklets[{s}]: duplicate tracklet id {_echo(tid)}")
+        self._starts = np.append(tracklets.start, 0)
+        self._ends = np.append(tracklets.end, -1)
+        self._firsts = tracklets.firsts
         self._rows = None  # enumeration order: the rows are the enumeration positions
-        if tracklets and tracklets[0].feature_rows is not None:
-            rows = np.array(list(chain.from_iterable(t.feature_rows for t in tracklets)), dtype=np.int64)
+        rows = tracklets.feature_rows
+        if rows is not None:
             outside = np.flatnonzero(rows >= len(matrix))
             if len(outside):
                 i = int(outside[0])
                 pos = int(np.searchsorted(self._firsts, i, side="right")) - 1
-                k = i - int(self._firsts[pos])
                 raise DataValidationError(
-                    f"tracklets[{pos}].feature_rows[{k}]: feature row {_echo(tracklets[pos].feature_rows[k])} "
+                    f"tracklets[{pos}].feature_rows[{i - int(self._firsts[pos])}]: feature row {_echo(int(rows[i]))} "
                     f"outside matrix of {len(matrix)} rows"
                 )
             self._rows = rows.astype(np.intp)
@@ -148,7 +144,7 @@ class FeatureTable:
         return rows if self._rows is None else self._rows[rows]
 
 
-def load_feature_table(tracklets: Sequence[Tracklet], path: str | Path) -> FeatureTable:
+def load_feature_table(tracklets: Tracklets, path: str | Path) -> FeatureTable:
     matrix = read_tensor(path)
     try:
         return FeatureTable(tracklets, matrix)
@@ -159,7 +155,7 @@ def load_feature_table(tracklets: Sequence[Tracklet], path: str | Path) -> Featu
 # ---------------------------------------------------------------------------
 # triplet mining
 
-def mine_triplets(tracklets: Sequence[Tracklet], rng_seed: int, per_anchor: int = 1) -> np.ndarray:
+def mine_triplets(tracklets: Tracklets, rng_seed: int, per_anchor: int = 1) -> np.ndarray:
     """Sample triplets from an already min-length-filtered tracklet set.
 
     Every frame of every tracklet anchors ``per_anchor`` triplets, skipping
@@ -167,21 +163,22 @@ def mine_triplets(tracklets: Sequence[Tracklet], rng_seed: int, per_anchor: int 
     positive is drawn uniformly from the anchor tracklet's other frames
     (the anchor itself only for single-frame tracklets); the negative
     uniformly from the pooled frames of all temporally overlapping
-    tracklets. Deterministic for a given seed. Returns the triplets'
-    [T, 3, 2] keys, as ``load_triplets_jsonl`` does.
+    tracklets of another id, in ascending id order. Anchors are visited
+    tracklet by tracklet, in file order. Deterministic for a given seed.
+    Returns the triplets' [T, 3, 2] keys, as ``load_triplets_jsonl`` does.
     """
     if per_anchor < 1:
         raise ValueError(f"per_anchor must be >= 1, got {per_anchor}")
-    graph = overlap_graph(tracklets)
-    mined = [t for t in tracklets if graph[t.id]]  # the others appear in no triplet
-    keys = enumerate_keys(mined)
-    firsts = accumulate((len(t) for t in mined), initial=0)  # each tracklet's first row of keys
-    spans = {t.id: np.arange(lo, lo + len(t)) for t, lo in zip(mined, firsts)}
+    keys = enumerate_keys(tracklets)
+    by_id = np.argsort(tracklets.id, kind="stable")
     rng = np.random.default_rng(rng_seed)
     rows = [np.empty((0, 3), dtype=np.intp)]
-    for t in mined:
-        own = spans[t.id]
-        pool = np.concatenate([spans[nid] for nid in sorted(graph[t.id])])
+    for pos, t in enumerate(tracklets):
+        foreign = (temporal_overlap(t, tracklets) & (tracklets.id != t.id))[by_id]
+        if not foreign.any():
+            continue  # the tracklet appears in no triplet
+        own = np.arange(tracklets.firsts[pos], tracklets.firsts[pos + 1])
+        pool = tracklets.rows_of(by_id[foreign])
         anchor = np.repeat(np.arange(len(own)), per_anchor)
         if len(own) >= 2:
             # A positive then a negative draw per triplet, the stream of one scalar draw at
@@ -422,7 +419,7 @@ def train(
 # re-identification
 
 def tracklet_embeddings(
-    net: EmbeddingNet, tracklets: Sequence[Tracklet], table: FeatureTable
+    net: EmbeddingNet, tracklets: Tracklets, table: FeatureTable
 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """Every frame's embedding, held once: (matrix, views by tracklet id).
 
@@ -434,9 +431,9 @@ def tracklet_embeddings(
     matrix = np.empty((len(rows), OUT_DIM), dtype=np.float64)
     views: dict[int, np.ndarray] = {}
     params = params64(net)  # once for every tracklet
-    for t, lo in zip(tracklets, accumulate(map(len, tracklets), initial=0)):
-        view = views[t.id] = matrix[lo : lo + len(t)]
-        view[...] = _embed(net, params, table.matrix64[rows[lo : lo + len(t)]])
+    for tid, lo, hi in zip(tracklets.id.tolist(), tracklets.firsts[:-1].tolist(), tracklets.firsts[1:].tolist()):
+        view = views[tid] = matrix[lo:hi]
+        view[...] = _embed(net, params, table.matrix64[rows[lo:hi]])
     return matrix, views
 
 
@@ -520,7 +517,7 @@ def separation_metrics(groups: Mapping[object, Sequence[np.ndarray]]) -> dict:
 
 def propose_merges(
     centroids: Mapping[int, np.ndarray],
-    tracklets: Sequence[Tracklet],
+    tracklets: Tracklets,
     threshold: float = DEFAULT_MERGE_THRESHOLD,
 ) -> list[tuple[int, int]]:
     """Candidate same-individual pairs, sorted by ascending centroid distance.
@@ -531,15 +528,16 @@ def propose_merges(
     """
     if threshold < 0:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
-    graph = overlap_graph(tracklets)
+    position = {tid: pos for pos, tid in enumerate(tracklets.id.tolist())}
     for tid in centroids:
-        if tid not in graph:
+        if tid not in position:
             raise DataValidationError(f"centroid for unknown tracklet id {tid}")
     ids = sorted(centroids.keys())
     scored: list[tuple[float, int, int]] = []
     for i, a in enumerate(ids):
+        overlaps = temporal_overlap(tracklets[position[a]], tracklets)
         for b in ids[i + 1 :]:
-            if b in graph[a]:
+            if overlaps[position[b]]:
                 continue
             dist = float(np.linalg.norm(np.asarray(centroids[a]) - np.asarray(centroids[b])))
             if dist <= threshold:

@@ -33,7 +33,7 @@ import numpy as np
 from .det_metrics import BoxColumns, GroundTruth, as_columns, write_ground_truth_jsonl
 from .jsonio import write_json
 from .tensor_io import ImageFrame, write_ppm, write_tensor
-from .tracklets import Tracklet, write_identity_map, write_tracklets_json
+from .tracklets import Tracklets, write_identity_map, write_tracklets_json
 
 BACKGROUND_MODES = ("flat", "textured")
 NOISE_SIGMA = 0.1
@@ -190,36 +190,23 @@ def _blob_box(blob: _Blob) -> tuple[float, float, float, float]:
     return (blob.cx - r, blob.cy - r, blob.cx + r, blob.cy + r)
 
 
-def _split_tracklets(config: SceneConfig, boxes: np.ndarray) -> tuple[list[Tracklet], list[list[int]]]:
+def _split_tracklets(config: SceneConfig, boxes: np.ndarray) -> tuple[Tracklets, list[list[int]]]:
     # Fresh ids follow generation order of the events sorted by (frame, object).
-    fresh: dict[tuple[int, int], int] = {}
-    next_id = config.num_objects
-    for frame, obj in sorted((f, o) for o, f in config.id_switch_events):
-        fresh[(obj, frame)] = next_id
-        next_id += 1
+    events = sorted((f, o) for o, f in config.id_switch_events)
+    fresh = {(obj, frame): config.num_objects + k for k, (frame, obj) in enumerate(events)}
 
-    tracklets: list[Tracklet] = []
+    spans: list[tuple[int, int, int, int]] = []  # (id, start, end, object)
     groups: list[list[int]] = []
     for obj in range(config.num_objects):
         cuts = sorted(f for o, f in config.id_switch_events if o == obj)
         starts = [0, *cuts]
-        ends = [*(c - 1 for c in cuts), config.num_frames - 1]
-        group = []
-        for start, end in zip(starts, ends):
-            tid = obj if start == 0 else fresh[(obj, start)]
-            group.append(tid)
-            tracklets.append(
-                Tracklet(
-                    id=tid,
-                    start=start,
-                    end=end,
-                    boxes=list(map(tuple, boxes[start : end + 1, obj].tolist())),
-                    feature_rows=[f * config.num_objects + obj for f in range(start, end + 1)],
-                )
-            )
+        group = [obj if start == 0 else fresh[(obj, start)] for start in starts]
+        spans += zip(group, starts, [*(c - 1 for c in cuts), config.num_frames - 1], [obj] * len(group))
         groups.append(group)
-    tracklets.sort(key=lambda t: t.id)
-    return tracklets, groups
+    tid, start, end, obj = np.array(sorted(spans), dtype=np.int64).T
+    frames = np.concatenate([np.arange(lo, hi + 1) for lo, hi in zip(start, end)])
+    objects = np.repeat(obj, end - start + 1)
+    return Tracklets(tid, start, end, boxes[frames, objects], frames * config.num_objects + objects), groups
 
 
 def generate(config: SceneConfig, out_dir: str | Path) -> dict:

@@ -1,4 +1,4 @@
-"""Tracklet model: per-object box runs over closed frame intervals.
+"""Tracklet model: per-object box runs over closed frame intervals, held as columns.
 
 A tracklet is one object's detection run: an integer id, a closed frame
 interval [start, end], and one box per frame of the interval (so runs are
@@ -17,16 +17,17 @@ used to state which tracklet ids belong to the same physical object, are::
 
     {"groups": [[1, 17], [15, 21], ...]}
 
-Two tracklets overlap in time when their closed intervals intersect:
-``a.start <= b.end and b.start <= a.end``. Runs shorter than
-``MIN_TRACKLET_LEN`` frames are dropped before any mining.
+A document loads as ``Tracklets`` columns, which index and iterate as
+``Tracklet(id, start, end)`` records. Two tracklets overlap in time when
+their closed intervals intersect: ``a.start <= b.end and b.start <= a.end``.
+Runs shorter than ``MIN_TRACKLET_LEN`` frames are dropped before any mining.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,30 +37,13 @@ from .jsonio import _echo, check_boxes, expect, expect_int, expect_ints, read_js
 MIN_TRACKLET_LEN = 16
 
 
-@dataclass
+@dataclass(frozen=True)
 class Tracklet:
+    """One tracklet's id and closed frame interval, as ``Tracklets`` gives it."""
+
     id: int
     start: int
     end: int
-    boxes: list[tuple[float, float, float, float]] = field(repr=False)
-    feature_rows: list[int] | None = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.id, int) or self.id < 0:
-            raise DataValidationError(f"tracklet id must be a nonnegative integer, got {_echo(self.id)}")
-        if self.start > self.end:
-            raise DataValidationError(
-                f"tracklet {_echo(self.id)}: start {_echo(self.start)} > end {_echo(self.end)}"
-            )
-        frames = self.end - self.start + 1  # len() overflows on absurd intervals
-        if len(self.boxes) != frames:
-            raise DataValidationError(
-                f"tracklet {_echo(self.id)}: {len(self.boxes)} boxes for {_echo(frames)} frames"
-            )
-        if self.feature_rows is not None and len(self.feature_rows) != frames:
-            raise DataValidationError(
-                f"tracklet {_echo(self.id)}: {len(self.feature_rows)} feature rows for {_echo(frames)} frames"
-            )
 
     def __len__(self) -> int:
         return self.end - self.start + 1
@@ -69,54 +53,76 @@ class Tracklet:
         return range(self.start, self.end + 1)
 
 
-def temporal_overlap(a: Tracklet, b: Tracklet) -> bool:
-    """Whether the two closed frame intervals share at least one frame."""
-    return a.start <= b.end and b.start <= a.end
+class Tracklets(Sequence):
+    """Tracklets as columns, and a read-only sequence of their ``Tracklet`` records.
+
+    ``id``, ``start`` and ``end`` are int64 [T]. ``boxes`` (float64 [F, 4]) and
+    ``feature_rows`` (int64 [F], or None) hold every frame in enumeration order,
+    file order and frames ascending. ``firsts`` (int64 [T + 1]) is the one
+    statement of that layout: tracklet i's frames are rows ``firsts[i]:firsts[i + 1]``.
+    """
+
+    __slots__ = ("id", "start", "end", "boxes", "feature_rows", "firsts")
+
+    def __init__(self, id, start, end, boxes, feature_rows=None):
+        self.id, self.start, self.end = (np.asarray(c, dtype=np.int64) for c in (id, start, end))
+        self.boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+        self.feature_rows = None if feature_rows is None else np.asarray(feature_rows, dtype=np.int64)
+        self.firsts = np.concatenate([[0], np.cumsum(self.end - self.start + 1)])
+
+    def __len__(self) -> int:
+        return len(self.id)
+
+    def __getitem__(self, i: int) -> Tracklet:
+        return Tracklet(int(self.id[i]), int(self.start[i]), int(self.end[i]))
+
+    def __iter__(self):
+        return map(Tracklet, self.id.tolist(), self.start.tolist(), self.end.tolist())
+
+    def rows_of(self, positions: np.ndarray) -> np.ndarray:
+        """The rows of the tracklets at ``positions``: each one's frames ascending, in that order."""
+        lo = self.firsts[positions]
+        lengths = self.firsts[positions + 1] - lo
+        return np.repeat(lo - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+
+    def take(self, keep: np.ndarray) -> Tracklets:
+        """The tracklets at ``keep``, index positions or a boolean [T] mask, in that order."""
+        positions = np.arange(len(self))[keep]
+        frames = self.rows_of(positions)
+        rows = None if self.feature_rows is None else self.feature_rows[frames]
+        return Tracklets(self.id[positions], self.start[positions], self.end[positions], self.boxes[frames], rows)
 
 
-def filter_min_length(tracklets: Iterable[Tracklet], min_len: int = MIN_TRACKLET_LEN) -> list[Tracklet]:
+def temporal_overlap(a, b):
+    """Whether the two closed frame intervals share at least one frame.
+
+    A ``Tracklet`` against ``Tracklets`` gives the answer for each of them, a bool [T] array.
+    """
+    return (a.start <= b.end) & (b.start <= a.end)
+
+
+def filter_min_length(tracklets: Tracklets, min_len: int = MIN_TRACKLET_LEN) -> Tracklets:
     """Keep tracklets spanning at least ``min_len`` frames."""
     if min_len < 1:
         raise ValueError(f"min_len must be >= 1, got {min_len}")
-    return [t for t in tracklets if len(t) >= min_len]
+    return tracklets.take(np.diff(tracklets.firsts) >= min_len)
 
 
-def overlap_graph(tracklets: Sequence[Tracklet]) -> dict[int, set[int]]:
-    """Adjacency by tracklet id: which other tracklets coexist in time.
-
-    Symmetric, no self-edges; exactly the pairs eligible as anchor/negative
-    tracklets in triplet mining.
-    """
-    graph: dict[int, set[int]] = {t.id: set() for t in tracklets}
-    for i, a in enumerate(tracklets):
-        for b in tracklets[i + 1 :]:
-            if temporal_overlap(a, b):
-                graph[a.id].add(b.id)
-                graph[b.id].add(a.id)
-    return graph
-
-
-def enumerate_keys(tracklets: Sequence[Tracklet]) -> np.ndarray:
+def enumerate_keys(tracklets: Tracklets) -> np.ndarray:
     """Canonical (id, frame) row order, file order and frames ascending, as an int64 [F, 2] key array.
 
     Feature tables stored as [T, D] tensors line their rows up with
     tracklet frames this way when no explicit ``feature_rows`` are given.
     """
-    return np.array([(t.id, f) for t in tracklets for f in t.frames], dtype=np.int64).reshape(-1, 2)
+    lengths = np.diff(tracklets.firsts)
+    offsets = np.arange(tracklets.firsts[-1]) - np.repeat(tracklets.firsts[:-1], lengths)
+    return np.stack([np.repeat(tracklets.id, lengths), np.repeat(tracklets.start, lengths) + offsets], axis=1)
 
 
-def check_feature_rows(tracklets: Sequence[Tracklet], where: str) -> None:
-    """Every tracklet carries ``feature_rows`` or none does; names the first that differs."""
-    for pos, t in enumerate(tracklets):
-        if (t.feature_rows is None) != (tracklets[0].feature_rows is None):
-            raise DataValidationError(f"{where}[{pos}]: either every tracklet or none may carry feature_rows")
-
-
-def load_tracklets_json(path: str | Path) -> list[Tracklet]:
+def load_tracklets_json(path: str | Path) -> Tracklets:
     """Read and validate a tracklet document; ids must be unique."""
     doc = expect(read_json(path), dict, str(path))
-    out: list[Tracklet] = []
-    seen: set[int] = set()
+    spans, boxes, rows, has_rows, seen = [], [], [], [], set()
     for pos, entry in enumerate(expect(doc.get("tracklets"), list, f"{path}: tracklets")):
         where = f"{path}: tracklets[{pos}]"
         expect(entry, dict, where)
@@ -126,17 +132,27 @@ def load_tracklets_json(path: str | Path) -> list[Tracklet]:
         seen.add(tid)
         start = expect_int(entry.get("start"), f"{where}.start")
         end = expect_int(entry.get("end"), f"{where}.end")
-        raw_boxes = expect(entry.get("boxes"), list, f"{where}.boxes")
-        boxes = list(map(tuple, check_boxes(raw_boxes, f"{where}.boxes").tolist()))
+        boxes.append(check_boxes(expect(entry.get("boxes"), list, f"{where}.boxes"), f"{where}.boxes"))
         feature_rows = entry.get("feature_rows")
+        has_rows.append(feature_rows is not None)
         if feature_rows is not None:
-            expect_ints(feature_rows, f"{where}.feature_rows", nonnegative=True)
-        try:
-            out.append(Tracklet(id=tid, start=start, end=end, boxes=boxes, feature_rows=feature_rows))
-        except DataValidationError as exc:
-            raise DataValidationError(f"{where}: {exc}") from exc
-    check_feature_rows(out, f"{path}: tracklets")
-    return out
+            rows += expect_ints(feature_rows, f"{where}.feature_rows", nonnegative=True)
+        if tid < 0:
+            raise DataValidationError(f"{where}: tracklet id must be a nonnegative integer, got {_echo(tid)}")
+        named = f"{where}: tracklet {_echo(tid)}"
+        if start > end:
+            raise DataValidationError(f"{named}: start {_echo(start)} > end {_echo(end)}")
+        frames = end - start + 1  # a Python int: int64 would wrap on the widest intervals
+        if len(boxes[-1]) != frames:
+            raise DataValidationError(f"{named}: {len(boxes[-1])} boxes for {_echo(frames)} frames")
+        if feature_rows is not None and len(feature_rows) != frames:
+            raise DataValidationError(f"{named}: {len(feature_rows)} feature rows for {_echo(frames)} frames")
+        spans.append((tid, start, end))
+    if any(has_rows) and not all(has_rows):
+        pos = has_rows.index(not has_rows[0])
+        raise DataValidationError(f"{path}: tracklets[{pos}]: either every tracklet or none may carry feature_rows")
+    tid, start, end = np.array(spans, dtype=np.int64).reshape(-1, 3).T
+    return Tracklets(tid, start, end, np.concatenate([np.empty((0, 4)), *boxes]), rows if any(has_rows) else None)
 
 
 # ``json.dumps(doc, indent=2)``'s layout of one tracklet entry, one box and one feature row.
@@ -146,20 +162,18 @@ _FEATURE_ROWS = ',\n      "feature_rows": [\n%s\n      ]'
 _FEATURE_ROW = "        %d"
 
 
-def write_tracklets_json(tracklets: Sequence[Tracklet], path: str | Path) -> None:
+def write_tracklets_json(tracklets: Tracklets, path: str | Path) -> None:
     """Write a tracklet document with the bytes ``json.dumps(doc, indent=2)`` gives it.
 
     Each entry is filled into a template, and each coordinate is written as
-    the float it converts to, as ``load_tracklets_json`` reads it back.
+    the float it is, as ``load_tracklets_json`` reads it back.
     """
+    rows = None if tracklets.feature_rows is None else tracklets.feature_rows.tolist()
     entries = []
-    for t in tracklets:
-        coords = np.asarray(t.boxes, dtype=np.float64).ravel().tolist()
-        boxes = ",\n".join([_BOX] * len(t.boxes)) % tuple(coords)
-        rows = ""
-        if t.feature_rows is not None:
-            rows = _FEATURE_ROWS % (",\n".join([_FEATURE_ROW] * len(t.feature_rows)) % tuple(t.feature_rows))
-        entries.append(_ENTRY % (t.id, t.start, t.end, boxes, rows))
+    for t, lo, hi in zip(tracklets, tracklets.firsts[:-1].tolist(), tracklets.firsts[1:].tolist()):
+        boxes = ",\n".join([_BOX] * (hi - lo)) % tuple(tracklets.boxes[lo:hi].ravel().tolist())
+        feature_rows = "" if rows is None else _FEATURE_ROWS % ",\n".join([_FEATURE_ROW % r for r in rows[lo:hi]])
+        entries.append(_ENTRY % (t.id, t.start, t.end, boxes, feature_rows))
     body = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
     Path(path).write_text('{\n  "tracklets": ' + body + "\n}\n", encoding="utf-8")
 

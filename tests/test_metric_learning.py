@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from itertools import count
 from pathlib import Path
 from unittest import mock
 
@@ -48,18 +49,20 @@ from motionstack.metric_learning import (
     write_triplets_jsonl,
 )
 from motionstack.tensor_io import write_tensor
-from motionstack.tracklets import Tracklet, enumerate_keys
+from motionstack.tracklets import Tracklets, enumerate_keys
 
 
 def _tr(tid, start, end, rows=None):
-    length = end - start + 1
-    return Tracklet(
-        id=tid,
-        start=start,
-        end=end,
-        boxes=[(0.0, 0.0, 1.0, 1.0)] * length,
-        feature_rows=rows,
-    )
+    # One tracklet's fields, for ``_ts``: its id, closed interval and feature rows or None.
+    return tid, start, end, rows
+
+
+def _ts(specs):
+    """Tracklets of ``_tr`` specs in order, every box (0, 0, 1, 1), with feature rows if the first carries them."""
+    ids, starts, ends, rows = zip(*specs) if specs else ((), (), (), ())
+    frames = sum(end - start + 1 for end, start in zip(ends, starts))
+    feature_rows = [r for own in rows for r in own] if specs and rows[0] is not None else None
+    return Tracklets(ids, starts, ends, [(0.0, 0.0, 1.0, 1.0)] * frames, feature_rows)
 
 
 def _forward_chain(params, x):
@@ -77,7 +80,7 @@ def _forward_chain(params, x):
 
 class TestFeatureTable:
     def test_canonical_enumeration(self):
-        ts = [_tr(2, 0, 2), _tr(5, 10, 11)]
+        ts = _ts([_tr(2, 0, 2), _tr(5, 10, 11)])
         matrix = np.arange(15, dtype=np.float32).reshape(5, 3)
         table = FeatureTable(ts, matrix)
         assert table.dim == 3
@@ -88,30 +91,25 @@ class TestFeatureTable:
         assert table.rows([]).dtype == np.intp
 
     def test_explicit_rows(self):
-        ts = [_tr(0, 0, 1, rows=[3, 1]), _tr(1, 0, 0, rows=[0])]
+        ts = _ts([_tr(0, 0, 1, rows=[3, 1]), _tr(1, 0, 0, rows=[0])])
         matrix = np.arange(8, dtype=np.float32).reshape(4, 2)
         table = FeatureTable(ts, matrix)
         assert list(table.rows([(0, 0), (0, 1), (1, 0)])) == [3, 1, 0]
 
     def test_duplicate_ids(self):
         with pytest.raises(DataValidationError, match=r"tracklets\[2\]: duplicate tracklet id 4"):
-            FeatureTable([_tr(4, 0, 1), _tr(2, 0, 1), _tr(4, 5, 6)], np.zeros((6, 2), np.float32))
-
-    def test_all_or_none_rows(self):
-        ts = [_tr(0, 0, 0, rows=[0]), _tr(1, 0, 0)]
-        with pytest.raises(DataValidationError, match="every tracklet or none"):
-            FeatureTable(ts, np.zeros((2, 2), np.float32))
+            FeatureTable(_ts([_tr(4, 0, 1), _tr(2, 0, 1), _tr(4, 5, 6)]), np.zeros((6, 2), np.float32))
 
     def test_canonical_count_mismatch(self):
         with pytest.raises(DataValidationError, match="enumerate"):
-            FeatureTable([_tr(0, 0, 2)], np.zeros((2, 4), np.float32))
+            FeatureTable(_ts([_tr(0, 0, 2)]), np.zeros((2, 4), np.float32))
 
     def test_explicit_row_out_of_range(self):
         with pytest.raises(DataValidationError, match="outside matrix"):
-            FeatureTable([_tr(0, 0, 0, rows=[5])], np.zeros((2, 4), np.float32))
+            FeatureTable(_ts([_tr(0, 0, 0, rows=[5])]), np.zeros((2, 4), np.float32))
 
     def test_unknown_key(self):
-        table = FeatureTable([_tr(0, 0, 1)], np.zeros((2, 4), np.float32))
+        table = FeatureTable(_ts([_tr(0, 0, 1)]), np.zeros((2, 4), np.float32))
         with pytest.raises(DataValidationError, match="no feature row for tracklet 0 frame 9"):
             table.rows([(0, 1), (0, 9), (3, 0)])
 
@@ -121,29 +119,27 @@ class TestFeatureTable:
         matrix[3, 0] = bad
         matrix[2, 1] = bad
         with pytest.raises(DataValidationError, match=rf"feature row 2 column 1 is not finite: {bad}"):
-            FeatureTable([_tr(0, 0, 3)], matrix)
+            FeatureTable(_ts([_tr(0, 0, 3)]), matrix)
 
     def test_matrix_must_be_2d(self):
         with pytest.raises(DataValidationError, match=r"\[T, D\]"):
-            FeatureTable([_tr(0, 0, 0)], np.zeros(3, np.float32))
+            FeatureTable(_ts([_tr(0, 0, 0)]), np.zeros(3, np.float32))
 
     def test_load_from_tensor(self, tmp_path):
         matrix = np.random.default_rng(0).normal(size=(3, 4)).astype(np.float32)
         path = tmp_path / "features.mten"
         write_tensor(matrix, path)
-        table = load_feature_table([_tr(0, 0, 2)], path)
+        table = load_feature_table(_ts([_tr(0, 0, 2)]), path)
         assert np.array_equal(table.matrix64, matrix)
         write_tensor(np.zeros(3, np.float32), path)
         with pytest.raises(DataValidationError, match=re.escape(f"{path}: feature matrix must be [T, D]")):
-            load_feature_table([_tr(0, 0, 2)], path)
+            load_feature_table(_ts([_tr(0, 0, 2)]), path)
 
 
 def _dict_rows(tracklets, keys):
     # FeatureTable.rows as one dict lookup per (id, frame) tuple, the lookup the array form replaced.
-    if tracklets and tracklets[0].feature_rows is not None:
-        index = {(t.id, f): r for t in tracklets for f, r in zip(t.frames, t.feature_rows)}
-    else:
-        index = {key: i for i, key in enumerate(map(tuple, enumerate_keys(tracklets).tolist()))}
+    rows = tracklets.feature_rows
+    index = dict(zip(map(tuple, enumerate_keys(tracklets).tolist()), count() if rows is None else rows.tolist()))
     try:
         return [index[key] for key in map(tuple, keys)]
     except KeyError as exc:
@@ -188,10 +184,10 @@ class TestArrayRowLookup:
     def test_rows_match_the_dict_lookup(self, spans, explicit, picks, strays, seed):
         rng = np.random.default_rng(seed)
         height = sum(length for _, _, length in spans)
-        ts = [
+        ts = _ts([
             _tr(tid, start, start + length - 1, rows=rng.integers(height, size=length).tolist() if explicit else None)
             for tid, start, length in spans
-        ]
+        ])
         table = FeatureTable(ts, np.zeros((height, 2), np.float32))
         # Keys of the table's tracklets, frames inside and outside them, and stray keys,
         # in a drawn order, so a missing key may come first, last or not at all; a frame
@@ -230,7 +226,7 @@ def _mine_one_draw_at_a_time(tracklets, rng_seed, per_anchor):
 
 class TestMining:
     def _setup(self):
-        return [_tr(0, 0, 29), _tr(1, 10, 39), _tr(2, 20, 49), _tr(9, 200, 220)]
+        return _ts([_tr(0, 0, 29), _tr(1, 10, 39), _tr(2, 20, 49), _tr(9, 200, 220)])
 
     def test_constraints_hold(self):
         ts = self._setup()
@@ -256,7 +252,7 @@ class TestMining:
         triplets = mine_triplets(ts, rng_seed=3, per_anchor=2)
         anchors = list(map(tuple, triplets[:, 0].tolist()))
         expected = []
-        for t in ts[:3]:  # tracklet 9 overlaps nothing and is skipped
+        for t in list(ts)[:3]:  # tracklet 9 overlaps nothing and is skipped
             for f in t.frames:
                 expected.extend([(t.id, f)] * 2)
         assert anchors == expected
@@ -273,14 +269,14 @@ class TestMining:
         assert not np.array_equal(mine_triplets(ts, rng_seed=5), mine_triplets(ts, rng_seed=6))
 
     def test_single_frame_tracklet_uses_itself_as_positive(self):
-        ts = [_tr(3, 7, 7), _tr(4, 0, 20)]
+        ts = _ts([_tr(3, 7, 7), _tr(4, 0, 20)])
         triplets = mine_triplets(ts, rng_seed=0)
         own = [(a, p) for a, p, _ in triplets.tolist() if a[0] == 3]
         assert len(own) == 1
         assert own[0][1] == own[0][0] == [3, 7]
 
     def test_positive_distribution_covers_other_frames(self):
-        ts = [_tr(0, 0, 3), _tr(1, 0, 3)]
+        ts = _ts([_tr(0, 0, 3), _tr(1, 0, 3)])
         triplets = mine_triplets(ts, rng_seed=0, per_anchor=50)
         seen = {p[1] for a, p, _ in triplets.tolist() if a == [0, 0]}
         assert seen == {1, 2, 3}  # never the anchor frame, all others reachable
@@ -298,11 +294,11 @@ class TestMining:
         big=st.booleans(),
     )
     def test_draws_match_one_scalar_draw_at_a_time(self, spans, ids, seed, per_anchor, big):
-        ts = [_tr(tid + big * (2**63 - 7), start, start + length - 1) for tid, (start, length) in zip(ids, spans)]
+        ts = _ts([_tr(tid + big * (2**63 - 7), start, start + length - 1) for tid, (start, length) in zip(ids, spans)])
         assert mine_triplets(ts, seed, per_anchor).tolist() == _mine_one_draw_at_a_time(ts, seed, per_anchor)
 
     def test_no_overlaps_no_triplets(self):
-        assert mine_triplets([_tr(0, 0, 9), _tr(1, 100, 109)], rng_seed=0).tolist() == []
+        assert mine_triplets(_ts([_tr(0, 0, 9), _tr(1, 100, 109)]), rng_seed=0).tolist() == []
 
 
 class TestTripletsJsonl:
@@ -334,7 +330,7 @@ class TestTripletsJsonl:
 
     def test_keys_at_the_int64_extremes_go_from_mining_to_training(self, tmp_path):
         big, low = 2**63 - 1, -(2**63)
-        ts = [_tr(big, low, low + 2, rows=[5, 3, 1]), _tr(1, low + 1, low + 3, rows=[0, 2, 4])]
+        ts = _ts([_tr(big, low, low + 2, rows=[5, 3, 1]), _tr(1, low + 1, low + 3, rows=[0, 2, 4])])
         row = {(big, low): 5, (big, low + 1): 3, (big, low + 2): 1, (1, low + 1): 0, (1, low + 2): 2, (1, low + 3): 4}
         mined = mine_triplets(ts, rng_seed=0, per_anchor=2)
         path = tmp_path / "triplets.jsonl"
@@ -356,7 +352,7 @@ class TestTripletsJsonl:
         assert trace == [pytest.approx(want, rel=1e-12)]
 
     def test_no_overlaps_mine_an_empty_key_array_that_trains(self):
-        ts = [_tr(0, 0, 9), _tr(1, 100, 109)]
+        ts = _ts([_tr(0, 0, 9), _tr(1, 100, 109)])
         triplets = mine_triplets(ts, rng_seed=0)
         assert triplets.shape == (0, 3, 2) and triplets.dtype == np.int64
         net = EmbeddingNet.init(2, hidden=(3,), seed=0)
@@ -626,7 +622,7 @@ def _training_setup(seed=0, spread=0.5):
     The clusters sit close enough that a freshly initialized net leaves
     some hinge terms active, so traces start from a positive loss.
     """
-    ts = [_tr(0, 0, 19), _tr(1, 0, 19)]
+    ts = _ts([_tr(0, 0, 19), _tr(1, 0, 19)])
     rng = np.random.default_rng(seed)
     a = rng.normal(loc=+spread, scale=0.4, size=(20, 6))
     b = rng.normal(loc=-spread, scale=0.4, size=(20, 6))
@@ -714,7 +710,7 @@ class TestTraining:
     def test_idle_batches_leave_every_weight_and_hold_no_gradient_set(self):
         # Positives repeat the anchor's features and negatives lie 50 away in every
         # coordinate, so every hinge is inactive from the first batch on.
-        ts = [_tr(0, 0, 9), _tr(1, 0, 9)]
+        ts = _ts([_tr(0, 0, 9), _tr(1, 0, 9)])
         v = np.random.default_rng(4).normal(size=32)
         table = FeatureTable(ts, np.concatenate([np.tile(v, (10, 1)), np.tile(v + 50.0, (10, 1))]).astype(np.float32))
         triplets = mine_triplets(ts, rng_seed=0, per_anchor=2)
@@ -796,7 +792,7 @@ class TestTraining:
 
 class TestReid:
     def test_centroids_are_mean_embeddings(self):
-        ts = [_tr(0, 0, 2), _tr(4, 1, 1)]
+        ts = _ts([_tr(0, 0, 2), _tr(4, 1, 1)])
         matrix = np.random.default_rng(0).normal(size=(4, 5)).astype(np.float32)
         table = FeatureTable(ts, matrix)
         net = EmbeddingNet.init(5, hidden=(6,), seed=0)
@@ -823,11 +819,11 @@ class TestReid:
         for tid, length in lengths.items():
             own[tid] = rng.permutation(height)[:length].tolist() if explicit else list(range(first, first + length))
             first += length
-        ts = [_tr(tid, 7 * i, 7 * i + length - 1, own[tid] if explicit else None)
-              for i, (tid, length) in enumerate(lengths.items())]
+        ts = _ts([_tr(tid, 7 * i, 7 * i + length - 1, own[tid] if explicit else None)
+              for i, (tid, length) in enumerate(lengths.items())])
         table = FeatureTable(ts, rng.normal(size=(height, 6)).astype(np.float32))
         net = EmbeddingNet.init(6, hidden=(9,), seed=4)
-        for order in (ts, [ts[2], ts[0], ts[3], ts[1]]):
+        for order in (ts, ts.take([2, 0, 3, 1])):
             matrix, views = tracklet_embeddings(net, order, table)
             assert list(views) == [t.id for t in order]
             assert np.array_equal(matrix, np.concatenate([views[t.id] for t in order]))
@@ -837,18 +833,18 @@ class TestReid:
 
     @pytest.mark.parametrize("explicit", [False, True])
     def test_a_tracklet_outside_the_table_names_its_first_missing_frame(self, explicit):
-        ts = [_tr(5, 10, 13, [0, 1, 2, 3] if explicit else None), _tr(2**63 - 1, 0, 1, [4, 5] if explicit else None)]
+        ts = _ts([_tr(5, 10, 13, [0, 1, 2, 3] if explicit else None), _tr(2**63 - 1, 0, 1, [4, 5] if explicit else None)])
         table = FeatureTable(ts, np.zeros((6, 3), np.float32))
         net = EmbeddingNet.init(3, hidden=(4,), seed=0)
         for outside, frame in (
             (_tr(5, 9, 13), 9), (_tr(5, 11, 15), 14), (_tr(5, 14, 20), 14), (_tr(2**63 - 1, 1, 2), 2), (_tr(6, 10, 11), 10),
         ):
             with pytest.raises(DataValidationError) as exc:
-                tracklet_embeddings(net, [ts[1], outside], table)
-            assert str(exc.value) == f"no feature row for tracklet {outside.id} frame {frame}"
+                tracklet_embeddings(net, _ts([_tr(2**63 - 1, 0, 1), outside]), table)
+            assert str(exc.value) == f"no feature row for tracklet {outside[0]} frame {frame}"
 
     def test_propose_merges_rules(self):
-        ts = [_tr(0, 0, 9), _tr(1, 20, 29), _tr(2, 5, 14), _tr(3, 40, 49)]
+        ts = _ts([_tr(0, 0, 9), _tr(1, 20, 29), _tr(2, 5, 14), _tr(3, 40, 49)])
         z = np.zeros(OUT_DIM)
 
         def vec(x, y):
@@ -871,7 +867,7 @@ class TestReid:
         assert DEFAULT_MERGE_THRESHOLD == 0.5
 
     def test_propose_merges_validation(self):
-        ts = [_tr(0, 0, 9)]
+        ts = _ts([_tr(0, 0, 9)])
         with pytest.raises(DataValidationError, match="unknown tracklet id"):
             propose_merges({0: np.zeros(2), 5: np.zeros(2)}, ts)
         with pytest.raises(ValueError, match="nonnegative"):

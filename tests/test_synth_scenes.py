@@ -36,7 +36,7 @@ from motionstack.synth_scenes import (
     perturb_detections,
 )
 from motionstack.tensor_io import read_ppm, read_tensor
-from motionstack.tracklets import filter_min_length, load_identity_map, load_tracklets_json
+from motionstack.tracklets import enumerate_keys, filter_min_length, load_identity_map, load_tracklets_json
 
 
 def _tree_bytes(root):
@@ -115,16 +115,16 @@ class TestGenerate:
 
     def test_ground_truth_matches_tracklets(self, short_fragment_scene):
         gts = load_ground_truth_jsonl(short_fragment_scene / "gt.jsonl")
-        tracklets = {t.id: t for t in load_tracklets_json(short_fragment_scene / "tracklets.json")}
+        tracklets = load_tracklets_json(short_fragment_scene / "tracklets.json")
         groups = load_identity_map(short_fragment_scene / "identity_map.json")
         num_objects = len(groups)
+        object_of = {tid: obj for obj, group in enumerate(groups) for tid in group}
         assert all(g.label == 0 for g in gts)
         # gt.jsonl is frame-major with objects in order inside each frame
-        for obj, group in enumerate(groups):
-            for tid in group:
-                t = tracklets[tid]
-                for f in t.frames:
-                    assert t.boxes[f - t.start] == gts[f * num_objects + obj].bbox
+        keys = enumerate_keys(tracklets).tolist()
+        assert len(keys) == len(gts)
+        for (tid, f), box in zip(keys, tracklets.boxes.tolist()):
+            assert tuple(box) == gts[f * num_objects + object_of[tid]].bbox
 
     def test_split_semantics(self, tmp_path):
         out = tmp_path / "scene"
@@ -152,8 +152,8 @@ class TestGenerate:
 
     def test_feature_rows_are_frame_major(self, scene12):
         tracklets = load_tracklets_json(scene12 / "tracklets.json")
-        for t in tracklets:
-            assert t.feature_rows == [f * 2 + t.id for f in t.frames]
+        tid, frame = enumerate_keys(tracklets).T
+        assert tracklets.feature_rows.tolist() == (frame * 2 + tid).tolist()
         table = load_feature_table(tracklets, scene12 / "features.mten")
         assert table.matrix64.shape == (24, 32)
         assert read_tensor(scene12 / "features.mten").dtype == np.float32

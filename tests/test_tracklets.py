@@ -11,20 +11,32 @@ from motionstack.errors import DataValidationError
 from motionstack.tracklets import (
     MIN_TRACKLET_LEN,
     Tracklet,
+    Tracklets,
     enumerate_keys,
     filter_min_length,
     load_identity_map,
     load_tracklets_json,
-    overlap_graph,
     temporal_overlap,
     write_identity_map,
     write_tracklets_json,
 )
 
 
-def _tracklet(tid, start, end, feature_rows=None):
-    boxes = [(float(f), 0.0, float(f) + 1.0, 1.0) for f in range(start, end + 1)]
-    return Tracklet(id=tid, start=start, end=end, boxes=boxes, feature_rows=feature_rows)
+def _columns(spans, rows=None):
+    # Tracklets of (id, start, end) spans, frame f's box (f, 0, f + 1, 1), and
+    # ``rows`` the feature rows of every frame in enumeration order, or None.
+    ids, starts, ends = zip(*spans) if spans else ((), (), ())
+    boxes = [(float(f), 0.0, float(f) + 1.0, 1.0) for _, start, end in spans for f in range(start, end + 1)]
+    return Tracklets(ids, starts, ends, boxes, rows)
+
+
+def _assert_same(a, b):
+    for name in ("id", "start", "end", "boxes", "firsts"):
+        got, want = getattr(a, name), getattr(b, name)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist(), name
+    assert (a.feature_rows is None) == (b.feature_rows is None)
+    if a.feature_rows is not None:
+        assert a.feature_rows.dtype == np.int64 and a.feature_rows.tolist() == b.feature_rows.tolist()
 
 
 intervals = st.tuples(st.integers(0, 30), st.integers(1, 20)).map(
@@ -34,126 +46,139 @@ intervals = st.tuples(st.integers(0, 30), st.integers(1, 20)).map(
 
 class TestTracklet:
     def test_length_and_frames(self):
-        t = _tracklet(0, 5, 9)
+        t = _columns([(0, 5, 9)])[0]
+        assert t == Tracklet(0, 5, 9)
         assert len(t) == 5
         assert list(t.frames) == [5, 6, 7, 8, 9]
 
-    def test_validation(self):
-        with pytest.raises(DataValidationError, match="nonnegative"):
-            _tracklet(-1, 0, 3)
-        with pytest.raises(DataValidationError, match="nonnegative integer, got \""):
-            _tracklet(np.int64(1), 0, 3)  # not JSON, so the error echoes its repr
-        with pytest.raises(DataValidationError, match="start 5 > end 3"):
-            Tracklet(id=0, start=5, end=3, boxes=[])
-        with pytest.raises(DataValidationError, match="2 boxes for 3 frames"):
-            Tracklet(id=0, start=0, end=2, boxes=[(0, 0, 1, 1), (0, 0, 1, 1)])
-        with pytest.raises(DataValidationError, match="feature rows"):
-            _tracklet(0, 0, 2, feature_rows=[1, 2])
+    def test_columns_index_and_take_as_records(self):
+        ts = _columns([(4, 0, 1), (2, 10, 12), (7, 5, 5)], rows=[10, 11, 20, 21, 22, 30])
+        assert ts.firsts.tolist() == [0, 2, 5, 6]
+        assert list(ts) == [Tracklet(4, 0, 1), Tracklet(2, 10, 12), Tracklet(7, 5, 5)]
+        assert ts[-1] == Tracklet(7, 5, 5) and len(ts) == 3
+        taken = ts.take(np.array([2, 0]))
+        assert list(taken) == [Tracklet(7, 5, 5), Tracklet(4, 0, 1)]
+        assert taken.firsts.tolist() == [0, 1, 3]
+        assert taken.boxes[:, 0].tolist() == [5.0, 0.0, 1.0] and taken.feature_rows.tolist() == [30, 10, 11]
+        assert ts.rows_of(np.array([1, 1])).tolist() == [2, 3, 4, 2, 3, 4]
+        empty = ts.take(np.zeros(3, dtype=bool))
+        assert len(empty) == 0 and empty.boxes.shape == (0, 4) and empty.firsts.tolist() == [0]
 
 
 class TestTemporalOverlap:
     @settings(max_examples=120, deadline=None)
     @given(intervals, intervals)
     def test_matches_frame_set_intersection(self, a_iv, b_iv):
-        a = _tracklet(0, *a_iv)
-        b = _tracklet(1, *b_iv)
+        a = Tracklet(0, *a_iv)
+        b = Tracklet(1, *b_iv)
         expected = bool(set(a.frames) & set(b.frames))
         assert temporal_overlap(a, b) == expected
         assert temporal_overlap(b, a) == expected
+        assert temporal_overlap(a, _columns([(1, *b_iv)])).tolist() == [expected]
 
     def test_single_shared_frame_counts(self):
-        assert temporal_overlap(_tracklet(0, 0, 10), _tracklet(1, 10, 20))
-        assert not temporal_overlap(_tracklet(0, 0, 10), _tracklet(1, 11, 20))
+        assert temporal_overlap(Tracklet(0, 0, 10), Tracklet(1, 10, 20))
+        assert not temporal_overlap(Tracklet(0, 0, 10), Tracklet(1, 11, 20))
 
 
 class TestFiltering:
     def test_default_threshold(self):
         assert MIN_TRACKLET_LEN == 16
-        short = _tracklet(0, 0, 14)  # 15 frames
-        exact = _tracklet(1, 0, 15)  # 16 frames
-        assert filter_min_length([short, exact]) == [exact]
+        ts = _columns([(0, 0, 14), (1, 0, 15)], rows=list(range(31)))  # 15 frames, then 16
+        kept = filter_min_length(ts)
+        assert list(kept) == [Tracklet(1, 0, 15)]
+        assert kept.boxes.tolist() == ts.boxes[15:].tolist() and kept.feature_rows.tolist() == list(range(15, 31))
 
     def test_custom_threshold_and_validation(self):
-        t = _tracklet(0, 0, 4)
-        assert filter_min_length([t], min_len=5) == [t]
-        assert filter_min_length([t], min_len=6) == []
+        ts = _columns([(0, 0, 4)])
+        assert list(filter_min_length(ts, min_len=5)) == [Tracklet(0, 0, 4)]
+        assert list(filter_min_length(ts, min_len=6)) == []
         with pytest.raises(ValueError, match="min_len"):
-            filter_min_length([t], min_len=0)
+            filter_min_length(ts, min_len=0)
 
 
 class TestOverlapGraph:
+    """The overlap graph as mining reads it: each record's row against the columns, other ids only."""
+
     def test_hand_case(self):
-        ts = [_tracklet(3, 0, 10), _tracklet(7, 5, 15), _tracklet(9, 20, 30)]
-        assert overlap_graph(ts) == {3: {7}, 7: {3}, 9: set()}
+        ts = _columns([(3, 0, 10), (7, 5, 15), (9, 20, 30)])
+        rows = [temporal_overlap(t, ts).tolist() for t in ts]
+        assert rows == [[True, True, False], [True, True, False], [False, False, True]]
 
     def test_symmetric_without_self_edges(self):
         import random
 
         rng = random.Random(1)
-        ts = []
+        spans = []
         for tid in range(12):
             start = rng.randint(0, 40)
-            ts.append(_tracklet(tid, start, start + rng.randint(0, 15)))
-        graph = overlap_graph(ts)
-        for a in ts:
-            assert a.id not in graph[a.id]
-            for b in ts:
-                if a.id == b.id:
-                    continue
-                assert (b.id in graph[a.id]) == temporal_overlap(a, b)
-                assert (b.id in graph[a.id]) == (a.id in graph[b.id])
+            spans.append((tid, start, start + rng.randint(0, 15)))
+        ts = _columns(spans)
+        graph = np.array([temporal_overlap(t, ts) & (ts.id != t.id) for t in ts])
+        assert not graph.diagonal().any()
+        assert (graph == graph.T).all()
+        for i, a in enumerate(ts):
+            for j, b in enumerate(ts):
+                assert graph[i, j] == (i != j and temporal_overlap(a, b))
 
 
 class TestEnumerateKeys:
     def test_file_order_then_frames_ascending(self):
-        ts = [_tracklet(9, 4, 6), _tracklet(2, 0, 1)]
-        keys = enumerate_keys(ts)
+        keys = enumerate_keys(_columns([(9, 4, 6), (2, 0, 1)]))
         assert keys.dtype == np.int64 and keys.tolist() == [[9, 4], [9, 5], [9, 6], [2, 0], [2, 1]]
 
     def test_keys_at_the_int64_extremes_are_int64(self):
         big, low = 2**63 - 1, -(2**63)
-        keys = enumerate_keys([_tracklet(big, big - 1, big), _tracklet(1, low, low)])
+        keys = enumerate_keys(_columns([(big, big - 1, big), (1, low, low)]))
         assert keys.dtype == np.int64 and keys.tolist() == [[big, big - 1], [big, big], [1, low]]
-        assert enumerate_keys([]).shape == (0, 2) and enumerate_keys([]).dtype == np.int64
+        empty = enumerate_keys(_columns([]))
+        assert empty.shape == (0, 2) and empty.dtype == np.int64
 
 
 class TestTrackletsJson:
     def test_round_trip(self, tmp_path):
-        ts = [_tracklet(0, 0, 3, feature_rows=[0, 1, 2, 3]), _tracklet(5, 2, 4, feature_rows=[10, 11, 12])]
+        ts = _columns([(0, 0, 3), (5, 2, 4)], rows=[0, 1, 2, 3, 10, 11, 12])
         path = tmp_path / "tracklets.json"
         write_tracklets_json(ts, path)
-        assert load_tracklets_json(path) == ts
-
+        _assert_same(load_tracklets_json(path), ts)
 
     def test_writes_the_bytes_of_json_dumps(self, tmp_path):
         def dumped(tracklets):
             entries = []
-            for t in tracklets:
-                entry = {"id": t.id, "start": t.start, "end": t.end, "boxes": [list(b) for b in t.boxes]}
-                if t.feature_rows is not None:
-                    entry["feature_rows"] = list(t.feature_rows)
+            for t, lo, hi in zip(tracklets, tracklets.firsts[:-1], tracklets.firsts[1:]):
+                entry = {"id": t.id, "start": t.start, "end": t.end, "boxes": tracklets.boxes[lo:hi].tolist()}
+                if tracklets.feature_rows is not None:
+                    entry["feature_rows"] = tracklets.feature_rows[lo:hi].tolist()
                 entries.append(entry)
             return (json.dumps({"tracklets": entries}, indent=2) + "\n").encode()
 
         rng = np.random.default_rng(0)
         edges = [-0.0, 5e-324, 1e300, -1e300, 0.1, 1e16, 1e-05]
+        low, high = -(2**63), 2**63 - 1
         for with_rows in (False, True):
-            tracklets = []
-            for _ in range(1000):
-                length = int(rng.integers(1, 5))
-                start = int(rng.integers(-(2**40), 2**40)) * int(rng.choice([1, 2**40]))  # past int64 at times
-                coords = rng.normal(size=(length, 4)) * 10.0 ** rng.integers(-300, 300, size=(length, 4))
-                coords[rng.uniform(size=coords.shape) < 0.1] = rng.choice(edges)
-                boxes = [tuple(map(np.float64, box)) for box in coords]  # numpy floats, as the synthesizer's may be
-                rows = [int(r) * int(rng.choice([1, 2**70])) for r in rng.integers(0, 99, size=length)]
-                tracklets.append(Tracklet(
-                    id=int(rng.integers(0, 2**62)) * int(rng.choice([1, 2**20])), start=start, end=start + length - 1,
-                    boxes=boxes, feature_rows=rows if with_rows else None,
-                ))
+            # Ids, starts and rows across int64, both ends included, as the loader accepts them.
+            ids = [high, 0, *dict.fromkeys(rng.integers(0, high, size=998, endpoint=True).tolist())]
+            lengths = rng.integers(1, 5, size=len(ids))
+            starts = rng.integers(low, high - lengths + 1, endpoint=True)
+            ends_at = rng.uniform(size=len(ids))
+            starts = np.where(ends_at < 0.05, low, np.where(ends_at > 0.95, high - lengths + 1, starts))
+            rows = rng.integers(0, high, size=lengths.sum(), endpoint=True)
+            rows[rng.uniform(size=len(rows)) < 0.05] = rng.choice([0, high])
+            coords = rng.normal(size=(lengths.sum(), 4)) * 10.0 ** rng.integers(-300, 300, size=(lengths.sum(), 4))
+            coords[rng.uniform(size=coords.shape) < 0.1] = rng.choice(edges)
+            lo, hi = np.minimum(coords[:, :2], coords[:, 2:]), np.maximum(coords[:, :2], coords[:, 2:])
+            boxes = np.hstack([lo, np.where(hi > lo, hi, np.nextafter(lo, np.inf))])  # x2 > x1, y2 > y1
+            tracklets = Tracklets(ids, starts, starts + lengths - 1, boxes, rows if with_rows else None)
+            assert {low, high} <= set(tracklets.start.tolist()) | set(tracklets.end.tolist())
             path = tmp_path / "t.json"
-            for subset in ([], tracklets[:1], tracklets):
+            for subset in (tracklets.take([0]), tracklets):
                 write_tracklets_json(subset, path)
                 assert path.read_bytes() == dumped(subset)
+                _assert_same(load_tracklets_json(path), subset)
+            write_tracklets_json(tracklets.take([]), path)  # which says nothing of feature rows
+            assert path.read_bytes() == dumped(tracklets.take([])) and len(load_tracklets_json(path)) == 0
+        with pytest.raises(OverflowError):  # so no writer call meets an id the loader rejects as past int64
+            Tracklets([2**63], [0], [0], [(0.0, 0.0, 1.0, 1.0)])
 
     def test_null_feature_rows_means_absent(self, tmp_path):
         path = tmp_path / "t.json"
@@ -163,7 +188,7 @@ class TestTrackletsJson:
             ]
         }
         path.write_text(json.dumps(doc))
-        assert load_tracklets_json(path)[0].feature_rows is None
+        assert load_tracklets_json(path).feature_rows is None
 
     def test_absurd_interval_is_data_error(self, tmp_path):
         # The widest int64 interval holds 2**64 frames, more than len() can count.
