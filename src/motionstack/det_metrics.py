@@ -44,7 +44,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .jsonio import array_rows, read_records, write_lines
+from .jsonio import array_rows, expect_int, read_records, write_lines
 
 IOU_GRID = tuple((50 + 5 * i) / 100.0 for i in range(10))
 # Most (detection, ground truth) pairs one matching call holds at once. A pair
@@ -109,16 +109,34 @@ def as_columns(records: Iterable[Detection] | Iterable[GroundTruth], scored: boo
     """``records`` as ``BoxColumns``: columns as they are, records converted once.
 
     ``scored`` says whether the records are detections, which carry a score.
+    A frame or label outside int64 raises ``DataValidationError`` naming the
+    first record that holds one, as ``detections[i].frame`` or
+    ``ground truth[i].label``.
     """
     if isinstance(records, BoxColumns):
         return records
     records = list(records)
+    try:
+        frame, label = (np.array([getattr(r, key) for r in records], dtype=np.int64) for key in ("frame", "label"))
+    except OverflowError:  # only now walk the records, as jsonio.check_boxes walks its boxes
+        for i, r in enumerate(records):
+            for key in ("frame", "label"):
+                _check_int64(getattr(r, key), f"{'detections' if scored else 'ground truth'}[{i}].{key}")
+        raise
     return BoxColumns(
-        np.array([r.frame for r in records], dtype=np.int64),
+        frame,
         np.array([r.bbox for r in records], dtype=np.float64).reshape(-1, 4),
-        np.array([r.label for r in records], dtype=np.int64),
+        label,
         np.array([r.score for r in records], dtype=np.float64) if scored else None,
     )
+
+
+def _check_int64(raw, where: str) -> None:
+    # ``expect_int``'s message for a value that the int64 column conversion refuses.
+    try:
+        np.array([raw], dtype=np.int64)
+    except OverflowError:
+        expect_int(raw, where)
 
 
 def _load(path: str | Path, kinds: dict[str, str]) -> BoxColumns:

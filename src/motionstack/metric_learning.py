@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -314,9 +315,9 @@ def gradients_on_params(params, xa, xp, xn, margin: float):
     back-propagated, as one stacked batch of their rows. A batch with no
     active hinge has an all-zero gradient, and grads is then the empty list.
     """
-    x = np.concatenate([xa, xp, xn], dtype=np.float64)
-    acts = [x, *_forward(params, x)]  # input first, embedding last
-    ea, ep, en = np.split(acts[-1], 3)
+    acts = [np.concatenate([xa, xp, xn], dtype=np.float64)]
+    acts += _forward(params, acts[0])  # input first, embedding last
+    ea, ep, en = np.split(acts.pop(), 3)
     terms = np.sum((ea - ep) ** 2, axis=1) - np.sum((ea - en) ** 2, axis=1) + margin
     losses = np.maximum(terms, 0.0)
     batch = len(losses)
@@ -329,11 +330,13 @@ def gradients_on_params(params, xa, xp, xn, margin: float):
     g = (2.0 / batch) * np.concatenate([en - ep, ep - ea, ea - en])
     grads = [None] * len(params)
     for l in range(len(params) - 1, -1, -1):
-        grads[l] = (g.T @ acts[l][rows], g.sum(axis=0))
+        a = acts.pop()[rows]  # layer l's input, active rows only; the whole activation is released
+        grads[l] = (g.T @ a, g.sum(axis=0))
         if l > 0:
             # ReLU subgradient: strictly positive pre-activations pass, 0 at 0.
             # A ReLU output is > 0 exactly where its pre-activation is.
-            g = (g @ params[l][0]) * (acts[l][rows] > 0.0)
+            g = g @ params[l][0]
+            g *= a > 0.0
     return mean_loss, losses, grads
 
 
@@ -442,9 +445,10 @@ def tracklet_centroids(embeddings: Mapping[int, np.ndarray]) -> dict[int, np.nda
     return {tid: frames.mean(axis=0) for tid, frames in embeddings.items()}
 
 
-# Bytes of one block's [rows, len(b)] float64 distances in ``_distance_blocks``; a
-# block holds a few arrays of that size. At 300 samples per identity a whole group
-# fits one block; at 3,000 a block is 43 rows.
+# Bytes of one block's [rows, len(b)] float64 distances in ``_distance_blocks``. A
+# block also holds its norms (the same size), its mask and the flat indices of its
+# cancelled pairs (at most the same size), and one recompute chunk fits the budget.
+# At 300 samples per identity a whole group fits one block; at 3,000 a block is 43 rows.
 _SEPARATION_BLOCK_BYTES = 1 << 20
 
 
@@ -459,7 +463,9 @@ def _distance_blocks(a: np.ndarray, b: np.ndarray):
     a2 = np.square(a).sum(axis=1)
     b2 = np.square(b).sum(axis=1)
     step = max(1, _SEPARATION_BLOCK_BYTES // (8 * len(b)))
-    pairs = max(1, _SEPARATION_BLOCK_BYTES // (8 * b.shape[1]))
+    # A recompute chunk holds its [pairs, D] differences, the [pairs, D] rows of b
+    # taken from them and the [pairs] sums, together inside the block budget.
+    pairs = max(1, _SEPARATION_BLOCK_BYTES // (8 * (2 * b.shape[1] + 1)))
     for lo in range(0, len(a), step):
         rows = a[lo : lo + step]
         d2 = rows @ b.T
@@ -469,11 +475,25 @@ def _distance_blocks(a: np.ndarray, b: np.ndarray):
         # Every d2 < 0 cancels too, as norms >= 0, so no distance comes out negative.
         cancelled = d2 < np.multiply(norms, 1e-2, out=norms)
         if cancelled.any():  # most blocks between two groups have no such pair
-            r, c = np.nonzero(cancelled)
-            for s in range(0, len(r), pairs):  # in chunks, so no scratch grows with the pair count
-                diff = rows[r[s : s + pairs]] - b[c[s : s + pairs]]
-                d2[r[s : s + pairs], c[s : s + pairs]] = np.square(diff, out=diff).sum(axis=1)
+            flat = np.flatnonzero(cancelled)
+            for s in range(0, len(flat), pairs):  # in chunks, so no scratch grows with the pair count
+                r, c = np.divmod(flat[s : s + pairs], len(b))
+                diff = rows[r]
+                diff -= b[c]
+                d2[r, c] = np.square(diff, out=diff).sum(axis=1)
         yield lo, np.sqrt(d2, out=d2)
+
+
+def _row_sums(a: np.ndarray, b: np.ndarray, upper: bool):
+    """Yield each row's sum of distances from ``a`` to ``b``, block by block.
+
+    With ``upper`` (``a`` is ``b``), row r sums only its distances to rows
+    r+1..: the lower triangle of each block is zeroed in place.
+    """
+    for lo, dist in _distance_blocks(a, b):
+        if upper:
+            dist[np.tri(*dist.shape, lo, dtype=bool)] = 0.0
+        yield from dist.sum(axis=1).tolist()
 
 
 def separation_metrics(groups: Mapping[object, Sequence[np.ndarray]]) -> dict:
@@ -497,20 +517,16 @@ def separation_metrics(groups: Mapping[object, Sequence[np.ndarray]]) -> dict:
     if len(keys) < 2:
         raise DataValidationError(f"separation metrics need >= 2 identities, got {len(keys)}")
     vecs = [np.asarray(groups[k], dtype=np.float64) for k in keys]
-    intra_rows: list[float] = []
-    inter_rows: list[float] = []
-    for i, a in enumerate(vecs):
-        for lo, dist in _distance_blocks(a, a):
-            # Row r keeps only its distances to rows r+1..: the upper triangle.
-            intra_rows.extend(np.triu(dist, lo + 1).sum(axis=1).tolist())
-        for b in vecs[i + 1 :]:
-            for _, dist in _distance_blocks(a, b):
-                inter_rows.extend(dist.sum(axis=1).tolist())
     intra_count = sum(len(v) * (len(v) - 1) // 2 for v in vecs)
     inter_count = sum(len(a) * len(b) for i, a in enumerate(vecs) for b in vecs[i + 1 :])
-
-    intra_mean = math.fsum(intra_rows) / intra_count if intra_count else 0.0
-    inter_mean = math.fsum(inter_rows) / inter_count if inter_count else 0.0
+    # fsum takes the row sums as they come, so no list grows with the rows or the groups, and
+    # each pair's generator has ended, its last block dropped, before the next pair's begins.
+    intra_sum = math.fsum(chain.from_iterable(_row_sums(a, a, upper=True) for a in vecs))
+    inter_sum = math.fsum(
+        chain.from_iterable(_row_sums(a, b, upper=False) for i, a in enumerate(vecs) for b in vecs[i + 1 :])
+    )
+    intra_mean = intra_sum / intra_count if intra_count else 0.0
+    inter_mean = inter_sum / inter_count if inter_count else 0.0
     ratio = intra_mean / inter_mean if inter_mean > 0 else 0.0
     return {"intra_mean": intra_mean, "inter_mean": inter_mean, "ratio": ratio}
 

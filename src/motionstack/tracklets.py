@@ -156,26 +156,36 @@ def load_tracklets_json(path: str | Path) -> Tracklets:
 
 
 # ``json.dumps(doc, indent=2)``'s layout of one tracklet entry, one box and one feature row.
-_ENTRY = '    {\n      "id": %d,\n      "start": %d,\n      "end": %d,\n      "boxes": [\n%s\n      ]%s\n    }'
+_ENTRY = '    {\n      "id": %d,\n      "start": %d,\n      "end": %d,\n      "boxes": %s%s\n    }'
 _BOX = "        [\n          %r,\n          %r,\n          %r,\n          %r\n        ]"
-_FEATURE_ROWS = ',\n      "feature_rows": [\n%s\n      ]'
+_FEATURE_ROWS = ',\n      "feature_rows": %s'
 _FEATURE_ROW = "        %d"
+
+
+def _entry_list(items: str) -> str:
+    # An entry's list from its items' joined lines: ``[]`` when it has none, as json.dumps writes it.
+    return "[\n%s\n      ]" % items if items else "[]"
 
 
 def write_tracklets_json(tracklets: Tracklets, path: str | Path) -> None:
     """Write a tracklet document with the bytes ``json.dumps(doc, indent=2)`` gives it.
 
-    Each entry is filled into a template, and each coordinate is written as
-    the float it is, as ``load_tracklets_json`` reads it back.
+    Each entry is filled into a template and written as soon as it is
+    formatted, and each coordinate is written as the float it is, as
+    ``load_tracklets_json`` reads it back.
     """
     rows = None if tracklets.feature_rows is None else tracklets.feature_rows.tolist()
-    entries = []
-    for t, lo, hi in zip(tracklets, tracklets.firsts[:-1].tolist(), tracklets.firsts[1:].tolist()):
-        boxes = ",\n".join([_BOX] * (hi - lo)) % tuple(tracklets.boxes[lo:hi].ravel().tolist())
-        feature_rows = "" if rows is None else _FEATURE_ROWS % ",\n".join([_FEATURE_ROW % r for r in rows[lo:hi]])
-        entries.append(_ENTRY % (t.id, t.start, t.end, boxes, feature_rows))
-    body = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
-    Path(path).write_text('{\n  "tracklets": ' + body + "\n}\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{\n  "tracklets": [')
+        sep = "\n"
+        for t, lo, hi in zip(tracklets, tracklets.firsts[:-1].tolist(), tracklets.firsts[1:].tolist()):
+            boxes = _entry_list(",\n".join([_BOX] * (hi - lo)) % tuple(tracklets.boxes[lo:hi].ravel().tolist()))
+            feature_rows = "" if rows is None else _FEATURE_ROWS % _entry_list(
+                ",\n".join([_FEATURE_ROW % r for r in rows[lo:hi]])
+            )
+            fh.write(sep + _ENTRY % (t.id, t.start, t.end, boxes, feature_rows))
+            sep = ",\n"
+        fh.write("\n  ]\n}\n" if len(tracklets) else "]\n}\n")
 
 
 def load_identity_map(path: str | Path) -> list[list[int]]:

@@ -496,6 +496,26 @@ class TestEvaluate:
             assert {key: value["ap_per_threshold"] for key, value in report["per_class"].items()} == want["per_class"]
         assert extreme_frames > 0
 
+    def test_a_detection_outside_int64_is_named(self):
+        box = (0, 0, 1, 1)
+        with pytest.raises(DataValidationError, match=r"^detections\[0\]\.label must be an integer in int64 range, got "
+                           r"1180591620717411303424$"):
+            evaluate([Detection(0, box, 0.5, 2**70)], [])
+        # The first record that holds such a value is named, its frame before its label.
+        dets = [Detection(2**63 - 1, box, 0.5, -(2**63)), Detection(-(2**63) - 1, box, 0.5, 2**63),
+                Detection(2**64, box, 0.5, 0)]
+        with pytest.raises(DataValidationError, match=r"^detections\[1\]\.frame must be an integer in int64 range, got "
+                           r"-9223372036854775809$"):
+            evaluate(dets, [])
+
+    def test_a_ground_truth_record_outside_int64_is_named(self):
+        box = (0, 0, 1, 1)
+        with pytest.raises(DataValidationError, match=r"^ground truth\[1\]\.frame must be an integer in int64 range, "
+                           r"got 9223372036854775808$"):
+            evaluate([], [GroundTruth(0, box, 1), GroundTruth(2**63, box, 1)])
+        with pytest.raises(DataValidationError, match=r"^ground truth\[0\]\.label must be an integer in int64 range"):
+            evaluate([], [GroundTruth(0, box, -(2**70))])
+
     def test_report_is_json_ready(self):
         dets, gts = _random_instance(3)
         report = evaluate(dets, gts)

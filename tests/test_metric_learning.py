@@ -616,6 +616,25 @@ class TestStackedGradients:
                     assert not np.any(got)
 
 
+    def test_backward_sweep_holds_each_activation_once(self):
+        # One all-active batch: every row of every layer is back-propagated.
+        net = EmbeddingNet.init(32, seed=0)  # 32-512-256-128
+        params = params64(net)
+        xa, xp, xn = np.random.default_rng(1).normal(size=(3, 64, 32))
+        gradient_set = 8 * sum(w.size + b.size for w, b in zip(net.weights, net.biases))  # ~1.4 MiB
+        tracemalloc.start()
+        try:
+            _, losses, grads = gradients_on_params(params, xa, xp, xn, 1e3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (losses > 0.0).all() and len(grads) == 3
+        # The result is one set, and the 192 stacked rows' activations (512 + 256 + 128 wide) about one
+        # more. A second gather of each layer's rows, with every activation kept through the sweep,
+        # lifts the peak to about 3.5 sets.
+        assert peak < 2.75 * gradient_set
+
+
 def _training_setup(seed=0, spread=0.5):
     """Two temporally overlapping tracklets with partly mingled feature clusters.
 
@@ -991,6 +1010,30 @@ class TestReid:
             tracemalloc.stop()
         # The two stacked groups hold 5.9 MiB; one [3000, 3000] distance matrix would be 68.7 MiB.
         assert peak < 16 * 2**20
+
+    def test_separation_recompute_holds_one_chunk_at_a_time(self):
+        # Tight groups: each row lies 0.1 per coordinate from a center drawn on [-2, 2]^128, so the Gram
+        # expansion cancels for nearly every intra pair and each is recomputed from its difference.
+        rng = np.random.default_rng(0)
+        groups = {k: rng.uniform(-2.0, 2.0, size=OUT_DIM) + rng.normal(scale=0.1, size=(300, OUT_DIM))
+                  for k in range(12)}
+        recomputed = []
+        for v in groups.values():
+            norms = np.square(v).sum(axis=1)
+            norms = norms[:, None] + norms
+            upper = np.triu_indices(len(v), 1)
+            recomputed.append((norms - 2.0 * v @ v.T < 1e-2 * norms)[upper].mean())
+        assert np.mean(recomputed) > 0.9
+        tracemalloc.start()
+        try:
+            separation_metrics(groups)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A group is one 0.7 MiB block, held with its norms, mask and cancelled pairs' indices, and
+        # one recompute chunk inside the budget. Whole-block gathers for the recompute, a copy of the
+        # triangle or a Python float per row sum lift the peak to about 7 MiB.
+        assert peak < 5 * _SEPARATION_BLOCK_BYTES
 
     def test_separation_of_near_duplicates_matches_loop_oracle(self):
         # Norms near 1e4 and rows about 1e-3 apart: the Gram expansion alone loses

@@ -177,6 +177,12 @@ class TestTrackletsJson:
                 _assert_same(load_tracklets_json(path), subset)
             write_tracklets_json(tracklets.take([]), path)  # which says nothing of feature rows
             assert path.read_bytes() == dumped(tracklets.take([])) and len(load_tracklets_json(path)) == 0
+            # A zero-frame entry (start past end, which the loader rejects) has empty lists, written as [].
+            empty = Tracklets([5], [3], [2], np.empty((0, 4)), [] if with_rows else None)
+            between = Tracklets([1, 5, 2], [0, 3, 7], [0, 2, 7], boxes[:2], rows[:2] if with_rows else None)
+            for subset in (empty, between):
+                write_tracklets_json(subset, path)
+                assert path.read_bytes() == dumped(subset)
         with pytest.raises(OverflowError):  # so no writer call meets an id the loader rejects as past int64
             Tracklets([2**63], [0], [0], [(0.0, 0.0, 1.0, 1.0)])
 
