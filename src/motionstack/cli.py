@@ -209,13 +209,10 @@ def _cmd_eval(args):
 def _cmd_features(args):
     if not args.scale > 0:
         raise ValueError(f"--scale must be positive, got {args.scale}")
-    tensor = read_tensor(args.map, channels_last=True)  # the float64 layout fmap keeps without a copy
-    try:
-        fmap = FeatureMap(tensor, spatial_scale=args.scale)
-    except ValueError as exc:
-        raise DataValidationError(f"{args.map}: {exc}") from exc
-    boxes = _load_boxes_json(args.boxes)
-    vectors = pool_boxes(fmap, boxes, args.out_h, args.out_w, args.sampling_ratio)
+    with read_tensor(args.map, band=True) as band:  # the map's rows are read as pool_boxes asks for them
+        fmap = FeatureMap(band, spatial_scale=args.scale)
+        boxes = _load_boxes_json(args.boxes)
+        vectors = pool_boxes(fmap, boxes, args.out_h, args.out_w, args.sampling_ratio)
     write_tensor(vectors, args.out_features)
     results = {"num_boxes": int(vectors.shape[0]), "channels": int(vectors.shape[1])}
     summary = (

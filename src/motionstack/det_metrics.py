@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -109,20 +110,15 @@ def as_columns(records: Iterable[Detection] | Iterable[GroundTruth], scored: boo
     """``records`` as ``BoxColumns``: columns as they are, records converted once.
 
     ``scored`` says whether the records are detections, which carry a score.
-    A frame or label outside int64 raises ``DataValidationError`` naming the
-    first record that holds one, as ``detections[i].frame`` or
-    ``ground truth[i].label``.
+    A frame or label must be an int or a numpy integer (never a bool) that
+    fits int64, as ``jsonio.expect_int`` reads it; one that is not raises
+    ``DataValidationError`` naming the first record that holds one, as
+    ``detections[i].frame`` or ``ground truth[i].label``.
     """
     if isinstance(records, BoxColumns):
         return records
     records = list(records)
-    try:
-        frame, label = (np.array([getattr(r, key) for r in records], dtype=np.int64) for key in ("frame", "label"))
-    except OverflowError:  # only now walk the records, as jsonio.check_boxes walks its boxes
-        for i, r in enumerate(records):
-            for key in ("frame", "label"):
-                _check_int64(getattr(r, key), f"{'detections' if scored else 'ground truth'}[{i}].{key}")
-        raise
+    frame, label = _int_columns(records, "detections" if scored else "ground truth")
     return BoxColumns(
         frame,
         np.array([r.bbox for r in records], dtype=np.float64).reshape(-1, 4),
@@ -131,12 +127,20 @@ def as_columns(records: Iterable[Detection] | Iterable[GroundTruth], scored: boo
     )
 
 
-def _check_int64(raw, where: str) -> None:
-    # ``expect_int``'s message for a value that the int64 column conversion refuses.
+def _int_columns(records: list, who: str) -> list[np.ndarray]:
+    """The int64 frame and label columns of ``records``, checked as ``as_columns`` says."""
+    columns = [[getattr(r, key) for r in records] for key in ("frame", "label")]
     try:
-        np.array([raw], dtype=np.int64)
-    except OverflowError:
-        expect_int(raw, where)
+        # The set of value types is checked once, as jsonio.expect_ints checks a list.
+        if all(t is int or issubclass(t, np.integer) for t in set(map(type, chain(*columns)))):
+            return [np.array(column, dtype=np.int64) for column in columns]
+    except OverflowError:  # an integer outside int64
+        pass
+    for i, r in enumerate(records):  # only now walk the records, to name the first bad value
+        for key in ("frame", "label"):
+            raw = getattr(r, key)
+            expect_int(int(raw) if isinstance(raw, np.integer) else raw, f"{who}[{i}].{key}")
+    raise AssertionError("every frame and label passed expect_int")
 
 
 def _load(path: str | Path, kinds: dict[str, str]) -> BoxColumns:

@@ -474,14 +474,22 @@ def _distance_blocks(a: np.ndarray, b: np.ndarray):
         d2 += norms
         # Every d2 < 0 cancels too, as norms >= 0, so no distance comes out negative.
         cancelled = d2 < np.multiply(norms, 1e-2, out=norms)
+        del norms
         if cancelled.any():  # most blocks between two groups have no such pair
-            flat = np.flatnonzero(cancelled)
-            for s in range(0, len(flat), pairs):  # in chunks, so no scratch grows with the pair count
-                r, c = np.divmod(flat[s : s + pairs], len(b))
-                diff = rows[r]
-                diff -= b[c]
-                d2[r, c] = np.square(diff, out=diff).sum(axis=1)
+            _recompute(d2, rows, b, np.flatnonzero(cancelled), pairs)
+        del cancelled
         yield lo, np.sqrt(d2, out=d2)
+        del d2  # the consumer has summed it: no spent block is held through the next product
+
+
+def _recompute(d2: np.ndarray, rows: np.ndarray, b: np.ndarray, flat: np.ndarray, pairs: int) -> None:
+    """Set the flat entries ``flat`` of ``d2`` to ``sum((rows[r] - b[c])**2)``, ``pairs`` at a time."""
+    for s in range(0, len(flat), pairs):  # in chunks, so no scratch grows with the pair count
+        r, c = np.divmod(flat[s : s + pairs], len(b))
+        diff = rows[r]
+        diff -= b[c]
+        d2[r, c] = np.square(diff, out=diff).sum(axis=1)
+        del diff  # before the next chunk's is gathered
 
 
 def _row_sums(a: np.ndarray, b: np.ndarray, upper: bool):
@@ -493,7 +501,9 @@ def _row_sums(a: np.ndarray, b: np.ndarray, upper: bool):
     for lo, dist in _distance_blocks(a, b):
         if upper:
             dist[np.tri(*dist.shape, lo, dtype=bool)] = 0.0
-        yield from dist.sum(axis=1).tolist()
+        sums = dist.sum(axis=1).tolist()
+        del dist  # dropped before the next block is computed
+        yield from sums
 
 
 def separation_metrics(groups: Mapping[object, Sequence[np.ndarray]]) -> dict:

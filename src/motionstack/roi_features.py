@@ -21,17 +21,22 @@ lowest sample pixel to the last pixel given weight, so no [N, Hf] or
 [N, Wf] array is built. No per-sample tensor is built either, and only the
 float64 summation order differs from interpolating each sample.
 
-A ``FeatureMap`` holds its map once, as a C-contiguous float64 [Hf, Wf, C]
-array, in which a box's window is one view; ``tensor`` is that array's
-[C, Hf, Wf] view, so pooling converts nothing. A map read with
-``read_tensor(path, channels_last=True)`` is already in that layout and is
-not copied again.
+A ``FeatureMap`` built from an array holds its map once, as a C-contiguous
+float64 [Hf, Wf, C] array, in which a box's window is one view; ``tensor``
+is that array's [C, Hf, Wf] view, so pooling converts nothing. One built
+from ``read_tensor(path, band=True)`` leaves the map in its file: its
+``tensor`` is that ``tensor_io.MapBand``, which holds one float64
+[B, Wf, C] band of rows, B the tallest box window plus ``BAND_STEP``
+rows (at most Hf), and reads the rows each window needs as ``pool_boxes``
+asks for them. Its windows keep the whole map's row stride, so BLAS gets the
+same call either way and the descriptors are the same bits.
 
 Boxes are pooled in row-major order of their windows on the map (top row,
 then left column), not in input order, so that consecutive boxes read map
-rows that are still in cache. Each box's arithmetic does not depend on the
-order, and each result is rounded from float64 straight into its own row of
-the float32 output, so the descriptors are the same bits in any order.
+rows that are still in cache, and a band reads each map row once. Each
+box's arithmetic does not depend on the order, and each result is rounded
+from float64 straight into its own row of the float32 output, so the
+descriptors are the same bits in any order.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataValidationError
+from .tensor_io import MapBand
 
 OUT_SIZE = 7
 SAMPLING_RATIO = 2
@@ -50,22 +56,31 @@ SAMPLING_RATIO = 2
 class FeatureMap:
     """A [C, Hf, Wf] map plus its feature-pixels-per-image-pixel ratio.
 
-    The map is held once, as a C-contiguous float64 [Hf, Wf, C] array; ``tensor``
-    is its [C, Hf, Wf] view. A tensor given in that layout already, such as
-    ``read_tensor(path, channels_last=True)`` returns, is used without a copy;
-    any other is converted into a copy of the map's own.
+    An array map is held once, as a C-contiguous float64 [Hf, Wf, C] array;
+    ``tensor`` is its [C, Hf, Wf] view. A tensor given in that layout already
+    is used without a copy; any other is converted into a copy of the map's
+    own. A ``MapBand`` (``read_tensor(path, band=True)``) is kept as it is,
+    and its rows are read as pooling asks for them.
     """
 
-    tensor: np.ndarray = field(repr=False)
+    tensor: np.ndarray | MapBand = field(repr=False)
     spatial_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        tensor = np.asarray(self.tensor)
-        if tensor.ndim != 3:
-            raise ValueError(f"feature map must be [C, Hf, Wf], got shape {tensor.shape}")
+        if not isinstance(self.tensor, MapBand):  # a band checked its rank when it was opened
+            tensor = np.asarray(self.tensor)
+            if tensor.ndim != 3:
+                raise ValueError(f"feature map must be [C, Hf, Wf], got shape {tensor.shape}")
+            self.tensor = np.asarray(tensor.transpose(1, 2, 0), dtype=np.float64, order="C").transpose(2, 0, 1)
         if not self.spatial_scale > 0:
             raise ValueError(f"spatial_scale must be positive, got {self.spatial_scale}")
-        self.tensor = np.asarray(tensor.transpose(1, 2, 0), dtype=np.float64, order="C").transpose(2, 0, 1)
+
+    def windows(self, tops, bottoms):
+        """The float64 [b - t, Wf, C] rows of each window ``[t, b)`` of ``zip(tops, bottoms)``, in turn."""
+        if isinstance(self.tensor, MapBand):
+            return self.tensor.windows(tops, bottoms)
+        hwc = np.ascontiguousarray(self.tensor.transpose(1, 2, 0), dtype=np.float64)
+        return (hwc[t:b] for t, b in zip(tops, bottoms))
 
 
 def _sample_coords(boxes: np.ndarray, spatial_scale: float, out_h: int, out_w: int, ratio: int):
@@ -132,9 +147,9 @@ def pool_boxes(
 ) -> np.ndarray:
     """RoI-align every box and average over space: float32 [N, C] descriptors.
 
-    Every box must have positive area after scaling. The map is already
-    channels-last, so a box's window of rows and columns is an [h, w * C]
-    view and both contractions run in float64 in BLAS without a copy.
+    Every box must have positive area after scaling. The map gives each
+    window's rows channels-last, so a box's window of rows and columns is an
+    [h, w * C] view and both contractions run in float64 in BLAS without a copy.
     """
     if out_h < 1 or out_w < 1:
         raise ValueError(f"output size must be positive, got {out_h}x{out_w}")
@@ -144,15 +159,16 @@ def pool_boxes(
     if boxes.ndim != 2 or boxes.shape[1] != 4:
         raise ValueError(f"boxes must be [N, 4], got shape {boxes.shape}")
     ys, xs = _sample_coords(boxes, fmap.spatial_scale, out_h, out_w, sampling_ratio)
-    hwc = np.ascontiguousarray(fmap.tensor.transpose(1, 2, 0), dtype=np.float64)
-    n, c = len(boxes), hwc.shape[2]
-    wy, top, bottom = _bilinear_weights(ys.reshape(n, out_h * sampling_ratio), hwc.shape[0])
-    wx, left, right = _bilinear_weights(xs.reshape(n, out_w * sampling_ratio), hwc.shape[1])
+    n, (c, hf, wf) = len(boxes), fmap.tensor.shape
+    wy, top, bottom = _bilinear_weights(ys.reshape(n, out_h * sampling_ratio), hf)
+    wx, left, right = _bilinear_weights(xs.reshape(n, out_w * sampling_ratio), wf)
     del ys, xs  # not held through the box loop
     out = np.empty((n, c), dtype=np.float32)
     order = np.lexsort((left, top))
-    windows = zip(order.tolist(), *(a[order].tolist() for a in (top, bottom, left, right)))
-    for i, y0, y1, x0, x1 in windows:
-        rows = wy[i, : y1 - y0] @ hwc[y0:y1, x0:x1].reshape(y1 - y0, (x1 - x0) * c)
+    top, bottom, left, right = (a[order].tolist() for a in (top, bottom, left, right))
+    # The order comes first, so the map is asked for no window past the last box.
+    windows = zip(order.tolist(), top, bottom, left, right, fmap.windows(top, bottom))
+    for i, y0, y1, x0, x1, block in windows:
+        rows = wy[i, : y1 - y0] @ block[:, x0:x1].reshape(y1 - y0, (x1 - x0) * c)
         out[i] = wx[i, : x1 - x0] @ rows.reshape(x1 - x0, c)
     return out

@@ -12,8 +12,9 @@ padded with spaces so the payload starts on a 64-byte file offset, then the
 little-endian row-major payload. Tensors are plain numpy arrays restricted
 to uint8/float32 with 1 to 4 dimensions. One header check serves both ways
 of reading a container: whole, into an array of its stored dtype, or, for a
-[C, H, W] feature map, a few channels at a time into a float64 [H, W, C]
-array, so the stored copy of the whole map is never held.
+[C, H, W] feature map, as a ``MapBand`` that holds one float64 band of rows
+at a time, so neither the stored map nor a float64 copy of it is ever held
+whole; the band's height follows the tallest window asked for, not the map's.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -110,44 +112,110 @@ def _check_payload(path: str | Path, expected: int, held: int) -> None:
         )
 
 
-# Bytes of stored payload that ``read_tensor(..., channels_last=True)`` reads at a time.
-_CHANNEL_BLOCK_BYTES = 1 << 20
+# Rows a band holds beyond the tallest window it serves, so that a refill reads about
+# this many new rows: fewer rows make more, shorter reads, which cost more time in all.
+BAND_STEP = 16
+# Bytes of stored channels that a band refill reads before converting them to float64:
+# fewer channels at a time make the conversion's innermost loop, over channels, shorter
+# and slower.
+_STAGE_BYTES = 256 << 10
 
 
-def read_tensor(path: str | Path, channels_last: bool = False) -> np.ndarray:
+def read_tensor(path: str | Path, band: bool = False) -> np.ndarray | MapBand:
     """Read an MTENSOR container back into a numpy array.
 
     Raises TensorFormatError on bad magic, a malformed header, an unknown
     dtype code, or a header/payload length mismatch (``_tensor_header``).
     The payload is read straight into the returned array.
 
-    With ``channels_last``, a 3-D [C, H, W] tensor is returned as float64,
-    the [C, H, W] view of a C-contiguous [H, W, C] array (the layout
-    ``roi_features.FeatureMap`` holds). It is filled a few channels at a
-    time, so the stored dtype's copy of the whole tensor is never held.
-    A tensor of another rank is returned as stored.
+    With ``band``, nothing past the header is read here: the container, which
+    must be a [C, H, W] map, comes back as an open ``MapBand`` that reads its
+    rows a band at a time, as they are asked for.
     """
+    if band:
+        return MapBand(path)
     with open(path, "rb") as fh:
         dtype, shape = _tensor_header(fh, path)
-        if channels_last and len(shape) == 3:
-            return _read_channels_last(fh, path, dtype, shape)
         arr = np.empty(shape, dtype=dtype)
         held = fh.readinto(memoryview(arr).cast("B"))  # short only if the file shrank meanwhile
     _check_payload(path, arr.nbytes, held)
     return arr
 
 
-def _read_channels_last(fh, path: str | Path, dtype: np.dtype, shape: list[int]) -> np.ndarray:
-    channels, height, width = shape
-    out = np.empty((height, width, channels), dtype=np.float64)
-    step = max(1, _CHANNEL_BLOCK_BYTES // (height * width * dtype.itemsize))
-    block = np.empty((min(step, channels), height, width), dtype=dtype)
-    for lo in range(0, channels, step):
-        part = block[: min(step, channels - lo)]
-        held = fh.readinto(memoryview(part).cast("B"))  # short only if the file shrank meanwhile
-        _check_payload(path, part.nbytes, held)
-        out[:, :, lo : lo + len(part)] = part.transpose(1, 2, 0)
-    return out.transpose(2, 0, 1)
+class MapBand:
+    """An open [C, H, W] MTENSOR map whose rows are read into one float64 band as windows ask for them.
+
+    Opening checks the header with ``_tensor_header``, and the rank. ``windows``
+    serves each window of rows from a float64 [B, W, C] band, with B the
+    tallest window plus ``BAND_STEP`` rows, at most H. A window that leaves the
+    band refills it from the window's top row: the rows the band still holds
+    move to its top, one row at a time, and only the rows it lacks are read,
+    one positioned read per channel into a staging block of a few channels,
+    and converted to float64 once. Windows asked for top row first thus read
+    each map row once, and the band's size depends on the tallest window, not
+    on H; a window as tall as the map makes the band the whole map. A read
+    that comes up short, because the file shrank after its header was checked,
+    raises the payload length mismatch instead of serving rows it never read.
+    Close the band when done, or use it as a context manager.
+    """
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = path
+        self._fh = open(path, "rb")
+        try:
+            self.dtype, shape = _tensor_header(self._fh, path)
+            if len(shape) != 3:
+                raise TensorFormatError(f"{path}: feature map must be [C, Hf, Wf], got shape {tuple(shape)}")
+        except BaseException:
+            self._fh.close()
+            raise
+        self.shape = tuple(shape)
+        self._payload = self._fh.tell()
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self) -> MapBand:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def windows(self, tops: Sequence[int], bottoms: Sequence[int]) -> Iterator[np.ndarray]:
+        """Yield the float64 [b - t, W, C] rows of each window ``[t, b)`` of ``zip(tops, bottoms)``.
+
+        Each is a view of the band, valid until the next one is asked for,
+        with the whole map's row stride.
+        """
+        channels, height, width = self.shape
+        rows = min(height, max((b - t for t, b in zip(tops, bottoms)), default=0) + BAND_STEP)
+        band = np.empty((rows, width, channels))
+        lo = hi = 0  # the band holds map rows [lo, hi) in its first hi - lo rows
+        for top, bottom in zip(tops, bottoms):
+            if top < lo or bottom > hi:
+                end = min(height, top + rows)
+                kept = max(0, hi - top) if top >= lo else 0
+                for k in range(kept):  # one slice copy of overlapping rows would buffer them all
+                    band[k] = band[top - lo + k]
+                self._read(band[kept : end - top], top + kept, end)
+                lo, hi = top, end
+            yield band[top - lo : bottom - lo]
+
+    def _read(self, out: np.ndarray, start: int, end: int) -> None:
+        """Fill ``out`` with map rows ``[start, end)`` of every channel, as float64 [rows, W, C]."""
+        channels, height, width = self.shape
+        plane = (end - start) * width * self.dtype.itemsize  # one channel's bytes of those rows
+        step = max(1, _STAGE_BYTES // plane)
+        stage = np.empty((min(step, channels), end - start, width), dtype=self.dtype)
+        for lo in range(0, channels, step):
+            part = stage[: min(step, channels - lo)]
+            for c, rows in enumerate(part, lo):
+                offset = (c * height + start) * width * self.dtype.itemsize
+                got = os.preadv(self._fh.fileno(), [rows], self._payload + offset)
+                if got != plane:  # short only if the file shrank: it holds no more than the read found
+                    size = os.fstat(self._fh.fileno()).st_size - self._payload
+                    _check_payload(self.path, math.prod(self.shape) * self.dtype.itemsize, min(size, offset + got))
+            out[:, :, lo : lo + len(part)] = part.transpose(1, 2, 0)
 
 
 @dataclass(eq=False)

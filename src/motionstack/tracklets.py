@@ -156,15 +156,41 @@ def load_tracklets_json(path: str | Path) -> Tracklets:
 
 
 # ``json.dumps(doc, indent=2)``'s layout of one tracklet entry, one box and one feature row.
-_ENTRY = '    {\n      "id": %d,\n      "start": %d,\n      "end": %d,\n      "boxes": %s%s\n    }'
+_ENTRY = '    {\n      "id": %d,\n      "start": %d,\n      "end": %d,\n      "boxes": [\n%s\n      ]%s\n    }'
 _BOX = "        [\n          %r,\n          %r,\n          %r,\n          %r\n        ]"
-_FEATURE_ROWS = ',\n      "feature_rows": %s'
+_FEATURE_ROWS = ',\n      "feature_rows": [\n%s\n      ]'
 _FEATURE_ROW = "        %d"
 
 
-def _entry_list(items: str) -> str:
-    # An entry's list from its items' joined lines: ``[]`` when it has none, as json.dumps writes it.
-    return "[\n%s\n      ]" % items if items else "[]"
+def _check_loadable(tracklets: Tracklets) -> None:
+    """Raise ``ValueError``, worded as ``load_tracklets_json`` would, for columns it would reject."""
+    frames, seen = [], set()
+    for pos, t in enumerate(tracklets):
+        if t.id in seen:
+            raise ValueError(f"tracklets[{pos}]: duplicate tracklet id {t.id}")
+        seen.add(t.id)
+        if t.id < 0:
+            raise ValueError(f"tracklets[{pos}]: tracklet id must be a nonnegative integer, got {t.id}")
+        if t.start > t.end:
+            raise ValueError(f"tracklets[{pos}]: tracklet {t.id}: start {t.start} > end {t.end}")
+        frames.append(len(t))  # a Python int: int64 would wrap on the widest intervals
+    boxes, rows = tracklets.boxes, tracklets.feature_rows
+    if len(boxes) != sum(frames):
+        raise ValueError(f"tracklets hold {len(boxes)} boxes for {sum(frames)} frames")
+    if rows is not None and len(rows) != sum(frames):
+        raise ValueError(f"tracklets hold {len(rows)} feature rows for {sum(frames)} frames")
+
+    def named(key: str, k: int) -> str:  # frame row k's entry of ``key``, as the loader names it
+        pos = int(np.searchsorted(tracklets.firsts, k, side="right")) - 1
+        return f"tracklets[{pos}].{key}[{k - int(tracklets.firsts[pos])}]"
+
+    bad = ~np.isfinite(boxes).all(axis=1) | (boxes[:, 2] <= boxes[:, 0]) | (boxes[:, 3] <= boxes[:, 1])
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"{named('boxes', k)} must be finite with x2 > x1 and y2 > y1, got {boxes[k].tolist()}")
+    if rows is not None and (rows < 0).any():
+        k = int(np.argmax(rows < 0))
+        raise ValueError(f"{named('feature_rows', k)} must be a nonnegative integer, got {rows[k]}")
 
 
 def write_tracklets_json(tracklets: Tracklets, path: str | Path) -> None:
@@ -172,17 +198,17 @@ def write_tracklets_json(tracklets: Tracklets, path: str | Path) -> None:
 
     Each entry is filled into a template and written as soon as it is
     formatted, and each coordinate is written as the float it is, as
-    ``load_tracklets_json`` reads it back.
+    ``load_tracklets_json`` reads it back. Columns that the loader would
+    reject raise ``ValueError`` before the file is opened.
     """
+    _check_loadable(tracklets)
     rows = None if tracklets.feature_rows is None else tracklets.feature_rows.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{\n  "tracklets": [')
         sep = "\n"
         for t, lo, hi in zip(tracklets, tracklets.firsts[:-1].tolist(), tracklets.firsts[1:].tolist()):
-            boxes = _entry_list(",\n".join([_BOX] * (hi - lo)) % tuple(tracklets.boxes[lo:hi].ravel().tolist()))
-            feature_rows = "" if rows is None else _FEATURE_ROWS % _entry_list(
-                ",\n".join([_FEATURE_ROW % r for r in rows[lo:hi]])
-            )
+            boxes = ",\n".join([_BOX] * (hi - lo)) % tuple(tracklets.boxes[lo:hi].ravel().tolist())
+            feature_rows = "" if rows is None else _FEATURE_ROWS % ",\n".join([_FEATURE_ROW % r for r in rows[lo:hi]])
             fh.write(sep + _ENTRY % (t.id, t.start, t.end, boxes, feature_rows))
             sep = ",\n"
         fh.write("\n  ]\n}\n" if len(tracklets) else "]\n}\n")

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import motionstack
-from motionstack import __version__, cli
+from motionstack import __version__, cli, tensor_io
 from motionstack.frame_pipeline import FrameSequence
 from motionstack.metric_learning import (
     DEFAULT_HIDDEN,
@@ -968,9 +968,58 @@ class TestFeatures:
         finally:
             tracemalloc.stop()
         assert code == 0
-        # The map is read into its float64 form a block of channels at a time, so its
-        # float32 form is never held whole; holding both would take 3 float32 maps.
+        # The map is read a band of rows at a time, so neither its float32 nor its
+        # float64 form is held whole; holding both would take 3 float32 maps.
         assert peak < 2.75 * fmap.nbytes
+
+    def test_a_taller_map_takes_no_more_memory(self, tmp_path):
+        """The band holds the tallest window's rows plus a step, whatever the map's height."""
+        rng = np.random.default_rng(2)
+        wh = rng.uniform(8.0, 64.0, size=(500, 2))
+        xy = rng.uniform(0.0, 1.0, size=(500, 2)) * (np.array([320.0, 240.0]) - wh)
+        (tmp_path / "boxes.json").write_text(json.dumps({"boxes": np.hstack([xy, xy + wh]).tolist()}))
+        peaks = []
+        for rows in (60, 240):  # the same boxes, all on the top 60 rows
+            write_tensor(rng.standard_normal((32, rows, 80), dtype=np.float32), tmp_path / "map.mten")
+            argv = ["features", "--map", str(tmp_path / "map.mten"), "--scale", "0.25",
+                    "--boxes", str(tmp_path / "boxes.json"), "--out-features", str(tmp_path / "p.mten")]
+            tracemalloc.start()
+            try:
+                code, _ = _run_quiet(argv)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            peaks.append(peak)
+        # The 240-row float64 map alone would be 4.7 MiB.
+        assert abs(peaks[1] - peaks[0]) <= 64 << 10, peaks
+
+    @pytest.mark.parametrize("shrink", [False, True], ids=["truncated", "shrinks-after-header"])
+    def test_a_short_map_is_data_error(self, tmp_path, monkeypatch, shrink):
+        map_path = tmp_path / "map.mten"
+        write_tensor(np.ones((2, 18, 24), dtype=np.float32), map_path)  # a 3,456-byte payload
+        if shrink:
+            real = tensor_io._tensor_header
+
+            def check_then_cut(fh, path):
+                found = real(fh, path)
+                os.truncate(path, fh.tell() + 100)
+                return found
+
+            monkeypatch.setattr(tensor_io, "_tensor_header", check_then_cut)
+        else:
+            map_path.write_bytes(map_path.read_bytes()[:-3])
+        (tmp_path / "boxes.json").write_text("[[0, 0, 3, 3], [4, 12, 20, 17]]")
+        code, err = _run_quiet(
+            ["features", "--map", str(map_path), "--scale", "1.0",
+             "--boxes", str(tmp_path / "boxes.json"), "--out-features", str(tmp_path / "p.mten")]
+        )
+        assert code == 2
+        held = 100 if shrink else 3453
+        assert err.splitlines() == [
+            f"error: {map_path}: payload length mismatch: header declares 3456 bytes, file holds {held}"
+        ]
+        assert not (tmp_path / "p.mten").exists()
 
     def test_bare_list_boxes_accepted(self, tmp_path):
         write_tensor(np.ones((1, 4, 4), dtype=np.float32), tmp_path / "map.mten")

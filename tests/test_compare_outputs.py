@@ -13,6 +13,7 @@ from motionstack.det_metrics import load_detections_jsonl, load_ground_truth_jso
 from motionstack.errors import DataValidationError
 from motionstack.metric_learning import load_triplets_jsonl
 from motionstack.synth_scenes import SceneConfig, generate
+from motionstack.tensor_io import read_tensor
 from motionstack.tracklets import load_identity_map, load_tracklets_json
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -39,7 +40,7 @@ def test_every_command_of_the_chain_parses():
     labels = [argv[argv.index("--labels") + 1] for argv in commands if "--labels" in argv]
     assert labels == ["no_labels"]  # a directory that nothing writes
     boxes = [argv[argv.index("--boxes") + 1] for argv in commands if argv[0] == "features"]
-    assert boxes == ["boxes.json", "edge_boxes.json"]
+    assert boxes == ["boxes.json", "edge_boxes.json", "tall_boxes.json"]
     outside = [(argv[0], arg) for argv in commands for arg in argv if arg.startswith(("past_", "neg_"))]
     assert outside == [
         ("eval", "past_class_dets.jsonl"), ("eval", "past_frame_gt.jsonl"), ("train", "past_triplets.jsonl"),
@@ -61,6 +62,19 @@ def test_edge_boxes_reach_every_edge_case(tmp_path):
     assert (x2 < 0).any() and (y1 > 240).any()  # wholly outside the image
     assert (x2 - x1 < 4).any() and (y2 - y1 < 4).any()  # narrower than a feature pixel at scale 0.25
     assert ((x1 <= 0) & (y1 <= 0) & (x2 >= 320) & (y2 >= 240)).any()  # the whole image
+
+
+def test_tall_boxes_end_at_every_row_of_the_tall_map(tmp_path):
+    compare_outputs.write_tall_map(tmp_path, 7)
+    assert read_tensor(tmp_path / "tall_fmap.mten").shape == (8, 400, 48)
+    boxes = np.array(json.loads((tmp_path / "tall_boxes.json").read_text())["boxes"])
+    x1, y1, x2, y2 = boxes.T
+    assert boxes.shape == (1200, 4) and (x2 > x1).all() and (y2 > y1).all()
+    assert (y1 < 0).any() and (y2 > 1600).any() and (x1 < 0).any() and (x2 > 192).any()
+    # Map rows at scale 0.25: the windows start on nearly every row, and are 1 to 17 rows tall.
+    tops = np.clip(np.floor(y1 * 0.25 - 0.5), 0, 399)
+    assert len(set(tops.tolist())) > 350
+    assert (y2 - y1 < 2).any() and (y2 - y1 > 60).any()
 
 
 def test_files_outside_int64_fail_on_their_first_value(tmp_path):

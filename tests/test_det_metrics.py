@@ -19,6 +19,7 @@ from motionstack.det_metrics import (
     Detection,
     GroundTruth,
     ap_101,
+    as_columns,
     evaluate,
     f1_operating_point,
     iou,
@@ -515,6 +516,28 @@ class TestEvaluate:
             evaluate([], [GroundTruth(0, box, 1), GroundTruth(2**63, box, 1)])
         with pytest.raises(DataValidationError, match=r"^ground truth\[0\]\.label must be an integer in int64 range"):
             evaluate([], [GroundTruth(0, box, -(2**70))])
+
+    @pytest.mark.parametrize(
+        "records, scored, message",
+        [
+            ([Detection(1.5, (0, 0, 1, 1), 0.5, 1)], True, "detections[0].frame must be an integer, got 1.5"),
+            ([GroundTruth(0, (0, 0, 1, 1), 2), GroundTruth(3, (0, 0, 1, 1), "7")], False,
+             'ground truth[1].label must be an integer, got "7"'),
+            ([Detection(np.int64(4), (0, 0, 1, 1), 0.5, True)], True,
+             "detections[0].label must be an integer, got true"),
+        ],
+        ids=["float", "string", "bool"],
+    )
+    def test_a_record_that_is_no_integer_is_named(self, records, scored, message):
+        with pytest.raises(DataValidationError) as info:
+            as_columns(records, scored)
+        assert str(info.value) == message
+
+    def test_numpy_integers_are_integers(self):
+        columns = as_columns([GroundTruth(np.uint8(3), (0, 0, 1, 1), np.int64(-(2**63)))], False)
+        assert columns.frame.tolist() == [3] and columns.label.tolist() == [-(2**63)]
+        with pytest.raises(DataValidationError, match=r"^ground truth\[0\]\.frame must be an integer in int64 range"):
+            as_columns([GroundTruth(np.uint64(2**63), (0, 0, 1, 1), 0)], False)
 
     def test_report_is_json_ready(self):
         dets, gts = _random_instance(3)

@@ -1011,6 +1011,20 @@ class TestReid:
         # The two stacked groups hold 5.9 MiB; one [3000, 3000] distance matrix would be 68.7 MiB.
         assert peak < 16 * 2**20
 
+    def test_separation_drops_each_block_before_the_next(self):
+        # Two groups of 3,000 rows: a 1 MiB budget makes 43-row blocks of 1 MiB of distances, each
+        # with 1 MiB of norms. One group's squared rows (2.9 MiB) set the peak; holding the
+        # spent block and its norms through the next product added 2 MiB to two new ones.
+        rng = np.random.default_rng(3)
+        groups = {k: rng.normal(size=(3000, OUT_DIM)) for k in ("a", "b")}
+        tracemalloc.start()
+        try:
+            separation_metrics(groups)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 2**20
+
     def test_separation_recompute_holds_one_chunk_at_a_time(self):
         # Tight groups: each row lies 0.1 per coordinate from a center drawn on [-2, 2]^128, so the Gram
         # expansion cancels for nearly every intra pair and each is recomputed from its difference.

@@ -1,13 +1,16 @@
 """RoI pooling tests against scalar-loop references and analytic fields."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
+from motionstack import tensor_io
 from motionstack.errors import DataValidationError
 from motionstack.roi_features import (
     OUT_SIZE,
@@ -16,6 +19,7 @@ from motionstack.roi_features import (
     _bilinear_weights,
     pool_boxes,
 )
+from motionstack.tensor_io import read_tensor, write_tensor
 
 
 def _random_map(c=2, h=6, w=8, seed=0, scale=1.0):
@@ -216,6 +220,59 @@ class TestPooling:
     def test_pool_boxes_rejects_non_finite_box(self, bad):
         with pytest.raises(DataValidationError, match=r"box 1 \[.*\] has a non-finite"):
             pool_boxes(_random_map(), [(0.0, 0.0, 4.0, 4.0), bad])
+
+
+@st.composite
+def stored_cases(draw):
+    """A u8 or f32 map up to 120 rows tall and 1-40 boxes past every edge, one maybe as tall as the map."""
+    c, h, w = draw(st.integers(1, 40)), draw(st.integers(1, 120)), draw(st.integers(1, 12))
+    elements = st.floats(-1e3, 1e3, width=32)
+    arr = draw(arrays(np.uint8, (c, h, w)) | arrays(np.float32, (c, h, w), elements=elements))
+    scale = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    boxes = []
+    for _ in range(draw(st.integers(1, 40))):
+        x1, y1 = draw(st.floats(-w / scale, 2 * w / scale)), draw(st.floats(-h / scale, 2 * h / scale))
+        boxes.append((x1, y1, x1 + draw(st.floats(0.01, 2 * w / scale)), y1 + draw(st.floats(0.01, 20 / scale))))
+    if draw(st.booleans()):
+        boxes.append((0.0, -1.0, w / scale, (h + 1) / scale))  # its window is every row of the map
+    sizes = st.integers(1, 7)
+    return arr, scale, np.array(boxes), draw(sizes), draw(sizes), draw(st.integers(1, 3))
+
+
+class TestStoredMap:
+    """A map pooled from its file a band of rows at a time gives the in-memory descriptors bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=stored_cases(), step=st.sampled_from([4, 16]))
+    def test_pools_the_same_bits_as_in_memory(self, case, step, tmp_path_factory):
+        arr, scale, boxes, out_h, out_w, ratio = case
+        path = tmp_path_factory.mktemp("stored") / "map.mten"
+        write_tensor(arr, path)
+        want = pool_boxes(FeatureMap(arr, scale), boxes, out_h, out_w, ratio)
+        with mock.patch.object(tensor_io, "BAND_STEP", step), read_tensor(path, band=True) as band:
+            got = pool_boxes(FeatureMap(band, scale), boxes, out_h, out_w, ratio)
+        assert np.array_equal(_bits(got), _bits(want))
+
+    def test_refills_the_band_as_the_windows_move_down(self, tmp_path):
+        # 2,000 boxes on a 240-row map: a 16-row step refills the band many times.
+        rng = np.random.default_rng(4)
+        arr = rng.standard_normal((8, 240, 20), dtype=np.float32)
+        write_tensor(arr, tmp_path / "map.mten")
+        wh = rng.uniform(2.0, 64.0, size=(2000, 2))
+        xy = rng.uniform(-8.0, 1.0, size=(2000, 2)) * (np.array([80.0, 960.0]) - wh)
+        boxes = np.hstack([xy, xy + wh])
+        reads = []
+        with read_tensor(tmp_path / "map.mten", band=True) as band:
+            real = band._read
+
+            def read(out, start, end):
+                reads.append(end - start)
+                real(out, start, end)
+
+            with mock.patch.object(band, "_read", read):
+                got = pool_boxes(FeatureMap(band, 0.25), boxes)
+        assert np.array_equal(_bits(got), _bits(pool_boxes(FeatureMap(arr, 0.25), boxes)))
+        assert len(reads) > 10 and sum(reads) == 240  # each row read once
 
 
 def _bits(arr):

@@ -175,47 +175,82 @@ class TestTensorErrors:
 
 
 
-class TestChannelsLast:
-    @settings(max_examples=40, deadline=None)
+@st.composite
+def windows(draw, height):
+    """1-6 windows of rows on a map of ``height`` rows, mostly top row first, some out of order."""
+    spans = []
+    for _ in range(draw(st.integers(1, 6))):
+        top = draw(st.integers(0, height - 1))
+        spans.append((top, draw(st.integers(top + 1, height))))
+    if draw(st.booleans()):
+        spans.sort()
+    return spans
+
+
+class TestMapBand:
+    @settings(max_examples=60, deadline=None)
     @given(
-        arr=st.tuples(st.integers(1, 9), st.integers(1, 4), st.integers(1, 4)).flatmap(
+        data=st.data(),
+        arr=st.tuples(st.integers(1, 6), st.integers(1, 40), st.integers(1, 5)).flatmap(
             lambda s: arrays(np.uint8, s) | arrays(np.float32, s, elements=st.floats(width=32, allow_nan=False))
         ),
-        block_bytes=st.integers(1, 200),
+        step=st.sampled_from([1, 4, 16]),
+        stage_bytes=st.integers(1, 200),
     )
-    def test_fills_the_float64_map_block_by_block(self, arr, block_bytes, tmp_path_factory):
-        path = tmp_path_factory.mktemp("cl") / "t.mten"
+    def test_windows_are_the_float64_map_rows(self, data, arr, step, stage_bytes, tmp_path_factory):
+        path = tmp_path_factory.mktemp("band") / "t.mten"
         write_tensor(arr, path)
-        with mock.patch.object(tensor_io, "_CHANNEL_BLOCK_BYTES", block_bytes):  # one channel a block, up to all
-            back = read_tensor(path, channels_last=True)
-        assert back.dtype == np.float64 and back.shape == arr.shape
-        assert back.transpose(1, 2, 0).flags.c_contiguous
-        assert back.tobytes() == np.array(arr, dtype=np.float64).tobytes()
+        spans = data.draw(windows(arr.shape[1]))
+        whole = np.ascontiguousarray(arr.transpose(1, 2, 0), dtype=np.float64)
+        # Steps that refill the band every few rows, and stages of one channel up to all of them.
+        with mock.patch.object(tensor_io, "BAND_STEP", step), mock.patch.object(tensor_io, "_STAGE_BYTES", stage_bytes):
+            with read_tensor(path, band=True) as band:
+                assert band.shape == arr.shape
+                got = [(w.strides, w.tobytes()) for w in band.windows(*zip(*spans))]
+        assert got == [(whole.strides, whole[t:b].tobytes()) for t, b in spans]
 
-    def test_other_ranks_come_back_as_stored(self, tmp_path):
-        for arr in (np.arange(6, dtype=np.float32).reshape(2, 3), np.ones((1, 2, 2, 2), np.uint8)):
-            write_tensor(arr, tmp_path / "t.mten")
-            back = read_tensor(tmp_path / "t.mten", channels_last=True)
-            assert back.dtype == arr.dtype and back.flags.c_contiguous and np.array_equal(back, arr)
-
-    def test_holds_no_stored_copy_of_the_whole_map(self, tmp_path):
+    def test_holds_one_band_not_the_map(self, tmp_path):
         arr = np.random.default_rng(0).standard_normal((256, 60, 80), dtype=np.float32)
         write_tensor(arr, tmp_path / "t.mten")
-        tracemalloc.start()
-        try:
-            back = read_tensor(tmp_path / "t.mten", channels_last=True)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= back.nbytes + tensor_io._CHANNEL_BLOCK_BYTES + (64 << 10)
+        spans = [(t, t + 17) for t in range(0, 44, 3)]  # every row, 17 rows a window
+        with read_tensor(tmp_path / "t.mten", band=True) as band:
+            tracemalloc.start()
+            try:
+                for _ in band.windows(*zip(*spans)):
+                    pass
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        held = (17 + tensor_io.BAND_STEP) * 80 * 256 * 8
+        assert held < 0.6 * 2 * arr.nbytes  # the float64 map would be 2 * arr.nbytes
+        assert peak <= held + tensor_io._STAGE_BYTES + (64 << 10)
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 3), (1, 2, 2, 2)], ids=["1-d", "2-d", "4-d"])
+    def test_rejects_other_ranks(self, tmp_path, shape):
+        path = tmp_path / "t.mten"
+        write_tensor(np.ones(shape, np.uint8), path)
+        with pytest.raises(TensorFormatError) as info:
+            read_tensor(path, band=True)
+        assert str(info.value) == f"{path}: feature map must be [C, Hf, Wf], got shape {shape}"
 
     def test_rejects_what_the_plain_read_rejects(self, tmp_path):
         path = tmp_path / "t.mten"
         write_tensor(np.zeros((2, 3, 4), dtype=np.float32), path)
         path.write_bytes(path.read_bytes()[:-3])
-        for channels_last in (False, True):
+        for band in (False, True):
             with pytest.raises(TensorFormatError, match="header declares 96 bytes, file holds 93$"):
-                read_tensor(path, channels_last=channels_last)
+                read_tensor(path, band=band)
+
+    @pytest.mark.parametrize("top, left", [(0, 50), (0, 0), (2, 10)])
+    def test_a_map_that_shrinks_after_its_header_is_never_served(self, tmp_path, top, left):
+        # The 96-byte payload keeps ``left`` bytes: all of channel 0's 48 and 2 of channel 1's,
+        # none, or 10, fewer than lie before the window's first row (at byte 32).
+        path = tmp_path / "t.mten"
+        write_tensor(np.zeros((2, 3, 4), dtype=np.float32), path)
+        with read_tensor(path, band=True) as band:
+            path.write_bytes(path.read_bytes()[: 64 + left])
+            with pytest.raises(TensorFormatError, match=f"mismatch: header declares 96 bytes, file holds {left}$"):
+                list(band.windows([top], [3]))
 
 
 class TestPpm:

@@ -177,14 +177,40 @@ class TestTrackletsJson:
                 _assert_same(load_tracklets_json(path), subset)
             write_tracklets_json(tracklets.take([]), path)  # which says nothing of feature rows
             assert path.read_bytes() == dumped(tracklets.take([])) and len(load_tracklets_json(path)) == 0
-            # A zero-frame entry (start past end, which the loader rejects) has empty lists, written as [].
+            # A zero-frame entry (start past end), which the loader rejects, is never written.
             empty = Tracklets([5], [3], [2], np.empty((0, 4)), [] if with_rows else None)
             between = Tracklets([1, 5, 2], [0, 3, 7], [0, 2, 7], boxes[:2], rows[:2] if with_rows else None)
             for subset in (empty, between):
-                write_tracklets_json(subset, path)
-                assert path.read_bytes() == dumped(subset)
+                path.unlink(missing_ok=True)
+                with pytest.raises(ValueError, match=r"tracklet 5: start 3 > end 2$"):
+                    write_tracklets_json(subset, path)
+                assert not path.exists()
         with pytest.raises(OverflowError):  # so no writer call meets an id the loader rejects as past int64
             Tracklets([2**63], [0], [0], [(0.0, 0.0, 1.0, 1.0)])
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            (([-1], [3], [3], [[0, 0, 1, 1]]), "tracklets[0]: tracklet id must be a nonnegative integer, got -1"),
+            (([5], [3], [2], []), "tracklets[0]: tracklet 5: start 3 > end 2"),
+            (([4, 4], [0, 1], [0, 1], [[0, 0, 1, 1]] * 2), "tracklets[1]: duplicate tracklet id 4"),
+            (([4], [0], [1], [[0, 0, 1, 1]]), "tracklets hold 1 boxes for 2 frames"),
+            (([4], [0], [0], [[0, 0, 1, 1]], [0, 1]), "tracklets hold 2 feature rows for 1 frames"),
+            (([4, 6], [0, 0], [0, 1], [[0, 0, 1, 1], [0, 0, 1, 1], [0, 2, 1, 1]]),
+             "tracklets[1].boxes[1] must be finite with x2 > x1 and y2 > y1, got [0.0, 2.0, 1.0, 1.0]"),
+            (([4], [0], [0], [[0, 0, np.inf, 1]]),
+             "tracklets[0].boxes[0] must be finite with x2 > x1 and y2 > y1, got [0.0, 0.0, inf, 1.0]"),
+            (([4, 6], [0, 0], [0, 1], [[0, 0, 1, 1]] * 3, [0, 1, -1]),
+             "tracklets[1].feature_rows[1] must be a nonnegative integer, got -1"),
+        ],
+        ids=["negative-id", "start-past-end", "duplicate-id", "box-count", "row-count", "inverted-box",
+             "infinite-box", "negative-row"],
+    )
+    def test_writes_no_file_the_loader_rejects(self, tmp_path, columns, message):
+        path = tmp_path / "t.json"
+        with pytest.raises(ValueError) as info:
+            write_tracklets_json(Tracklets(*columns), path)
+        assert str(info.value) == message and not path.exists()
 
     def test_null_feature_rows_means_absent(self, tmp_path):
         path = tmp_path / "t.json"

@@ -7,7 +7,8 @@ PARENT and CHANGE are checkouts of motionstack; they may be the same tree
 when ``--change-env NAME=VALUE`` (repeatable) sets a variable for the
 change's commands only, so that one tree is compared under two environments. For each seed the script
 writes one set of seeded inputs (a 64x3x7x7 conv layer, a 256x60x80 feature
-map with 2,000 boxes and 500 edge-case boxes, a dense detection/ground-truth
+map with 2,000 boxes and 500 edge-case boxes, a tall 8x400x48 feature map
+with 1,200 boxes at every height, a dense detection/ground-truth
 pair, five malformed record files, four tracklets without ``feature_rows``
 with their features and identity map, and six files that break the int64
 or nonnegative rule of their integers), then runs every
@@ -24,7 +25,9 @@ paths only:
 * ``stack`` in all four layouts and ``surgery`` in both modes;
 * ``features`` of the 2,000 boxes, then of 500 boxes that hang past each
   edge, are sub-pixel wide or are larger than the map, so that clamped
-  windows and a window spanning the whole map are compared too;
+  windows and a window spanning the whole map are compared too, then of the
+  tall map's boxes, whose windows move down 400 rows, so that the band of
+  rows ``features`` holds is refilled at many row steps;
 * ``mine``, ``train`` (plain and ``--normalize-output``), ``reid`` with the
   scene's identity map, a partial one and none, and ``project`` of the
   features and of the embeddings;
@@ -93,6 +96,7 @@ def write_inputs(directory: Path, seed: int) -> None:
     boxes = np.round(np.hstack([xy, xy + wh]), 2).tolist()
     (directory / "boxes.json").write_text(json.dumps({"boxes": boxes}), encoding="utf-8")
     write_edge_boxes(directory, seed)
+    write_tall_map(directory, seed)
     write_dense_pair(directory, seed)
     write_malformed_records(directory)
     write_enumeration_inputs(directory, seed)
@@ -113,6 +117,24 @@ def write_edge_boxes(directory: Path, seed: int) -> None:
     xy = rng.uniform(-0.5, 1.5, size=(499, 2)) * np.array([320.0, 240.0]) - wh / 2
     boxes = np.round(np.hstack([xy, xy + wh]), 2).tolist() + [[-100.0, -100.0, 500.0, 400.0]]
     (directory / "edge_boxes.json").write_text(json.dumps({"boxes": boxes}), encoding="utf-8")
+
+
+def write_tall_map(directory: Path, seed: int) -> None:
+    """``tall_fmap.mten``, an 8x400x48 map, and ``tall_boxes.json``: 1,200 boxes on its 192x1600 image.
+
+    Three boxes start near each of the 400 feature rows, from half a row above
+    the image's top to half a row past its bottom, 0.5 px to 64 px tall
+    (log-uniform) and 0.5 px to 240 px wide, so windows of every height end at
+    every row, and some hang past the top, bottom and side edges.
+    """
+    rng = np.random.default_rng([seed, 7])
+    _write_mtensor(rng.standard_normal((8, 400, 48), dtype=np.float32), directory / "tall_fmap.mten")
+    y = np.repeat(np.arange(400) * 4.0, 3) + rng.uniform(-2.0, 2.0, size=1200)
+    h = np.exp(rng.uniform(np.log(0.5), np.log(64.0), size=1200))
+    w = rng.uniform(0.5, 240.0, size=1200)
+    x = rng.uniform(-40.0, 192.0, size=1200) - w / 2
+    boxes = np.round(np.stack([x, y, x + w, y + h], axis=1), 2).tolist()
+    (directory / "tall_boxes.json").write_text(json.dumps({"boxes": boxes}), encoding="utf-8")
 
 
 def write_dense_pair(directory: Path, seed: int) -> None:
@@ -301,6 +323,8 @@ def chain(seed: int) -> list[list[str]]:
          "--out-features", "pooled.mten", "--out", "features.json"],
         ["features", "--map", "fmap.mten", "--scale", "0.25", "--boxes", "edge_boxes.json",
          "--out-features", "pooled_edge.mten", "--out", "features_edge.json"],
+        ["features", "--map", "tall_fmap.mten", "--scale", "0.25", "--boxes", "tall_boxes.json",
+         "--out-features", "pooled_tall.mten", "--out", "features_tall.json"],
         ["mine", "--tracklets", "scene/tracklets.json", "--seed", str(seed), "--per-anchor", "2",
          "--out-triplets", "triplets.jsonl", "--out", "mine.json"],
         ["mine", "--tracklets", "rev_tracklets.json", "--seed", str(seed), "--per-anchor", "2",
