@@ -44,6 +44,99 @@ intervals = st.tuples(st.integers(0, 30), st.integers(1, 20)).map(
 )
 
 
+def _entry(tid, **changes):
+    # A two-frame tracklet entry, with ``changes`` to its keys.
+    return {"id": tid, "start": 0, "end": 1, "boxes": [[0, 0, 1, 1]] * 2, **changes}
+
+
+# Tracklet documents that each break two rules, as (entries, the loader's
+# message after the file's path): the first defect in file order is named and,
+# within one entry, the one its checks reach first: the id's type, a duplicate
+# id, the types of start, end, boxes and feature rows, then a negative id,
+# start past end, the box count and the feature-row count. The every-or-none
+# rule of ``feature_rows`` is checked after every entry.
+MULTI_DEFECT_FILES = {
+    "duplicate-id-and-string-start": ([_entry(4), _entry(4, start="0")], "tracklets[1]: duplicate tracklet id 4"),
+    "duplicate-id-and-start-past-end": (
+        [_entry(4), _entry(4, start=3, end=2, boxes=[])], "tracklets[1]: duplicate tracklet id 4"
+    ),
+    "duplicate-id-and-bad-box": (
+        [_entry(4), _entry(4, boxes=[[0, 0, 1, 1], [2, 0, 1, 1]])], "tracklets[1]: duplicate tracklet id 4"
+    ),
+    "negative-id-and-bad-box": (
+        [_entry(-2, boxes=[[0, 0, 1, 1], [2, 0, 1, 1]])],
+        "tracklets[0].boxes[1]: bbox must satisfy x2 > x1 and y2 > y1, got [2, 0, 1, 1]",
+    ),
+    "negative-id-and-negative-row": (
+        [_entry(-1, feature_rows=[0, -1])], "tracklets[0].feature_rows[1] must be a nonnegative integer, got -1"
+    ),
+    "negative-id-and-boxes-not-a-list": ([_entry(-1, boxes=3)], "tracklets[0].boxes must be a list, got 3"),
+    "negative-id-and-string-start": (
+        [_entry(0), _entry(-1, start="0")], 'tracklets[1].start must be an integer, got "0"'
+    ),
+    "negative-id-and-start-past-end": (
+        [_entry(-3, start=3, end=2, boxes=[])], "tracklets[0]: tracklet id must be a nonnegative integer, got -3"
+    ),
+    "start-past-end-and-float-end": (
+        [_entry(0, start=3, end=2.0, boxes=[])], "tracklets[0].end must be an integer, got 2.0"
+    ),
+    "start-past-end-and-box-count": (
+        [_entry(5, start=3, end=2, boxes=[[0, 0, 1, 1]])], "tracklets[0]: tracklet 5: start 3 > end 2"
+    ),
+    "start-past-end-and-row-count": (
+        [_entry(5, start=3, end=2, boxes=[], feature_rows=[0])], "tracklets[0]: tracklet 5: start 3 > end 2"
+    ),
+    "box-count-and-row-count": (
+        [_entry(1, boxes=[[0, 0, 1, 1]], feature_rows=[0, 1, 2])], "tracklets[0]: tracklet 1: 1 boxes for 2 frames"
+    ),
+    "box-count-and-negative-row": (
+        [_entry(1, boxes=[[0, 0, 1, 1]], feature_rows=[-1, 0])],
+        "tracklets[0].feature_rows[0] must be a nonnegative integer, got -1",
+    ),
+    "widest-interval-and-row-count": (
+        [_entry(0, start=-(2**63), end=2**63 - 1, boxes=[[0, 0, 1, 1]], feature_rows=[0, 1])],
+        "tracklets[0]: tracklet 0: 1 boxes for 18446744073709551616 frames",
+    ),
+    "rule-then-type": (
+        [_entry(0, start=2, end=1, boxes=[]), _entry("x")], "tracklets[0]: tracklet 0: start 2 > end 1"
+    ),
+    "row-count-then-not-an-object": (
+        [_entry(0, feature_rows=[0]), []], "tracklets[0]: tracklet 0: 1 feature rows for 2 frames"
+    ),
+    "type-then-rule": (
+        [_entry(0, boxes=[[0, 0, 1]]), _entry(-1)],
+        "tracklets[0].boxes[0]: bbox must be [x1, y1, x2, y2], got [0, 0, 1]",
+    ),
+    "box-count-then-true-id": (
+        [_entry(0), _entry(1, boxes=[[0, 0, 1, 1]]), _entry(2), _entry(True)],
+        "tracklets[1]: tracklet 1: 1 boxes for 2 frames",
+    ),
+    "duplicate-with-string-row-after-a-clean-entry": (
+        [_entry(3), _entry(1), _entry(3, feature_rows=["0", 1])], "tracklets[2]: duplicate tracklet id 3"
+    ),
+    "string-id-then-duplicate": (
+        [_entry(3), _entry("3"), _entry(3)], 'tracklets[1].id must be an integer, got "3"'
+    ),
+    "negative-id-then-its-duplicate": (
+        [_entry(-1), _entry(-1, start="0")], "tracklets[0]: tracklet id must be a nonnegative integer, got -1"
+    ),
+    "some-rows-then-start-past-end": (
+        [_entry(0, feature_rows=[0, 1]), _entry(1), _entry(2, start=3, end=2, boxes=[])],
+        "tracklets[2]: tracklet 2: start 3 > end 2",
+    ),
+    "some-rows-then-string-id": (
+        [_entry(0, feature_rows=[0, 1]), _entry(1), _entry("2")], 'tracklets[2].id must be an integer, got "2"'
+    ),
+    "no-rows-then-row-count": (
+        [_entry(0), _entry(1, feature_rows=[2])], "tracklets[1]: tracklet 1: 1 feature rows for 2 frames"
+    ),
+    "rows-then-box-count-without-rows": (
+        [_entry(0, feature_rows=[0, 1]), _entry(1, boxes=[[0, 0, 1, 1]])],
+        "tracklets[1]: tracklet 1: 1 boxes for 2 frames",
+    ),
+}
+
+
 class TestTracklet:
     def test_length_and_frames(self):
         t = _columns([(0, 5, 9)])[0]
@@ -295,6 +388,16 @@ class TestTrackletsJson:
         path.write_text(json.dumps(doc))
         with pytest.raises(DataValidationError, match=pattern):
             load_tracklets_json(path)
+
+    @pytest.mark.parametrize(
+        "entries, message", list(MULTI_DEFECT_FILES.values()), ids=list(MULTI_DEFECT_FILES)
+    )
+    def test_names_the_first_of_two_defects(self, tmp_path, entries, message):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"tracklets": entries}))
+        with pytest.raises(DataValidationError) as info:
+            load_tracklets_json(path)
+        assert str(info.value) == f"{path}: {message}"
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "t.json"
