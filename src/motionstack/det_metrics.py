@@ -39,13 +39,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .jsonio import array_rows, expect_int, read_records, write_lines
+from .jsonio import array_rows, expect_int, int_column, read_records, write_lines
 
 IOU_GRID = tuple((50 + 5 * i) / 100.0 for i in range(10))
 # Most (detection, ground truth) pairs one matching call holds at once. A pair
@@ -118,29 +117,20 @@ def as_columns(records: Iterable[Detection] | Iterable[GroundTruth], scored: boo
     if isinstance(records, BoxColumns):
         return records
     records = list(records)
-    frame, label = _int_columns(records, "detections" if scored else "ground truth")
+    frame, label = (int_column([getattr(r, key) for r in records]) for key in ("frame", "label"))
+    if frame is None or label is None:
+        who = "detections" if scored else "ground truth"
+        for i, r in enumerate(records):  # only now walk the records, to name the first bad value
+            for key in ("frame", "label"):
+                raw = getattr(r, key)
+                expect_int(int(raw) if isinstance(raw, np.integer) else raw, f"{who}[{i}].{key}")
+        raise AssertionError("every frame and label passed expect_int")
     return BoxColumns(
         frame,
         np.array([r.bbox for r in records], dtype=np.float64).reshape(-1, 4),
         label,
         np.array([r.score for r in records], dtype=np.float64) if scored else None,
     )
-
-
-def _int_columns(records: list, who: str) -> list[np.ndarray]:
-    """The int64 frame and label columns of ``records``, checked as ``as_columns`` says."""
-    columns = [[getattr(r, key) for r in records] for key in ("frame", "label")]
-    try:
-        # The set of value types is checked once, as jsonio.expect_ints checks a list.
-        if all(t is int or issubclass(t, np.integer) for t in set(map(type, chain(*columns)))):
-            return [np.array(column, dtype=np.int64) for column in columns]
-    except OverflowError:  # an integer outside int64
-        pass
-    for i, r in enumerate(records):  # only now walk the records, to name the first bad value
-        for key in ("frame", "label"):
-            raw = getattr(r, key)
-            expect_int(int(raw) if isinstance(raw, np.integer) else raw, f"{who}[{i}].{key}")
-    raise AssertionError("every frame and label passed expect_int")
 
 
 def _load(path: str | Path, kinds: dict[str, str]) -> BoxColumns:

@@ -124,10 +124,19 @@ def expect_int(raw: Any, where: str, nonnegative: bool = False) -> int:
     return raw
 
 
+def int_column(values) -> np.ndarray | None:
+    """``values`` as int64 if each is an int or numpy integer (never a bool) in int64 range, else None."""
+    try:  # the set of types is checked once; a caller walks the values only to name a bad one
+        ok = all(t is int or issubclass(t, np.integer) for t in set(map(type, values)))
+        return np.array(values, dtype=np.int64) if ok else None
+    except OverflowError:  # an integer outside int64
+        return None
+
+
 def expect_ints(raw: Any, where: str, nonnegative: bool = False) -> list[int]:
-    """Return ``raw`` if it is a list of ``expect_int`` integers, checked as a whole first."""
-    ints, fits = expect(raw, list, where), _NONNEGATIVE if nonnegative else _INT64
-    if not ({int}.issuperset(map(type, ints)) and min(ints, default=0) in fits and max(ints, default=0) in fits):
+    """Return ``raw`` if it is a list of ``expect_int`` integers, checked as one ``int_column`` first."""
+    column = int_column(expect(raw, list, where))
+    if column is None or nonnegative and (column < 0).any():
         for k, v in enumerate(raw):  # name the first entry that breaks the rule
             expect_int(v, f"{where}[{k}]", nonnegative)
     return raw
@@ -153,6 +162,11 @@ def check_box(raw: Any, where: str) -> tuple[float, float, float, float]:
     return box
 
 
+def bad_boxes(boxes: np.ndarray) -> np.ndarray:
+    """Whether each box of a float64 [N, 4] array breaks ``check_box``'s rule: finite, x2 > x1 and y2 > y1."""
+    return ~np.isfinite(boxes).all(axis=1) | (boxes[:, 2] <= boxes[:, 0]) | (boxes[:, 3] <= boxes[:, 1])
+
+
 def _box_column(values) -> np.ndarray | None:
     # check_box's rules on a whole list of boxes at once: float64 [N, 4], or
     # None if any box breaks one.
@@ -163,8 +177,7 @@ def _box_column(values) -> np.ndarray | None:
             and _NUMBERS.issuperset(map(type, chain.from_iterable(values)))
         ):
             boxes = np.array(values, dtype=np.float64).reshape(len(values), 4)
-            x1, y1, x2, y2 = boxes.T
-            if np.isfinite(boxes).all() and (x2 > x1).all() and (y2 > y1).all():
+            if not bad_boxes(boxes).any():
                 return boxes
     except OverflowError:  # an integer past the float range
         pass
@@ -181,13 +194,6 @@ def check_boxes(raw: list, where: str) -> np.ndarray:
     if boxes is not None:
         return boxes
     return np.array([check_box(b, f"{where}[{i}]") for i, b in enumerate(raw)], dtype=np.float64)
-
-
-def _int_column(values) -> np.ndarray | None:
-    try:
-        return np.array(values, dtype=np.int64) if {int}.issuperset(map(type, values)) else None
-    except OverflowError:  # an integer outside int64
-        return None
 
 
 def _score_column(values) -> np.ndarray | None:
@@ -210,7 +216,7 @@ def _check_score(raw: Any, where: str, key: str) -> None:
 def _int_pair_column(values) -> np.ndarray | None:
     # [int, int] lists, as an int64 [N, 2].
     if {list}.issuperset(map(type, values)) and {2}.issuperset(map(len, values)):
-        column = _int_column(list(chain.from_iterable(values)))
+        column = int_column(list(chain.from_iterable(values)))
         return None if column is None else column.reshape(len(values), 2)
     return None
 
@@ -224,7 +230,7 @@ def _check_int_pair(raw: Any, where: str, key: str) -> None:
 # column or None, and on the one value of ``key`` at ``where``, which raises
 # the message naming a value that breaks it.
 _RECORD_KINDS = {
-    "int": (_int_column, lambda raw, where, key: expect_int(raw, f"{where}: {key}")),
+    "int": (int_column, lambda raw, where, key: expect_int(raw, f"{where}: {key}")),
     "score": (_score_column, _check_score),
     "box": (_box_column, lambda raw, where, key: check_box(raw, where)),
     "int pair": (_int_pair_column, _check_int_pair),

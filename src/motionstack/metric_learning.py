@@ -78,7 +78,7 @@ class FeatureTable:
 
     Row lookup uses the tracklets' ``feature_rows`` column when they carry
     one, else enumeration order: tracklet file order, frames ascending,
-    which must then exactly fill the matrix. Tracklet ids must be unique.
+    which must then exactly fill the matrix. ``Tracklets.check_rules`` must pass.
 
     The table keeps one dict entry per tracklet, its id, and the tracklets'
     start, end and ``firsts`` columns, so ``rows`` resolves a key array
@@ -93,25 +93,20 @@ class FeatureTable:
         if not finite.all():
             r, c = np.argwhere(~finite)[0]
             raise DataValidationError(f"feature row {r} column {c} is not finite: {matrix[r, c]}")
+        tracklets.check_rules(DataValidationError)
         # Slot s holds tracklets[s]; the last slot, with no frames, is where an unknown id goes.
-        self._slots: dict[int, int] = {}
-        for s, tid in enumerate(tracklets.id.tolist()):
-            if self._slots.setdefault(tid, s) != s:
-                raise DataValidationError(f"tracklets[{s}]: duplicate tracklet id {_echo(tid)}")
+        self._slots = dict(zip(tracklets.id.tolist(), range(len(tracklets))))
         self._starts = np.append(tracklets.start, 0)
         self._ends = np.append(tracklets.end, -1)
         self._firsts = tracklets.firsts
         self._rows = None  # enumeration order: the rows are the enumeration positions
         rows = tracklets.feature_rows
         if rows is not None:
-            outside = np.flatnonzero(rows >= len(matrix))
-            if len(outside):
-                i = int(outside[0])
-                pos = int(np.searchsorted(self._firsts, i, side="right")) - 1
-                raise DataValidationError(
-                    f"tracklets[{pos}].feature_rows[{i - int(self._firsts[pos])}]: feature row {_echo(int(rows[i]))} "
-                    f"outside matrix of {len(matrix)} rows"
-                )
+            outside = rows >= len(matrix)
+            if outside.any():
+                i = int(np.argmax(outside))
+                where = tracklets.entry_of("feature_rows", i)
+                raise DataValidationError(f"{where}: feature row {rows[i]} outside matrix of {len(matrix)} rows")
             self._rows = rows.astype(np.intp)
         elif self._firsts[-1] != len(matrix):
             raise DataValidationError(
@@ -460,8 +455,7 @@ def _distance_blocks(a: np.ndarray, b: np.ndarray):
     the pair is recomputed as ``sum((a_i - b_j)**2)``, so coincident rows are
     exactly 0 and a kept pair is accurate to about 4e-13 relative.
     """
-    a2 = np.square(a).sum(axis=1)
-    b2 = np.square(b).sum(axis=1)
+    a2, b2 = _squared_norms(a), _squared_norms(b)
     step = max(1, _SEPARATION_BLOCK_BYTES // (8 * len(b)))
     # A recompute chunk holds its [pairs, D] differences, the [pairs, D] rows of b
     # taken from them and the [pairs] sums, together inside the block budget.
@@ -480,6 +474,14 @@ def _distance_blocks(a: np.ndarray, b: np.ndarray):
         del cancelled
         yield lo, np.sqrt(d2, out=d2)
         del d2  # the consumer has summed it: no spent block is held through the next product
+
+
+def _squared_norms(x: np.ndarray) -> np.ndarray:
+    # Each row's sum of squares, squaring a budget of rows at a time: each row is summed
+    # alone, so the bits are those of squaring ``x`` whole, without its [n, D] temporary.
+    step = max(1, _SEPARATION_BLOCK_BYTES // (8 * max(1, x.shape[1])))
+    blocks = (np.square(x[lo : lo + step]).sum(axis=1) for lo in range(0, len(x), step))
+    return np.concatenate([np.empty(0), *blocks])
 
 
 def _recompute(d2: np.ndarray, rows: np.ndarray, b: np.ndarray, flat: np.ndarray, pairs: int) -> None:

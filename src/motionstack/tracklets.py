@@ -18,7 +18,9 @@ used to state which tracklet ids belong to the same physical object, are::
     {"groups": [[1, 17], [15, 21], ...]}
 
 A document loads as ``Tracklets`` columns, which index and iterate as
-``Tracklet(id, start, end)`` records. Two tracklets overlap in time when
+``Tracklet(id, start, end)`` records. The rules of the format on those
+columns are stated once, in ``_first_defect``, for the loader, the writer
+and ``metric_learning.FeatureTable``. Two tracklets overlap in time when
 their closed intervals intersect: ``a.start <= b.end and b.start <= a.end``.
 Runs shorter than ``MIN_TRACKLET_LEN`` frames are dropped before any mining.
 """
@@ -32,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataValidationError
-from .jsonio import _echo, check_boxes, expect, expect_int, expect_ints, read_json, write_json
+from .jsonio import _echo, bad_boxes, check_boxes, expect, expect_int, expect_ints, read_json, write_json
 
 MIN_TRACKLET_LEN = 16
 
@@ -60,6 +62,7 @@ class Tracklets(Sequence):
     ``feature_rows`` (int64 [F], or None) hold every frame in enumeration order,
     file order and frames ascending. ``firsts`` (int64 [T + 1]) is the one
     statement of that layout: tracklet i's frames are rows ``firsts[i]:firsts[i + 1]``.
+    Columns whose boxes or feature rows do not fill ``firsts`` raise ``ValueError``.
     """
 
     __slots__ = ("id", "start", "end", "boxes", "feature_rows", "firsts")
@@ -69,6 +72,10 @@ class Tracklets(Sequence):
         self.boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
         self.feature_rows = None if feature_rows is None else np.asarray(feature_rows, dtype=np.int64)
         self.firsts = np.concatenate([[0], np.cumsum(self.end - self.start + 1)])
+        for column, kind in ((self.boxes, "boxes"), (self.feature_rows, "feature rows")):
+            if column is not None and len(column) != self.firsts[-1]:
+                frames = sum(self.end.tolist()) - sum(self.start.tolist()) + len(self)  # firsts wraps past int64
+                raise ValueError(f"tracklets hold {len(column)} {kind} for {frames} frames")
 
     def __len__(self) -> int:
         return len(self.id)
@@ -91,6 +98,47 @@ class Tracklets(Sequence):
         frames = self.rows_of(positions)
         rows = None if self.feature_rows is None else self.feature_rows[frames]
         return Tracklets(self.id[positions], self.start[positions], self.end[positions], self.boxes[frames], rows)
+
+    def entry_of(self, key: str, k: int) -> str:
+        """Frame row ``k``'s entry of ``key`` (boxes or feature rows), as the loader names it."""
+        pos = int(np.searchsorted(self.firsts, k, side="right")) - 1
+        return f"tracklets[{pos}].{key}[{k - self.firsts[pos]}]"
+
+    def check_rules(self, error: type[Exception] = ValueError) -> None:
+        """Raise ``error`` naming ``tracklets[i]`` for the first tracklet that breaks a rule of the format."""
+        counts = np.diff(self.firsts)  # each tracklet's boxes and feature rows
+        if defect := _first_defect(self.id, self.start, self.end, counts, counts):
+            raise error("tracklets[%d]: %s" % defect)
+
+
+def _first_defect(id, start, end, box_counts, row_counts) -> tuple[int, str] | None:
+    """The first tracklet, in file order, that breaks a rule, as ``(position, message)``; or None.
+
+    A tracklet's rules, in the order they are checked: an id no earlier one
+    holds, a nonnegative id, start <= end, and one box and one feature row
+    per frame. ``id`` may hold one more tracklet, read only as far as its
+    id, which the first rule alone checks.
+    """
+    id, start, end = (np.asarray(c, dtype=np.int64) for c in (id, start, end))
+    repeated = np.ones(len(id), dtype=bool)
+    repeated[np.unique(id, return_index=True)[1]] = False
+    frames = end - start + 1  # past int64 this wraps to <= 0, which no count matches
+    miscounted = [(frames <= 0) | (np.asarray(counts) != frames) for counts in (box_counts, row_counts)]
+    rules = (repeated, id[: len(start)] < 0, start > end, *miscounted)
+    found = [int(np.argmax(broken)) if broken.any() else len(id) for broken in rules]
+    pos = min(found)
+    if pos == len(id):
+        return None
+    tid, rule = int(id[pos]), found.index(pos)  # the first rule that this tracklet breaks
+    if rule == 0:
+        return pos, f"duplicate tracklet id {tid}"
+    if rule == 1:
+        return pos, f"tracklet id must be a nonnegative integer, got {tid}"
+    lo, hi = int(start[pos]), int(end[pos])
+    if rule == 2:
+        return pos, f"tracklet {tid}: start {lo} > end {hi}"
+    count, kind = (box_counts[pos], "boxes") if rule == 3 else (row_counts[pos], "feature rows")
+    return pos, f"tracklet {tid}: {count} {kind} for {hi - lo + 1} frames"  # Python ints count past int64
 
 
 def temporal_overlap(a, b):
@@ -120,39 +168,40 @@ def enumerate_keys(tracklets: Tracklets) -> np.ndarray:
 
 
 def load_tracklets_json(path: str | Path) -> Tracklets:
-    """Read and validate a tracklet document; ids must be unique."""
+    """Read and validate a tracklet document, naming its first defect in reading order.
+
+    Each entry's JSON types are checked as it is read, then ``_first_defect``'s
+    rules on the columns. At a type defect, the rules are checked first on
+    the entries before it, and on its entry's id if that was read.
+    """
     doc = expect(read_json(path), dict, str(path))
-    spans, boxes, rows, has_rows, seen = [], [], [], [], set()
-    for pos, entry in enumerate(expect(doc.get("tracklets"), list, f"{path}: tracklets")):
-        where = f"{path}: tracklets[{pos}]"
-        expect(entry, dict, where)
-        tid = expect_int(entry.get("id"), f"{where}.id")
-        if tid in seen:
-            raise DataValidationError(f"{where}: duplicate tracklet id {_echo(tid)}")
-        seen.add(tid)
-        start = expect_int(entry.get("start"), f"{where}.start")
-        end = expect_int(entry.get("end"), f"{where}.end")
-        boxes.append(check_boxes(expect(entry.get("boxes"), list, f"{where}.boxes"), f"{where}.boxes"))
-        feature_rows = entry.get("feature_rows")
-        has_rows.append(feature_rows is not None)
-        if feature_rows is not None:
-            rows += expect_ints(feature_rows, f"{where}.feature_rows", nonnegative=True)
-        if tid < 0:
-            raise DataValidationError(f"{where}: tracklet id must be a nonnegative integer, got {_echo(tid)}")
-        named = f"{where}: tracklet {_echo(tid)}"
-        if start > end:
-            raise DataValidationError(f"{named}: start {_echo(start)} > end {_echo(end)}")
-        frames = end - start + 1  # a Python int: int64 would wrap on the widest intervals
-        if len(boxes[-1]) != frames:
-            raise DataValidationError(f"{named}: {len(boxes[-1])} boxes for {_echo(frames)} frames")
-        if feature_rows is not None and len(feature_rows) != frames:
-            raise DataValidationError(f"{named}: {len(feature_rows)} feature rows for {_echo(frames)} frames")
-        spans.append((tid, start, end))
+    ids, columns, boxes, rows, has_rows = [], [], [], [], []  # columns: start, end, box and row counts
+
+    def check_rules() -> None:
+        if defect := _first_defect(ids, *np.array(columns, dtype=np.int64).reshape(-1, 4).T):
+            raise DataValidationError("%s: tracklets[%d]: %s" % (path, *defect))
+
+    try:
+        for pos, entry in enumerate(expect(doc.get("tracklets"), list, f"{path}: tracklets")):
+            where = f"{path}: tracklets[{pos}]"
+            ids.append(expect_int(expect(entry, dict, where).get("id"), f"{where}.id"))
+            span = expect_int(entry.get("start"), f"{where}.start"), expect_int(entry.get("end"), f"{where}.end")
+            boxes.append(check_boxes(expect(entry.get("boxes"), list, f"{where}.boxes"), f"{where}.boxes"))
+            feature_rows = entry.get("feature_rows")
+            has_rows.append(feature_rows is not None)
+            if feature_rows is not None:
+                rows += expect_ints(feature_rows, f"{where}.feature_rows", nonnegative=True)
+            # An entry without feature rows counts its boxes in their place, which the box rule checks first.
+            columns.append((*span, len(boxes[-1]), len(boxes[-1] if feature_rows is None else feature_rows)))
+    except DataValidationError:
+        check_rules()
+        raise
+    check_rules()
     if any(has_rows) and not all(has_rows):
         pos = has_rows.index(not has_rows[0])
         raise DataValidationError(f"{path}: tracklets[{pos}]: either every tracklet or none may carry feature_rows")
-    tid, start, end = np.array(spans, dtype=np.int64).reshape(-1, 3).T
-    return Tracklets(tid, start, end, np.concatenate([np.empty((0, 4)), *boxes]), rows if any(has_rows) else None)
+    start, end = np.array(columns, dtype=np.int64).reshape(-1, 4).T[:2]
+    return Tracklets(ids, start, end, np.concatenate([np.empty((0, 4)), *boxes]), rows if any(has_rows) else None)
 
 
 # ``json.dumps(doc, indent=2)``'s layout of one tracklet entry, one box and one feature row.
@@ -162,47 +211,25 @@ _FEATURE_ROWS = ',\n      "feature_rows": [\n%s\n      ]'
 _FEATURE_ROW = "        %d"
 
 
-def _check_loadable(tracklets: Tracklets) -> None:
-    """Raise ``ValueError``, worded as ``load_tracklets_json`` would, for columns it would reject."""
-    frames, seen = [], set()
-    for pos, t in enumerate(tracklets):
-        if t.id in seen:
-            raise ValueError(f"tracklets[{pos}]: duplicate tracklet id {t.id}")
-        seen.add(t.id)
-        if t.id < 0:
-            raise ValueError(f"tracklets[{pos}]: tracklet id must be a nonnegative integer, got {t.id}")
-        if t.start > t.end:
-            raise ValueError(f"tracklets[{pos}]: tracklet {t.id}: start {t.start} > end {t.end}")
-        frames.append(len(t))  # a Python int: int64 would wrap on the widest intervals
-    boxes, rows = tracklets.boxes, tracklets.feature_rows
-    if len(boxes) != sum(frames):
-        raise ValueError(f"tracklets hold {len(boxes)} boxes for {sum(frames)} frames")
-    if rows is not None and len(rows) != sum(frames):
-        raise ValueError(f"tracklets hold {len(rows)} feature rows for {sum(frames)} frames")
-
-    def named(key: str, k: int) -> str:  # frame row k's entry of ``key``, as the loader names it
-        pos = int(np.searchsorted(tracklets.firsts, k, side="right")) - 1
-        return f"tracklets[{pos}].{key}[{k - int(tracklets.firsts[pos])}]"
-
-    bad = ~np.isfinite(boxes).all(axis=1) | (boxes[:, 2] <= boxes[:, 0]) | (boxes[:, 3] <= boxes[:, 1])
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValueError(f"{named('boxes', k)} must be finite with x2 > x1 and y2 > y1, got {boxes[k].tolist()}")
-    if rows is not None and (rows < 0).any():
-        k = int(np.argmax(rows < 0))
-        raise ValueError(f"{named('feature_rows', k)} must be a nonnegative integer, got {rows[k]}")
-
-
 def write_tracklets_json(tracklets: Tracklets, path: str | Path) -> None:
     """Write a tracklet document with the bytes ``json.dumps(doc, indent=2)`` gives it.
 
     Each entry is filled into a template and written as soon as it is
     formatted, and each coordinate is written as the float it is, as
     ``load_tracklets_json`` reads it back. Columns that the loader would
-    reject raise ``ValueError`` before the file is opened.
+    reject raise ``ValueError``, worded as it words them, before the file is opened.
     """
-    _check_loadable(tracklets)
-    rows = None if tracklets.feature_rows is None else tracklets.feature_rows.tolist()
+    tracklets.check_rules()
+    rows = tracklets.feature_rows
+    bad = bad_boxes(tracklets.boxes)
+    if bad.any():
+        k = int(np.argmax(bad))
+        where = tracklets.entry_of("boxes", k)
+        raise ValueError(f"{where} must be finite with x2 > x1 and y2 > y1, got {tracklets.boxes[k].tolist()}")
+    if rows is not None and (rows < 0).any():
+        k = int(np.argmax(rows < 0))
+        raise ValueError(f"{tracklets.entry_of('feature_rows', k)} must be a nonnegative integer, got {rows[k]}")
+    rows = None if rows is None else rows.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{\n  "tracklets": [')
         sep = "\n"

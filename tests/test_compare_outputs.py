@@ -108,6 +108,21 @@ def test_files_outside_int64_fail_on_their_first_value(tmp_path):
     assert load_identity_map(tmp_path / "enum_map.json") == [[2**63 - 1, 0], [3, 7]]
 
 
+def test_two_defect_tracklets_fail_on_their_first_defect(tmp_path):
+    compare_outputs.write_enumeration_inputs(tmp_path, 7)
+    compare_outputs.write_two_defect_tracklets(tmp_path)
+    want = {
+        "dup_start_tracklets.json": ": tracklets[2]: duplicate tracklet id 3",
+        "count_id_tracklets.json": ": tracklets[1]: tracklet 3: 54 boxes for 55 frames",
+    }
+    for name, message in want.items():
+        with pytest.raises(DataValidationError) as exc:
+            load_tracklets_json(tmp_path / name)
+        assert str(exc.value) == f"{tmp_path / name}{message}"
+    commands = compare_outputs.chain(7)
+    assert [argv[0] for argv in commands if any(name in argv for name in want)] == ["reid", "reid"]
+
+
 def test_defective_frame_directories_fail_on_their_defect(tmp_path, capsys):
     generate(SceneConfig(width=32, height=24, num_frames=4, num_objects=1, seed=1), tmp_path / "scene")
     compare_outputs.write_scene_inputs(tmp_path)

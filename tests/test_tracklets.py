@@ -1,6 +1,9 @@
 """Tracklet structure, overlap logic, and JSON interchange tests."""
 
 import json
+import tempfile
+from contextlib import nullcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,6 +307,54 @@ class TestTrackletsJson:
         with pytest.raises(ValueError) as info:
             write_tracklets_json(Tracklets(*columns), path)
         assert str(info.value) == message and not path.exists()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ids=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=5, unique=True),
+        with_rows=st.booleans(),
+        defect=st.sampled_from([None, "duplicate", "negative-id", "start-past-end", "bad-box", "negative-row"]),
+        data=st.data(),
+    )
+    def test_writer_refuses_exactly_what_the_loader_refuses(self, ids, with_rows, defect, data):
+        # Columns across int64 with at most one defect, written by the writer and, as the
+        # json.dumps of the same entries, read by the loader.
+        n = len(ids)
+        lengths = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+        starts = data.draw(st.lists(st.integers(-(2**63) + 1, 2**63 - 4), min_size=n, max_size=n))
+        ends = [s + k - 1 for s, k in zip(starts, lengths)]
+        boxes = [[float(f), 0.5, f + 1.5, 2.0] for f in range(sum(lengths))]
+        rows = data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=len(boxes), max_size=len(boxes)))
+        if defect == "duplicate" and n == 1 or defect == "negative-row" and not with_rows:
+            defect = None
+        at = data.draw(st.integers(0, n - 1))
+        if defect == "duplicate":
+            ids[at] = ids[data.draw(st.integers(0, n - 1).filter(lambda j: j != at))]
+        elif defect == "negative-id":
+            ids[at] = data.draw(st.integers(-(2**63), -1))
+        elif defect == "start-past-end":  # an entry of no frames, as the loader reads one
+            first = sum(lengths[:at])
+            del boxes[first : first + lengths[at]], rows[first : first + lengths[at]]
+            ends[at], lengths[at] = starts[at] - 1, 0
+        elif defect == "bad-box":
+            boxes[data.draw(st.integers(0, len(boxes) - 1))][2] = data.draw(st.sampled_from([0.0, np.inf, np.nan]))
+        elif defect == "negative-row":
+            rows[data.draw(st.integers(0, len(rows) - 1))] = -1
+        entries, first = [], 0
+        for tid, start, end, k in zip(ids, starts, ends, lengths):
+            entries.append({"id": tid, "start": start, "end": end, "boxes": boxes[first : first + k]})
+            if with_rows:
+                entries[-1]["feature_rows"] = rows[first : first + k]
+            first += k
+        with tempfile.TemporaryDirectory() as tmp:
+            loaded, written = Path(tmp) / "loaded.json", Path(tmp) / "written.json"
+            loaded.write_text(json.dumps({"tracklets": entries}))
+            with pytest.raises(DataValidationError) if defect else nullcontext() as loading:
+                load_tracklets_json(loaded)
+            with pytest.raises(ValueError) if defect else nullcontext() as writing:
+                write_tracklets_json(Tracklets(ids, starts, ends, boxes, rows if with_rows else None), written)
+            assert written.exists() == (defect is None)
+            if defect not in (None, "bad-box"):  # the one rule the two word differently
+                assert str(writing.value) == str(loading.value).removeprefix(f"{loaded}: ")
 
     def test_null_feature_rows_means_absent(self, tmp_path):
         path = tmp_path / "t.json"

@@ -10,8 +10,9 @@ writes one set of seeded inputs (a 64x3x7x7 conv layer, a 256x60x80 feature
 map with 2,000 boxes and 500 edge-case boxes, a tall 8x400x48 feature map
 with 1,200 boxes at every height, a dense detection/ground-truth
 pair, five malformed record files, four tracklets without ``feature_rows``
-with their features and identity map, and six files that break the int64
-or nonnegative rule of their integers), then runs every
+with their features and identity map, six files that break the int64
+or nonnegative rule of their integers, and two tracklet files that each
+break two rules), then runs every
 ``motionstack`` command of the chain below once per tree, as a subprocess
 with ``PYTHONPATH=<tree>/src`` in its own output directory and with relative
 paths only:
@@ -39,7 +40,8 @@ paths only:
   ``feature_rows``, whose feature rows follow enumeration order (the
   scene's tracklets all carry ``feature_rows``);
 * ``eval``, ``train`` and ``reid`` of each malformed record, tracklet and
-  identity-map file, and ``stack`` of
+  identity-map file (of a two-defect tracklet file, the defect its error
+  line names is compared too), and ``stack`` of
   two defective frame directories made from the scene's first three frames
   (two files sharing a frame index; a frame of another size) and with a
   missing ``--labels`` directory, so that their exit codes and error lines
@@ -101,6 +103,7 @@ def write_inputs(directory: Path, seed: int) -> None:
     write_malformed_records(directory)
     write_enumeration_inputs(directory, seed)
     write_outside_int64(directory)
+    write_two_defect_tracklets(directory)
 
 
 def write_edge_boxes(directory: Path, seed: int) -> None:
@@ -265,6 +268,24 @@ def write_outside_int64(directory: Path) -> None:
     (directory / "past_map.json").write_text(json.dumps(groups), encoding="utf-8")
 
 
+def write_two_defect_tracklets(directory: Path) -> None:
+    """Enumeration tracklet files that each break two rules, of which the loader names the first.
+
+    In ``dup_start_tracklets.json`` the third tracklet repeats the second's
+    id 3 and has the string ``"80"`` for its start, so a duplicate id is named
+    before a bad type in one entry. In ``count_id_tracklets.json`` the second
+    tracklet lacks its last box and the fourth has ``true`` for its id, so a
+    wrong box count is named before a bad type in a later entry.
+    """
+    tracklets = json.loads((directory / "enum_tracklets.json").read_text(encoding="utf-8"))["tracklets"]
+    docs = {name: json.loads(json.dumps(tracklets)) for name in ("dup_start", "count_id")}
+    docs["dup_start"][2].update(id=3, start="80")
+    docs["count_id"][1]["boxes"].pop()
+    docs["count_id"][3]["id"] = True
+    for name, doc in docs.items():
+        (directory / f"{name}_tracklets.json").write_text(json.dumps({"tracklets": doc}), encoding="utf-8")
+
+
 def write_scene_inputs(directory: Path) -> None:
     """The inputs made from the scene: reversed tracklets, a partial identity map and two defective frame directories.
 
@@ -360,7 +381,7 @@ def chain(seed: int) -> list[list[str]]:
         ["eval", "--dets", "dense_dets.jsonl", "--gt", "past_frame_gt.jsonl", "--out", "eval_past_frame.json"],
         ["train", *scene, "--triplets", "past_triplets.jsonl", "--out-dir", "net_past", "--out", "train_past.json"],
     ]
-    for name in ("past_start", "past_row", "neg_row"):
+    for name in ("past_start", "past_row", "neg_row", "dup_start", "count_id"):
         commands.append(["reid", "--features", "enum_features.mten", "--tracklets", f"{name}_tracklets.json",
                          "--net", "net/net.json", "--out", f"reid_{name}.json"])
     commands += [
