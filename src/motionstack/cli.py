@@ -328,13 +328,10 @@ def _cmd_project(args):
     tracklets = load_tracklets_json(args.tracklets)
     table = load_feature_table(tracklets, args.features)
     keys = enumerate_keys(tracklets)
-    # The points are made twice, so that one matrix of them is factored in place (see pca_project_2d).
     if args.net is None:
-        rows = table.rows(keys)
-        points = lambda: table.matrix64[rows]
+        points = table.matrix64[table.rows(keys)]
     else:
-        net = _load_net_for(args.net, table)
-        points = lambda: tracklet_embeddings(net, tracklets, table)[0]
+        points = tracklet_embeddings(_load_net_for(args.net, table), tracklets, table)[0]
     try:
         coords = pca_project_2d(points)
     except DataValidationError as exc:  # fewer than two frames

@@ -27,7 +27,8 @@ The pieces, in pipeline order:
 * re-identification: per-tracklet centroid embeddings, merge proposals for
   centroid pairs within a distance threshold that do not overlap in time
   (one individual cannot appear twice in a frame), separation statistics,
-  and a deterministic 2-d PCA projection for scatter export. Separation
+  and a deterministic 2-d PCA projection for scatter export, from the SVD of
+  a QR factor built a block of centered rows at a time. Separation
   statistics take distances from one BLAS product per block of rows, with
   cancelling pairs recomputed directly, in O(block) scratch memory, and add
   the row sums with ``math.fsum``, so the block size does not change how
@@ -51,14 +52,9 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-
-try:  # np.linalg.qr's LAPACK kernel, where numpy exposes it under this name (numpy 2 does)
-    from numpy.linalg._umath_linalg import qr_r_raw as _qr_r_raw
-except ImportError:
-    _qr_r_raw = None
 
 from .errors import DataValidationError
 from .jsonio import _echo, array_rows, expect, read_json, read_records, write_json, write_lines
@@ -577,64 +573,42 @@ def propose_merges(
 # ---------------------------------------------------------------------------
 # projection
 
-def pca_project_2d(make_data: Callable[[], np.ndarray]) -> np.ndarray:
-    """Mean-centered projection onto the top-2 principal directions.
+# Centered rows per step of ``pca_project_2d``'s blocked QR. A step holds about four
+# [rows + D, D] float64 arrays: 2.6 MB at D = 128, below the 3.7 MB copy that
+# factoring 3,600 x 128 points whole would take.
+_PCA_BLOCK_ROWS = 512
 
-    Sign convention: each component's largest-magnitude loading is
-    positive. Rank-deficient data pads the missing coordinate with zeros.
-    Requires at least 2 samples.
 
-    ``make_data`` returns a new [N, D] array of the same data (float64, or
-    converted to a float64 copy) each time. It is called twice: the first
-    array is centered and factored in place, and the second, centered by the
-    same mean, is projected, so one [N, D] array is held at a time besides
-    LAPACK's. The directions come from the SVD of the centered data's QR
-    factor R (at most [D, D]), so neither Q nor the [N, D] left singular
-    vectors are formed. LAPACK's ``dgesdd`` takes that same QR-first route
-    itself when N >= 11/6 D, so on such tall data the result equals the
-    direct ``np.linalg.svd(centered)`` route bit for bit; on shorter data it
-    can differ in the last bits.
+def pca_project_2d(points: np.ndarray) -> np.ndarray:
+    """Mean-centered projection of [N, D] ``points`` onto their top-2 principal directions.
+
+    Each component's largest-magnitude loading is positive, rank-deficient
+    data pads the missing coordinate with zeros, and at least 2 samples are
+    required. ``points`` is read, never written. The directions come from the
+    SVD of the centered points' QR factor R, built ``_PCA_BLOCK_ROWS``
+    centered rows at a time under the last R (TSQR), so neither Q, U nor a
+    copy of the points is formed. LAPACK's ``dgesdd`` takes that QR-first
+    route itself when N >= 11/6 D, so such data of one block gives the direct
+    SVD's bits; more rows, or shorter data, can differ in the last bits.
     """
-    centered = _checked_samples(make_data())
-    mean = centered.mean(axis=0)
-    centered -= mean
-    r = _r_factor(centered)
-    del centered  # now the factorization; freed before the data is made again
-    centered = _checked_samples(make_data())
-    centered -= mean
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2:
+        raise DataValidationError(f"embeddings must be [N, D], got shape {points.shape}")
+    if len(points) < 2:
+        raise DataValidationError(f"projection needs >= 2 samples, got {len(points)}")
+    mean = points.mean(axis=0)
+    blocks = [slice(lo, lo + _PCA_BLOCK_ROWS) for lo in range(0, len(points), _PCA_BLOCK_ROWS)]
+    r = np.empty((0, points.shape[1]))
+    for rows in blocks:
+        r = np.linalg.qr(np.concatenate((r, points[rows] - mean)), mode="r")
     _, _, vt = np.linalg.svd(r, full_matrices=False)
-    coords = np.zeros((len(centered), 2), dtype=np.float64)
-    for c in range(min(2, vt.shape[0])):
-        component = vt[c]
-        if component[np.argmax(np.abs(component))] < 0:
-            component = -component
-        coords[:, c] = centered @ component
+    components = [-v if v[np.argmax(np.abs(v))] < 0 else v for v in vt[:2]]
+    coords = np.zeros((len(points), 2), dtype=np.float64)
+    for rows in blocks:
+        centered = points[rows] - mean
+        for c, component in enumerate(components):
+            coords[rows, c] = centered @ component
     return coords
-
-
-def _checked_samples(embeddings) -> np.ndarray:
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    if embeddings.ndim != 2:
-        raise DataValidationError(f"embeddings must be [N, D], got shape {embeddings.shape}")
-    if len(embeddings) < 2:
-        raise DataValidationError(f"projection needs >= 2 samples, got {len(embeddings)}")
-    return embeddings
-
-
-def _r_factor(a: np.ndarray) -> np.ndarray:
-    # R of the QR factorization of float64 [N, D] ``a``. Where numpy names its kernel
-    # ``qr_r_raw``, it runs as in ``np.linalg.qr(a, mode="r")``, error handling included,
-    # but on ``a`` itself, which it overwrites, instead of on a copy; R is the same bits.
-    # Older numpy has no such kernel, and ``np.linalg.qr`` factors a copy of ``a``.
-    if _qr_r_raw is None:
-        return np.linalg.qr(a, mode="r")
-    with np.errstate(call=_raise_qr_error, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        _qr_r_raw(a, signature="d->d")
-    return np.triu(a[: min(a.shape)])
-
-
-def _raise_qr_error(err, flag):
-    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
 
 
 def write_scatter_csv(keys: np.ndarray, coords: np.ndarray, path: str | Path) -> None:

@@ -28,6 +28,7 @@ Runs shorter than ``MIN_TRACKLET_LEN`` frames are dropped before any mining.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
 
@@ -37,6 +38,7 @@ from .errors import DataValidationError
 from .jsonio import _echo, bad_boxes, check_boxes, expect, expect_int, expect_ints, read_json, write_json
 
 MIN_TRACKLET_LEN = 16
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,8 @@ class Tracklets(Sequence):
     ``feature_rows`` (int64 [F], or None) hold every frame in enumeration order,
     file order and frames ascending. ``firsts`` (int64 [T + 1]) is the one
     statement of that layout: tracklet i's frames are rows ``firsts[i]:firsts[i + 1]``.
-    Columns whose boxes or feature rows do not fill ``firsts`` raise ``ValueError``.
+    Columns whose frame counts or ``firsts`` do not fit int64, or whose boxes
+    or feature rows do not fill ``firsts``, raise ``ValueError``.
     """
 
     __slots__ = ("id", "start", "end", "boxes", "feature_rows", "firsts")
@@ -71,11 +74,15 @@ class Tracklets(Sequence):
         self.id, self.start, self.end = (np.asarray(c, dtype=np.int64) for c in (id, start, end))
         self.boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
         self.feature_rows = None if feature_rows is None else np.asarray(feature_rows, dtype=np.int64)
-        self.firsts = np.concatenate([[0], np.cumsum(self.end - self.start + 1)])
+        frames = [hi - lo + 1 for lo, hi in zip(self.start.tolist(), self.end.tolist())]  # Python ints: exact
+        firsts = [0, *accumulate(frames)]
+        for pos, (n, total) in enumerate(zip(frames, firsts[1:])):  # neither firsts nor np.diff(firsts) wraps
+            if not _INT64_MIN <= min(n, total) <= max(n, total) <= _INT64_MAX:
+                raise ValueError(f"tracklets[{pos}]: tracklet {self.id[pos]}: {n} frames, {total} in all, past int64")
+        self.firsts = np.array(firsts, dtype=np.int64)
         for column, kind in ((self.boxes, "boxes"), (self.feature_rows, "feature rows")):
             if column is not None and len(column) != self.firsts[-1]:
-                frames = sum(self.end.tolist()) - sum(self.start.tolist()) + len(self)  # firsts wraps past int64
-                raise ValueError(f"tracklets hold {len(column)} {kind} for {frames} frames")
+                raise ValueError(f"tracklets hold {len(column)} {kind} for {self.firsts[-1]} frames")
 
     def __len__(self) -> int:
         return len(self.id)

@@ -1141,15 +1141,16 @@ class TestMetricLearningPipeline:
         table = load_feature_table(tracklets, scene / "features.mten")
         keys = enumerate_keys(tracklets)
         assert [list(map(int, line.split(",")[:2])) for line in lines[1:]] == keys.tolist()
-        want = pca_project_2d(lambda: net.embed_batch(table.matrix64[table.rows(keys)]))
+        want = pca_project_2d(net.embed_batch(table.matrix64[table.rows(keys)]))
         got = np.array([[float(v) for v in line.split(",")[2:]] for line in lines[1:]])
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
         assert _envelope(tmp_path / "project.json")["results"] == {"num_points": 40, "embedded": True}
         capsys.readouterr()
 
     def test_project_holds_the_embeddings_about_once(self, tmp_path):
-        # Embedded straight into one matrix, centered in place and projected from its
-        # QR factor: no per-tracklet copies, no centered copy and no [N, 128] U.
+        # Embedded once, straight into one matrix, and projected from the QR factor
+        # of a block of centered rows at a time: no per-tracklet copies, no second
+        # embedding pass, no centered copy and no [N, 128] U.
         scene = tmp_path / "scene"
         generate(SceneConfig(num_frames=300, num_objects=12, seed=3), scene)
         tracklets = load_tracklets_json(scene / "tracklets.json")
@@ -1166,8 +1167,8 @@ class TestMetricLearningPipeline:
         assert code == 0
         embedding_bytes = len(enumerate_keys(tracklets)) * OUT_DIM * 8
         assert embedding_bytes == 3600 * OUT_DIM * 8
-        # Room for the matrix, numpy's QR copy of it and one tracklet's embedding
-        # scratch, but not for a second and third full-size copy.
+        # Room for the matrix, one tracklet's embedding scratch and a few blocks of
+        # projection scratch, but not for a second and third full-size copy.
         assert peak <= 3 * embedding_bytes
 
     def test_reid_holds_the_embeddings_about_once(self, tmp_path):

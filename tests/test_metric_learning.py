@@ -1070,7 +1070,7 @@ class TestReid:
 class TestProjection:
     def test_matches_eigendecomposition_oracle(self):
         data = np.random.default_rng(0).normal(size=(20, 6))
-        got = pca_project_2d(lambda: data.copy())
+        got = pca_project_2d(data)
         want = oracles.pca_top2(data)
         assert got.shape == (20, 2)
         assert np.allclose(got, want, atol=1e-8)
@@ -1086,93 +1086,71 @@ class TestProjection:
             coords[:, c] = centered @ component
         return coords
 
-    @pytest.mark.parametrize("shape", [(3600, 128), (235, 128), (1000, 64), (400, 32), (56, 30), (11, 6), (2, 1)])
+    @pytest.mark.parametrize("shape", [(512, 128), (235, 128), (512, 64), (400, 32), (56, 30), (11, 6), (2, 1)])
     def test_tall_data_matches_the_direct_svd_bit_for_bit(self, shape):
         # LAPACK's dgesdd factors a matrix with rows >= 11/6 columns as QR first
-        # itself, so the SVD of the QR factor R yields the very same directions.
-        assert shape[0] >= 11 / 6 * shape[1]
+        # itself, so the SVD of the QR factor R of rows that fit one block yields
+        # the very same directions.
+        assert 11 / 6 * shape[1] <= shape[0] <= metric_learning._PCA_BLOCK_ROWS
         data = np.random.default_rng(shape[0] * 7 + shape[1]).normal(size=shape) * 3.0 + 1.5
-        want = self._svd_of_centered(data)
-        assert np.array_equal(pca_project_2d(lambda: data.copy()), want)
-        assert np.array_equal(self._without_the_kernel(data), want)
+        assert np.array_equal(pca_project_2d(data), self._svd_of_centered(data))
+
+    @pytest.mark.parametrize("shape", [(513, 128), (1000, 64), (2100, 16), (3600, 128)])
+    def test_data_of_several_blocks_stays_within_the_oracle_tolerance(self, shape):
+        # Past one block, R is built step by step, and the last bits may drift.
+        assert shape[0] > metric_learning._PCA_BLOCK_ROWS
+        data = np.random.default_rng(shape[0] * 7 + shape[1]).normal(size=shape) * 3.0 + 1.5
+        got = pca_project_2d(data)
+        assert np.allclose(got, self._svd_of_centered(data), atol=1e-8)
+        assert np.allclose(got, oracles.pca_top2(data), atol=1e-8)
 
     @pytest.mark.parametrize("shape", [(2, 6), (5, 128), (20, 6), (128, 128), (200, 128), (300, 200)])
     def test_short_data_stays_within_the_oracle_tolerance(self, shape):
         data = np.random.default_rng(shape[0] * 7 + shape[1]).normal(size=shape)
-        direct, oracle = self._svd_of_centered(data), oracles.pca_top2(data)
-        got = pca_project_2d(lambda: data.copy())
-        assert np.array_equal(self._without_the_kernel(data), got)
-        assert np.allclose(got, direct, atol=1e-8)
-        assert np.allclose(got, oracle, atol=1e-8)
+        got = pca_project_2d(data)
+        assert np.allclose(got, self._svd_of_centered(data), atol=1e-8)
+        assert np.allclose(got, oracles.pca_top2(data), atol=1e-8)
 
-    @staticmethod
-    def _without_the_kernel(data):
-        # The projection on numpy's own np.linalg.qr, the route where numpy has no in-place kernel.
-        with mock.patch.object(metric_learning, "_qr_r_raw", None):
-            return pca_project_2d(lambda: data.copy())
+    def test_the_points_come_back_untouched(self):
+        data = np.random.default_rng(3).normal(size=(1100, 32)) + 4.0
+        before = data.copy()
+        pca_project_2d(data)
+        assert np.array_equal(data, before)
 
-    @pytest.mark.skipif(metric_learning._qr_r_raw is None, reason="this numpy exposes no QR kernel to run in place")
-    def test_data_made_twice_is_factored_in_place(self, monkeypatch):
-        # Made twice, the data is factored where it lies, so no copy of it joins
-        # the one being factored; np.linalg.qr, the fallback, factors a copy.
-        data = np.random.default_rng(3).normal(size=(3600, 128))
-        made = []
-
-        def make():
-            made.append(data.copy())
-            return made.pop()
-
-        peaks = []
-        for kernel in (None, metric_learning._qr_r_raw):
-            monkeypatch.setattr(metric_learning, "_qr_r_raw", kernel)
-            tracemalloc.start()
-            try:
-                coords = pca_project_2d(make)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            peaks.append(peak)
-        assert peaks[0] > 1.9 * data.nbytes
-        assert peaks[1] < 1.25 * data.nbytes
-        assert np.array_equal(coords, self._svd_of_centered(data))
-
-    def test_without_the_kernel_numpy_qr_gives_the_same_coordinates(self, monkeypatch):
-        data = np.random.default_rng(4).normal(size=(500, 32)) * 2.0 + 1.0
-        want = pca_project_2d(lambda: data.copy())
-        monkeypatch.setattr(metric_learning, "_qr_r_raw", None)
-        assert np.array_equal(pca_project_2d(lambda: data.copy()), want)
-
-    def test_a_kernel_failure_raises_linalg_error(self, monkeypatch):
-        # A failing kernel raises the floating-point invalid flag, which np.linalg.qr
-        # turns into LinAlgError; run in place, it must do the same.
-        def failing_kernel(a, signature):
-            return np.sqrt(np.full(1, -1.0))
-
-        monkeypatch.setattr(metric_learning, "_qr_r_raw", failing_kernel)
-        with pytest.raises(np.linalg.LinAlgError, match="QR factorization"):
-            pca_project_2d(lambda: np.eye(3))
+    def test_scratch_is_a_few_blocks_not_a_share_of_the_points(self):
+        # 24,576 x 128 points take 24 MiB; each step centers one block and factors it
+        # under the last R, so the traced peak is a few [block + D, D] arrays.
+        data = np.random.default_rng(6).normal(size=(24_576, 128))
+        tracemalloc.start()
+        try:
+            coords = pca_project_2d(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block_bytes = (metric_learning._PCA_BLOCK_ROWS + 128) * 128 * 8
+        assert peak - coords.nbytes < 4 * block_bytes < data.nbytes / 8
 
     def test_sign_convention(self):
         rng = np.random.default_rng(1)
         data = rng.normal(size=(15, 4))
-        coords = pca_project_2d(lambda: data.copy())
-        flipped = pca_project_2d(lambda: -data)  # same principal directions, mirrored data
+        coords = pca_project_2d(data)
+        flipped = pca_project_2d(-data)  # same principal directions, mirrored data
         assert np.allclose(coords, -flipped, atol=1e-8)
 
     def test_rank_one_data_zeroes_second_axis(self):
         t = np.linspace(-2, 2, 9)[:, None]
         direction = np.array([[1.0, 2.0, -1.0]])
         data = t @ direction
-        coords = pca_project_2d(lambda: data.copy())
+        coords = pca_project_2d(data)
         assert np.allclose(coords[:, 1], 0.0, atol=1e-9)
         # First coordinate carries all the variance, oriented by the sign rule.
         assert np.allclose(np.abs(coords[:, 0]), np.abs(t[:, 0]) * np.linalg.norm(direction), atol=1e-9)
 
     def test_validation(self):
         with pytest.raises(DataValidationError, match=">= 2 samples"):
-            pca_project_2d(lambda: np.zeros((1, 4)))
+            pca_project_2d(np.zeros((1, 4)))
         with pytest.raises(DataValidationError, match=r"\[N, D\]"):
-            pca_project_2d(lambda: np.zeros(4))
+            pca_project_2d(np.zeros(4))
 
     def test_scatter_csv(self, tmp_path):
         keys = np.array([(0, 3), (0, 4), (7, 1)])

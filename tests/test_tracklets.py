@@ -160,6 +160,22 @@ class TestTracklet:
         empty = ts.take(np.zeros(3, dtype=bool))
         assert len(empty) == 0 and empty.boxes.shape == (0, 4) and empty.firsts.tolist() == [0]
 
+    def test_frame_counts_past_int64_are_refused(self):
+        # Wrapped in int64, the first columns' counts would total the two boxes given.
+        boxes = [[0, 0, 1, 1]] * 2
+        with pytest.raises(ValueError, match=r"^tracklets\[1\]: tracklet 2: 4611686018427387905 frames, "
+                                             r"9223372036854775810 in all, past int64$"):
+            Tracklets([1, 2, 4], [0, 0, 0], [2**62, 2**62, 2**63 - 1], boxes)
+        with pytest.raises(ValueError, match=r"^tracklets\[0\]: tracklet 4: 9223372036854775808 frames"):
+            Tracklets([4], [0], [2**63 - 1], boxes)
+        with pytest.raises(ValueError, match=r"^tracklets\[0\]: tracklet 4: -18446744073709551614 frames"):
+            Tracklets([4, 5], [2**63 - 1, 0], [-(2**63), 1], boxes)
+        # Counts and totals within int64, start past end included, are left to check_rules.
+        for ends in ([2, 8, 0], [2, 7, 0]):
+            ts = Tracklets([1, 5, 6], [0, 9, 0], ends, [[0, 0, 1, 1]] * (ends[1] - 4))  # frames 3, 9 - end, 1
+            with pytest.raises(ValueError, match=rf"^tracklets\[1\]: tracklet 5: start 9 > end {ends[1]}$"):
+                ts.check_rules()
+
 
 class TestTemporalOverlap:
     @settings(max_examples=120, deadline=None)
