@@ -302,6 +302,7 @@ def _cmd_reid(args):
         members.setdefault(group_of.get(tid, f"ungrouped_{tid}"), []).append(pos)
     grouped = tracklets.take(np.array([pos for group in members.values() for pos in group], dtype=np.intp))
     matrix, embeddings = tracklet_embeddings(net, grouped, table)
+    del table  # the float64 features, not needed past the embeddings
     bounds = grouped.firsts[np.cumsum([0, *map(len, members.values())])].tolist()
     centroids = tracklet_centroids(embeddings)
     merges = propose_merges(centroids, tracklets, args.threshold)
@@ -332,6 +333,7 @@ def _cmd_project(args):
         points = table.matrix64[table.rows(keys)]
     else:
         points = tracklet_embeddings(_load_net_for(args.net, table), tracklets, table)[0]
+    del table  # the float64 features, not needed past the points
     try:
         coords = pca_project_2d(points)
     except DataValidationError as exc:  # fewer than two frames

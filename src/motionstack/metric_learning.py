@@ -24,15 +24,16 @@ The pieces, in pipeline order:
   byte-identical. Non-finite features are rejected. The optional output
   L2-normalization toggle affects inference (embeddings, centroids) only;
   training always optimizes the raw-output loss.
-* re-identification: per-tracklet centroid embeddings, merge proposals for
-  centroid pairs within a distance threshold that do not overlap in time
-  (one individual cannot appear twice in a frame), separation statistics,
-  and a deterministic 2-d PCA projection for scatter export, from the SVD of
-  a QR factor built a block of centered rows at a time. Separation
-  statistics take distances from one BLAS product per block of rows, with
-  cancelling pairs recomputed directly, in O(block) scratch memory, and add
-  the row sums with ``math.fsum``, so the block size does not change how
-  the distances are added.
+* re-identification: every frame embedded into one matrix, each tracklet in
+  blocks of at most 128 of its own rows; per-tracklet centroid embeddings,
+  merge proposals for centroid pairs within a distance threshold that do not
+  overlap in time (one individual cannot appear twice in a frame),
+  separation statistics, and a deterministic 2-d PCA projection for scatter
+  export, from the SVD of a QR factor built a block of centered rows at a
+  time. Separation statistics take distances from one BLAS product per block
+  of rows, with cancelling pairs recomputed directly, in O(block) scratch
+  memory, and add the row sums with ``math.fsum``, so the block size does
+  not change how the distances are added.
 
 Tracklets arrive as ``tracklets.Tracklets`` columns. (tracklet id, frame) keys
 have one format, an int64 [..., 2] array: ``enumerate_keys``' [F, 2] keys, and
@@ -419,15 +420,22 @@ def tracklet_embeddings(
 
     ``matrix`` is float64 [frames, 128] in ``enumerate_keys`` order, and
     each view is that tracklet's [frames, 128] slice of it. Each tracklet is embedded
-    from its slice of one ``table.rows`` lookup, so no hidden layer of the scene is held.
+    from its slice of one ``table.rows`` lookup, in the fewest near-equal blocks of at
+    most ``_EMBED_BLOCK_ROWS`` of its own rows, straight into the matrix: the hidden
+    layers held are one block's, however long the tracklet. A split tracklet's blocks
+    hold 64 rows or more, never the few-row products that BLAS may round differently,
+    so each view has the bits ``embed_batch`` gives all that tracklet's rows.
     """
     rows = table.rows(enumerate_keys(tracklets))
     matrix = np.empty((len(rows), OUT_DIM), dtype=np.float64)
     views: dict[int, np.ndarray] = {}
     params = params64(net)  # once for every tracklet
     for tid, lo, hi in zip(tracklets.id.tolist(), tracklets.firsts[:-1].tolist(), tracklets.firsts[1:].tolist()):
-        view = views[tid] = matrix[lo:hi]
-        view[...] = _embed(net, params, table.matrix64[rows[lo:hi]])
+        views[tid] = matrix[lo:hi]
+        blocks = max(1, -(-(hi - lo) // _EMBED_BLOCK_ROWS))
+        edges = [lo + (hi - lo) * k // blocks for k in range(blocks + 1)]
+        for a, b in zip(edges, edges[1:]):
+            matrix[a:b] = _embed(net, params, table.matrix64[rows[a:b]])
     return matrix, views
 
 
@@ -577,6 +585,11 @@ def propose_merges(
 # [rows + D, D] float64 arrays: 2.6 MB at D = 128, below the 3.7 MB copy that
 # factoring 3,600 x 128 points whole would take.
 _PCA_BLOCK_ROWS = 512
+
+# Most rows per block of ``tracklet_embeddings``' forward pass. One 128-row block's
+# 512- and 256-wide float64 hidden layers take 0.75 MiB, where a whole 4,096-frame
+# tracklet's take 24 MiB.
+_EMBED_BLOCK_ROWS = 128
 
 
 def pca_project_2d(points: np.ndarray) -> np.ndarray:

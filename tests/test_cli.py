@@ -1167,7 +1167,7 @@ class TestMetricLearningPipeline:
         assert code == 0
         embedding_bytes = len(enumerate_keys(tracklets)) * OUT_DIM * 8
         assert embedding_bytes == 3600 * OUT_DIM * 8
-        # Room for the matrix, one tracklet's embedding scratch and a few blocks of
+        # Room for the matrix, one block's embedding scratch and a few blocks of
         # projection scratch, but not for a second and third full-size copy.
         assert peak <= 3 * embedding_bytes
 

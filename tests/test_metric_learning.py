@@ -850,6 +850,43 @@ class TestReid:
                 assert np.shares_memory(views[t.id], matrix)
                 assert np.array_equal(views[t.id], net.embed_batch(table.matrix64[own[t.id]]))
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_blocks_give_each_tracklet_the_bits_of_its_own_rows(self, explicit, normalize):
+        # Tracklets shorter than a block, of one block, just past one and of several: each is
+        # cut into near-equal blocks of its own, so its embeddings are the bits embed_batch
+        # gives all its rows at once, through the production net and block size.
+        assert metric_learning._EMBED_BLOCK_ROWS == 128
+        lengths = [1, 4, 127, 128, 129, 300, 385]
+        height = sum(lengths)
+        rng = np.random.default_rng(12)
+        own = np.split(rng.permutation(height) if explicit else np.arange(height), np.cumsum(lengths)[:-1])
+        ts = _ts([_tr(tid, 5 * tid, 5 * tid + n - 1, own[tid].tolist() if explicit else None)
+                  for tid, n in enumerate(lengths)])
+        table = FeatureTable(ts, rng.normal(size=(height, 32)).astype(np.float32))
+        net = EmbeddingNet.init(32, seed=6, normalize_output=normalize)  # 32-512-256-128
+        matrix, views = tracklet_embeddings(net, ts, table)
+        assert matrix.shape == (height, OUT_DIM)
+        for tid, rows in enumerate(own):
+            assert np.array_equal(views[tid], net.embed_batch(table.matrix64[rows])), lengths[tid]
+
+    def test_a_long_tracklet_holds_one_block_of_hidden_layers(self):
+        ts = _ts([_tr(0, 0, 4095)])
+        table = FeatureTable(ts, np.random.default_rng(3).normal(size=(4096, 32)).astype(np.float32))
+        net = EmbeddingNet.init(32, seed=0)  # 32-512-256-128
+        weights64 = 8 * sum(w.size + b.size for w, b in zip(net.weights, net.biases))  # ~1.4 MiB
+        block = 8 * metric_learning._EMBED_BLOCK_ROWS * sum(net.layer_dims)  # its features and layers
+        tracemalloc.start()
+        try:
+            matrix, _ = tracklet_embeddings(net, ts, table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert matrix.nbytes == 4 << 20
+        # Above the matrix: the float64 weights and about one block's scratch (0.9 MiB).
+        # Embedded whole, the tracklet's 512- and 256-wide layers alone take 24 MiB.
+        assert peak - matrix.nbytes <= weights64 + 2 * block, peak
+
     @pytest.mark.parametrize("explicit", [False, True])
     def test_a_tracklet_outside_the_table_names_its_first_missing_frame(self, explicit):
         ts = _ts([_tr(5, 10, 13, [0, 1, 2, 3] if explicit else None), _tr(2**63 - 1, 0, 1, [4, 5] if explicit else None)])
