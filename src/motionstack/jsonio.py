@@ -58,7 +58,12 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[str, dict]]:
 
 
 def write_json(doc: Any, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    """Write ``json.dumps(doc, indent=2)`` and a newline as ``Path.write_text`` would, a batch of pieces at a time."""
+    pieces = json.JSONEncoder(indent=2).iterencode(doc)
+    with open(path, "w", encoding="utf-8") as fh:
+        while chunk := "".join(islice(pieces, _ROWS)):  # a piece is a JSON token, never empty
+            fh.write(chunk)
+        fh.write("\n")
 
 
 def write_lines(template: str, rows: Iterable[tuple], path: str | Path, head: str = "") -> None:

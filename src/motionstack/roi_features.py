@@ -25,10 +25,10 @@ A ``FeatureMap`` built from an array holds its map once, as a C-contiguous
 float64 [Hf, Wf, C] array, in which a box's window is one view; ``tensor``
 is that array's [C, Hf, Wf] view, so pooling converts nothing. One built
 from ``read_tensor(path, band=True)`` leaves the map in its file: its
-``tensor`` is that ``tensor_io.MapBand``, which holds one float64
-[B, Wf, C] band of rows, B the tallest box window plus ``BAND_STEP``
-rows (at most Hf), and reads the rows each window needs as ``pool_boxes``
-asks for them. Its windows keep the whole map's row stride, so BLAS gets the
+``tensor`` is that ``tensor_io.MapBand``, which opens the file only while
+``pool_boxes`` reads it and holds one float64 [B, Wf, C] band of rows, B the
+tallest box window plus ``BAND_STEP`` rows (at most Hf), read as each window
+needs them. Its windows keep the whole map's row stride, so BLAS gets the
 same call either way and the descriptors are the same bits.
 
 Boxes are pooled in row-major order of their windows on the map (top row,

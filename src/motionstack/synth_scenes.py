@@ -236,7 +236,7 @@ def generate(config: SceneConfig, out_dir: str | Path) -> dict:
     prototypes = PROTOTYPE_SCALE * np.eye(config.num_objects, config.feature_dim)
 
     boxes = np.empty((config.num_frames, config.num_objects, 4), dtype=np.float64)
-    features = np.empty((config.num_frames, config.num_objects, config.feature_dim), dtype=np.float64)
+    features = np.empty((config.num_frames, config.num_objects, config.feature_dim), dtype=np.float32)
     for frame in range(config.num_frames):
         if frame > 0:
             for blob in blobs:
@@ -249,7 +249,7 @@ def generate(config: SceneConfig, out_dir: str | Path) -> dict:
         noise = np.random.default_rng([config.seed, 1, frame]).normal(
             0.0, 1.0, size=(config.num_objects, config.feature_dim)
         )
-        features[frame] = prototypes + NOISE_SIGMA * noise
+        features[frame] = prototypes + NOISE_SIGMA * noise  # the float64 sum, rounded once
 
     tracklets, groups = _split_tracklets(config, boxes)
 
@@ -261,7 +261,7 @@ def generate(config: SceneConfig, out_dir: str | Path) -> dict:
     write_ground_truth_jsonl(gts, out_dir / names["gt"])
     write_tracklets_json(tracklets, out_dir / names["tracklets"])
     write_identity_map(groups, out_dir / names["identity_map"])
-    write_tensor(features.reshape(-1, config.feature_dim).astype(np.float32), out_dir / names["features"])
+    write_tensor(features.reshape(-1, config.feature_dim), out_dir / names["features"])
     report = {
         "num_frames": config.num_frames,
         "num_tracklets": len(tracklets),

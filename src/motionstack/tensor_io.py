@@ -12,9 +12,9 @@ padded with spaces so the payload starts on a 64-byte file offset, then the
 little-endian row-major payload. Tensors are plain numpy arrays restricted
 to uint8/float32 with 1 to 4 dimensions. One header check serves both ways
 of reading a container: whole, into an array of its stored dtype, or, for a
-[C, H, W] feature map, as a ``MapBand`` that holds one float64 band of rows
-at a time, so neither the stored map nor a float64 copy of it is ever held
-whole; the band's height follows the tallest window asked for, not the map's.
+[C, H, W] feature map, as a ``MapBand`` that opens it only for a pass of reads
+and holds one float64 band of rows, so neither the stored map nor a float64
+copy of it is ever held whole; the band's height follows the tallest window.
 """
 
 from __future__ import annotations
@@ -129,8 +129,8 @@ def read_tensor(path: str | Path, band: bool = False) -> np.ndarray | MapBand:
     The payload is read straight into the returned array.
 
     With ``band``, nothing past the header is read here: the container, which
-    must be a [C, H, W] map, comes back as an open ``MapBand`` that reads its
-    rows a band at a time, as they are asked for.
+    must be a [C, H, W] map, comes back as a ``MapBand`` that holds no open
+    file and reads its rows a band at a time, as a pass asks for them.
     """
     if band:
         return MapBand(path)
@@ -143,43 +143,29 @@ def read_tensor(path: str | Path, band: bool = False) -> np.ndarray | MapBand:
 
 
 class MapBand:
-    """An open [C, H, W] MTENSOR map whose rows are read into one float64 band as windows ask for them.
+    """A checked [C, H, W] MTENSOR map whose rows are read into one float64 band as windows ask for them.
 
-    Opening checks the header with ``_tensor_header``, and the rank. ``windows``
-    serves each window of rows from a float64 [B, W, C] band, with B the
-    tallest window plus ``BAND_STEP`` rows, at most H. A window that leaves the
-    band refills it from the window's top row: the rows the band still holds
-    move to its top, one row at a time, and only the rows it lacks are read,
-    one positioned read per channel into a staging block of a few channels,
-    and converted to float64 once. Windows asked for top row first thus read
-    each map row once, and the band's size depends on the tallest window, not
-    on H; a window as tall as the map makes the band the whole map. A read
-    that comes up short, because the file shrank after its header was checked,
-    raises the payload length mismatch instead of serving rows it never read.
-    Close the band when done, or use it as a context manager.
+    Making one checks the header with ``_tensor_header``, and the rank, and
+    keeps only the path, dtype and shape: no file stays open. Each ``windows``
+    pass opens the map and checks its header again, so a map cut or rewritten
+    since then fails instead of being served. The pass serves each window from
+    a float64 [B, W, C] band, B the tallest window plus ``BAND_STEP`` rows, at
+    most H. A window that leaves the band refills it from the window's top
+    row: the rows the band still holds move to its top, one row at a time, and
+    only the rows it lacks are read, one positioned read per channel into a
+    staging block of a few channels, and converted to float64 once. Windows
+    asked for top row first thus read each map row once; a window as tall as
+    the map makes the band the whole map. A read that comes up short, because
+    the file shrank during the pass, raises the payload length mismatch.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = path
-        self._fh = open(path, "rb")
-        try:
-            self.dtype, shape = _tensor_header(self._fh, path)
-            if len(shape) != 3:
-                raise TensorFormatError(f"{path}: feature map must be [C, Hf, Wf], got shape {tuple(shape)}")
-        except BaseException:
-            self._fh.close()
-            raise
+        with open(path, "rb") as fh:
+            self.dtype, shape = _tensor_header(fh, path)
+        if len(shape) != 3:
+            raise TensorFormatError(f"{path}: feature map must be [C, Hf, Wf], got shape {tuple(shape)}")
         self.shape = tuple(shape)
-        self._payload = self._fh.tell()
-
-    def close(self) -> None:
-        self._fh.close()
-
-    def __enter__(self) -> MapBand:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def windows(self, tops: Sequence[int], bottoms: Sequence[int]) -> Iterator[np.ndarray]:
         """Yield the float64 [b - t, W, C] rows of each window ``[t, b)`` of ``zip(tops, bottoms)``.
@@ -191,19 +177,25 @@ class MapBand:
         rows = min(height, max((b - t for t, b in zip(tops, bottoms)), default=0) + BAND_STEP)
         band = np.empty((rows, width, channels))
         lo = hi = 0  # the band holds map rows [lo, hi) in its first hi - lo rows
-        for top, bottom in zip(tops, bottoms):
-            if top < lo or bottom > hi:
-                end = min(height, top + rows)
-                kept = max(0, hi - top) if top >= lo else 0
-                for k in range(kept):  # one slice copy of overlapping rows would buffer them all
-                    band[k] = band[top - lo + k]
-                self._read(band[kept : end - top], top + kept, end)
-                lo, hi = top, end
-            yield band[top - lo : bottom - lo]
+        with open(self.path, "rb") as fh:
+            dtype, shape = _tensor_header(fh, self.path)
+            if (dtype, tuple(shape)) != (self.dtype, self.shape):
+                found = f"{_CODE_BY_DTYPE[dtype]} {_echo(shape)}"
+                raise TensorFormatError(f"{self.path}: map changed since it was read, now {found}")
+            for top, bottom in zip(tops, bottoms):
+                if top < lo or bottom > hi:
+                    end = min(height, top + rows)
+                    kept = max(0, hi - top) if top >= lo else 0
+                    for k in range(kept):  # one slice copy of overlapping rows would buffer them all
+                        band[k] = band[top - lo + k]
+                    self._read(fh, band[kept : end - top], top + kept, end)
+                    lo, hi = top, end
+                yield band[top - lo : bottom - lo]
 
-    def _read(self, out: np.ndarray, start: int, end: int) -> None:
-        """Fill ``out`` with map rows ``[start, end)`` of every channel, as float64 [rows, W, C]."""
+    def _read(self, fh, out: np.ndarray, start: int, end: int) -> None:
+        """Fill ``out`` with map rows ``[start, end)`` of every channel of ``fh``, as float64 [rows, W, C]."""
         channels, height, width = self.shape
+        payload = fh.tell()  # where the header check left it: positioned reads do not move it
         plane = (end - start) * width * self.dtype.itemsize  # one channel's bytes of those rows
         step = max(1, _STAGE_BYTES // plane)
         stage = np.empty((min(step, channels), end - start, width), dtype=self.dtype)
@@ -211,9 +203,9 @@ class MapBand:
             part = stage[: min(step, channels - lo)]
             for c, rows in enumerate(part, lo):
                 offset = (c * height + start) * width * self.dtype.itemsize
-                got = os.preadv(self._fh.fileno(), [rows], self._payload + offset)
+                got = os.preadv(fh.fileno(), [rows], payload + offset)
                 if got != plane:  # short only if the file shrank: it holds no more than the read found
-                    size = os.fstat(self._fh.fileno()).st_size - self._payload
+                    size = os.fstat(fh.fileno()).st_size - payload
                     _check_payload(self.path, math.prod(self.shape) * self.dtype.itemsize, min(size, offset + got))
             out[:, :, lo : lo + len(part)] = part.transpose(1, 2, 0)
 

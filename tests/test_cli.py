@@ -504,6 +504,11 @@ MALFORMED_FILES = {
         _tracklets(f'"id": -{_BIG}, "start": 0, "end": 0, "boxes": [[0, 0, 1, 1]]'),
         f": tracklets[0].id must be an integer in int64 range, got -{_BIG[:79]}...",
     ),
+    "mtensor-header-without-shape": (
+        "features", "map.mten",
+        _mtensor('{"dtype": "f32"}'),
+        ": header missing dtype/shape",
+    ),
     "mtensor-400-char-dtype-code": (
         "features", "map.mten",
         _mtensor(json.dumps({"dtype": "x" * 400, "shape": [3]})),
@@ -658,6 +663,12 @@ def _cut_header(frames):
     return f"{path}: unexpected end of PPM header"
 
 
+def _no_whitespace_after_maxval(frames):
+    path = frames / "frame_000006.ppm"
+    path.write_bytes(b"P6\n4 3\n255")
+    return f"{path}: missing whitespace after maxval"
+
+
 def _mixed_sizes(frames):
     write_ppm(ImageFrame(width=4, height=2, pixels=np.zeros(24, np.uint8)), frames / "frame_000007.ppm")
     return f"{frames / 'frame_000007.ppm'}: frame 7 is 4x2, sequence started at 96x72"
@@ -679,6 +690,7 @@ MALFORMED_FRAMES = {
     "last-frame-truncated": _truncate_last_frame,
     "bad-magic": _bad_magic,
     "cut-header": _cut_header,
+    "no-whitespace-after-maxval": _no_whitespace_after_maxval,
     "mixed-sizes": _mixed_sizes,
     "shared-index": _shared_index,
     "name-without-digits": _name_without_digits,
@@ -828,6 +840,21 @@ class TestStack:
         assert len(message) <= len(str(frames)) + 300  # a file in frames, and at most 300 more characters
         assert not list(out_dir.glob("stack_*.mten"))
         assert not (out_dir / "manifest.json").exists()
+
+    def test_labels_skip_directories_and_files_without_a_frame_number(self, tmp_path, scene12):
+        labels = tmp_path / "labels"
+        labels.mkdir()
+        for t in range(12):
+            (labels / f"frame_{t:04d}.txt").write_text(f"{t}\n")
+        (labels / "frame_0007").mkdir()  # named like frame 7's label, and listed before it
+        for name in ("notes.txt", "readme.txt"):
+            (labels / name).write_text("no frame number\n")
+        out_dir = tmp_path / "stacks"
+        code, err = _run_quiet(["stack", "--frames", str(scene12 / "frames"), "--labels", str(labels),
+                                "--variant", "rgb_seq", "--out-dir", str(out_dir)])
+        assert (code, err) == (0, "")
+        assert (out_dir / "frame_0007.txt").read_text() == "7\n"
+        assert not (out_dir / "notes.txt").exists() and not (out_dir / "readme.txt").exists()
 
     @pytest.mark.parametrize("kind", ["frame", "labels"])
     def test_missing_directory_is_an_io_error(self, tmp_path, scene12, kind):
@@ -1319,6 +1346,12 @@ class TestSynth:
         assert cli.run(base + ["--drop-rate", "1.5"]) == 1
         assert cli.run(base + ["--jitter-px", "-1"]) == 1
         assert cli.run(base + ["--canvas-width", "50"]) == 1
+
+    def test_perturb_canvas_must_be_positive(self, tmp_path, scene12):
+        code, err = _run_quiet(["synth", "perturb", "--gt", str(scene12 / "gt.jsonl"), "--out-dets",
+                                str(tmp_path / "d.jsonl"), "--canvas-width", "0", "--canvas-height", "5"])
+        assert (code, err.splitlines()) == (1, ["error: canvas dimensions must be positive"])
+        assert not (tmp_path / "d.jsonl").exists()
 
     @pytest.mark.parametrize("jitter", ["1e16", "1e308"])
     def test_huge_jitter_writes_boxes_eval_accepts(self, tmp_path, scene12, jitter):

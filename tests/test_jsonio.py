@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -61,12 +62,42 @@ class TestRead:
             read_json(path)
 
 
+def _manifest(items):
+    """A stack manifest of ``items`` items, with floats, text and empty containers that a writer could misspell."""
+    config = {"variant": "diff_seq", "scale": 1.5, "zero": -0.0, "big": 1e300, "note": "pingüino ペンギン", "none": None}
+    return {
+        "config": {**config, "offsets": [], "extra": {}},
+        "items": [{"frame": t, "stack": f"stack_{t}.mten", "label": f"frame_{t:06d}.txt", "x": [], "y": {}}
+                  for t in range(items)],
+    }
+
+
 class TestWrite:
     def test_json_is_indented_with_final_newline(self, tmp_path):
         path = tmp_path / "a.json"
         write_json({"b": [1, 2]}, path)
         assert path.read_bytes() == b'{\n  "b": [\n    1,\n    2\n  ]\n}\n'
         assert read_json(path) == {"b": [1, 2]}
+
+    @pytest.mark.parametrize(
+        "doc", [_manifest(2048), _manifest(0), {}, [], [[], {}, [{}]], {"a": {"b": []}}, "ü", -0.0, 1e300, None],
+        ids=["manifest", "no-items", "object", "list", "nested-empty", "empty-leaf", "text", "zero", "big", "null"],
+    )
+    def test_json_is_the_bytes_json_dumps_writes(self, tmp_path, doc):
+        path = tmp_path / "a.json"
+        write_json(doc, path)
+        assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+    def test_json_is_written_without_its_whole_text(self, tmp_path):
+        doc = _manifest(2048)
+        size = len(json.dumps(doc, indent=2))  # about 270,000 characters; writing them as one string traced 1.9 MB
+        tracemalloc.start()
+        try:
+            write_json(doc, tmp_path / "m.json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < size / 4, (peak, size)
 
     def test_lines_are_the_bytes_json_dumps_writes(self, tmp_path):
         path = tmp_path / "a.jsonl"

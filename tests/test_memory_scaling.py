@@ -50,7 +50,8 @@ def test_peaks_grow_by_the_embedding_matrix_at_most(tmp_path):
 def test_the_tool_prints_one_line_per_command(tmp_path, capsys):
     assert scale_memory.main(["--num-frames", "8", "--num-objects", "2", "--seed", "3", "--work", str(tmp_path)]) == 0
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert [line["command"] for line in lines] == list(scale_memory.COMMANDS) == ["reid", "project --net"]
+    assert [line["command"] for line in lines] == ["synth generate", *scale_memory.COMMANDS]
+    assert list(scale_memory.COMMANDS) == ["reid", "project --net"]
     for line in lines:
         assert (line["num_frames"], line["num_objects"]) == (8, 2)
         assert line["ru_maxrss_mib"] > 0 and line["run_s"] > 0

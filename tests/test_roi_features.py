@@ -1,5 +1,6 @@
 """RoI pooling tests against scalar-loop references and analytic fields."""
 
+import os
 import tracemalloc
 from unittest import mock
 
@@ -249,8 +250,8 @@ class TestStoredMap:
         path = tmp_path_factory.mktemp("stored") / "map.mten"
         write_tensor(arr, path)
         want = pool_boxes(FeatureMap(arr, scale), boxes, out_h, out_w, ratio)
-        with mock.patch.object(tensor_io, "BAND_STEP", step), read_tensor(path, band=True) as band:
-            got = pool_boxes(FeatureMap(band, scale), boxes, out_h, out_w, ratio)
+        with mock.patch.object(tensor_io, "BAND_STEP", step):
+            got = pool_boxes(FeatureMap(read_tensor(path, band=True), scale), boxes, out_h, out_w, ratio)
         assert np.array_equal(_bits(got), _bits(want))
 
     def test_refills_the_band_as_the_windows_move_down(self, tmp_path):
@@ -262,17 +263,31 @@ class TestStoredMap:
         xy = rng.uniform(-8.0, 1.0, size=(2000, 2)) * (np.array([80.0, 960.0]) - wh)
         boxes = np.hstack([xy, xy + wh])
         reads = []
-        with read_tensor(tmp_path / "map.mten", band=True) as band:
-            real = band._read
+        band = read_tensor(tmp_path / "map.mten", band=True)
+        real = band._read
 
-            def read(out, start, end):
-                reads.append(end - start)
-                real(out, start, end)
+        def read(fh, out, start, end):
+            reads.append(end - start)
+            real(fh, out, start, end)
 
-            with mock.patch.object(band, "_read", read):
-                got = pool_boxes(FeatureMap(band, 0.25), boxes)
+        with mock.patch.object(band, "_read", read):
+            got = pool_boxes(FeatureMap(band, 0.25), boxes)
         assert np.array_equal(_bits(got), _bits(pool_boxes(FeatureMap(arr, 0.25), boxes)))
         assert len(reads) > 10 and sum(reads) == 240  # each row read once
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open files through /proc/self/fd")
+    def test_holds_no_open_file_between_passes(self, tmp_path):
+        path = tmp_path / "map.mten"
+        write_tensor(np.ones((2, 30, 8), dtype=np.float32), path)
+
+        def open_on_map():
+            fds = os.listdir("/proc/self/fd")
+            return [fd for fd in fds if os.path.realpath(f"/proc/self/fd/{fd}") == os.path.realpath(path)]
+
+        fmap = FeatureMap(read_tensor(path, band=True), 1.0)
+        assert open_on_map() == []
+        pool_boxes(fmap, [[0.0, 0.0, 4.0, 4.0], [1.0, 20.0, 6.0, 29.0]])
+        assert open_on_map() == []
 
 
 def _bits(arr):

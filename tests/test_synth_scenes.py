@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -72,6 +73,7 @@ class TestSceneConfig:
             ({"id_switch_events": ((0, 0),)}, "frame 0 outside"),
             ({"id_switch_events": ((0, 64),)}, "outside 1..63"),
             ({"id_switch_events": ((0, 9), (0, 9))}, "duplicate id switch"),
+            ({"id_switch_events": ((0, 1.5),)}, r"must be \(object, frame\) integers, got \(0, 1.5\)"),
             ({"seed": -1}, "seed must be nonnegative, got -1"),
         ],
     )
@@ -106,6 +108,18 @@ class TestGenerate:
         config = asdict(SceneConfig(num_frames=12, num_objects=2, seed=7))
         assert manifest["config"] == json.loads(json.dumps(config))
         assert manifest["frame_files"] == [p.name for p in frames]
+
+    def test_wide_features_are_held_once_as_float32(self, tmp_path):
+        config = SceneConfig(width=48, height=36, num_frames=200, num_objects=6, feature_dim=512, seed=7)
+        features = 200 * 6 * 512 * 4  # the float32 [frames, objects, D] array, 2.3 MiB
+        tracemalloc.start()
+        try:
+            generate(config, tmp_path / "scene")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A float64 array of the features and its float32 copy would take 3 times as much.
+        assert peak < 2 * features, peak / features
 
     def test_returned_counts(self, tmp_path):
         out = generate(SceneConfig(num_frames=10, num_objects=3, id_switch_events=((1, 4),), seed=0), tmp_path)

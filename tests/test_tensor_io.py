@@ -204,23 +204,23 @@ class TestMapBand:
         whole = np.ascontiguousarray(arr.transpose(1, 2, 0), dtype=np.float64)
         # Steps that refill the band every few rows, and stages of one channel up to all of them.
         with mock.patch.object(tensor_io, "BAND_STEP", step), mock.patch.object(tensor_io, "_STAGE_BYTES", stage_bytes):
-            with read_tensor(path, band=True) as band:
-                assert band.shape == arr.shape
-                got = [(w.strides, w.tobytes()) for w in band.windows(*zip(*spans))]
+            band = read_tensor(path, band=True)
+            assert band.shape == arr.shape
+            got = [(w.strides, w.tobytes()) for w in band.windows(*zip(*spans))]
         assert got == [(whole.strides, whole[t:b].tobytes()) for t, b in spans]
 
     def test_holds_one_band_not_the_map(self, tmp_path):
         arr = np.random.default_rng(0).standard_normal((256, 60, 80), dtype=np.float32)
         write_tensor(arr, tmp_path / "t.mten")
         spans = [(t, t + 17) for t in range(0, 44, 3)]  # every row, 17 rows a window
-        with read_tensor(tmp_path / "t.mten", band=True) as band:
-            tracemalloc.start()
-            try:
-                for _ in band.windows(*zip(*spans)):
-                    pass
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+        band = read_tensor(tmp_path / "t.mten", band=True)
+        tracemalloc.start()
+        try:
+            for _ in band.windows(*zip(*spans)):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         held = (17 + tensor_io.BAND_STEP) * 80 * 256 * 8
         assert held < 0.6 * 2 * arr.nbytes  # the float64 map would be 2 * arr.nbytes
         assert peak <= held + tensor_io._STAGE_BYTES + (64 << 10)
@@ -247,10 +247,22 @@ class TestMapBand:
         # none, or 10, fewer than lie before the window's first row (at byte 32).
         path = tmp_path / "t.mten"
         write_tensor(np.zeros((2, 3, 4), dtype=np.float32), path)
-        with read_tensor(path, band=True) as band:
-            path.write_bytes(path.read_bytes()[: 64 + left])
-            with pytest.raises(TensorFormatError, match=f"mismatch: header declares 96 bytes, file holds {left}$"):
-                list(band.windows([top], [3]))
+        band = read_tensor(path, band=True)
+        path.write_bytes(path.read_bytes()[: 64 + left])
+        with pytest.raises(TensorFormatError, match=f"mismatch: header declares 96 bytes, file holds {left}$"):
+            list(band.windows([top], [3]))
+
+    @pytest.mark.parametrize("dtype, shape", [(np.float32, (2, 4, 3)), (np.uint8, (2, 3, 16))], ids=["shape", "dtype"])
+    def test_a_map_rewritten_in_place_is_never_served(self, tmp_path, dtype, shape):
+        # Both rewrites keep the 96-byte payload, so only the header tells them apart.
+        path = tmp_path / "t.mten"
+        write_tensor(np.zeros((2, 3, 4), dtype=np.float32), path)
+        band = read_tensor(path, band=True)
+        write_tensor(np.ones(shape, dtype=dtype), path)
+        with pytest.raises(TensorFormatError) as info:
+            list(band.windows([0], [3]))
+        code = "f32" if dtype is np.float32 else "u8"
+        assert str(info.value) == f"{path}: map changed since it was read, now {code} {list(shape)}"
 
 
 class TestPpm:
@@ -258,6 +270,20 @@ class TestPpm:
         rng = np.random.default_rng(0)
         pixels = rng.integers(0, 256, size=3 * w * h, dtype=np.uint8)
         return ImageFrame(width=w, height=h, pixels=pixels)
+
+    @pytest.mark.parametrize(
+        "width, height, size, message",
+        [
+            (0, 3, 0, "frame dimensions must be positive, got 0x3"),
+            (4, 0, 0, "frame dimensions must be positive, got 4x0"),
+            (4, 3, 35, "pixel buffer has 35 bytes, expected 36"),
+            (4, 3, 37, "pixel buffer has 37 bytes, expected 36"),
+        ],
+    )
+    def test_frame_rejects_a_size_its_pixels_cannot_fill(self, width, height, size, message):
+        with pytest.raises(ValueError) as info:
+            ImageFrame(width=width, height=height, pixels=np.zeros(size, dtype=np.uint8))
+        assert str(info.value) == message
 
     def test_round_trip(self, tmp_path):
         frame = self._frame()

@@ -1,12 +1,13 @@
-"""Peak memory and run time of ``reid`` and ``project --net`` on a generated scene of a given size.
+"""Peak memory and run time of ``synth generate``, then ``reid`` and ``project --net`` on its scene, at a given size.
 
     python tools/scale_memory.py --num-frames 4096 --num-objects 6 --switch 1:1500 --switch 3:2500 --seed 7
     python tools/scale_memory.py --tree ../parent --num-frames 1024 --num-objects 6
 
 The script builds a scene with ``synth generate`` in a temporary directory
 (or ``--work``) and saves an untrained net for its features with
-``save_net``. Then it runs ``reid`` and ``project --net`` on the scene, each
-in a fresh process with ``PYTHONPATH=<tree>/src``, and prints one JSON line
+``save_net``. Then it runs ``reid`` and ``project --net`` on the scene.
+``synth generate``, ``reid`` and ``project --net`` each run in a fresh
+process with ``PYTHONPATH=<tree>/src``, and the script prints one JSON line
 per command: the process's ``ru_maxrss`` in MiB and the seconds it ran
 after ``import motionstack.cli``. ``--tree`` defaults to the checkout that
 holds this script. ``measure`` runs one command the same way from a given
@@ -65,13 +66,15 @@ def measure(src: Path, argv: list[str], cwd: Path) -> tuple[float, float]:
     return int(maxrss_kib) / 1024.0, float(run_s)
 
 
-def make_scene(src: Path, work: Path, generate_args: list[str]) -> None:
-    """``synth generate`` into ``work/scene`` and an untrained net for its features into ``work/net``."""
-    for argv in (
-        ["-m", "motionstack.cli", "synth", "generate", *generate_args, "--out-dir", "scene"],
-        ["-c", _SAVE_NET, "scene/features.mten", "net"],
-    ):
-        subprocess.run([sys.executable, *argv], cwd=work, env=_env(src), check=True, capture_output=True)
+def make_scene(src: Path, work: Path, generate_args: list[str]) -> tuple[float, float]:
+    """``synth generate`` into ``work/scene``, measured, and an untrained net for its features into ``work/net``.
+
+    Returns what ``measure`` returns for ``synth generate``.
+    """
+    generated = measure(src, ["synth", "generate", *generate_args, "--out-dir", "scene"], work)
+    subprocess.run([sys.executable, "-c", _SAVE_NET, "scene/features.mten", "net"],
+                   cwd=work, env=_env(src), check=True, capture_output=True)
+    return generated
 
 
 INPUTS = ["--features", "scene/features.mten", "--tracklets", "scene/tracklets.json", "--net", "net/net.json"]
@@ -93,14 +96,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     generate_args = ["--num-frames", str(args.num_frames), "--num-objects", str(args.num_objects),
                      "--seed", str(args.seed)] + [a for s in args.switch for a in ("--switch", s)]
+
+    def report(name: str, maxrss_mib: float, run_s: float) -> None:
+        print(json.dumps({"command": name, "num_frames": args.num_frames, "num_objects": args.num_objects,
+                          "ru_maxrss_mib": round(maxrss_mib, 1), "run_s": round(run_s, 3)}), flush=True)
+
     with tempfile.TemporaryDirectory() as tmp:
         work = args.work or Path(tmp)
         work.mkdir(parents=True, exist_ok=True)
-        make_scene(args.tree / "src", work, generate_args)
+        report("synth generate", *make_scene(args.tree / "src", work, generate_args))
         for name, command in COMMANDS.items():
-            maxrss_mib, run_s = measure(args.tree / "src", command, work)
-            print(json.dumps({"command": name, "num_frames": args.num_frames, "num_objects": args.num_objects,
-                              "ru_maxrss_mib": round(maxrss_mib, 1), "run_s": round(run_s, 3)}), flush=True)
+            report(name, *measure(args.tree / "src", command, work))
     return 0
 
 
