@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from itertools import islice
 from math import isfinite, nan
 from pathlib import Path
 
@@ -256,14 +257,9 @@ def _cmd_train(args):
     )
     try:
         net, trace = train(net, table, triplets, config)
-    except DataValidationError:  # a key with no feature row: resolve each again, in file order, to name its line
-        for where, record in read_jsonl(args.triplets):
-            for key in ("a", "p", "n"):
-                try:
-                    table.rows([tuple(record[key])])
-                except DataValidationError as exc:
-                    raise DataValidationError(f"{where}: {key}: {exc}") from None
-        raise
+    except DataValidationError as exc:  # a key with no feature row: name the line of its triplet
+        where, _ = next(islice(read_jsonl(args.triplets), exc.position // 3, None))
+        raise DataValidationError(f"{where}: {'apn'[exc.position % 3]}: {exc}") from None
     manifest_path = save_net(net, args.out_dir)
     results = {
         "num_triplets": len(triplets),
@@ -281,6 +277,8 @@ def _cmd_train(args):
 
 
 def _cmd_reid(args):
+    if args.threshold < 0:  # before any file is read, worded as propose_merges words it
+        raise ValueError(f"threshold must be nonnegative, got {args.threshold}")
     tracklets = load_tracklets_json(args.tracklets)
     table = load_feature_table(tracklets, args.features)
     net = _load_net_for(args.net, table)

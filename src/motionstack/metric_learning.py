@@ -73,9 +73,9 @@ DEFAULT_MERGE_THRESHOLD = 0.5
 class FeatureTable:
     """Binds a [T, D_in] feature matrix to tracklet (id, frame) keys.
 
-    Row lookup uses the tracklets' ``feature_rows`` column when they carry
-    one, else enumeration order: tracklet file order, frames ascending,
-    which must then exactly fill the matrix. ``Tracklets.check_rules`` must pass.
+    Row lookup uses the tracklets' ``feature_rows`` column when they carry one,
+    else enumeration order: file order, frames ascending, which must then fill
+    the matrix. Tracklets that ``Tracklets.check_rules`` refuses raise ``DataValidationError``.
 
     The table keeps one dict entry per tracklet, its id, and the tracklets'
     start, end and ``firsts`` columns, so ``rows`` resolves a key array
@@ -120,7 +120,7 @@ class FeatureTable:
 
         ``keys`` is an int64 [N, 2] array, or any sequence of pairs, which is
         converted to one. A key the table lacks raises ``DataValidationError``
-        naming the first.
+        naming the first, with its index in ``keys`` as the error's ``position``.
         """
         if not isinstance(keys, np.ndarray):
             keys = np.array(list(keys), dtype=np.int64).reshape(-1, 2)
@@ -131,8 +131,10 @@ class FeatureTable:
         # Comparisons first: a difference of int64 keys that are not in the table could wrap.
         found = (frames >= starts) & (frames <= self._ends[slots])
         if not found.all():
-            tracklet_id, frame = keys[np.argmin(found)].tolist()
-            raise DataValidationError(f"no feature row for tracklet {_echo(tracklet_id)} frame {_echo(frame)}")
+            k = int(np.argmin(found))
+            exc = DataValidationError("no feature row for tracklet %s frame %s" % tuple(map(_echo, keys[k].tolist())))
+            exc.position = k
+            raise exc
         rows = self._firsts[slots] + (frames - starts).astype(np.intp)
         return rows if self._rows is None else self._rows[rows]
 
@@ -370,8 +372,8 @@ def train(
     """
     if table.dim != net.in_dim:
         raise DataValidationError(f"net expects {net.in_dim}-d features, table holds {table.dim}-d")
-    # [3, N] feature rows: anchors, positives, negatives, resolved in file
-    # order, so a missing key is the first one a reader of the file meets.
+    # [3, N] feature rows: anchors, positives, negatives, resolved in file order in one lookup, so a
+    # missing key is the first one a reader of the file meets, at ``position`` 3 * triplet + (0, 1, 2).
     rows = table.rows(triplets.reshape(-1, 2)).reshape(-1, 3).T
     x = table.matrix64
 

@@ -18,10 +18,10 @@ used to state which tracklet ids belong to the same physical object, are::
     {"groups": [[1, 17], [15, 21], ...]}
 
 A document loads as ``Tracklets`` columns, which index and iterate as
-``Tracklet(id, start, end)`` records. The rules of the format on those
-columns are stated once, in ``_first_defect``, for the loader, the writer
-and ``metric_learning.FeatureTable``. Two tracklets overlap in time when
-their closed intervals intersect: ``a.start <= b.end and b.start <= a.end``.
+``Tracklet(id, start, end)`` records. ``Tracklets.check_rules`` states every
+rule of the format on those columns, for the writer and ``metric_learning.FeatureTable``;
+only its bad-box message differs from the loader's. Two tracklets overlap in
+time when their closed intervals intersect: ``a.start <= b.end and b.start <= a.end``.
 Runs shorter than ``MIN_TRACKLET_LEN`` frames are dropped before any mining.
 """
 
@@ -112,10 +112,22 @@ class Tracklets(Sequence):
         return f"tracklets[{pos}].{key}[{k - self.firsts[pos]}]"
 
     def check_rules(self, error: type[Exception] = ValueError) -> None:
-        """Raise ``error`` naming ``tracklets[i]`` for the first tracklet that breaks a rule of the format."""
+        """Raise ``error`` for the first rule of the format that the columns break.
+
+        In order: per tracklet (``_first_defect``), a new and nonnegative id, start <= end, one box and one
+        feature row per frame; then each box finite with x2 > x1 and y2 > y1, then each feature row >= 0.
+        """
         counts = np.diff(self.firsts)  # each tracklet's boxes and feature rows
         if defect := _first_defect(self.id, self.start, self.end, counts, counts):
             raise error("tracklets[%d]: %s" % defect)
+        bad = bad_boxes(self.boxes)
+        if bad.any():
+            k = int(np.argmax(bad))
+            where = self.entry_of("boxes", k)
+            raise error(f"{where} must be finite with x2 > x1 and y2 > y1, got {self.boxes[k].tolist()}")
+        if (rows := self.feature_rows) is not None and (rows < 0).any():
+            k = int(np.argmax(rows < 0))
+            raise error(f"{self.entry_of('feature_rows', k)} must be a nonnegative integer, got {rows[k]}")
 
 
 def _first_defect(id, start, end, box_counts, row_counts) -> tuple[int, str] | None:
@@ -223,20 +235,11 @@ def write_tracklets_json(tracklets: Tracklets, path: str | Path) -> None:
 
     Each entry is filled into a template and written as soon as it is
     formatted, and each coordinate is written as the float it is, as
-    ``load_tracklets_json`` reads it back. Columns that the loader would
-    reject raise ``ValueError``, worded as it words them, before the file is opened.
+    ``load_tracklets_json`` reads it back. Columns that the loader would reject
+    raise ``ValueError`` from ``Tracklets.check_rules`` before the file is opened.
     """
     tracklets.check_rules()
-    rows = tracklets.feature_rows
-    bad = bad_boxes(tracklets.boxes)
-    if bad.any():
-        k = int(np.argmax(bad))
-        where = tracklets.entry_of("boxes", k)
-        raise ValueError(f"{where} must be finite with x2 > x1 and y2 > y1, got {tracklets.boxes[k].tolist()}")
-    if rows is not None and (rows < 0).any():
-        k = int(np.argmax(rows < 0))
-        raise ValueError(f"{tracklets.entry_of('feature_rows', k)} must be a nonnegative integer, got {rows[k]}")
-    rows = None if rows is None else rows.tolist()
+    rows = None if tracklets.feature_rows is None else tracklets.feature_rows.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{\n  "tracklets": [')
         sep = "\n"

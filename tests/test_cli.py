@@ -27,6 +27,7 @@ from motionstack.metric_learning import (
     DEFAULT_HIDDEN,
     OUT_DIM,
     EmbeddingNet,
+    FeatureTable,
     TrainConfig,
     load_feature_table,
     load_net,
@@ -224,6 +225,13 @@ class TestExitCodes:
         code, err = _run_quiet([*argv, "--per-anchor", "0", "--out", str(tmp_path / "train.json")])
         assert code == 1
         assert err.splitlines() == ["error: per_anchor must be >= 1, got 0"]
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("inputs", ["valid", "missing"])
+    def test_reid_negative_threshold_is_usage_before_any_file_is_read(self, tmp_path, input_files, inputs):
+        d = input_files if inputs == "valid" else tmp_path / "absent"
+        code, err = _run_quiet([*_input_file_argv("reid", d, tmp_path), "--threshold", "-1"])
+        assert (code, err.splitlines()) == (1, ["error: threshold must be nonnegative, got -1.0"])
         assert not any(tmp_path.iterdir())
 
     def test_non_finite_features_are_data_error(self, tmp_path, scene12, capsys):
@@ -773,6 +781,29 @@ class TestInputFiles:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {d / 'net.json'}: net expects 5-d features, got 32-d"
         ]
+
+    def test_late_missing_key_is_named_from_one_lookup(self, tmp_path, input_files, monkeypatch):
+        # 2,999 valid triplets, then one whose positive is a frame past the end of its tracklet.
+        d = tmp_path / "in"
+        shutil.copytree(input_files, d)
+        lines = (d / "triplets.jsonl").read_text().splitlines()
+        record = json.loads(lines[0])
+        tid = record["a"][0]
+        record["p"] = [tid, next(t.end for t in load_tracklets_json(d / "tracklets.json") if t.id == tid) + 1]
+        lines = [lines[i % len(lines)] for i in range(2999)] + [json.dumps(record)]
+        (d / "triplets.jsonl").write_text("".join(line + "\n" for line in lines))
+        calls, rows = [], FeatureTable.rows
+
+        def counted(table, keys):
+            calls.append(len(keys))
+            return rows(table, keys)
+
+        monkeypatch.setattr(FeatureTable, "rows", counted)
+        code, err = _run_quiet(_input_file_argv("train", d, tmp_path))
+        assert (code, err.splitlines()) == (
+            2, [f"error: {d / 'triplets.jsonl'}:3000: p: no feature row for tracklet {tid} frame {record['p'][1]}"]
+        )
+        assert calls == [3 * 3000]  # one lookup of every key, none per line
 
     @pytest.mark.parametrize("command, name", INPUT_FILE_CASES)
     def test_non_utf8_input_is_data_error(self, tmp_path, input_files, command, name):

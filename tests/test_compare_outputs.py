@@ -137,6 +137,31 @@ def test_defective_frame_directories_fail_on_their_defect(tmp_path, capsys):
         assert capsys.readouterr().err.splitlines() == [f"error: {tmp_path / name / message}"]
 
 
+def test_late_miss_fails_on_its_last_line(tmp_path, capsys):
+    scene = tmp_path / "scene"
+    generate(SceneConfig(width=64, height=48, num_frames=120, num_objects=3, seed=1), scene)
+    assert cli.run(["mine", "--tracklets", str(scene / "tracklets.json"), "--per-anchor", "2",
+                    "--out-triplets", str(tmp_path / "triplets.jsonl")]) == 0
+    compare_outputs.write_late_miss(tmp_path)
+    mined = (tmp_path / "triplets.jsonl").read_text().splitlines()
+    late = tmp_path / "late_miss_triplets.jsonl"
+    lines = late.read_text().splitlines()
+    assert len(lines) == len(mined) > 512 and lines[:-1] == mined[:-1]
+    tid, frame = json.loads(lines[-1])["p"]
+    assert frame == 1 + next(t.end for t in load_tracklets_json(scene / "tracklets.json") if t.id == tid)
+    capsys.readouterr()
+    code = cli.run(["train", "--features", str(scene / "features.mten"), "--tracklets", str(scene / "tracklets.json"),
+                    "--triplets", str(late), "--epochs", "1", "--hidden", "8", "--out-dir", str(tmp_path / "net")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {late}:{len(lines)}: p: no feature row for tracklet {tid} frame {frame}"
+    ]
+    scene_mine = ["mine", "--tracklets", "scene/tracklets.json"]
+    steps = [argv[0] for argv in compare_outputs.chain(7)
+             if argv[:3] == scene_mine or "late_miss_triplets.jsonl" in argv]
+    assert steps == ["mine", "train"]  # the scene's triplets are mined before the late miss is written from them
+
+
 def test_differences_name_every_file_in_path_order(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for root in (a, b):

@@ -113,6 +113,14 @@ class TestFeatureTable:
         with pytest.raises(DataValidationError, match="no feature row for tracklet 0 frame 9"):
             table.rows([(0, 1), (0, 9), (3, 0)])
 
+    def test_unknown_key_error_holds_its_position(self):
+        # The index in the key array of the first key the table lacks, so a caller can name where it came from.
+        table = FeatureTable(_ts([_tr(0, 0, 1), _tr(4, 5, 6)]), np.zeros((4, 2), np.float32))
+        for keys, position in (([(4, 7)], 0), ([(0, 0), (4, 5), (0, 2), (9, 0)], 2), ([(0, 1)] * 5 + [(3, 5)], 5)):
+            with pytest.raises(DataValidationError) as info:
+                table.rows(np.array(keys, dtype=np.int64))
+            assert info.value.position == position
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_feature_names_first_row(self, bad):
         matrix = np.zeros((4, 3), np.float32)

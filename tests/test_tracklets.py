@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motionstack.errors import DataValidationError
+from motionstack.metric_learning import FeatureTable
 from motionstack.tracklets import (
     MIN_TRACKLET_LEN,
     Tracklet,
@@ -323,6 +324,13 @@ class TestTrackletsJson:
         with pytest.raises(ValueError) as info:
             write_tracklets_json(Tracklets(*columns), path)
         assert str(info.value) == message and not path.exists()
+        try:
+            tracklets = Tracklets(*columns)
+        except ValueError:  # columns that do not fill their frames, from which no table is built
+            return
+        with pytest.raises(DataValidationError) as info:  # the same check refuses in-process columns
+            FeatureTable(tracklets, np.zeros((8, 4), np.float32))
+        assert str(info.value) == message
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -41,7 +41,10 @@ paths only:
   scene's tracklets all carry ``feature_rows``);
 * ``eval``, ``train`` and ``reid`` of each malformed record, tracklet and
   identity-map file (of a two-defect tracklet file, the defect its error
-  line names is compared too), and ``stack`` of
+  line names is compared too), ``train`` of ``late_miss_triplets.jsonl``,
+  the scene's mined triplets with the last one's positive moved one frame
+  past the end of its tracklet, so that a miss named far past the first
+  512-line block is compared too, and ``stack`` of
   two defective frame directories made from the scene's first three frames
   (two files sharing a frame index; a frame of another size) and with a
   missing ``--labels`` directory, so that their exit codes and error lines
@@ -309,6 +312,21 @@ def write_scene_inputs(directory: Path) -> None:
     (directory / "frames_sized" / first[2].name).write_bytes(b"P6\n4 2\n255\n" + bytes(24))
 
 
+def write_late_miss(directory: Path) -> None:
+    """``late_miss_triplets.jsonl``: the scene's mined triplets, the last one's positive a frame past its tracklet.
+
+    The frame is one past the end of the tracklet that the positive names, so
+    ``train`` exits 2 on a line far past the first block of lines the loaders
+    check at once.
+    """
+    lines = (directory / "triplets.jsonl").read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[-1])
+    tracklets = json.loads((directory / "scene" / "tracklets.json").read_text(encoding="utf-8"))["tracklets"]
+    record["p"][1] = next(t["end"] for t in tracklets if t["id"] == record["p"][0]) + 1
+    text = "".join(line + "\n" for line in [*lines[:-1], json.dumps(record)])
+    (directory / "late_miss_triplets.jsonl").write_text(text, encoding="utf-8")
+
+
 def chain(seed: int) -> list[list[str]]:
     """The argv of every command, in run order; paths are relative to the output directory."""
     rng = np.random.default_rng([seed, 1])
@@ -377,6 +395,8 @@ def chain(seed: int) -> list[list[str]]:
         ["eval", "--dets", "bad_json_dets.jsonl", "--gt", "dense_gt.jsonl", "--out", "eval_bad_json.json"],
         ["train", *scene, "--triplets", "bad_triplets.jsonl", "--out-dir", "net_bad", "--out", "train_bad.json"],
         ["train", *scene, "--triplets", "miss_triplets.jsonl", "--out-dir", "net_miss", "--out", "train_miss.json"],
+        ["train", *scene, "--triplets", "late_miss_triplets.jsonl", "--out-dir", "net_late_miss",
+         "--out", "train_late_miss.json"],
         ["eval", "--dets", "past_class_dets.jsonl", "--gt", "dense_gt.jsonl", "--out", "eval_past_class.json"],
         ["eval", "--dets", "dense_dets.jsonl", "--gt", "past_frame_gt.jsonl", "--out", "eval_past_frame.json"],
         ["train", *scene, "--triplets", "past_triplets.jsonl", "--out-dir", "net_past", "--out", "train_past.json"],
@@ -411,6 +431,8 @@ def run_chain(tree: Path, out: Path, seed: int, extra_env: dict[str, str] | None
         (out / "logs" / f"{step:02d}_{argv[0]}.txt").write_text(log, encoding="utf-8")
         if argv[:2] == ["synth", "generate"] and done.returncode == 0:
             write_scene_inputs(out)
+        if argv[:3] == ["mine", "--tracklets", "scene/tracklets.json"] and (out / "triplets.jsonl").is_file():
+            write_late_miss(out)
 
 
 def differences(a: Path, b: Path) -> list[str]:
