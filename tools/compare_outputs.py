@@ -327,19 +327,28 @@ def write_late_miss(directory: Path) -> None:
     (directory / "late_miss_triplets.jsonl").write_text(text, encoding="utf-8")
 
 
-def chain(seed: int) -> list[list[str]]:
-    """The argv of every command, in run order; paths are relative to the output directory."""
+# The scene of ``synth generate`` in the chain: canvas width and height, frames and objects.
+SCENE = (320, 240, 300, 12)
+
+
+def chain(seed: int, scene: tuple[int, int, int, int] = SCENE) -> list[list[str]]:
+    """The argv of every command, in run order; paths are relative to the output directory.
+
+    Half of the scene's objects, drawn from ``seed``, switch identity once
+    each, between the first and the last fifth of its frames.
+    """
+    width, height, frames, count = scene
     rng = np.random.default_rng([seed, 1])
-    objects = sorted(int(o) for o in rng.choice(12, 6, replace=False))
-    switches = [a for o in objects for a in ("--switch", f"{o}:{int(rng.integers(60, 241))}")]
+    objects = sorted(int(o) for o in rng.choice(count, count // 2, replace=False))
+    switches = [a for o in objects for a in ("--switch", f"{o}:{int(rng.integers(frames // 5, frames * 4 // 5 + 1))}")]
     scene = ["--features", "scene/features.mten", "--tracklets", "scene/tracklets.json"]
     enum = ["--features", "enum_features.mten", "--tracklets", "enum_tracklets.json"]
     commands = [
-        ["synth", "generate", "--width", "320", "--height", "240", "--num-frames", "300",
-         "--num-objects", "12", *switches, "--seed", str(seed), "--out-dir", "scene",
+        ["synth", "generate", "--width", str(width), "--height", str(height), "--num-frames", str(frames),
+         "--num-objects", str(count), *switches, "--seed", str(seed), "--out-dir", "scene",
          "--out", "generate.json"],
         ["synth", "perturb", "--gt", "scene/gt.jsonl", "--drop-rate", "0.2", "--jitter-px", "1.0",
-         "--fp-rate", "0.3", "--seed", str(seed), "--canvas-width", "320", "--canvas-height", "240",
+         "--fp-rate", "0.3", "--seed", str(seed), "--canvas-width", str(width), "--canvas-height", str(height),
          "--out-dets", "dets.jsonl", "--out", "perturb.json"],
         # Every box kept, with corners jittered far enough to collapse boxes, and
         # the canvas inferred from the ground truth; then every box dropped.
@@ -415,21 +424,34 @@ def chain(seed: int) -> list[list[str]]:
 
 
 def run_chain(tree: Path, out: Path, seed: int, extra_env: dict[str, str] | None = None) -> None:
-    """Run the chain from ``tree``'s sources in ``out``, logging each command to ``out/logs``.
+    """Run the chain from ``tree``'s sources in ``out``, one subprocess per command, logging each to ``out/logs``.
 
     ``extra_env`` is added to this process's environment for every command.
     """
     env = {**os.environ, **(extra_env or {})}
     env.update(PYTHONPATH=str(tree.resolve() / "src"), PYTHONDONTWRITEBYTECODE="1")
-    (out / "logs").mkdir()
-    for step, argv in enumerate(chain(seed)):
+
+    def run(argv: list[str]) -> tuple[int, str, str]:
         done = subprocess.run(
             [sys.executable, "-m", "motionstack.cli", *argv], cwd=out, env=env, capture_output=True, text=True
         )
-        log = f"$ motionstack {' '.join(argv)}\nexit {done.returncode}\n"
-        log += f"--- stdout\n{done.stdout}--- stderr\n{done.stderr}"
+        return done.returncode, done.stdout, done.stderr
+
+    run_commands(run, out, chain(seed))
+
+
+def run_commands(run, out: Path, commands: list[list[str]]) -> None:
+    """Run ``chain``'s ``commands`` in ``out`` through ``run(argv) -> (exit code, stdout, stderr)``.
+
+    Each command is logged to ``out/logs``, and the inputs made from the
+    scene and from its mined triplets are written as soon as they can be.
+    """
+    (out / "logs").mkdir()
+    for step, argv in enumerate(commands):
+        code, stdout, stderr = run(argv)
+        log = f"$ motionstack {' '.join(argv)}\nexit {code}\n--- stdout\n{stdout}--- stderr\n{stderr}"
         (out / "logs" / f"{step:02d}_{argv[0]}.txt").write_text(log, encoding="utf-8")
-        if argv[:2] == ["synth", "generate"] and done.returncode == 0:
+        if argv[:2] == ["synth", "generate"] and code == 0:
             write_scene_inputs(out)
         if argv[:3] == ["mine", "--tracklets", "scene/tracklets.json"] and (out / "triplets.jsonl").is_file():
             write_late_miss(out)
