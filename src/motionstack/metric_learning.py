@@ -367,7 +367,9 @@ def train(
     ``config.seed``; updates run in float64 and are stored back to the
     net's float32 weights once at the end. The trace holds each epoch's
     mean per-triplet loss, accumulated in a fixed order so it is invariant
-    to the shuffle. A run whose final weights or losses are not finite
+    to the shuffle. An epoch whose loss sum is exactly 0 moved no weight, so
+    every later epoch would repeat it: training stops there, and the trace
+    repeats that epoch's value. A run whose final weights or losses are not finite
     float32 values raises ValueError and leaves the net unchanged.
     """
     if table.dim != net.in_dim:
@@ -396,7 +398,11 @@ def train(
                     w -= np.multiply(gw, config.learning_rate, out=gw)
                     b -= np.multiply(gb, config.learning_rate, out=gb)
                 del grads  # before the next batch's, so one gradient set is alive at a time
-            trace.append(float(epoch_losses.sum() / max(count, 1)))
+            total = epoch_losses.sum()
+            trace.append(float(total / max(count, 1)))
+            if total == 0.0:  # no hinge was active, so no weight moved: every later epoch repeats this one
+                trace += trace[-1:] * (config.epochs - len(trace))
+                break
     # Reductions, not an elementwise test, so no weight-sized temporary is
     # allocated; NaN propagates through min and max and fails the test.
     limit = np.finfo(np.float32).max

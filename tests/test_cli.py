@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import motionstack
-from motionstack import __version__, cli, tensor_io
+from motionstack import __version__, cli, metric_learning, tensor_io
 from motionstack.frame_pipeline import FrameSequence
 from motionstack.metric_learning import (
     DEFAULT_HIDDEN,
@@ -1456,6 +1456,28 @@ class TestReadme:
         for argv in commands:
             code, err = _run_quiet(argv)
             assert (argv[0], code, err) == (argv[0], 0, "")
+
+    def test_train_stops_at_its_first_zero_loss_epoch(self, tmp_path, monkeypatch):
+        # README's scene and flags reach a loss of exactly 0 in epoch 8; no later epoch can move a weight.
+        monkeypatch.chdir(tmp_path)
+        generate, mine, train = (next(argv for argv in _readme_commands() if argv[: len(head)] == head)
+                                 for head in (["synth", "generate"], ["mine"], ["train"]))
+        assert _run_quiet(generate) == _run_quiet(mine) == (0, "")
+        calls = []
+        counted = metric_learning.gradients_on_params
+        monkeypatch.setattr(metric_learning, "gradients_on_params", lambda *a: calls.append(1) or counted(*a))
+        runs = {}
+        for epochs in (8, 50):
+            argv = train[:]
+            argv[argv.index("--epochs") + 1] = str(epochs)
+            argv[argv.index("--out-dir") + 1] = f"net{epochs}"
+            calls.clear()
+            assert _run_quiet([*argv, "--out", f"train{epochs}.json"]) == (0, "")
+            runs[epochs] = len(calls), _envelope(tmp_path / f"train{epochs}.json")["results"]["loss_trace"]
+        batches = -(-len((tmp_path / "triplets.jsonl").read_text().splitlines()) // TrainConfig.batch_size)
+        assert runs[8][0] == runs[50][0] == 8 * batches
+        assert runs[50][1] == runs[8][1] + [0.0] * 42 and runs[8][1][-1] == 0.0 < min(runs[8][1][:-1])
+        assert _tree_bytes(tmp_path / "net8") == _tree_bytes(tmp_path / "net50")
 
 
 def _console_script_spec():
