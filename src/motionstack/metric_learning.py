@@ -9,7 +9,8 @@ The pieces, in pipeline order:
   no overlapping foreign tracklet are skipped.
 * encoder: an MLP [D_in, 512, 256, 128] (hidden widths configurable, the
   128-d output fixed), affine -> ReLU -> affine -> ReLU -> affine, weights
-  stored float32, all arithmetic in float64.
+  stored float32. Its arithmetic is in its inputs' dtype: float32 in
+  training and inference, on the float32 features as the file holds them.
 * loss: hinge on squared Euclidean distances,
   ``max(0, |ea-ep|^2 - |ea-en|^2 + margin)``, margin 1.0 by default.
 * training: plain mini-batch gradient descent with analytic gradients and
@@ -71,7 +72,7 @@ DEFAULT_MERGE_THRESHOLD = 0.5
 # feature table
 
 class FeatureTable:
-    """Binds a [T, D_in] feature matrix to tracklet (id, frame) keys.
+    """Binds a [T, D_in] feature matrix, held as float32 ``matrix``, to tracklet (id, frame) keys.
 
     Row lookup uses the tracklets' ``feature_rows`` column when they carry one,
     else enumeration order: file order, frames ascending, which must then fill
@@ -83,7 +84,7 @@ class FeatureTable:
     """
 
     def __init__(self, tracklets: Tracklets, matrix: np.ndarray):
-        matrix = np.asarray(matrix)
+        matrix = np.asarray(matrix, dtype=np.float32)  # no copy of a float32 file
         if matrix.ndim != 2:
             raise DataValidationError(f"feature matrix must be [T, D], got shape {matrix.shape}")
         finite = np.isfinite(matrix)
@@ -109,11 +110,11 @@ class FeatureTable:
             raise DataValidationError(
                 f"feature matrix has {len(matrix)} rows, tracklets enumerate {self._firsts[-1]} frames"
             )
-        self.matrix64 = matrix.astype(np.float64)
+        self.matrix = matrix
 
     @property
     def dim(self) -> int:
-        return self.matrix64.shape[1]
+        return self.matrix.shape[1]
 
     def rows(self, keys: np.ndarray | Iterable[Sequence[int]]) -> np.ndarray:
         """Feature rows of ``(tracklet id, frame)`` keys, in key order (intp array).
@@ -262,34 +263,25 @@ class EmbeddingNet:
         return self.weights[0].shape[1]
 
     def embed_batch(self, features: np.ndarray) -> np.ndarray:
-        """Embed [B, D_in] rows to float64 [B, 128], honoring the normalize toggle."""
-        return _embed(self, params64(self), features)
+        """Embed [B, D_in] rows to [B, 128], honoring the normalize toggle.
 
-
-def _embed(net: EmbeddingNet, params, features: np.ndarray) -> np.ndarray:
-    # ``net.embed_batch`` with the net's float64 ``params`` from the caller,
-    # who may convert them once for many batches.
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != net.in_dim:
-        raise ValueError(f"expected [B, {net.in_dim}] features, got shape {features.shape}")
-    for out in _forward(params, features):
-        pass  # each layer's output replaces the last, so one is kept at a time
-    if net.normalize_output:
-        norms = np.linalg.norm(out, axis=1, keepdims=True)
-        out = np.divide(out, norms, out=np.zeros_like(out), where=norms > 0)
-    return out
-
-
-def params64(net: EmbeddingNet) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The net's layers as float64 (weight, bias) pairs."""
-    return [
-        (w.astype(np.float64), b.astype(np.float64)) for w, b in zip(net.weights, net.biases)
-    ]
+        The arithmetic is in the dtype of the rows and the float32 weights:
+        float32 for float32 rows, float64 for float64 rows.
+        """
+        features = np.asarray(features)
+        if features.ndim != 2 or features.shape[1] != self.in_dim:
+            raise ValueError(f"expected [B, {self.in_dim}] features, got shape {features.shape}")
+        for out in _forward(list(zip(self.weights, self.biases)), features):
+            pass  # each layer's output replaces the last, so one is kept at a time
+        if self.normalize_output:
+            norms = np.linalg.norm(out, axis=1, keepdims=True)
+            out = np.divide(out, norms, out=np.zeros_like(out), where=norms > 0)
+        return out
 
 
 def _forward(params, x: np.ndarray):
-    # Yields each layer's output of float64 rows ``x``, the last one the
-    # embedding; the bias and the hidden layers' ReLU are applied in place.
+    # Yields each layer's output of rows ``x``, the last one the embedding, in the dtype of
+    # ``x`` and the (weight, bias) ``params``; the bias and the hidden layers' ReLU are applied in place.
     last = len(params) - 1
     for l, (w, b) in enumerate(params):
         x = x @ w.T
@@ -303,13 +295,14 @@ def gradients_on_params(params, xa, xp, xn, margin: float):
     """Analytic gradients of the mean batch loss.
 
     Returns (mean_loss, per_triplet_losses, grads) with grads a list of
-    float64 (dW, db) per layer, from one forward pass over the [3B, D] stack
-    of anchor, positive and negative rows. Triplets whose hinge is inactive
+    (dW, db) per layer, from one forward pass over the [3B, D] stack of
+    anchor, positive and negative rows. The arithmetic is in the dtype of
+    the rows and the params: float32 when both are float32, as in ``train``. Triplets whose hinge is inactive
     (loss term <= 0) contribute exact zeros, so only the active ones are
     back-propagated, as one stacked batch of their rows. A batch with no
     active hinge has an all-zero gradient, and grads is then the empty list.
     """
-    acts = [np.concatenate([xa, xp, xn], dtype=np.float64)]
+    acts = [np.concatenate([xa, xp, xn])]
     acts += _forward(params, acts[0])  # input first, embedding last
     ea, ep, en = np.split(acts.pop(), 3)
     terms = np.sum((ea - ep) ** 2, axis=1) - np.sum((ea - en) ** 2, axis=1) + margin
@@ -364,8 +357,8 @@ def train(
     """Mini-batch gradient descent on the triplet loss over [T, 3, 2] keys; returns (net, loss trace).
 
     The triplet order is reshuffled each epoch from a generator seeded with
-    ``config.seed``; updates run in float64 and are stored back to the
-    net's float32 weights once at the end. The trace holds each epoch's
+    ``config.seed``. The arithmetic and the updates are float32, on copies of
+    the net's weights that replace them at the end. The trace holds each epoch's
     mean per-triplet loss, accumulated in a fixed order so it is invariant
     to the shuffle. An epoch whose loss sum is exactly 0 moved no weight, so
     every later epoch would repeat it: training stops there, and the trace
@@ -377,9 +370,8 @@ def train(
     # [3, N] feature rows: anchors, positives, negatives, resolved in file order in one lookup, so a
     # missing key is the first one a reader of the file meets, at ``position`` 3 * triplet + (0, 1, 2).
     rows = table.rows(triplets.reshape(-1, 2)).reshape(-1, 3).T
-    x = table.matrix64
-
-    params = params64(net)
+    x = table.matrix
+    params = [(w.copy(), b.copy()) for w, b in zip(net.weights, net.biases)]
     rng = np.random.default_rng(config.seed)
     count = len(triplets)
     trace: list[float] = []
@@ -393,7 +385,7 @@ def train(
                 xa, xp, xn = x[rows[:, batch]]
                 _, losses, grads = gradients_on_params(params, xa, xp, xn, config.margin)
                 epoch_losses[batch] = losses
-                # In place (the gradients are fresh, params64 copied the net); an idle batch has none.
+                # In place (the gradients are fresh, params copy the net); an idle batch has none.
                 for (w, b), (gw, gb) in zip(params, grads):
                     w -= np.multiply(gw, config.learning_rate, out=gw)
                     b -= np.multiply(gb, config.learning_rate, out=gb)
@@ -412,9 +404,7 @@ def train(
             f"training diverged at learning_rate {config.learning_rate}: the weights or the loss "
             "are no longer finite float32 values"
         )
-    for l, (w, b) in enumerate(params):
-        net.weights[l] = w.astype(np.float32)
-        net.biases[l] = b.astype(np.float32)
+    net.weights[:], net.biases[:] = zip(*params)
     return net, trace
 
 
@@ -428,8 +418,8 @@ def tracklet_embeddings(
 
     ``matrix`` is float64 [frames, 128] in ``enumerate_keys`` order, and
     each view is that tracklet's [frames, 128] slice of it. Each tracklet is embedded
-    from its slice of one ``table.rows`` lookup, in the fewest near-equal blocks of at
-    most ``_EMBED_BLOCK_ROWS`` of its own rows, straight into the matrix: the hidden
+    in float32 from its slice of one ``table.rows`` lookup, in the fewest near-equal blocks
+    of at most ``_EMBED_BLOCK_ROWS`` of its own rows, straight into the matrix: the hidden
     layers held are one block's, however long the tracklet. A split tracklet's blocks
     hold 64 rows or more, never the few-row products that BLAS may round differently,
     so each view has the bits ``embed_batch`` gives all that tracklet's rows.
@@ -437,13 +427,12 @@ def tracklet_embeddings(
     rows = table.rows(enumerate_keys(tracklets))
     matrix = np.empty((len(rows), OUT_DIM), dtype=np.float64)
     views: dict[int, np.ndarray] = {}
-    params = params64(net)  # once for every tracklet
     for tid, lo, hi in zip(tracklets.id.tolist(), tracklets.firsts[:-1].tolist(), tracklets.firsts[1:].tolist()):
         views[tid] = matrix[lo:hi]
         blocks = max(1, -(-(hi - lo) // _EMBED_BLOCK_ROWS))
         edges = [lo + (hi - lo) * k // blocks for k in range(blocks + 1)]
         for a, b in zip(edges, edges[1:]):
-            matrix[a:b] = _embed(net, params, table.matrix64[rows[a:b]])
+            matrix[a:b] = net.embed_batch(table.matrix[rows[a:b]])
     return matrix, views
 
 
@@ -595,8 +584,8 @@ def propose_merges(
 _PCA_BLOCK_ROWS = 512
 
 # Most rows per block of ``tracklet_embeddings``' forward pass. One 128-row block's
-# 512- and 256-wide float64 hidden layers take 0.75 MiB, where a whole 4,096-frame
-# tracklet's take 24 MiB.
+# 512- and 256-wide float32 hidden layers take 0.375 MiB, where a whole 4,096-frame
+# tracklet's take 12 MiB.
 _EMBED_BLOCK_ROWS = 128
 
 

@@ -27,7 +27,6 @@ from motionstack.metric_learning import (
     gradients_on_params,
     load_feature_table,
     mine_triplets,
-    params64,
     propose_merges,
     separation_metrics,
     tracklet_centroids,
@@ -240,7 +239,7 @@ class TestAcceptance:
             margin = 1.0
             for seed in range(5):
                 net = EmbeddingNet.init(4, hidden=(6, 5), seed=seed)
-                params = params64(net)
+                params = [(w.astype(np.float64), b.astype(np.float64)) for w, b in zip(net.weights, net.biases)]
                 xa, xp, xn = _clear_batch(params, seed + 100, margin)
                 _, _, grads = gradients_on_params(params, xa, xp, xn, margin)
                 fd = oracles.fd_gradients(params, xa, xp, xn, margin, eps=1e-3)
@@ -288,7 +287,7 @@ class TestAcceptance:
             def ratio(net):
                 samples = {}
                 for t in tracklets:
-                    emb = net.embed_batch(table.matrix64[table.rows((t.id, f) for f in t.frames)])
+                    emb = net.embed_batch(table.matrix[table.rows((t.id, f) for f in t.frames)])
                     samples.setdefault(id_to_group[t.id], []).extend(emb)
                 return separation_metrics(samples)["ratio"]
 

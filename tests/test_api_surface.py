@@ -19,12 +19,7 @@ PACKAGE = ROOT / "src" / "motionstack"
 
 # Public names kept without a caller in the scanned files, as
 # "module.name" or "module.Class.method", each with its reason.
-ALLOWED: dict[str, str] = {
-    "metric_learning.EmbeddingNet.embed_batch": (
-        "the one-batch embedding of the public API; tracklet_embeddings runs the same body, "
-        "_embed, with the net converted to float64 once for every tracklet"
-    ),
-}
+ALLOWED: dict[str, str] = {}
 
 
 def _scanned_files() -> list[Path]:

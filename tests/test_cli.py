@@ -1199,7 +1199,7 @@ class TestMetricLearningPipeline:
         table = load_feature_table(tracklets, scene / "features.mten")
         keys = enumerate_keys(tracklets)
         assert [list(map(int, line.split(",")[:2])) for line in lines[1:]] == keys.tolist()
-        want = pca_project_2d(net.embed_batch(table.matrix64[table.rows(keys)]))
+        want = pca_project_2d(net.embed_batch(table.matrix[table.rows(keys)]))
         got = np.array([[float(v) for v in line.split(",")[2:]] for line in lines[1:]])
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
         assert _envelope(tmp_path / "project.json")["results"] == {"num_points": 40, "embedded": True}
@@ -1274,7 +1274,7 @@ class TestMetricLearningPipeline:
             separations.append(_envelope(tmp_path / "reid.json")["results"]["separation"])
         table = load_feature_table(tracklets, scene / "features.mten")
         by_hand = separation_metrics(
-            {t.id: list(net.embed_batch(table.matrix64[table.rows((t.id, f) for f in t.frames)]))
+            {t.id: list(net.embed_batch(table.matrix[table.rows((t.id, f) for f in t.frames)]))
              for t in tracklets}
         )
         assert separations == [by_hand, by_hand]

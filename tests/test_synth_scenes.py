@@ -169,7 +169,7 @@ class TestGenerate:
         tid, frame = enumerate_keys(tracklets).T
         assert tracklets.feature_rows.tolist() == (frame * 2 + tid).tolist()
         table = load_feature_table(tracklets, scene12 / "features.mten")
-        assert table.matrix64.shape == (24, 32)
+        assert table.matrix.shape == (24, 32)
         assert read_tensor(scene12 / "features.mten").dtype == np.float32
 
     def test_features_reconstruct_from_seeded_streams(self, scene12):
@@ -194,7 +194,7 @@ class TestGenerate:
             rows = np.concatenate(
                 [table.rows((t.id, f) for f in t.frames) for t in tracklets if t.id in set(group)]
             )
-            means.append(table.matrix64[rows].mean(axis=0))
+            means.append(table.matrix[rows].mean(axis=0))
         for i in range(len(means)):
             for j in range(i + 1, len(means)):
                 assert np.linalg.norm(means[i] - means[j]) >= 10.0 * NOISE_SIGMA
