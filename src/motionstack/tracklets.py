@@ -19,8 +19,8 @@ used to state which tracklet ids belong to the same physical object, are::
 
 A document loads as ``Tracklets`` columns, which index and iterate as
 ``Tracklet(id, start, end)`` records. ``Tracklets.check_rules`` states every
-rule of the format on those columns, for the writer and ``metric_learning.FeatureTable``;
-only its bad-box message differs from the loader's. Two tracklets overlap in
+rule of the format on those columns, for the writer and ``metric_learning.FeatureTable``,
+and names the defect the loader names, in its words. Two tracklets overlap in
 time when their closed intervals intersect: ``a.start <= b.end and b.start <= a.end``.
 Runs shorter than ``MIN_TRACKLET_LEN`` frames are dropped before any mining.
 """
@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataValidationError
-from .jsonio import _echo, bad_boxes, check_boxes, expect, expect_int, expect_ints, read_json, write_json
+from .jsonio import _echo, bad_boxes, check_box, check_boxes, expect, expect_int, expect_ints, read_json, write_json
 
 MIN_TRACKLET_LEN = 16
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
@@ -112,22 +112,33 @@ class Tracklets(Sequence):
         return f"tracklets[{pos}].{key}[{k - self.firsts[pos]}]"
 
     def check_rules(self, error: type[Exception] = ValueError) -> None:
-        """Raise ``error`` for the first rule of the format that the columns break.
+        """Raise ``error`` naming the defect that ``load_tracklets_json`` names for these columns, in its words.
 
-        In order: per tracklet (``_first_defect``), a new and nonnegative id, start <= end, one box and one
-        feature row per frame; then each box finite with x2 > x1 and y2 > y1, then each feature row >= 0.
+        That is the first tracklet, in file order, that breaks a rule, and its first rule in the loader's
+        order: a new id, each box (``jsonio.check_box``), each feature row >= 0, then the rest of
+        ``_first_defect``'s: a nonnegative id, start <= end, one box and one feature row per frame.
         """
         counts = np.diff(self.firsts)  # each tracklet's boxes and feature rows
+        found = []  # (tracklet, rank of its rule in the loader's order, message or frame row)
         if defect := _first_defect(self.id, self.start, self.end, counts, counts):
-            raise error("tracklets[%d]: %s" % defect)
-        bad = bad_boxes(self.boxes)
-        if bad.any():
-            k = int(np.argmax(bad))
-            where = self.entry_of("boxes", k)
-            raise error(f"{where} must be finite with x2 > x1 and y2 > y1, got {self.boxes[k].tolist()}")
-        if (rows := self.feature_rows) is not None and (rows < 0).any():
-            k = int(np.argmax(rows < 0))
-            raise error(f"{self.entry_of('feature_rows', k)} must be a nonnegative integer, got {rows[k]}")
+            pos, message = defect
+            found.append((pos, 0 if self.id[pos] in self.id[:pos] else 3, f"tracklets[{pos}]: {message}"))
+        rows = self.feature_rows
+        for rank, broken in ((1, bad_boxes(self.boxes)), (2, np.zeros(0, bool) if rows is None else rows < 0)):
+            if broken.any():
+                k = int(np.argmax(broken))
+                found.append((int(np.searchsorted(self.firsts, k, side="right")) - 1, rank, k))
+        if not found:
+            return
+        _, rank, what = min(found)
+        if rank == 1:
+            try:
+                check_box(self.boxes[what].tolist(), self.entry_of("boxes", what))
+            except DataValidationError as exc:
+                raise error(str(exc)) from None
+        if rank == 2:
+            what = f"{self.entry_of('feature_rows', what)} must be a nonnegative integer, got {rows[what]}"
+        raise error(what)
 
 
 def _first_defect(id, start, end, box_counts, row_counts) -> tuple[int, str] | None:

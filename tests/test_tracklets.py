@@ -310,14 +310,16 @@ class TestTrackletsJson:
             (([4], [0], [1], [[0, 0, 1, 1]]), "tracklets hold 1 boxes for 2 frames"),
             (([4], [0], [0], [[0, 0, 1, 1]], [0, 1]), "tracklets hold 2 feature rows for 1 frames"),
             (([4, 6], [0, 0], [0, 1], [[0, 0, 1, 1], [0, 0, 1, 1], [0, 2, 1, 1]]),
-             "tracklets[1].boxes[1] must be finite with x2 > x1 and y2 > y1, got [0.0, 2.0, 1.0, 1.0]"),
-            (([4], [0], [0], [[0, 0, np.inf, 1]]),
-             "tracklets[0].boxes[0] must be finite with x2 > x1 and y2 > y1, got [0.0, 0.0, inf, 1.0]"),
+             "tracklets[1].boxes[1]: bbox must satisfy x2 > x1 and y2 > y1, got [0.0, 2.0, 1.0, 1.0]"),
+            (([4], [0], [0], [[0, 0, np.inf, 1]]), "tracklets[0].boxes[0]: bbox[2] must be a finite number, got Infinity"),
+            # Two defects: the first tracklet's bad box comes before the second's duplicate id.
+            (([4, 4], [0, 1], [0, 1], [[0, 0, 0, 1], [0, 0, 1, 1]]),
+             "tracklets[0].boxes[0]: bbox must satisfy x2 > x1 and y2 > y1, got [0.0, 0.0, 0.0, 1.0]"),
             (([4, 6], [0, 0], [0, 1], [[0, 0, 1, 1]] * 3, [0, 1, -1]),
              "tracklets[1].feature_rows[1] must be a nonnegative integer, got -1"),
         ],
         ids=["negative-id", "start-past-end", "duplicate-id", "box-count", "row-count", "inverted-box",
-             "infinite-box", "negative-row"],
+             "infinite-box", "box-before-duplicate", "negative-row"],
     )
     def test_writes_no_file_the_loader_rejects(self, tmp_path, columns, message):
         path = tmp_path / "t.json"
@@ -336,33 +338,40 @@ class TestTrackletsJson:
     @given(
         ids=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=5, unique=True),
         with_rows=st.booleans(),
-        defect=st.sampled_from([None, "duplicate", "negative-id", "start-past-end", "bad-box", "negative-row"]),
+        defects=st.lists(st.sampled_from(["duplicate", "negative-id", "start-past-end", "bad-box", "negative-row"]),
+                         max_size=2),
         data=st.data(),
     )
-    def test_writer_refuses_exactly_what_the_loader_refuses(self, ids, with_rows, defect, data):
-        # Columns across int64 with at most one defect, written by the writer and, as the
-        # json.dumps of the same entries, read by the loader.
+    def test_writer_refuses_exactly_what_the_loader_refuses(self, ids, with_rows, defects, data):
+        # Columns across int64 with up to two defects, written by the writer and, as the
+        # json.dumps of the same entries, read by the loader: both name the same one, in the same words.
         n = len(ids)
         lengths = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
         starts = data.draw(st.lists(st.integers(-(2**63) + 1, 2**63 - 4), min_size=n, max_size=n))
         ends = [s + k - 1 for s, k in zip(starts, lengths)]
         boxes = [[float(f), 0.5, f + 1.5, 2.0] for f in range(sum(lengths))]
         rows = data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=len(boxes), max_size=len(boxes)))
-        if defect == "duplicate" and n == 1 or defect == "negative-row" and not with_rows:
-            defect = None
-        at = data.draw(st.integers(0, n - 1))
-        if defect == "duplicate":
-            ids[at] = ids[data.draw(st.integers(0, n - 1).filter(lambda j: j != at))]
-        elif defect == "negative-id":
-            ids[at] = data.draw(st.integers(-(2**63), -1))
-        elif defect == "start-past-end":  # an entry of no frames, as the loader reads one
-            first = sum(lengths[:at])
-            del boxes[first : first + lengths[at]], rows[first : first + lengths[at]]
-            ends[at], lengths[at] = starts[at] - 1, 0
-        elif defect == "bad-box":
-            boxes[data.draw(st.integers(0, len(boxes) - 1))][2] = data.draw(st.sampled_from([0.0, np.inf, np.nan]))
-        elif defect == "negative-row":
-            rows[data.draw(st.integers(0, len(rows) - 1))] = -1
+        made = []
+        for defect in defects:
+            if defect == "duplicate" and n == 1 or defect in ("bad-box", "negative-row") and not boxes:
+                continue
+            if defect == "negative-row" and not with_rows:
+                continue
+            made.append(defect)
+            at = data.draw(st.integers(0, n - 1))
+            if defect == "duplicate":
+                ids[at] = ids[data.draw(st.integers(0, n - 1).filter(lambda j: j != at))]
+            elif defect == "negative-id":
+                ids[at] = data.draw(st.integers(-(2**63), -1))
+            elif defect == "start-past-end":  # an entry of no frames, as the loader reads one
+                first = sum(lengths[:at])
+                del boxes[first : first + lengths[at]], rows[first : first + lengths[at]]
+                ends[at], lengths[at] = starts[at] - 1, 0
+            elif defect == "bad-box":
+                boxes[data.draw(st.integers(0, len(boxes) - 1))][2] = data.draw(st.sampled_from([0.0, np.inf, np.nan]))
+            else:
+                rows[data.draw(st.integers(0, len(rows) - 1))] = -1
+        defect = made[0] if made else None
         entries, first = [], 0
         for tid, start, end, k in zip(ids, starts, ends, lengths):
             entries.append({"id": tid, "start": start, "end": end, "boxes": boxes[first : first + k]})
@@ -377,7 +386,7 @@ class TestTrackletsJson:
             with pytest.raises(ValueError) if defect else nullcontext() as writing:
                 write_tracklets_json(Tracklets(ids, starts, ends, boxes, rows if with_rows else None), written)
             assert written.exists() == (defect is None)
-            if defect not in (None, "bad-box"):  # the one rule the two word differently
+            if defect is not None:
                 assert str(writing.value) == str(loading.value).removeprefix(f"{loaded}: ")
 
     def test_null_feature_rows_means_absent(self, tmp_path):
