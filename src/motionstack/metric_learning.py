@@ -297,9 +297,10 @@ def gradients_on_params(params, xa, xp, xn, margin: float):
     Returns (mean_loss, per_triplet_losses, grads) with grads a list of
     (dW, db) per layer, from one forward pass over the [3B, D] stack of
     anchor, positive and negative rows. The arithmetic is in the dtype of
-    the rows and the params: float32 when both are float32, as in ``train``. Triplets whose hinge is inactive
-    (loss term <= 0) contribute exact zeros, so only the active ones are
-    back-propagated, as one stacked batch of their rows. A batch with no
+    the rows and the params: float32 when both are float32, as in ``train``.
+    Triplets whose hinge is inactive (loss term <= 0) contribute exact
+    zeros, so only the active ones are back-propagated, as one stacked
+    batch of their rows. A batch with no
     active hinge has an all-zero gradient, and grads is then the empty list.
     """
     acts = [np.concatenate([xa, xp, xn])]
@@ -357,13 +358,14 @@ def train(
     """Mini-batch gradient descent on the triplet loss over [T, 3, 2] keys; returns (net, loss trace).
 
     The triplet order is reshuffled each epoch from a generator seeded with
-    ``config.seed``. The arithmetic and the updates are float32, on copies of
-    the net's weights that replace them at the end. The trace holds each epoch's
-    mean per-triplet loss, accumulated in a fixed order so it is invariant
-    to the shuffle. An epoch whose loss sum is exactly 0 moved no weight, so
-    every later epoch would repeat it: training stops there, and the trace
-    repeats that epoch's value. A run whose final weights or losses are not finite
-    float32 values raises ValueError and leaves the net unchanged.
+    ``config.seed``. The arithmetic and the updates are float32, on copies
+    of the net's weights that replace them at the end. The trace holds each
+    epoch's mean per-triplet loss, accumulated in a fixed order so it is
+    invariant to the shuffle. An epoch whose loss sum is exactly 0 moved no
+    weight, so every later epoch would repeat it: training stops there, and
+    the trace repeats that epoch's value. A run whose final weights or
+    losses are not finite float32 values raises ValueError and leaves the
+    net unchanged.
     """
     if table.dim != net.in_dim:
         raise DataValidationError(f"net expects {net.in_dim}-d features, table holds {table.dim}-d")

@@ -25,7 +25,8 @@ STACK = ["stack", "--frames", "scene/frames", "--variant", "diff-seq", "--n", "3
 
 def test_peaks_grow_by_the_embedding_matrix_at_most(tmp_path):
     src = Path(motionstack.__file__).resolve().parents[1]
-    commands = {**scale_memory.COMMANDS, "stack": STACK}
+    embedding = ("reid", "project --net")  # the commands that hold the scene's embeddings
+    commands = {**{name: scale_memory.COMMANDS[name] for name in embedding}, "stack": STACK}
     peaks, rows = {}, {}
     for frames in (512, 2048):
         work = tmp_path / str(frames)
@@ -40,7 +41,7 @@ def test_peaks_grow_by_the_embedding_matrix_at_most(tmp_path):
     assert round(matrix, 2) == 4.5  # 4,608 more frames' [N, 128] float64 embeddings
     # reid and project grew about 6.9 MiB: the matrix, the float64 features (1.1 MiB)
     # and the parsed tracklets. Embedding a whole tracklet at a time, they grew 19.5-20.
-    for name in scale_memory.COMMANDS:
+    for name in embedding:
         assert growth[name] <= matrix + 4.0, (name, growth)
     # stack streams its frames and keeps a small record per frame (its path, its manifest
     # item and that item's JSON text): about 2 MiB. Keeping the frames' bytes would add 8.
@@ -51,8 +52,9 @@ def test_the_tool_prints_one_line_per_command(tmp_path, capsys):
     assert scale_memory.main(["--num-frames", "8", "--num-objects", "2", "--seed", "3", "--work", str(tmp_path)]) == 0
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [line["command"] for line in lines] == ["synth generate", *scale_memory.COMMANDS]
-    assert list(scale_memory.COMMANDS) == ["reid", "project --net"]
+    assert list(scale_memory.COMMANDS) == ["mine", "train", "reid", "project --net"]
     for line in lines:
         assert (line["num_frames"], line["num_objects"]) == (8, 2)
         assert line["ru_maxrss_mib"] > 0 and line["run_s"] > 0
+    assert (tmp_path / "triplets.jsonl").is_file() and (tmp_path / "trained" / "net.json").is_file()
     assert (tmp_path / "reid.json").is_file() and (tmp_path / "scatter.csv").is_file()

@@ -1,14 +1,15 @@
-"""Peak memory and run time of ``synth generate``, then ``reid`` and ``project --net`` on its scene, at a given size.
+"""Peak memory and run time of ``synth generate``, then ``mine``, ``train``, ``reid`` and ``project --net`` on its scene.
 
     python tools/scale_memory.py --num-frames 4096 --num-objects 6 --switch 1:1500 --switch 3:2500 --seed 7
     python tools/scale_memory.py --tree ../parent --num-frames 1024 --num-objects 6
 
-The script builds a scene with ``synth generate`` in a temporary directory
-(or ``--work``) and saves an untrained net for its features with
-``save_net``. Then it runs ``reid`` and ``project --net`` on the scene.
-``synth generate``, ``reid`` and ``project --net`` each run in a fresh
-process with ``PYTHONPATH=<tree>/src``, and the script prints one JSON line
-per command: the process's ``ru_maxrss`` in MiB and the seconds it ran
+The script builds a scene of the given size with ``synth generate`` in a
+temporary directory (or ``--work``) and saves an untrained net for its
+features with ``save_net``. Then it runs ``mine`` and ``train`` with
+README's flags (``mine --seed 3 --per-anchor 2``, ``train --epochs 50 --lr
+0.05``), and ``reid`` and ``project --net`` with the untrained net. Each
+command runs in a fresh process with ``PYTHONPATH=<tree>/src``, and the
+script prints one JSON line per command, in that order: the process's ``ru_maxrss`` in MiB and the seconds it ran
 after ``import motionstack.cli``. ``--tree`` defaults to the checkout that
 holds this script. ``measure`` runs one command the same way from a given
 ``src`` directory, for tests that bound how a command's peak grows with its
@@ -77,8 +78,12 @@ def make_scene(src: Path, work: Path, generate_args: list[str]) -> tuple[float, 
     return generated
 
 
-INPUTS = ["--features", "scene/features.mten", "--tracklets", "scene/tracklets.json", "--net", "net/net.json"]
+SCENE = ["--features", "scene/features.mten", "--tracklets", "scene/tracklets.json"]
+INPUTS = [*SCENE, "--net", "net/net.json"]
 COMMANDS = {
+    "mine": ["mine", "--tracklets", "scene/tracklets.json", "--seed", "3", "--per-anchor", "2",
+             "--out-triplets", "triplets.jsonl"],
+    "train": ["train", *SCENE, "--triplets", "triplets.jsonl", "--epochs", "50", "--lr", "0.05", "--out-dir", "trained"],
     "reid": ["reid", *INPUTS, "--out", "reid.json"],
     "project --net": ["project", *INPUTS, "--out-csv", "scatter.csv"],
 }
