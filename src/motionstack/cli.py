@@ -212,7 +212,10 @@ def _cmd_features(args):
         raise ValueError(f"--scale must be positive, got {args.scale}")
     fmap = FeatureMap(read_tensor(args.map, band=True), spatial_scale=args.scale)  # rows read as pool_boxes asks
     boxes = _load_boxes_json(args.boxes)
-    vectors = pool_boxes(fmap, boxes, args.out_h, args.out_w, args.sampling_ratio)
+    try:
+        vectors = pool_boxes(fmap, boxes, args.out_h, args.out_w, args.sampling_ratio)
+    except DataValidationError as exc:  # a box that breaks at --scale
+        raise DataValidationError(f"{args.boxes}: {exc}") from None
     write_tensor(vectors, args.out_features)
     results = {"num_boxes": int(vectors.shape[0]), "channels": int(vectors.shape[1])}
     summary = (

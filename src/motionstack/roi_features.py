@@ -85,8 +85,9 @@ class FeatureMap:
 
 def _sample_coords(boxes: np.ndarray, spatial_scale: float, out_h: int, out_w: int, ratio: int):
     """Sample coordinates of [N, 4] boxes: ys [N, out_h, ratio], xs [N, out_w, ratio]."""
-    # Half-pixel alignment into feature-map coordinates.
-    f = boxes * spatial_scale - 0.5
+    # Half-pixel alignment into feature-map coordinates; a corner past the float range is named below.
+    with np.errstate(over="ignore"):
+        f = boxes * spatial_scale - 0.5
     checks = (
         (~np.isfinite(f).all(axis=1), "has a non-finite coordinate"),
         ((f[:, 2] <= f[:, 0]) | (f[:, 3] <= f[:, 1]), "degenerates to zero area"),

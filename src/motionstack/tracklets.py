@@ -17,11 +17,16 @@ used to state which tracklet ids belong to the same physical object, are::
 
     {"groups": [[1, 17], [15, 21], ...]}
 
-A document loads as ``Tracklets`` columns, which index and iterate as
-``Tracklet(id, start, end)`` records. ``Tracklets.check_rules`` states every
-rule of the format on those columns, for the writer and ``metric_learning.FeatureTable``,
-and names the defect the loader names, in its words. Two tracklets overlap in
-time when their closed intervals intersect: ``a.start <= b.end and b.start <= a.end``.
+A document that breaks several rules is refused for its first defect in file
+order and, within one entry, the one its checks reach first: the id's type, a
+duplicate id, the types of start, end, boxes (finite, x2 > x1 and y2 > y1) and
+feature rows (nonnegative), then a negative id, start past end, the box count
+and the feature-row count. The every-or-none rule of ``feature_rows`` is
+checked after every entry. A document loads as ``Tracklets`` columns, which
+index and iterate as ``Tracklet(id, start, end)`` records; ``Tracklets.check_rules``
+walks columns in the same order through the loader's own checks, for the writer
+and ``metric_learning.FeatureTable``. Two tracklets overlap in time when their
+closed intervals intersect: ``a.start <= b.end and b.start <= a.end``.
 Runs shorter than ``MIN_TRACKLET_LEN`` frames are dropped before any mining.
 """
 
@@ -35,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataValidationError
-from .jsonio import _echo, bad_boxes, check_box, check_boxes, expect, expect_int, expect_ints, read_json, write_json
+from .jsonio import _echo, bad_boxes, check_boxes, expect, expect_int, expect_ints, read_json, write_json
 
 MIN_TRACKLET_LEN = 16
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
@@ -112,63 +117,48 @@ class Tracklets(Sequence):
         return f"tracklets[{pos}].{key}[{k - self.firsts[pos]}]"
 
     def check_rules(self, error: type[Exception] = ValueError) -> None:
-        """Raise ``error`` naming the defect that ``load_tracklets_json`` names for these columns, in its words.
+        """Raise ``error`` naming the first defect of these columns as ``load_tracklets_json`` names it.
 
-        That is the first tracklet, in file order, that breaks a rule, and its first rule in the loader's
-        order: a new id, each box (``jsonio.check_box``), each feature row >= 0, then the rest of
-        ``_first_defect``'s: a nonnegative id, start <= end, one box and one feature row per frame.
+        The tracklets are checked in file order, each one's rules in reading order
+        (see the module docstring), on its own box and feature rows ``firsts[i]:firsts[i + 1]``.
         """
-        counts = np.diff(self.firsts)  # each tracklet's boxes and feature rows
-        found = []  # (tracklet, rank of its rule in the loader's order, message or frame row)
-        if defect := _first_defect(self.id, self.start, self.end, counts, counts):
-            pos, message = defect
-            found.append((pos, 0 if self.id[pos] in self.id[:pos] else 3, f"tracklets[{pos}]: {message}"))
         rows = self.feature_rows
-        for rank, broken in ((1, bad_boxes(self.boxes)), (2, np.zeros(0, bool) if rows is None else rows < 0)):
-            if broken.any():
-                k = int(np.argmax(broken))
-                found.append((int(np.searchsorted(self.firsts, k, side="right")) - 1, rank, k))
-        if not found:
-            return
-        _, rank, what = min(found)
-        if rank == 1:
-            try:
-                check_box(self.boxes[what].tolist(), self.entry_of("boxes", what))
-            except DataValidationError as exc:
-                raise error(str(exc)) from None
-        if rank == 2:
-            what = f"{self.entry_of('feature_rows', what)} must be a nonnegative integer, got {rows[what]}"
-        raise error(what)
+        # A column that passes as a whole is not checked again tracklet by tracklet.
+        bad_box, negative_row = bad_boxes(self.boxes).any(), rows is not None and (rows < 0).any()
+        seen: set[int] = set()
+        columns = (c.tolist() for c in (self.id, self.start, self.end, self.firsts[:-1], self.firsts[1:]))
+        try:
+            for pos, (tid, start, end, lo, hi) in enumerate(zip(*columns)):
+                where = f"tracklets[{pos}]"
+                _check_new_id(tid, seen, where)
+                if bad_box:
+                    check_boxes(self.boxes[lo:hi].tolist(), f"{where}.boxes")
+                if negative_row:
+                    expect_ints(rows[lo:hi].tolist(), f"{where}.feature_rows", nonnegative=True)
+                _check_entry(where, tid, start, end, hi - lo, hi - lo)
+        except DataValidationError as exc:
+            raise error(str(exc)) from None
 
 
-def _first_defect(id, start, end, box_counts, row_counts) -> tuple[int, str] | None:
-    """The first tracklet, in file order, that breaks a rule, as ``(position, message)``; or None.
+def _check_new_id(tid: int, seen: set[int], where: str) -> None:
+    """Add ``tid`` to the ids ``seen`` in earlier entries, or raise ``DataValidationError`` if it is there."""
+    if tid in seen:
+        raise DataValidationError(f"{where}: duplicate tracklet id {tid}")
+    seen.add(tid)
 
-    A tracklet's rules, in the order they are checked: an id no earlier one
-    holds, a nonnegative id, start <= end, and one box and one feature row
-    per frame. ``id`` may hold one more tracklet, read only as far as its
-    id, which the first rule alone checks.
+
+def _check_entry(where: str, tid: int, start: int, end: int, boxes: int, rows: int) -> None:
+    """Raise ``DataValidationError`` for the first rule a tracklet breaks, given its Python ints and counts.
+
+    The rules, in order: a nonnegative id, start <= end, one box and one feature row per frame.
     """
-    id, start, end = (np.asarray(c, dtype=np.int64) for c in (id, start, end))
-    repeated = np.ones(len(id), dtype=bool)
-    repeated[np.unique(id, return_index=True)[1]] = False
-    frames = end - start + 1  # past int64 this wraps to <= 0, which no count matches
-    miscounted = [(frames <= 0) | (np.asarray(counts) != frames) for counts in (box_counts, row_counts)]
-    rules = (repeated, id[: len(start)] < 0, start > end, *miscounted)
-    found = [int(np.argmax(broken)) if broken.any() else len(id) for broken in rules]
-    pos = min(found)
-    if pos == len(id):
-        return None
-    tid, rule = int(id[pos]), found.index(pos)  # the first rule that this tracklet breaks
-    if rule == 0:
-        return pos, f"duplicate tracklet id {tid}"
-    if rule == 1:
-        return pos, f"tracklet id must be a nonnegative integer, got {tid}"
-    lo, hi = int(start[pos]), int(end[pos])
-    if rule == 2:
-        return pos, f"tracklet {tid}: start {lo} > end {hi}"
-    count, kind = (box_counts[pos], "boxes") if rule == 3 else (row_counts[pos], "feature rows")
-    return pos, f"tracklet {tid}: {count} {kind} for {hi - lo + 1} frames"  # Python ints count past int64
+    if tid < 0:
+        raise DataValidationError(f"{where}: tracklet id must be a nonnegative integer, got {tid}")
+    if start > end:
+        raise DataValidationError(f"{where}: tracklet {tid}: start {start} > end {end}")
+    for count, kind in ((boxes, "boxes"), (rows, "feature rows")):
+        if count != end - start + 1:  # exact past int64, as Python ints
+            raise DataValidationError(f"{where}: tracklet {tid}: {count} {kind} for {end - start + 1} frames")
 
 
 def temporal_overlap(a, b):
@@ -198,40 +188,27 @@ def enumerate_keys(tracklets: Tracklets) -> np.ndarray:
 
 
 def load_tracklets_json(path: str | Path) -> Tracklets:
-    """Read and validate a tracklet document, naming its first defect in reading order.
-
-    Each entry's JSON types are checked as it is read, then ``_first_defect``'s
-    rules on the columns. At a type defect, the rules are checked first on
-    the entries before it, and on its entry's id if that was read.
-    """
+    """Read and validate a tracklet document, naming its first defect in reading order (see the module docstring)."""
     doc = expect(read_json(path), dict, str(path))
-    ids, columns, boxes, rows, has_rows = [], [], [], [], []  # columns: start, end, box and row counts
-
-    def check_rules() -> None:
-        if defect := _first_defect(ids, *np.array(columns, dtype=np.int64).reshape(-1, 4).T):
-            raise DataValidationError("%s: tracklets[%d]: %s" % (path, *defect))
-
-    try:
-        for pos, entry in enumerate(expect(doc.get("tracklets"), list, f"{path}: tracklets")):
-            where = f"{path}: tracklets[{pos}]"
-            ids.append(expect_int(expect(entry, dict, where).get("id"), f"{where}.id"))
-            span = expect_int(entry.get("start"), f"{where}.start"), expect_int(entry.get("end"), f"{where}.end")
-            boxes.append(check_boxes(expect(entry.get("boxes"), list, f"{where}.boxes"), f"{where}.boxes"))
-            feature_rows = entry.get("feature_rows")
-            has_rows.append(feature_rows is not None)
-            if feature_rows is not None:
-                rows += expect_ints(feature_rows, f"{where}.feature_rows", nonnegative=True)
-            # An entry without feature rows counts its boxes in their place, which the box rule checks first.
-            columns.append((*span, len(boxes[-1]), len(boxes[-1] if feature_rows is None else feature_rows)))
-    except DataValidationError:
-        check_rules()
-        raise
-    check_rules()
+    ids, starts, ends, boxes, rows, has_rows, seen = [], [], [], [], [], [], set()
+    for pos, entry in enumerate(expect(doc.get("tracklets"), list, f"{path}: tracklets")):
+        where = f"{path}: tracklets[{pos}]"
+        ids.append(expect_int(expect(entry, dict, where).get("id"), f"{where}.id"))
+        _check_new_id(ids[-1], seen, where)
+        starts.append(expect_int(entry.get("start"), f"{where}.start"))
+        ends.append(expect_int(entry.get("end"), f"{where}.end"))
+        boxes.append(check_boxes(expect(entry.get("boxes"), list, f"{where}.boxes"), f"{where}.boxes"))
+        feature_rows = entry.get("feature_rows")
+        has_rows.append(feature_rows is not None)
+        if feature_rows is not None:
+            rows += expect_ints(feature_rows, f"{where}.feature_rows", nonnegative=True)
+        # An entry without feature rows counts its boxes in their place, which the box rule checks first.
+        count = len(boxes[-1])
+        _check_entry(where, ids[-1], starts[-1], ends[-1], count, count if feature_rows is None else len(feature_rows))
     if any(has_rows) and not all(has_rows):
         pos = has_rows.index(not has_rows[0])
         raise DataValidationError(f"{path}: tracklets[{pos}]: either every tracklet or none may carry feature_rows")
-    start, end = np.array(columns, dtype=np.int64).reshape(-1, 4).T[:2]
-    return Tracklets(ids, start, end, np.concatenate([np.empty((0, 4)), *boxes]), rows if any(has_rows) else None)
+    return Tracklets(ids, starts, ends, np.concatenate([np.empty((0, 4)), *boxes]), rows if any(has_rows) else None)
 
 
 # ``json.dumps(doc, indent=2)``'s layout of one tracklet entry, one box and one feature row.

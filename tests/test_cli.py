@@ -253,6 +253,19 @@ class TestExitCodes:
         assert err.splitlines() == [f"error: {bad}: feature row 5 column 2 is not finite: nan"]
         assert not (tmp_path / "train.json").exists()
 
+    @pytest.mark.parametrize(
+        "scale, defect", [("10", "has a non-finite coordinate"), ("1e-320", "degenerates to zero area")]
+    )
+    def test_box_that_breaks_at_scale_names_the_boxes_file(self, tmp_path, input_files, scale, defect):
+        boxes = tmp_path / "boxes.json"
+        boxes.write_text(json.dumps({"boxes": [[1e308, 0, 1.5e308, 10]]}))
+        argv = _input_file_argv("features", input_files, tmp_path)
+        argv[argv.index("--scale") + 1], argv[argv.index("--boxes") + 1] = scale, str(boxes)
+        code, err = _run_quiet(argv)
+        assert code == 2 and len(err.splitlines()) == 1, err
+        assert err.startswith(f"error: {boxes}: box 0 [1e+308, 0.0, 1.5e+308, 10.0] {defect} at spatial_scale")
+        assert not (tmp_path / "pooled.mten").exists()
+
 
 # Every JSON or JSON-lines input file a subcommand reads, keyed by
 # (subcommand, file name in the ``input_files`` directory).

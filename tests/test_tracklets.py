@@ -317,9 +317,12 @@ class TestTrackletsJson:
              "tracklets[0].boxes[0]: bbox must satisfy x2 > x1 and y2 > y1, got [0.0, 0.0, 0.0, 1.0]"),
             (([4, 6], [0, 0], [0, 1], [[0, 0, 1, 1]] * 3, [0, 1, -1]),
              "tracklets[1].feature_rows[1] must be a nonnegative integer, got -1"),
+            # Frames 3, -1 and 1, so firsts [0, 3, 2, 3]: the bad box is the first tracklet's third.
+            (([1, 5, 6], [0, 9, 0], [2, 7, 0], [[0, 0, 1, 1], [0, 0, 1, 1], [0, 2, 1, 1]]),
+             "tracklets[0].boxes[2]: bbox must satisfy x2 > x1 and y2 > y1, got [0.0, 2.0, 1.0, 1.0]"),
         ],
         ids=["negative-id", "start-past-end", "duplicate-id", "box-count", "row-count", "inverted-box",
-             "infinite-box", "box-before-duplicate", "negative-row"],
+             "infinite-box", "box-before-duplicate", "negative-row", "box-before-negative-frames"],
     )
     def test_writes_no_file_the_loader_rejects(self, tmp_path, columns, message):
         path = tmp_path / "t.json"
