@@ -18,25 +18,31 @@ every x-position, so their mean factorises too: ``wy @ map[c] @ wx``, with
 ``wy`` (``wx``) the mean weights of the box's y (x) positions. Each box
 holds those weights over its window only, the rows (columns) from its
 lowest sample pixel to the last pixel given weight, so no [N, Hf] or
-[N, Wf] array is built. No per-sample tensor is built either, and only the
-float64 summation order differs from interpolating each sample.
+[N, Wf] array is built. No per-sample tensor is built either.
+
+The weights are built in float64 and cast once to the map's dtype, in which
+both contractions run, as RoIAlign runs in its feature map's own float32:
+a float32 map (stored as u8 or f32, or given as a float32 or uint8 array)
+pools in float32, and a float64 array in float64, where only the summation
+order differs from interpolating each sample.
 
 A ``FeatureMap`` built from an array holds its map once, as a C-contiguous
-float64 [Hf, Wf, C] array, in which a box's window is one view; ``tensor``
-is that array's [C, Hf, Wf] view, so pooling converts nothing. One built
-from ``read_tensor(path, band=True)`` leaves the map in its file: its
-``tensor`` is that ``tensor_io.MapBand``, which opens the file only while
-``pool_boxes`` reads it and holds one float64 [B, Wf, C] band of rows, B the
-tallest box window plus ``BAND_STEP`` rows (at most Hf), read as each window
-needs them. Its windows keep the whole map's row stride, so BLAS gets the
-same call either way and the descriptors are the same bits.
+[Hf, Wf, C] array of ``np.result_type(map.dtype, np.float32)``, in which a
+box's window is one view; ``tensor`` is that array's [C, Hf, Wf] view, so
+pooling converts nothing. One built from ``read_tensor(path, band=True)``
+leaves the map in its file: its ``tensor`` is that ``tensor_io.MapBand``,
+which opens the file only while ``pool_boxes`` reads it and holds one
+float32 [B, Wf, C] band of rows, B the tallest box window plus
+``BAND_STEP`` rows (at most Hf), read as each window needs them. Its
+windows keep the whole map's row stride, so BLAS gets the same call either
+way and the descriptors are the same bits as the stored map's array.
 
 Boxes are pooled in row-major order of their windows on the map (top row,
 then left column), not in input order, so that consecutive boxes read map
 rows that are still in cache, and a band reads each map row once. Each
 box's arithmetic does not depend on the order, and each result is rounded
-from float64 straight into its own row of the float32 output, so the
-descriptors are the same bits in any order.
+straight into its own row of the float32 output, so the descriptors are the
+same bits in any order.
 """
 
 from __future__ import annotations
@@ -56,11 +62,13 @@ SAMPLING_RATIO = 2
 class FeatureMap:
     """A [C, Hf, Wf] map plus its feature-pixels-per-image-pixel ratio.
 
-    An array map is held once, as a C-contiguous float64 [Hf, Wf, C] array;
-    ``tensor`` is its [C, Hf, Wf] view. A tensor given in that layout already
-    is used without a copy; any other is converted into a copy of the map's
-    own. A ``MapBand`` (``read_tensor(path, band=True)``) is kept as it is,
-    and its rows are read as pooling asks for them.
+    An array map is held once, as a C-contiguous [Hf, Wf, C] array of at
+    least float32 (``np.result_type(map.dtype, np.float32)``: float32 for a
+    float32 or uint8 map, float64 for a float64 one); ``tensor`` is its
+    [C, Hf, Wf] view. A tensor given in that dtype and layout already is used
+    without a copy; any other is converted into a copy of the map's own. A
+    ``MapBand`` (``read_tensor(path, band=True)``) is kept as it is, and its
+    rows are read, as float32, as pooling asks for them.
     """
 
     tensor: np.ndarray | MapBand = field(repr=False)
@@ -71,39 +79,43 @@ class FeatureMap:
             tensor = np.asarray(self.tensor)
             if tensor.ndim != 3:
                 raise ValueError(f"feature map must be [C, Hf, Wf], got shape {tensor.shape}")
-            self.tensor = np.asarray(tensor.transpose(1, 2, 0), dtype=np.float64, order="C").transpose(2, 0, 1)
+            dtype = np.result_type(tensor.dtype, np.float32)
+            self.tensor = np.asarray(tensor.transpose(1, 2, 0), dtype=dtype, order="C").transpose(2, 0, 1)
         if not self.spatial_scale > 0:
             raise ValueError(f"spatial_scale must be positive, got {self.spatial_scale}")
 
     def windows(self, tops, bottoms):
-        """The float64 [b - t, Wf, C] rows of each window ``[t, b)`` of ``zip(tops, bottoms)``, in turn."""
+        """The [b - t, Wf, C] rows of each window ``[t, b)`` of ``zip(tops, bottoms)``, in turn."""
         if isinstance(self.tensor, MapBand):
             return self.tensor.windows(tops, bottoms)
-        hwc = np.ascontiguousarray(self.tensor.transpose(1, 2, 0), dtype=np.float64)
+        hwc = np.ascontiguousarray(self.tensor.transpose(1, 2, 0))
         return (hwc[t:b] for t, b in zip(tops, bottoms))
 
 
 def _sample_coords(boxes: np.ndarray, spatial_scale: float, out_h: int, out_w: int, ratio: int):
     """Sample coordinates of [N, 4] boxes: ys [N, out_h, ratio], xs [N, out_w, ratio]."""
-    # Half-pixel alignment into feature-map coordinates; a corner past the float range is named below.
-    with np.errstate(over="ignore"):
+    # Half-pixel alignment into feature-map coordinates; a corner, or a side
+    # between two finite corners, past the float range is named below.
+    with np.errstate(over="ignore", invalid="ignore"):
         f = boxes * spatial_scale - 0.5
+        size = f[:, 2:] - f[:, :2]
     checks = (
         (~np.isfinite(f).all(axis=1), "has a non-finite coordinate"),
-        ((f[:, 2] <= f[:, 0]) | (f[:, 3] <= f[:, 1]), "degenerates to zero area"),
+        (~np.isfinite(size).all(axis=1), "has a non-finite width or height"),
+        ((size <= 0).any(axis=1), "degenerates to zero area"),
     )
     for bad, what in checks:
         if bad.any():
             i = int(np.argmax(bad))
             raise DataValidationError(f"box {i} {boxes[i].tolist()} {what} at spatial_scale {spatial_scale}")
 
-    def grid(lo, hi, bins):
+    def grid(lo, length, bins):
         # Sample s of bin p sits at lo + (p + (s + 0.5) / ratio) * bin_size.
         p = np.arange(bins, dtype=np.float64)[:, None]
         s = np.arange(ratio, dtype=np.float64)[None, :]
-        return lo[:, None, None] + (p + (s + 0.5) / ratio) * ((hi - lo) / bins)[:, None, None]
+        return lo[:, None, None] + (p + (s + 0.5) / ratio) * (length / bins)[:, None, None]
 
-    return grid(f[:, 1], f[:, 3], out_h), grid(f[:, 0], f[:, 2], out_w)
+    return grid(f[:, 1], size[:, 1], out_h), grid(f[:, 0], size[:, 0], out_w)
 
 
 def _bilinear_weights(pos: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -150,7 +162,8 @@ def pool_boxes(
 
     Every box must have positive area after scaling. The map gives each
     window's rows channels-last, so a box's window of rows and columns is an
-    [h, w * C] view and both contractions run in float64 in BLAS without a copy.
+    [h, w * C] view and both contractions run in the map's dtype (float32 or
+    float64) in BLAS without a copy; the float64 weights are cast to it once.
     """
     if out_h < 1 or out_w < 1:
         raise ValueError(f"output size must be positive, got {out_h}x{out_w}")
@@ -163,6 +176,8 @@ def pool_boxes(
     n, (c, hf, wf) = len(boxes), fmap.tensor.shape
     wy, top, bottom = _bilinear_weights(ys.reshape(n, out_h * sampling_ratio), hf)
     wx, left, right = _bilinear_weights(xs.reshape(n, out_w * sampling_ratio), wf)
+    dtype = np.result_type(fmap.tensor.dtype, np.float32)  # a band's rows are float32 whatever is stored
+    wy, wx = wy.astype(dtype, copy=False), wx.astype(dtype, copy=False)
     del ys, xs  # not held through the box loop
     out = np.empty((n, c), dtype=np.float32)
     order = np.lexsort((left, top))

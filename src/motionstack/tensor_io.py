@@ -13,8 +13,9 @@ little-endian row-major payload. Tensors are plain numpy arrays restricted
 to uint8/float32 with 1 to 4 dimensions. One header check serves both ways
 of reading a container: whole, into an array of its stored dtype, or, for a
 [C, H, W] feature map, as a ``MapBand`` that opens it only for a pass of reads
-and holds one float64 band of rows, so neither the stored map nor a float64
-copy of it is ever held whole; the band's height follows the tallest window.
+and holds one float32 band of rows, in which every stored u8 and f32 value is
+exact, so the stored map is never held whole; the band's height follows the
+tallest window.
 """
 
 from __future__ import annotations
@@ -115,9 +116,9 @@ def _check_payload(path: str | Path, expected: int, held: int) -> None:
 # Rows a band holds beyond the tallest window it serves, so that a refill reads about
 # this many new rows: fewer rows make more, shorter reads, which cost more time in all.
 BAND_STEP = 16
-# Bytes of stored channels that a band refill reads before converting them to float64:
-# fewer channels at a time make the conversion's innermost loop, over channels, shorter
-# and slower.
+# Bytes of stored channels that a band refill reads before copying them, channels last,
+# into the float32 band: fewer channels at a time make the copy's innermost loop, over
+# channels, shorter and slower.
 _STAGE_BYTES = 256 << 10
 
 
@@ -143,17 +144,18 @@ def read_tensor(path: str | Path, band: bool = False) -> np.ndarray | MapBand:
 
 
 class MapBand:
-    """A checked [C, H, W] MTENSOR map whose rows are read into one float64 band as windows ask for them.
+    """A checked [C, H, W] MTENSOR map whose rows are read into one float32 band as windows ask for them.
 
     Making one checks the header with ``_tensor_header``, and the rank, and
     keeps only the path, dtype and shape: no file stays open. Each ``windows``
     pass opens the map and checks its header again, so a map cut or rewritten
     since then fails instead of being served. The pass serves each window from
-    a float64 [B, W, C] band, B the tallest window plus ``BAND_STEP`` rows, at
-    most H. A window that leaves the band refills it from the window's top
-    row: the rows the band still holds move to its top, one row at a time, and
-    only the rows it lacks are read, one positioned read per channel into a
-    staging block of a few channels, and converted to float64 once. Windows
+    a float32 [B, W, C] band, B the tallest window plus ``BAND_STEP`` rows, at
+    most H: B x W x C x 4 bytes. A window that leaves the band refills it from
+    the window's top row: the rows the band still holds move to its top, one
+    row at a time, and only the rows it lacks are read, one positioned read
+    per channel into a staging block of a few channels, and copied into the
+    band channels last. Every stored value is exact in float32. Windows
     asked for top row first thus read each map row once; a window as tall as
     the map makes the band the whole map. A read that comes up short, because
     the file shrank during the pass, raises the payload length mismatch.
@@ -168,14 +170,14 @@ class MapBand:
         self.shape = tuple(shape)
 
     def windows(self, tops: Sequence[int], bottoms: Sequence[int]) -> Iterator[np.ndarray]:
-        """Yield the float64 [b - t, W, C] rows of each window ``[t, b)`` of ``zip(tops, bottoms)``.
+        """Yield the float32 [b - t, W, C] rows of each window ``[t, b)`` of ``zip(tops, bottoms)``.
 
         Each is a view of the band, valid until the next one is asked for,
         with the whole map's row stride.
         """
         channels, height, width = self.shape
         rows = min(height, max((b - t for t, b in zip(tops, bottoms)), default=0) + BAND_STEP)
-        band = np.empty((rows, width, channels))
+        band = np.empty((rows, width, channels), dtype=np.float32)
         lo = hi = 0  # the band holds map rows [lo, hi) in its first hi - lo rows
         with open(self.path, "rb") as fh:
             dtype, shape = _tensor_header(fh, self.path)
@@ -193,7 +195,7 @@ class MapBand:
                 yield band[top - lo : bottom - lo]
 
     def _read(self, fh, out: np.ndarray, start: int, end: int) -> None:
-        """Fill ``out`` with map rows ``[start, end)`` of every channel of ``fh``, as float64 [rows, W, C]."""
+        """Fill ``out`` with map rows ``[start, end)`` of every channel of ``fh``, as float32 [rows, W, C]."""
         channels, height, width = self.shape
         payload = fh.tell()  # where the header check left it: positioned reads do not move it
         plane = (end - start) * width * self.dtype.itemsize  # one channel's bytes of those rows

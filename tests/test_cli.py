@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +265,22 @@ class TestExitCodes:
         code, err = _run_quiet(argv)
         assert code == 2 and len(err.splitlines()) == 1, err
         assert err.startswith(f"error: {boxes}: box 0 [1e+308, 0.0, 1.5e+308, 10.0] {defect} at spatial_scale")
+        assert not (tmp_path / "pooled.mten").exists()
+
+    def test_box_wider_than_the_float_range_is_data_error(self, tmp_path, input_files):
+        # Both corners are finite at --scale 1, but the width between them is not.
+        boxes = tmp_path / "boxes.json"
+        boxes.write_text(json.dumps({"boxes": [[-1.7e308, 0, 1.7e308, 10]]}))
+        argv = _input_file_argv("features", input_files, tmp_path)
+        argv[argv.index("--scale") + 1], argv[argv.index("--boxes") + 1] = "1", str(boxes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # an overflow on the way is a fault too
+            code, err = _run_quiet(argv)
+        assert code == 2, err
+        assert err.splitlines() == [
+            f"error: {boxes}: box 0 [-1.7e+308, 0.0, 1.7e+308, 10.0] has a non-finite width or height "
+            "at spatial_scale 1.0"
+        ]
         assert not (tmp_path / "pooled.mten").exists()
 
 
@@ -1023,7 +1040,7 @@ class TestFeatures:
         assert report["results"] == {"num_boxes": 2, "channels": 2}
 
     def test_a_run_holds_one_copy_of_the_map(self, tmp_path):
-        """The map is held once, as the float64 array it is read into."""
+        """The map is never held whole, only a float32 band of its rows."""
         rng = np.random.default_rng(0)
         fmap = rng.standard_normal((256, 60, 80), dtype=np.float32)
         write_tensor(fmap, tmp_path / "map.mten")

@@ -39,8 +39,10 @@ def test_every_command_of_the_chain_parses():
     assert frames[4:] == ["frames_shared", "frames_sized", "scene/frames"]  # the defects, after the layouts
     labels = [argv[argv.index("--labels") + 1] for argv in commands if "--labels" in argv]
     assert labels == ["no_labels"]  # a directory that nothing writes
-    boxes = [argv[argv.index("--boxes") + 1] for argv in commands if argv[0] == "features"]
-    assert boxes == ["boxes.json", "edge_boxes.json", "tall_boxes.json"]
+    features = [argv for argv in commands if argv[0] == "features"]
+    maps = [(argv[argv.index("--map") + 1], argv[argv.index("--boxes") + 1]) for argv in features]
+    assert maps == [("fmap.mten", "boxes.json"), ("fmap.mten", "edge_boxes.json"),
+                    ("tall_fmap.mten", "tall_boxes.json"), ("u8_fmap.mten", "boxes.json")]
     outside = [(argv[0], arg) for argv in commands for arg in argv if arg.startswith(("past_", "neg_"))]
     assert outside == [
         ("eval", "past_class_dets.jsonl"), ("eval", "past_frame_gt.jsonl"), ("train", "past_triplets.jsonl"),
@@ -75,6 +77,13 @@ def test_tall_boxes_end_at_every_row_of_the_tall_map(tmp_path):
     tops = np.clip(np.floor(y1 * 0.25 - 0.5), 0, 399)
     assert len(set(tops.tolist())) > 350
     assert (y2 - y1 < 2).any() and (y2 - y1 > 60).any()
+
+
+def test_u8_map_holds_every_byte_value(tmp_path):
+    compare_outputs.write_u8_map(tmp_path, 7)
+    arr = read_tensor(tmp_path / "u8_fmap.mten")
+    assert arr.dtype == np.uint8 and arr.shape == (16, 60, 80)
+    assert np.unique(arr).size == 256
 
 
 def test_files_outside_int64_fail_on_their_first_value(tmp_path):

@@ -64,20 +64,22 @@ class TestFeatureMap:
             FeatureMap(tensor=np.zeros((1, 4, 4)), spatial_scale=0.0)
 
     @pytest.mark.parametrize(
-        "source",
+        "source, dtype, shared",
         [
-            np.arange(60, dtype=np.float32).reshape(3, 4, 5),
-            np.arange(60, dtype=np.float64).reshape(4, 5, 3).transpose(2, 0, 1),  # already channels-last
+            (np.arange(60, dtype=np.float32).reshape(3, 4, 5), np.float32, False),
+            (np.arange(60, dtype=np.uint8).reshape(3, 4, 5), np.float32, False),
+            (np.arange(60, dtype=np.float32).reshape(4, 5, 3).transpose(2, 0, 1), np.float32, True),
+            (np.arange(60, dtype=np.float64).reshape(4, 5, 3).transpose(2, 0, 1), np.float64, True),
         ],
-        ids=["float32", "float64-channels-last"],
+        ids=["float32", "uint8", "float32-channels-last", "float64-channels-last"],
     )
-    def test_holds_one_float64_channels_last_copy(self, source):
+    def test_holds_one_channels_last_copy_in_at_least_float32(self, source, dtype, shared):
         tensor = FeatureMap(source).tensor
-        assert tensor.dtype == np.float64 and tensor.shape == (3, 4, 5)
+        assert tensor.dtype == dtype and tensor.shape == (3, 4, 5)
         assert tensor.transpose(1, 2, 0).flags.c_contiguous
         assert np.array_equal(tensor, source)
-        # A map already in that layout is kept as it is, not copied again.
-        assert np.shares_memory(tensor, source) == (source.dtype == np.float64)
+        # A map already in that dtype and layout is kept as it is, not copied again.
+        assert np.shares_memory(tensor, source) == shared
 
     def test_pool_boxes_copies_no_map(self):
         rng = np.random.default_rng(0)
@@ -91,7 +93,7 @@ class TestFeatureMap:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < fmap.tensor.nbytes // 2  # not even a float32 copy of the 9.4 MiB map
+        assert peak < fmap.tensor.nbytes // 2  # not even half of the 4.7 MiB float32 map
 
     def test_scratch_does_not_grow_with_the_map(self):
         # The same boxes, all inside the smaller map, pooled on a map with 4x
@@ -274,6 +276,21 @@ class TestStoredMap:
             got = pool_boxes(FeatureMap(band, 0.25), boxes)
         assert np.array_equal(_bits(got), _bits(pool_boxes(FeatureMap(arr, 0.25), boxes)))
         assert len(reads) > 10 and sum(reads) == 240  # each row read once
+
+    def test_float32_pooling_is_within_two_float32_epsilons_of_float64(self, tmp_path):
+        # The roi_pool workload's map and boxes: the stored map pools in float32, against
+        # the same values held and pooled in float64. The measured gap is 1.19e-7 (one
+        # float32 epsilon) on descriptors up to 1.2; other seeds reach 1.79e-7.
+        rng = np.random.default_rng(0)
+        arr = rng.standard_normal((256, 60, 80), dtype=np.float32)
+        write_tensor(arr, tmp_path / "map.mten")
+        wh = rng.uniform(8.0, 64.0, size=(2000, 2))
+        xy = rng.uniform(0.0, 1.0, size=(2000, 2)) * (np.array([320.0, 240.0]) - wh)
+        boxes = np.hstack([xy, xy + wh])
+        got = pool_boxes(FeatureMap(read_tensor(tmp_path / "map.mten", band=True), 0.25), boxes)
+        want = pool_boxes(FeatureMap(arr.astype(np.float64), 0.25), boxes)
+        assert np.abs(want).max() < 1.25
+        assert np.abs(got.astype(np.float64) - want).max() <= 2 * np.finfo(np.float32).eps
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open files through /proc/self/fd")
     def test_holds_no_open_file_between_passes(self, tmp_path):

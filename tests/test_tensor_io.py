@@ -197,11 +197,11 @@ class TestMapBand:
         step=st.sampled_from([1, 4, 16]),
         stage_bytes=st.integers(1, 200),
     )
-    def test_windows_are_the_float64_map_rows(self, data, arr, step, stage_bytes, tmp_path_factory):
+    def test_windows_are_the_float32_map_rows(self, data, arr, step, stage_bytes, tmp_path_factory):
         path = tmp_path_factory.mktemp("band") / "t.mten"
         write_tensor(arr, path)
         spans = data.draw(windows(arr.shape[1]))
-        whole = np.ascontiguousarray(arr.transpose(1, 2, 0), dtype=np.float64)
+        whole = np.array(arr.transpose(1, 2, 0), dtype=np.float32, order="C")  # a copy: plain strides
         # Steps that refill the band every few rows, and stages of one channel up to all of them.
         with mock.patch.object(tensor_io, "BAND_STEP", step), mock.patch.object(tensor_io, "_STAGE_BYTES", stage_bytes):
             band = read_tensor(path, band=True)
@@ -221,8 +221,8 @@ class TestMapBand:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        held = (17 + tensor_io.BAND_STEP) * 80 * 256 * 8
-        assert held < 0.6 * 2 * arr.nbytes  # the float64 map would be 2 * arr.nbytes
+        held = (17 + tensor_io.BAND_STEP) * 80 * 256 * 4  # a float32 band
+        assert held < 0.6 * arr.nbytes  # the float32 map would be arr.nbytes
         assert peak <= held + tensor_io._STAGE_BYTES + (64 << 10)
 
     @pytest.mark.parametrize("shape", [(6,), (2, 3), (1, 2, 2, 2)], ids=["1-d", "2-d", "4-d"])

@@ -8,7 +8,8 @@ when ``--change-env NAME=VALUE`` (repeatable) sets a variable for the
 change's commands only, so that one tree is compared under two environments. For each seed the script
 writes one set of seeded inputs (a 64x3x7x7 conv layer, a 256x60x80 feature
 map with 2,000 boxes and 500 edge-case boxes, a tall 8x400x48 feature map
-with 1,200 boxes at every height, a dense detection/ground-truth
+with 1,200 boxes at every height, a 16x60x80 feature map of random bytes
+(stored as u8), a dense detection/ground-truth
 pair, five malformed record files, four tracklets without ``feature_rows``
 with their features and identity map, six files that break the int64
 or nonnegative rule of their integers, and two tracklet files that each
@@ -48,7 +49,9 @@ paths only:
   two defective frame directories made from the scene's first three frames
   (two files sharing a frame index; a frame of another size) and with a
   missing ``--labels`` directory, so that their exit codes and error lines
-  are compared too.
+  are compared too;
+* last, ``features`` of the 2,000 boxes on the u8 map, so that stored bytes'
+  way into the float32 band of rows is compared too.
 
 Each command's exit code, standard output and standard error go to a log
 file inside the output directory, so they are compared with the artifacts.
@@ -102,6 +105,7 @@ def write_inputs(directory: Path, seed: int) -> None:
     (directory / "boxes.json").write_text(json.dumps({"boxes": boxes}), encoding="utf-8")
     write_edge_boxes(directory, seed)
     write_tall_map(directory, seed)
+    write_u8_map(directory, seed)
     write_dense_pair(directory, seed)
     write_malformed_records(directory)
     write_enumeration_inputs(directory, seed)
@@ -327,6 +331,12 @@ def write_late_miss(directory: Path) -> None:
     (directory / "late_miss_triplets.jsonl").write_text(text, encoding="utf-8")
 
 
+def write_u8_map(directory: Path, seed: int) -> None:
+    """``u8_fmap.mten``: a 16x60x80 map of random bytes, pooled with ``boxes.json``'s boxes."""
+    rng = np.random.default_rng([seed, 8])
+    _write_mtensor(rng.integers(0, 256, size=(16, 60, 80), dtype=np.uint8), directory / "u8_fmap.mten")
+
+
 # The scene of ``synth generate`` in the chain: canvas width and height, frames and objects.
 SCENE = (320, 240, 300, 12)
 
@@ -419,6 +429,9 @@ def chain(seed: int, scene: tuple[int, int, int, int] = SCENE) -> list[list[str]
         ["stack", "--frames", "frames_sized", "--variant", "rgb-seq", "--out-dir", "stacks_sized"],
         ["stack", "--frames", "scene/frames", "--variant", "rgb-seq", "--labels", "no_labels",
          "--out-dir", "stacks_no_labels"],
+        # Last, so that every earlier command keeps its log's number.
+        ["features", "--map", "u8_fmap.mten", "--scale", "0.25", "--boxes", "boxes.json",
+         "--out-features", "pooled_u8.mten", "--out", "features_u8.json"],
     ]
     return commands
 
