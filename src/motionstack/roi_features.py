@@ -21,10 +21,8 @@ lowest sample pixel to the last pixel given weight, so no [N, Hf] or
 [N, Wf] array is built. No per-sample tensor is built either.
 
 The weights are built in float64 and cast once to the map's dtype, in which
-both contractions run, as RoIAlign runs in its feature map's own float32:
-a float32 map (stored as u8 or f32, or given as a float32 or uint8 array)
-pools in float32, and a float64 array in float64, where only the summation
-order differs from interpolating each sample.
+both contractions run: a stored map and a float32 or uint8 array pool in
+float32, as RoIAlign does, and a float64 array in float64.
 
 A ``FeatureMap`` built from an array holds its map once, as a C-contiguous
 [Hf, Wf, C] array of ``np.result_type(map.dtype, np.float32)``, in which a
@@ -62,13 +60,12 @@ SAMPLING_RATIO = 2
 class FeatureMap:
     """A [C, Hf, Wf] map plus its feature-pixels-per-image-pixel ratio.
 
-    An array map is held once, as a C-contiguous [Hf, Wf, C] array of at
-    least float32 (``np.result_type(map.dtype, np.float32)``: float32 for a
-    float32 or uint8 map, float64 for a float64 one); ``tensor`` is its
-    [C, Hf, Wf] view. A tensor given in that dtype and layout already is used
-    without a copy; any other is converted into a copy of the map's own. A
-    ``MapBand`` (``read_tensor(path, band=True)``) is kept as it is, and its
-    rows are read, as float32, as pooling asks for them.
+    An array map is held once, as a C-contiguous [Hf, Wf, C] array of
+    ``np.result_type(map.dtype, np.float32)``; ``tensor`` is its [C, Hf, Wf]
+    view. A tensor given in that dtype and layout already is used without a
+    copy; any other is converted into a copy of the map's own. A ``MapBand``
+    (``read_tensor(path, band=True)``) is kept as it is, and its rows are
+    read, as float32, as pooling asks for them.
     """
 
     tensor: np.ndarray | MapBand = field(repr=False)
