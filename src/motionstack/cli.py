@@ -155,6 +155,14 @@ def _load_net_for(path: Path, table) -> EmbeddingNet:
     return net
 
 
+def _embed(net: EmbeddingNet, path: Path, tracklets, table):
+    # ``tracklet_embeddings``, with embeddings past float32 named by the net's file, ``path``.
+    try:
+        return tracklet_embeddings(net, tracklets, table)
+    except DataValidationError as exc:  # the table holds every key, so only an overflow is left
+        raise DataValidationError(f"{path}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # subcommand implementations; each returns (results, summary)
 
@@ -301,7 +309,7 @@ def _cmd_reid(args):
     for pos, tid in enumerate(tracklets.id.tolist()):
         members.setdefault(group_of.get(tid, f"ungrouped_{tid}"), []).append(pos)
     grouped = tracklets.take(np.array([pos for group in members.values() for pos in group], dtype=np.intp))
-    matrix, embeddings = tracklet_embeddings(net, grouped, table)
+    matrix, embeddings = _embed(net, args.net, grouped, table)
     del table  # the features, not needed past the embeddings
     bounds = grouped.firsts[np.cumsum([0, *map(len, members.values())])].tolist()
     centroids = tracklet_centroids(embeddings)
@@ -330,9 +338,9 @@ def _cmd_project(args):
     table = load_feature_table(tracklets, args.features)
     keys = enumerate_keys(tracklets)
     if args.net is None:
-        points = table.matrix[table.rows(keys)]  # pca_project_2d converts them to float64 once
+        points = table.matrix[table.rows(keys)]  # float32; pca_project_2d widens a block of rows at a time
     else:
-        points = tracklet_embeddings(_load_net_for(args.net, table), tracklets, table)[0]
+        points = _embed(_load_net_for(args.net, table), args.net, tracklets, table)[0]
     del table  # the features, not needed past the points
     try:
         coords = pca_project_2d(points)

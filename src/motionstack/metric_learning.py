@@ -25,14 +25,18 @@ The pieces, in pipeline order:
   byte-identical. Non-finite features are rejected. The optional output
   L2-normalization toggle affects inference (embeddings, centroids) only;
   training always optimizes the raw-output loss.
-* re-identification: every frame embedded into one matrix, each tracklet in
-  blocks of at most 128 of its own rows; per-tracklet centroid embeddings,
-  merge proposals for centroid pairs within a distance threshold that do not
+* re-identification: every frame embedded into one float32 matrix, each
+  tracklet in blocks of at most 128 of its own rows, a net whose embeddings
+  overflow float32 rejected; per-tracklet centroid embeddings, merge
+  proposals for centroid pairs within a distance threshold that do not
   overlap in time (one individual cannot appear twice in a frame),
   separation statistics, and a deterministic 2-d PCA projection for scatter
   export, from the SVD of a QR factor built a block of centered rows at a
-  time. Separation statistics take distances from one BLAS product per block
-  of rows, with cancelling pairs recomputed directly, in O(block) scratch
+  time. Centroids, separation statistics and the projection compute in
+  float64, widening the float32 embeddings a group or a block of rows at a
+  time, so they give the bits of a float64 matrix without holding one.
+  Separation statistics take distances from one BLAS product per block of
+  rows, with cancelling pairs recomputed directly, in O(block) scratch
   memory, and add the row sums with ``math.fsum``, so the block size does
   not change how the distances are added.
 
@@ -276,6 +280,7 @@ class EmbeddingNet:
         if self.normalize_output:
             norms = np.linalg.norm(out, axis=1, keepdims=True)
             out = np.divide(out, norms, out=np.zeros_like(out), where=norms > 0)
+            out[np.isinf(norms[:, 0])] = np.nan  # a norm past the dtype's range would scale its row to 0
         return out
 
 
@@ -418,29 +423,38 @@ def tracklet_embeddings(
 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """Every frame's embedding, held once: (matrix, views by tracklet id).
 
-    ``matrix`` is float64 [frames, 128] in ``enumerate_keys`` order, and
-    each view is that tracklet's [frames, 128] slice of it. Each tracklet is embedded
-    in float32 from its slice of one ``table.rows`` lookup, in the fewest near-equal blocks
-    of at most ``_EMBED_BLOCK_ROWS`` of its own rows, straight into the matrix: the hidden
-    layers held are one block's, however long the tracklet. A split tracklet's blocks
-    hold 64 rows or more, never the few-row products that BLAS may round differently,
-    so each view has the bits ``embed_batch`` gives all that tracklet's rows.
+    ``matrix`` is float32 [frames, 128] in ``enumerate_keys`` order, the dtype
+    the net computes in, and each view is that tracklet's [frames, 128] slice
+    of it. Each tracklet is embedded from its slice of one ``table.rows``
+    lookup, in the fewest near-equal blocks of at most ``_EMBED_BLOCK_ROWS``
+    of its own rows, straight into the matrix: the hidden layers held are one
+    block's, however long the tracklet. A split tracklet's blocks hold 64 rows
+    or more, never the few-row products that BLAS may round differently, so
+    each view has the bits ``embed_batch`` gives all that tracklet's rows. A
+    block that is not finite, from a net whose values overflow float32, raises
+    ``DataValidationError`` naming its tracklet.
     """
     rows = table.rows(enumerate_keys(tracklets))
-    matrix = np.empty((len(rows), OUT_DIM), dtype=np.float64)
+    matrix = np.empty((len(rows), OUT_DIM), dtype=np.float32)
     views: dict[int, np.ndarray] = {}
     for tid, lo, hi in zip(tracklets.id.tolist(), tracklets.firsts[:-1].tolist(), tracklets.firsts[1:].tolist()):
         views[tid] = matrix[lo:hi]
         blocks = max(1, -(-(hi - lo) // _EMBED_BLOCK_ROWS))
         edges = [lo + (hi - lo) * k // blocks for k in range(blocks + 1)]
         for a, b in zip(edges, edges[1:]):
-            matrix[a:b] = net.embed_batch(table.matrix[rows[a:b]])
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as inf or nan, checked next
+                matrix[a:b] = net.embed_batch(table.matrix[rows[a:b]])
+            if not np.isfinite(matrix[a:b]).all():
+                raise DataValidationError(f"tracklet {tid}: embeddings are not finite, the net overflows float32")
     return matrix, views
 
 
 def tracklet_centroids(embeddings: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
-    """Mean of each tracklet's frame embeddings, as from ``tracklet_embeddings`` (float64 [128])."""
-    return {tid: frames.mean(axis=0) for tid, frames in embeddings.items()}
+    """Mean of each tracklet's frame embeddings, as from ``tracklet_embeddings`` (float64 [128]).
+
+    The mean is taken in float64, the bits of averaging the embeddings widened first.
+    """
+    return {tid: frames.mean(axis=0, dtype=np.float64) for tid, frames in embeddings.items()}
 
 
 # Bytes of one block's [rows, len(b)] float64 distances in ``_distance_blocks``. A
@@ -450,22 +464,29 @@ def tracklet_centroids(embeddings: Mapping[int, np.ndarray]) -> dict[int, np.nda
 _SEPARATION_BLOCK_BYTES = 1 << 20
 
 
-def _distance_blocks(a: np.ndarray, b: np.ndarray):
+def _distance_blocks(a: np.ndarray, b: np.ndarray, a2: np.ndarray | None = None, b2: np.ndarray | None = None):
     """Yield (first row, [rows, len(b)] Euclidean distances) for whole-row blocks of ``a``.
 
-    Squared distances come from the Gram expansion ``|a|^2 + |b|^2 - 2 a.b``,
-    one BLAS product per block. Where that cancels, ``d2 < 1e-2 * (|a|^2 + |b|^2)``,
-    the pair is recomputed as ``sum((a_i - b_j)**2)``, so coincident rows are
-    exactly 0 and a kept pair is accurate to about 4e-13 relative.
+    ``a2`` and ``b2`` are the rows' squared norms from ``_squared_norms``,
+    computed here if not given. The distances are float64 whatever the rows' dtype: ``b`` is widened once
+    per call and ``a`` a block of rows at a time (``a`` is ``b`` for a group
+    with itself, widened once). Squared distances come from the Gram
+    expansion ``|a|^2 + |b|^2 - 2 a.b``, one BLAS product per block. Where
+    that cancels, ``d2 < 1e-2 * (|a|^2 + |b|^2)``, the pair is recomputed as
+    ``sum((a_i - b_j)**2)``, so coincident rows are exactly 0 and a kept pair
+    is accurate to about 4e-13 relative.
     """
-    a2, b2 = _squared_norms(a), _squared_norms(b)
+    a2 = _squared_norms(a) if a2 is None else a2
+    b2 = _squared_norms(b) if b2 is None else b2
+    wide_b = b.astype(np.float64, copy=False)
+    wide_a = wide_b if a is b else a
     step = max(1, _SEPARATION_BLOCK_BYTES // (8 * len(b)))
     # A recompute chunk holds its [pairs, D] differences, the [pairs, D] rows of b
     # taken from them and the [pairs] sums, together inside the block budget.
     pairs = max(1, _SEPARATION_BLOCK_BYTES // (8 * (2 * b.shape[1] + 1)))
     for lo in range(0, len(a), step):
-        rows = a[lo : lo + step]
-        d2 = rows @ b.T
+        rows = wide_a[lo : lo + step].astype(np.float64, copy=False)
+        d2 = rows @ wide_b.T
         d2 *= -2.0
         norms = a2[lo : lo + step, None] + b2
         d2 += norms
@@ -473,17 +494,19 @@ def _distance_blocks(a: np.ndarray, b: np.ndarray):
         cancelled = d2 < np.multiply(norms, 1e-2, out=norms)
         del norms
         if cancelled.any():  # most blocks between two groups have no such pair
-            _recompute(d2, rows, b, np.flatnonzero(cancelled), pairs)
-        del cancelled
+            _recompute(d2, rows, wide_b, np.flatnonzero(cancelled), pairs)
+        del cancelled, rows
         yield lo, np.sqrt(d2, out=d2)
         del d2  # the consumer has summed it: no spent block is held through the next product
 
 
 def _squared_norms(x: np.ndarray) -> np.ndarray:
-    # Each row's sum of squares, squaring a budget of rows at a time: each row is summed
-    # alone, so the bits are those of squaring ``x`` whole, without its [n, D] temporary.
+    # Each row's float64 sum of squares, widening and squaring a budget of rows at a time:
+    # each row is summed alone, so the bits are those of squaring ``x`` whole in float64.
     step = max(1, _SEPARATION_BLOCK_BYTES // (8 * max(1, x.shape[1])))
-    blocks = (np.square(x[lo : lo + step]).sum(axis=1) for lo in range(0, len(x), step))
+    blocks = (
+        np.square(x[lo : lo + step].astype(np.float64, copy=False)).sum(axis=1) for lo in range(0, len(x), step)
+    )
     return np.concatenate([np.empty(0), *blocks])
 
 
@@ -497,13 +520,15 @@ def _recompute(d2: np.ndarray, rows: np.ndarray, b: np.ndarray, flat: np.ndarray
         del diff  # before the next chunk's is gathered
 
 
-def _row_sums(a: np.ndarray, b: np.ndarray, upper: bool):
-    """Yield each row's sum of distances from ``a`` to ``b``, block by block.
+def _row_sums(a, b, upper: bool):
+    """Yield each row's sum of distances from group ``a`` to group ``b``, block by block.
 
-    With ``upper`` (``a`` is ``b``), row r sums only its distances to rows
-    r+1..: the lower triangle of each block is zeroed in place.
+    Each group is a (rows, squared norms) pair. With ``upper`` (``a`` is
+    ``b``), row r sums only its distances to rows r+1..: the lower triangle
+    of each block is zeroed in place.
     """
-    for lo, dist in _distance_blocks(a, b):
+    (a, a2), (b, b2) = a, b
+    for lo, dist in _distance_blocks(a, b, a2, b2):
         if upper:
             dist[np.tri(*dist.shape, lo, dtype=bool)] = 0.0
         sums = dist.sum(axis=1).tolist()
@@ -519,26 +544,30 @@ def separation_metrics(groups: Mapping[object, Sequence[np.ndarray]]) -> dict:
     ``ratio`` is their quotient, defined as 0 for the degenerate inter == 0
     case. At least two identities are required.
 
-    Distances come from ``_distance_blocks``, within rel 1e-12 of the
-    direct formula, and a distance between coincident samples is exactly 0.
-    Each row's distances are summed with ``np.sum``, and all row sums with
-    one correctly rounded ``math.fsum`` per mean, so the block size does not
-    change how the distances are added, and reruns are bit-identical. BLAS
-    may round a product differently at another block shape or thread count
-    (a one-row block goes through gemv), which can move a mean by its last
-    bit.
+    Each group stays in its own dtype; the distances are float64, from
+    ``_distance_blocks``, which widens one group and one block of rows at a
+    time, so float32 groups give the bits of their float64 widening. Each
+    group's squared norms are computed once. The distances are within rel
+    1e-12 of the direct formula, and a distance between coincident samples
+    is exactly 0. Each row's distances are summed with ``np.sum``, and all
+    row sums with one correctly rounded ``math.fsum`` per mean, so the block
+    size does not change how the distances are added, and reruns are
+    bit-identical. BLAS may round a product differently at another block
+    shape or thread count (a one-row block goes through gemv), which can
+    move a mean by its last bit.
     """
     keys = list(groups.keys())
     if len(keys) < 2:
         raise DataValidationError(f"separation metrics need >= 2 identities, got {len(keys)}")
-    vecs = [np.asarray(groups[k], dtype=np.float64) for k in keys]
+    vecs = [np.asarray(groups[k]) for k in keys]
     intra_count = sum(len(v) * (len(v) - 1) // 2 for v in vecs)
     inter_count = sum(len(a) * len(b) for i, a in enumerate(vecs) for b in vecs[i + 1 :])
+    pairs = [(v, _squared_norms(v)) for v in vecs]
     # fsum takes the row sums as they come, so no list grows with the rows or the groups, and
     # each pair's generator has ended, its last block dropped, before the next pair's begins.
-    intra_sum = math.fsum(chain.from_iterable(_row_sums(a, a, upper=True) for a in vecs))
+    intra_sum = math.fsum(chain.from_iterable(_row_sums(a, a, upper=True) for a in pairs))
     inter_sum = math.fsum(
-        chain.from_iterable(_row_sums(a, b, upper=False) for i, a in enumerate(vecs) for b in vecs[i + 1 :])
+        chain.from_iterable(_row_sums(a, b, upper=False) for i, a in enumerate(pairs) for b in pairs[i + 1 :])
     )
     intra_mean = intra_sum / intra_count if intra_count else 0.0
     inter_mean = inter_sum / inter_count if inter_count else 0.0
@@ -596,19 +625,22 @@ def pca_project_2d(points: np.ndarray) -> np.ndarray:
 
     Each component's largest-magnitude loading is positive, rank-deficient
     data pads the missing coordinate with zeros, and at least 2 samples are
-    required. ``points`` is read, never written. The directions come from the
-    SVD of the centered points' QR factor R, built ``_PCA_BLOCK_ROWS``
-    centered rows at a time under the last R (TSQR), so neither Q, U nor a
-    copy of the points is formed. LAPACK's ``dgesdd`` takes that QR-first
-    route itself when N >= 11/6 D, so such data of one block gives the direct
-    SVD's bits; more rows, or shorter data, can differ in the last bits.
+    required. ``points`` is read, never written, in its own dtype: the mean
+    is taken in float64, and each block of rows is widened as it is centered,
+    so float32 points give the bits of their float64 widening without a
+    float64 copy of them all. The directions come from the SVD of the
+    centered points' QR factor R, built ``_PCA_BLOCK_ROWS`` centered rows at
+    a time under the last R (TSQR), so neither Q, U nor a copy of the points
+    is formed. LAPACK's ``dgesdd`` takes that QR-first route itself when
+    N >= 11/6 D, so such data of one block gives the direct SVD's bits; more
+    rows, or shorter data, can differ in the last bits.
     """
-    points = np.asarray(points, dtype=np.float64)
+    points = np.asarray(points)
     if points.ndim != 2:
         raise DataValidationError(f"embeddings must be [N, D], got shape {points.shape}")
     if len(points) < 2:
         raise DataValidationError(f"projection needs >= 2 samples, got {len(points)}")
-    mean = points.mean(axis=0)
+    mean = points.mean(axis=0, dtype=np.float64)
     blocks = [slice(lo, lo + _PCA_BLOCK_ROWS) for lo in range(0, len(points), _PCA_BLOCK_ROWS)]
     r = np.empty((0, points.shape[1]))
     for rows in blocks:

@@ -25,7 +25,8 @@ def test_the_chain_writes_the_recorded_bytes(tmp_path):
     assert time.perf_counter() - start < 5.0
     assert sorted(got) == sorted(golden["files"])  # every command writes the same files on any machine
     # BLAS-computed files are checked only on the numpy and BLAS that recorded them. The log
-    # of a command that failed is checked everywhere: it fails on its input, before any product.
+    # of a command that failed is checked everywhere: it fails on its input, before any product
+    # or, for a net whose embeddings overflow float32, at any rounding of its products.
     same_blas = {key: golden[key] for key in ("numpy", "blas")} == chain_digests.machine()
     failed = {name for name in got if name.startswith("logs/")
               and (tmp_path / name).read_text(encoding="utf-8").split("\n")[1] != "exit 0"}

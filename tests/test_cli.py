@@ -267,6 +267,25 @@ class TestExitCodes:
         assert err.startswith(f"error: {boxes}: box 0 [1e+308, 0.0, 1.5e+308, 10.0] {defect} at spatial_scale")
         assert not (tmp_path / "pooled.mten").exists()
 
+    @pytest.mark.parametrize("command, out", [("reid", "reid.json"), ("project", "scatter.csv")])
+    def test_net_whose_embeddings_overflow_is_data_error(self, tmp_path, input_files, command, out):
+        # Finite weights whose second layer's products pass float32's range.
+        net = EmbeddingNet.init(read_tensor(input_files / "features.mten").shape[1], seed=0)
+        for l in (0, 1):
+            net.weights[l] *= np.float32(1e20)
+        path = save_net(net, tmp_path / "big")
+        argv = _input_file_argv(command, input_files, tmp_path)
+        argv[argv.index("--net") + 1] = str(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # an overflow on the way is a fault too
+            code, err = _run_quiet(argv)
+        assert code == 2, err
+        first = load_tracklets_json(input_files / "tracklets.json")[0].id  # grouped or not, embedded first
+        assert err.splitlines() == [
+            f"error: {path}: tracklet {first}: embeddings are not finite, the net overflows float32"
+        ]
+        assert not (tmp_path / out).exists()
+
     def test_box_wider_than_the_float_range_is_data_error(self, tmp_path, input_files):
         # Both corners are finite at --scale 1, but the width between them is not.
         boxes = tmp_path / "boxes.json"
@@ -1253,11 +1272,12 @@ class TestMetricLearningPipeline:
         finally:
             tracemalloc.stop()
         assert code == 0
-        embedding_bytes = len(enumerate_keys(tracklets)) * OUT_DIM * 8
-        assert embedding_bytes == 3600 * OUT_DIM * 8
-        # Room for the matrix, one block's embedding scratch and a few blocks of
-        # projection scratch, but not for a second and third full-size copy.
-        assert peak <= 3 * embedding_bytes
+        embedding_bytes = len(enumerate_keys(tracklets)) * OUT_DIM * 4
+        assert embedding_bytes == 3600 * OUT_DIM * 4  # the float32 matrix
+        # The matrix, one block's embedding scratch and a few blocks of projection
+        # scratch take about 2.0 matrices. A float64 matrix, or a float64 copy of
+        # the float32 one, on top of them would take 3.0.
+        assert peak <= 2.5 * embedding_bytes
 
     def test_reid_holds_the_embeddings_about_once(self, tmp_path):
         # Embedded group by group into one matrix, so each separation group is a slice
@@ -1276,11 +1296,11 @@ class TestMetricLearningPipeline:
         finally:
             tracemalloc.stop()
         assert code == 0
-        embedding_bytes = len(enumerate_keys(tracklets)) * OUT_DIM * 8
-        assert embedding_bytes == 3600 * OUT_DIM * 8
-        # The matrix, the float64 features and the separation scratch take about 2.7
-        # matrices; a copy of every group on top of them would take 3.8.
-        assert peak <= 3.2 * embedding_bytes
+        embedding_bytes = len(enumerate_keys(tracklets)) * OUT_DIM * 4
+        assert embedding_bytes == 3600 * OUT_DIM * 4  # the float32 matrix
+        # The matrix, the features, one group widened to float64 and the separation
+        # scratch take about 2.8 matrices; every group widened at once would take 3.4.
+        assert peak <= 3.1 * embedding_bytes
 
     def test_reid_separation_is_the_same_three_ways(self, tmp_path):
         # Group keys only label the groups: one group per tracklet gives the same

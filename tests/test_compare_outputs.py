@@ -11,7 +11,7 @@ import pytest
 from motionstack import cli
 from motionstack.det_metrics import load_detections_jsonl, load_ground_truth_jsonl
 from motionstack.errors import DataValidationError
-from motionstack.metric_learning import load_triplets_jsonl
+from motionstack.metric_learning import EmbeddingNet, load_net, load_triplets_jsonl, save_net
 from motionstack.synth_scenes import SceneConfig, generate
 from motionstack.tensor_io import read_tensor
 from motionstack.tracklets import load_identity_map, load_tracklets_json
@@ -169,6 +169,28 @@ def test_late_miss_fails_on_its_last_line(tmp_path, capsys):
     steps = [argv[0] for argv in compare_outputs.chain(7)
              if argv[:3] == scene_mine or "late_miss_triplets.jsonl" in argv]
     assert steps == ["mine", "train"]  # the scene's triplets are mined before the late miss is written from them
+
+
+def test_overflow_net_is_the_trained_net_scaled_and_refused(tmp_path, monkeypatch, capsys):
+    generate(SceneConfig(width=64, height=48, num_frames=40, num_objects=3, seed=1), tmp_path / "scene")
+    net = EmbeddingNet.init(read_tensor(tmp_path / "scene" / "features.mten").shape[1], hidden=(16, 8), seed=0)
+    save_net(net, tmp_path / "net")
+    compare_outputs.write_overflow_net(tmp_path)
+    scaled = load_net(tmp_path / "net_overflow" / "net.json")
+    for layer, (w, b) in enumerate(zip(scaled.weights, scaled.biases)):
+        scale = np.float32(1e20 if layer < 2 else 1)
+        assert np.array_equal(w, net.weights[layer] * scale) and np.array_equal(b, net.biases[layer] * scale)
+    commands = compare_outputs.chain(7)
+    assert [argv[0] for argv in commands if "net_overflow/net.json" in argv] == ["reid", "project"]
+    assert all("net_overflow/net.json" in argv for argv in commands[-2:])  # last, so no log is renumbered
+    monkeypatch.chdir(tmp_path)
+    first = load_tracklets_json(tmp_path / "scene" / "tracklets.json")[0].id
+    for argv in commands[-2:]:
+        capsys.readouterr()
+        assert cli.run(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: net_overflow/net.json: tracklet {first}: embeddings are not finite, the net overflows float32"
+        ]
 
 
 def test_differences_name_every_file_in_path_order(tmp_path):

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from itertools import count
 from pathlib import Path
 from unittest import mock
@@ -847,8 +848,8 @@ class TestReid:
         net = EmbeddingNet.init(5, hidden=(6,), seed=0)
         matrix, embeddings = tracklet_embeddings(net, ts, table)
         assert [e.shape for e in embeddings.values()] == [(3, OUT_DIM), (1, OUT_DIM)]
-        # One float64 matrix in enumerate_keys order; each tracklet's rows are a view of it.
-        assert matrix.dtype == np.float64 and matrix.shape == (4, OUT_DIM)
+        # One float32 matrix in enumerate_keys order; each tracklet's rows are a view of it.
+        assert matrix.dtype == np.float32 and matrix.shape == (4, OUT_DIM)
         assert all(np.shares_memory(e, matrix) for e in embeddings.values())
         assert np.array_equal(np.concatenate(list(embeddings.values())), matrix)
         centroids = tracklet_centroids(embeddings)
@@ -912,10 +913,25 @@ class TestReid:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert matrix.nbytes == 4 << 20
+        assert matrix.nbytes == 2 << 20  # 4,096 float32 rows of 128
         # Above the matrix: the float64 weights and about one block's scratch (0.9 MiB).
         # Embedded whole, the tracklet's 512- and 256-wide layers alone take 24 MiB.
         assert peak - matrix.nbytes <= weights64 + 2 * block, peak
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_embeddings_past_float32_are_refused(self, normalize):
+        # Unnormalized, the second layer's products overflow. Normalized, the outputs are
+        # finite but their squares are not, so each norm would be inf and its row 0.
+        ts = _ts([_tr(3, 0, 9), _tr(8, 20, 29)])
+        table = FeatureTable(ts, np.random.default_rng(1).normal(size=(20, 32)).astype(np.float32))
+        net = EmbeddingNet.init(32, seed=0, normalize_output=normalize)
+        for l, scale in ([(2, 1e21)] if normalize else [(0, 1e20), (1, 1e20)]):
+            net.weights[l] *= np.float32(scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DataValidationError) as exc:
+                tracklet_embeddings(net, ts, table)
+        assert str(exc.value) == "tracklet 3: embeddings are not finite, the net overflows float32"
 
     @pytest.mark.parametrize("explicit", [False, True])
     def test_a_tracklet_outside_the_table_names_its_first_missing_frame(self, explicit):
@@ -1255,6 +1271,50 @@ class TestProjection:
             for points in (coords[:n], narrow[:n], coords[:n].tolist()):
                 write_scatter_csv(keys[:n], points, path)
                 assert path.read_bytes() == written(keys[:n], points)
+
+
+class TestFloat32Embeddings:
+    """The float64 statistics of float32 embeddings are those of their float64 widening, bit for bit."""
+
+    def test_separation_of_float32_groups_is_that_of_their_widening(self):
+        rng = np.random.default_rng(21)
+        matrix = (rng.normal(size=(1500, OUT_DIM)) * 0.3).astype(np.float32)
+        matrix[600:610] = matrix[5]  # coincident rows within a group and across two groups
+        matrix[1400] = matrix[1401]
+        bounds = [0, 1200, 1210, 1211, 1500]  # the first group takes 11 row blocks of 109
+        assert 1200 * OUT_DIM * 8 > _SEPARATION_BLOCK_BYTES
+        groups = {g: matrix[lo:hi] for g, lo, hi in zip("abcd", bounds, bounds[1:])}
+        with mock.patch.object(metric_learning, "_recompute", wraps=metric_learning._recompute) as spy:
+            got = separation_metrics(groups)
+        assert spy.called
+        assert got == separation_metrics({g: v.astype(np.float64) for g, v in groups.items()})
+
+    def test_separation_widens_one_group_at_a_time(self):
+        # Twelve identities of 300 float32 rows, as reid passes them: slices of one matrix.
+        rows = 300
+        matrix = np.random.default_rng(22).normal(size=(12 * rows, OUT_DIM)).astype(np.float32)
+        groups = {g: matrix[g * rows : (g + 1) * rows] for g in range(12)}
+        tracemalloc.start()
+        try:
+            separation_metrics(groups)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One group widened (0.3 MiB) and the block scratch. Every group widened up front
+        # takes 3.5 MiB on its own.
+        assert peak <= rows * OUT_DIM * 8 + 3 * _SEPARATION_BLOCK_BYTES
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 64, 127, 128, 129, 1000, 8192, 8193, 10_000])
+    def test_centroids_of_float32_are_those_of_their_widening(self, rows):
+        frames = (np.random.default_rng(rows).normal(size=(rows, OUT_DIM)) * 2.0 + 0.5).astype(np.float32)
+        got = tracklet_centroids({7: frames})[7]
+        assert got.dtype == np.float64
+        assert np.array_equal(got, frames.astype(np.float64).mean(axis=0))
+
+    @pytest.mark.parametrize("shape", [(40, 32), (512, 128), (513, 128), (1500, 32), (3600, 128)])
+    def test_projection_of_float32_is_that_of_its_widening(self, shape):
+        points = (np.random.default_rng(shape[0]).normal(size=shape) * 3.0 + 1.5).astype(np.float32)
+        assert np.array_equal(pca_project_2d(points), pca_project_2d(points.astype(np.float64)))
 
 
 class TestNetSerialization:

@@ -50,8 +50,12 @@ paths only:
   (two files sharing a frame index; a frame of another size) and with a
   missing ``--labels`` directory, so that their exit codes and error lines
   are compared too;
-* last, ``features`` of the 2,000 boxes on the u8 map, so that stored bytes'
-  way into the float32 band of rows is compared too.
+* ``features`` of the 2,000 boxes on the u8 map, so that stored bytes'
+  way into the float32 band of rows is compared too;
+* last, ``reid`` with the scene's identity map and ``project`` of the
+  embeddings through ``net_overflow``, the trained ``net`` with its layers
+  0 and 1 scaled by 1e20, whose embeddings overflow float32, so that the
+  rejection of such a net is compared too.
 
 Each command's exit code, standard output and standard error go to a log
 file inside the output directory, so they are compared with the artifacts.
@@ -80,6 +84,15 @@ import numpy as np
 
 STACK_LAYOUTS = ("rgb-seq", "rgb-int", "diff-seq", "diff-int")
 SURGERY_MODES = ("replicate", "random")
+
+
+def _read_mtensor(path: Path) -> np.ndarray:
+    # The array ``_write_mtensor`` would write back to the same bytes.
+    data = path.read_bytes()
+    (size,) = struct.unpack_from("<I", data, 8)
+    header = json.loads(data[12 : 12 + size])
+    dtype = {"u8": "<u1", "f32": "<f4"}[header["dtype"]]
+    return np.frombuffer(data, dtype, offset=12 + size).reshape(header["shape"])
 
 
 def _write_mtensor(arr: np.ndarray, path: Path) -> None:
@@ -337,6 +350,22 @@ def write_u8_map(directory: Path, seed: int) -> None:
     _write_mtensor(rng.integers(0, 256, size=(16, 60, 80), dtype=np.uint8), directory / "u8_fmap.mten")
 
 
+def write_overflow_net(directory: Path) -> None:
+    """``net_overflow``: the trained ``net`` with the weights and biases of layers 0 and 1 scaled by 1e20.
+
+    Every weight stays a finite float32, but the second layer's products pass
+    float32's range, so the net's embeddings are not finite.
+    """
+    source, target = directory / "net", directory / "net_overflow"
+    target.mkdir()
+    manifest = (source / "net.json").read_text(encoding="utf-8")
+    for layer, entry in enumerate(json.loads(manifest)["layers"]):
+        for name in (entry["weight"], entry["bias"]):
+            tensor = _read_mtensor(source / name)
+            _write_mtensor(tensor * np.float32(1e20) if layer < 2 else tensor, target / name)
+    (target / "net.json").write_text(manifest, encoding="utf-8")
+
+
 # The scene of ``synth generate`` in the chain: canvas width and height, frames and objects.
 SCENE = (320, 240, 300, 12)
 
@@ -429,9 +458,13 @@ def chain(seed: int, scene: tuple[int, int, int, int] = SCENE) -> list[list[str]
         ["stack", "--frames", "frames_sized", "--variant", "rgb-seq", "--out-dir", "stacks_sized"],
         ["stack", "--frames", "scene/frames", "--variant", "rgb-seq", "--labels", "no_labels",
          "--out-dir", "stacks_no_labels"],
-        # Last, so that every earlier command keeps its log's number.
+        # Last, in the order they were added, so that every earlier command keeps its log's number.
         ["features", "--map", "u8_fmap.mten", "--scale", "0.25", "--boxes", "boxes.json",
          "--out-features", "pooled_u8.mten", "--out", "features_u8.json"],
+        ["reid", *scene, "--net", "net_overflow/net.json", "--identity-map", "scene/identity_map.json",
+         "--out", "reid_overflow.json"],
+        ["project", *scene, "--net", "net_overflow/net.json", "--out-csv", "scatter_overflow.csv",
+         "--out", "project_overflow.json"],
     ]
     return commands
 
@@ -457,7 +490,8 @@ def run_commands(run, out: Path, commands: list[list[str]]) -> None:
     """Run ``chain``'s ``commands`` in ``out`` through ``run(argv) -> (exit code, stdout, stderr)``.
 
     Each command is logged to ``out/logs``, and the inputs made from the
-    scene and from its mined triplets are written as soon as they can be.
+    scene, from its mined triplets and from its trained net are written as
+    soon as they can be.
     """
     (out / "logs").mkdir()
     for step, argv in enumerate(commands):
@@ -468,6 +502,8 @@ def run_commands(run, out: Path, commands: list[list[str]]) -> None:
             write_scene_inputs(out)
         if argv[:3] == ["mine", "--tracklets", "scene/tracklets.json"] and (out / "triplets.jsonl").is_file():
             write_late_miss(out)
+        if argv[0] == "train" and argv[argv.index("--out-dir") + 1] == "net" and (out / "net" / "net.json").is_file():
+            write_overflow_net(out)
 
 
 def differences(a: Path, b: Path) -> list[str]:
