@@ -450,10 +450,7 @@ def tracklet_embeddings(
 
 
 def tracklet_centroids(embeddings: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
-    """Mean of each tracklet's frame embeddings, as from ``tracklet_embeddings`` (float64 [128]).
-
-    The mean is taken in float64, the bits of averaging the embeddings widened first.
-    """
+    """Float64 [128] mean of each tracklet's frame embeddings, the bits of averaging them widened."""
     return {tid: frames.mean(axis=0, dtype=np.float64) for tid, frames in embeddings.items()}
 
 
@@ -467,12 +464,11 @@ _SEPARATION_BLOCK_BYTES = 1 << 20
 def _distance_blocks(a: np.ndarray, b: np.ndarray, a2: np.ndarray | None = None, b2: np.ndarray | None = None):
     """Yield (first row, [rows, len(b)] Euclidean distances) for whole-row blocks of ``a``.
 
-    ``a2`` and ``b2`` are the rows' squared norms from ``_squared_norms``,
-    computed here if not given. The distances are float64 whatever the rows' dtype: ``b`` is widened once
-    per call and ``a`` a block of rows at a time (``a`` is ``b`` for a group
-    with itself, widened once). Squared distances come from the Gram
-    expansion ``|a|^2 + |b|^2 - 2 a.b``, one BLAS product per block. Where
-    that cancels, ``d2 < 1e-2 * (|a|^2 + |b|^2)``, the pair is recomputed as
+    ``a2`` and ``b2`` are the rows' squared norms, computed here if not given.
+    The distances are float64: ``b`` is widened once, ``a`` a block of rows at
+    a time. Squared distances come from the Gram expansion
+    ``|a|^2 + |b|^2 - 2 a.b``, one BLAS product per block. Where that cancels,
+    ``d2 < 1e-2 * (|a|^2 + |b|^2)``, the pair is recomputed as
     ``sum((a_i - b_j)**2)``, so coincident rows are exactly 0 and a kept pair
     is accurate to about 4e-13 relative.
     """
@@ -501,12 +497,10 @@ def _distance_blocks(a: np.ndarray, b: np.ndarray, a2: np.ndarray | None = None,
 
 
 def _squared_norms(x: np.ndarray) -> np.ndarray:
-    # Each row's float64 sum of squares, widening and squaring a budget of rows at a time:
-    # each row is summed alone, so the bits are those of squaring ``x`` whole in float64.
+    # Each row's float64 sum of squares, squaring a budget of rows at a time: each row is summed
+    # alone, so the bits are those of squaring ``x`` whole, without its [n, D] temporary.
     step = max(1, _SEPARATION_BLOCK_BYTES // (8 * max(1, x.shape[1])))
-    blocks = (
-        np.square(x[lo : lo + step].astype(np.float64, copy=False)).sum(axis=1) for lo in range(0, len(x), step)
-    )
+    blocks = (np.square(x[lo : lo + step], dtype=np.float64).sum(axis=1) for lo in range(0, len(x), step))
     return np.concatenate([np.empty(0), *blocks])
 
 
@@ -544,17 +538,17 @@ def separation_metrics(groups: Mapping[object, Sequence[np.ndarray]]) -> dict:
     ``ratio`` is their quotient, defined as 0 for the degenerate inter == 0
     case. At least two identities are required.
 
-    Each group stays in its own dtype; the distances are float64, from
-    ``_distance_blocks``, which widens one group and one block of rows at a
-    time, so float32 groups give the bits of their float64 widening. Each
-    group's squared norms are computed once. The distances are within rel
-    1e-12 of the direct formula, and a distance between coincident samples
-    is exactly 0. Each row's distances are summed with ``np.sum``, and all
-    row sums with one correctly rounded ``math.fsum`` per mean, so the block
-    size does not change how the distances are added, and reruns are
-    bit-identical. BLAS may round a product differently at another block
-    shape or thread count (a one-row block goes through gemv), which can
-    move a mean by its last bit.
+    Each group stays in its own dtype, and its squared norms are computed
+    once. The float64 distances come from ``_distance_blocks``, which widens
+    one group and one block of rows at a time, so float32 groups give the bits
+    of their float64 widening. They are within rel 1e-12 of the direct
+    formula, and a distance between coincident samples is exactly 0. Each
+    row's distances are summed with ``np.sum``, and all row sums with one
+    correctly rounded ``math.fsum`` per mean, so the block size does not
+    change how the distances are added, and reruns are bit-identical. BLAS
+    may round a product differently at another block shape or thread count
+    (a one-row block goes through gemv), which can move a mean by its last
+    bit.
     """
     keys = list(groups.keys())
     if len(keys) < 2:
