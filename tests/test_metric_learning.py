@@ -1279,7 +1279,8 @@ class TestFloat32Embeddings:
     def test_separation_of_float32_groups_is_that_of_their_widening(self):
         rng = np.random.default_rng(21)
         matrix = (rng.normal(size=(1500, OUT_DIM)) * 0.3).astype(np.float32)
-        matrix[600:610] = matrix[5]  # coincident rows within a group and across two groups
+        matrix[600:610] = matrix[5]  # coincident rows within a group
+        matrix[1205] = matrix[5]  # and across two groups
         matrix[1400] = matrix[1401]
         bounds = [0, 1200, 1210, 1211, 1500]  # the first group takes 11 row blocks of 109
         assert 1200 * OUT_DIM * 8 > _SEPARATION_BLOCK_BYTES
