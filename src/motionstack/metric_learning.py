@@ -556,12 +556,12 @@ def separation_metrics(groups: Mapping[object, Sequence[np.ndarray]]) -> dict:
     vecs = [np.asarray(groups[k]) for k in keys]
     intra_count = sum(len(v) * (len(v) - 1) // 2 for v in vecs)
     inter_count = sum(len(a) * len(b) for i, a in enumerate(vecs) for b in vecs[i + 1 :])
-    pairs = [(v, _squared_norms(v)) for v in vecs]
+    normed = [(v, _squared_norms(v)) for v in vecs]
     # fsum takes the row sums as they come, so no list grows with the rows or the groups, and
     # each pair's generator has ended, its last block dropped, before the next pair's begins.
-    intra_sum = math.fsum(chain.from_iterable(_row_sums(a, a, upper=True) for a in pairs))
+    intra_sum = math.fsum(chain.from_iterable(_row_sums(a, a, upper=True) for a in normed))
     inter_sum = math.fsum(
-        chain.from_iterable(_row_sums(a, b, upper=False) for i, a in enumerate(pairs) for b in pairs[i + 1 :])
+        chain.from_iterable(_row_sums(a, b, upper=False) for i, a in enumerate(normed) for b in normed[i + 1 :])
     )
     intra_mean = intra_sum / intra_count if intra_count else 0.0
     inter_mean = inter_sum / inter_count if inter_count else 0.0
